@@ -402,13 +402,17 @@ impl HnswIndex {
         self.dead += 1;
         // A tombstoned entry point still navigates fine; prefer a live
         // one (highest level wins) so a fully-live graph never starts
-        // from a dead node.
+        // from a dead node. The graph's top layer follows the entry: a
+        // dead node alone on a higher layer is no longer reachable, and
+        // an insert must not try to link the new entry on layers it does
+        // not have.
         if self.entry == Some(node) {
             let replacement = (0..self.ids.len() as u32)
                 .filter(|&n| self.alive[n as usize])
                 .max_by_key(|&n| (self.levels[n as usize], Reverse(n)));
             if let Some(live) = replacement {
                 self.entry = Some(live);
+                self.max_level = self.levels[live as usize];
             }
         }
         true
@@ -597,6 +601,34 @@ mod tests {
         let (hits, stats) = index.search(&[0.0; 8], 5);
         assert!(hits.is_empty());
         assert_eq!(stats.distance_evals, 0);
+    }
+
+    /// Re-inserting the only node of the top layer (what a replace does:
+    /// tombstone, then insert) once indexed a lower node's links on a
+    /// layer it does not have.
+    #[test]
+    fn reinserting_the_sole_top_layer_node_keeps_the_ladder_consistent() {
+        let items = corpus(40, 6, 11);
+        let mut index = build(&items, HnswConfig::default());
+        let top = index.max_level();
+        let tall = (0..)
+            .map(|i| format!("tall-{i}"))
+            .find(|id| index.assign_level(id) > top)
+            .unwrap();
+        let v = [0.3, -0.2, 0.9, 0.1, 0.0, 0.4];
+        index.insert(&tall, &v);
+        assert!(index.max_level() > top);
+        assert!(index.remove(&tall));
+        assert_eq!(index.max_level(), top, "top layer follows the live entry");
+        index.insert(&tall, &v);
+        index.insert(&tall, &v);
+        assert_eq!(index.tombstones(), 2);
+        let (hits, _) = index.search(&v, 3);
+        assert_eq!(hits[0].0, tall);
+        let (hits, _) = index.search(&items[7].1, 1);
+        assert_eq!(hits[0].0, items[7].0, "the rest of the graph is still reachable");
+        let reloaded = HnswIndex::load_text(&index.save_text()).expect("saved index loads");
+        assert_eq!(reloaded.search(&v, 3).0, index.search(&v, 3).0);
     }
 
     #[test]

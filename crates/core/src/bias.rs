@@ -125,9 +125,12 @@ pub fn interrogate_weighted(
                 *venues.entry(v).or_insert(0) += 1;
             }
         }
+        // Equally common venues tie toward the smaller name: the map's
+        // iteration order is random per instance, and two renderings of
+        // one state must not differ.
         let dominant_venue = venues
             .iter()
-            .max_by_key(|(_, &n)| n)
+            .max_by_key(|(&v, &n)| (n, std::cmp::Reverse(v)))
             .map(|(v, &n)| (v.to_string(), n as f64 / members.len().max(1) as f64));
         if let Some((_, share)) = &dominant_venue {
             if *share > VENUE_CONCENTRATION && members.len() >= 3 {
@@ -352,6 +355,19 @@ mod tests {
         assert!(report.recent_fraction > 0.0);
         let total: usize = report.clusters.iter().map(|c| c.docs).sum();
         assert_eq!(total, 48);
+    }
+
+    /// The report is served over the wire and checked byte for byte
+    /// against an in-process recomputation, so it must be a function of
+    /// its inputs — including which of two equally common venues a
+    /// cluster names as dominant.
+    #[test]
+    fn report_is_a_pure_function_of_its_inputs() {
+        let (docs, w2v) = setup(48);
+        let first = interrogate(&docs, &w2v, 12).to_json().to_json();
+        for _ in 0..16 {
+            assert_eq!(interrogate(&docs, &w2v, 12).to_json().to_json(), first);
+        }
     }
 
     #[test]

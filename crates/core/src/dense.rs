@@ -14,6 +14,7 @@ use covidkg_json::Value;
 use covidkg_ml::Word2Vec;
 use covidkg_store::Collection;
 use covidkg_text::tokenize_lower;
+use std::collections::BTreeSet;
 
 /// The document representation the ANN tier indexes: the mean embedding
 /// of the title and abstract tokens (zeros when every token is OOV —
@@ -56,9 +57,12 @@ pub fn build_ann(
 
 /// Bring `ann` up to date with the collection: re-embed every document
 /// the mutation log reports touched since `ann_epoch` (tombstoning ids
-/// that vanished), then insert `new_ids` from the ingest path. Falls
-/// back to a full rebuild when the bounded log no longer covers the
-/// window. Returns the new epoch watermark.
+/// that vanished) and every id in `new_ids` from the ingest path — each
+/// id once: ingest enriches the documents it has just stored, so a new
+/// id is usually in the log too, and a second insert would only leave a
+/// tombstone behind (every tombstone widens every later search beam).
+/// Falls back to a full rebuild when the bounded log no longer covers
+/// the window. Returns the new epoch watermark.
 pub fn sync_ann(
     ann: &mut HnswIndex,
     ann_epoch: u64,
@@ -67,27 +71,25 @@ pub fn sync_ann(
     new_ids: &[String],
 ) -> u64 {
     let epoch = publications.mutation_epoch();
-    if epoch != ann_epoch {
+    let mut ids: BTreeSet<&str> = new_ids.iter().map(String::as_str).collect();
+    let touched = if epoch == ann_epoch {
+        Vec::new()
+    } else {
         match publications.touched_since(ann_epoch) {
-            Some(touched) => {
-                for id in touched {
-                    match publications.get(&id) {
-                        Some(doc) => ann.insert(&id, &doc_embedding(&doc, embeddings)),
-                        None => {
-                            ann.remove(&id);
-                        }
-                    }
-                }
-            }
+            Some(touched) => touched,
             None => {
                 *ann = build_ann(publications, embeddings, *ann.config());
                 return epoch;
             }
         }
-    }
-    for id in new_ids {
-        if let Some(doc) = publications.get(id) {
-            ann.insert(id, &doc_embedding(&doc, embeddings));
+    };
+    ids.extend(touched.iter().map(String::as_str));
+    for id in ids {
+        match publications.with_doc(id, |doc| doc_embedding(doc, embeddings)) {
+            Some(vector) => ann.insert(id, &vector),
+            None => {
+                ann.remove(id);
+            }
         }
     }
     epoch
@@ -172,6 +174,16 @@ mod tests {
         let again = sync_ann(&mut ann, epoch, &coll, &model, &[]);
         assert_eq!(again, epoch);
         assert_eq!(ann.len(), 6);
+
+        // An ingested id that was also enriched (so it is in the mutation
+        // log as well as the new-id list) is inserted once, not
+        // inserted, tombstoned and inserted again.
+        let dead = ann.tombstones();
+        coll.insert(doc("p7", "masks reduce transmission")).unwrap();
+        coll.replace("p7", doc("p7", "vaccines prevent outcomes")).unwrap();
+        sync_ann(&mut ann, epoch, &coll, &model, &["p7".to_string()]);
+        assert!(ann.contains("p7"));
+        assert_eq!(ann.tombstones(), dead);
     }
 
     #[test]

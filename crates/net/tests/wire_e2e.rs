@@ -84,6 +84,38 @@ fn cache_hits_are_flagged_but_bodies_stay_identical() {
     );
 }
 
+/// The serve cache keys a search by its stems, so two spellings of one
+/// query share an entry; the hit must still echo the request's own text.
+#[test]
+fn a_cache_hit_echoes_the_requests_own_query() {
+    let (serve, http) = start_stack(ServeConfig::default(), NetConfig::default());
+    let mut conn = client(&http);
+    for (engine, first, second) in [
+        ("all-fields", "immunity", "immunization"),
+        ("scoped", "vaccines", "Vaccine"),
+        ("hybrid", "masks%20vaccine", "Vaccine%20masks"),
+    ] {
+        let miss = conn.get(&format!("/search/{engine}?q={first}")).unwrap();
+        let hit = conn.get(&format!("/search/{engine}?q={second}")).unwrap();
+        assert_eq!(miss.header("x-cache"), Some("miss"), "{engine}");
+        assert_eq!(hit.header("x-cache"), Some("hit"), "{engine}: one shared entry");
+        let query = |body: &[u8]| {
+            let page = covidkg_json::parse(std::str::from_utf8(body).unwrap()).unwrap();
+            page.path("query").and_then(|q| q.as_str()).unwrap().to_string()
+        };
+        let spoken = second.replace("%20", " ");
+        match engine {
+            "scoped" => assert!(query(&hit.body).contains(&format!("title:{spoken}")), "{engine}"),
+            _ => assert_eq!(query(&hit.body), spoken, "{engine}"),
+        }
+        assert_ne!(query(&hit.body), query(&miss.body), "{engine}");
+        // Apart from the echo the hit is the page the miss computed.
+        let echo = |body: &[u8]| String::from_utf8_lossy(body).replacen(&query(body), "", 1);
+        assert_eq!(echo(&hit.body), echo(&miss.body), "{engine}");
+    }
+    drop(serve);
+}
+
 #[test]
 fn overloaded_queue_maps_to_503_with_retry_after() {
     // No workers: the first enqueued job sticks, the queue (capacity 1)

@@ -23,17 +23,22 @@
 
 mod ast;
 mod compile;
+mod literal;
 mod vm;
 
 pub use ast::ParseError;
 
 use compile::Program;
+use literal::Literal;
 
 /// A compiled regular expression.
 #[derive(Debug, Clone)]
 pub struct Regex {
     pattern: String,
     program: Program,
+    /// Set when the whole pattern is one literal: searches then skip the
+    /// VM (same matches, see the `literal` module).
+    literal: Option<Literal>,
 }
 
 /// A single match: byte offsets into the haystack.
@@ -69,7 +74,16 @@ impl Regex {
         Ok(Regex {
             pattern: pattern.to_string(),
             program,
+            literal: Literal::of(&ast, ci),
         })
+    }
+
+    /// Leftmost match in `haystack[from..]`.
+    fn search(&self, haystack: &str, from: usize) -> Option<Match> {
+        match &self.literal {
+            Some(literal) => literal.search(haystack, from),
+            None => vm::search(&self.program, haystack, from),
+        }
     }
 
     /// The source pattern.
@@ -79,12 +93,12 @@ impl Regex {
 
     /// Does the pattern match anywhere in `haystack`?
     pub fn is_match(&self, haystack: &str) -> bool {
-        vm::search(&self.program, haystack, 0).is_some()
+        self.search(haystack, 0).is_some()
     }
 
     /// Leftmost match, if any.
     pub fn find(&self, haystack: &str) -> Option<Match> {
-        vm::search(&self.program, haystack, 0)
+        self.search(haystack, 0)
     }
 
     /// Iterator over non-overlapping matches, left to right.
@@ -165,7 +179,7 @@ impl Iterator for FindIter<'_, '_> {
         if self.at > self.haystack.len() {
             return None;
         }
-        let m = vm::search(&self.re.program, self.haystack, self.at)?;
+        let m = self.re.search(self.haystack, self.at)?;
         // Advance past the match; for empty matches step one char to
         // guarantee progress.
         self.at = if m.end == m.start {

@@ -3,6 +3,7 @@
 //! Runs on the in-repo `covidkg_rand::prop` harness.
 
 use covidkg_rand::prop::{self, any_string, charset_string};
+use covidkg_rand::Rng;
 use covidkg_regex::{escape, Regex};
 
 const AB_SPACE: &[char] = &['a', 'b', ' '];
@@ -84,5 +85,42 @@ fn case_insensitive_agrees_with_lowercased_input() {
         let ci = Regex::new_ci(&escape(&word)).unwrap();
         let cs = Regex::new(&escape(&word.to_ascii_lowercase())).unwrap();
         assert_eq!(ci.is_match(&hay), cs.is_match(&hay.to_ascii_lowercase()));
+    });
+}
+
+/// A pattern that is one escaped literal skips the VM; wrapped in a group
+/// it is the same expression but runs on the VM. Both must report the
+/// same matches, in both case modes, on ASCII and multi-byte text.
+#[test]
+fn literal_fast_path_agrees_with_the_vm() {
+    const FOLDING: &[char] = &['a', 'A', 'b', 'B', 'k', 'K', 'é', 'É', 'ß', 'İ', 'ı', '漢', ' ', '-', '.'];
+    prop::run(512, |rng| {
+        let exotic = rng.gen_bool(0.5);
+        let text = |rng: &mut _, min, max| {
+            if exotic {
+                any_string(rng, min, max)
+            } else {
+                charset_string(rng, FOLDING, min, max)
+            }
+        };
+        let needle = text(rng, 1, 5);
+        // Plant the needle (sometimes case-flipped) so matches are common.
+        let planted = match rng.gen_range(0..3u32) {
+            0 => needle.clone(),
+            1 => needle.to_uppercase(),
+            _ => String::new(),
+        };
+        let hay = format!("{}{planted}{}", text(rng, 0, 24), text(rng, 0, 24));
+        let escaped = escape(&needle);
+        let grouped = format!("({escaped})");
+        for ci in [false, true] {
+            let compile = |p: &str| if ci { Regex::new_ci(p) } else { Regex::new(p) }.unwrap();
+            let (fast, vm) = (compile(&escaped), compile(&grouped));
+            let ctx = format!("needle {needle:?} hay {hay:?} ci {ci}");
+            assert_eq!(fast.is_match(&hay), vm.is_match(&hay), "{ctx}");
+            assert_eq!(fast.find(&hay), vm.find(&hay), "{ctx}");
+            let all = |re: &Regex| re.find_iter(&hay).collect::<Vec<_>>();
+            assert_eq!(all(&fast), all(&vm), "{ctx}");
+        }
     });
 }

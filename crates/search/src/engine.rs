@@ -12,11 +12,15 @@
 use crate::query::{parse_query, ParsedQuery};
 use crate::rank::{RankWeights, Ranker};
 use crate::render_cache::{RenderCache, RenderCacheStats};
-use crate::result::{build_result, SearchPage, SearchResult};
+use crate::result::{
+    build_result, build_result_indexed, SearchPage, SearchResult, RENDERED_FIELDS,
+};
 use covidkg_json::Value;
-use covidkg_regex::escape;
-use covidkg_store::pipeline::{project, DocFn, Pipeline};
+use covidkg_regex::{escape, Regex};
+use covidkg_store::index::{DocPostings, Posting, TextIndex};
+use covidkg_store::pipeline::{DocFn, Order, Pipeline, Stage};
 use covidkg_store::{Collection, Filter};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Which of the three §2.1 engines to run.
@@ -90,11 +94,13 @@ impl SearchEngine {
 
     /// Run a search, returning the requested 0-based page.
     ///
-    /// When the inverted index covers every ranked field, execution is
-    /// index-pruned (candidates from the `$match` filter), scored from
-    /// posting lists across one worker per shard, and bounded to the top
-    /// `(page+1)·PAGE_SIZE` — returning exactly the same page (ids, order,
-    /// scores) as [`SearchEngine::search_naive`].
+    /// When the inverted index covers every ranked field, the query reads
+    /// nothing else until the page's documents are rendered: candidates
+    /// and membership come from the `$match` filter's postings, scores
+    /// from posting lists across one task per shard, bounded to the top
+    /// `(page+1)·PAGE_SIZE` ids, and highlights from the positions the
+    /// postings hold — returning exactly the same page (ids, order,
+    /// score bits, snippets) as [`SearchEngine::search_naive`].
     pub fn search(&self, mode: &SearchMode, page: usize) -> SearchPage {
         self.run_search(mode, page, ExecStrategy::Auto)
     }
@@ -109,66 +115,31 @@ impl SearchEngine {
 
     fn run_search(&self, mode: &SearchMode, page: usize, strategy: ExecStrategy) -> SearchPage {
         let (query_text, parsed, filter, field_paths) = self.compile(mode);
+        let page_of = move |total, results| SearchPage {
+            query: query_text,
+            page,
+            page_size: PAGE_SIZE,
+            total,
+            results,
+        };
         if parsed.is_empty() {
-            return SearchPage {
-                query: query_text,
-                page,
-                page_size: PAGE_SIZE,
-                total: 0,
-                results: Vec::new(),
-            };
+            return page_of(0, Vec::new());
         }
-        let weights = self.scoped_weights(&field_paths);
-        let ranker = Arc::new(Ranker::new(
-            parsed,
-            weights,
-            self.collection.text_index(),
-            self.collection.len(),
-        ));
-        let mut projection: Vec<String> = field_paths.clone();
+        let ranker = Arc::new(self.ranker(parsed, &field_paths));
+        let mut projection: Vec<String> = field_paths;
         for keep in ["title", "date"] {
             if !projection.iter().any(|p| p == keep) {
                 projection.push(keep.to_string());
             }
         }
-        // Snippets depend on the projected fields and the query's stem/
-        // phrase sets (not on scores), so that pair is the render key.
-        let render_key = render_key(&projection, &ranker);
-        let epoch = self.collection.mutation_epoch();
-        if let Some(cache) = &self.render_cache {
-            // Per-document invalidation: only renders of touched docs are
-            // dropped; warm entries survive unrelated updates. Falls back
-            // to a wholesale clear when the store can't bound the set.
-            cache.sync(epoch, |since| self.collection.touched_since(since));
-        }
 
-        // Fast path: index-pruned candidates, postings-based scoring, one
-        // worker per shard, bounded to the page's top-k.
+        // Fast path: the page's ids straight from the postings, then only
+        // those documents rendered.
         if strategy == ExecStrategy::Auto {
-            if let Some(index) = self.collection.text_index() {
-                if ranker.postings_cover(index) {
-                    let k = (page + 1) * PAGE_SIZE;
-                    let (total, top) = self.collection.scored_top_k(&filter, k, |id, doc| {
-                        ranker.score_postings(id, doc, index)
-                    });
-                    let results = top
-                        .iter()
-                        .skip(page * PAGE_SIZE)
-                        .map(|(score, doc)| {
-                            // Project like the pipeline does so snippets
-                            // come from the same field subset.
-                            let projected = project(doc, &projection);
-                            self.build_cached(&projected, *score, &ranker, &render_key, epoch)
-                        })
-                        .collect();
-                    return SearchPage {
-                        query: query_text,
-                        page,
-                        page_size: PAGE_SIZE,
-                        total,
-                        results,
-                    };
-                }
+            let k = (page + 1) * PAGE_SIZE;
+            if let Some((total, top)) = self.top_from_postings(&filter, &ranker, k) {
+                let hits = top.chunks(PAGE_SIZE).nth(page).unwrap_or_default();
+                return page_of(total, self.render_hits(hits, &ranker, &projection));
             }
         }
 
@@ -179,12 +150,12 @@ impl SearchEngine {
         };
         let pipeline = Pipeline::new()
             .match_filter(filter)
-            .project(projection)
+            .project(projection.clone())
             .function("covidkg_rank", "score", rank_fn)
             .sort_desc("score")
-            .stage(covidkg_store::pipeline::Stage::Sort(vec![
-                ("score".into(), covidkg_store::pipeline::Order::Desc),
-                ("_id".into(), covidkg_store::pipeline::Order::Asc),
+            .stage(Stage::Sort(vec![
+                ("score".into(), Order::Desc),
+                ("_id".into(), Order::Asc),
             ]));
         let ranked = match strategy {
             // Pushdown: a leading `$match` seeds from the index.
@@ -192,62 +163,115 @@ impl SearchEngine {
             // Oracle: materialize everything, no index assistance.
             ExecStrategy::FullScan => pipeline.run(self.collection.scan_all()),
         };
-        let total = ranked.len();
+        let renders = self.renders(&projection, &ranker);
         let results = ranked
             .iter()
             .skip(page * PAGE_SIZE)
             .take(PAGE_SIZE)
-            .map(|doc| {
+            .filter_map(|doc| {
                 let score = doc.path("score").and_then(Value::as_f64).unwrap_or(0.0);
-                self.build_cached(doc, score, &ranker, &render_key, epoch)
+                let id = doc.get("_id").and_then(Value::as_str).unwrap_or("<missing id>");
+                renders.get_or_build(id, score, || Some(build_result(doc, score, &ranker)))
             })
             .collect();
-        SearchPage {
-            query: query_text,
-            page,
-            page_size: PAGE_SIZE,
-            total,
-            results,
-        }
+        page_of(ranked.len(), results)
     }
 
-    /// Build one result, memoizing the score-free render parts when a
-    /// render cache is attached.
-    fn build_cached(
+    /// A ranker for `parsed` over `field_paths`, with this engine's
+    /// weights and the collection's current IDF statistics.
+    pub(crate) fn ranker(&self, parsed: ParsedQuery, field_paths: &[String]) -> Ranker {
+        Ranker::new(
+            parsed,
+            self.scoped_weights(field_paths),
+            self.collection.text_index(),
+            self.collection.len(),
+        )
+    }
+
+    /// Total match count and top-`k` `(score, _id)` of `filter`, decided
+    /// and scored from the postings alone — `None` when the index does
+    /// not cover every ranked field. Same order, totals and score bits as
+    /// ranking every matching document with [`Ranker::score`].
+    fn top_from_postings(
         &self,
-        doc: &Value,
-        score: f64,
+        filter: &Filter,
         ranker: &Ranker,
-        render_key: &str,
-        epoch: u64,
-    ) -> SearchResult {
-        let Some(cache) = &self.render_cache else {
-            return build_result(doc, score, ranker);
-        };
-        let id = doc.get("_id").and_then(Value::as_str).unwrap_or("<missing id>");
-        if let Some(cached) = cache.get(epoch, id, render_key) {
-            return SearchResult {
-                id: id.to_string(),
-                title: cached.title,
-                score,
-                snippets: cached.snippets,
-                collapsed: cached.collapsed,
-            };
-        }
-        let built = build_result(doc, score, ranker);
-        cache.put(epoch, id, render_key, &built);
-        built
+        k: usize,
+    ) -> Option<(usize, Vec<(f64, String)>)> {
+        let index = self.collection.text_index()?.read();
+        let scorer = ranker.postings_scorer(&index)?;
+        Some(self.collection.scored_top_k(filter, k, Some(&index), |id, doc| {
+            scorer.score(id, doc)
+        }))
     }
 
-    /// The collection this engine searches (shared with the hybrid
-    /// dense ranker, which fetches documents for dense-only hits).
-    pub(crate) fn collection(&self) -> &Arc<Collection> {
-        &self.collection
+    /// This request's view of the render cache: snippets depend on the
+    /// projected fields and the query's stem/phrase sets (not on scores),
+    /// so that pair is the key, at the collection's current epoch.
+    fn renders(&self, projection: &[String], ranker: &Ranker) -> Renders<'_> {
+        let epoch = self.collection.mutation_epoch();
+        if let Some(cache) = &self.render_cache {
+            // Per-document invalidation: only renders of touched docs are
+            // dropped; warm entries survive unrelated updates. Falls back
+            // to a wholesale clear when the store can't bound the set.
+            cache.sync(epoch, |since| self.collection.touched_since(since));
+        }
+        Renders {
+            cache: self.render_cache.as_deref().map(|cache| {
+                let key = format!("f={}|{}", projection.join(","), normalized(ranker.query()));
+                (cache, key)
+            }),
+            epoch,
+        }
+    }
+
+    /// Render one page's `(score, _id)` hits — lexical, semantic or
+    /// hybrid — restricted to the `projection` fields. Each document is
+    /// read in place under its shard lock; where the index covers a field
+    /// its postings say which leaves and tokens to highlight. A hit whose
+    /// document has since been deleted is dropped.
+    pub(crate) fn render_hits(
+        &self,
+        hits: &[(f64, String)],
+        ranker: &Ranker,
+        projection: &[String],
+    ) -> Vec<SearchResult> {
+        if hits.is_empty() {
+            return Vec::new();
+        }
+        let renders = self.renders(projection, ranker);
+        let unindexed;
+        let index = match self.collection.text_index() {
+            Some(index) => index,
+            // Every field then renders as an uncovered one does.
+            None => {
+                unindexed = TextIndex::default();
+                &unindexed
+            }
+        }
+        .read();
+        let query = ranker.query();
+        let stems = query.stems.iter().chain(&query.synonym_stems);
+        let stem_docs: Vec<&DocPostings> = stems.filter_map(|s| index.docs(s)).collect();
+        hits.iter()
+            .filter_map(|(score, id)| {
+                renders.get_or_build(id, *score, || {
+                    self.collection.with_doc(id, |doc| {
+                        let postings: Vec<&[Posting]> = stem_docs
+                            .iter()
+                            .filter_map(|docs| docs.get(id))
+                            .map(Vec::as_slice)
+                            .collect();
+                        build_result_indexed(doc, *score, ranker, projection, &index, &postings)
+                    })
+                })
+            })
+            .collect()
     }
 
     /// The engine's rank weights restricted to `field_paths` (unknown
     /// fields weigh 1.0), as used for every query compilation.
-    pub(crate) fn scoped_weights(&self, field_paths: &[String]) -> RankWeights {
+    fn scoped_weights(&self, field_paths: &[String]) -> RankWeights {
         RankWeights {
             fields: field_paths
                 .iter()
@@ -271,39 +295,28 @@ impl SearchEngine {
     /// asc)`, same fast path / pipeline split.
     pub fn ranked_ids(&self, mode: &SearchMode, k: usize) -> Vec<(f64, String)> {
         let (_, parsed, filter, field_paths) = self.compile(mode);
-        if parsed.is_empty() || k == 0 {
+        let ranker = Arc::new(self.ranker(parsed, &field_paths));
+        self.top_ids(filter, &ranker, k)
+    }
+
+    /// [`SearchEngine::ranked_ids`] for an already compiled query.
+    pub(crate) fn top_ids(&self, filter: Filter, ranker: &Arc<Ranker>, k: usize) -> Vec<(f64, String)> {
+        if ranker.query().is_empty() || k == 0 {
             return Vec::new();
         }
-        let ranker = Arc::new(Ranker::new(
-            parsed,
-            self.scoped_weights(&field_paths),
-            self.collection.text_index(),
-            self.collection.len(),
-        ));
-        if let Some(index) = self.collection.text_index() {
-            if ranker.postings_cover(index) {
-                let (_, top) = self.collection.scored_top_k(&filter, k, |id, doc| {
-                    ranker.score_postings(id, doc, index)
-                });
-                return top
-                    .iter()
-                    .map(|(score, doc)| {
-                        let id = doc.get("_id").and_then(Value::as_str).unwrap_or_default();
-                        (*score, id.to_string())
-                    })
-                    .collect();
-            }
+        if let Some((_, top)) = self.top_from_postings(&filter, ranker, k) {
+            return top;
         }
         let rank_fn: DocFn = {
-            let ranker = Arc::clone(&ranker);
+            let ranker = Arc::clone(ranker);
             Arc::new(move |doc: &Value| Value::float(ranker.score(doc)))
         };
         let pipeline = Pipeline::new()
             .match_filter(filter)
             .function("covidkg_rank", "score", rank_fn)
-            .stage(covidkg_store::pipeline::Stage::Sort(vec![
-                ("score".into(), covidkg_store::pipeline::Order::Desc),
-                ("_id".into(), covidkg_store::pipeline::Order::Asc),
+            .stage(Stage::Sort(vec![
+                ("score".into(), Order::Desc),
+                ("_id".into(), Order::Asc),
             ]));
         self.collection
             .aggregate(&pipeline)
@@ -320,48 +333,32 @@ impl SearchEngine {
     /// Compile a mode into (display text, parsed query, `$match` filter,
     /// searched field paths).
     pub(crate) fn compile(&self, mode: &SearchMode) -> (String, ParsedQuery, Filter, Vec<String>) {
+        let parts = mode.parsed();
+        let display = query_text(&parts).into_owned();
         match mode {
-            SearchMode::AllFields(q) => {
-                let parsed = parse_query(q);
-                let fields = vec![
-                    "title".to_string(),
-                    "abstract".to_string(),
-                    "tables".to_string(),
-                    "figure_captions".to_string(),
-                    "body".to_string(),
-                ];
+            SearchMode::AllFields(_) | SearchMode::Tables(_) => {
+                let fields: Vec<String> = match mode {
+                    SearchMode::AllFields(_) => {
+                        RENDERED_FIELDS.iter().map(|(path, _)| path.to_string()).collect()
+                    }
+                    // §2.1.3: "regular expression search over table
+                    // captions and all of the table's data".
+                    _ => vec!["tables".to_string()],
+                };
+                let (_, _, parsed) = parts.into_iter().next().expect("one query");
                 let filter = query_filter(&parsed, &fields);
-                (q.clone(), parsed, filter, fields)
+                (display, parsed, filter, fields)
             }
-            SearchMode::Tables(q) => {
-                let parsed = parse_query(q);
-                // §2.1.3: "regular expression search over table captions
-                // and all of the table's data".
-                let fields = vec!["tables".to_string()];
-                let filter = query_filter(&parsed, &fields);
-                (q.clone(), parsed, filter, fields)
-            }
-            SearchMode::TitleAbstractCaption {
-                title,
-                abstract_q,
-                caption,
-            } => {
+            SearchMode::TitleAbstractCaption { .. } => {
                 // Inclusive field semantics: AND over the non-empty field
                 // queries, each restricted to its own field.
                 let mut clauses = Vec::new();
                 let mut fields = Vec::new();
                 let mut combined = ParsedQuery::default();
-                let mut display = Vec::new();
-                for (q, field) in [
-                    (title, "title"),
-                    (abstract_q, "abstract"),
-                    (caption, "tables"),
-                ] {
-                    let parsed = parse_query(q);
+                for (field, _, parsed) in parts {
                     if parsed.is_empty() {
                         continue;
                     }
-                    display.push(format!("{field}:{q}"));
                     clauses.push(query_filter(&parsed, &[field.to_string()]));
                     fields.push(field.to_string());
                     combined.exact_phrases.extend(parsed.exact_phrases);
@@ -377,67 +374,128 @@ impl SearchEngine {
                     1 => clauses.pop().unwrap(),
                     _ => Filter::And(clauses),
                 };
-                (display.join(" "), combined, filter, fields)
+                (display, combined, filter, fields)
             }
         }
     }
 }
 
-/// Canonical key for the render-level cache: the projected field set plus
-/// the query's sorted stem/synonym/phrase sets. Snippets and highlights
-/// (`match_spans`) depend on nothing else, so equivalent queries across
-/// pages and engines with the same field scope share renders.
-fn render_key(projection: &[String], ranker: &Ranker) -> String {
-    let q = ranker.query();
-    let mut stems = q.stems.clone();
-    stems.sort();
-    let mut syn = q.synonym_stems.clone();
-    syn.sort();
+impl SearchMode {
+    /// The mode's queries, each parsed once: `(field, raw text, parsed)`,
+    /// the field empty for the engines that take one query. The `$match`
+    /// filter, the ranker, the echoed query text and the serve-layer cache
+    /// key all derive from this.
+    fn parsed(&self) -> Vec<(&'static str, &str, ParsedQuery)> {
+        match self {
+            SearchMode::AllFields(q) | SearchMode::Tables(q) => vec![("", q, parse_query(q))],
+            SearchMode::TitleAbstractCaption {
+                title,
+                abstract_q,
+                caption,
+            } => [("title", title), ("abstract", abstract_q), ("tables", caption)]
+                .into_iter()
+                .map(|(field, q)| (field, q.as_str(), parse_query(q)))
+                .collect(),
+        }
+    }
+}
+
+/// The text a page echoes as its `query`: the query itself, or for the
+/// scoped engine its non-empty field queries as `field:text`.
+fn query_text<'m>(parts: &[(&'static str, &'m str, ParsedQuery)]) -> Cow<'m, str> {
+    if let [("", q, _)] = parts {
+        return Cow::Borrowed(q);
+    }
+    let mut text = String::new();
+    for (field, q, _) in parts.iter().filter(|(_, _, parsed)| !parsed.is_empty()) {
+        if !text.is_empty() {
+            text.push(' ');
+        }
+        text.push_str(field);
+        text.push(':');
+        text.push_str(q);
+    }
+    Cow::Owned(text)
+}
+
+/// A query's canonical form, `s=<stems>;y=<synonym stems>;p=<phrases>`:
+/// ranking and highlighting depend only on the *sets* of stems, synonym
+/// stems and exact phrases (`rank.rs` sums per-stem statistics and phrase
+/// matching is case-insensitive), so each set is sorted and phrases are
+/// lowercased. Every cache key is built from it.
+pub(crate) fn normalized(q: &ParsedQuery) -> String {
+    fn sorted(set: &[String]) -> Vec<&str> {
+        let mut set: Vec<&str> = set.iter().map(String::as_str).collect();
+        set.sort_unstable();
+        set
+    }
     let mut phrases: Vec<String> = q.exact_phrases.iter().map(|s| s.to_lowercase()).collect();
     phrases.sort();
     format!(
-        "f={}|s={};y={};p={}",
-        projection.join(","),
-        stems.join(","),
-        syn.join(","),
+        "s={};y={};p={}",
+        sorted(&q.stems).join(","),
+        sorted(&q.synonym_stems).join(","),
         phrases.join("\u{1}")
     )
 }
 
+/// A request's view of the render cache (see [`SearchEngine::renders`]).
+struct Renders<'e> {
+    /// The attached cache and this request's render key.
+    cache: Option<(&'e RenderCache, String)>,
+    epoch: u64,
+}
+
+impl Renders<'_> {
+    /// The result for document `id`: its memoized snippets under this
+    /// search's `score`, or else `build()`, memoized for the next search.
+    fn get_or_build(
+        &self,
+        id: &str,
+        score: f64,
+        build: impl FnOnce() -> Option<SearchResult>,
+    ) -> Option<SearchResult> {
+        let Some((cache, key)) = &self.cache else {
+            return build();
+        };
+        if let Some(cached) = cache.get(self.epoch, id, key) {
+            return Some(SearchResult {
+                id: id.to_string(),
+                title: cached.title,
+                score,
+                snippets: cached.snippets,
+                collapsed: cached.collapsed,
+            });
+        }
+        let built = build()?;
+        cache.put(self.epoch, id, key, &built);
+        Some(built)
+    }
+}
+
 /// Canonical cache key for an (engine, query, page) triple, used by the
-/// `covidkg-serve` result cache.
-///
-/// Ranking depends only on the *sets* of stems, synonym stems and exact
-/// phrases (`rank.rs` sums per-stem statistics and phrase matching is
-/// case-insensitive), so the key sorts each set and lowercases phrases:
-/// textually different but semantically identical queries ("masks
-/// vaccine" vs "Vaccines mask") share one entry. Note the cached page's
-/// `query` display string is whichever spelling was cached first.
+/// `covidkg-serve` result cache: textually different but semantically
+/// identical queries ("masks vaccine" vs "Vaccines mask") share one entry
+/// (see [`normalized`]).
 pub fn cache_key(mode: &SearchMode, page: usize) -> String {
-    fn norm(q: &str) -> String {
-        let p = parse_query(q);
-        let mut stems = p.stems;
-        stems.sort();
-        let mut syn = p.synonym_stems;
-        syn.sort();
-        let mut phrases: Vec<String> = p.exact_phrases.iter().map(|s| s.to_lowercase()).collect();
-        phrases.sort();
-        format!("s={};y={};p={}", stems.join(","), syn.join(","), phrases.join("\u{1}"))
-    }
-    match mode {
-        SearchMode::AllFields(q) => format!("all|{}|{page}", norm(q)),
-        SearchMode::Tables(q) => format!("tab|{}|{page}", norm(q)),
-        SearchMode::TitleAbstractCaption {
-            title,
-            abstract_q,
-            caption,
-        } => format!(
-            "tac|t:{}|a:{}|c:{}|{page}",
-            norm(title),
-            norm(abstract_q),
-            norm(caption)
-        ),
-    }
+    cache_key_and_query(mode, page).0
+}
+
+/// [`cache_key`] together with the text a page for `mode` echoes as its
+/// `query`, from one parse of the request. Queries that share a key share
+/// a cached page, not a spelling: the serve layer stamps a cached page
+/// with the text of the request it answers.
+pub fn cache_key_and_query(mode: &SearchMode, page: usize) -> (String, Cow<'_, str>) {
+    let parts = mode.parsed();
+    let norm = |i: usize| normalized(&parts[i].2);
+    let key = match mode {
+        SearchMode::AllFields(_) => format!("all|{}|{page}", norm(0)),
+        SearchMode::Tables(_) => format!("tab|{}|{page}", norm(0)),
+        SearchMode::TitleAbstractCaption { .. } => {
+            format!("tac|t:{}|a:{}|c:{}|{page}", norm(0), norm(1), norm(2))
+        }
+    };
+    (key, query_text(&parts))
 }
 
 /// Build the `$match` filter for a parsed query over `fields`: stems use
@@ -457,21 +515,12 @@ fn query_filter(parsed: &ParsedQuery, fields: &[String]) -> Filter {
         });
     }
     for phrase in &parsed.exact_phrases {
-        let pattern = escape(phrase);
-        let per_field: Vec<Filter> = fields
+        // The store's `$regex` matches any string leaf under a path, so
+        // one compiled pattern serves every field.
+        let re = Arc::new(Regex::new_ci(&escape(phrase)).expect("escaped pattern compiles"));
+        let per_field = fields
             .iter()
-            .map(|f| {
-                // Regex over nested fields needs the flattened text; the
-                // store's $regex resolves only direct string paths, so use
-                // a text+verify approach: regex against every string leaf
-                // under the field via a custom filter composition.
-                Filter::Regex(
-                    f.clone(),
-                    std::sync::Arc::new(
-                        covidkg_regex::Regex::new_ci(&pattern).expect("escaped pattern compiles"),
-                    ),
-                )
-            })
+            .map(|f| Filter::Regex(f.clone(), Arc::clone(&re)))
             .collect();
         clauses.push(Filter::Or(per_field));
     }
@@ -687,6 +736,54 @@ mod tests {
             0,
         );
         assert_ne!(tac, tac_swapped, "field assignment is part of the key");
+    }
+
+    /// Every key is built from one `normalized` form now; the strings
+    /// are the ones the three hand-rolled copies produced before.
+    #[test]
+    fn keys_are_byte_identical_to_their_recorded_forms() {
+        use crate::hybrid::{dense_cache_key, DenseMode};
+        let q = "Vaccines mask \"Dose Two\" \"ICU surge\" immunity";
+        let scoped = SearchMode::TitleAbstractCaption {
+            title: "Masks".into(),
+            abstract_q: String::new(),
+            caption: "\"Table 1\" efficacy".into(),
+        };
+        let norm = "s=immun,mask,vaccin;y=inocul,jab,ppe,respir;p=dose two\u{1}icu surge";
+        let tokens = "dose,icu,immunity,mask,surge,two,vaccines";
+        assert_eq!(cache_key(&SearchMode::AllFields(q.into()), 2), format!("all|{norm}|2"));
+        assert_eq!(cache_key(&SearchMode::Tables("the of".into()), 0), "tab|s=;y=;p=|0");
+        assert_eq!(
+            cache_key(&scoped, 1),
+            "tac|t:s=mask;y=ppe,respir;p=|a:s=;y=;p=|c:s=efficaci;y=effect;p=table 1|1"
+        );
+        assert_eq!(
+            dense_cache_key(&DenseMode::Hybrid(q.into()), 3),
+            format!("hyb|{tokens}|{norm}|3")
+        );
+        assert_eq!(dense_cache_key(&DenseMode::Semantic(q.into()), 0), format!("sem|{tokens}|0"));
+
+        let engine = SearchEngine::new(collection())
+            .with_render_cache(Arc::new(crate::render_cache::RenderCache::new(8)));
+        let render_key = |mode: &SearchMode| {
+            let (_, parsed, _, mut projection) = engine.compile(mode);
+            let ranker = engine.ranker(parsed, &projection);
+            projection.push("date".into());
+            engine.renders(&projection, &ranker).cache.expect("cache attached").1
+        };
+        assert_eq!(
+            render_key(&SearchMode::AllFields(q.into())),
+            format!("f=title,abstract,tables,figure_captions,body,date|{norm}")
+        );
+        assert_eq!(render_key(&scoped), "f=title,tables,date|s=efficaci,mask;y=;p=table 1");
+
+        // The echoed text comes from the same parse as the key.
+        assert_eq!(cache_key_and_query(&SearchMode::AllFields(q.into()), 0).1, q);
+        assert_eq!(
+            cache_key_and_query(&scoped, 0).1,
+            "title:Masks tables:\"Table 1\" efficacy"
+        );
+        assert_eq!(engine.search(&scoped, 0).query, "title:Masks tables:\"Table 1\" efficacy");
     }
 
     #[test]

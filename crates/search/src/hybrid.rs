@@ -18,14 +18,13 @@
 //! hybrid page is a pure function of `(corpus, model, query, page)` —
 //! the wire byte-identity test depends on that.
 
-use crate::engine::{SearchEngine, SearchMode, PAGE_SIZE};
+use crate::engine::{normalized, SearchEngine, SearchMode, PAGE_SIZE};
 use crate::query::parse_query;
-use crate::rank::Ranker;
-use crate::result::{build_result, SearchPage, SearchResult};
+use crate::result::SearchPage;
 use covidkg_ann::HnswIndex;
 use covidkg_ml::Word2Vec;
-use covidkg_store::pipeline::project;
 use covidkg_text::tokenize_lower;
+use std::sync::Arc;
 
 /// Which dense serving mode to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,22 +78,7 @@ pub fn dense_cache_key(mode: &DenseMode, page: usize) -> String {
     let dense = tokens.join(",");
     match mode {
         DenseMode::Semantic(_) => format!("sem|{dense}|{page}"),
-        DenseMode::Hybrid(q) => {
-            let p = parse_query(q);
-            let mut stems = p.stems;
-            stems.sort();
-            let mut syn = p.synonym_stems;
-            syn.sort();
-            let mut phrases: Vec<String> =
-                p.exact_phrases.iter().map(|s| s.to_lowercase()).collect();
-            phrases.sort();
-            format!(
-                "hyb|{dense}|s={};y={};p={}|{page}",
-                stems.join(","),
-                syn.join(","),
-                phrases.join("\u{1}")
-            )
-        }
+        DenseMode::Hybrid(q) => format!("hyb|{dense}|{}|{page}", normalized(&parse_query(q))),
     }
 }
 
@@ -112,8 +96,7 @@ pub fn dense_search(
     page: usize,
     config: &HybridConfig,
 ) -> SearchPage {
-    let query_text = mode.query().to_string();
-    let tokens = tokenize_lower(&query_text);
+    let tokens = tokenize_lower(mode.query());
     let qvec = embeddings.embed_phrase(&tokens);
     let empty_embedding = qvec.iter().all(|&x| x == 0.0);
 
@@ -126,6 +109,14 @@ pub fn dense_search(
         ann.search(&qvec, config.k_dense).0
     };
 
+    // The query compiled once, as the all-fields engine compiles it: its
+    // ranker orders the hybrid's lexical list and highlights every dense
+    // page, so dense pages look like lexical pages (title, highlighted
+    // snippets) and share their cached renders.
+    let (query_text, parsed, filter, mut fields) =
+        engine.compile(&SearchMode::AllFields(mode.query().to_string()));
+    let ranker = Arc::new(engine.ranker(parsed, &fields));
+
     // Scored candidate list, ordered: either cosine (semantic) or RRF
     // over the dense + lexical lists (hybrid).
     let scored: Vec<(f64, String)> = match mode {
@@ -133,9 +124,8 @@ pub fn dense_search(
             .into_iter()
             .map(|(id, sim)| (f64::from(sim), id))
             .collect(),
-        DenseMode::Hybrid(q) => {
-            let lexical =
-                engine.ranked_ids(&SearchMode::AllFields(q.clone()), config.k_lexical);
+        DenseMode::Hybrid(_) => {
+            let lexical = engine.top_ids(filter, &ranker, config.k_lexical);
             let mut fused: std::collections::HashMap<String, f64> =
                 std::collections::HashMap::new();
             for (rank, (id, _)) in dense.iter().enumerate() {
@@ -153,34 +143,9 @@ pub fn dense_search(
         }
     };
 
-    // Render the page slice with the lexical snippet machinery so dense
-    // pages look like lexical pages (title, highlighted snippets).
-    let fields = vec![
-        "title".to_string(),
-        "abstract".to_string(),
-        "tables".to_string(),
-        "figure_captions".to_string(),
-        "body".to_string(),
-    ];
-    let collection = engine.collection();
-    let ranker = Ranker::new(
-        parse_query(&query_text),
-        engine.scoped_weights(&fields),
-        collection.text_index(),
-        collection.len(),
-    );
-    let mut projection = fields;
-    projection.push("date".to_string());
-    let results: Vec<SearchResult> = scored
-        .iter()
-        .skip(page * PAGE_SIZE)
-        .take(PAGE_SIZE)
-        .filter_map(|(score, id)| {
-            let doc = collection.get(id)?;
-            let projected = project(&doc, &projection);
-            Some(build_result(&projected, *score, &ranker))
-        })
-        .collect();
+    fields.push("date".to_string());
+    let hits = scored.chunks(PAGE_SIZE).nth(page).unwrap_or_default();
+    let results = engine.render_hits(hits, &ranker, &fields);
     SearchPage {
         query: query_text,
         page,

@@ -34,7 +34,7 @@ pub mod rank;
 pub mod render_cache;
 pub mod result;
 
-pub use engine::{cache_key, SearchEngine, SearchMode};
+pub use engine::{cache_key, cache_key_and_query, SearchEngine, SearchMode};
 pub use hybrid::{dense_cache_key, dense_search, DenseMode, HybridConfig};
 pub use query::{parse_query, ParsedQuery};
 pub use rank::{RankWeights, Ranker};

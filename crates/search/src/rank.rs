@@ -10,9 +10,8 @@
 
 use crate::query::ParsedQuery;
 use covidkg_json::Value;
-use covidkg_store::index::{Posting, TextIndex};
-use covidkg_text::{stem, tokenize, Token};
-use std::collections::BTreeMap;
+use covidkg_store::index::{DocPostings, IndexReader, Posting, TextIndex};
+use covidkg_text::{stem, token_spans, tokenize, Token};
 
 /// Field weights and feature coefficients.
 #[derive(Debug, Clone)]
@@ -64,6 +63,9 @@ pub struct Ranker {
     stem_idf: Vec<f64>,
     /// IDF per synonym stem, aligned with `query.synonym_stems`.
     syn_idf: Vec<f64>,
+    /// `query.exact_phrases`, lowercased once (phrase presence is a
+    /// case-insensitive substring test against every scored leaf).
+    phrases_lower: Vec<String>,
 }
 
 impl Ranker {
@@ -81,11 +83,13 @@ impl Ranker {
         };
         let stem_idf = query.stems.iter().map(idf_of).collect();
         let syn_idf = query.synonym_stems.iter().map(idf_of).collect();
+        let phrases_lower = query.exact_phrases.iter().map(|p| p.to_lowercase()).collect();
         Ranker {
             query,
             weights,
             stem_idf,
             syn_idf,
+            phrases_lower,
         }
     }
 
@@ -169,165 +173,41 @@ impl Ranker {
             let dist = min_pair_distance(&matched);
             score += self.weights.proximity / (1.0 + dist as f64);
         }
-        // Exact phrases: case-insensitive substring presence.
-        if !self.query.exact_phrases.is_empty() {
-            let lower = text.to_lowercase();
-            for phrase in &self.query.exact_phrases {
-                if lower.contains(&phrase.to_lowercase()) {
-                    score += self.weights.exact_bonus;
-                }
-            }
-        }
+        self.add_phrase_bonus(text, &mut score);
         score
     }
 
-    /// True when the index can stand in for the documents: every ranked
-    /// field is covered, so [`Ranker::score_postings`] reproduces
-    /// [`Ranker::score`] bit-for-bit from posting lists alone.
-    pub fn postings_cover(&self, index: &TextIndex) -> bool {
-        self.weights
+    /// Exact phrases: add `exact_bonus` to `score` per phrase present in
+    /// `text` as a case-insensitive substring.
+    fn add_phrase_bonus(&self, text: &str, score: &mut f64) {
+        if !self.phrases_lower.is_empty() {
+            let lower = text.to_lowercase();
+            for phrase in &self.phrases_lower {
+                if lower.contains(phrase.as_str()) {
+                    *score += self.weights.exact_bonus;
+                }
+            }
+        }
+    }
+
+    /// A scorer over `index`'s postings, when the index can stand in for
+    /// the documents: every ranked field is covered, so
+    /// [`PostingsScorer::score`] reproduces [`Ranker::score`] bit-for-bit
+    /// from posting lists alone. Field ordinals and each query stem's
+    /// posting map are resolved here, once per query.
+    pub fn postings_scorer<'a>(&'a self, index: &'a IndexReader<'_>) -> Option<PostingsScorer<'a>> {
+        let fields = self
+            .weights
             .fields
             .iter()
-            .all(|(path, _)| index.field_id(path).is_some())
-    }
-
-    /// Score one document from the inverted index's posting lists instead
-    /// of re-tokenizing its text — the query-time half of the postings
-    /// index. Returns **exactly** the same `f64` as [`Ranker::score`]
-    /// (float addition is non-associative, so every partial sum is
-    /// accumulated in the same order: fields in weight order, string
-    /// leaves in depth-first order, per leaf direct stems in query order,
-    /// then synonyms, proximity, phrases, and finally recency).
-    ///
-    /// Callers must check [`Ranker::postings_cover`] first; an uncovered
-    /// field falls back to the tokenizing scorer for the whole document.
-    pub fn score_postings(&self, id: &str, doc: &Value, index: &TextIndex) -> f64 {
-        if !self.postings_cover(index) {
-            return self.score(doc);
-        }
-        // One postings lookup per query stem, shared across fields.
-        let direct: Vec<Vec<Posting>> = self
-            .query
-            .stems
-            .iter()
-            .map(|s| index.postings(s, id).unwrap_or_default())
-            .collect();
-        let synonym: Vec<Vec<Posting>> = self
-            .query
-            .synonym_stems
-            .iter()
-            .map(|s| index.postings(s, id).unwrap_or_default())
-            .collect();
-        let mut total = 0.0;
-        for (path, field_weight) in &self.weights.fields {
-            let fid = index.field_id(path).expect("covered field");
-            total += field_weight * self.field_score_postings(doc, path, fid, &direct, &synonym);
-        }
-        if let Some(date) = doc.path("date").and_then(Value::as_str) {
-            if let Some(year) = date.get(..4).and_then(|y| y.parse::<i32>().ok()) {
-                total += self.weights.recency * f64::from((year - 2019).clamp(0, 10));
-            }
-        }
-        total
-    }
-
-    /// One field's score from postings: group the document's postings for
-    /// this field by string-leaf ordinal, then fold the leaves in the same
-    /// depth-first order `score_field` walks them.
-    fn field_score_postings(
-        &self,
-        doc: &Value,
-        path: &str,
-        fid: u16,
-        direct: &[Vec<Posting>],
-        synonym: &[Vec<Posting>],
-    ) -> f64 {
-        // leaf ordinal -> (direct matches as (query index, positions),
-        // synonym matches as (query index, tf)); both in query order
-        // because the outer loops ascend.
-        type LeafMatches<'p> = (Vec<(usize, &'p [u32])>, Vec<(usize, u64)>);
-        let mut leaves: BTreeMap<u32, LeafMatches<'_>> = BTreeMap::new();
-        for (qi, postings) in direct.iter().enumerate() {
-            for p in postings.iter().filter(|p| p.field == fid) {
-                leaves.entry(p.leaf).or_default().0.push((qi, &p.positions));
-            }
-        }
-        for (qi, postings) in synonym.iter().enumerate() {
-            for p in postings.iter().filter(|p| p.field == fid) {
-                leaves
-                    .entry(p.leaf)
-                    .or_default()
-                    .1
-                    .push((qi, p.positions.len() as u64));
-            }
-        }
-        if self.query.exact_phrases.is_empty() {
-            // Leaves without matches contribute exactly 0.0, so folding
-            // only the matched leaves (ascending ordinal = DFS order)
-            // yields the same sum as walking every leaf.
-            let mut score = 0.0;
-            for (direct_m, syn_m) in leaves.values() {
-                score += self.leaf_score(direct_m, syn_m);
-            }
-            score
-        } else {
-            // Phrase bonuses need each leaf's raw text (a leaf with no
-            // stem match can still contain the phrase), so walk the
-            // field's strings in the same DFS order the index numbered
-            // them and merge postings by ordinal.
-            let mut texts = Vec::new();
-            collect_strings(doc.path(path), &mut texts);
-            let mut score = 0.0;
-            for (ordinal, text) in texts.iter().enumerate() {
-                // `score_text` returns early on token-less text — phrase
-                // bonuses included — and a text has a token iff it has an
-                // alphanumeric character.
-                if !text.chars().any(char::is_alphanumeric) {
-                    continue;
-                }
-                let mut leaf = 0.0;
-                if let Some((direct_m, syn_m)) = leaves.get(&(ordinal as u32)) {
-                    leaf += self.leaf_score(direct_m, syn_m);
-                }
-                let lower = text.to_lowercase();
-                for phrase in &self.query.exact_phrases {
-                    if lower.contains(&phrase.to_lowercase()) {
-                        leaf += self.weights.exact_bonus;
-                    }
-                }
-                score += leaf;
-            }
-            score
-        }
-    }
-
-    /// Replay `score_text`'s accumulation for one leaf from its matches:
-    /// direct TF·IDF in query order, synonym TF·IDF at the discount, then
-    /// the proximity bonus over direct-match positions.
-    fn leaf_score(&self, direct: &[(usize, &[u32])], synonym: &[(usize, u64)]) -> f64 {
-        let mut score = 0.0;
-        for &(qi, positions) in direct {
-            score += (1.0 + (positions.len() as f64).ln()) * self.idf_at(qi);
-        }
-        for &(qi, tf) in synonym {
-            let idf = self.syn_idf.get(qi).copied().unwrap_or(1.0);
-            score += self.weights.synonym * (1.0 + (tf as f64).ln()) * idf;
-        }
-        if direct.len() >= 2 {
-            let mut best = usize::MAX;
-            for i in 0..direct.len() {
-                for j in i + 1..direct.len() {
-                    for &a in direct[i].1 {
-                        for &b in direct[j].1 {
-                            best = best.min((a as usize).abs_diff(b as usize));
-                        }
-                    }
-                }
-            }
-            let dist = best.saturating_sub(1);
-            score += self.weights.proximity / (1.0 + dist as f64);
-        }
-        score
+            .map(|(path, weight)| Some((index.field_id(path)?, *weight, path.as_str())))
+            .collect::<Option<Vec<_>>>()?;
+        let stems = self.query.stems.iter().chain(&self.query.synonym_stems);
+        Some(PostingsScorer {
+            ranker: self,
+            fields,
+            stems: stems.map(|s| index.docs(s)).collect(),
+        })
     }
 
     /// Byte spans in `text` matching the query (stems or exact phrases) —
@@ -342,23 +222,182 @@ impl Ranker {
                 spans.push((start, end));
             }
         }
-        let lower = text.to_lowercase();
-        for phrase in &self.query.exact_phrases {
-            let needle = phrase.to_lowercase();
-            let mut at = 0;
-            while let Some(p) = lower[at..].find(&needle) {
-                // `to_lowercase` can change byte lengths for non-ASCII;
-                // guard the span against boundary drift.
-                let (s, e) = (at + p, at + p + needle.len());
-                if text.is_char_boundary(s) && text.is_char_boundary(e.min(text.len())) {
-                    spans.push((s, e.min(text.len())));
+        self.finish_spans(text, spans)
+    }
+
+    /// [`Ranker::match_spans`] for a leaf whose matching tokens the index
+    /// already names: `positions` are the ascending token ordinals of the
+    /// query's stems and synonym stems in `text`, so no token is
+    /// lowercased or stemmed and tokenizing stops at the last match.
+    /// `None` when a position lies past the text's tokens — the index and
+    /// the document disagree, and the caller re-tokenizes.
+    pub fn spans_at(&self, text: &str, positions: &[u32]) -> Option<Vec<(usize, usize)>> {
+        let mut spans = Vec::with_capacity(positions.len());
+        let mut tokens = token_spans(text);
+        let mut next = 0u32;
+        for &p in positions {
+            spans.push(tokens.nth(p.checked_sub(next)? as usize)?);
+            next = p + 1;
+        }
+        Some(self.finish_spans(text, spans))
+    }
+
+    /// Add the exact phrases' spans to the token spans; sort and dedup.
+    fn finish_spans(&self, text: &str, mut spans: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
+        if !self.phrases_lower.is_empty() {
+            let lower = text.to_lowercase();
+            for needle in &self.phrases_lower {
+                let mut at = 0;
+                while let Some(p) = lower[at..].find(needle.as_str()) {
+                    // `to_lowercase` can change byte lengths for non-ASCII;
+                    // guard the span against boundary drift.
+                    let (s, e) = (at + p, at + p + needle.len());
+                    if text.is_char_boundary(s) && text.is_char_boundary(e.min(text.len())) {
+                        spans.push((s, e.min(text.len())));
+                    }
+                    at += p + needle.len().max(1);
                 }
-                at += p + needle.len().max(1);
             }
         }
         spans.sort_unstable();
         spans.dedup();
         spans
+    }
+
+    /// Whether the query has exact phrases (if not, every score and
+    /// highlight comes from tokens alone).
+    pub(crate) fn has_phrases(&self) -> bool {
+        !self.phrases_lower.is_empty()
+    }
+}
+
+/// [`Ranker::score`] computed from posting lists (see
+/// [`Ranker::postings_scorer`]).
+pub struct PostingsScorer<'a> {
+    ranker: &'a Ranker,
+    /// `(index field ordinal, weight, dot path)` per ranked field, in
+    /// weight order.
+    fields: Vec<(u16, f64, &'a str)>,
+    /// Every document's postings per direct stem (query order), then per
+    /// synonym stem.
+    stems: Vec<Option<&'a DocPostings>>,
+}
+
+impl PostingsScorer<'_> {
+    /// Score one document from its postings instead of re-tokenizing its
+    /// text. Returns **exactly** the same `f64` as [`Ranker::score`]
+    /// (float addition is non-associative, so every partial sum is
+    /// accumulated in the same order: fields in weight order, string
+    /// leaves in depth-first order, per leaf direct stems in query order,
+    /// then synonyms, proximity, phrases, and finally recency).
+    pub fn score(&self, id: &str, doc: &Value) -> f64 {
+        // One lookup per query stem, shared across fields; postings of a
+        // document are sorted by `(field, leaf)`.
+        let postings: Vec<&[Posting]> = self
+            .stems
+            .iter()
+            .map(|docs| docs.and_then(|d| d.get(id)).map_or(&[][..], Vec::as_slice))
+            .collect();
+        let mut heads = postings.clone();
+        let mut total = 0.0;
+        for &(fid, field_weight, path) in &self.fields {
+            for (head, all) in heads.iter_mut().zip(&postings) {
+                let from = all.partition_point(|p| p.field < fid);
+                let to = all.partition_point(|p| p.field <= fid);
+                *head = &all[from..to];
+            }
+            total += field_weight * self.field_score(doc, path, &mut heads);
+        }
+        if let Some(date) = doc.path("date").and_then(Value::as_str) {
+            if let Some(year) = date.get(..4).and_then(|y| y.parse::<i32>().ok()) {
+                total += self.ranker.weights.recency * f64::from((year - 2019).clamp(0, 10));
+            }
+        }
+        total
+    }
+
+    /// One field's score: `heads` hold each stem's postings within the
+    /// field, ascending by leaf, and are consumed leaf by leaf — the same
+    /// depth-first order `score_field` walks the leaves in.
+    fn field_score(&self, doc: &Value, path: &str, heads: &mut [&[Posting]]) -> f64 {
+        let mut score = 0.0;
+        if !self.ranker.has_phrases() {
+            // Leaves without matches contribute exactly 0.0, so folding
+            // only the matched leaves yields the same sum as walking
+            // every leaf.
+            while let Some(leaf) = heads.iter().filter_map(|h| h.first()).map(|p| p.leaf).min() {
+                score += self.leaf_score(leaf, heads);
+            }
+        } else {
+            // Phrase bonuses need each leaf's raw text (a leaf with no
+            // stem match can still contain the phrase), so walk the
+            // field's strings in the same DFS order the index numbered
+            // them and merge postings by ordinal.
+            let mut texts = Vec::new();
+            collect_strings(doc.path(path), &mut texts);
+            for (ordinal, text) in texts.iter().enumerate() {
+                // `score_text` returns early on token-less text — phrase
+                // bonuses included — and a text has a token iff it has an
+                // alphanumeric character.
+                if !text.chars().any(char::is_alphanumeric) {
+                    continue;
+                }
+                let mut leaf = 0.0;
+                leaf += self.leaf_score(ordinal as u32, heads);
+                self.ranker.add_phrase_bonus(text, &mut leaf);
+                score += leaf;
+            }
+        }
+        score
+    }
+
+    /// Replay `score_text`'s accumulation for one leaf from the heads
+    /// that sit on it, and step those heads past it: direct TF·IDF in
+    /// query order, synonym TF·IDF at the discount, then the proximity
+    /// bonus over direct-match positions.
+    fn leaf_score(&self, leaf: u32, heads: &mut [&[Posting]]) -> f64 {
+        /// The positions of a head's first posting, if it sits on `leaf`.
+        fn on(head: &[Posting], leaf: u32) -> Option<&[u32]> {
+            head.first().filter(|p| p.leaf == leaf).map(|p| p.positions.as_slice())
+        }
+        let ranker = self.ranker;
+        let (direct, synonym) = heads.split_at_mut(ranker.query.stems.len());
+        let mut score = 0.0;
+        let mut direct_hits = 0;
+        for (qi, head) in direct.iter().enumerate() {
+            if let Some(positions) = on(head, leaf) {
+                score += (1.0 + (positions.len() as f64).ln()) * ranker.idf_at(qi);
+                direct_hits += 1;
+            }
+        }
+        for (qi, head) in synonym.iter().enumerate() {
+            if let Some(positions) = on(head, leaf) {
+                let idf = ranker.syn_idf.get(qi).copied().unwrap_or(1.0);
+                score += ranker.weights.synonym * (1.0 + (positions.len() as f64).ln()) * idf;
+            }
+        }
+        if direct_hits >= 2 {
+            let mut best = u32::MAX;
+            for (i, a) in direct.iter().enumerate() {
+                for b in &direct[i + 1..] {
+                    if let (Some(pa), Some(pb)) = (on(a, leaf), on(b, leaf)) {
+                        for &x in pa {
+                            for &y in pb {
+                                best = best.min(x.abs_diff(y));
+                            }
+                        }
+                    }
+                }
+            }
+            let dist = best.saturating_sub(1);
+            score += ranker.weights.proximity / (1.0 + f64::from(dist));
+        }
+        for head in direct.iter_mut().chain(synonym) {
+            if on(head, leaf).is_some() {
+                *head = &head[1..];
+            }
+        }
+        score
     }
 }
 
@@ -377,7 +416,9 @@ fn min_pair_distance(matched: &[&Vec<usize>]) -> usize {
     best.saturating_sub(1)
 }
 
-fn collect_strings<'v>(value: Option<&'v Value>, out: &mut Vec<&'v str>) {
+/// Every string leaf under `value`, depth-first — the order the text
+/// index numbers a field's leaves in.
+pub(crate) fn collect_strings<'v>(value: Option<&'v Value>, out: &mut Vec<&'v str>) {
     match value {
         Some(Value::Str(s)) => out.push(s),
         Some(Value::Array(items)) => {
@@ -496,6 +537,24 @@ mod tests {
     }
 
     #[test]
+    fn spans_at_positions_equal_tokenized_spans() {
+        let r = ranker("mask \"dose two\"");
+        let text = "Masks, dose two: the mask’s fit — masked";
+        // What the index would hold for the stem "mask" in this leaf.
+        let positions: Vec<u32> = tokenize(text)
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| stem(&t.text.to_lowercase()) == "mask")
+            .map(|(i, _)| i as u32)
+            .collect();
+        assert!(positions.len() >= 2, "{positions:?}");
+        assert_eq!(r.spans_at(text, &positions), Some(r.match_spans(text)));
+        // A position past the last token means index and text disagree.
+        assert_eq!(r.spans_at(text, &[0, 99]), None);
+        assert_eq!(r.spans_at(text, &[3, 3]), None, "positions must ascend");
+    }
+
+    #[test]
     fn no_query_terms_scores_zero() {
         let r = ranker("the of");
         assert_eq!(r.score(&obj! { "title" => "anything" }), 0.0);
@@ -544,11 +603,12 @@ mod tests {
             "unmatched query words",
         ] {
             let r = Ranker::new(parse_query(q), RankWeights::publication_default(), Some(&idx), 3);
-            assert!(r.postings_cover(&idx));
+            let reader = idx.read();
+            let scorer = r.postings_scorer(&reader).expect("every ranked field is indexed");
             for d in &docs {
                 let id = d.get("_id").unwrap().as_str().unwrap();
                 let naive = r.score(d);
-                let fast = r.score_postings(id, d, &idx);
+                let fast = scorer.score(id, d);
                 assert_eq!(
                     naive.to_bits(),
                     fast.to_bits(),
@@ -559,7 +619,7 @@ mod tests {
         // An index missing a ranked field is not a valid stand-in.
         let partial = TextIndex::new(vec!["title".into()]);
         let r = Ranker::new(parse_query("mask"), RankWeights::publication_default(), None, 1);
-        assert!(!r.postings_cover(&partial));
+        assert!(r.postings_scorer(&partial.read()).is_none());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! highlight spans; the renderer marks matches the way the screenshots
 //! show them in red.
 
-use crate::rank::Ranker;
+use crate::rank::{collect_strings, Ranker};
 use covidkg_json::Value;
+use covidkg_store::index::{IndexReader, Posting};
 use covidkg_text::{make_snippet, Snippet};
 
 /// A snippet of one field of a matching document.
@@ -150,9 +151,63 @@ impl SearchPage {
 /// Snippet window width in bytes.
 const SNIPPET_WINDOW: usize = 160;
 
+/// The fields a result renders — the ones the all-fields engine searches
+/// — in display (and rank-weight) order, with their snippet labels.
+pub(crate) const RENDERED_FIELDS: [(&str, &str); 5] = [
+    ("title", "title"),
+    ("abstract", "abstract"),
+    ("tables", "table"),
+    ("figure_captions", "figure"),
+    ("body", "body"),
+];
+
+/// A string leaf's ordinal within its field (depth-first) and the spans
+/// to highlight in it.
+type LeafSpans = (usize, Vec<(usize, usize)>);
+
 /// Build a [`SearchResult`] from a ranked document, extracting snippets
-/// for every field that has query matches.
+/// for every field that has query matches. Every string leaf of `doc`'s
+/// rendered fields is tokenized and stemmed to find them — the reference
+/// [`build_result_indexed`] is held against, and the renderer for
+/// collections whose index does not cover the ranked fields.
 pub fn build_result(doc: &Value, score: f64, ranker: &Ranker) -> SearchResult {
+    render(doc, score, |_, texts| tokenized_spans(ranker, texts))
+}
+
+/// [`build_result`] restricted to `fields`, guided by the index: a
+/// document's postings for the query's stems and synonym stems
+/// (`postings`, one slice per stem) already name the leaves that match
+/// and the token positions inside them, so only those leaves are visited
+/// and nothing is stemmed. Exact phrases are not indexed; a query that
+/// has some still looks for them in every leaf. A field the index does
+/// not cover, or whose postings no longer fit the document, is rendered
+/// by tokenizing, as in [`build_result`].
+pub(crate) fn build_result_indexed(
+    doc: &Value,
+    score: f64,
+    ranker: &Ranker,
+    fields: &[String],
+    index: &IndexReader<'_>,
+    postings: &[&[Posting]],
+) -> SearchResult {
+    render(doc, score, |field, texts| {
+        if !fields.iter().any(|f| f == field) {
+            return Vec::new();
+        }
+        index
+            .field_id(field)
+            .and_then(|fid| indexed_spans(ranker, texts, fid, postings))
+            .unwrap_or_else(|| tokenized_spans(ranker, texts))
+    })
+}
+
+/// Assemble a result from each rendered field's matching leaves, which
+/// `leaf_spans(field, leaves)` lists in ascending leaf order.
+fn render(
+    doc: &Value,
+    score: f64,
+    mut leaf_spans: impl FnMut(&str, &[&str]) -> Vec<LeafSpans>,
+) -> SearchResult {
     let id = doc
         .get("_id")
         .and_then(Value::as_str)
@@ -165,31 +220,18 @@ pub fn build_result(doc: &Value, score: f64, ranker: &Ranker) -> SearchResult {
         .to_string();
     let mut snippets = Vec::new();
     let mut collapsed = Vec::new();
-    for (field, label) in [
-        ("title", "title"),
-        ("abstract", "abstract"),
-        ("tables", "table"),
-        ("figure_captions", "figure"),
-        ("body", "body"),
-    ] {
-        let Some(value) = doc.path(field) else { continue };
+    for (field, label) in RENDERED_FIELDS {
         let mut texts = Vec::new();
-        collect_strings(value, &mut texts);
-        let mut first_in_field = true;
-        for text in texts {
-            let spans = ranker.match_spans(text);
-            if spans.is_empty() {
-                continue;
-            }
+        collect_strings(doc.path(field), &mut texts);
+        for (nth, (leaf, spans)) in leaf_spans(field, &texts).into_iter().enumerate() {
             let fs = FieldSnippet {
                 field: label.to_string(),
-                snippet: make_snippet(text, &spans, SNIPPET_WINDOW),
+                snippet: make_snippet(texts[leaf], &spans, SNIPPET_WINDOW),
             };
             // One snippet per field keeps the page "brief" like the UI;
             // further matches land in the collapsed section.
-            if first_in_field {
+            if nth == 0 {
                 snippets.push(fs);
-                first_in_field = false;
             } else {
                 collapsed.push(fs);
             }
@@ -204,21 +246,59 @@ pub fn build_result(doc: &Value, score: f64, ranker: &Ranker) -> SearchResult {
     }
 }
 
-fn collect_strings<'v>(value: &'v Value, out: &mut Vec<&'v str>) {
-    match value {
-        Value::Str(s) => out.push(s),
-        Value::Array(items) => {
-            for i in items {
-                collect_strings(i, out);
+/// The matching leaves among `texts`, found by tokenizing each.
+fn tokenized_spans(ranker: &Ranker, texts: &[&str]) -> Vec<LeafSpans> {
+    texts
+        .iter()
+        .enumerate()
+        .map(|(leaf, text)| (leaf, ranker.match_spans(text)))
+        .filter(|(_, spans)| !spans.is_empty())
+        .collect()
+}
+
+/// The matching leaves among `texts` — field `fid`'s string leaves —
+/// from the document's postings. `None` when the postings name a leaf or
+/// a token the field does not have.
+fn indexed_spans(
+    ranker: &Ranker,
+    texts: &[&str],
+    fid: u16,
+    postings: &[&[Posting]],
+) -> Option<Vec<LeafSpans>> {
+    // Each stem's matches within the field, grouped by leaf. A token has
+    // one stem, so positions never repeat across stems.
+    let mut hits: Vec<(usize, &[u32])> = postings
+        .iter()
+        .flat_map(|stem| stem.iter())
+        .filter(|p| p.field == fid)
+        .map(|p| (p.leaf as usize, p.positions.as_slice()))
+        .collect();
+    hits.sort_by_key(|&(leaf, _)| leaf);
+    let by_leaf = hits.chunk_by(|a, b| a.0 == b.0).map(|group| {
+        let mut positions: Vec<u32> = group.iter().flat_map(|h| h.1).copied().collect();
+        positions.sort_unstable();
+        (group[0].0, positions)
+    });
+    let mut out = Vec::new();
+    if ranker.has_phrases() {
+        // A phrase can sit in a leaf no stem matched: visit them all.
+        let mut by_leaf = by_leaf.peekable();
+        for (leaf, text) in texts.iter().enumerate() {
+            let positions = by_leaf.next_if(|(l, _)| *l == leaf).map_or(Vec::new(), |(_, p)| p);
+            let spans = ranker.spans_at(text, &positions)?;
+            if !spans.is_empty() {
+                out.push((leaf, spans));
             }
         }
-        Value::Object(members) => {
-            for (_, v) in members {
-                collect_strings(v, out);
-            }
+        if by_leaf.next().is_some() {
+            return None;
         }
-        _ => {}
+    } else {
+        for (leaf, positions) in by_leaf {
+            out.push((leaf, ranker.spans_at(texts.get(leaf)?, &positions)?));
+        }
     }
+    Some(out)
 }
 
 #[cfg(test)]

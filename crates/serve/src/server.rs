@@ -61,7 +61,7 @@ use crate::cache::{CachedValue, QueryCache};
 use crate::metrics::{DenseKind, EngineKind, Metrics, ServeStats};
 use covidkg_core::{CovidKg, QueryPlan};
 use covidkg_corpus::Publication;
-use covidkg_search::{cache_key, dense_cache_key, DenseMode, SearchMode, SearchPage};
+use covidkg_search::{cache_key_and_query, dense_cache_key, DenseMode, SearchMode, SearchPage};
 use covidkg_store::StoreError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::collections::VecDeque;
@@ -543,7 +543,7 @@ impl Server {
         let submitted = Instant::now();
         let engine = engine_kind(mode);
         self.inner.metrics.record_request(engine);
-        let key = cache_key(mode, page);
+        let (key, query) = cache_key_and_query(mode, page);
 
         // Cache sits in front of the queue: hits cost two mutex hops and
         // never consume queue capacity or a worker.
@@ -558,7 +558,7 @@ impl Server {
             let latency = submitted.elapsed();
             self.inner.metrics.record_completed(latency);
             return Ok(ServeResponse {
-                page: cached,
+                page: echoing(cached, &query),
                 cached: true,
                 stale: false,
                 generation,
@@ -570,7 +570,7 @@ impl Server {
         // Unhealthy engine: don't waste queue capacity on it — serve
         // degraded from whatever the cache still holds.
         if !self.inner.breaker(engine).allow(&self.inner.breaker_cfg) {
-            return degraded_response(&self.inner, &key, submitted);
+            return degraded_response(&self.inner, &key, &query, submitted);
         }
 
         // Buffered reply slot so a worker finishing after we time out
@@ -674,7 +674,7 @@ impl Server {
             let latency = submitted.elapsed();
             self.inner.metrics.record_completed(latency);
             return Ok(ServeResponse {
-                page: cached,
+                page: echoing(cached, mode.query()),
                 cached: true,
                 stale: false,
                 generation,
@@ -1049,6 +1049,7 @@ impl Drop for Server {
 fn degraded_response(
     inner: &Inner,
     key: &str,
+    query: &str,
     submitted: Instant,
 ) -> Result<ServeResponse, ServeError> {
     inner.metrics.record_degraded();
@@ -1062,7 +1063,7 @@ fn degraded_response(
             let latency = submitted.elapsed();
             inner.metrics.record_completed(latency);
             Ok(ServeResponse {
-                page,
+                page: echoing(page, query),
                 cached: true,
                 stale: true,
                 generation,
@@ -1073,23 +1074,34 @@ fn degraded_response(
     }
 }
 
+/// A cached page as the answer to a request for `query`. The cache keys a
+/// search by its stems, so requests that spell a query differently
+/// ("immunity", "immunization") share a page — every byte of it but the
+/// `query` it echoes, which is the text of whichever request filled the
+/// entry until it is stamped with this request's own.
+fn echoing(mut page: SearchPage, query: &str) -> SearchPage {
+    if page.query != query {
+        page.query = query.to_string();
+    }
+    page
+}
+
 /// Run one search job with panic isolation: a panicking query is caught,
 /// counted, fed to the engine's breaker, and answered degraded — the
 /// worker thread (and every other queued request) survives.
 fn run_isolated(inner: &Inner, job: SearchJob) {
-    let reply = job.reply.clone();
-    let key = job.key.clone();
-    let engine = job.engine;
-    let submitted = job.submitted;
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_job(inner, job)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_job(inner, &job)));
     if outcome.is_err() {
         inner.metrics.record_panic();
-        inner.record_engine_failure(engine);
-        let _ = reply.try_send(degraded_response(inner, &key, submitted));
+        inner.record_engine_failure(job.engine);
+        let (_, query) = cache_key_and_query(&job.mode, job.page);
+        let _ = job
+            .reply
+            .try_send(degraded_response(inner, &job.key, &query, job.submitted));
     }
 }
 
-fn run_job(inner: &Inner, job: SearchJob) {
+fn run_job(inner: &Inner, job: &SearchJob) {
     if Instant::now() >= job.deadline {
         // Expired while queued: don't waste a search on it.
         inner.metrics.record_deadline_exceeded();
@@ -1113,7 +1125,7 @@ fn run_job(inner: &Inner, job: SearchJob) {
         (system.search(&job.mode, job.page), system.generation())
     };
     inner.breaker(job.engine).record_success(&inner.breaker_cfg);
-    inner.cache.insert(job.key, generation, page.clone());
+    inner.cache.insert(job.key.clone(), generation, page.clone());
     let latency = job.submitted.elapsed();
     inner.metrics.record_completed(latency);
     let _ = job.reply.try_send(Ok(ServeResponse {

@@ -419,14 +419,22 @@ fn open_breaker_serves_stale_pages_then_recovers() {
         assert!(resp.stale, "degraded fallback serves the stale page");
         assert_eq!(resp.generation, gen_before);
     }
+    // Another spelling of the same stems shares the stale entry, yet is
+    // answered under its own text.
+    let respelled = server
+        .search(&SearchMode::AllFields("Vaccines".into()), 0)
+        .unwrap();
+    assert!(respelled.stale);
+    assert_eq!(respelled.page.query, "Vaccines");
+    assert_eq!(respelled.page.total, warm.page.total);
     // Breaker now open: requests short-circuit (no queue, no worker) but
     // still get the stale page.
     let resp = server.search(&mode, 0).unwrap();
     assert!(resp.stale);
     let stats = server.stats();
     assert_eq!(stats.breaker_opens, 1);
-    assert!(stats.stale_served >= 3, "{stats:?}");
-    assert!(stats.degraded >= 3, "{stats:?}");
+    assert!(stats.stale_served >= 4, "{stats:?}");
+    assert!(stats.degraded >= 4, "{stats:?}");
 
     // Heal the backend, wait out the cooldown: the half-open probe runs
     // a real search and fully closes the breaker.
@@ -437,5 +445,72 @@ fn open_breaker_serves_stale_pages_then_recovers() {
     assert_eq!(healed.generation, server.generation());
     let after = server.search(&mode, 0).unwrap();
     assert!(after.cached && !after.stale, "breaker closed, cache refilled");
+    server.shutdown();
+}
+
+/// The cache keys a search by its stems, so spellings share an entry —
+/// but a page must echo the query of the request it answers, not of the
+/// request that happened to fill the cache.
+#[test]
+fn cache_hits_echo_the_requests_own_query() {
+    use covidkg_search::{cache_key, dense_cache_key, DenseMode};
+    let server = Server::start(build_system(), ServeConfig::default());
+    let all = |q: &str| SearchMode::AllFields(q.into());
+    assert_eq!(cache_key(&all("immunity"), 0), cache_key(&all("immunization"), 0));
+    let miss = server.search(&all("immunity"), 0).unwrap();
+    let hit = server.search(&all("immunization"), 0).unwrap();
+    assert!(!miss.cached && hit.cached);
+    assert_eq!(miss.page.query, "immunity");
+    assert_eq!(hit.page.query, "immunization");
+    assert_eq!(hit.page.total, miss.page.total);
+    // Same text: the cached page goes out as it is.
+    assert_eq!(server.search(&all("immunity"), 0).unwrap().page.query, "immunity");
+
+    let scoped = |title: &str| SearchMode::TitleAbstractCaption {
+        title: title.into(),
+        abstract_q: String::new(),
+        caption: "the".into(),
+    };
+    server.search(&scoped("masks"), 0).unwrap();
+    let hit = server.search(&scoped("Mask"), 0).unwrap();
+    assert!(hit.cached);
+    assert_eq!(hit.page.query, "title:Mask", "empty field queries are not echoed");
+
+    let hybrid = |q: &str| DenseMode::Hybrid(q.into());
+    assert_eq!(
+        dense_cache_key(&hybrid("masks vaccine"), 0),
+        dense_cache_key(&hybrid("Vaccine masks"), 0)
+    );
+    server.search_dense(&hybrid("masks vaccine"), 0).unwrap();
+    let hit = server.search_dense(&hybrid("Vaccine masks"), 0).unwrap();
+    assert!(hit.cached);
+    assert_eq!(hit.page.query, "Vaccine masks");
+    server.shutdown();
+}
+
+/// `paper-000375` draws HNSW level 3 while the index over a small corpus
+/// tops out lower. Ingest used to insert every new id twice; the second
+/// insert tombstoned the first, the entry point fell back to a lower
+/// node while the graph still claimed the higher layer, and the
+/// re-insert indexed that node's links out of bounds.
+#[test]
+fn ingesting_a_publication_that_tops_the_ann_ladder_does_not_panic() {
+    let server = Server::start(build_system(), ServeConfig::default());
+    let publication = covidkg_corpus::CorpusGenerator::with_size(376, 2023)
+        .generate()
+        .pop()
+        .unwrap();
+    assert_eq!(publication.id, "paper-000375");
+    let (top, dead) = server.with_system(|s| (s.ann().max_level(), s.ann().tombstones()));
+    assert_eq!(server.ingest(&[publication]).unwrap(), 1);
+    let (ann_top, ann_dead, indexed) =
+        server.with_system(|s| (s.ann().max_level(), s.ann().tombstones(), s.ann().contains("paper-000375")));
+    assert!(indexed);
+    assert!(ann_top > top, "the new id sits alone on a higher layer");
+    assert_eq!(ann_dead, dead, "one insert per ingested id leaves no tombstone");
+    let page = server
+        .search_dense(&covidkg_search::DenseMode::Semantic("vaccine".into()), 0)
+        .unwrap();
+    assert!(page.page.total > 0);
     server.shutdown();
 }

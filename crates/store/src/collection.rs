@@ -10,7 +10,7 @@
 use crate::error::StoreError;
 use crate::fault::{with_backoff, Fault, FaultOp, FaultPlan, RetryPolicy};
 use crate::filter::Filter;
-use crate::index::{HashIndex, TextIndex};
+use crate::index::{HashIndex, IndexReader, TextIndex};
 use crate::pipeline::Pipeline;
 use crate::pool::ScorePool;
 use crate::shard::{route_hash, Shard};
@@ -82,7 +82,7 @@ const PARALLEL_THRESHOLD: usize = 512;
 /// with eviction of the worst entry, identical to full sort + truncate.
 struct TopBuffer {
     k: usize,
-    entries: Vec<(f64, String, Value)>,
+    entries: Vec<(f64, String)>,
 }
 
 impl TopBuffer {
@@ -102,15 +102,15 @@ impl TopBuffer {
         sb.total_cmp(&sa).then_with(|| ia.cmp(ib))
     }
 
-    fn push(&mut self, score: f64, id: &str, doc: &Value) {
+    fn push(&mut self, score: f64, id: &str) {
         if self.k == 0 {
             return;
         }
-        let pos = self.entries.partition_point(|(s, eid, _)| {
+        let pos = self.entries.partition_point(|(s, eid)| {
             Self::cmp(*s, eid, score, id) == std::cmp::Ordering::Less
         });
         if pos < self.k {
-            self.entries.insert(pos, (score, id.to_string(), doc.clone()));
+            self.entries.insert(pos, (score, id.to_string()));
             if self.entries.len() > self.k {
                 self.entries.pop();
             }
@@ -406,6 +406,12 @@ impl Collection {
         self.shard_for(id).get(id)
     }
 
+    /// Run `f` against a document under its shard's read lock, without
+    /// cloning it (a result page renders its ten documents this way).
+    pub fn with_doc<T>(&self, id: &str, f: impl FnOnce(&Value) -> T) -> Option<T> {
+        self.shard_for(id).with_doc(id, f)
+    }
+
     /// Replace a document wholesale (the `_id` in `doc` is overwritten).
     pub fn replace(&self, id: &str, doc: Value) -> Result<(), StoreError> {
         self.apply_replace(id, doc, true)
@@ -549,7 +555,8 @@ impl Collection {
         // (intersecting AND branches, unioning OR branches), then verify
         // each candidate against the full predicate.
         if let Some(ti) = &self.text_index {
-            if let Some(ids) = filter.index_candidates(ti) {
+            let index = ti.read();
+            if let Some(ids) = filter.index_candidates(&index) {
                 return ids
                     .iter()
                     .filter_map(|id| self.get(id))
@@ -567,28 +574,37 @@ impl Collection {
     }
 
     /// Score the documents matching `filter` and return the total match
-    /// count plus the top `k` by `(score desc, _id asc)`.
+    /// count plus the top `k` `(score, _id)` by `(score desc, _id asc)`.
     ///
-    /// The scoring work is partitioned by shard — index-pruned candidate
-    /// ids routed to their home shard when the filter is boundable, whole
-    /// shards otherwise — and large partitions fan out one worker thread
-    /// per shard, each keeping only a bounded `k`-entry buffer (documents
-    /// are read under the shard lock and cloned only on entering a
-    /// buffer). The per-shard buffers merge under the same total order, so
-    /// the result is identical to scoring every match and fully sorting,
-    /// independent of thread scheduling.
+    /// With `index` (the collection's text index, read-locked by the
+    /// caller so its scorer can borrow postings from the same state) the
+    /// matching set comes from the postings: `$text` conjuncts resolve to
+    /// an exact candidate set and only [`Filter::residual`] is evaluated
+    /// on a candidate's document. Without it, or when the index cannot
+    /// bound the filter, every shard is scanned through the filter.
+    ///
+    /// The work is partitioned by shard — candidate ids routed to their
+    /// home shard, or whole shards — and large partitions fan out one
+    /// task per shard, each keeping only a bounded `k`-entry buffer of
+    /// scores and ids (documents are read under the shard lock and never
+    /// cloned). The per-shard buffers merge under the same total order,
+    /// so the result is identical to scoring every match and fully
+    /// sorting, independent of thread scheduling.
     pub fn scored_top_k(
         &self,
         filter: &Filter,
         k: usize,
+        index: Option<&IndexReader<'_>>,
         score: impl Fn(&str, &Value) -> f64 + Sync,
-    ) -> (usize, Vec<(f64, Value)>) {
+    ) -> (usize, Vec<(f64, String)>) {
+        let candidates = index.and_then(|index| filter.index_candidates(index));
+        let mut residual = Vec::new();
+        match (index, &candidates) {
+            (Some(index), Some(_)) => filter.residual(index, &mut residual),
+            _ => residual.push(filter),
+        }
         // Partition candidate ids by home shard; `None` partitions mean
         // "scan the whole shard".
-        let candidates = self
-            .text_index
-            .as_ref()
-            .and_then(|ti| filter.index_candidates(ti));
         let (work, parts): (usize, Option<Vec<Vec<&str>>>) = match &candidates {
             Some(ids) => {
                 let mut parts: Vec<Vec<&str>> = vec![Vec::new(); self.shards.len()];
@@ -605,9 +621,9 @@ impl Collection {
             let mut matched = 0usize;
             let mut best = TopBuffer::new(k);
             let mut visit = |id: &str, doc: &Value| {
-                if filter.matches(doc) {
+                if residual.iter().all(|f| f.matches(doc)) {
                     matched += 1;
-                    best.push(score(id, doc), id, doc);
+                    best.push(score(id, doc), id);
                 }
             };
             match part {
@@ -651,14 +667,14 @@ impl Collection {
             };
 
         let mut total = 0usize;
-        let mut merged: Vec<(f64, String, Value)> = Vec::new();
+        let mut merged: Vec<(f64, String)> = Vec::new();
         for (matched, best) in per_shard {
             total += matched;
             merged.extend(best.entries);
         }
         merged.sort_by(|a, b| TopBuffer::cmp(a.0, &a.1, b.0, &b.1));
         merged.truncate(k);
-        (total, merged.into_iter().map(|(s, _, d)| (s, d)).collect())
+        (total, merged)
     }
 
     /// Scan every shard with `f`, fanning the shards out across the
@@ -1180,11 +1196,8 @@ mod tests {
         let filter = Filter::text("mask", vec!["title".into()]);
         let score = |_: &str, d: &Value| d.path("g").unwrap().as_f64().unwrap();
         for k in [0, 1, 7, 50, 200] {
-            let (total, top) = c.scored_top_k(&filter, k, score);
-            let got: Vec<(f64, String)> = top
-                .iter()
-                .map(|(s, d)| (*s, d.get("_id").unwrap().as_str().unwrap().to_string()))
-                .collect();
+            let index = c.text_index().map(TextIndex::read);
+            let (total, got) = c.scored_top_k(&filter, k, index.as_ref(), score);
             let (naive_total, naive) = naive_top_k(&c, &filter, k, score);
             assert_eq!(total, naive_total);
             assert_eq!(got, naive, "k = {k}");
@@ -1198,8 +1211,10 @@ mod tests {
             c.insert(obj! { "_id" => format!("d{i:02}"), "title" => "t", "n" => i }).unwrap();
         }
         let filter = Filter::Gte("n".into(), Value::int(15));
-        let (total, top) =
-            c.scored_top_k(&filter, 3, |_, d| d.path("n").unwrap().as_f64().unwrap());
+        let score = |_: &str, d: &Value| d.path("n").unwrap().as_f64().unwrap();
+        let index = c.text_index().map(TextIndex::read);
+        let (total, top) = c.scored_top_k(&filter, 3, index.as_ref(), score);
+        assert_eq!(c.scored_top_k(&filter, 3, None, score), (total, top.clone()));
         assert_eq!(total, 5);
         let ns: Vec<f64> = top.iter().map(|(s, _)| *s).collect();
         assert_eq!(ns, [19.0, 18.0, 17.0]);
@@ -1228,12 +1243,9 @@ mod tests {
         let executed_before = pool.tasks_executed();
         let (expect_total, expect_top) = naive_top_k(&c, &filter, 5, score);
         for q in 0..25 {
-            let (total, top) = c.scored_top_k(&filter, 5, score);
+            let index = c.text_index().map(TextIndex::read);
+            let (total, got) = c.scored_top_k(&filter, 5, index.as_ref(), score);
             assert_eq!(total, expect_total, "query {q}");
-            let got: Vec<(f64, String)> = top
-                .iter()
-                .map(|(s, d)| (*s, d.get("_id").unwrap().as_str().unwrap().to_string()))
-                .collect();
             assert_eq!(got, expect_top, "query {q}");
         }
         assert_eq!(

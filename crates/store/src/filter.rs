@@ -18,7 +18,7 @@ use covidkg_regex::Regex;
 use covidkg_text::{stem, tokenize_lower};
 
 use crate::error::StoreError;
-use crate::index::TextIndex;
+use crate::index::IndexReader;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -235,7 +235,7 @@ impl Filter {
 
     /// Resolve this filter against the inverted index into a candidate id
     /// set that is a **superset** of the matching documents (callers still
-    /// re-verify with [`Filter::matches`]). Returns `None` when the index
+    /// check [`Filter::residual`] on each). Returns `None` when the index
     /// cannot bound the result:
     ///
     /// * `$text` resolves exactly — union of postings over the queried
@@ -246,23 +246,18 @@ impl Filter {
     /// * `$or` unions the branches, but every branch must be boundable —
     ///   one unboundable branch means any document could match;
     /// * everything else (`$regex`, comparisons, `$not`, …) is unbounded.
-    pub fn index_candidates(&self, index: &TextIndex) -> Option<BTreeSet<String>> {
+    pub fn index_candidates<'r>(&self, index: &'r IndexReader<'_>) -> Option<BTreeSet<&'r str>> {
         match self {
             Filter::Text { stems, fields } => {
-                let mut field_ids = Vec::with_capacity(fields.len());
-                for f in fields {
-                    field_ids.push(index.field_id(f)?);
-                }
-                let stems: Vec<&str> = stems.iter().map(String::as_str).collect();
-                Some(index.candidates_in_fields(&stems, &field_ids))
+                Some(index.candidates_in_fields(stems, &indexed_fields(fields, index)?))
             }
             Filter::And(fs) => {
-                let mut acc: Option<BTreeSet<String>> = None;
+                let mut acc: Option<BTreeSet<&str>> = None;
                 for f in fs {
                     if let Some(ids) = f.index_candidates(index) {
                         acc = Some(match acc {
                             None => ids,
-                            Some(prev) => prev.intersection(&ids).cloned().collect(),
+                            Some(prev) => prev.intersection(&ids).copied().collect(),
                         });
                     }
                 }
@@ -278,6 +273,26 @@ impl Filter {
             _ => None,
         }
     }
+
+    /// The conjuncts [`Filter::index_candidates`] does not already decide,
+    /// appended to `out`: a document of the candidate set matches the
+    /// whole filter iff it matches every one of them. A `$text` conjunct
+    /// over indexed fields resolves exactly, so nothing of it is left —
+    /// no candidate is re-tokenized to confirm what its postings say.
+    /// Without a candidate set (nothing boundable) this is every
+    /// conjunct, i.e. the filter itself.
+    pub fn residual<'f>(&'f self, index: &IndexReader<'_>, out: &mut Vec<&'f Filter>) {
+        match self {
+            Filter::And(fs) => fs.iter().for_each(|f| f.residual(index, out)),
+            Filter::Text { fields, .. } if indexed_fields(fields, index).is_some() => {}
+            other => out.push(other),
+        }
+    }
+}
+
+/// The index ordinals of `fields`, when every one of them is indexed.
+fn indexed_fields(fields: &[String], index: &IndexReader<'_>) -> Option<Vec<u16>> {
+    fields.iter().map(|f| index.field_id(f)).collect()
 }
 
 fn operand_list(op: &str, operand: &Value) -> Result<Vec<Value>, StoreError> {
@@ -496,36 +511,54 @@ mod tests {
 
     #[test]
     fn index_candidates_algebra() {
+        use crate::index::TextIndex;
         let idx = TextIndex::new(vec!["title".into(), "abstract".into()]);
         idx.add("a", &obj! { "title" => "mask mandates", "abstract" => "efficacy" });
         idx.add("b", &obj! { "title" => "vaccine trial", "abstract" => "mask use" });
         idx.add("c", &obj! { "title" => "ventilators" });
+        let idx = idx.read();
 
         let title_mask = Filter::text("mask", vec!["title".into()]);
         let any_mask = Filter::text("mask", vec!["title".into(), "abstract".into()]);
         let title_vaccine = Filter::text("vaccine", vec!["title".into()]);
+        let residual = |f: &Filter| {
+            let mut out = Vec::new();
+            f.residual(&idx, &mut out);
+            out.len()
+        };
 
         // $text scoped to indexed fields resolves exactly.
         let ids = title_mask.index_candidates(&idx).unwrap();
         assert!(ids.contains("a") && !ids.contains("b"));
         assert_eq!(any_mask.index_candidates(&idx).unwrap().len(), 2);
+        assert_eq!(residual(&any_mask), 0, "nothing left to verify");
 
         // A queried field outside the index makes the filter unboundable.
         let unindexed = Filter::text("mask", vec!["body".into()]);
         assert!(unindexed.index_candidates(&idx).is_none());
+        assert_eq!(residual(&unindexed), 1);
 
-        // $and intersects boundable branches and ignores the rest.
+        // $and intersects boundable branches and ignores the rest, which
+        // are what is left to check on each candidate (nested $and too).
         let and = Filter::And(vec![
             any_mask.clone(),
-            title_vaccine.clone(),
-            Filter::Gte("year".into(), Value::int(2020)),
+            Filter::And(vec![
+                title_vaccine.clone(),
+                Filter::Gte("year".into(), Value::int(2020)),
+            ]),
+            unindexed,
         ]);
         let ids = and.index_candidates(&idx).unwrap();
-        assert_eq!(ids.iter().collect::<Vec<_>>(), ["b"]);
+        assert_eq!(ids.iter().collect::<Vec<_>>(), [&"b"]);
+        let mut left = Vec::new();
+        and.residual(&idx, &mut left);
+        assert!(matches!(left[..], [Filter::Gte(..), Filter::Text { .. }]), "{left:?}");
 
-        // $or unions only when every branch is boundable.
+        // $or unions only when every branch is boundable; it is never
+        // split, so it stays as its own residual.
         let or = Filter::Or(vec![title_mask.clone(), title_vaccine]);
         assert_eq!(or.index_candidates(&idx).unwrap().len(), 2);
+        assert_eq!(residual(&or), 1);
         let or_open = Filter::Or(vec![title_mask, Filter::Gte("year".into(), Value::int(0))]);
         assert!(or_open.index_candidates(&idx).is_none());
 

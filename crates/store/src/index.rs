@@ -11,7 +11,7 @@
 
 use covidkg_json::Value;
 use covidkg_text::{stem, tokenize_lower};
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A hash index over one dot path. Values are keyed by their compact JSON
@@ -118,16 +118,18 @@ pub struct Posting {
     pub positions: Vec<u32>,
 }
 
-/// Per-stem map from document id to that document's posting list, sorted
+/// One stem's postings: document id → that document's posting list, sorted
 /// by `(field, leaf)` because postings are built in field-then-DFS order.
-type PostingMap = BTreeMap<String, Vec<Posting>>;
+pub type DocPostings = BTreeMap<String, Vec<Posting>>;
+
+type Stripe = HashMap<String, DocPostings>;
 
 /// Stemmed inverted index over a set of text fields, with posting lists
 /// striped across several locks by stem hash.
 #[derive(Debug)]
 pub struct TextIndex {
     fields: Vec<String>,
-    stripes: Vec<RwLock<HashMap<String, PostingMap>>>,
+    stripes: Vec<RwLock<Stripe>>,
 }
 
 impl Default for TextIndex {
@@ -155,8 +157,29 @@ impl TextIndex {
         self.fields.iter().position(|f| f == path).map(|i| i as u16)
     }
 
-    fn stripe(&self, s: &str) -> &RwLock<HashMap<String, PostingMap>> {
-        &self.stripes[(crate::shard::route_hash(s) % TEXT_STRIPES as u64) as usize]
+    fn stripe_of(s: &str) -> usize {
+        (crate::shard::route_hash(s) % TEXT_STRIPES as u64) as usize
+    }
+
+    fn stripe(&self, s: &str) -> &RwLock<Stripe> {
+        &self.stripes[Self::stripe_of(s)]
+    }
+
+    /// Lock the whole index for reading, for the length of one query:
+    /// every stem the query names then resolves without further locking,
+    /// and candidates, scores and highlights all come from one state of
+    /// the index. Until the reader is dropped this thread must not call
+    /// the index's own (locking) methods — a second read of a stripe
+    /// deadlocks once a writer is queued between the two.
+    pub fn read(&self) -> IndexReader<'_> {
+        IndexReader {
+            index: self,
+            stripes: self
+                .stripes
+                .iter()
+                .map(|s| s.read().expect("no writer panics holding a stripe"))
+                .collect(),
+        }
     }
 
     /// Every stem's postings for one document, built by walking the indexed
@@ -209,48 +232,6 @@ impl TextIndex {
         }
     }
 
-    /// Ids containing **any** of the query stems (the `$match` stage still
-    /// re-verifies; this is candidate pruning, so OR keeps recall).
-    pub fn candidates(&self, stems: &[&str]) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for s in stems {
-            if let Some(docs) = self.stripe(s).read().unwrap().get(*s) {
-                out.extend(docs.keys().cloned());
-            }
-        }
-        out
-    }
-
-    /// Ids containing any of the query stems **within the given fields**.
-    /// Unlike [`TextIndex::candidates`], matches in indexed-but-unlisted
-    /// fields don't qualify a document, so the set is exact (not merely a
-    /// superset) for a `$text` filter scoped to those fields.
-    pub fn candidates_in_fields(&self, stems: &[&str], fields: &[u16]) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for s in stems {
-            if let Some(docs) = self.stripe(s).read().unwrap().get(*s) {
-                for (id, postings) in docs {
-                    if !out.contains(id.as_str())
-                        && postings.iter().any(|p| fields.contains(&p.field))
-                    {
-                        out.insert(id.clone());
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// One document's posting list for a stem (sorted by `(field, leaf)`),
-    /// cloned out from under the stripe lock.
-    pub fn postings(&self, s: &str, id: &str) -> Option<Vec<Posting>> {
-        self.stripe(s)
-            .read().unwrap()
-            .get(s)
-            .and_then(|docs| docs.get(id))
-            .cloned()
-    }
-
     /// Document frequency of a stem.
     pub fn doc_freq(&self, s: &str) -> usize {
         self.stripe(s).read().unwrap().get(s).map_or(0, BTreeMap::len)
@@ -267,6 +248,41 @@ impl TextIndex {
         for stripe in &self.stripes {
             stripe.write().unwrap().clear();
         }
+    }
+}
+
+/// The whole index under read locks (see [`TextIndex::read`]).
+pub struct IndexReader<'i> {
+    index: &'i TextIndex,
+    stripes: Vec<RwLockReadGuard<'i, Stripe>>,
+}
+
+impl IndexReader<'_> {
+    /// Ordinal of an indexed dot path, if indexed.
+    pub fn field_id(&self, path: &str) -> Option<u16> {
+        self.index.field_id(path)
+    }
+
+    /// Every document's postings for one stem.
+    pub fn docs(&self, stem: &str) -> Option<&DocPostings> {
+        self.stripes[TextIndex::stripe_of(stem)].get(stem)
+    }
+
+    /// Ids containing any of the query stems **within the given fields**:
+    /// matches in indexed-but-unlisted fields don't qualify a document, so
+    /// the set is exact (not merely a superset) for a `$text` filter
+    /// scoped to those fields.
+    pub fn candidates_in_fields(&self, stems: &[String], fields: &[u16]) -> BTreeSet<&str> {
+        let mut out = BTreeSet::new();
+        for docs in stems.iter().filter_map(|s| self.docs(s)) {
+            for (id, postings) in docs {
+                if !out.contains(id.as_str()) && postings.iter().any(|p| fields.contains(&p.field))
+                {
+                    out.insert(id.as_str());
+                }
+            }
+        }
+        out
     }
 }
 
@@ -328,6 +344,15 @@ mod tests {
         assert_eq!(idx.lookup(&Value::int(1)), ["n"]);
     }
 
+    /// Ids holding any of `words` (stemmed) in any of the first `n_fields`.
+    fn ids(idx: &TextIndex, words: &[&str], n_fields: u16) -> Vec<String> {
+        let stems: Vec<String> = words.iter().map(|w| stem(w)).collect();
+        let fields: Vec<u16> = (0..n_fields).collect();
+        let reader = idx.read();
+        let hits = reader.candidates_in_fields(&stems, &fields);
+        hits.into_iter().map(str::to_string).collect()
+    }
+
     #[test]
     fn text_index_stems_and_prunes() {
         let idx = TextIndex::new(vec!["title".into(), "abstract".into()]);
@@ -335,14 +360,11 @@ mod tests {
         idx.add("b", &obj! { "abstract" => "Vaccination rates climb" });
         idx.add("c", &obj! { "title" => "Ventilator supply" });
 
-        let hits = idx.candidates(&[&stem("mandate")]);
-        assert!(hits.contains("a") && hits.len() == 1);
+        assert_eq!(ids(&idx, &["mandate"], 2), ["a"]);
         // Query stem "vaccin" from "vaccine" reaches "Vaccination".
-        let hits = idx.candidates(&[&stem("vaccine")]);
-        assert!(hits.contains("b"));
+        assert_eq!(ids(&idx, &["vaccine"], 2), ["b"]);
         // OR semantics across stems.
-        let hits = idx.candidates(&[&stem("mask"), &stem("ventilators")]);
-        assert_eq!(hits.len(), 2);
+        assert_eq!(ids(&idx, &["mask", "ventilators"], 2), ["a", "c"]);
     }
 
     #[test]
@@ -352,7 +374,7 @@ mod tests {
             "a",
             &obj! { "tables" => arr![ obj!{ "caption" => "dosage outcomes" } ] },
         );
-        assert!(idx.candidates(&[&stem("dosage")]).contains("a"));
+        assert_eq!(ids(&idx, &["dosage"], 1), ["a"]);
     }
 
     #[test]
@@ -386,9 +408,10 @@ mod tests {
                 ],
             },
         );
-        let postings = idx.postings(&stem("mask"), "a").unwrap();
+        let reader = idx.read();
+        let mask = reader.docs(&stem("mask")).unwrap();
         assert_eq!(
-            postings,
+            mask["a"],
             vec![
                 Posting { field: 0, leaf: 0, positions: vec![0, 2] },
                 // Second caption is the tables field's second string leaf
@@ -396,7 +419,8 @@ mod tests {
                 Posting { field: 1, leaf: 1, positions: vec![1] },
             ]
         );
-        assert!(idx.postings(&stem("mask"), "missing").is_none());
+        assert!(!mask.contains_key("missing"));
+        assert!(reader.docs("unseen").is_none());
     }
 
     #[test]
@@ -404,12 +428,10 @@ mod tests {
         let idx = TextIndex::new(vec!["title".into(), "abstract".into()]);
         idx.add("a", &obj! { "title" => "mask mandates" });
         idx.add("b", &obj! { "abstract" => "mask efficacy" });
-        let mask = stem("mask");
-        let title_only = idx.candidates_in_fields(&[&mask], &[0]);
-        assert!(title_only.contains("a") && !title_only.contains("b"));
-        let both = idx.candidates_in_fields(&[&mask], &[0, 1]);
-        assert_eq!(both.len(), 2);
+        assert_eq!(ids(&idx, &["mask"], 1), ["a"], "title only");
+        assert_eq!(ids(&idx, &["mask"], 2), ["a", "b"]);
         assert_eq!(idx.field_id("abstract"), Some(1));
+        assert_eq!(idx.read().field_id("abstract"), Some(1));
         assert_eq!(idx.field_id("body"), None);
     }
 
@@ -420,8 +442,9 @@ mod tests {
         idx.add("a", &d);
         idx.add("b", &obj! { "t" => "masks" });
         idx.remove("a", &d);
-        assert!(idx.postings(&stem("masks"), "a").is_none());
-        assert!(idx.postings(&stem("masks"), "b").is_some());
         assert_eq!(idx.doc_freq(&stem("masks")), 1);
+        let reader = idx.read();
+        let masks = reader.docs(&stem("masks")).unwrap();
+        assert!(!masks.contains_key("a") && masks.contains_key("b"));
     }
 }

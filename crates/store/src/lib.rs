@@ -55,7 +55,7 @@ pub use fault::{Fault, FaultConfig, FaultOp, FaultPlan, FaultStats, RetryPolicy}
 pub use filter::Filter;
 pub use flusher::{Flusher, FlusherStats};
 pub use gauntlet::{run_gauntlet, GauntletConfig, GauntletReport};
-pub use index::{HashIndex, Posting, TextIndex};
+pub use index::{DocPostings, HashIndex, IndexReader, Posting, TextIndex};
 pub use pipeline::{Accumulator, Pipeline, Stage};
 pub use pool::ScorePool;
 pub use stats::{CollectionStats, DbStats, ShardStats};

@@ -35,5 +35,5 @@ pub use stem::stem;
 pub use stopwords::is_stopword;
 pub use synonyms::{are_synonyms, synonym_stems};
 pub use tfidf::{SparseVec, TfIdf};
-pub use tokenize::{tokenize, tokenize_lower, Token};
+pub use tokenize::{token_spans, tokenize, tokenize_lower, Token, TokenSpans};
 pub use vocab::{Vocabulary, VocabularyBuilder};

@@ -16,38 +16,62 @@ pub struct Token {
     pub end: usize,
 }
 
-/// Tokenize `text` into words with spans.
-pub fn tokenize(text: &str) -> Vec<Token> {
-    let mut out = Vec::new();
-    let mut chars = text.char_indices().peekable();
-    while let Some(&(start, c)) = chars.peek() {
-        if !c.is_alphanumeric() {
-            chars.next();
-            continue;
-        }
+/// Iterator over the byte spans `(start, end)` of the tokens of a text,
+/// in order. Borrowing and allocation-free: the result renderer turns
+/// the index's token positions back into highlight spans with it, and
+/// [`tokenize`] is built on it so the two can never disagree.
+#[derive(Debug, Clone)]
+pub struct TokenSpans<'t> {
+    chars: std::iter::Peekable<std::str::CharIndices<'t>>,
+}
+
+/// The token spans of `text` (see [`TokenSpans`]).
+pub fn token_spans(text: &str) -> TokenSpans<'_> {
+    TokenSpans {
+        chars: text.char_indices().peekable(),
+    }
+}
+
+impl Iterator for TokenSpans<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let start = loop {
+            let &(i, c) = self.chars.peek()?;
+            if c.is_alphanumeric() {
+                break i;
+            }
+            self.chars.next();
+        };
         let mut end = start;
         let mut last_was_joiner = false;
-        while let Some(&(i, c)) = chars.peek() {
+        while let Some(&(i, c)) = self.chars.peek() {
             if c.is_alphanumeric() {
                 end = i + c.len_utf8();
                 last_was_joiner = false;
-                chars.next();
+                self.chars.next();
             } else if (c == '-' || c == '\'' || c == '’') && !last_was_joiner {
                 // A joiner is only kept if followed by an alphanumeric; we
                 // tentatively consume it and roll back `end` otherwise.
                 last_was_joiner = true;
-                chars.next();
+                self.chars.next();
             } else {
                 break;
             }
         }
-        out.push(Token {
+        Some((start, end))
+    }
+}
+
+/// Tokenize `text` into words with spans.
+pub fn tokenize(text: &str) -> Vec<Token> {
+    token_spans(text)
+        .map(|(start, end)| Token {
             text: text[start..end].to_string(),
             start,
             end,
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 /// Tokenize and lowercase, returning only the token strings. This is the
@@ -104,6 +128,17 @@ mod tests {
         let toks = tokenize(text);
         assert_eq!(toks.len(), 2);
         assert_eq!(&text[toks[1].start..toks[1].end], "covid");
+    }
+
+    #[test]
+    fn token_spans_are_the_tokens_spans() {
+        for text in ["COVID-19 and SARS-CoV-2", "dose- escalation a--b end-", "é patient’s 0.5%", ""] {
+            let spans: Vec<(usize, usize)> = token_spans(text).collect();
+            let tokens: Vec<(usize, usize)> =
+                tokenize(text).iter().map(|t| (t.start, t.end)).collect();
+            assert_eq!(spans, tokens, "{text:?}");
+        }
+        assert_eq!(token_spans("mask use").nth(1), Some((5, 8)));
     }
 
     #[test]

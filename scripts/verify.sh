@@ -16,8 +16,14 @@ cargo test --offline -q
 echo "==> cargo test --workspace --offline -q"
 cargo test --workspace --offline -q
 
-echo "==> search equivalence property test (pruned top-k vs naive oracle)"
-cargo test -p covidkg-search --test equivalence --offline -q
+echo "==> search equivalence property tests (postings-driven pages vs the tokenizing oracles)"
+cargo test -p covidkg-search --test equivalence --test postings_oracle --offline -q
+
+# The benchmark is a package of its own that no PR may edit: its smoke is
+# the only thing that notices when a program change breaks its build or
+# its byte-for-byte body check.
+echo "==> benchmark smoke (builds against this tree, every reply byte-checked)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> chaos gauntlet (deterministic seed, scaled-down storm)"
 ./target/release/covidkg chaos --seed 42 --corpus 12 --faults 40 \
@@ -41,10 +47,13 @@ echo "==> EXPERIMENTS.md wire tables regenerate from the committed BENCH_net.jso
 grep -q '<!-- net-table:begin -->' EXPERIMENTS.md
 grep -q '<!-- conn-table:begin -->' EXPERIMENTS.md
 
+# A scaled-down run must not replace the committed full-scale report.
 echo "==> wire smoke: TCP end-to-end with the in-repo client (no curl)"
+mkdir -p target/verify
 ./target/release/covidkg net-bench --corpus 16 --clients 2 --requests 10 \
-    --workers 2 --rates 100,300 --duration-ms 250 --connections 32,128
-test -s BENCH_net.json
+    --workers 2 --rates 100,300 --duration-ms 250 --connections 32,128 \
+    --out target/verify/BENCH_net.json
+test -s target/verify/BENCH_net.json
 
 echo "==> replication smoke: WAL shipping, checksum convergence, read-your-writes"
 ./target/release/covidkg repl-smoke --corpus 16 --seed 7

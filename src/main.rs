@@ -93,6 +93,8 @@ OPTIONS:
     --duration-ms <n>        open-loop run length per rate [default 1000]
     --listen <addr>          serve/replicate/net-bench HTTP bind address
                              [serve: 127.0.0.1:8080; replicate: 127.0.0.1:8081]
+    --out <file>             net-bench: write the report here instead of the
+                             committed BENCH_net.json (scaled-down smoke runs)
     --repl-listen <addr>     serve: also stream WAL frames to replicas here
     --relay-listen <addr>    replicate: re-ship frames downstream from here
                              (cascading replication; epoch checks propagate)
@@ -123,6 +125,7 @@ struct Args {
     rates: Option<Vec<f64>>,
     duration_ms: u64,
     listen: Option<String>,
+    out: Option<String>,
     repl_listen: Option<String>,
     relay_listen: Option<String>,
     failover: bool,
@@ -154,6 +157,7 @@ fn parse_args() -> Result<Args, String> {
         rates: None,
         duration_ms: 1000,
         listen: None,
+        out: None,
         repl_listen: None,
         relay_listen: None,
         failover: false,
@@ -249,6 +253,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--duration-ms takes a number".to_string())?
             }
             "--listen" => out.listen = Some(value("--listen")?),
+            "--out" => out.out = Some(value("--out")?),
             "--repl-listen" => out.repl_listen = Some(value("--repl-listen")?),
             "--relay-listen" => out.relay_listen = Some(value("--relay-listen")?),
             "--failover" => out.failover = true,
@@ -2371,9 +2376,12 @@ fn net_bench(http: &HttpServer, server: &Arc<Server>, args: &Args) -> Result<(),
             "ready_events" => wire.ready_events as i64,
         },
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_net.json");
+    let path = args
+        .out
+        .as_deref()
+        .unwrap_or(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_net.json"));
     std::fs::write(path, report.to_json_pretty() + "\n")
-        .map_err(|e| format!("write BENCH_net.json: {e}"))?;
+        .map_err(|e| format!("write {path}: {e}"))?;
     println!("wrote {path}");
     Ok(())
 }
