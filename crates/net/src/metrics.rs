@@ -7,6 +7,7 @@
 //! mix — and renders both layers as one flat `name value` text page in
 //! the Prometheus exposition style (no external client required).
 
+use covidkg_core::CovidKg;
 use covidkg_serve::ServeStats;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -168,85 +169,61 @@ pub struct ReplExposition {
     pub shipping: Option<covidkg_repl::ReplStats>,
 }
 
-/// Dense-tier series for the exposition, gathered from the HNSW index
-/// behind the `semantic`/`hybrid` engines.
-#[derive(Debug, Clone, Default)]
-pub struct AnnExposition {
-    /// Live vectors in the index.
-    pub nodes: u64,
-    /// Tombstoned slots awaiting the next rebuild.
-    pub tombstones: u64,
-    /// Top layer of the HNSW graph.
-    pub max_level: u64,
-    /// Queries answered since build.
-    pub searches: u64,
-    /// Dot products evaluated across all queries.
-    pub distance_evals: u64,
-    /// Greedy-descent hops across all queries.
-    pub hops: u64,
-    /// Beam candidates expanded across all queries.
-    pub candidates: u64,
-    /// Incremental inserts applied since build.
-    pub inserts: u64,
-}
-
-/// Knowledge-graph series for the exposition, gathered from the graph
-/// and the incrementally-materialized profile store behind the
-/// `/kg/*` routes.
-#[derive(Debug, Clone, Default)]
-pub struct KgExposition {
-    /// Nodes in the knowledge graph.
-    pub nodes: u64,
-    /// Materialized meta-profiles (distinct vaccines).
-    pub profiles: u64,
-    /// Papers contributing side-effect observations.
-    pub profile_papers: u64,
-    /// Side-effect observations across all profiles.
-    pub profile_observations: u64,
-    /// Incremental (mutation-log driven) profile refreshes.
-    pub profile_incremental_refreshes: u64,
-    /// Full profile rebuilds (initial build or log overflow).
-    pub profile_full_rebuilds: u64,
-    /// Vaccine profiles rebuilt across all refreshes.
-    pub profile_vaccines_rebuilt: u64,
-    /// Collection mutation epoch the profile store replayed up to.
-    pub profile_epoch: u64,
-}
-
-/// Trust-tier series for the exposition, gathered from the
-/// provenance-weighted trust store behind the `/trust/*` and
-/// `/bias/report` routes (the fourth traffic class).
-#[derive(Debug, Clone, Default)]
-pub struct TrustExposition {
-    /// Papers contributing provenance to the trust store.
-    pub papers: u64,
-    /// Distinct source venues with credibility priors.
-    pub venues: u64,
-    /// Extracted claims backing venue corroboration.
-    pub claims: u64,
-    /// KG nodes carrying a propagated trust score.
-    pub nodes: u64,
-    /// Incremental (mutation-log driven) trust refreshes.
-    pub incremental_refreshes: u64,
-    /// Full trust rebuilds (initial build or log overflow).
-    pub full_rebuilds: u64,
-    /// Nodes re-propagated across all incremental refreshes.
-    pub nodes_repropagated: u64,
-    /// Collection mutation epoch the trust store replayed up to.
-    pub epoch: u64,
-    /// Data generation stamped into trust documents.
-    pub generation: u64,
+/// The engine-side series of the exposition, in page order: the HNSW
+/// index behind `semantic`/`hybrid` (`ann_*`), the graph and the
+/// incrementally materialized profile store behind `/kg/*` (`kg_*`), and
+/// the trust store behind `/trust/*` and `/bias/report` (`trust_*`) —
+/// read straight off the stores, with the per-class query counts the
+/// serve layer owns slotted in where the page has always had them (that
+/// interleaving is the page's, which is why the list is assembled here
+/// and not by any one store).
+pub fn engine_series(system: &CovidKg, serve: &ServeStats) -> Vec<(&'static str, u64)> {
+    let ann = system.ann();
+    let a = ann.stats();
+    let p = system.profile_store().stats();
+    let t = system.trust_store().stats();
+    vec![
+        ("ann_nodes", ann.len() as u64),
+        ("ann_tombstones", ann.tombstones() as u64),
+        ("ann_max_level", ann.max_level() as u64),
+        ("ann_searches", a.searches),
+        ("ann_distance_evals", a.distance_evals),
+        ("ann_hops", a.hops),
+        ("ann_candidates", a.candidates),
+        ("ann_inserts", a.inserts),
+        ("kg_nodes", system.kg().len() as u64),
+        ("kg_queries", serve.requests_kg),
+        ("kg_traversal_hops", serve.kg_traversal_hops),
+        ("kg_nodes_visited", serve.kg_nodes_visited),
+        ("kg_profiles", p.profiles as u64),
+        ("kg_profile_papers", p.papers as u64),
+        ("kg_profile_observations", p.observations as u64),
+        ("kg_profile_incremental_refreshes", p.incremental_refreshes),
+        ("kg_profile_full_rebuilds", p.full_rebuilds),
+        ("kg_profile_vaccines_rebuilt", p.vaccines_rebuilt),
+        ("kg_profile_epoch", p.epoch),
+        ("trust_papers", t.papers as u64),
+        ("trust_venues", t.venues as u64),
+        ("trust_claims", t.claims as u64),
+        ("trust_nodes", t.nodes as u64),
+        ("trust_queries", serve.requests_trust),
+        ("trust_incremental_refreshes", t.incremental_refreshes),
+        ("trust_full_rebuilds", t.full_rebuilds),
+        ("trust_nodes_repropagated", t.nodes_repropagated),
+        ("trust_epoch", t.epoch),
+        ("trust_generation", t.generation),
+    ]
 }
 
 /// Render wire + serve stats as a text metrics page, one
 /// `covidkg_<name> <value>` per line, statuses as labelled series.
+/// `engines` ([`engine_series`]) follows the replication series, in the
+/// order given.
 pub fn render_metrics(
     wire: &WireStats,
     serve: &ServeStats,
     repl: Option<&ReplExposition>,
-    ann: Option<&AnnExposition>,
-    kg: Option<&KgExposition>,
-    trust: Option<&TrustExposition>,
+    engines: &[(&'static str, u64)],
 ) -> String {
     fn secs(d: Option<Duration>) -> f64 {
         d.map(|d| d.as_secs_f64()).unwrap_or(0.0)
@@ -340,49 +317,8 @@ pub fn render_metrics(
             line("repl_fenced_sessions", s.fenced_sessions.to_string());
         }
     }
-    if let Some(ann) = ann {
-        line("ann_nodes", ann.nodes.to_string());
-        line("ann_tombstones", ann.tombstones.to_string());
-        line("ann_max_level", ann.max_level.to_string());
-        line("ann_searches", ann.searches.to_string());
-        line("ann_distance_evals", ann.distance_evals.to_string());
-        line("ann_hops", ann.hops.to_string());
-        line("ann_candidates", ann.candidates.to_string());
-        line("ann_inserts", ann.inserts.to_string());
-    }
-    if let Some(kg) = kg {
-        line("kg_nodes", kg.nodes.to_string());
-        line("kg_queries", serve.requests_kg.to_string());
-        line("kg_traversal_hops", serve.kg_traversal_hops.to_string());
-        line("kg_nodes_visited", serve.kg_nodes_visited.to_string());
-        line("kg_profiles", kg.profiles.to_string());
-        line("kg_profile_papers", kg.profile_papers.to_string());
-        line("kg_profile_observations", kg.profile_observations.to_string());
-        line(
-            "kg_profile_incremental_refreshes",
-            kg.profile_incremental_refreshes.to_string(),
-        );
-        line("kg_profile_full_rebuilds", kg.profile_full_rebuilds.to_string());
-        line(
-            "kg_profile_vaccines_rebuilt",
-            kg.profile_vaccines_rebuilt.to_string(),
-        );
-        line("kg_profile_epoch", kg.profile_epoch.to_string());
-    }
-    if let Some(trust) = trust {
-        line("trust_papers", trust.papers.to_string());
-        line("trust_venues", trust.venues.to_string());
-        line("trust_claims", trust.claims.to_string());
-        line("trust_nodes", trust.nodes.to_string());
-        line("trust_queries", serve.requests_trust.to_string());
-        line(
-            "trust_incremental_refreshes",
-            trust.incremental_refreshes.to_string(),
-        );
-        line("trust_full_rebuilds", trust.full_rebuilds.to_string());
-        line("trust_nodes_repropagated", trust.nodes_repropagated.to_string());
-        line("trust_epoch", trust.epoch.to_string());
-        line("trust_generation", trust.generation.to_string());
+    for (name, value) in engines {
+        line(name, value.to_string());
     }
     out
 }
@@ -390,6 +326,38 @@ pub fn render_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use covidkg_core::CovidKgConfig;
+
+    /// Every series name `/metrics` emits (less the `covidkg_` prefix)
+    /// for a routed primary after one 200 and one 404, in page order.
+    const EVERY_SERIES: &str = "\
+        net_connections_accepted net_connections_active net_connections_reaped net_bytes_in \
+        net_bytes_out net_parse_errors net_requests net_open_connections net_epoll_wakeups \
+        net_ready_events_per_wakeup_bucket{le=\"1\"} net_ready_events_per_wakeup_bucket{le=\"2\"} \
+        net_ready_events_per_wakeup_bucket{le=\"4\"} net_ready_events_per_wakeup_bucket{le=\"8\"} \
+        net_ready_events_per_wakeup_bucket{le=\"16\"} net_ready_events_per_wakeup_bucket{le=\"32\"} \
+        net_ready_events_per_wakeup_bucket{le=\"64\"} net_ready_events_per_wakeup_bucket{le=\"+Inf\"} \
+        net_ready_events_per_wakeup_count net_ready_events_per_wakeup_sum net_dispatch_queue_depth \
+        net_responses{status=\"200\"} net_responses{status=\"404\"} \
+        serve_requests_all_fields serve_requests_tables serve_requests_scoped serve_requests_kg \
+        serve_requests_trust serve_requests_semantic serve_requests_hybrid serve_cache_hits \
+        serve_cache_misses serve_overloaded serve_deadline_exceeded serve_completed \
+        serve_worker_panics serve_worker_respawns serve_degraded serve_stale_served \
+        serve_breaker_opens serve_io_retries serve_queue_depth serve_max_queue_depth \
+        serve_latency_p50_seconds serve_latency_p95_seconds serve_latency_p99_seconds \
+        repl_watermark repl_epoch repl_replicas \
+        repl_replica_applied{replica=\"replica-1\"} repl_replica_lag{replica=\"replica-1\"} \
+        repl_replica_applied{replica=\"weird-name-\"} repl_replica_lag{replica=\"weird-name-\"} \
+        repl_bytes_shipped repl_frames_shipped repl_batches_shipped repl_bytes_saved \
+        repl_snapshot_bootstraps repl_reconnects repl_fenced_sessions \
+        ann_nodes ann_tombstones ann_max_level ann_searches ann_distance_evals ann_hops \
+        ann_candidates ann_inserts \
+        kg_nodes kg_queries kg_traversal_hops kg_nodes_visited kg_profiles kg_profile_papers \
+        kg_profile_observations kg_profile_incremental_refreshes kg_profile_full_rebuilds \
+        kg_profile_vaccines_rebuilt kg_profile_epoch \
+        trust_papers trust_venues trust_claims trust_nodes trust_queries \
+        trust_incremental_refreshes trust_full_rebuilds trust_nodes_repropagated trust_epoch \
+        trust_generation";
 
     #[test]
     fn counters_round_trip_through_snapshot() {
@@ -435,35 +403,8 @@ mod tests {
         assert_eq!(s.ready_event_buckets[3], 1); // le=8 holds the 5
         assert_eq!(s.ready_event_buckets[READY_EVENT_BUCKETS.len()], 1); // +Inf
         assert_eq!(s.dispatch_queue_depth, 1);
-        let serve = covidkg_serve::ServeStats {
-            requests_all_fields: 0,
-            requests_tables: 0,
-            requests_scoped: 0,
-            requests_kg: 0,
-            requests_trust: 0,
-            requests_semantic: 0,
-            requests_hybrid: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            overloaded: 0,
-            deadline_exceeded: 0,
-            completed: 0,
-            worker_panics: 0,
-            worker_respawns: 0,
-            degraded: 0,
-            stale_served: 0,
-            breaker_opens: 0,
-            kg_traversal_hops: 0,
-            kg_nodes_visited: 0,
-            io_retries: 0,
-            cache: Default::default(),
-            queue_depth: 0,
-            max_queue_depth: 0,
-            p50: None,
-            p95: None,
-            p99: None,
-        };
-        let text = render_metrics(&s, &serve, None, None, None, None);
+        let serve = ServeStats::default();
+        let text = render_metrics(&s, &serve, None, &[]);
         assert!(text.contains("covidkg_net_epoll_wakeups 5\n"), "{text}");
         assert!(text.contains("covidkg_net_ready_events_per_wakeup_bucket{le=\"1\"} 1\n"));
         assert!(text.contains("covidkg_net_ready_events_per_wakeup_bucket{le=\"2\"} 2\n"));
@@ -481,10 +422,8 @@ mod tests {
         m.connection_opened();
         m.responded(200);
         m.responded(404);
-        let serve = covidkg_serve::ServeStats {
+        let serve = ServeStats {
             requests_all_fields: 7,
-            requests_tables: 0,
-            requests_scoped: 0,
             requests_kg: 3,
             requests_trust: 6,
             requests_semantic: 2,
@@ -492,22 +431,12 @@ mod tests {
             cache_hits: 3,
             cache_misses: 4,
             overloaded: 1,
-            deadline_exceeded: 0,
             completed: 4,
-            worker_panics: 0,
-            worker_respawns: 0,
-            degraded: 0,
-            stale_served: 0,
-            breaker_opens: 0,
             kg_traversal_hops: 44,
             kg_nodes_visited: 19,
-            io_retries: 0,
-            cache: Default::default(),
-            queue_depth: 0,
             max_queue_depth: 2,
             p50: Some(Duration::from_micros(1500)),
-            p95: None,
-            p99: None,
+            ..ServeStats::default()
         };
         let repl = ReplExposition {
             watermark: 42,
@@ -528,45 +457,36 @@ mod tests {
                 replicas: Vec::new(),
             }),
         };
-        let ann = AnnExposition {
-            nodes: 36,
-            tombstones: 2,
-            max_level: 3,
-            searches: 9,
-            distance_evals: 510,
-            hops: 21,
-            candidates: 90,
-            inserts: 4,
-        };
-        let kg = KgExposition {
-            nodes: 18,
-            profiles: 4,
-            profile_papers: 11,
-            profile_observations: 57,
-            profile_incremental_refreshes: 6,
-            profile_full_rebuilds: 1,
-            profile_vaccines_rebuilt: 9,
-            profile_epoch: 3,
-        };
-        let trust = TrustExposition {
-            papers: 13,
-            venues: 5,
-            claims: 29,
-            nodes: 18,
-            incremental_refreshes: 2,
-            full_rebuilds: 1,
-            nodes_repropagated: 12,
-            epoch: 3,
-            generation: 2,
-        };
-        let text = render_metrics(
-            &m.snapshot(),
-            &serve,
-            Some(&repl),
-            Some(&ann),
-            Some(&kg),
-            Some(&trust),
-        );
+        // The engine series come straight off a real system's stores. Two
+        // profile-sourcing papers deleted, five publications ingested in
+        // three batches and three dense searches leave every counter
+        // non-zero (tombstones, incremental refreshes, vaccines rebuilt).
+        let mut system = CovidKg::build(CovidKgConfig {
+            corpus_size: 40,
+            max_training_rows: 50,
+            ..CovidKgConfig::default()
+        })
+        .unwrap();
+        let newer = covidkg_corpus::CorpusGenerator::with_size(45, CovidKgConfig::default().seed);
+        let newer: Vec<_> = newer.generate().into_iter().skip(40).collect();
+        let mut sourced: Vec<String> = system
+            .profiles()
+            .iter()
+            .flat_map(|p| p.sources.clone())
+            .collect();
+        sourced.sort();
+        sourced.dedup();
+        for paper in &sourced[..2] {
+            system.publications().delete(paper).unwrap();
+        }
+        assert_eq!(system.ingest(&newer[..2]).unwrap(), 2);
+        assert_eq!(system.ingest(&newer[2..4]).unwrap(), 2);
+        assert_eq!(system.ingest(&newer[4..]).unwrap(), 1);
+        for query in ["vaccine", "fever", "mask"] {
+            system.search_dense(&covidkg_search::DenseMode::Semantic(query.into()), 0);
+        }
+        let engines = engine_series(&system, &serve);
+        let text = render_metrics(&m.snapshot(), &serve, Some(&repl), &engines);
         assert!(text.contains("covidkg_net_connections_accepted 1\n"), "{text}");
         assert!(text.contains("covidkg_net_responses{status=\"200\"} 1\n"));
         assert!(text.contains("covidkg_net_responses{status=\"404\"} 1\n"));
@@ -587,45 +507,88 @@ mod tests {
         assert!(text.contains("covidkg_repl_fenced_sessions 1\n"));
         assert!(text.contains("covidkg_serve_requests_semantic 2\n"));
         assert!(text.contains("covidkg_serve_requests_hybrid 5\n"));
-        assert!(text.contains("covidkg_ann_nodes 36\n"));
-        assert!(text.contains("covidkg_ann_tombstones 2\n"));
-        assert!(text.contains("covidkg_ann_max_level 3\n"));
-        assert!(text.contains("covidkg_ann_searches 9\n"));
-        assert!(text.contains("covidkg_ann_distance_evals 510\n"));
-        assert!(text.contains("covidkg_ann_hops 21\n"));
-        assert!(text.contains("covidkg_ann_candidates 90\n"));
-        assert!(text.contains("covidkg_ann_inserts 4\n"));
+        // Every engine series carries its own store's number (or, for the
+        // per-class counts interleaved with them, serve's)…
+        let (ann, profiles, trust) = (
+            system.ann(),
+            system.profile_store().stats(),
+            system.trust_store().stats(),
+        );
+        let expected = [
+            ("ann_nodes", ann.len() as u64),
+            ("ann_tombstones", ann.tombstones() as u64),
+            ("ann_max_level", ann.max_level() as u64),
+            ("ann_searches", ann.stats().searches),
+            ("ann_distance_evals", ann.stats().distance_evals),
+            ("ann_hops", ann.stats().hops),
+            ("ann_candidates", ann.stats().candidates),
+            ("ann_inserts", ann.stats().inserts),
+            ("kg_nodes", system.kg().len() as u64),
+            ("kg_queries", 3),
+            ("kg_traversal_hops", 44),
+            ("kg_nodes_visited", 19),
+            ("kg_profiles", profiles.profiles as u64),
+            ("kg_profile_papers", profiles.papers as u64),
+            ("kg_profile_observations", profiles.observations as u64),
+            (
+                "kg_profile_incremental_refreshes",
+                profiles.incremental_refreshes,
+            ),
+            ("kg_profile_full_rebuilds", profiles.full_rebuilds),
+            ("kg_profile_vaccines_rebuilt", profiles.vaccines_rebuilt),
+            ("kg_profile_epoch", profiles.epoch),
+            ("trust_papers", trust.papers as u64),
+            ("trust_venues", trust.venues as u64),
+            ("trust_claims", trust.claims as u64),
+            ("trust_nodes", trust.nodes as u64),
+            ("trust_queries", 6),
+            ("trust_incremental_refreshes", trust.incremental_refreshes),
+            ("trust_full_rebuilds", trust.full_rebuilds),
+            ("trust_nodes_repropagated", trust.nodes_repropagated),
+            ("trust_epoch", trust.epoch),
+            ("trust_generation", trust.generation),
+        ];
+        assert_eq!(engines, expected);
+        for (name, value) in expected {
+            assert!(
+                text.contains(&format!("covidkg_{name} {value}\n")),
+                "{name} {value}: {text}"
+            );
+        }
+        // …and the mutations above made each store's numbers non-zero and
+        // pairwise distinct, so a row reading its neighbour's field (say
+        // inserts for tombstones) cannot pass.
+        for store in ["ann_", "kg_", "trust_"] {
+            let mut values: Vec<u64> = expected
+                .iter()
+                .filter(|(name, _)| name.starts_with(store) && !name.ends_with("_queries"))
+                .map(|(_, value)| *value)
+                .collect();
+            values.sort_unstable();
+            assert!(
+                values[0] > 0 && values.windows(2).all(|w| w[0] != w[1]),
+                "{store}: {values:?}"
+            );
+        }
         assert!(text.contains("covidkg_serve_requests_kg 3\n"));
-        assert!(text.contains("covidkg_kg_nodes 18\n"));
-        assert!(text.contains("covidkg_kg_queries 3\n"));
-        assert!(text.contains("covidkg_kg_traversal_hops 44\n"));
-        assert!(text.contains("covidkg_kg_nodes_visited 19\n"));
-        assert!(text.contains("covidkg_kg_profiles 4\n"));
-        assert!(text.contains("covidkg_kg_profile_papers 11\n"));
-        assert!(text.contains("covidkg_kg_profile_observations 57\n"));
-        assert!(text.contains("covidkg_kg_profile_incremental_refreshes 6\n"));
-        assert!(text.contains("covidkg_kg_profile_full_rebuilds 1\n"));
-        assert!(text.contains("covidkg_kg_profile_vaccines_rebuilt 9\n"));
-        assert!(text.contains("covidkg_kg_profile_epoch 3\n"));
         assert!(text.contains("covidkg_serve_requests_trust 6\n"));
-        assert!(text.contains("covidkg_trust_papers 13\n"));
-        assert!(text.contains("covidkg_trust_venues 5\n"));
-        assert!(text.contains("covidkg_trust_claims 29\n"));
-        assert!(text.contains("covidkg_trust_nodes 18\n"));
-        assert!(text.contains("covidkg_trust_queries 6\n"));
-        assert!(text.contains("covidkg_trust_incremental_refreshes 2\n"));
-        assert!(text.contains("covidkg_trust_full_rebuilds 1\n"));
-        assert!(text.contains("covidkg_trust_nodes_repropagated 12\n"));
-        assert!(text.contains("covidkg_trust_epoch 3\n"));
-        assert!(text.contains("covidkg_trust_generation 2\n"));
+        // The page is these series, in this order, and nothing else.
+        let names = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("covidkg_")?.split(' ').next());
+        assert_eq!(
+            names.collect::<Vec<_>>(),
+            EVERY_SERIES.split(' ').collect::<Vec<_>>(),
+            "{text}"
+        );
         // Every line is `name value`.
         for l in text.lines() {
             assert_eq!(l.split(' ').count(), 2, "{l}");
             assert!(l.starts_with("covidkg_"), "{l}");
         }
-        // Without a routing layer / dense tier / kg the optional series
+        // Without a routing layer / engine series the optional series
         // are absent entirely.
-        let text = render_metrics(&m.snapshot(), &serve, None, None, None, None);
+        let text = render_metrics(&m.snapshot(), &serve, None, &[]);
         assert!(!text.contains("repl_"), "{text}");
         assert!(!text.contains("ann_"), "{text}");
         assert!(!text.contains("covidkg_kg_"), "{text}");

@@ -1,23 +1,23 @@
-//! Request routing: maps parsed HTTP requests onto the serving stack.
+//! Request routing: a route table mapping parsed HTTP requests onto the
+//! serve layer's op table ([`covidkg_serve::Op`]).
 //!
 //! Byte-correctness contract: the body of a 200 search response is
 //! exactly `SearchPage::to_json().to_json()` — the same canonical JSON
 //! an in-process caller gets — for cached, fresh and stale pages alike;
-//! likewise a 200 `/kg/*` body is the server's pre-serialized
-//! [`covidkg_serve::KgResponse`] bytes, identical to in-process
+//! likewise a 200 `/kg/*`, `/trust/*` or `/bias/report` body is the
+//! server's pre-serialized bytes, identical to in-process
 //! serialization. Cache/degradation metadata rides in response
-//! *headers* (`X-Cache`, `X-Generation`) so the body never varies with
-//! cache state.
+//! *headers* (`X-Cache`, `X-Generation`, `X-Trust`) so the body never
+//! varies with cache state.
 
 use crate::http::{percent_decode, Request, Response};
-use crate::metrics::{
-    render_metrics, AnnExposition, KgExposition, ReplExposition, TrustExposition, WireStats,
-};
+use crate::metrics::{engine_series, render_metrics, ReplExposition, WireStats};
+use covidkg_core::QueryPlan;
 use covidkg_json::{obj, Value};
 use covidkg_repl::{Epoch, ReadRouter, ReplMetrics, RouteError};
 use covidkg_search::{DenseMode, SearchMode, SearchPage};
-use covidkg_core::QueryPlan;
-use covidkg_serve::{KgResponse, ServeError, Server};
+use covidkg_serve::{CachedValue, Op, Reply, ServeError, Server};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,172 +97,278 @@ fn cookie_min_seq(header: &str) -> Option<u64> {
     })
 }
 
+/// What a parsed route asks for: the op, and whether the `trust=1`
+/// re-rank knob was on.
+type Parsed = Result<(Op<'static>, bool), Response>;
+
+/// How a route answers.
+enum Target {
+    /// A serve-layer op, answered through [`Server::request`], every 200
+    /// built by [`respond`]. First the parser: the op asked for by the
+    /// request and the path tail after the pattern. Then the 404 message
+    /// when the op resolves to nothing, from the same path tail; `None`
+    /// for ops that always yield a value.
+    Op(
+        fn(&Request, &str) -> Parsed,
+        Option<fn(&Server, &str) -> String>,
+    ),
+    /// A page about the server itself.
+    Page(fn(&Server, &WireStats, Option<&ReadContext>) -> Response),
+}
+
+/// One row of the route table.
+struct Route {
+    /// The path: matched whole, or as a prefix when it ends in `/`.
+    pattern: &'static str,
+    /// The lines `GET /` lists for this row.
+    usage: &'static [&'static str],
+    target: Target,
+}
+
+/// Every route but the `GET /` listing generated from it. Patterns do
+/// not overlap, so listing order is also matching order.
+const ROUTES: &[Route] = &[
+    // `scoped` also accepts per-field `title`/`abstract`/`caption`
+    // parameters, each defaulting to `q`. `semantic` and `hybrid` engage
+    // the dense tier and always execute locally.
+    Route {
+        pattern: "/search/",
+        usage: &[
+            "/search/{all-fields|tables|scoped}?q=&page=&trust=",
+            "/search/{semantic|hybrid}?q=&page=&trust=",
+        ],
+        target: Target::Op(parse_search, None),
+    },
+    // Bounded multi-hop traversal returning top-k ranked paths.
+    Route {
+        pattern: "/kg/query",
+        usage: &["/kg/query?start=&steps=&fanout=&k=&trust="],
+        target: Target::Op(parse_kg_query, None),
+    },
+    // The vaccine's incrementally materialized, epoch-stamped meta-profile.
+    Route {
+        pattern: "/kg/profile/",
+        usage: &["/kg/profile/{vaccine}"],
+        target: Target::Op(
+            |_, vaccine| Ok((Op::KgProfile(vaccine.to_string().into()), false)),
+            Some(|_, vaccine| format!("no profile for vaccine {vaccine:?}")),
+        ),
+    },
+    // One knowledge-graph node with its topology.
+    Route {
+        pattern: "/kg/node/",
+        usage: &["/kg/node/{id}"],
+        target: Target::Op(|_, id| Ok((Op::KgNode(node_id(id)?), false)), Some(no_node)),
+    },
+    // One KG node's provenance-trust document (score, prior, sources).
+    Route {
+        pattern: "/trust/node/",
+        usage: &["/trust/node/{id}"],
+        target: Target::Op(
+            |_, id| Ok((Op::TrustNode(node_id(id)?), false)),
+            Some(no_node),
+        ),
+    },
+    // One source venue's credibility document. The venue segment is
+    // percent-decoded, so multi-word venues work.
+    Route {
+        pattern: "/trust/source/",
+        usage: &["/trust/source/{venue}"],
+        target: Target::Op(
+            |_, venue| Ok((Op::TrustSource(percent_decode(venue).into()), false)),
+            Some(|_, venue| format!("no source venue {:?}", percent_decode(venue))),
+        ),
+    },
+    // The trust-weighted bias interrogation report.
+    Route {
+        pattern: "/bias/report",
+        usage: &["/bias/report"],
+        target: Target::Op(|_, _| Ok((Op::BiasReport, false)), None),
+    },
+    Route {
+        pattern: "/stats",
+        usage: &["/stats"],
+        target: Target::Page(|server, _, _| stats(server)),
+    },
+    Route {
+        pattern: "/metrics",
+        usage: &["/metrics"],
+        target: Target::Page(metrics_page),
+    },
+];
+
+/// The usage line of every route, in listing order: what `GET /` and the
+/// `covidkg serve` banner print.
+pub fn usages() -> impl Iterator<Item = &'static str> {
+    ROUTES.iter().flat_map(|r| r.usage).copied()
+}
+
+impl Route {
+    /// The path tail this route parses, when `path` is its.
+    fn tail<'p>(&self, path: &'p str) -> Option<&'p str> {
+        if self.pattern.ends_with('/') {
+            path.strip_prefix(self.pattern)
+        } else {
+            (path == self.pattern).then_some("")
+        }
+    }
+}
+
 /// Resolve one request to a response. Never panics; unknown paths 404,
 /// wrong methods 405, bad parameters 400. With a [`ReadContext`],
-/// `/search/*` is routed lag-aware across the replica pool and
+/// lexical `/search/*` is routed lag-aware across the replica pool and
 /// `/metrics` carries the replication series.
 pub fn handle(server: &Server, wire: &WireStats, repl: Option<&ReadContext>, req: &Request) -> Response {
     if req.method != "GET" {
         return error_response(405, "only GET is supported");
     }
     let path = req.path();
-    if let Some(engine) = path.strip_prefix("/search/") {
-        return search(server, engine, repl, req);
-    }
-    if let Some(id) = path.strip_prefix("/kg/node/") {
-        return kg_node(server, id);
-    }
-    if let Some(vaccine) = path.strip_prefix("/kg/profile/") {
-        return kg_profile(server, vaccine);
-    }
-    if path == "/kg/query" {
-        return kg_query(server, req);
-    }
-    if let Some(id) = path.strip_prefix("/trust/node/") {
-        return trust_node(server, id);
-    }
-    if let Some(venue) = path.strip_prefix("/trust/source/") {
-        return trust_source(server, venue);
-    }
-    if path == "/bias/report" {
-        return bias_report(server);
-    }
-    match path {
-        "/stats" => stats(server),
-        "/metrics" => {
-            let (ann, kg, trust) = server.with_system(|system| {
-                let ann = system.ann();
-                let s = ann.stats();
-                let ann = AnnExposition {
-                    nodes: ann.len() as u64,
-                    tombstones: ann.tombstones() as u64,
-                    max_level: ann.max_level() as u64,
-                    searches: s.searches,
-                    distance_evals: s.distance_evals,
-                    hops: s.hops,
-                    candidates: s.candidates,
-                    inserts: s.inserts,
-                };
-                let p = system.profile_store().stats();
-                let kg = KgExposition {
-                    nodes: system.kg().len() as u64,
-                    profiles: p.profiles as u64,
-                    profile_papers: p.papers as u64,
-                    profile_observations: p.observations as u64,
-                    profile_incremental_refreshes: p.incremental_refreshes,
-                    profile_full_rebuilds: p.full_rebuilds,
-                    profile_vaccines_rebuilt: p.vaccines_rebuilt,
-                    profile_epoch: p.epoch,
-                };
-                let t = system.trust_store().stats();
-                let trust = TrustExposition {
-                    papers: t.papers as u64,
-                    venues: t.venues as u64,
-                    claims: t.claims as u64,
-                    nodes: t.nodes as u64,
-                    incremental_refreshes: t.incremental_refreshes,
-                    full_rebuilds: t.full_rebuilds,
-                    nodes_repropagated: t.nodes_repropagated,
-                    epoch: t.epoch,
-                    generation: t.generation,
-                };
-                (ann, kg, trust)
-            });
-            Response::text(
-                200,
-                render_metrics(
-                    wire,
-                    &server.stats(),
-                    repl.map(|r| r.exposition()).as_ref(),
-                    Some(&ann),
-                    Some(&kg),
-                    Some(&trust),
-                ),
-            )
-        }
-        "/" => Response::json(
+    if path == "/" {
+        let endpoints = Value::Array(usages().map(Value::from).collect());
+        return Response::json(
             200,
-            obj! {
-                "service" => "covidkg",
-                "endpoints" => Value::Array(vec![
-                    Value::from("/search/{all-fields|tables|scoped}?q=&page=&trust="),
-                    Value::from("/search/{semantic|hybrid}?q=&page=&trust="),
-                    Value::from("/kg/query?start=&steps=&fanout=&k=&trust="),
-                    Value::from("/kg/profile/{vaccine}"),
-                    Value::from("/kg/node/{id}"),
-                    Value::from("/trust/node/{id}"),
-                    Value::from("/trust/source/{venue}"),
-                    Value::from("/bias/report"),
-                    Value::from("/stats"),
-                    Value::from("/metrics"),
-                ]),
-            }
-            .to_json(),
-        ),
-        _ => error_response(404, "no such resource"),
+            obj! { "service" => "covidkg", "endpoints" => endpoints }.to_json(),
+        );
+    }
+    let Some((route, tail)) = ROUTES
+        .iter()
+        .find_map(|r| r.tail(path).map(|tail| (r, tail)))
+    else {
+        return error_response(404, "no such resource");
+    };
+    let (parse, not_found) = match route.target {
+        Target::Page(page) => return page(server, wire, repl),
+        Target::Op(parse, not_found) => (parse, not_found),
+    };
+    let (op, trust) = match parse(req, tail) {
+        Ok(parsed) => parsed,
+        Err(resp) => return resp,
+    };
+    // The replica router only speaks the lexical modes.
+    if let (Op::Search(mode, page), Some(ctx)) = (&op, repl) {
+        return routed_read(server, ctx, req, mode, *page, trust);
+    }
+    match server.request(&op, None) {
+        Ok(Some(reply)) => respond(server, reply, trust),
+        Ok(None) => match not_found {
+            Some(message) => error_response(404, &message(server, tail)),
+            None => error_response(404, "no such resource"),
+        },
+        Err(e) => serve_error_response(e),
     }
 }
 
-/// `GET /search/{engine}?q=&page=` — `scoped` also accepts the
-/// per-field `title`/`abstract`/`caption` parameters, defaulting each
-/// to `q` when absent. `semantic` and `hybrid` engage the dense
-/// retrieval tier and always execute locally. Under a [`ReadContext`], `X-Min-Seq` (header) or
-/// `min_seq` (query parameter) demands read-your-writes: the response
-/// comes from a target that has applied at least that sequence, or 503.
-fn search(server: &Server, engine: &str, repl: Option<&ReadContext>, req: &Request) -> Response {
+/// The one 200 for every op: the body is the canonical serialization —
+/// `SearchPage::to_json()` for pages, the server's pre-serialized bytes
+/// for everything else — and cache metadata rides in headers, so the
+/// body never varies with cache state. `trust` flags the re-ranked
+/// variants: a `/kg/query` body was already computed that way, a search
+/// page is re-ranked here.
+fn respond(server: &Server, reply: Reply, trust: bool) -> Response {
+    let body = match reply.value {
+        CachedValue::Page(page) if trust => rerank_by_trust(server, page).to_json().to_json(),
+        CachedValue::Page(page) => page.to_json().to_json(),
+        CachedValue::Body(body) => body,
+    };
+    let cache = match (reply.stale, reply.cached) {
+        (true, _) => "stale",
+        (false, true) => "hit",
+        (false, false) => "miss",
+    };
+    let resp = Response::json(200, body)
+        .with_header("X-Cache", cache)
+        .with_header("X-Generation", reply.generation.to_string());
+    if trust {
+        resp.with_header("X-Trust", "re-ranked")
+    } else {
+        resp
+    }
+}
+
+/// `?q=&page=&trust=` of `/search/{engine}`.
+fn parse_search(req: &Request, engine: &str) -> Parsed {
     let q = req.query_param("q").unwrap_or_default();
     let page = match req.query_param("page").as_deref() {
         None => 0,
-        Some(p) => match p.parse::<usize>() {
-            Ok(p) => p,
-            Err(_) => return error_response(400, "page must be a non-negative integer"),
+        Some(p) => p
+            .parse::<usize>()
+            .map_err(|_| error_response(400, "page must be a non-negative integer"))?,
+    };
+    let trust = trust_knob(req)?;
+    let op = match engine {
+        "semantic" => Op::Dense(Cow::Owned(DenseMode::Semantic(q)), page),
+        "hybrid" => Op::Dense(Cow::Owned(DenseMode::Hybrid(q)), page),
+        "all-fields" => Op::Search(Cow::Owned(SearchMode::AllFields(q)), page),
+        "tables" => Op::Search(Cow::Owned(SearchMode::Tables(q)), page),
+        "scoped" => Op::Search(
+            Cow::Owned(SearchMode::TitleAbstractCaption {
+                title: req.query_param("title").unwrap_or_else(|| q.clone()),
+                abstract_q: req.query_param("abstract").unwrap_or_else(|| q.clone()),
+                caption: req.query_param("caption").unwrap_or_else(|| q.clone()),
+            }),
+            page,
+        ),
+        other => return Err(error_response(
+            404,
+            &format!(
+                "unknown engine {other:?}: expected all-fields, tables, scoped, semantic or hybrid"
+            ),
+        )),
+    };
+    Ok((op, trust))
+}
+
+/// `?start=&steps=[&fanout=][&k=][&trust=]` of `/kg/query`. `start` is
+/// `term:<text>`, `kind:<root|category|entity>` or `node:<id>`; `steps`
+/// is a comma-separated hop list `<child|parent|any|co>[:<kind>[:<paper>]]`.
+/// `trust=1` swaps in the trust-re-ranked traversal; the default ranking
+/// (and its cache entries) stays untouched when off.
+fn parse_kg_query(req: &Request, _tail: &str) -> Parsed {
+    let bound = |name: &str, default: usize, message: &str| match req.query_param(name) {
+        None => Ok(default),
+        Some(v) => v.parse::<usize>().map_err(|_| error_response(400, message)),
+    };
+    let start = req.query_param("start").unwrap_or_default();
+    let steps = req.query_param("steps").unwrap_or_default();
+    let fanout = bound("fanout", 16, "fanout must be a non-negative integer")?;
+    let k = bound("k", 10, "k must be a non-negative integer")?;
+    let plan = QueryPlan::parse(&start, &steps, fanout, k).map_err(|e| error_response(400, &e))?;
+    let trust = trust_knob(req)?;
+    let plan = Cow::Owned(plan);
+    Ok((
+        if trust {
+            Op::KgQueryTrusted(plan)
+        } else {
+            Op::KgQuery(plan)
         },
-    };
-    let trust = match trust_knob(req) {
-        Ok(trust) => trust,
-        Err(resp) => return resp,
-    };
-    // Dense engines are served by the local HNSW tier: the replica
-    // router only speaks the lexical modes, and the ANN search is
-    // sub-millisecond, so there is nothing to route.
-    let dense = match engine {
-        "semantic" => Some(DenseMode::Semantic(q.clone())),
-        "hybrid" => Some(DenseMode::Hybrid(q.clone())),
-        _ => None,
-    };
-    if let Some(mode) = dense {
-        return match server.search_dense(&mode, page) {
-            Ok(resp) if trust => trusted_page_response(server, &resp),
-            Ok(resp) => page_response(&resp),
-            Err(e) => serve_error_response(e),
-        };
-    }
-    let mode = match engine {
-        "all-fields" => SearchMode::AllFields(q),
-        "tables" => SearchMode::Tables(q),
-        "scoped" => SearchMode::TitleAbstractCaption {
-            title: req.query_param("title").unwrap_or_else(|| q.clone()),
-            abstract_q: req.query_param("abstract").unwrap_or_else(|| q.clone()),
-            caption: req.query_param("caption").unwrap_or_else(|| q.clone()),
-        },
-        other => {
-            return error_response(
-                404,
-                &format!(
-                    "unknown engine {other:?}: expected all-fields, tables, scoped, semantic or hybrid"
-                ),
-            )
-        }
-    };
-    let Some(ctx) = repl else {
-        return match server.search(&mode, page) {
-            Ok(resp) if trust => trusted_page_response(server, &resp),
-            Ok(resp) => page_response(&resp),
-            Err(e) => serve_error_response(e),
-        };
-    };
-    // Routed read: the sequence token rides the `X-Min-Seq` header (or
-    // the `min_seq` query parameter for header-less clients).
+        trust,
+    ))
+}
+
+/// The `{id}` tail of `/kg/node/` and `/trust/node/`.
+fn node_id(tail: &str) -> Result<usize, Response> {
+    tail.parse()
+        .map_err(|_| error_response(400, "node id must be a non-negative integer"))
+}
+
+/// The 404 of the two node routes, naming the id as it was looked up.
+fn no_node(server: &Server, tail: &str) -> String {
+    let id = tail.parse::<usize>().unwrap_or_default();
+    let len = server.with_system(|system| system.kg().len());
+    format!("no node {id} (graph has {len})")
+}
+
+/// A lexical search under a [`ReadContext`]: `X-Min-Seq` (header) or
+/// `min_seq` (query parameter) demands read-your-writes — the response
+/// comes from a target that has applied at least that sequence, or 503.
+fn routed_read(
+    server: &Server,
+    ctx: &ReadContext,
+    req: &Request,
+    mode: &SearchMode,
+    page: usize,
+    trust: bool,
+) -> Response {
     let min_seq_raw = req
         .header("x-min-seq")
         .map(|v| v.to_string())
@@ -279,14 +385,10 @@ fn search(server: &Server, engine: &str, repl: Option<&ReadContext>, req: &Reque
     // X-Min-Seq still wins when it demands more.
     let cookie_floor = req.header("cookie").and_then(cookie_min_seq).unwrap_or(0);
     let min_seq = explicit_min_seq.max(cookie_floor);
-    match ctx.router.search(&mode, page, min_seq, ctx.ryw_deadline) {
+    match ctx.router.search(mode, page, min_seq, ctx.ryw_deadline) {
         // Trust re-rank is page-local, so it composes with routed reads:
         // the weights come from the local trust store.
-        Ok((resp, info)) => if trust {
-            trusted_page_response(server, &resp)
-        } else {
-            page_response(&resp)
-        }
+        Ok((resp, info)) => respond(server, resp.into(), trust)
             .with_header("X-Served-By", info.replica)
             .with_header("X-Replica-Lag", info.lag.to_string())
             .with_header("X-Applied-Seq", info.applied.to_string())
@@ -308,31 +410,6 @@ fn search(server: &Server, engine: &str, repl: Option<&ReadContext>, req: &Reque
     }
 }
 
-/// The canonical 200 search response: byte-identical body, cache
-/// metadata in headers.
-fn page_response(resp: &covidkg_serve::ServeResponse) -> Response {
-    page_response_with(&resp.page, resp)
-}
-
-/// Serialize `page` with `resp`'s cache metadata — shared by the
-/// default path (`page` is `resp.page` itself, byte-identical to
-/// in-process serialization) and the trust re-rank path (`page` is the
-/// re-ranked copy).
-fn page_response_with(page: &SearchPage, resp: &covidkg_serve::ServeResponse) -> Response {
-    Response::json(200, page.to_json().to_json())
-        .with_header(
-            "X-Cache",
-            if resp.stale {
-                "stale"
-            } else if resp.cached {
-                "hit"
-            } else {
-                "miss"
-            },
-        )
-        .with_header("X-Generation", resp.generation.to_string())
-}
-
 /// Parse the `trust=` re-rank knob, shared by `/search/*` and
 /// `/kg/query`. Off by default: absent or `0` leaves the default
 /// ranking (and its byte-identical wire contract) untouched.
@@ -348,10 +425,8 @@ fn trust_knob(req: &Request) -> Result<bool, Response> {
 /// trust. Page-local by design — each result's lexical/dense score is
 /// scaled by `0.5 + 0.5 * trust(source)` and the page re-sorted (score
 /// desc, id asc on ties), so the knob reads the incrementally
-/// maintained trust store without re-running the search. The re-ranked
-/// body is flagged with `X-Trust: re-ranked`.
-fn trusted_page_response(server: &Server, resp: &covidkg_serve::ServeResponse) -> Response {
-    let mut page = resp.page.clone();
+/// maintained trust store without re-running the search.
+fn rerank_by_trust(server: &Server, mut page: SearchPage) -> SearchPage {
     let weights: Vec<f64> = server.with_system(|system| {
         page.results
             .iter()
@@ -363,7 +438,7 @@ fn trusted_page_response(server: &Server, resp: &covidkg_serve::ServeResponse) -
     }
     page.results
         .sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
-    page_response_with(&page, resp).with_header("X-Trust", "re-ranked")
+    page
 }
 
 /// Map the scheduler's typed backpressure errors onto wire statuses.
@@ -380,124 +455,13 @@ pub fn serve_error_response(e: ServeError) -> Response {
     }
 }
 
-/// The canonical 200 KG response: the server's pre-serialized body
-/// verbatim, cache metadata in headers — same contract as search pages.
-/// KG responses are never served stale, so `X-Cache` is only ever
-/// `hit` or `miss`.
-fn kg_response(resp: &KgResponse) -> Response {
-    Response::json(200, resp.body.clone())
-        .with_header("X-Cache", if resp.cached { "hit" } else { "miss" })
-        .with_header("X-Generation", resp.generation.to_string())
-}
-
-/// `GET /kg/query?start=&steps=[&fanout=][&k=]` — bounded multi-hop
-/// traversal returning top-k ranked paths. `start` is `term:<text>`,
-/// `kind:<root|category|entity>` or `node:<id>`; `steps` is a
-/// comma-separated hop list `<child|parent|any|co>[:<kind>[:<paper>]]`.
-fn kg_query(server: &Server, req: &Request) -> Response {
-    let start = req.query_param("start").unwrap_or_default();
-    let steps = req.query_param("steps").unwrap_or_default();
-    let fanout = match req.query_param("fanout").as_deref() {
-        None => 16,
-        Some(v) => match v.parse::<usize>() {
-            Ok(v) => v,
-            Err(_) => return error_response(400, "fanout must be a non-negative integer"),
-        },
-    };
-    let k = match req.query_param("k").as_deref() {
-        None => 10,
-        Some(v) => match v.parse::<usize>() {
-            Ok(v) => v,
-            Err(_) => return error_response(400, "k must be a non-negative integer"),
-        },
-    };
-    let plan = match QueryPlan::parse(&start, &steps, fanout, k) {
-        Ok(plan) => plan,
-        Err(e) => return error_response(400, &e),
-    };
-    let trust = match trust_knob(req) {
-        Ok(trust) => trust,
-        Err(resp) => return resp,
-    };
-    // `trust=1` swaps in the trust-re-ranked traversal; the default
-    // ranking (and its cache entries) stays untouched when off.
-    let served = if trust {
-        server.kg_query_trusted(&plan)
-    } else {
-        server.kg_query(&plan)
-    };
-    match served {
-        Ok(resp) if trust => kg_response(&resp).with_header("X-Trust", "re-ranked"),
-        Ok(resp) => kg_response(&resp),
-        Err(e) => serve_error_response(e),
-    }
-}
-
-/// `GET /trust/node/{id}` — one KG node's provenance-trust document
-/// (score, base prior, supporting sources). The fourth traffic class:
-/// cache-fronted, queue-admitted, `trust`-breaker-guarded, never
-/// served stale.
-fn trust_node(server: &Server, id: &str) -> Response {
-    let Ok(id) = id.parse::<usize>() else {
-        return error_response(400, "node id must be a non-negative integer");
-    };
-    match server.trust_node(id) {
-        Ok(Some(resp)) => kg_response(&resp),
-        Ok(None) => {
-            let len = server.with_system(|system| system.kg().len());
-            error_response(404, &format!("no node {id} (graph has {len})"))
-        }
-        Err(e) => serve_error_response(e),
-    }
-}
-
-/// `GET /trust/source/{venue}` — one source venue's credibility
-/// document (prior, corroboration, contributing papers). The venue
-/// segment is percent-decoded, so multi-word venues work.
-fn trust_source(server: &Server, venue: &str) -> Response {
-    let venue = percent_decode(venue);
-    match server.trust_source(&venue) {
-        Ok(Some(resp)) => kg_response(&resp),
-        Ok(None) => error_response(404, &format!("no source venue {venue:?}")),
-        Err(e) => serve_error_response(e),
-    }
-}
-
-/// `GET /bias/report` — the trust-weighted bias interrogation report,
-/// memoized against the trust-store epoch and served through the same
-/// cache/admission/breaker stack as the other trust bodies.
-fn bias_report(server: &Server) -> Response {
-    match server.bias_report() {
-        Ok(resp) => kg_response(&resp),
-        Err(e) => serve_error_response(e),
-    }
-}
-
-/// `GET /kg/profile/{vaccine}` — the vaccine's incrementally
-/// materialized, epoch-stamped meta-profile document.
-fn kg_profile(server: &Server, vaccine: &str) -> Response {
-    match server.kg_profile(vaccine) {
-        Ok(Some(resp)) => kg_response(&resp),
-        Ok(None) => error_response(404, &format!("no profile for vaccine {vaccine:?}")),
-        Err(e) => serve_error_response(e),
-    }
-}
-
-/// `GET /kg/node/{id}` — one knowledge-graph node with its topology.
-/// Flows through the serve-layer result cache like the search routes
-/// (cache metadata in `X-Cache`/`X-Generation` headers).
-fn kg_node(server: &Server, id: &str) -> Response {
-    let Ok(id) = id.parse::<usize>() else {
-        return error_response(400, "node id must be a non-negative integer");
-    };
-    match server.kg_node(id) {
-        Ok(Some(resp)) => kg_response(&resp),
-        Ok(None) => {
-            let len = server.with_system(|system| system.kg().len());
-            error_response(404, &format!("no node {id} (graph has {len})"))
-        }
-        Err(e) => serve_error_response(e),
-    }
+/// `GET /metrics` — wire counters, the serve histogram, the replication
+/// series under a [`ReadContext`], and the engine series.
+fn metrics_page(server: &Server, wire: &WireStats, repl: Option<&ReadContext>) -> Response {
+    let serve = server.stats();
+    let engines = server.with_system(|system| engine_series(system, &serve));
+    let repl = repl.map(|r| r.exposition());
+    Response::text(200, render_metrics(wire, &serve, repl.as_ref(), &engines))
 }
 
 /// `GET /stats` — storage + KG + serving summary as JSON.
@@ -547,6 +511,98 @@ pub fn error_response(status: u16, message: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::Parser;
+
+    fn get(server: &Server, target: &str) -> Response {
+        let raw = format!("GET {target} HTTP/1.1\r\nHost: covidkg\r\n\r\n");
+        let req = Parser::new()
+            .feed(raw.as_bytes())
+            .unwrap()
+            .expect("one whole request");
+        handle(server, &WireStats::default(), None, &req)
+    }
+
+    /// `GET /` lists the same ten endpoints it always has, every one of
+    /// them resolves (with each `{a|b}` alternative, and real names for
+    /// the other placeholders) and no table row goes unlisted.
+    #[test]
+    fn listing_is_the_route_table() {
+        let system = covidkg_core::CovidKg::build(covidkg_core::CovidKgConfig {
+            corpus_size: 24,
+            max_training_rows: 50,
+            ..Default::default()
+        })
+        .unwrap();
+        let vaccine = system
+            .profiles()
+            .first()
+            .expect("a profile")
+            .vaccine
+            .clone();
+        let venue = system
+            .trust_store()
+            .venues()
+            .next()
+            .expect("a venue")
+            .replace(' ', "+");
+        let server = Server::start(system, covidkg_serve::ServeConfig::default());
+
+        let listing =
+            covidkg_json::parse(&String::from_utf8(get(&server, "/").body).unwrap()).unwrap();
+        let listed: Vec<&str> = match listing.get("endpoints") {
+            Some(Value::Array(items)) => items.iter().filter_map(Value::as_str).collect(),
+            other => panic!("endpoints: {other:?}"),
+        };
+        assert_eq!(
+            listed,
+            [
+                "/search/{all-fields|tables|scoped}?q=&page=&trust=",
+                "/search/{semantic|hybrid}?q=&page=&trust=",
+                "/kg/query?start=&steps=&fanout=&k=&trust=",
+                "/kg/profile/{vaccine}",
+                "/kg/node/{id}",
+                "/trust/node/{id}",
+                "/trust/source/{venue}",
+                "/bias/report",
+                "/stats",
+                "/metrics",
+            ]
+        );
+        assert!(
+            ROUTES.iter().all(|r| !r.usage.is_empty()),
+            "every row is listed"
+        );
+
+        for usage in listed {
+            let path = usage.split('?').next().unwrap();
+            let targets: Vec<String> = match path.split_once('{') {
+                None => vec![path.to_string()],
+                Some((prefix, hole)) => match hole.trim_end_matches('}') {
+                    "id" => vec![format!("{prefix}0")],
+                    "vaccine" => vec![format!("{prefix}{vaccine}")],
+                    "venue" => vec![format!("{prefix}{venue}")],
+                    alternatives => alternatives
+                        .split('|')
+                        .map(|a| format!("{prefix}{a}?q=vaccine"))
+                        .collect(),
+                },
+            };
+            for target in targets {
+                let resp = get(&server, &target);
+                let expected = if path == "/kg/query" { 400 } else { 200 };
+                assert_eq!(
+                    resp.status,
+                    expected,
+                    "{target}: {}",
+                    String::from_utf8_lossy(&resp.body)
+                );
+            }
+        }
+        assert_eq!(get(&server, "/search/bogus").status, 404);
+        assert_eq!(get(&server, "/kg/node/999999").status, 404);
+        assert_eq!(get(&server, "/nowhere").status, 404);
+        server.shutdown();
+    }
 
     #[test]
     fn session_cookie_parses_leniently() {

@@ -1,10 +1,11 @@
 //! Sharded LRU cache for served results with generation-based
 //! invalidation, TTL expiry and a total-bytes budget.
 //!
-//! Keys are the canonical `(engine, normalized query, page)` strings from
-//! [`covidkg_search::cache_key`] for search traffic and the `kgq|`/`kgp|`/
-//! `kgn|` keys for the KG traffic class; values are [`CachedValue`]s —
-//! whole [`SearchPage`]s or pre-serialized KG response bodies — tagged
+//! Keys are the canonical per-op strings of the op table ([`crate::op`]):
+//! `(engine, normalized query, page)` from [`covidkg_search::cache_key`]
+//! for search traffic, `kgq|`/`kgp|`/`kgn|`/`tn|`/`ts|`/`bias|` for KG and
+//! trust traffic; values are [`CachedValue`]s — whole [`SearchPage`]s or
+//! pre-serialized KG/trust response bodies — tagged
 //! with the data generation that produced them. A lookup only hits when
 //! the entry's generation equals the caller's *current* generation, so a
 //! page cached before an ingest can never be served after it *as fresh*.
@@ -36,8 +37,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What the cache holds: a structured search page (the search traffic
-/// classes) or a pre-serialized JSON body (the KG traffic class, whose
-/// wire form is the canonical one).
+/// classes) or a pre-serialized JSON body (the KG and trust traffic
+/// classes, whose wire form is the canonical one).
 #[derive(Debug, Clone)]
 pub enum CachedValue {
     /// A whole search-result page.
@@ -55,7 +56,7 @@ impl CachedValue {
         }
     }
 
-    /// The serialized body, when this is KG traffic.
+    /// The serialized body, when this is KG or trust traffic.
     pub fn into_body(self) -> Option<String> {
         match self {
             CachedValue::Body(b) => Some(b),
@@ -74,12 +75,6 @@ impl CachedValue {
 impl From<SearchPage> for CachedValue {
     fn from(p: SearchPage) -> CachedValue {
         CachedValue::Page(p)
-    }
-}
-
-impl From<String> for CachedValue {
-    fn from(b: String) -> CachedValue {
-        CachedValue::Body(b)
     }
 }
 

@@ -11,7 +11,10 @@
 //! Architecture (std-only, no external dependencies):
 //!
 //! * [`Server`] — a worker thread pool draining a **bounded request
-//!   queue**. Admission control is explicit: a full queue rejects with
+//!   queue**. Every traffic class takes the one [`Server::request`] path
+//!   and differs only in its row of the [`op`] table (class label, cache
+//!   key, queued vs inline, may-serve-stale vs never-stale). Admission
+//!   control is explicit: a full queue rejects with
 //!   [`ServeError::Overloaded`] instead of queueing unboundedly, and
 //!   every request carries a deadline after which the caller gets
 //!   [`ServeError::DeadlineExceeded`] instead of waiting forever.
@@ -20,7 +23,7 @@
 //!   invalidated by data generation: [`Server::ingest`] bumps the
 //!   generation, and a cached page whose tag no longer matches is never
 //!   served (see `server.rs` for the stale-freedom argument).
-//! * [`metrics`] — per-engine request counts, cache hit/miss, queue
+//! * [`metrics`] — per-class request counts, cache hit/miss, queue
 //!   depth and a log-bucketed latency histogram, snapshotted into
 //!   [`ServeStats`] (p50/p95/p99).
 //! * [`loadgen`] — closed-loop and open-loop (fixed arrival rate,
@@ -31,9 +34,11 @@
 pub mod cache;
 pub mod loadgen;
 pub mod metrics;
+pub mod op;
 pub mod server;
 
 pub use cache::{CachedValue, CacheStats, QueryCache};
 pub use loadgen::{LoadGenConfig, LoadGenReport, OpenLoopConfig, OpenLoopReport};
-pub use metrics::{DenseKind, EngineKind, LatencyHistogram, ServeStats};
+pub use metrics::{Class, LatencyHistogram, ServeStats};
+pub use op::{Admission, Op, Reply, Staleness};
 pub use server::{InjectedFaults, KgResponse, ServeConfig, ServeError, ServeResponse, Server};

@@ -1,4 +1,4 @@
-//! Serving metrics: per-engine request counters, cache hit/miss,
+//! Serving metrics: per-class request counters, cache hit/miss,
 //! admission-control outcomes, queue depth and a latency histogram with
 //! percentile snapshots.
 //!
@@ -8,45 +8,58 @@
 
 use crate::cache::CacheStats;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
-/// Which engine a request targeted: the three §2.1 search engines, the
-/// §4 knowledge-graph query engine (the third wire traffic class), and
-/// the trust/bias interrogation engine (the fourth).
+/// The traffic class a request is accounted against: the three §2.1
+/// lexical engines, the two dense modes, the §4 knowledge-graph engine
+/// and the trust/bias interrogation engine. One request counter per
+/// class, and one circuit-breaker slot (consulted only by queued ops).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
+pub enum Class {
     /// §2.1.2 all-fields engine.
     AllFields,
     /// §2.1.3 tables engine.
     Tables,
     /// §2.1.1 scoped title/abstract/caption engine.
     Scoped,
-    /// §4 knowledge-graph traversal / meta-profile engine.
+    /// §4 knowledge-graph traversal / meta-profile / node lookups.
     Kg,
-    /// Trust scoring / bias interrogation engine.
+    /// Trust scoring / bias interrogation.
     Trust,
+    /// Pure ANN-neighbor retrieval.
+    Semantic,
+    /// Reciprocal-rank fusion of ANN + lexical candidates.
+    Hybrid,
 }
 
-impl EngineKind {
+impl Class {
+    /// Every class, in declaration order: `ALL[c.index()] == c`.
+    pub const ALL: [Class; 7] = [
+        Class::AllFields,
+        Class::Tables,
+        Class::Scoped,
+        Class::Kg,
+        Class::Trust,
+        Class::Semantic,
+        Class::Hybrid,
+    ];
+    /// The length of per-class arrays.
+    pub(crate) const COUNT: usize = Class::ALL.len();
+
     pub(crate) fn index(self) -> usize {
-        match self {
-            EngineKind::AllFields => 0,
-            EngineKind::Tables => 1,
-            EngineKind::Scoped => 2,
-            EngineKind::Kg => 3,
-            EngineKind::Trust => 4,
-        }
+        self as usize
     }
 
     /// Stable display label.
     pub fn label(self) -> &'static str {
         match self {
-            EngineKind::AllFields => "all-fields",
-            EngineKind::Tables => "tables",
-            EngineKind::Scoped => "scoped",
-            EngineKind::Kg => "kg",
-            EngineKind::Trust => "trust",
+            Class::AllFields => "all-fields",
+            Class::Tables => "tables",
+            Class::Scoped => "scoped",
+            Class::Kg => "kg",
+            Class::Trust => "trust",
+            Class::Semantic => "semantic",
+            Class::Hybrid => "hybrid",
         }
     }
 }
@@ -124,37 +137,10 @@ impl LatencyHistogram {
     }
 }
 
-/// Which dense serving mode a request targeted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DenseKind {
-    /// Pure ANN-neighbor retrieval.
-    Semantic,
-    /// Reciprocal-rank fusion of ANN + lexical candidates.
-    Hybrid,
-}
-
-impl DenseKind {
-    pub(crate) fn index(self) -> usize {
-        match self {
-            DenseKind::Semantic => 0,
-            DenseKind::Hybrid => 1,
-        }
-    }
-
-    /// Stable display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DenseKind::Semantic => "semantic",
-            DenseKind::Hybrid => "hybrid",
-        }
-    }
-}
-
 /// Live metric registry owned by the server.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    engine_requests: [AtomicU64; 5],
-    dense_requests: [AtomicU64; 2],
+    requests: [AtomicU64; Class::COUNT],
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     overloaded: AtomicU64,
@@ -169,19 +155,13 @@ pub struct Metrics {
     kg_nodes_visited: AtomicU64,
     queue_depth: AtomicUsize,
     max_queue_depth: AtomicUsize,
-    /// Hot-path latencies go to a lock-free histogram; the mutex only
-    /// guards nothing today but reserves room for reset-on-snapshot.
+    /// Hot-path latencies go to a lock-free histogram.
     latency: LatencyHistogram,
-    _reset: Mutex<()>,
 }
 
 impl Metrics {
-    pub(crate) fn record_request(&self, engine: EngineKind) {
-        self.engine_requests[engine.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_dense_request(&self, kind: DenseKind) {
-        self.dense_requests[kind.index()].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_request(&self, class: Class) {
+        self.requests[class.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_hit(&self) {
@@ -250,14 +230,15 @@ impl Metrics {
 
     /// Consistent-enough point-in-time snapshot for reporting.
     pub fn snapshot(&self) -> ServeStats {
+        let requests = |class: Class| self.requests[class.index()].load(Ordering::Relaxed);
         ServeStats {
-            requests_all_fields: self.engine_requests[0].load(Ordering::Relaxed),
-            requests_tables: self.engine_requests[1].load(Ordering::Relaxed),
-            requests_scoped: self.engine_requests[2].load(Ordering::Relaxed),
-            requests_kg: self.engine_requests[3].load(Ordering::Relaxed),
-            requests_trust: self.engine_requests[4].load(Ordering::Relaxed),
-            requests_semantic: self.dense_requests[0].load(Ordering::Relaxed),
-            requests_hybrid: self.dense_requests[1].load(Ordering::Relaxed),
+            requests_all_fields: requests(Class::AllFields),
+            requests_tables: requests(Class::Tables),
+            requests_scoped: requests(Class::Scoped),
+            requests_kg: requests(Class::Kg),
+            requests_trust: requests(Class::Trust),
+            requests_semantic: requests(Class::Semantic),
+            requests_hybrid: requests(Class::Hybrid),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             overloaded: self.overloaded.load(Ordering::Relaxed),
@@ -284,7 +265,7 @@ impl Metrics {
 /// Point-in-time serving statistics (the `ServeStats` of the design
 /// note): request mix, cache effectiveness, backpressure outcomes and
 /// the latency tail.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Requests routed to the all-fields engine.
     pub requests_all_fields: u64,
@@ -496,12 +477,12 @@ mod tests {
     #[test]
     fn snapshot_reflects_recorded_events() {
         let m = Metrics::default();
-        m.record_request(EngineKind::AllFields);
-        m.record_request(EngineKind::AllFields);
-        m.record_request(EngineKind::Tables);
-        m.record_dense_request(DenseKind::Semantic);
-        m.record_dense_request(DenseKind::Hybrid);
-        m.record_dense_request(DenseKind::Hybrid);
+        m.record_request(Class::AllFields);
+        m.record_request(Class::AllFields);
+        m.record_request(Class::Tables);
+        m.record_request(Class::Semantic);
+        m.record_request(Class::Hybrid);
+        m.record_request(Class::Hybrid);
         m.record_hit();
         m.record_miss();
         m.record_overloaded();
@@ -512,10 +493,13 @@ mod tests {
         m.record_admitted_depth();
         m.dequeued();
         m.record_completed(Duration::from_millis(3));
-        m.record_request(EngineKind::Kg);
-        m.record_request(EngineKind::Trust);
+        m.record_request(Class::Kg);
+        m.record_request(Class::Trust);
         m.record_kg_traversal(12, 5);
         m.record_kg_traversal(3, 2);
+        for (index, class) in Class::ALL.iter().enumerate() {
+            assert_eq!(class.index(), index, "{}", class.label());
+        }
         let s = m.snapshot();
         assert_eq!(s.requests_all_fields, 2);
         assert_eq!(s.requests_tables, 1);

@@ -1,0 +1,191 @@
+//! The op table: the nine operations the server answers, and the per-op
+//! constants that are the only things that differ between them. The
+//! serve path ([`crate::Server::request`]) and the wire router both read
+//! it, so a traffic class is a row here, not a copy of the plumbing.
+//!
+//! ```text
+//! op              class label               cache key       admission  staleness        breaker
+//! Search          all-fields|tables|scoped  all| tab| tac|  queued     may-serve-stale  per engine
+//! Dense           semantic|hybrid           sem| hyb|       inline     never-stale      -
+//! KgQuery         kg                        kgq|…           queued     never-stale      kg
+//! KgQueryTrusted  kg                        kgq|…|trust     queued     never-stale      kg
+//! KgProfile       kg                        kgp|            queued     never-stale      kg
+//! KgNode          kg                        kgn|            inline     never-stale      -
+//! TrustNode       trust                     tn|             queued     never-stale      trust
+//! TrustSource     trust                     ts|             queued     never-stale      trust
+//! BiasReport      trust                     bias|           queued     never-stale      trust
+//! ```
+
+use crate::cache::CachedValue;
+use crate::metrics::{Class, Metrics};
+use covidkg_core::{CovidKg, QueryPlan};
+use covidkg_search::{cache_key_and_query, dense_cache_key, DenseMode, SearchMode};
+use std::borrow::Cow;
+use std::time::Duration;
+
+/// How a cache miss reaches the engines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Through the bounded worker queue: admission control, deadline,
+    /// panic isolation and the class's circuit breaker all apply.
+    Queued,
+    /// On the caller's thread under the shared system lock. For lookups
+    /// that cost less than a queue hop (an ANN search touches a
+    /// logarithmic fraction of the corpus, a node lookup is O(1)), so
+    /// they are never `Overloaded` and never consult a breaker.
+    Inline,
+}
+
+/// What an unhealthy class (breaker open, or the worker panicked on this
+/// request) may answer with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Staleness {
+    /// Availability over freshness: a cached page of *any* generation,
+    /// marked stale, before the typed `Degraded`.
+    MayServeStale,
+    /// Freshness over availability: bodies are epoch-stamped, so an old
+    /// generation is never served — the caller gets the typed `Degraded`.
+    NeverStale,
+}
+
+/// One request. Borrowed from the caller (`Cow::Borrowed`) until it has
+/// to cross into the worker queue; [`Op::into_owned`] is that crossing.
+#[derive(Debug, Clone)]
+pub enum Op<'a> {
+    /// One of the three §2.1 lexical engines, and the 0-based page.
+    Search(Cow<'a, SearchMode>, usize),
+    /// Semantic (pure ANN) or hybrid (ANN + lexical, rank-fused) search.
+    Dense(Cow<'a, DenseMode>, usize),
+    /// Multi-hop ranked-path traversal.
+    KgQuery(Cow<'a, QueryPlan>),
+    /// Traversal re-ranked by provenance trust (the `trust=1` knob),
+    /// cached apart from the default ranking.
+    KgQueryTrusted(Cow<'a, QueryPlan>),
+    /// One vaccine's materialized meta-profile document.
+    KgProfile(Cow<'a, str>),
+    /// One KG node document.
+    KgNode(usize),
+    /// One KG node's trust document.
+    TrustNode(usize),
+    /// One source venue's credibility document.
+    TrustSource(Cow<'a, str>),
+    /// The trust-weighted bias interrogation report.
+    BiasReport,
+}
+
+impl Op<'_> {
+    /// The traffic class: the request counter, and for queued ops the
+    /// circuit breaker, this op is accounted against.
+    pub fn class(&self) -> Class {
+        match self {
+            Op::Search(mode, _) => match &**mode {
+                SearchMode::AllFields(_) => Class::AllFields,
+                SearchMode::Tables(_) => Class::Tables,
+                SearchMode::TitleAbstractCaption { .. } => Class::Scoped,
+            },
+            Op::Dense(mode, _) => match &**mode {
+                DenseMode::Semantic(_) => Class::Semantic,
+                DenseMode::Hybrid(_) => Class::Hybrid,
+            },
+            Op::KgQuery(_) | Op::KgQueryTrusted(_) | Op::KgProfile(_) | Op::KgNode(_) => Class::Kg,
+            Op::TrustNode(_) | Op::TrustSource(_) | Op::BiasReport => Class::Trust,
+        }
+    }
+
+    /// Whether a miss is queued for a worker or computed inline.
+    pub fn admission(&self) -> Admission {
+        match self {
+            Op::Dense(..) | Op::KgNode(_) => Admission::Inline,
+            _ => Admission::Queued,
+        }
+    }
+
+    /// Whether degraded mode may answer from an older generation.
+    pub fn staleness(&self) -> Staleness {
+        match self {
+            Op::Search(..) => Staleness::MayServeStale,
+            _ => Staleness::NeverStale,
+        }
+    }
+
+    /// The canonical cache key, and for searches the text a page echoes
+    /// as its `query`: the cache keys a search by its stems, so requests
+    /// that spell a query differently share a page — every byte of it
+    /// but that echo, which is stamped with each request's own.
+    pub(crate) fn key_and_echo(&self) -> (String, Option<Cow<'_, str>>) {
+        match self {
+            Op::Search(mode, page) => {
+                let (key, query) = cache_key_and_query(mode, *page);
+                (key, Some(query))
+            }
+            Op::Dense(mode, page) => (
+                dense_cache_key(mode, *page),
+                Some(Cow::Borrowed(mode.query())),
+            ),
+            Op::KgQuery(plan) => (plan.cache_key(), None),
+            Op::KgQueryTrusted(plan) => (format!("{}|trust", plan.cache_key()), None),
+            Op::KgProfile(vaccine) => (format!("kgp|{}:{vaccine}", vaccine.len()), None),
+            Op::KgNode(id) => (format!("kgn|{id}"), None),
+            Op::TrustNode(id) => (format!("tn|{id}"), None),
+            Op::TrustSource(venue) => (format!("ts|{}:{venue}", venue.len()), None),
+            Op::BiasReport => ("bias|".to_string(), None),
+        }
+    }
+
+    /// Compute the answer against `system`: a page for the searches, the
+    /// pre-serialized JSON body (the canonical wire form) for everything
+    /// else. `None` = unknown node id, vaccine or venue.
+    pub(crate) fn compute(&self, system: &CovidKg, metrics: &Metrics) -> Option<CachedValue> {
+        let body = |json: String| Some(CachedValue::Body(json));
+        match self {
+            Op::Search(mode, page) => Some(CachedValue::Page(system.search(mode, *page))),
+            Op::Dense(mode, page) => Some(CachedValue::Page(system.search_dense(mode, *page))),
+            Op::KgQuery(plan) => {
+                let result = system.kg_query(plan);
+                metrics.record_kg_traversal(result.hops, result.visited);
+                body(result.to_json().to_json())
+            }
+            Op::KgQueryTrusted(plan) => body(system.kg_query_trusted(plan).to_json()),
+            Op::KgProfile(vaccine) => system
+                .kg_profile(vaccine)
+                .and_then(|doc| body(doc.to_json())),
+            Op::KgNode(id) => system.kg_node(*id).and_then(|doc| body(doc.to_json())),
+            Op::TrustNode(id) => system.trust_node(*id).and_then(|doc| body(doc.to_json())),
+            Op::TrustSource(venue) => system
+                .trust_source(venue)
+                .and_then(|doc| body(doc.to_json())),
+            Op::BiasReport => body(system.bias_document().to_json()),
+        }
+    }
+
+    /// The op with everything it borrowed cloned, ready for the queue.
+    pub fn into_owned(self) -> Op<'static> {
+        match self {
+            Op::Search(mode, page) => Op::Search(Cow::Owned(mode.into_owned()), page),
+            Op::Dense(mode, page) => Op::Dense(Cow::Owned(mode.into_owned()), page),
+            Op::KgQuery(plan) => Op::KgQuery(Cow::Owned(plan.into_owned())),
+            Op::KgQueryTrusted(plan) => Op::KgQueryTrusted(Cow::Owned(plan.into_owned())),
+            Op::KgProfile(vaccine) => Op::KgProfile(Cow::Owned(vaccine.into_owned())),
+            Op::KgNode(id) => Op::KgNode(id),
+            Op::TrustNode(id) => Op::TrustNode(id),
+            Op::TrustSource(venue) => Op::TrustSource(Cow::Owned(venue.into_owned())),
+            Op::BiasReport => Op::BiasReport,
+        }
+    }
+}
+
+/// What [`crate::Server::request`] answers with, whatever the op.
+#[derive(Debug, Clone)]
+pub struct Reply {
+    /// The page or serialized body.
+    pub value: CachedValue,
+    /// Whether the value came from the cache.
+    pub cached: bool,
+    /// Degraded-mode answer: the value may predate the current data
+    /// generation. Only ever set for may-serve-stale ops.
+    pub stale: bool,
+    /// Data generation the value was computed at.
+    pub generation: u64,
+    /// End-to-end latency observed by the server.
+    pub latency: Duration,
+}

@@ -1,20 +1,23 @@
 //! The serving frontend: a bounded request queue drained by a worker
 //! thread pool, fronted by the generation-keyed result cache.
 //!
-//! Request lifecycle:
+//! Every traffic class takes the same path — [`Server::request`] — and
+//! differs only in its row of the op table ([`crate::op`]):
 //!
-//! 1. [`Server::search`] computes the canonical cache key and probes the
-//!    cache — a hit (entry generation == current generation) returns
-//!    immediately without touching the queue.
-//! 2. On a miss, the target engine's circuit breaker is consulted: an
-//!    open breaker short-circuits to the degradation ladder below. Else
-//!    the request is `try_send`-enqueued; a full queue rejects with
+//! 1. The request is counted against its class, its canonical cache key
+//!    computed, and the cache probed — a hit (entry generation == current
+//!    generation) returns immediately without touching the queue.
+//! 2. On a miss an *inline* op is computed right there under the shared
+//!    system lock. A *queued* op consults its class's circuit breaker:
+//!    an open breaker short-circuits to the degradation ladder below.
+//!    Else the request is `try_send`-enqueued; a full queue rejects with
 //!    [`ServeError::Overloaded`] (admission control: the caller gets a
 //!    typed backpressure signal instead of unbounded queueing).
 //! 3. A worker dequeues the job, drops it with `DeadlineExceeded` if the
-//!    deadline already passed, else runs `CovidKg::search` under the
-//!    system read lock, capturing the data generation *under that same
-//!    lock*, caches the page tagged with it, and replies.
+//!    deadline already passed, else computes the op under the system read
+//!    lock, capturing the data generation *under that same lock*, caches
+//!    the value tagged with it, and replies. An op that resolves to
+//!    nothing (unknown id) is not cached but completes like any other.
 //! 4. The caller waits on its private reply channel at most until its
 //!    deadline; a timeout reports [`ServeError::DeadlineExceeded`]
 //!    (the worker's late reply lands in the buffered channel and is
@@ -24,8 +27,8 @@
 //!
 //! A panicking query must cost exactly one request, never the server:
 //!
-//! * every search job runs under `catch_unwind`, so a panic mid-search
-//!   is caught, counted, fed to the engine's circuit breaker, and the
+//! * every job runs under `catch_unwind`, so a panic mid-compute is
+//!   caught, counted, fed to the class's circuit breaker, and the
 //!   waiting caller still gets a reply (stale page or typed error) —
 //!   the worker thread survives;
 //! * a panic that does escape the catch (e.g. an injected worker crash)
@@ -34,22 +37,23 @@
 //! * every lock acquisition recovers from poisoning instead of
 //!   `unwrap`ing, so stats, shutdown and later requests keep working
 //!   after any panic anywhere;
-//! * per-engine **adaptive** circuit breakers track outcomes over a
+//! * per-class **adaptive** circuit breakers track outcomes over a
 //!   sliding `breaker_window` and open once the error rate reaches
 //!   `breaker_error_rate` with at least `breaker_min_samples` outcomes
 //!   resident, short-circuiting requests for `breaker_cooldown`, after
-//!   which one probe request is let through (half-open). While open, requests are served **degraded**: a
-//!   cached page of *any* generation marked [`ServeResponse::stale`],
-//!   or the typed [`ServeError::Degraded`] when none exists — never a
-//!   hang, never a panic.
+//!   which one probe request is let through (half-open). While open,
+//!   requests are answered **degraded**: a may-serve-stale op gets a
+//!   cached page of *any* generation marked [`ServeResponse::stale`];
+//!   a never-stale op, or one with nothing cached, gets the typed
+//!   [`ServeError::Degraded`] — never a hang, never a panic.
 //!
 //! Stale-freedom argument (healthy path): [`Server::ingest`] commits the
 //! in-memory graph mutation under the write lock and stores the new
-//! generation into the atomic mirror *before* releasing it. A search
-//! result was computed under a read lock at generation `g` and cached
-//! tagged `g`; any later lookup compares that tag against the mirror,
-//! which an intervening ingest has already advanced — so the stale page
-//! can never be returned silently. The store/classify prepare phase runs
+//! generation into the atomic mirror *before* releasing it. A value was
+//! computed under a read lock at generation `g` and cached tagged `g`;
+//! any later lookup compares that tag against the mirror, which an
+//! intervening ingest has already advanced — so the stale value can
+//! never be returned silently. The store/classify prepare phase runs
 //! under a *read* lock (reads keep flowing during the expensive part of
 //! an ingest); pages computed while it runs may observe some of the new
 //! documents early, but they are tagged `g` and the commit's generation
@@ -58,13 +62,15 @@
 //! `stale: true`.
 
 use crate::cache::{CachedValue, QueryCache};
-use crate::metrics::{DenseKind, EngineKind, Metrics, ServeStats};
+use crate::metrics::{Class, Metrics, ServeStats};
+use crate::op::{Admission, Op, Reply, Staleness};
 use covidkg_core::{CovidKg, QueryPlan};
 use covidkg_corpus::Publication;
-use covidkg_search::{cache_key_and_query, dense_cache_key, DenseMode, SearchMode, SearchPage};
+use covidkg_search::{DenseMode, SearchMode, SearchPage};
 use covidkg_store::StoreError;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -181,12 +187,36 @@ pub struct ServeResponse {
     pub latency: Duration,
 }
 
-/// A served KG response: the pre-serialized JSON body (the canonical
-/// wire form — `GET /kg/query` and `GET /kg/profile/{vaccine}` send
-/// these bytes verbatim, so wire output is byte-identical to
+impl From<Reply> for ServeResponse {
+    fn from(reply: Reply) -> ServeResponse {
+        ServeResponse {
+            page: reply.value.into_page().expect("search ops cache pages"),
+            cached: reply.cached,
+            stale: reply.stale,
+            generation: reply.generation,
+            latency: reply.latency,
+        }
+    }
+}
+
+impl From<ServeResponse> for Reply {
+    fn from(resp: ServeResponse) -> Reply {
+        Reply {
+            value: CachedValue::Page(resp.page),
+            cached: resp.cached,
+            stale: resp.stale,
+            generation: resp.generation,
+            latency: resp.latency,
+        }
+    }
+}
+
+/// A served KG or trust response: the pre-serialized JSON body (the
+/// canonical wire form — `GET /kg/query`, `GET /trust/node/{id}` and the
+/// rest send these bytes verbatim, so wire output is byte-identical to
 /// in-process serialization).
 ///
-/// Unlike search traffic there is deliberately no `stale` flag: profile
+/// Unlike search traffic there is deliberately no `stale` flag: these
 /// documents are epoch-stamped and must never be served from an older
 /// generation, so degraded mode fails typed instead of serving stale.
 #[derive(Debug, Clone)]
@@ -201,10 +231,25 @@ pub struct KgResponse {
     pub latency: Duration,
 }
 
+impl From<Reply> for KgResponse {
+    fn from(reply: Reply) -> KgResponse {
+        KgResponse {
+            body: reply
+                .value
+                .into_body()
+                .expect("kg and trust ops cache bodies"),
+            cached: reply.cached,
+            generation: reply.generation,
+            latency: reply.latency,
+        }
+    }
+}
+
 /// Deterministic worker-side fault schedule for chaos runs: every
-/// `panic_every`-th search job panics mid-query, every `delay_every`-th
-/// sleeps for `delay` first (0 disables either). Jobs are numbered by a
-/// global sequence, so a fixed schedule yields a fixed fault pattern.
+/// `panic_every`-th job panics mid-compute, every `delay_every`-th
+/// sleeps for `delay` first (0 disables either). Jobs of every class are
+/// numbered by one global sequence, so a fixed schedule yields a fixed
+/// fault pattern.
 #[derive(Debug, Clone, Default)]
 pub struct InjectedFaults {
     /// Panic on jobs where `seq % panic_every == panic_every - 1`.
@@ -215,80 +260,23 @@ pub struct InjectedFaults {
     pub delay: Duration,
 }
 
-struct SearchJob {
-    mode: SearchMode,
-    page: usize,
+/// A queued request: the op, owned, and everything the worker needs to
+/// answer it — degraded included — without going back to the caller.
+struct QueuedRequest {
+    op: Op<'static>,
     key: String,
-    engine: EngineKind,
+    /// The query text a stale page is stamped with (searches only).
+    echo: Option<String>,
     deadline: Instant,
     submitted: Instant,
-    reply: SyncSender<Result<ServeResponse, ServeError>>,
-}
-
-/// The KG operations served through the worker queue.
-enum KgOp {
-    /// Multi-hop ranked-path traversal.
-    Query(Box<QueryPlan>),
-    /// Traversal re-ranked by provenance trust (`trust=1` knob).
-    QueryTrusted(Box<QueryPlan>),
-    /// One vaccine's materialized meta-profile document.
-    Profile(String),
-}
-
-struct KgJob {
-    op: KgOp,
-    key: String,
-    deadline: Instant,
-    submitted: Instant,
-    reply: SyncSender<Result<Option<KgResponse>, ServeError>>,
-}
-
-/// The trust operations served through the worker queue (the fourth
-/// wire traffic class).
-enum TrustOp {
-    /// One KG node's trust document.
-    Node(usize),
-    /// One source venue's credibility document.
-    Source(String),
-    /// The full trust-weighted bias interrogation report.
-    Bias,
-}
-
-struct TrustJob {
-    op: TrustOp,
-    key: String,
-    deadline: Instant,
-    submitted: Instant,
-    reply: SyncSender<Result<Option<KgResponse>, ServeError>>,
+    reply: SyncSender<Result<Option<Reply>, ServeError>>,
 }
 
 enum Job {
-    Search(Box<SearchJob>),
-    Kg(Box<KgJob>),
-    Trust(Box<TrustJob>),
+    Request(Box<QueuedRequest>),
     /// Chaos hook: makes the dequeuing worker panic *outside* the
     /// per-job `catch_unwind`, exercising the respawn sentinel.
     CrashWorker,
-}
-
-/// Breaker tuning, copied out of [`ServeConfig`].
-#[derive(Debug, Clone, Copy)]
-struct BreakerSettings {
-    window: Duration,
-    error_rate: f64,
-    min_samples: u32,
-    cooldown: Duration,
-}
-
-impl From<&ServeConfig> for BreakerSettings {
-    fn from(c: &ServeConfig) -> BreakerSettings {
-        BreakerSettings {
-            window: c.breaker_window,
-            error_rate: c.breaker_error_rate.clamp(0.0, 1.0),
-            min_samples: c.breaker_min_samples.max(1),
-            cooldown: c.breaker_cooldown,
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -324,11 +312,7 @@ impl Breaker {
     /// the breaker half-opens: exactly one caller is admitted as the
     /// probe while everyone else keeps short-circuiting until that
     /// probe's own outcome is recorded (or it expires unreported).
-    fn allow(&self, cfg: &BreakerSettings) -> bool {
-        self.allow_at(Instant::now(), cfg)
-    }
-
-    fn allow_at(&self, now: Instant, cfg: &BreakerSettings) -> bool {
+    fn allow(&self, now: Instant, cfg: &ServeConfig) -> bool {
         let mut state = lock(&self.state);
         let Some(until) = state.open_until else {
             return true;
@@ -340,7 +324,7 @@ impl Breaker {
         // probe, not a thundering herd, and a concurrent request's
         // outcome can't masquerade as the probe's.
         match state.probe_started {
-            Some(started) if now.duration_since(started) < cfg.cooldown => false,
+            Some(started) if now.duration_since(started) < cfg.breaker_cooldown => false,
             _ => {
                 state.probe_started = Some(now);
                 true
@@ -350,37 +334,29 @@ impl Breaker {
 
     /// Record a failed request; returns true when this failure newly
     /// opened (or re-opened, for a failed probe) the breaker.
-    fn record_failure(&self, cfg: &BreakerSettings) -> bool {
-        self.record_failure_at(Instant::now(), cfg)
-    }
-
-    fn record_failure_at(&self, now: Instant, cfg: &BreakerSettings) -> bool {
+    fn record_failure(&self, now: Instant, cfg: &ServeConfig) -> bool {
         let mut state = lock(&self.state);
         state.outcomes.push_back((now, true));
-        prune(&mut state.outcomes, now, cfg.window);
+        prune(&mut state.outcomes, now, cfg.breaker_window);
         if state.probe_started.take().is_some() {
             // The half-open probe failed: straight back to open.
-            state.open_until = Some(now + cfg.cooldown);
+            state.open_until = Some(now + cfg.breaker_cooldown);
             return true;
         }
         let samples = state.outcomes.len();
         let errors = state.outcomes.iter().filter(|(_, failed)| *failed).count();
-        if samples >= cfg.min_samples as usize
-            && errors as f64 >= cfg.error_rate * samples as f64
+        if samples >= cfg.breaker_min_samples.max(1) as usize
+            && errors as f64 >= cfg.breaker_error_rate.clamp(0.0, 1.0) * samples as f64
         {
             let newly = state.open_until.is_none();
-            state.open_until = Some(now + cfg.cooldown);
+            state.open_until = Some(now + cfg.breaker_cooldown);
             newly
         } else {
             false
         }
     }
 
-    fn record_success(&self, cfg: &BreakerSettings) {
-        self.record_success_at(Instant::now(), cfg)
-    }
-
-    fn record_success_at(&self, now: Instant, cfg: &BreakerSettings) {
+    fn record_success(&self, now: Instant, cfg: &ServeConfig) {
         let mut state = lock(&self.state);
         if state.probe_started.take().is_some() {
             // Probe succeeded: the engine recovered; past outcomes no
@@ -389,7 +365,7 @@ impl Breaker {
             state.open_until = None;
         }
         state.outcomes.push_back((now, false));
-        prune(&mut state.outcomes, now, cfg.window);
+        prune(&mut state.outcomes, now, cfg.breaker_window);
     }
 }
 
@@ -416,11 +392,13 @@ struct Inner {
     generation: AtomicU64,
     cache: QueryCache,
     metrics: Metrics,
-    breakers: [Breaker; 5],
-    breaker_cfg: BreakerSettings,
+    /// One slot per class; inline ops never consult theirs.
+    breakers: [Breaker; Class::COUNT],
+    /// What the server was started with: breaker tuning, default deadline.
+    config: ServeConfig,
     /// Worker-side fault schedule (chaos testing); None in production.
     faults: RwLock<Option<InjectedFaults>>,
-    /// Global search-job sequence driving the fault schedule.
+    /// Global job sequence (every class) driving the fault schedule.
     job_seq: AtomicU64,
     /// Live worker handles; the respawn sentinel pushes replacements
     /// here so shutdown can join every worker that ever ran.
@@ -428,14 +406,76 @@ struct Inner {
 }
 
 impl Inner {
-    fn breaker(&self, engine: EngineKind) -> &Breaker {
-        &self.breakers[engine.index()]
+    fn breaker(&self, class: Class) -> &Breaker {
+        &self.breakers[class.index()]
     }
 
-    fn record_engine_failure(&self, engine: EngineKind) {
-        if self.breaker(engine).record_failure(&self.breaker_cfg) {
-            self.metrics.record_breaker_open();
+    /// Record a completed request and wrap its value as the reply.
+    fn complete(
+        &self,
+        value: CachedValue,
+        cached: bool,
+        stale: bool,
+        generation: u64,
+        submitted: Instant,
+    ) -> Reply {
+        let latency = submitted.elapsed();
+        self.metrics.record_completed(latency);
+        Reply {
+            value,
+            cached,
+            stale,
+            generation,
+            latency,
         }
+    }
+
+    /// Compute `op` under the shared system lock and cache the value
+    /// under `key`. `None` (unknown node id, vaccine or venue) is not
+    /// cached, but it is an answer: the request completed.
+    fn compute(&self, op: &Op<'_>, key: String, submitted: Instant) -> Option<Reply> {
+        let (value, generation) = {
+            let system = read_lock(&self.system);
+            // Generation read under the same read lock the op runs
+            // under: the pair is consistent even against concurrent
+            // ingest commits.
+            (op.compute(&system, &self.metrics), system.generation())
+        };
+        match value {
+            Some(value) => {
+                self.cache.insert(key, generation, value.clone());
+                Some(self.complete(value, false, false, generation, submitted))
+            }
+            None => {
+                self.metrics.record_completed(submitted.elapsed());
+                None
+            }
+        }
+    }
+
+    /// Answer a request whose class is unhealthy: for a may-serve-stale
+    /// op a cached page of any generation, marked stale; otherwise the
+    /// typed [`ServeError::Degraded`].
+    fn degraded(
+        &self,
+        key: &str,
+        staleness: Staleness,
+        echo: Option<&str>,
+        submitted: Instant,
+    ) -> Result<Option<Reply>, ServeError> {
+        self.metrics.record_degraded();
+        if staleness == Staleness::NeverStale {
+            return Err(ServeError::Degraded);
+        }
+        let (value, generation) = self.cache.get_stale(key).ok_or(ServeError::Degraded)?;
+        self.metrics.record_stale_served();
+        Ok(Some(self.complete(
+            echoing(value, echo),
+            true,
+            true,
+            generation,
+            submitted,
+        )))
     }
 }
 
@@ -472,9 +512,7 @@ fn spawn_worker(inner: Arc<Inner>, rx: Arc<Mutex<Receiver<Job>>>) {
             sentinel.inner.metrics.dequeued();
             match job {
                 Job::CrashWorker => panic!("injected worker crash"),
-                Job::Search(job) => run_isolated(&sentinel.inner, *job),
-                Job::Kg(job) => run_kg_isolated(&sentinel.inner, *job),
-                Job::Trust(job) => run_trust_isolated(&sentinel.inner, *job),
+                Job::Request(job) => run_isolated(&sentinel.inner, &job),
             }
         }
     });
@@ -491,7 +529,6 @@ pub struct Server {
     /// queue reports `Overloaded` (Full) rather than `Closed`
     /// (Disconnected).
     _queue_rx: Arc<Mutex<Receiver<Job>>>,
-    default_deadline: Duration,
 }
 
 impl Server {
@@ -510,77 +547,67 @@ impl Server {
             ),
             metrics: Metrics::default(),
             breakers: Default::default(),
-            breaker_cfg: BreakerSettings::from(&config),
             faults: RwLock::new(None),
             job_seq: AtomicU64::new(0),
             worker_handles: Mutex::new(Vec::new()),
+            config,
         });
-        let (tx, rx) = sync_channel::<Job>(config.queue_capacity.max(1));
+        let (tx, rx) = sync_channel::<Job>(inner.config.queue_capacity.max(1));
         let rx = Arc::new(Mutex::new(rx));
-        for _ in 0..config.workers {
+        for _ in 0..inner.config.workers {
             spawn_worker(Arc::clone(&inner), Arc::clone(&rx));
         }
         Server {
             inner,
             queue: Mutex::new(Some(tx)),
             _queue_rx: rx,
-            default_deadline: config.default_deadline,
         }
     }
 
-    /// Serve a search with the configured default deadline.
-    pub fn search(&self, mode: &SearchMode, page: usize) -> Result<ServeResponse, ServeError> {
-        self.search_with_deadline(mode, page, self.default_deadline)
-    }
-
-    /// Serve a search, waiting at most `deadline` for the result.
-    pub fn search_with_deadline(
+    /// The one request path: count, probe the cache, then — by the op's
+    /// row in the table — compute inline or check the breaker, enqueue
+    /// and wait at most `deadline` (`None` = the configured default).
+    /// `Ok(None)` = the op resolved to nothing (unknown node id, vaccine
+    /// or venue; the wire layer's 404).
+    pub fn request(
         &self,
-        mode: &SearchMode,
-        page: usize,
-        deadline: Duration,
-    ) -> Result<ServeResponse, ServeError> {
+        op: &Op<'_>,
+        deadline: Option<Duration>,
+    ) -> Result<Option<Reply>, ServeError> {
         let submitted = Instant::now();
-        let engine = engine_kind(mode);
-        self.inner.metrics.record_request(engine);
-        let (key, query) = cache_key_and_query(mode, page);
+        let inner = &*self.inner;
+        let class = op.class();
+        inner.metrics.record_request(class);
+        let (key, echo) = op.key_and_echo();
 
         // Cache sits in front of the queue: hits cost two mutex hops and
         // never consume queue capacity or a worker.
-        let generation = self.inner.generation.load(Ordering::Acquire);
-        if let Some(cached) = self
-            .inner
-            .cache
-            .get(&key, generation)
-            .and_then(CachedValue::into_page)
-        {
-            self.inner.metrics.record_hit();
-            let latency = submitted.elapsed();
-            self.inner.metrics.record_completed(latency);
-            return Ok(ServeResponse {
-                page: echoing(cached, &query),
-                cached: true,
-                stale: false,
-                generation,
-                latency,
-            });
+        let generation = inner.generation.load(Ordering::Acquire);
+        if let Some(value) = inner.cache.get(&key, generation) {
+            inner.metrics.record_hit();
+            let value = echoing(value, echo.as_deref());
+            return Ok(Some(
+                inner.complete(value, true, false, generation, submitted),
+            ));
         }
-        self.inner.metrics.record_miss();
-
-        // Unhealthy engine: don't waste queue capacity on it — serve
-        // degraded from whatever the cache still holds.
-        if !self.inner.breaker(engine).allow(&self.inner.breaker_cfg) {
-            return degraded_response(&self.inner, &key, &query, submitted);
+        inner.metrics.record_miss();
+        if op.admission() == Admission::Inline {
+            return Ok(inner.compute(op, key, submitted));
         }
 
+        // Unhealthy class: don't waste queue capacity on it.
+        if !inner.breaker(class).allow(Instant::now(), &inner.config) {
+            return inner.degraded(&key, op.staleness(), echo.as_deref(), submitted);
+        }
+
+        let deadline = deadline.unwrap_or(inner.config.default_deadline);
         // Buffered reply slot so a worker finishing after we time out
         // never blocks on a reader that left.
         let (reply_tx, reply_rx) = sync_channel(1);
-        let job = Job::Search(Box::new(SearchJob {
-            mode: mode.clone(),
-            page,
+        let job = Job::Request(Box::new(QueuedRequest {
+            op: op.clone().into_owned(),
             key,
-            engine,
+            echo: echo.map(Cow::into_owned),
             deadline: submitted + deadline,
             submitted,
             reply: reply_tx,
@@ -592,27 +619,59 @@ impl Server {
         // Count the enqueue before the send: a worker may dequeue (and
         // decrement the depth) the instant the job lands, so counting
         // afterwards could drive the gauge below zero.
-        self.inner.metrics.enqueued();
+        inner.metrics.enqueued();
         match sender.try_send(job) {
-            Ok(()) => self.inner.metrics.record_admitted_depth(),
+            Ok(()) => inner.metrics.record_admitted_depth(),
             Err(TrySendError::Full(_)) => {
-                self.inner.metrics.dequeued();
-                self.inner.metrics.record_overloaded();
+                inner.metrics.dequeued();
+                inner.metrics.record_overloaded();
                 return Err(ServeError::Overloaded);
             }
             Err(TrySendError::Disconnected(_)) => {
-                self.inner.metrics.dequeued();
+                inner.metrics.dequeued();
                 return Err(ServeError::Closed);
             }
         }
         match reply_rx.recv_timeout(deadline) {
             Ok(result) => result,
             Err(RecvTimeoutError::Timeout) => {
-                self.inner.metrics.record_deadline_exceeded();
+                inner.metrics.record_deadline_exceeded();
                 Err(ServeError::DeadlineExceeded)
             }
             Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
         }
+    }
+
+    /// [`Server::request`] for an op that always resolves to a value.
+    fn always<R: From<Reply>>(
+        &self,
+        op: Op<'_>,
+        deadline: Option<Duration>,
+    ) -> Result<R, ServeError> {
+        let reply = self.request(&op, deadline)?;
+        Ok(reply
+            .expect("searches, traversals and the bias report always yield a value")
+            .into())
+    }
+
+    /// [`Server::request`] for an op that may resolve to nothing.
+    fn lookup(&self, op: Op<'_>) -> Result<Option<KgResponse>, ServeError> {
+        Ok(self.request(&op, None)?.map(KgResponse::from))
+    }
+
+    /// Serve a lexical search with the configured default deadline.
+    pub fn search(&self, mode: &SearchMode, page: usize) -> Result<ServeResponse, ServeError> {
+        self.always(Op::Search(Cow::Borrowed(mode), page), None)
+    }
+
+    /// Serve a lexical search, waiting at most `deadline` for the result.
+    pub fn search_with_deadline(
+        &self,
+        mode: &SearchMode,
+        page: usize,
+        deadline: Duration,
+    ) -> Result<ServeResponse, ServeError> {
+        self.always(Op::Search(Cow::Borrowed(mode), page), Some(deadline))
     }
 
     /// Ingest new publications, invalidating the result cache: the data
@@ -646,302 +705,58 @@ impl Server {
         read_lock(&self.inner.system).search(mode, page)
     }
 
-    /// Serve a dense (semantic or hybrid) search.
-    ///
-    /// Cache-fronted like [`Server::search_with_deadline`], but computed
-    /// inline under the shared system lock instead of through the worker
-    /// queue: an ANN query touches a logarithmic fraction of the corpus
-    /// (sub-millisecond at our sizes, like the `/kg/node` lookups), so
-    /// queue admission and circuit breaking would cost more than the
-    /// search. The page and generation are read under one lock so a
-    /// concurrent ingest commit can't tear them apart.
+    /// Serve a dense (semantic or hybrid) search: cache-fronted, computed
+    /// inline (an ANN query is sub-millisecond at our sizes, so queue
+    /// admission and circuit breaking would cost more than the search).
     pub fn search_dense(&self, mode: &DenseMode, page: usize) -> Result<ServeResponse, ServeError> {
-        let submitted = Instant::now();
-        let kind = match mode {
-            DenseMode::Semantic(_) => DenseKind::Semantic,
-            DenseMode::Hybrid(_) => DenseKind::Hybrid,
-        };
-        self.inner.metrics.record_dense_request(kind);
-        let key = dense_cache_key(mode, page);
-        let generation = self.inner.generation.load(Ordering::Acquire);
-        if let Some(cached) = self
-            .inner
-            .cache
-            .get(&key, generation)
-            .and_then(CachedValue::into_page)
-        {
-            self.inner.metrics.record_hit();
-            let latency = submitted.elapsed();
-            self.inner.metrics.record_completed(latency);
-            return Ok(ServeResponse {
-                page: echoing(cached, mode.query()),
-                cached: true,
-                stale: false,
-                generation,
-                latency,
-            });
-        }
-        self.inner.metrics.record_miss();
-        let (result, generation) = {
-            let system = read_lock(&self.inner.system);
-            (system.search_dense(mode, page), system.generation())
-        };
-        self.inner.cache.insert(key, generation, result.clone());
-        let latency = submitted.elapsed();
-        self.inner.metrics.record_completed(latency);
-        Ok(ServeResponse {
-            page: result,
-            cached: false,
-            stale: false,
-            generation,
-            latency,
-        })
+        self.always(Op::Dense(Cow::Borrowed(mode), page), None)
     }
 
-    /// Serve a KG traversal: cache-fronted and queue-admitted like the
-    /// search engines (a deep traversal is real work, so it gets
-    /// admission control and the `kg` circuit breaker), but never
-    /// served stale — when the breaker is open or a worker crashes the
-    /// caller gets the typed [`ServeError::Degraded`] instead of an
-    /// old-generation body.
+    /// Serve a KG traversal: queue-admitted like the lexical engines (a
+    /// deep traversal is real work) behind the `kg` breaker, but never
+    /// served stale — an open breaker or a crashed worker yields the
+    /// typed [`ServeError::Degraded`] instead of an old-generation body.
     pub fn kg_query(&self, plan: &QueryPlan) -> Result<KgResponse, ServeError> {
-        let key = plan.cache_key();
-        self.kg_request(KgOp::Query(Box::new(plan.clone())), key)
-            .map(|resp| resp.expect("a traversal always yields a body"))
-    }
-
-    /// Serve one vaccine's materialized meta-profile document.
-    /// `Ok(None)` = unknown vaccine (the wire layer's 404).
-    pub fn kg_profile(&self, vaccine: &str) -> Result<Option<KgResponse>, ServeError> {
-        let key = format!("kgp|{}:{vaccine}", vaccine.len());
-        self.kg_request(KgOp::Profile(vaccine.to_string()), key)
+        self.always(Op::KgQuery(Cow::Borrowed(plan)), None)
     }
 
     /// Serve a KG traversal re-ranked by provenance trust (the
     /// `trust=1` knob on `/kg/query`). Cached under a distinct key so
     /// the default (untrusted) ranking is never cross-contaminated.
     pub fn kg_query_trusted(&self, plan: &QueryPlan) -> Result<KgResponse, ServeError> {
-        let key = format!("{}|trust", plan.cache_key());
-        self.kg_request(KgOp::QueryTrusted(Box::new(plan.clone())), key)
-            .map(|resp| resp.expect("a traversal always yields a body"))
+        self.always(Op::KgQueryTrusted(Cow::Borrowed(plan)), None)
     }
 
-    /// Serve one KG node's trust document (the fourth traffic class).
-    /// `Ok(None)` = out-of-range id (the wire layer's 404). Like KG
-    /// bodies, trust documents are epoch-stamped and never served
-    /// stale: degraded mode fails typed.
+    /// Serve one vaccine's materialized meta-profile document.
+    /// `Ok(None)` = unknown vaccine (the wire layer's 404).
+    pub fn kg_profile(&self, vaccine: &str) -> Result<Option<KgResponse>, ServeError> {
+        self.lookup(Op::KgProfile(Cow::Borrowed(vaccine)))
+    }
+
+    /// Serve one KG node document, computed inline (the lookup is O(1)).
+    /// `Ok(None)` = out-of-range id.
+    pub fn kg_node(&self, id: usize) -> Result<Option<KgResponse>, ServeError> {
+        self.lookup(Op::KgNode(id))
+    }
+
+    /// Serve one KG node's trust document. `Ok(None)` = out-of-range id
+    /// (the wire layer's 404). Like KG bodies, trust documents are
+    /// epoch-stamped and never served stale: degraded mode fails typed.
     pub fn trust_node(&self, id: usize) -> Result<Option<KgResponse>, ServeError> {
-        let key = format!("tn|{id}");
-        self.trust_request(TrustOp::Node(id), key)
+        self.lookup(Op::TrustNode(id))
     }
 
     /// Serve one source venue's credibility document.
     /// `Ok(None)` = unknown venue.
     pub fn trust_source(&self, venue: &str) -> Result<Option<KgResponse>, ServeError> {
-        let key = format!("ts|{}:{venue}", venue.len());
-        self.trust_request(TrustOp::Source(venue.to_string()), key)
+        self.lookup(Op::TrustSource(Cow::Borrowed(venue)))
     }
 
     /// Serve the trust-weighted bias interrogation report. The body is
     /// memoized inside the system keyed on (trust epoch, generation),
     /// and cache-fronted here like every other trust body.
     pub fn bias_report(&self) -> Result<KgResponse, ServeError> {
-        self.trust_request(TrustOp::Bias, "bias|".to_string())
-            .map(|resp| resp.expect("the bias report always yields a body"))
-    }
-
-    /// Common trust request path: cache probe → breaker → queue →
-    /// worker, mirroring [`Server::kg_request`] but accounted against
-    /// the dedicated `trust` engine/breaker. Freshness over
-    /// availability: an open breaker yields [`ServeError::Degraded`],
-    /// never a stale body.
-    fn trust_request(
-        &self,
-        op: TrustOp,
-        key: String,
-    ) -> Result<Option<KgResponse>, ServeError> {
-        let submitted = Instant::now();
-        self.inner.metrics.record_request(EngineKind::Trust);
-        let generation = self.inner.generation.load(Ordering::Acquire);
-        if let Some(body) = self
-            .inner
-            .cache
-            .get(&key, generation)
-            .and_then(CachedValue::into_body)
-        {
-            self.inner.metrics.record_hit();
-            let latency = submitted.elapsed();
-            self.inner.metrics.record_completed(latency);
-            return Ok(Some(KgResponse {
-                body,
-                cached: true,
-                generation,
-                latency,
-            }));
-        }
-        self.inner.metrics.record_miss();
-        if !self
-            .inner
-            .breaker(EngineKind::Trust)
-            .allow(&self.inner.breaker_cfg)
-        {
-            self.inner.metrics.record_degraded();
-            return Err(ServeError::Degraded);
-        }
-        let deadline = self.default_deadline;
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let job = Job::Trust(Box::new(TrustJob {
-            op,
-            key,
-            deadline: submitted + deadline,
-            submitted,
-            reply: reply_tx,
-        }));
-        let sender = match &*lock(&self.queue) {
-            Some(tx) => tx.clone(),
-            None => return Err(ServeError::Closed),
-        };
-        self.inner.metrics.enqueued();
-        match sender.try_send(job) {
-            Ok(()) => self.inner.metrics.record_admitted_depth(),
-            Err(TrySendError::Full(_)) => {
-                self.inner.metrics.dequeued();
-                self.inner.metrics.record_overloaded();
-                return Err(ServeError::Overloaded);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.inner.metrics.dequeued();
-                return Err(ServeError::Closed);
-            }
-        }
-        match reply_rx.recv_timeout(deadline) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => {
-                self.inner.metrics.record_deadline_exceeded();
-                Err(ServeError::DeadlineExceeded)
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
-        }
-    }
-
-    /// Serve one KG node document. `Ok(None)` = out-of-range id.
-    ///
-    /// Cache-fronted like [`Server::search_dense`] but computed inline
-    /// under the shared system lock instead of through the worker
-    /// queue: a node lookup is O(1), so queue admission would cost
-    /// more than the work itself.
-    pub fn kg_node(&self, id: usize) -> Result<Option<KgResponse>, ServeError> {
-        let submitted = Instant::now();
-        self.inner.metrics.record_request(EngineKind::Kg);
-        let key = format!("kgn|{id}");
-        let generation = self.inner.generation.load(Ordering::Acquire);
-        if let Some(body) = self
-            .inner
-            .cache
-            .get(&key, generation)
-            .and_then(CachedValue::into_body)
-        {
-            self.inner.metrics.record_hit();
-            let latency = submitted.elapsed();
-            self.inner.metrics.record_completed(latency);
-            return Ok(Some(KgResponse {
-                body,
-                cached: true,
-                generation,
-                latency,
-            }));
-        }
-        self.inner.metrics.record_miss();
-        let (body, generation) = {
-            let system = read_lock(&self.inner.system);
-            (
-                system.kg_node(id).map(|doc| doc.to_json()),
-                system.generation(),
-            )
-        };
-        let Some(body) = body else {
-            return Ok(None);
-        };
-        self.inner.cache.insert(key, generation, body.clone());
-        let latency = submitted.elapsed();
-        self.inner.metrics.record_completed(latency);
-        Ok(Some(KgResponse {
-            body,
-            cached: false,
-            generation,
-            latency,
-        }))
-    }
-
-    /// Common KG request path: cache probe → breaker → queue → worker.
-    fn kg_request(
-        &self,
-        op: KgOp,
-        key: String,
-    ) -> Result<Option<KgResponse>, ServeError> {
-        let submitted = Instant::now();
-        self.inner.metrics.record_request(EngineKind::Kg);
-        let generation = self.inner.generation.load(Ordering::Acquire);
-        if let Some(body) = self
-            .inner
-            .cache
-            .get(&key, generation)
-            .and_then(CachedValue::into_body)
-        {
-            self.inner.metrics.record_hit();
-            let latency = submitted.elapsed();
-            self.inner.metrics.record_completed(latency);
-            return Ok(Some(KgResponse {
-                body,
-                cached: true,
-                generation,
-                latency,
-            }));
-        }
-        self.inner.metrics.record_miss();
-        // Freshness over availability: no stale fallback for KG bodies.
-        if !self
-            .inner
-            .breaker(EngineKind::Kg)
-            .allow(&self.inner.breaker_cfg)
-        {
-            self.inner.metrics.record_degraded();
-            return Err(ServeError::Degraded);
-        }
-        let deadline = self.default_deadline;
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let job = Job::Kg(Box::new(KgJob {
-            op,
-            key,
-            deadline: submitted + deadline,
-            submitted,
-            reply: reply_tx,
-        }));
-        let sender = match &*lock(&self.queue) {
-            Some(tx) => tx.clone(),
-            None => return Err(ServeError::Closed),
-        };
-        self.inner.metrics.enqueued();
-        match sender.try_send(job) {
-            Ok(()) => self.inner.metrics.record_admitted_depth(),
-            Err(TrySendError::Full(_)) => {
-                self.inner.metrics.dequeued();
-                self.inner.metrics.record_overloaded();
-                return Err(ServeError::Overloaded);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.inner.metrics.dequeued();
-                return Err(ServeError::Closed);
-            }
-        }
-        match reply_rx.recv_timeout(deadline) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => {
-                self.inner.metrics.record_deadline_exceeded();
-                Err(ServeError::DeadlineExceeded)
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
-        }
+        self.always(Op::BiasReport, None)
     }
 
     /// Current data generation.
@@ -950,8 +765,8 @@ impl Server {
     }
 
     /// Run `f` with shared read access to the underlying system — used
-    /// by the network front-end for routes (KG node lookups, system
-    /// stats) that need data the search scheduler doesn't expose.
+    /// by the network front-end for what the scheduler doesn't expose
+    /// (system stats, the `/metrics` series, trust weights).
     pub fn with_system<R>(&self, f: impl FnOnce(&CovidKg) -> R) -> R {
         f(&read_lock(&self.inner.system))
     }
@@ -978,11 +793,6 @@ impl Server {
         stats.cache = self.inner.cache.stats();
         stats.io_retries = read_lock(&self.inner.system).publications().io_retries();
         stats
-    }
-
-    /// Cached result pages currently resident.
-    pub fn cache_len(&self) -> usize {
-        self.inner.cache.len()
     }
 
     /// Install (or clear) a deterministic worker-side fault schedule.
@@ -1019,7 +829,7 @@ impl Server {
     }
 
     /// Stop accepting work and join the workers. Already-queued jobs are
-    /// drained first; subsequent `search` calls return
+    /// drained first; subsequent requests that miss the cache return
     /// [`ServeError::Closed`]. Idempotent.
     pub fn shutdown(&self) {
         drop(lock(&self.queue).take());
@@ -1044,69 +854,51 @@ impl Drop for Server {
     }
 }
 
-/// Answer a request in degraded mode: a cached page of any generation,
-/// marked stale, or the typed [`ServeError::Degraded`].
-fn degraded_response(
-    inner: &Inner,
-    key: &str,
-    query: &str,
-    submitted: Instant,
-) -> Result<ServeResponse, ServeError> {
-    inner.metrics.record_degraded();
-    match inner
-        .cache
-        .get_stale(key)
-        .and_then(|(v, g)| v.into_page().map(|p| (p, g)))
-    {
-        Some((page, generation)) => {
-            inner.metrics.record_stale_served();
-            let latency = submitted.elapsed();
-            inner.metrics.record_completed(latency);
-            Ok(ServeResponse {
-                page: echoing(page, query),
-                cached: true,
-                stale: true,
-                generation,
-                latency,
+/// A cached value as the answer to a request echoing `echo`: a page is
+/// stamped with this request's own query text (see `Op::key_and_echo`).
+fn echoing(value: CachedValue, echo: Option<&str>) -> CachedValue {
+    match (value, echo) {
+        (CachedValue::Page(page), Some(query)) if page.query != query => {
+            CachedValue::Page(SearchPage {
+                query: query.to_string(),
+                ..page
             })
         }
-        None => Err(ServeError::Degraded),
+        (value, _) => value,
     }
 }
 
-/// A cached page as the answer to a request for `query`. The cache keys a
-/// search by its stems, so requests that spell a query differently
-/// ("immunity", "immunization") share a page — every byte of it but the
-/// `query` it echoes, which is the text of whichever request filled the
-/// entry until it is stamped with this request's own.
-fn echoing(mut page: SearchPage, query: &str) -> SearchPage {
-    if page.query != query {
-        page.query = query.to_string();
-    }
-    page
-}
-
-/// Run one search job with panic isolation: a panicking query is caught,
-/// counted, fed to the engine's breaker, and answered degraded — the
+/// Run one job with panic isolation: a panicking compute is caught,
+/// counted, fed to the class's breaker, and answered degraded — the
 /// worker thread (and every other queued request) survives.
-fn run_isolated(inner: &Inner, job: SearchJob) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_job(inner, &job)));
-    if outcome.is_err() {
-        inner.metrics.record_panic();
-        inner.record_engine_failure(job.engine);
-        let (_, query) = cache_key_and_query(&job.mode, job.page);
-        let _ = job
-            .reply
-            .try_send(degraded_response(inner, &job.key, &query, job.submitted));
-    }
+fn run_isolated(inner: &Inner, job: &QueuedRequest) {
+    let class = job.op.class();
+    let result =
+        catch_unwind(AssertUnwindSafe(|| run_job(inner, job, class))).unwrap_or_else(|_| {
+            inner.metrics.record_panic();
+            if inner
+                .breaker(class)
+                .record_failure(Instant::now(), &inner.config)
+            {
+                inner.metrics.record_breaker_open();
+            }
+            inner.degraded(
+                &job.key,
+                job.op.staleness(),
+                job.echo.as_deref(),
+                job.submitted,
+            )
+        });
+    // The one send into a one-slot buffer: never blocks, and a caller
+    // that stopped waiting just drops the late reply with its receiver.
+    let _ = job.reply.send(result);
 }
 
-fn run_job(inner: &Inner, job: &SearchJob) {
+fn run_job(inner: &Inner, job: &QueuedRequest, class: Class) -> Result<Option<Reply>, ServeError> {
     if Instant::now() >= job.deadline {
-        // Expired while queued: don't waste a search on it.
+        // Expired while queued: don't waste the engines on it.
         inner.metrics.record_deadline_exceeded();
-        let _ = job.reply.try_send(Err(ServeError::DeadlineExceeded));
-        return;
+        return Err(ServeError::DeadlineExceeded);
     }
     // Chaos schedule: deterministic panics/delays keyed by job sequence.
     let seq = inner.job_seq.fetch_add(1, Ordering::Relaxed);
@@ -1115,172 +907,32 @@ fn run_job(inner: &Inner, job: &SearchJob) {
             std::thread::sleep(faults.delay);
         }
         if faults.panic_every > 0 && seq % faults.panic_every == faults.panic_every - 1 {
-            panic!("injected query panic (seq {seq})");
+            panic!("injected {} panic (seq {seq})", class.label());
         }
     }
-    let (page, generation) = {
-        let system = read_lock(&inner.system);
-        // Generation read under the same read lock the search runs
-        // under: the pair is consistent even against concurrent ingests.
-        (system.search(&job.mode, job.page), system.generation())
-    };
-    inner.breaker(job.engine).record_success(&inner.breaker_cfg);
-    inner.cache.insert(job.key.clone(), generation, page.clone());
-    let latency = job.submitted.elapsed();
-    inner.metrics.record_completed(latency);
-    let _ = job.reply.try_send(Ok(ServeResponse {
-        page,
-        cached: false,
-        stale: false,
-        generation,
-        latency,
-    }));
-}
-
-/// Run one KG job with the same panic isolation as search jobs. A
-/// panicking traversal feeds the `kg` breaker and answers with the
-/// typed [`ServeError::Degraded`] — never a stale body (freshness over
-/// availability for the KG traffic class).
-fn run_kg_isolated(inner: &Inner, job: KgJob) {
-    let reply = job.reply.clone();
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_kg_job(inner, job)));
-    if outcome.is_err() {
-        inner.metrics.record_panic();
-        inner.record_engine_failure(EngineKind::Kg);
-        inner.metrics.record_degraded();
-        let _ = reply.try_send(Err(ServeError::Degraded));
-    }
-}
-
-fn run_kg_job(inner: &Inner, job: KgJob) {
-    if Instant::now() >= job.deadline {
-        inner.metrics.record_deadline_exceeded();
-        let _ = job.reply.try_send(Err(ServeError::DeadlineExceeded));
-        return;
-    }
-    // KG jobs share the chaos fault schedule: they run on the same
-    // workers, so they must survive the same injected failures.
-    let seq = inner.job_seq.fetch_add(1, Ordering::Relaxed);
-    if let Some(faults) = read_lock(&inner.faults).clone() {
-        if faults.delay_every > 0 && seq % faults.delay_every == faults.delay_every - 1 {
-            std::thread::sleep(faults.delay);
-        }
-        if faults.panic_every > 0 && seq % faults.panic_every == faults.panic_every - 1 {
-            panic!("injected kg panic (seq {seq})");
-        }
-    }
-    let (body, generation) = {
-        let system = read_lock(&inner.system);
-        let body = match &job.op {
-            KgOp::Query(plan) => {
-                let result = system.kg_query(plan);
-                inner
-                    .metrics
-                    .record_kg_traversal(result.hops, result.visited);
-                Some(result.to_json().to_json())
-            }
-            KgOp::QueryTrusted(plan) => Some(system.kg_query_trusted(plan).to_json()),
-            KgOp::Profile(vaccine) => system.kg_profile(vaccine).map(|doc| doc.to_json()),
-        };
-        (body, system.generation())
-    };
+    let reply = inner.compute(&job.op, job.key.clone(), job.submitted);
     inner
-        .breaker(EngineKind::Kg)
-        .record_success(&inner.breaker_cfg);
-    let latency = job.submitted.elapsed();
-    inner.metrics.record_completed(latency);
-    let response = body.map(|body| {
-        inner.cache.insert(job.key, generation, body.clone());
-        KgResponse {
-            body,
-            cached: false,
-            generation,
-            latency,
-        }
-    });
-    let _ = job.reply.try_send(Ok(response));
-}
-
-/// Run one trust job with the same panic isolation as KG jobs: a panic
-/// feeds the `trust` breaker and answers with the typed
-/// [`ServeError::Degraded`] — never a stale body.
-fn run_trust_isolated(inner: &Inner, job: TrustJob) {
-    let reply = job.reply.clone();
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_trust_job(inner, job)));
-    if outcome.is_err() {
-        inner.metrics.record_panic();
-        inner.record_engine_failure(EngineKind::Trust);
-        inner.metrics.record_degraded();
-        let _ = reply.try_send(Err(ServeError::Degraded));
-    }
-}
-
-fn run_trust_job(inner: &Inner, job: TrustJob) {
-    if Instant::now() >= job.deadline {
-        inner.metrics.record_deadline_exceeded();
-        let _ = job.reply.try_send(Err(ServeError::DeadlineExceeded));
-        return;
-    }
-    // Trust jobs share the chaos fault schedule with every other class
-    // on these workers.
-    let seq = inner.job_seq.fetch_add(1, Ordering::Relaxed);
-    if let Some(faults) = read_lock(&inner.faults).clone() {
-        if faults.delay_every > 0 && seq % faults.delay_every == faults.delay_every - 1 {
-            std::thread::sleep(faults.delay);
-        }
-        if faults.panic_every > 0 && seq % faults.panic_every == faults.panic_every - 1 {
-            panic!("injected trust panic (seq {seq})");
-        }
-    }
-    let (body, generation) = {
-        let system = read_lock(&inner.system);
-        let body = match &job.op {
-            TrustOp::Node(id) => system.trust_node(*id).map(|doc| doc.to_json()),
-            TrustOp::Source(venue) => system.trust_source(venue).map(|doc| doc.to_json()),
-            TrustOp::Bias => Some(system.bias_document().to_json()),
-        };
-        (body, system.generation())
-    };
-    inner
-        .breaker(EngineKind::Trust)
-        .record_success(&inner.breaker_cfg);
-    let latency = job.submitted.elapsed();
-    inner.metrics.record_completed(latency);
-    let response = body.map(|body| {
-        inner.cache.insert(job.key, generation, body.clone());
-        KgResponse {
-            body,
-            cached: false,
-            generation,
-            latency,
-        }
-    });
-    let _ = job.reply.try_send(Ok(response));
-}
-
-fn engine_kind(mode: &SearchMode) -> EngineKind {
-    match mode {
-        SearchMode::AllFields(_) => EngineKind::AllFields,
-        SearchMode::Tables(_) => EngineKind::Tables,
-        SearchMode::TitleAbstractCaption { .. } => EngineKind::Scoped,
-    }
+        .breaker(class)
+        .record_success(Instant::now(), &inner.config);
+    Ok(reply)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg() -> BreakerSettings {
-        BreakerSettings {
-            window: Duration::from_secs(1),
-            error_rate: 0.5,
-            min_samples: 4,
-            cooldown: Duration::from_millis(100),
+    fn cfg() -> ServeConfig {
+        ServeConfig {
+            breaker_window: Duration::from_secs(1),
+            breaker_error_rate: 0.5,
+            breaker_min_samples: 4,
+            breaker_cooldown: Duration::from_millis(100),
+            ..ServeConfig::default()
         }
     }
 
-    /// All transitions are driven through the `_at` variants with an
-    /// explicit clock so the tests are deterministic.
+    /// All transitions are driven with an explicit clock so the tests
+    /// are deterministic.
     #[test]
     fn bursty_errors_open_the_breaker_once() {
         let b = Breaker::default();
@@ -1288,15 +940,15 @@ mod tests {
         let t0 = Instant::now();
         // Three failures in a burst: below the sample floor, still closed.
         for i in 0..3u64 {
-            let newly = b.record_failure_at(t0 + Duration::from_millis(i), &cfg);
+            let newly = b.record_failure(t0 + Duration::from_millis(i), &cfg);
             assert!(!newly, "failure {i} must not open below min_samples");
-            assert!(b.allow_at(t0 + Duration::from_millis(i), &cfg));
+            assert!(b.allow(t0 + Duration::from_millis(i), &cfg));
         }
         // Fourth failure meets the floor at 100% error rate: opens.
-        assert!(b.record_failure_at(t0 + Duration::from_millis(3), &cfg));
-        assert!(!b.allow_at(t0 + Duration::from_millis(4), &cfg), "open blocks");
+        assert!(b.record_failure(t0 + Duration::from_millis(3), &cfg));
+        assert!(!b.allow(t0 + Duration::from_millis(4), &cfg), "open blocks");
         // Further failures while open are not "newly opened".
-        assert!(!b.record_failure_at(t0 + Duration::from_millis(5), &cfg));
+        assert!(!b.record_failure(t0 + Duration::from_millis(5), &cfg));
     }
 
     #[test]
@@ -1310,11 +962,11 @@ mod tests {
         for i in 0..40u64 {
             let now = t0 + Duration::from_millis(i * 10);
             if i % 4 == 0 {
-                assert!(!b.record_failure_at(now, &cfg), "steady trickle at 25%");
+                assert!(!b.record_failure(now, &cfg), "steady trickle at 25%");
             } else {
-                b.record_success_at(now, &cfg);
+                b.record_success(now, &cfg);
             }
-            assert!(b.allow_at(now, &cfg), "breaker must stay closed");
+            assert!(b.allow(now, &cfg), "breaker must stay closed");
         }
     }
 
@@ -1327,14 +979,14 @@ mod tests {
         // them, a fourth failure meets the floor only if the old ones
         // still counted — they don't, so it stays closed.
         for i in 0..3u64 {
-            b.record_failure_at(t0 + Duration::from_millis(i), &cfg);
+            b.record_failure(t0 + Duration::from_millis(i), &cfg);
         }
         let later = t0 + Duration::from_secs(2);
         assert!(
-            !b.record_failure_at(later, &cfg),
+            !b.record_failure(later, &cfg),
             "aged-out failures must not contribute to the rate"
         );
-        assert!(b.allow_at(later, &cfg));
+        assert!(b.allow(later, &cfg));
     }
 
     #[test]
@@ -1343,18 +995,18 @@ mod tests {
         let cfg = cfg();
         let t0 = Instant::now();
         for i in 0..4u64 {
-            b.record_failure_at(t0 + Duration::from_millis(i), &cfg);
+            b.record_failure(t0 + Duration::from_millis(i), &cfg);
         }
-        assert!(!b.allow_at(t0 + Duration::from_millis(10), &cfg), "open");
+        assert!(!b.allow(t0 + Duration::from_millis(10), &cfg), "open");
         // Cooldown elapses: exactly the next allow becomes the probe.
         let probe_at = t0 + Duration::from_millis(110);
-        assert!(b.allow_at(probe_at, &cfg), "half-open lets the probe through");
-        b.record_success_at(probe_at, &cfg);
+        assert!(b.allow(probe_at, &cfg), "half-open lets the probe through");
+        b.record_success(probe_at, &cfg);
         // Fully closed, and the window was cleared: a single follow-up
         // failure is below the sample floor again.
-        assert!(b.allow_at(probe_at + Duration::from_millis(1), &cfg));
-        assert!(!b.record_failure_at(probe_at + Duration::from_millis(2), &cfg));
-        assert!(b.allow_at(probe_at + Duration::from_millis(3), &cfg));
+        assert!(b.allow(probe_at + Duration::from_millis(1), &cfg));
+        assert!(!b.record_failure(probe_at + Duration::from_millis(2), &cfg));
+        assert!(b.allow(probe_at + Duration::from_millis(3), &cfg));
     }
 
     #[test]
@@ -1363,17 +1015,20 @@ mod tests {
         let cfg = cfg();
         let t0 = Instant::now();
         for i in 0..4u64 {
-            b.record_failure_at(t0 + Duration::from_millis(i), &cfg);
+            b.record_failure(t0 + Duration::from_millis(i), &cfg);
         }
         let probe_at = t0 + Duration::from_millis(110);
-        assert!(b.allow_at(probe_at, &cfg));
+        assert!(b.allow(probe_at, &cfg));
         assert!(
-            b.record_failure_at(probe_at, &cfg),
+            b.record_failure(probe_at, &cfg),
             "failed probe re-opens (and counts as an open)"
         );
-        assert!(!b.allow_at(probe_at + Duration::from_millis(10), &cfg), "open again");
+        assert!(
+            !b.allow(probe_at + Duration::from_millis(10), &cfg),
+            "open again"
+        );
         // And the *second* cooldown ends with another probe chance.
-        assert!(b.allow_at(probe_at + Duration::from_millis(210), &cfg));
+        assert!(b.allow(probe_at + Duration::from_millis(210), &cfg));
     }
 
     #[test]
@@ -1382,17 +1037,17 @@ mod tests {
         let cfg = cfg();
         let t0 = Instant::now();
         for i in 0..4u64 {
-            b.record_failure_at(t0 + Duration::from_millis(i), &cfg);
+            b.record_failure(t0 + Duration::from_millis(i), &cfg);
         }
         let probe_at = t0 + Duration::from_millis(110);
-        assert!(b.allow_at(probe_at, &cfg), "first caller becomes the probe");
+        assert!(b.allow(probe_at, &cfg), "first caller becomes the probe");
         // While the probe is in flight every other request keeps
         // short-circuiting — the engine gets one probe, not a burst.
-        assert!(!b.allow_at(probe_at, &cfg), "concurrent caller blocked");
-        assert!(!b.allow_at(probe_at + Duration::from_millis(50), &cfg));
+        assert!(!b.allow(probe_at, &cfg), "concurrent caller blocked");
+        assert!(!b.allow(probe_at + Duration::from_millis(50), &cfg));
         // Only the probe's own outcome closes the breaker.
-        b.record_success_at(probe_at + Duration::from_millis(60), &cfg);
-        assert!(b.allow_at(probe_at + Duration::from_millis(61), &cfg));
+        b.record_success(probe_at + Duration::from_millis(60), &cfg);
+        assert!(b.allow(probe_at + Duration::from_millis(61), &cfg));
     }
 
     #[test]
@@ -1401,19 +1056,19 @@ mod tests {
         let cfg = cfg();
         let t0 = Instant::now();
         for i in 0..4u64 {
-            b.record_failure_at(t0 + Duration::from_millis(i), &cfg);
+            b.record_failure(t0 + Duration::from_millis(i), &cfg);
         }
         let probe_at = t0 + Duration::from_millis(110);
-        assert!(b.allow_at(probe_at, &cfg));
+        assert!(b.allow(probe_at, &cfg));
         // The probe's outcome is never recorded (e.g. its job was
         // dropped on a queue deadline). The breaker must not wedge:
         // after one cooldown the slot is released to a fresh probe.
-        assert!(!b.allow_at(probe_at + Duration::from_millis(50), &cfg));
+        assert!(!b.allow(probe_at + Duration::from_millis(50), &cfg));
         assert!(
-            b.allow_at(probe_at + Duration::from_millis(210), &cfg),
+            b.allow(probe_at + Duration::from_millis(210), &cfg),
             "expired probe releases the slot"
         );
         // And again: exactly one at a time.
-        assert!(!b.allow_at(probe_at + Duration::from_millis(211), &cfg));
+        assert!(!b.allow(probe_at + Duration::from_millis(211), &cfg));
     }
 }

@@ -98,4 +98,16 @@ else
     echo "==> clippy not installed; skipping lint"
 fi
 
+# One number CHANGES.md rows quote before/after: the tracked Rust under
+# crates/*/src and src (tests/ directories and benchmark/ excluded). The
+# second count runs every file through rustfmt first, so a change cannot
+# move it by wrapping lines differently: quote that one when it is there.
+rust_files=$(git ls-files -- 'crates/*/src/*.rs' 'src/*.rs')
+echo "==> Rust lines under crates/*/src + src: $(echo "$rust_files" | xargs cat | wc -l)"
+if rustfmt --version >/dev/null 2>&1; then
+    echo "==> the same, rustfmt-normalized: $(for f in $rust_files; do
+        rustfmt --edition 2021 --emit stdout --quiet <"$f" 2>/dev/null || cat "$f"
+    done | wc -l)"
+fi
+
 echo "==> verify OK"

@@ -389,28 +389,12 @@ fn run() -> Result<(), String> {
             println!("data generation: {}", system.generation());
         }
         "serve" => {
-            let system = open_system(&args, false)?;
-            let addr = args
-                .listen
-                .as_deref()
-                .unwrap_or("127.0.0.1:8080")
-                .parse()
-                .map_err(|_| "--listen takes an ADDR:PORT".to_string())?;
-            let server = Arc::new(Server::start(
-                system,
-                ServeConfig {
-                    workers: args.workers.max(1),
-                    ..ServeConfig::default()
-                },
-            ));
-            let mut http = HttpServer::start(
-                Arc::clone(&server),
-                NetConfig {
-                    addr,
-                    ..NetConfig::default()
-                },
-            )
-            .map_err(|e| format!("bind {addr} failed: {e}"))?;
+            let server = start_server(open_system(&args, false)?, &args);
+            let mut http = start_http(
+                &server,
+                None,
+                args.listen.as_deref().unwrap_or("127.0.0.1:8080"),
+            )?;
             // With --repl-listen this node is a replication primary: a
             // second listener streams WAL frames to any replica that
             // connects (see the `replicate` command).
@@ -447,18 +431,10 @@ fn run() -> Result<(), String> {
                 None => None,
             };
             println!("listening on http://{}", http.local_addr());
-            println!("  GET /search/{{all-fields|tables|scoped}}?q=&page=");
-            println!("  GET /search/{{semantic|hybrid}}?q=&page=");
-            println!("  GET /kg/query?start=&steps=&fanout=&k=");
-            println!("  GET /kg/profile/{{vaccine}}   GET /kg/node/{{id}}");
-            println!("  GET /trust/node/{{id}}   GET /trust/source/{{venue}}   GET /bias/report");
-            println!("  GET /stats   GET /metrics");
-            println!("(EOF on stdin — ctrl-d — shuts down gracefully)");
-            // Block until stdin closes, then drain and exit.
-            let mut sink = String::new();
-            while std::io::stdin().read_line(&mut sink).map(|n| n > 0).unwrap_or(false) {
-                sink.clear();
+            for usage in covidkg::net::router::usages() {
+                println!("  GET {usage}");
             }
+            wait_for_stdin_eof();
             http.shutdown();
             drop(repl_listener);
             server.shutdown();
@@ -467,58 +443,31 @@ fn run() -> Result<(), String> {
         "replicate" => replicate(&args)?,
         "repl-smoke" => repl_smoke(&args)?,
         "repl-bench" => repl_bench(&args)?,
-        "net-table" => net_table()?,
+        "net-table" | "ann-table" | "kg-table" | "trust-table" => regenerate_tables(&args.command)?,
         "ann-build" => ann_build(&args)?,
         "ann-smoke" => ann_smoke(&args)?,
         "ann-bench" => ann_bench(&args)?,
-        "ann-table" => ann_table()?,
         "kg-query" => kg_query_cmd(&args)?,
         "kg-smoke" => kg_smoke(&args)?,
         "kg-bench" => kg_bench(&args)?,
-        "kg-table" => kg_table()?,
         "trust-smoke" => trust_smoke(&args)?,
         "trust-bench" => trust_bench(&args)?,
-        "trust-table" => trust_table()?,
         "net-bench" => {
-            let system = open_system(&args, false)?;
-            let server = Arc::new(Server::start(
-                system,
-                ServeConfig {
-                    workers: args.workers.max(1),
-                    ..ServeConfig::default()
-                },
-            ));
-            let addr = args
-                .listen
-                .as_deref()
-                .unwrap_or("127.0.0.1:0")
-                .parse()
-                .map_err(|_| "--listen takes an ADDR:PORT".to_string())?;
+            let server = start_server(open_system(&args, false)?, &args);
             // The default NetConfig is the reactor with an fd-budget
             // cap — large enough for the held-connection sweep.
-            let mut http = HttpServer::start(
-                Arc::clone(&server),
-                NetConfig {
-                    addr,
-                    ..NetConfig::default()
-                },
-            )
-            .map_err(|e| format!("bind {addr} failed: {e}"))?;
+            let mut http = start_http(
+                &server,
+                None,
+                args.listen.as_deref().unwrap_or("127.0.0.1:0"),
+            )?;
             let result = net_bench(&http, &server, &args);
             http.shutdown();
             server.shutdown();
             result?;
         }
         "serve-bench" => {
-            let system = open_system(&args, false)?;
-            let server = Server::start(
-                system,
-                ServeConfig {
-                    workers: args.workers.max(1),
-                    ..ServeConfig::default()
-                },
-            );
-            serve_bench(&server, &args)?;
+            serve_bench(&start_server(open_system(&args, false)?, &args), &args)?;
         }
         "chaos" => {
             let report = covidkg::chaos::run(&covidkg::ChaosConfig {
@@ -617,27 +566,11 @@ fn replicate(args: &Args) -> Result<(), String> {
         Arc::new(move || clock.primary_watermark.load(Ordering::Acquire)),
         u64::MAX,
     ));
-    let addr: SocketAddr = args
-        .listen
-        .as_deref()
-        .unwrap_or("127.0.0.1:8081")
-        .parse()
-        .map_err(|_| "--listen takes an ADDR:PORT".to_string())?;
-    let mut http = HttpServer::start_routed(
-        node.server(),
-        Some(ReadContext::new(router, None).with_epoch(node.epoch_handle())),
-        NetConfig {
-            addr,
-            ..NetConfig::default()
-        },
-    )
-    .map_err(|e| format!("bind {addr} failed: {e}"))?;
+    let routed = ReadContext::new(router, None).with_epoch(node.epoch_handle());
+    let listen = args.listen.as_deref().unwrap_or("127.0.0.1:8081");
+    let mut http = start_http(&node.server(), Some(routed), listen)?;
     println!("serving replica reads on http://{}", http.local_addr());
-    println!("(EOF on stdin — ctrl-d — shuts down gracefully)");
-    let mut sink = String::new();
-    while std::io::stdin().read_line(&mut sink).map(|n| n > 0).unwrap_or(false) {
-        sink.clear();
-    }
+    wait_for_stdin_eof();
     http.shutdown();
     drop(relay);
     node.shutdown();
@@ -655,14 +588,8 @@ fn repl_smoke(args: &Args) -> Result<(), String> {
         let _ = std::fs::remove_dir_all(&dir);
         dir.to_string_lossy().into_owned()
     };
-    let system = CovidKg::build(CovidKgConfig {
-        corpus_size: corpus,
-        seed: args.seed,
-        max_training_rows: 300,
-        data_dir: Some(scratch("primary")),
-        ..CovidKgConfig::default()
-    })
-    .map_err(|e| format!("primary build failed: {e}"))?;
+    let system = build_system(corpus, args.seed, Some(scratch("primary")))
+        .map_err(|e| format!("primary {e}"))?;
     let primary = Arc::new(Server::start(system, ServeConfig::default()));
     let sources = replication_sources(&primary);
     let listener = ReplListener::start(sources.clone(), ReplConfig::default())
@@ -758,14 +685,8 @@ fn repl_bench(args: &Args) -> Result<(), String> {
         let _ = std::fs::remove_dir_all(&dir);
         dir.to_string_lossy().into_owned()
     };
-    let system = CovidKg::build(CovidKgConfig {
-        corpus_size: corpus,
-        seed: args.seed,
-        max_training_rows: 300,
-        data_dir: Some(scratch("primary")),
-        ..CovidKgConfig::default()
-    })
-    .map_err(|e| format!("primary build failed: {e}"))?;
+    let system = build_system(corpus, args.seed, Some(scratch("primary")))
+        .map_err(|e| format!("primary {e}"))?;
     let primary = Arc::new(Server::start(system, ServeConfig::default()));
     let sources = replication_sources(&primary);
     let listener = ReplListener::start(sources.clone(), ReplConfig::default())
@@ -876,14 +797,12 @@ fn measure_failover(
     args: &Args,
     scratch: &dyn Fn(&str) -> String,
 ) -> Result<covidkg::json::Value, String> {
-    let system = CovidKg::build(CovidKgConfig {
-        corpus_size: args.corpus.clamp(12, 24),
-        seed: args.seed,
-        max_training_rows: 300,
-        data_dir: Some(scratch("fo-primary")),
-        ..CovidKgConfig::default()
-    })
-    .map_err(|e| format!("failover primary build failed: {e}"))?;
+    let system = build_system(
+        args.corpus.clamp(12, 24),
+        args.seed,
+        Some(scratch("fo-primary")),
+    )
+    .map_err(|e| format!("failover primary {e}"))?;
     let primary = Arc::new(Server::start(system, ServeConfig::default()));
     let sources = replication_sources(&primary);
     let epoch = Epoch::default();
@@ -1039,22 +958,58 @@ fn routed_loop(
     Ok((ok, errs, t0.elapsed()))
 }
 
-/// The `net-table` body: regenerate the wire-benchmark table *and* the
-/// connection-scaling table in `EXPERIMENTS.md` between their marker
-/// comments from `BENCH_net.json`, so the prose and the committed
-/// artifact cannot drift apart.
-fn net_table() -> Result<(), String> {
-    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_net.json");
+/// Renders one marked table's markdown rows from a parsed `BENCH_*.json`.
+type TableRenderer = fn(&covidkg::json::Value) -> String;
+
+/// The marked tables of `EXPERIMENTS.md`, by the `BENCH_{name}.json` they
+/// are rendered from.
+const TABLES: &[(&str, &[(&str, TableRenderer)])] = &[
+    (
+        "net",
+        &[
+            ("net-table", render_net_table),
+            ("conn-table", render_conn_table),
+        ],
+    ),
+    ("ann", &[("ann-table", render_ann_table)]),
+    ("kg", &[("kg-table", render_kg_table)]),
+    ("trust", &[("trust-table", render_trust_table)]),
+];
+
+/// The `{name}-table` commands: regenerate each marked table of
+/// `EXPERIMENTS.md` from the committed `BENCH_{name}.json`, so the prose
+/// and the committed artifact cannot drift apart.
+fn regenerate_tables(command: &str) -> Result<(), String> {
+    let (name, tables) = TABLES
+        .iter()
+        .find(|(name, _)| command.strip_suffix("-table") == Some(name))
+        .ok_or(format!("no tables for {command:?}"))?;
+    let bench_path = format!("{}/BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
     let exp_path = concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md");
-    let raw = std::fs::read_to_string(bench_path)
-        .map_err(|e| format!("read {bench_path}: {e} (run `covidkg net-bench` first)"))?;
-    let bench = covidkg::json::parse(&raw).map_err(|e| format!("parse BENCH_net.json: {e}"))?;
-    let mut doc = std::fs::read_to_string(exp_path).map_err(|e| format!("read {exp_path}: {e}"))?;
-    doc = splice_marked(&doc, "net-table", &render_net_table(&bench))?;
-    doc = splice_marked(&doc, "conn-table", &render_conn_table(&bench))?;
+    let raw = std::fs::read_to_string(&bench_path)
+        .map_err(|e| format!("read {bench_path}: {e} (run `covidkg {name}-bench` first)"))?;
+    let bench = covidkg::json::parse(&raw).map_err(|e| format!("parse BENCH_{name}.json: {e}"))?;
+    let doc = std::fs::read_to_string(exp_path).map_err(|e| format!("read {exp_path}: {e}"))?;
+    let doc = splice_tables(doc, &bench, tables)?;
     std::fs::write(exp_path, doc).map_err(|e| format!("write {exp_path}: {e}"))?;
-    println!("updated the wire + connection tables in EXPERIMENTS.md from BENCH_net.json");
+    let markers: Vec<&str> = tables.iter().map(|(marker, _)| *marker).collect();
+    println!(
+        "updated {} in EXPERIMENTS.md from BENCH_{name}.json",
+        markers.join(" + ")
+    );
     Ok(())
+}
+
+/// `doc` with each of `tables` re-rendered from `bench` between its markers.
+fn splice_tables(
+    mut doc: String,
+    bench: &covidkg::json::Value,
+    tables: &[(&str, TableRenderer)],
+) -> Result<String, String> {
+    for (marker, render) in tables {
+        doc = splice_marked(&doc, marker, &render(bench))?;
+    }
+    Ok(doc)
 }
 
 /// Replace the text between `<!-- {marker}:begin -->` and
@@ -1192,41 +1147,145 @@ fn ann_build(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// A freshly built system of `corpus` publications, trained small (the
+/// smokes and benches check plumbing and scaling, not model quality).
+fn build_system(corpus: usize, seed: u64, data_dir: Option<String>) -> Result<CovidKg, String> {
+    CovidKg::build(CovidKgConfig {
+        corpus_size: corpus,
+        seed,
+        max_training_rows: 300,
+        data_dir,
+        ..CovidKgConfig::default()
+    })
+    .map_err(|e| format!("build failed: {e}"))
+}
+
+/// `system` behind a [`Server`] with `--workers` worker threads.
+fn start_server(system: CovidKg, args: &Args) -> Arc<Server> {
+    let config = ServeConfig {
+        workers: args.workers.max(1),
+        ..ServeConfig::default()
+    };
+    Arc::new(Server::start(system, config))
+}
+
+/// An [`HttpServer`] over `server` listening on `listen` (`--listen` or
+/// the command's default), reads routed through `repl` when given.
+fn start_http(
+    server: &Arc<Server>,
+    repl: Option<ReadContext>,
+    listen: &str,
+) -> Result<HttpServer, String> {
+    let addr: SocketAddr = listen
+        .parse()
+        .map_err(|_| "--listen takes an ADDR:PORT".to_string())?;
+    let config = NetConfig {
+        addr,
+        ..NetConfig::default()
+    };
+    HttpServer::start_routed(Arc::clone(server), repl, config)
+        .map_err(|e| format!("bind {addr} failed: {e}"))
+}
+
+/// Block until stdin closes (ctrl-d): the long-running commands' cue to
+/// drain and exit.
+fn wait_for_stdin_eof() {
+    println!("(EOF on stdin — ctrl-d — shuts down gracefully)");
+    let mut sink = String::new();
+    while std::io::stdin()
+        .read_line(&mut sink)
+        .map(|n| n > 0)
+        .unwrap_or(false)
+    {
+        sink.clear();
+    }
+}
+
+/// What the wire smokes drive: a freshly built system behind a
+/// [`Server`] and an [`HttpServer`] on an ephemeral port, and a client
+/// connected to it.
+fn boot_wire_stack(
+    corpus: usize,
+    seed: u64,
+) -> Result<(Arc<Server>, HttpServer, covidkg::HttpClient), String> {
+    let system = build_system(corpus, seed, None)?;
+    let server = Arc::new(Server::start(system, ServeConfig::default()));
+    let http = start_http(&server, None, "127.0.0.1:0")?;
+    let client = covidkg::HttpClient::connect(http.local_addr(), Duration::from_secs(10))
+        .map_err(|e| format!("connect: {e}"))?;
+    Ok((server, http, client))
+}
+
+/// GET `url` once per entry of `want_cache`: every reply must be a 200
+/// carrying that `X-Cache` value and exactly `local`, the in-process
+/// serialization, as its body.
+fn check_parity(
+    client: &mut covidkg::HttpClient,
+    url: &str,
+    local: &str,
+    want_cache: &[&str],
+) -> Result<(), String> {
+    for want in want_cache {
+        let resp = client.get(url).map_err(|e| format!("GET {url}: {e}"))?;
+        if resp.status != 200 {
+            return Err(format!("{url} returned {}", resp.status));
+        }
+        if resp.header("X-Cache") != Some(want) {
+            return Err(format!(
+                "{url} X-Cache = {:?}, wanted {want:?}",
+                resp.header("X-Cache")
+            ));
+        }
+        if resp.body != local.as_bytes() {
+            return Err(format!(
+                "{url} wire body diverged from the in-process serialization ({} vs {} bytes)",
+                resp.body.len(),
+                local.len()
+            ));
+        }
+    }
+    println!(
+        "{url}: wire response byte-identical to in-process ({} bytes), {}",
+        local.len(),
+        want_cache.join(" then ")
+    );
+    Ok(())
+}
+
 /// The `ann-smoke` body: a small end-to-end exercise of the dense tier —
 /// recall sanity against the exact oracle, then `/search/semantic` and
 /// `/search/hybrid` over real TCP with a byte-identity check against the
 /// in-process ranker. Used by CI.
 fn ann_smoke(args: &Args) -> Result<(), String> {
-    let corpus = args.corpus.clamp(24, 80);
-    let system = CovidKg::build(CovidKgConfig {
-        corpus_size: corpus,
-        seed: args.seed,
-        max_training_rows: 300,
-        ..CovidKgConfig::default()
-    })
-    .map_err(|e| format!("build failed: {e}"))?;
+    let (server, mut http, mut client) = boot_wire_stack(args.corpus.clamp(24, 80), args.seed)?;
 
     // Recall sanity: the HNSW graph must agree with brute force on the
     // corpus's own query workload.
     const K: usize = 10;
-    let embeddings = system.embeddings();
-    let mut recall_sum = 0.0;
-    let mut counted = 0usize;
-    for q in covidkg::corpus::query_workload(12, args.seed) {
-        let qvec = embeddings.embed_phrase(&covidkg::text::tokenize_lower(&q));
-        if qvec.iter().all(|x| *x == 0.0) {
-            continue;
+    let (recall_sum, counted) = server.with_system(|system| {
+        let embeddings = system.embeddings();
+        let mut recall_sum = 0.0;
+        let mut counted = 0usize;
+        for q in covidkg::corpus::query_workload(12, args.seed) {
+            let qvec = embeddings.embed_phrase(&covidkg::text::tokenize_lower(&q));
+            if qvec.iter().all(|x| *x == 0.0) {
+                continue;
+            }
+            let (exact, _) = system.ann().exact_search(&qvec, K);
+            if exact.is_empty() {
+                continue;
+            }
+            let (approx, _) = system.ann().search(&qvec, K);
+            let wanted: HashSet<&str> = exact.iter().map(|(id, _)| id.as_str()).collect();
+            let hits = approx
+                .iter()
+                .filter(|(id, _)| wanted.contains(id.as_str()))
+                .count();
+            recall_sum += hits as f64 / exact.len() as f64;
+            counted += 1;
         }
-        let (exact, _) = system.ann().exact_search(&qvec, K);
-        if exact.is_empty() {
-            continue;
-        }
-        let (approx, _) = system.ann().search(&qvec, K);
-        let wanted: HashSet<&str> = exact.iter().map(|(id, _)| id.as_str()).collect();
-        let hits = approx.iter().filter(|(id, _)| wanted.contains(id.as_str())).count();
-        recall_sum += hits as f64 / exact.len() as f64;
-        counted += 1;
-    }
+        (recall_sum, counted)
+    });
     if counted == 0 {
         return Err("every smoke query embedded to zero — corpus/model mismatch".into());
     }
@@ -1238,38 +1297,14 @@ fn ann_smoke(args: &Args) -> Result<(), String> {
 
     // Wire byte-identity: the HTTP body must equal the in-process page,
     // byte for byte, for both dense engines.
-    let server = Arc::new(Server::start(system, ServeConfig::default()));
-    let mut http = HttpServer::start(
-        Arc::clone(&server),
-        NetConfig {
-            addr: "127.0.0.1:0".parse().unwrap(),
-            ..NetConfig::default()
-        },
-    )
-    .map_err(|e| format!("bind failed: {e}"))?;
-    let mut client = covidkg::HttpClient::connect(http.local_addr(), Duration::from_secs(10))
-        .map_err(|e| format!("connect: {e}"))?;
     let query = "vaccine side effects";
     for (engine, mode) in [
         ("semantic", DenseMode::Semantic(query.into())),
         ("hybrid", DenseMode::Hybrid(query.into())),
     ] {
-        let resp = client
-            .get(&format!("/search/{engine}?q=vaccine+side+effects&page=0"))
-            .map_err(|e| format!("GET /search/{engine}: {e}"))?;
-        if resp.status != 200 {
-            return Err(format!("/search/{engine} returned {}", resp.status));
-        }
         let local = server.with_system(|s| s.search_dense(&mode, 0).to_json().to_json());
-        if resp.body != local.as_bytes() {
-            return Err(format!(
-                "/search/{engine} wire body diverged from the in-process page \
-                 ({} vs {} bytes)",
-                resp.body.len(),
-                local.len()
-            ));
-        }
-        println!("{engine}: wire response byte-identical to in-process ({} bytes)", local.len());
+        let url = format!("/search/{engine}?q=vaccine+side+effects&page=0");
+        check_parity(&mut client, &url, &local, &["miss", "hit"])?;
     }
     http.shutdown();
     server.shutdown();
@@ -1405,34 +1440,6 @@ fn ann_bench(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `ann-table` body: regenerate the dense-tier table in
-/// `EXPERIMENTS.md` between its marker comments from `BENCH_ann.json`.
-fn ann_table() -> Result<(), String> {
-    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_ann.json");
-    let exp_path = concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md");
-    let raw = std::fs::read_to_string(bench_path)
-        .map_err(|e| format!("read {bench_path}: {e} (run `covidkg ann-bench` first)"))?;
-    let bench = covidkg::json::parse(&raw).map_err(|e| format!("parse BENCH_ann.json: {e}"))?;
-    let table = render_ann_table(&bench);
-    let doc = std::fs::read_to_string(exp_path).map_err(|e| format!("read {exp_path}: {e}"))?;
-    const BEGIN: &str = "<!-- ann-table:begin -->";
-    const END: &str = "<!-- ann-table:end -->";
-    let start = doc
-        .find(BEGIN)
-        .ok_or(format!("EXPERIMENTS.md is missing the {BEGIN} marker"))?
-        + BEGIN.len();
-    let end = doc
-        .find(END)
-        .ok_or(format!("EXPERIMENTS.md is missing the {END} marker"))?;
-    if end < start {
-        return Err("ann-table markers are out of order in EXPERIMENTS.md".into());
-    }
-    let updated = format!("{}\n{table}{}", &doc[..start], &doc[end..]);
-    std::fs::write(exp_path, updated).map_err(|e| format!("write {exp_path}: {e}"))?;
-    println!("updated the ANN table in EXPERIMENTS.md from BENCH_ann.json");
-    Ok(())
-}
-
 /// Render the markdown rows of the dense-tier benchmark table.
 fn render_ann_table(bench: &covidkg::json::Value) -> String {
     use covidkg::json::Value;
@@ -1532,49 +1539,14 @@ fn kg_query_cmd(args: &Args) -> Result<(), String> {
 /// in-process serializations, with the cache-header contract checked.
 /// Used by CI.
 fn kg_smoke(args: &Args) -> Result<(), String> {
-    let corpus = args.corpus.clamp(48, 120);
-    let system = CovidKg::build(CovidKgConfig {
-        corpus_size: corpus,
-        seed: args.seed,
-        max_training_rows: 300,
-        ..CovidKgConfig::default()
-    })
-    .map_err(|e| format!("build failed: {e}"))?;
-    let server = Arc::new(Server::start(system, ServeConfig::default()));
-    let mut http = HttpServer::start(
-        Arc::clone(&server),
-        NetConfig {
-            addr: "127.0.0.1:0".parse().unwrap(),
-            ..NetConfig::default()
-        },
-    )
-    .map_err(|e| format!("bind failed: {e}"))?;
-    let mut client = covidkg::HttpClient::connect(http.local_addr(), Duration::from_secs(10))
-        .map_err(|e| format!("connect: {e}"))?;
+    let (server, mut http, mut client) = boot_wire_stack(args.corpus.clamp(48, 120), args.seed)?;
 
     // 1. Ranked query: wire body == in-process result, twice (miss then
     //    cache hit), same bytes both times.
     let plan = covidkg::core::QueryPlan::parse("kind:category", "child", 16, 10)?;
     let local = server.with_system(|s| s.kg_query(&plan).to_json().to_json());
     let url = "/kg/query?start=kind:category&steps=child&fanout=16&k=10";
-    let mut bodies = Vec::new();
-    for (pass, want_cache) in [("cold", "miss"), ("warm", "hit")] {
-        let resp = client.get(url).map_err(|e| format!("GET {url}: {e}"))?;
-        if resp.status != 200 {
-            return Err(format!("{url} returned {}", resp.status));
-        }
-        if resp.header("X-Cache") != Some(want_cache) {
-            return Err(format!(
-                "{pass} /kg/query X-Cache = {:?}, wanted {want_cache:?}",
-                resp.header("X-Cache")
-            ));
-        }
-        bodies.push(resp.body);
-    }
-    if bodies[0] != local.as_bytes() || bodies[1] != local.as_bytes() {
-        return Err("kg query wire body diverged from the in-process result".into());
-    }
-    println!("/kg/query: wire response byte-identical to in-process ({} bytes), miss then hit", local.len());
+    check_parity(&mut client, url, &local, &["miss", "hit"])?;
 
     // 2. Profile: epoch-stamped document, byte-identical on the wire.
     let vaccine = server
@@ -1583,36 +1555,18 @@ fn kg_smoke(args: &Args) -> Result<(), String> {
     let local = server
         .with_system(|s| s.kg_profile(&vaccine).map(|d| d.to_json()))
         .expect("profile exists");
-    let url = format!("/kg/profile/{vaccine}");
-    let resp = client.get(&url).map_err(|e| format!("GET {url}: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!("{url} returned {}", resp.status));
-    }
-    if resp.body != local.as_bytes() {
-        return Err(format!("{url} wire body diverged from the in-process document"));
-    }
-    println!("{url}: wire response byte-identical to in-process ({} bytes)", local.len());
+    check_parity(
+        &mut client,
+        &format!("/kg/profile/{vaccine}"),
+        &local,
+        &["miss", "hit"],
+    )?;
 
-    // 3. Node: now cache-fronted like everything else (miss → hit).
+    // 3. Node: computed inline, cache-fronted like everything else.
     let local = server
         .with_system(|s| s.kg_node(0).map(|d| d.to_json()))
         .expect("node 0 exists");
-    for want_cache in ["miss", "hit"] {
-        let resp = client.get("/kg/node/0").map_err(|e| format!("GET /kg/node/0: {e}"))?;
-        if resp.status != 200 {
-            return Err(format!("/kg/node/0 returned {}", resp.status));
-        }
-        if resp.header("X-Cache") != Some(want_cache) {
-            return Err(format!(
-                "/kg/node/0 X-Cache = {:?}, wanted {want_cache:?}",
-                resp.header("X-Cache")
-            ));
-        }
-        if resp.body != local.as_bytes() {
-            return Err("kg node wire body diverged from the in-process document".into());
-        }
-    }
-    println!("/kg/node/0: wire response byte-identical to in-process ({} bytes), miss then hit", local.len());
+    check_parity(&mut client, "/kg/node/0", &local, &["miss", "hit"])?;
 
     http.shutdown();
     server.shutdown();
@@ -1640,13 +1594,7 @@ fn kg_bench(args: &Args) -> Result<(), String> {
     let mut rows = Vec::new();
     let mut final_speedup = 0.0;
     for &n in &sizes {
-        let system = CovidKg::build(CovidKgConfig {
-            corpus_size: n,
-            seed: args.seed,
-            max_training_rows: 300,
-            ..CovidKgConfig::default()
-        })
-        .map_err(|e| format!("build at {n} docs failed: {e}"))?;
+        let system = build_system(n, args.seed, None).map_err(|e| format!("at {n} docs: {e}"))?;
 
         // Phase 1 — ranked-path query latency over the mixed workload.
         let plans = kg_bench_plans(args.fanout, args.k);
@@ -1773,21 +1721,6 @@ fn kg_bench(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `kg-table` body: regenerate the KG query/materialization table in
-/// `EXPERIMENTS.md` between its marker comments from `BENCH_kg.json`.
-fn kg_table() -> Result<(), String> {
-    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_kg.json");
-    let exp_path = concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md");
-    let raw = std::fs::read_to_string(bench_path)
-        .map_err(|e| format!("read {bench_path}: {e} (run `covidkg kg-bench` first)"))?;
-    let bench = covidkg::json::parse(&raw).map_err(|e| format!("parse BENCH_kg.json: {e}"))?;
-    let doc = std::fs::read_to_string(exp_path).map_err(|e| format!("read {exp_path}: {e}"))?;
-    let updated = splice_marked(&doc, "kg-table", &render_kg_table(&bench))?;
-    std::fs::write(exp_path, updated).map_err(|e| format!("write {exp_path}: {e}"))?;
-    println!("updated the KG table in EXPERIMENTS.md from BENCH_kg.json");
-    Ok(())
-}
-
 /// Render the markdown rows of the KG benchmark table.
 fn render_kg_table(bench: &covidkg::json::Value) -> String {
     use covidkg::json::Value;
@@ -1815,21 +1748,6 @@ fn render_kg_table(bench: &covidkg::json::Value) -> String {
     out
 }
 
-/// Percent-encode a path segment so venues with spaces or punctuation
-/// survive the request line.
-fn encode_path_segment(s: &str) -> String {
-    let mut out = String::new();
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
 /// The `trust-smoke` body: the fourth traffic class end to end — node
 /// trust, source credibility and the trust-weighted bias report over
 /// real TCP, byte-identical to the in-process serializations with the
@@ -1837,25 +1755,7 @@ fn encode_path_segment(s: &str) -> String {
 /// `trust` re-rank knob (off ⇒ byte-identical to the default ranking).
 /// Used by CI.
 fn trust_smoke(args: &Args) -> Result<(), String> {
-    let corpus = args.corpus.clamp(48, 120);
-    let system = CovidKg::build(CovidKgConfig {
-        corpus_size: corpus,
-        seed: args.seed,
-        max_training_rows: 300,
-        ..CovidKgConfig::default()
-    })
-    .map_err(|e| format!("build failed: {e}"))?;
-    let server = Arc::new(Server::start(system, ServeConfig::default()));
-    let mut http = HttpServer::start(
-        Arc::clone(&server),
-        NetConfig {
-            addr: "127.0.0.1:0".parse().unwrap(),
-            ..NetConfig::default()
-        },
-    )
-    .map_err(|e| format!("bind failed: {e}"))?;
-    let mut client = covidkg::HttpClient::connect(http.local_addr(), Duration::from_secs(10))
-        .map_err(|e| format!("connect: {e}"))?;
+    let (server, mut http, mut client) = boot_wire_stack(args.corpus.clamp(48, 120), args.seed)?;
 
     // 1. All three trust routes: wire body == in-process serialization,
     //    twice each (miss then cache hit), same bytes both times.
@@ -1870,7 +1770,10 @@ fn trust_smoke(args: &Args) -> Result<(), String> {
                 .ok_or("node 0 carries no trust document")?,
         ),
         (
-            format!("/trust/source/{}", encode_path_segment(&venue)),
+            format!(
+                "/trust/source/{}",
+                covidkg::net::bench::encode_query(&venue)
+            ),
             server
                 .with_system(|s| s.trust_source(&venue).map(|d| d.to_json()))
                 .ok_or_else(|| format!("venue {venue:?} has no credibility document"))?,
@@ -1881,25 +1784,7 @@ fn trust_smoke(args: &Args) -> Result<(), String> {
         ),
     ];
     for (url, local) in &routes {
-        for want_cache in ["miss", "hit"] {
-            let resp = client.get(url).map_err(|e| format!("GET {url}: {e}"))?;
-            if resp.status != 200 {
-                return Err(format!("{url} returned {}", resp.status));
-            }
-            if resp.header("X-Cache") != Some(want_cache) {
-                return Err(format!(
-                    "{url} X-Cache = {:?}, wanted {want_cache:?}",
-                    resp.header("X-Cache")
-                ));
-            }
-            if resp.body != local.as_bytes() {
-                return Err(format!("{url} wire body diverged from the in-process document"));
-            }
-        }
-        println!(
-            "{url}: wire response byte-identical to in-process ({} bytes), miss then hit",
-            local.len()
-        );
+        check_parity(&mut client, url, local, &["miss", "hit"])?;
     }
 
     // 2. The `trust` knob defaults off: trust=0 must be byte-identical
@@ -1967,13 +1852,7 @@ fn trust_bench(args: &Args) -> Result<(), String> {
     let mut rows = Vec::new();
     let mut final_speedup = 0.0;
     for &n in &sizes {
-        let system = CovidKg::build(CovidKgConfig {
-            corpus_size: n,
-            seed: args.seed,
-            max_training_rows: 300,
-            ..CovidKgConfig::default()
-        })
-        .map_err(|e| format!("build at {n} docs failed: {e}"))?;
+        let system = build_system(n, args.seed, None).map_err(|e| format!("at {n} docs: {e}"))?;
         let publications = system.publications();
         let kg = system.kg();
         let epoch = publications.mutation_epoch();
@@ -2070,21 +1949,6 @@ fn trust_bench(args: &Args) -> Result<(), String> {
     std::fs::write(path, report.to_json_pretty() + "\n")
         .map_err(|e| format!("write BENCH_trust.json: {e}"))?;
     println!("wrote {path}");
-    Ok(())
-}
-
-/// The `trust-table` body: regenerate the trust maintenance table in
-/// `EXPERIMENTS.md` between its marker comments from `BENCH_trust.json`.
-fn trust_table() -> Result<(), String> {
-    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_trust.json");
-    let exp_path = concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md");
-    let raw = std::fs::read_to_string(bench_path)
-        .map_err(|e| format!("read {bench_path}: {e} (run `covidkg trust-bench` first)"))?;
-    let bench = covidkg::json::parse(&raw).map_err(|e| format!("parse BENCH_trust.json: {e}"))?;
-    let doc = std::fs::read_to_string(exp_path).map_err(|e| format!("read {exp_path}: {e}"))?;
-    let updated = splice_marked(&doc, "trust-table", &render_trust_table(&bench))?;
-    std::fs::write(exp_path, updated).map_err(|e| format!("write {exp_path}: {e}"))?;
-    println!("updated the trust table in EXPERIMENTS.md from BENCH_trust.json");
     Ok(())
 }
 
@@ -2400,6 +2264,50 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn splice_marked_replaces_only_the_marked_span() {
+        let doc = "a\n<!-- t:begin -->\nold\n<!-- t:end -->\nz\n";
+        let spliced = "a\n<!-- t:begin -->\nnew\n<!-- t:end -->\nz\n";
+        assert_eq!(splice_marked(doc, "t", "new\n").as_deref(), Ok(spliced));
+        assert!(splice_marked("no markers", "t", "new\n").is_err());
+        assert!(splice_marked("<!-- t:end --><!-- t:begin -->", "t", "new\n").is_err());
+    }
+
+    /// Every `{name}-table` command, against the committed files: the
+    /// dense, KG and trust tables of `EXPERIMENTS.md` are exactly what
+    /// their `BENCH_*.json` renders to (the wire tables' committed prose
+    /// predates `BENCH_net.json`), and regenerating is idempotent.
+    #[test]
+    fn committed_tables_regenerate_to_themselves() {
+        let root = env!("CARGO_MANIFEST_DIR");
+        let committed = std::fs::read_to_string(format!("{root}/EXPERIMENTS.md")).unwrap();
+        for (name, tables) in TABLES {
+            let raw = std::fs::read_to_string(format!("{root}/BENCH_{name}.json")).unwrap();
+            let bench = covidkg::json::parse(&raw).unwrap();
+            let doc = splice_tables(committed.clone(), &bench, tables).unwrap();
+            if *name != "net" {
+                assert_eq!(doc, committed, "{name}-table changed the committed tables");
+            }
+            for (marker, render) in *tables {
+                let span = format!(
+                    "<!-- {marker}:begin -->\n{}<!-- {marker}:end -->",
+                    render(&bench)
+                );
+                assert!(doc.contains(&span), "{marker}");
+            }
+            assert_eq!(
+                splice_tables(doc.clone(), &bench, tables).unwrap(),
+                doc,
+                "{name}"
+            );
         }
     }
 }
