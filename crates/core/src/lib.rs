@@ -18,6 +18,8 @@
 //! * [`bias`] — the title's "Interrogated for Bias" artifact: embedding-
 //!   driven clustering of the corpus with coverage/venue/freshness skew
 //!   reporting;
+//! * [`views`] — the derived views (meta-profiles, trust, the dense
+//!   index) and the one mutation-log driver that keeps them fresh;
 //! * [`system`] — [`CovidKg`]: build the whole system from a corpus and
 //!   interrogate it (search, KG browsing, meta-profiles, stats).
 
@@ -26,6 +28,7 @@ pub mod dense;
 pub mod registry;
 pub mod system;
 pub mod training;
+pub mod views;
 
 pub use bias::{interrogate, interrogate_weighted, BiasReport};
 // KG query-engine surface, re-exported so serving layers can accept
@@ -34,11 +37,10 @@ pub use covidkg_kg::materialize::ProfileStoreStats;
 pub use covidkg_kg::query::{QueryPlan, QueryResult};
 // Trust-store counters, re-exported for the same reason.
 pub use covidkg_trust::TrustStoreStats;
-pub use dense::{build_ann, doc_embedding, sync_ann};
+pub use dense::{build_ann, doc_embedding};
 pub use registry::ModelRegistry;
-pub use system::{
-    doc_paper_facts, scan_paper_facts, CovidKg, CovidKgConfig, IngestReport, PreparedIngest,
-};
+pub use system::{CovidKg, CovidKgConfig, IngestReport, PreparedIngest};
+pub use views::{doc_observations, doc_paper_facts, scan_paper_facts, Views};
 pub use training::{
     SvmFeaturizer,
     build_tuple_examples, build_svm_features, kfold_bigru, kfold_svm, CvReport, LabeledRow,

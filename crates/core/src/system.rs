@@ -12,6 +12,7 @@ use crate::registry::ModelRegistry;
 use crate::training::{self, build_tuple_examples, labeled_rows_from_corpus, LabeledRow};
 use covidkg_corpus::{CorpusConfig, CorpusGenerator, Publication};
 use covidkg_json::Value;
+use crate::views::Views;
 use covidkg_kg::materialize::ProfileStore;
 use covidkg_kg::profile::Observation;
 use covidkg_kg::query::{QueryPlan, QueryResult};
@@ -20,7 +21,7 @@ use covidkg_kg::{
     KnowledgeGraph, MetaProfile, ScriptedExpert,
 };
 use covidkg_ml::model::{TupleClassifier, TupleClassifierConfig};
-use covidkg_ann::{HnswConfig, HnswIndex};
+use covidkg_ann::HnswIndex;
 use covidkg_ml::svm::{Svm, SvmConfig};
 use covidkg_ml::{kmeans, Word2Vec, Word2VecConfig};
 use covidkg_search::{
@@ -29,7 +30,7 @@ use covidkg_search::{
 use covidkg_store::{Collection, CollectionConfig, Database, StoreError};
 use covidkg_tables::{detect_orientation, parse_tables, row_features, Orientation, Preprocessor};
 use covidkg_text::tokenize_lower;
-use covidkg_trust::{PaperFacts, TrustStore};
+use covidkg_trust::TrustStore;
 use std::sync::{Arc, Mutex};
 
 /// Capacity of the search render cache (memoized snippets/highlights);
@@ -178,13 +179,8 @@ pub struct IngestReport {
 pub struct PreparedIngest {
     /// Candidate subtrees awaiting fusion into the graph.
     trees: Vec<covidkg_kg::ExtractedTree>,
-    /// Side-effect observations extracted from the new tables.
-    observations: Vec<Observation>,
     /// Report counter deltas accumulated during classification.
     delta: IngestReport,
-    /// Ids of the stored publications — inserts never bump the store's
-    /// mutation epoch, so the ANN sync needs them listed explicitly.
-    new_ids: Vec<String>,
 }
 
 impl PreparedIngest {
@@ -201,23 +197,14 @@ pub struct CovidKg {
     publications: Arc<Collection>,
     search: SearchEngine,
     kg: KnowledgeGraph,
-    /// Incrementally-materialized meta-profile documents, kept fresh
-    /// off the publications mutation log (plus the ingest new-id list)
-    /// instead of full rebuilds.
-    profiles: ProfileStore,
-    /// Provenance-weighted trust scores: venue credibility priors plus
-    /// damped propagation over the KG, maintained incrementally off the
-    /// same mutation log as the profiles.
-    trust: TrustStore,
+    /// Meta-profiles, trust scores and the dense tier's HNSW index, all
+    /// kept fresh off the publications mutation log by one driver.
+    views: Views,
     /// Memoized bias interrogation, keyed by `(trust epoch, data
     /// generation)` so a report recomputes only after data changed.
     bias_cache: Mutex<Option<(u64, u64, Value)>>,
     registry: ModelRegistry,
     embeddings: Word2Vec,
-    /// Dense retrieval tier: HNSW over title+abstract embeddings.
-    ann: HnswIndex,
-    /// Mutation-epoch watermark the ANN index is synced to.
-    ann_epoch: u64,
     report: IngestReport,
     /// Trained metadata classifier, kept for incremental ingest (№12).
     classifier: TrainedClassifier,
@@ -283,8 +270,7 @@ impl CovidKg {
         // Classify every stored table (running the real inference path on
         // the HTML round-tripped through the store), extract subtrees.
         let docs = publications.scan_all();
-        let (trees, observations, enrichments) =
-            classify_and_extract(&docs, &classifier, &mut report);
+        let (trees, enrichments) = classify_and_extract(&docs, &classifier, &mut report);
         for (paper_id, update) in &enrichments {
             publications.update_spec(paper_id, update)?;
         }
@@ -306,22 +292,12 @@ impl CovidKg {
         let (kg, fusion_memory) = engine.into_parts();
         report.kg_nodes = kg.len();
 
-        // №7 — meta-profiles, materialized once here and kept fresh
-        // incrementally by every later ingest.
-        report.observations = observations.len();
-        let mut profiles = ProfileStore::new();
-        profiles.rebuild_all(group_by_paper(observations), publications.mutation_epoch());
-        profiles.set_generation(1);
-
-        // Trust tier: venue credibility priors + propagation over the
-        // freshly fused graph, kept incremental by later ingests.
-        let mut trust = TrustStore::new();
-        trust.rebuild_all(
-            scan_paper_facts(&publications),
-            &kg,
-            publications.mutation_epoch(),
-        );
-        trust.set_generation(1);
+        // №7 and the trust and dense tiers — derived once here, kept
+        // fresh incrementally by every later ingest.
+        let mut views = Views::new(embeddings.dims());
+        views.rebuild(&publications, &kg, &embeddings, None);
+        views.set_generation(1);
+        report.observations = views.profiles().stats().observations;
 
         // №11/13 — release trained artifacts.
         let registry =
@@ -339,12 +315,9 @@ impl CovidKg {
         };
         registry.publish("metadata-classifier", config.classifier.name(), classifier_payload)?;
 
-        // The dense retrieval tier: HNSW over title+abstract embeddings,
-        // published alongside the other trained artifacts so reopen can
-        // skip the rebuild.
-        let ann = crate::dense::build_ann(&publications, &embeddings, HnswConfig::default());
-        registry.publish("ann-hnsw", "hnsw", ann.save_text())?;
-        let ann_epoch = publications.mutation_epoch();
+        // The dense tier's index, published alongside the other trained
+        // artifacts so reopen can skip the rebuild.
+        registry.publish("ann-hnsw", "hnsw", views.ann().save_text())?;
 
         let search = SearchEngine::new(Arc::clone(&publications))
             .with_render_cache(Arc::new(RenderCache::new(RENDER_CACHE_CAP)));
@@ -354,13 +327,10 @@ impl CovidKg {
             publications,
             search,
             kg,
-            profiles,
-            trust,
+            views,
             bias_cache: Mutex::new(None),
             registry,
             embeddings,
-            ann,
-            ann_epoch,
             report,
             classifier,
             fusion_memory,
@@ -397,7 +367,8 @@ impl CovidKg {
         }
         // Re-publish the ANN index so the durable copy reflects every
         // ingest-time insert/replace/delete applied since the last persist.
-        self.registry.publish("ann-hnsw", "hnsw", self.ann.save_text())?;
+        self.registry
+            .publish("ann-hnsw", "hnsw", self.views.ann().save_text())?;
         self.db.snapshot_all()?;
         Ok(())
     }
@@ -469,52 +440,22 @@ impl CovidKg {
             .and_then(|d| d.path("graph").and_then(KnowledgeGraph::from_json))
             .ok_or_else(|| corrupt("knowledge graph"))?;
 
-        // Re-derive observations/profiles from the stored tables (cheap,
-        // classifier-free).
-        let mut profiles = ProfileStore::new();
-        profiles.rebuild_all(
-            publications
-                .scan_all()
-                .iter()
-                .map(|doc| {
-                    let paper_id = doc
-                        .get("_id")
-                        .and_then(Value::as_str)
-                        .unwrap_or_default()
-                        .to_string();
-                    let obs = doc_observations(doc, &paper_id);
-                    (paper_id, obs)
-                })
-                .collect(),
-            publications.mutation_epoch(),
-        );
-        profiles.set_generation(1);
-        let mut trust = TrustStore::new();
-        trust.rebuild_all(
-            scan_paper_facts(&publications),
-            &kg,
-            publications.mutation_epoch(),
-        );
-        trust.set_generation(1);
+        // Re-derive the views from the stored documents (cheap,
+        // classifier-free). The ANN index restores from its published
+        // payload when it still matches the recovered store (WAL replay
+        // may have advanced the corpus past the last persist).
+        let restored_ann = registry
+            .fetch("ann-hnsw")
+            .and_then(|t| HnswIndex::load_text(&t));
+        let mut views = Views::new(embeddings.dims());
+        views.rebuild(&publications, &kg, &embeddings, restored_ann);
+        views.set_generation(1);
         let report = IngestReport {
             publications: publications.len(),
             kg_nodes: kg.len(),
-            observations: profiles.stats().observations,
+            observations: views.profiles().stats().observations,
             ..IngestReport::default()
         };
-        // The ANN index restores from its published payload when it still
-        // matches the recovered store (WAL replay may have advanced the
-        // corpus past the last persist); otherwise rebuild from scratch.
-        let ann = registry
-            .fetch("ann-hnsw")
-            .and_then(|t| HnswIndex::load_text(&t))
-            .filter(|ann| {
-                ann.len() == publications.len() && ann.dims() == embeddings.dims()
-            })
-            .unwrap_or_else(|| {
-                crate::dense::build_ann(&publications, &embeddings, HnswConfig::default())
-            });
-        let ann_epoch = publications.mutation_epoch();
         let search = SearchEngine::new(Arc::clone(&publications))
             .with_render_cache(Arc::new(RenderCache::new(RENDER_CACHE_CAP)));
         Ok(CovidKg {
@@ -523,13 +464,10 @@ impl CovidKg {
             publications,
             search,
             kg,
-            profiles,
-            trust,
+            views,
             bias_cache: Mutex::new(None),
             registry,
             embeddings,
-            ann,
-            ann_epoch,
             report,
             classifier,
             // Correction memory is session-scoped; the expert relearns
@@ -568,35 +506,20 @@ impl CovidKg {
             publications: pubs.len(),
             ..IngestReport::default()
         };
-        let (trees, observations, enrichments) =
-            classify_and_extract(&docs, &self.classifier, &mut delta);
+        let (trees, enrichments) = classify_and_extract(&docs, &self.classifier, &mut delta);
         for (paper_id, update) in &enrichments {
             self.publications.update_spec(paper_id, update)?;
         }
         delta.subtrees = trees.len();
-        let new_ids = docs
-            .iter()
-            .filter_map(|d| d.get("_id").and_then(Value::as_str).map(str::to_string))
-            .collect();
-        Ok(PreparedIngest {
-            trees,
-            observations,
-            delta,
-            new_ids,
-        })
+        Ok(PreparedIngest { trees, delta })
     }
 
     /// Phase 2 of ingest: fuse the prepared subtrees into the graph,
-    /// refresh meta-profiles and bump the generation. This is the only
+    /// advance the derived views and bump the generation. This is the only
     /// phase that mutates the system (`&mut self`); it does no I/O
     /// beyond memory, so the exclusive window stays short.
     pub fn ingest_commit(&mut self, prepared: PreparedIngest) -> Result<usize, StoreError> {
-        let PreparedIngest {
-            trees,
-            observations: new_obs,
-            delta,
-            new_ids,
-        } = prepared;
+        let PreparedIngest { trees, delta } = prepared;
         self.report.publications += delta.publications;
         self.report.tables_parsed += delta.tables_parsed;
         self.report.rows_classified += delta.rows_classified;
@@ -627,79 +550,20 @@ impl CovidKg {
         self.fusion_memory = memory;
         self.report.kg_nodes = self.kg.len();
 
-        // Keep the meta-profiles fresh without a full rebuild: replay
-        // the mutation log since the store's epoch (replaces/deletes)
-        // plus the explicit new-id list (inserts never bump the epoch),
-        // rebuilding only the vaccines those papers touch. The prepared
-        // observations seed the extraction so the common insert-only
-        // path never re-parses HTML.
-        let epoch = self.publications.mutation_epoch();
-        match self.publications.touched_since(self.profiles.epoch()) {
-            Some(mut touched) => {
-                let mut prepared: std::collections::HashMap<String, Vec<Observation>> =
-                    std::collections::HashMap::new();
-                for o in new_obs {
-                    prepared.entry(o.paper_id.clone()).or_default().push(o);
-                }
-                touched.extend(new_ids.iter().cloned());
-                let publications = &self.publications;
-                self.profiles.refresh(epoch, &touched, |id| {
-                    prepared
-                        .remove(id)
-                        .unwrap_or_else(|| paper_observations(publications, id))
-                });
-            }
-            // The bounded log overflowed: nothing provable, rebuild all.
-            None => {
-                let papers = self
-                    .publications
-                    .scan_all()
-                    .iter()
-                    .map(|doc| {
-                        let id = doc
-                            .get("_id")
-                            .and_then(Value::as_str)
-                            .unwrap_or_default()
-                            .to_string();
-                        let obs = doc_observations(doc, &id);
-                        (id, obs)
-                    })
-                    .collect();
-                self.profiles.rebuild_all(papers, epoch);
-            }
-        }
-        self.report.observations = self.profiles.stats().observations;
-        // Same discipline for the trust tier: replay the mutation log
-        // since *its* epoch plus the new-id list, re-extracting facts
-        // only for touched papers and re-propagating only the dirty
-        // region of the (post-fusion) graph; full rebuild only when the
-        // bounded log overflowed.
-        match self.publications.touched_since(self.trust.epoch()) {
-            Some(mut touched) => {
-                touched.extend(new_ids.iter().cloned());
-                let publications = &self.publications;
-                self.trust.refresh(epoch, &touched, &self.kg, |id| {
-                    publications.get(id).map(|doc| doc_paper_facts(&doc, id))
-                });
-            }
-            None => {
-                self.trust
-                    .rebuild_all(scan_paper_facts(&self.publications), &self.kg, epoch);
-            }
-        }
-        // Keep the dense tier fresh: incremental inserts for the new
-        // publications, mutation-log replay for replaces/deletes.
-        self.ann_epoch = crate::dense::sync_ann(
-            &mut self.ann,
-            self.ann_epoch,
-            &self.publications,
-            &self.embeddings,
-            &new_ids,
-        );
-        self.generation += 1;
-        self.profiles.set_generation(self.generation);
-        self.trust.set_generation(self.generation);
+        self.advance_views();
         Ok(added)
+    }
+
+    /// Replay what was written to the publications since the views last
+    /// looked — by this node's ingest or by replicated frames, the log
+    /// does not care — against the current graph, and bump the
+    /// generation so serving caches re-key.
+    fn advance_views(&mut self) {
+        self.views
+            .advance(&self.publications, &self.kg, &self.embeddings);
+        self.report.observations = self.views.profiles().stats().observations;
+        self.generation += 1;
+        self.views.set_generation(self.generation);
     }
 
     /// Phase 3 of ingest: persist the KG document and snapshot every
@@ -712,9 +576,9 @@ impl CovidKg {
     /// Refresh derived state from the underlying collections after
     /// records were applied *beneath* this system (the replication
     /// path: a replica puller appends frames straight to the store, so
-    /// the KG document, observations, meta-profiles and report are
-    /// stale until rebuilt). Bumps the generation so render caches
-    /// re-key.
+    /// the KG document, the derived views and the report are stale
+    /// until refreshed). Costs a KG reload plus the delta; bumps the
+    /// generation so serving caches re-key.
     pub fn refresh_derived(&mut self) -> Result<(), StoreError> {
         if let Ok(kg_coll) = self.db.collection("kg") {
             if let Some(kg) = kg_coll
@@ -724,37 +588,9 @@ impl CovidKg {
                 self.kg = kg;
             }
         }
-        // Replication applies frames beneath this system with no new-id
-        // list, so the profiles and the dense tier rebuild wholesale.
-        let papers = self
-            .publications
-            .scan_all()
-            .iter()
-            .map(|doc| {
-                let paper_id = doc
-                    .get("_id")
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_string();
-                let obs = doc_observations(doc, &paper_id);
-                (paper_id, obs)
-            })
-            .collect();
-        self.profiles
-            .rebuild_all(papers, self.publications.mutation_epoch());
         self.report.publications = self.publications.len();
         self.report.kg_nodes = self.kg.len();
-        self.report.observations = self.profiles.stats().observations;
-        self.ann = crate::dense::build_ann(&self.publications, &self.embeddings, *self.ann.config());
-        self.ann_epoch = self.publications.mutation_epoch();
-        self.trust.rebuild_all(
-            scan_paper_facts(&self.publications),
-            &self.kg,
-            self.publications.mutation_epoch(),
-        );
-        self.generation += 1;
-        self.profiles.set_generation(self.generation);
-        self.trust.set_generation(self.generation);
+        self.advance_views();
         Ok(())
     }
 
@@ -825,7 +661,7 @@ impl CovidKg {
     pub fn search_dense(&self, mode: &DenseMode, page: usize) -> SearchPage {
         dense_search(
             &self.search,
-            &self.ann,
+            self.views.ann(),
             &self.embeddings,
             mode,
             page,
@@ -835,7 +671,7 @@ impl CovidKg {
 
     /// The dense retrieval tier's HNSW index.
     pub fn ann(&self) -> &HnswIndex {
-        &self.ann
+        self.views.ann()
     }
 
     /// The knowledge graph.
@@ -845,12 +681,12 @@ impl CovidKg {
 
     /// Vaccine side-effect meta-profiles (Fig 6), in vaccine order.
     pub fn profiles(&self) -> &[MetaProfile] {
-        self.profiles.profiles()
+        self.views.profiles().profiles()
     }
 
     /// The incrementally-materialized profile store (metrics surface).
     pub fn profile_store(&self) -> &ProfileStore {
-        &self.profiles
+        self.views.profiles()
     }
 
     /// Execute a graph query plan: bounded multi-hop traversal over the
@@ -878,7 +714,7 @@ impl CovidKg {
                 let mean = if p.nodes.is_empty() {
                     0.0
                 } else {
-                    p.nodes.iter().filter_map(|&n| self.trust.trust(n)).sum::<f64>()
+                    p.nodes.iter().filter_map(|&n| self.views.trust().trust(n)).sum::<f64>()
                         / p.nodes.len() as f64
                 };
                 (p.score * (0.5 + 0.5 * mean), mean, p)
@@ -899,7 +735,7 @@ impl CovidKg {
             ),
             "hops" => result.hops as i64,
             "visited" => result.visited as i64,
-            "epoch" => self.trust.epoch() as i64,
+            "epoch" => self.views.trust().epoch() as i64,
             "generation" => self.generation as i64,
         }
     }
@@ -907,7 +743,7 @@ impl CovidKg {
     /// One vaccine's epoch-stamped meta-profile document (JSON +
     /// rendered forms), or `None` for an unknown vaccine.
     pub fn kg_profile(&self, vaccine: &str) -> Option<Value> {
-        self.profiles.document(vaccine)
+        self.views.profiles().document(vaccine)
     }
 
     /// One KG node as a JSON document, or `None` for an out-of-range
@@ -967,7 +803,7 @@ impl CovidKg {
             &self.publications.scan_all(),
             &self.embeddings,
             covidkg_corpus::all_topics().len(),
-            |paper_id| self.trust.paper_weight(paper_id),
+            |paper_id| self.views.trust().paper_weight(paper_id),
         )
     }
 
@@ -977,7 +813,7 @@ impl CovidKg {
     /// embed-and-cluster pass reruns only after data actually changed,
     /// which is what makes online interrogation viable as wire traffic.
     pub fn bias_document(&self) -> Value {
-        let key = (self.trust.epoch(), self.generation);
+        let key = (self.views.trust().epoch(), self.generation);
         if let Some((e, g, doc)) = self.bias_cache.lock().unwrap().as_ref() {
             if (*e, *g) == key {
                 return doc.clone();
@@ -996,103 +832,40 @@ impl CovidKg {
 
     /// The provenance-weighted trust store (stats/metrics surface).
     pub fn trust_store(&self) -> &TrustStore {
-        &self.trust
+        self.views.trust()
     }
 
     /// One KG node's epoch-stamped trust document, or `None` for an
     /// out-of-range id. The single implementation behind the
     /// `GET /trust/node/{id}` wire route.
     pub fn trust_node(&self, id: covidkg_kg::NodeId) -> Option<Value> {
-        self.trust.node_document(id)
+        self.views.trust().node_document(id)
     }
 
     /// One venue's credibility document (prior components + epoch), or
     /// `None` for an unknown venue — behind `GET /trust/source/{venue}`.
     pub fn trust_source(&self, venue: &str) -> Option<Value> {
-        self.trust.source_document(venue)
+        self.views.trust().source_document(venue)
     }
 
     /// A paper's credibility weight: its venue's prior, or the floor
     /// for papers from unknown venues. The `trust=1` re-rank knob on
     /// `/search/*` reads this.
     pub fn trust_paper_weight(&self, paper_id: &str) -> f64 {
-        self.trust.paper_weight(paper_id)
+        self.views.trust().paper_weight(paper_id)
     }
-}
-
-/// Extract one stored publication's trust facts: venue, publication
-/// year, structural density (tables/captions), and the claim keys its
-/// side-effect tables support (`vaccine|effect`, the corroboration
-/// currency). Classifier-free, like [`doc_observations`].
-pub fn doc_paper_facts(doc: &Value, paper_id: &str) -> PaperFacts {
-    let venue = doc
-        .path("venue")
-        .and_then(Value::as_str)
-        .unwrap_or("unknown")
-        .to_string();
-    let year = doc
-        .path("date")
-        .and_then(Value::as_str)
-        .and_then(|s| s.get(..4))
-        .and_then(|y| y.parse().ok())
-        .unwrap_or(0);
-    let mut tables = 0usize;
-    let mut captions = 0usize;
-    if let Some(ts) = doc.path("tables").and_then(Value::as_array) {
-        for t in ts {
-            if let Some(html) = t.path("html").and_then(Value::as_str) {
-                tables += 1;
-                captions += html.matches("<caption").count();
-            }
-        }
-    }
-    let claims = doc_observations(doc, paper_id)
-        .iter()
-        .map(|o| format!("{}|{}", o.vaccine.to_lowercase(), o.effect.to_lowercase()))
-        .collect();
-    PaperFacts {
-        paper_id: paper_id.to_string(),
-        venue,
-        year,
-        tables,
-        captions,
-        claims,
-    }
-    .canonicalize()
-}
-
-/// [`doc_paper_facts`] over the whole collection — the trust store's
-/// full-rebuild feed.
-pub fn scan_paper_facts(publications: &Collection) -> Vec<PaperFacts> {
-    publications
-        .scan_all()
-        .iter()
-        .map(|doc| {
-            let id = doc
-                .get("_id")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string();
-            doc_paper_facts(doc, &id)
-        })
-        .collect()
 }
 
 /// Run the trained classifier over every table in `docs`, extracting
-/// candidate subtrees and side-effect observations. Shared by the initial
-/// build and incremental [`CovidKg::ingest`].
+/// candidate subtrees and the per-paper enrichment `$set`s. Shared by
+/// the initial build and incremental [`CovidKg::ingest`].
 fn classify_and_extract(
     docs: &[Value],
     classifier: &TrainedClassifier,
     report: &mut IngestReport,
-) -> (
-    Vec<covidkg_kg::ExtractedTree>,
-    Vec<Observation>,
-    Vec<(String, Value)>,
-) {
+) -> (Vec<covidkg_kg::ExtractedTree>, Vec<(String, Value)>) {
     let pre = Preprocessor::new();
     let mut trees = Vec::new();
-    let mut observations: Vec<Observation> = Vec::new();
     let mut enrichments: Vec<(String, Value)> = Vec::new();
     for doc in docs {
         let paper_id = doc
@@ -1134,8 +907,6 @@ fn classify_and_extract(
                     &table.caption,
                     &paper_id,
                 ));
-                observations
-                    .extend(parse_side_effect_table(&table.caption, &table.rows, &paper_id));
             }
         }
         // The paper's back-end stores publications "enriched with
@@ -1153,7 +924,7 @@ fn classify_and_extract(
             },
         ));
     }
-    (trees, observations, enrichments)
+    (trees, enrichments)
 }
 
 /// The classifier actually used during ingest.
@@ -1241,46 +1012,6 @@ fn default_expert() -> ScriptedExpert {
         ("Arm", "Treatments"),
         ("Product", "Prevention"),
     ])
-}
-
-/// Group flat extraction output by source paper (extraction order
-/// preserved within each paper) — the shape [`ProfileStore`] ingests.
-fn group_by_paper(obs: Vec<Observation>) -> Vec<(String, Vec<Observation>)> {
-    let mut by: std::collections::BTreeMap<String, Vec<Observation>> =
-        std::collections::BTreeMap::new();
-    for o in obs {
-        by.entry(o.paper_id.clone()).or_default().push(o);
-    }
-    by.into_iter().collect()
-}
-
-/// Re-derive one stored publication document's side-effect observations
-/// (cheap, classifier-free — caption-gated table parsing only).
-fn doc_observations(doc: &Value, paper_id: &str) -> Vec<Observation> {
-    let mut observations = Vec::new();
-    if let Some(tables) = doc.path("tables").and_then(Value::as_array) {
-        for t in tables {
-            if let Some(html) = t.path("html").and_then(Value::as_str) {
-                for table in parse_tables(html).unwrap_or_default() {
-                    observations.extend(parse_side_effect_table(
-                        &table.caption,
-                        &table.rows,
-                        paper_id,
-                    ));
-                }
-            }
-        }
-    }
-    observations
-}
-
-/// [`doc_observations`] by paper id; empty when the paper is gone (the
-/// profile store drops a deleted paper's contribution on replay).
-fn paper_observations(publications: &Collection, paper_id: &str) -> Vec<Observation> {
-    publications
-        .get(paper_id)
-        .map(|doc| doc_observations(&doc, paper_id))
-        .unwrap_or_default()
 }
 
 /// Topical clustering (№5): k-means over mean word embeddings of each

@@ -5,10 +5,10 @@
 //! from every observation. This module keeps the same profiles *live*
 //! instead: a [`ProfileStore`] holds observations keyed by source
 //! paper, and a mutation (one paper ingested, updated or deleted)
-//! rebuilds only the vaccines that paper touches — driven by the
-//! collection mutation log (`Collection::touched_since`, the same hook
-//! the render cache and the ANN sync use) plus the ingest path's
-//! explicit new-id list (inserts never bump the mutation epoch).
+//! rebuilds only the vaccines that paper touches. The store is
+//! log-agnostic: the caller names the touched papers (in the system,
+//! `covidkg-core`'s derived-view driver reads them off the collection
+//! mutation log, which records every write).
 //!
 //! Equivalence contract: after any mutation sequence the store's
 //! profiles are **equal** to a from-scratch
@@ -99,10 +99,9 @@ impl ProfileStore {
     }
 
     /// Incremental refresh: replay only the given papers (the mutation
-    /// log's touched ids unioned with the ingest new-id list), then
-    /// rebuild only the vaccines those papers mention. `extract`
-    /// re-derives one paper's observations (empty = paper gone or has
-    /// no side-effect tables).
+    /// log's touched ids), then rebuild only the vaccines those papers
+    /// mention. `extract` re-derives one paper's observations (empty =
+    /// paper gone or has no side-effect tables).
     pub fn refresh(
         &mut self,
         epoch: u64,

@@ -479,6 +479,11 @@ mod tests {
         for paper in &sourced[..2] {
             system.publications().delete(paper).unwrap();
         }
+        // One paper stored and withdrawn again: two writes that move only
+        // the epochs, off the observation count they would otherwise equal.
+        let withdrawn = covidkg_json::obj! { "_id" => "withdrawn" };
+        system.publications().insert(withdrawn).unwrap();
+        system.publications().delete("withdrawn").unwrap();
         assert_eq!(system.ingest(&newer[..2]).unwrap(), 2);
         assert_eq!(system.ingest(&newer[2..4]).unwrap(), 2);
         assert_eq!(system.ingest(&newer[4..]).unwrap(), 1);

@@ -141,6 +141,116 @@ fn replica_node_converges_serves_and_follows_live_writes() {
     drop(node);
 }
 
+fn kg_json(server: &Server) -> String {
+    server.with_system(|s| s.kg().to_json().to_json())
+}
+
+/// What a node serves off its graph and derived views: the graph, the
+/// profiles and the trust vector's bits.
+fn served_views(server: &Server) -> impl PartialEq {
+    let trust: Vec<Option<u64>> = server.with_system(|s| {
+        (0..s.kg().len())
+            .map(|n| s.trust_store().trust(n).map(f64::to_bits))
+            .collect()
+    });
+    (kg_json(server), server.with_system(|s| s.profiles().to_vec()), trust)
+}
+
+#[test]
+fn replica_views_follow_the_delta_without_rebuilding() {
+    let (primary, sources) = primary_stack("views");
+    let listener = ReplListener::start(sources, ReplConfig::default()).unwrap();
+    let node = ReplicaNode::start(ReplicaNodeConfig::new(
+        listener.local_addr(),
+        "replica-v",
+        scratch("views-replica"),
+    ))
+    .unwrap();
+    let replica = node.server();
+    let stats =
+        |server: &Server| server.with_system(|s| (s.profile_store().stats(), s.trust_store().stats()));
+    let pristine = stats(&replica).1;
+    assert_eq!((pristine.full_rebuilds, pristine.incremental_refreshes), (1, 0));
+    // What one from-scratch propagation costs per node.
+    let sweeps = pristine.nodes_repropagated / pristine.nodes as u64;
+
+    // One publication with a side-effect table, one with no tables at
+    // all (nothing but the replicated log names that one).
+    let mut fresh = covidkg_corpus::CorpusGenerator::with_size(40, 77)
+        .generate()
+        .into_iter()
+        .skip(24);
+    let tabled = fresh
+        .find(|p| !covidkg_core::doc_observations(&p.to_doc(), &p.id).is_empty())
+        .expect("a generated paper with a side-effect table");
+    let mut bare = fresh.next().expect("one more paper");
+    bare.tables.clear();
+
+    for (publication, has_table) in [(tabled, true), (bare, false)] {
+        let (profiles_before, trust_before) = stats(&replica);
+        let primary_before = stats(&primary).0;
+        let generation = replica.generation();
+
+        // The ingest in its three phases, so the publications frames
+        // reach the replica — and one refresh runs over them against
+        // the old graph — before the kg document is even written.
+        let prepared = primary
+            .with_system(|s| s.ingest_prepare(std::slice::from_ref(&publication)))
+            .unwrap();
+        let mark = listener.watermark();
+        assert!(wait_until(Duration::from_secs(20), || node.applied() >= mark));
+        assert!(
+            wait_until(Duration::from_secs(20), || {
+                replica.generation() > generation
+                    && stats(&replica).1.papers == trust_before.papers + 1
+            }),
+            "no refresh over the publications frames alone"
+        );
+        let kg_before = kg_json(&primary);
+        primary.with_system_mut(|s| s.ingest_commit(prepared)).unwrap();
+        let kg_grew = kg_json(&primary) != kg_before;
+        assert_eq!(kg_grew, has_table, "fusion adds the tabled paper to the graph");
+        primary.with_system(|s| s.persist_now()).unwrap();
+        assert!(
+            wait_until(Duration::from_secs(20), || served_views(&replica)
+                == served_views(&primary)),
+            "replica views never converged on the primary's"
+        );
+
+        let (profiles, trust) = stats(&replica);
+        assert_eq!(profiles.full_rebuilds, profiles_before.full_rebuilds);
+        assert_eq!(trust.full_rebuilds, trust_before.full_rebuilds);
+        let refreshes = profiles.incremental_refreshes - profiles_before.incremental_refreshes;
+        assert!(
+            refreshes > u64::from(kg_grew),
+            "one before the kg document, one after it changed: {refreshes}"
+        );
+        assert_eq!(
+            trust.incremental_refreshes - trust_before.incremental_refreshes,
+            refreshes,
+            "the views advance together"
+        );
+        // Profiles: only the vaccines this paper mentions, once per
+        // time the log named it (its insert and its enrichment may
+        // straddle two refreshes) — not every vaccine on every refresh.
+        let mentioned = stats(&primary).0.vaccines_rebuilt - primary_before.vaccines_rebuilt;
+        assert_eq!(mentioned > 0, has_table);
+        let rebuilt = profiles.vaccines_rebuilt - profiles_before.vaccines_rebuilt;
+        assert!(
+            (mentioned..=2 * mentioned).contains(&rebuilt),
+            "{rebuilt} vaccines rebuilt for a paper mentioning {mentioned}"
+        );
+        // Trust: the dirty ball, never the price of a rebuild per refresh.
+        let swept = trust.nodes_repropagated - trust_before.nodes_repropagated;
+        assert!(
+            swept < refreshes * trust.nodes as u64 * sweeps,
+            "{swept} node sweeps over {refreshes} refreshes of {} nodes",
+            trust.nodes
+        );
+    }
+    drop(node);
+}
+
 #[test]
 fn router_prefers_caught_up_replica_and_honours_read_your_writes() {
     let (primary_server, sources) = primary_stack("router");

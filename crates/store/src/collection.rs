@@ -130,10 +130,13 @@ pub struct Collection {
     faults: RwLock<Option<Arc<FaultPlan>>>,
     retry: RwLock<RetryPolicy>,
     retries: AtomicU64,
+    /// The mutation epoch. Written only under the `mutation_log` lock,
+    /// so an epoch and its log entry appear together; read without it by
+    /// [`Collection::mutation_epoch`].
     mutations: AtomicU64,
-    /// Recent `(epoch after bump, doc id)` mutations, bounded to
-    /// [`MUTATION_LOG_CAP`] entries so [`Collection::touched_since`] can
-    /// name exactly which documents changed across an epoch window.
+    /// Recent `(epoch, doc id)` writes, bounded to [`MUTATION_LOG_CAP`]
+    /// entries so [`Collection::touched_since`] can name exactly which
+    /// documents changed across an epoch window.
     mutation_log: Mutex<VecDeque<(u64, String)>>,
     /// Replication sequence for in-memory collections (durable ones
     /// track it in the WAL writer; see [`Collection::repl_watermark`]).
@@ -145,9 +148,11 @@ pub struct Collection {
     score_pool: OnceLock<Arc<ScorePool>>,
 }
 
-/// How many recent mutations [`Collection::touched_since`] can account
-/// for; older windows fall back to "everything may have changed".
-const MUTATION_LOG_CAP: usize = 256;
+/// How many recent writes [`Collection::touched_since`] can account
+/// for; older windows fall back to "everything may have changed". An
+/// ingested publication logs two (its insert and its enrichment
+/// `$set`), so one window covers 256 of them.
+const MUTATION_LOG_CAP: usize = 512;
 
 impl std::fmt::Debug for Collection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -362,6 +367,7 @@ impl Collection {
         for idx in read(&self.hash_indexes).iter() {
             idx.add(&id, &doc);
         }
+        self.log_mutation(Some(&id));
         Ok(id)
     }
 
@@ -441,8 +447,7 @@ impl Collection {
             idx.add(id, &doc);
         }
         shard.put(id, doc);
-        let epoch = self.mutations.fetch_add(1, Ordering::Release) + 1;
-        self.log_mutation(epoch, id);
+        self.log_mutation(Some(id));
         Ok(())
     }
 
@@ -473,46 +478,54 @@ impl Collection {
         for idx in read(&self.hash_indexes).iter() {
             idx.remove(id, &old);
         }
-        let epoch = self.mutations.fetch_add(1, Ordering::Release) + 1;
-        self.log_mutation(epoch, id);
+        self.log_mutation(Some(id));
         Ok(old)
     }
 
-    /// Monotonic counter bumped whenever an existing document changes or
-    /// disappears (replace, update, delete) — inserts can't invalidate
-    /// anything previously rendered, and a delete-then-reinsert is covered
-    /// by the delete's bump. Render-level caches key on this epoch.
+    /// Monotonic counter of writes: every insert, replace, update and
+    /// delete — local, recovered or replicated — bumps it by one, and a
+    /// wholesale [`Collection::install_checkpoint`] by one more. The
+    /// cursor every derived view and the render cache keep.
     pub fn mutation_epoch(&self) -> u64 {
         self.mutations.load(Ordering::Acquire)
     }
 
-    fn log_mutation(&self, epoch: u64, id: &str) {
+    /// Count one write: the next epoch and its `(epoch, id)` entry are
+    /// published under the one log lock, after the document itself
+    /// changed, so whoever sees the entry sees the write. `None` bumps
+    /// the epoch with no entry — a window [`Collection::touched_since`]
+    /// can never cover.
+    fn log_mutation(&self, id: Option<&str>) {
         let mut log = lock(&self.mutation_log);
-        if log.len() >= MUTATION_LOG_CAP {
-            log.pop_front();
+        let epoch = self.mutations.load(Ordering::Relaxed) + 1;
+        if let Some(id) = id {
+            if log.len() >= MUTATION_LOG_CAP {
+                log.pop_front();
+            }
+            log.push_back((epoch, id.to_string()));
         }
-        log.push_back((epoch, id.to_string()));
+        self.mutations.store(epoch, Ordering::Release);
     }
 
-    /// Document ids touched by mutations since epoch `since` (exclusive),
+    /// Document ids written since epoch `since` (exclusive), sorted and
     /// deduplicated. Returns `None` when the bounded mutation log no
     /// longer covers the whole window — the caller must then assume every
     /// document may have changed. `Some(vec![])` means provably nothing
-    /// changed. Ids touched by mutations racing with this call may be
-    /// included; that over-approximation is always safe for invalidation.
+    /// changed. Ids written while this call runs may be included; that
+    /// over-approximation is always safe for invalidation.
     pub fn touched_since(&self, since: u64) -> Option<Vec<String>> {
+        let log = lock(&self.mutation_log);
         let current = self.mutation_epoch();
         if current <= since {
             return Some(Vec::new());
         }
         let needed = (current - since) as usize;
-        let log = lock(&self.mutation_log);
         let mut ids: Vec<String> = log
             .iter()
             .filter(|(e, _)| *e > since)
             .map(|(_, id)| id.clone())
             .collect();
-        // Every mutation in (since, current] pushed exactly one entry; a
+        // Every write in (since, current] pushed exactly one entry; a
         // shortfall means the log dropped part of the window.
         if ids.len() < needed {
             return None;
@@ -854,10 +867,10 @@ impl Collection {
         } else {
             self.mem_seq.store(seq, Ordering::Release);
         }
-        // Wholesale replacement: bump the mutation epoch without a log
-        // entry, so `touched_since` reports the window as uncovered and
-        // render caches invalidate everything.
-        self.mutations.fetch_add(1, Ordering::Release);
+        // Wholesale replacement: the documents that vanished have no log
+        // entry, so neither does this bump — `touched_since` reports the
+        // window as uncovered and every consumer starts over.
+        self.log_mutation(None);
         Ok(())
     }
 
@@ -1262,17 +1275,22 @@ mod tests {
     }
 
     #[test]
-    fn mutation_epoch_counts_only_invalidating_writes() {
+    fn mutation_epoch_counts_every_write() {
         let c = coll();
         let e0 = c.mutation_epoch();
         let id = c.insert(obj! { "title" => "a" }).unwrap();
-        assert_eq!(c.mutation_epoch(), e0, "inserts don't invalidate");
+        assert_eq!(c.mutation_epoch(), e0 + 1, "inserts count");
         c.replace(&id, obj! { "title" => "b" }).unwrap();
-        assert_eq!(c.mutation_epoch(), e0 + 1);
-        c.update(&id, |d| d.insert("title", Value::str("c"))).unwrap();
         assert_eq!(c.mutation_epoch(), e0 + 2);
-        c.delete(&id).unwrap();
+        c.update(&id, |d| d.insert("title", Value::str("c"))).unwrap();
         assert_eq!(c.mutation_epoch(), e0 + 3);
+        c.delete(&id).unwrap();
+        assert_eq!(c.mutation_epoch(), e0 + 4);
+        // A rejected write changed nothing and counts for nothing.
+        assert!(c.delete(&id).is_err());
+        c.insert(obj! { "_id" => "x" }).unwrap();
+        assert!(c.insert(obj! { "_id" => "x" }).is_err());
+        assert_eq!(c.mutation_epoch(), e0 + 5);
     }
 
     #[test]
@@ -1340,6 +1358,38 @@ mod tests {
         let e1 = c.mutation_epoch();
         c.delete(&b).unwrap();
         assert_eq!(c.touched_since(e1), Some(vec![b.clone()]));
+        // So do inserts, with or without a caller-chosen id.
+        let e2 = c.mutation_epoch();
+        let fresh = c.insert(obj! { "title" => "c" }).unwrap();
+        c.insert(obj! { "_id" => "named", "title" => "d" }).unwrap();
+        let mut expected = vec![fresh, "named".to_string()];
+        expected.sort();
+        assert_eq!(c.touched_since(e2), Some(expected));
+        // Delete-then-reinsert of one id: two writes, one touched id.
+        let e3 = c.mutation_epoch();
+        c.delete("named").unwrap();
+        c.insert(obj! { "_id" => "named", "title" => "e" }).unwrap();
+        assert_eq!(c.mutation_epoch(), e3 + 2);
+        assert_eq!(c.touched_since(e3), Some(vec!["named".to_string()]));
+        // Replicated frames are logged exactly like local writes.
+        let e4 = c.mutation_epoch();
+        let seq = c.repl_watermark();
+        let frame = WalRecord::Insert(obj! { "_id" => "shipped", "title" => "f" });
+        assert!(c.apply_replicated(seq + 1, &frame).unwrap());
+        let frame = WalRecord::Delete { id: a.clone() };
+        assert!(c.apply_replicated(seq + 2, &frame).unwrap());
+        assert_eq!(c.mutation_epoch(), e4 + 2);
+        let mut expected = vec![a.clone(), "shipped".to_string()];
+        expected.sort();
+        assert_eq!(c.touched_since(e4), Some(expected));
+        // A checkpoint install replaces everything: documents vanish
+        // with no entry, so no earlier window is answerable.
+        let e5 = c.mutation_epoch();
+        c.install_checkpoint(seq + 2, vec![obj! { "_id" => "only" }]).unwrap();
+        assert!(c.mutation_epoch() > e5);
+        assert_eq!(c.touched_since(e5), None);
+        assert_eq!(c.touched_since(e0), None);
+        assert_eq!(c.touched_since(c.mutation_epoch()), Some(vec![]));
     }
 
     #[test]
@@ -1416,16 +1466,56 @@ mod tests {
         let c = coll();
         let id = c.insert(obj! { "title" => "x" }).unwrap();
         let e0 = c.mutation_epoch();
-        for i in 0..(MUTATION_LOG_CAP + 5) {
+        // The boundary: exactly MUTATION_LOG_CAP writes are covered…
+        for i in 0..MUTATION_LOG_CAP {
             c.replace(&id, obj! { "title" => format!("v{i}") }).unwrap();
         }
+        assert_eq!(c.touched_since(e0), Some(vec![id.clone()]));
+        // …and one more is not.
+        c.replace(&id, obj! { "title" => "one more" }).unwrap();
         assert_eq!(
             c.touched_since(e0),
             None,
             "log no longer covers the window"
         );
+        assert_eq!(c.touched_since(e0 + 1), Some(vec![id.clone()]));
         // But a recent window is still answerable.
         let recent = c.mutation_epoch() - 3;
         assert_eq!(c.touched_since(recent), Some(vec![id]));
+    }
+
+    #[test]
+    fn touched_since_is_never_spuriously_uncovered_under_concurrent_writers() {
+        // Four writers log from their own threads (as `insert_parallel`
+        // does) while a reader polls: with fewer than MUTATION_LOG_CAP
+        // writes in total the window is always covered, so `None` could
+        // only come from an epoch published apart from its entry.
+        const WRITERS: usize = 4;
+        let per_writer = MUTATION_LOG_CAP / WRITERS - 1;
+        let c = coll();
+        let e0 = c.mutation_epoch();
+        let start = std::sync::Barrier::new(WRITERS + 1);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (c, start) = (&c, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for i in 0..per_writer / 2 {
+                            let id = c.insert(obj! { "_id" => format!("w{w}-{i}") }).unwrap();
+                            c.replace(&id, obj! { "title" => "again" }).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            while !writers.iter().all(|w| w.is_finished()) {
+                let touched = c.touched_since(e0).expect("window is covered");
+                assert!(touched.len() as u64 <= c.mutation_epoch() - e0);
+            }
+        });
+        let writes = (WRITERS * (per_writer / 2) * 2) as u64;
+        assert_eq!(c.mutation_epoch(), e0 + writes);
+        assert_eq!(c.touched_since(e0).unwrap().len() as u64, writes / 2);
     }
 }

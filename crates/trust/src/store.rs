@@ -5,12 +5,12 @@
 //! keyed by source paper, rebuilds everything on
 //! [`TrustStore::rebuild_all`] (initial build, or the bounded mutation
 //! log overflowed), and replays only touched papers on
-//! [`TrustStore::refresh`] — the same `Collection::touched_since` hook
-//! the profile store uses. From the facts it derives venue credibility
-//! priors ([`SourceLedger`]), per-node base trust (prior mass of a
-//! node's provenance papers × corroboration across *independent*
-//! venues), and propagated node trust (damped sweeps over child/parent
-//! edges, [`crate::propagate`]).
+//! [`TrustStore::refresh`] — handed the same touched ids as the profile
+//! store by `covidkg-core`'s derived-view driver. From the facts it
+//! derives venue credibility priors ([`SourceLedger`]), per-node base
+//! trust (prior mass of a node's provenance papers × corroboration
+//! across *independent* venues), and propagated node trust (damped
+//! sweeps over child/parent edges, [`crate::propagate`]).
 //!
 //! Equivalence contract: after any mutation sequence the store's trust
 //! vector and every served document are **bit-identical** to a
@@ -115,10 +115,9 @@ impl TrustStore {
     }
 
     /// Incremental refresh: replay only the given papers (the mutation
-    /// log's touched ids unioned with the ingest new-id list), rescore
-    /// venues from the delta-maintained aggregates, and re-propagate
-    /// only the dirty ball. `extract` re-derives one paper's facts
-    /// (`None` = paper gone).
+    /// log's touched ids), rescore venues from the delta-maintained
+    /// aggregates, and re-propagate only the dirty ball. `extract`
+    /// re-derives one paper's facts (`None` = paper gone).
     pub fn refresh(
         &mut self,
         epoch: u64,

@@ -1467,28 +1467,6 @@ fn render_ann_table(bench: &covidkg::json::Value) -> String {
     out
 }
 
-/// Re-derive one stored publication document's side-effect observations
-/// — the same caption-gated table parse the system uses, reimplemented
-/// here so the bench can price a *full* re-extraction honestly.
-fn bench_doc_observations(doc: &covidkg::json::Value, paper_id: &str) -> Vec<covidkg::kg::Observation> {
-    use covidkg::core::system::parse_side_effect_table;
-    let mut observations = Vec::new();
-    if let Some(tables) = doc.path("tables").and_then(covidkg::json::Value::as_array) {
-        for t in tables {
-            if let Some(html) = t.path("html").and_then(covidkg::json::Value::as_str) {
-                for table in covidkg::tables::parse_tables(html).unwrap_or_default() {
-                    observations.extend(parse_side_effect_table(
-                        &table.caption,
-                        &table.rows,
-                        paper_id,
-                    ));
-                }
-            }
-        }
-    }
-    observations
-}
-
 /// The query-plan workload shared by `kg-bench`: a hierarchy walk, a
 /// kind-filtered hop, a co-occurrence expansion and a deep mixed walk.
 fn kg_bench_plans(fanout: usize, k: usize) -> Vec<covidkg::core::QueryPlan> {
@@ -1632,7 +1610,7 @@ fn kg_bench(args: &Args) -> Result<(), String> {
                         .and_then(covidkg::json::Value::as_str)
                         .unwrap_or_default()
                         .to_string();
-                    let obs = bench_doc_observations(doc, &id);
+                    let obs = covidkg::core::doc_observations(doc, &id);
                     (id, obs)
                 })
                 .collect()
@@ -1663,7 +1641,7 @@ fn kg_bench(args: &Args) -> Result<(), String> {
             store.refresh(epoch + 1 + i as u64, &touched, |id| {
                 publications
                     .get(id)
-                    .map(|doc| bench_doc_observations(&doc, id))
+                    .map(|doc| covidkg::core::doc_observations(&doc, id))
                     .unwrap_or_default()
             });
             incr_times.push(t.elapsed());
@@ -1839,7 +1817,7 @@ fn trust_smoke(args: &Args) -> Result<(), String> {
 /// a full re-extract-and-re-propagate rebuild — at three corpus sizes.
 /// Emits `BENCH_trust.json`.
 fn trust_bench(args: &Args) -> Result<(), String> {
-    use covidkg::core::{doc_paper_facts, scan_paper_facts};
+    use covidkg::core::{doc_observations, doc_paper_facts, scan_paper_facts};
     use covidkg::trust::TrustStore;
     const LOOKUP_ITERS: usize = 200;
     const FULL_REPEATS: usize = 5;
@@ -1900,7 +1878,9 @@ fn trust_bench(args: &Args) -> Result<(), String> {
             let touched = [target.clone()];
             let t = Instant::now();
             store.refresh(epoch + 1 + i as u64, &touched, kg, |id| {
-                publications.get(id).map(|doc| doc_paper_facts(&doc, id))
+                publications
+                    .get(id)
+                    .map(|doc| doc_paper_facts(&doc, id, &doc_observations(&doc, id)))
             });
             incr_times.push(t.elapsed());
         }
