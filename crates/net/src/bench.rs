@@ -1,11 +1,9 @@
-//! Wire-level load generation: closed- and open-loop clients driving a
-//! running [`crate::HttpServer`] over real TCP sockets.
-//!
-//! Mirrors `covidkg_serve::loadgen` (same engine-rotation workload,
-//! same coordinated-omission discipline: open-loop latency is measured
-//! from each request's *scheduled* arrival, not from when a slow
-//! dispatcher got around to sending it) so serve-layer and wire-layer
-//! numbers are directly comparable — the difference is the HTTP tax.
+//! The held-connection sweep: what `benchmark/` cannot see. That
+//! benchmark drives a handful of busy connections; this module holds
+//! thousands of *idle* keep-alive sockets open against a running
+//! [`crate::HttpServer`] while a fixed open-loop load runs beside them,
+//! so the cost of a standing connection population shows up as goodput
+//! and tail latency (`covidkg bench net`).
 
 use crate::client::HttpClient;
 use covidkg_corpus::query_workload;
@@ -31,9 +29,9 @@ pub fn encode_query(q: &str) -> String {
     out
 }
 
-/// Request target for workload item `i` — the same engine rotation as
-/// the serve-layer loadgen (scoped every 7th, tables every 4th, the
-/// rest all-fields) with pagination exercised via `i % 2`.
+/// Request target for workload item `i`: scoped every 7th, tables
+/// every 4th, the rest all-fields, with pagination exercised via
+/// `i % 2`.
 pub fn target_for(i: usize, query: &str) -> String {
     let q = encode_query(query);
     let page = i % 2;
@@ -46,13 +44,26 @@ pub fn target_for(i: usize, query: &str) -> String {
     }
 }
 
-/// Shared tallies for one bench phase.
+/// Offered rate of the load that runs beside the held connections.
+/// One constant, well under a single core's cached-page capacity, so
+/// rows at different populations (and from different hosts) compare.
+const HELD_RATE: f64 = 1000.0;
+/// Length of one phase: 2000 scheduled arrivals, so p99 has twenty
+/// samples beyond it; shorter than the server's idle timeout, so the
+/// held sockets are not reaped mid-phase.
+const HELD_DURATION: Duration = Duration::from_secs(2);
+/// Connections the open-loop arrivals are striped over.
+const DISPATCHERS: usize = 8;
+/// Client-side connect/read/write timeout.
+const TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Shared tallies for one phase.
 #[derive(Default)]
 struct Tally {
     sent: AtomicU64,
     ok: AtomicU64,
     cache_hits: AtomicU64,
-    errors: AtomicU64,
+    io_errors: AtomicU64,
     statuses: Mutex<BTreeMap<u16, u64>>,
     latency: LatencyHistogram,
 }
@@ -77,23 +88,17 @@ impl Tally {
 
     fn io_error(&self) {
         self.sent.fetch_add(1, Ordering::Relaxed);
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.io_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn into_report(self, mode: &str, offered_rate: f64, wall: Duration) -> NetBenchReport {
+    fn into_report(self, held_connections: u64, wall: Duration) -> NetBenchReport {
         NetBenchReport {
-            mode: mode.to_string(),
-            offered_rate,
-            held_connections: 0,
-            sent: self.sent.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            io_errors: self.errors.load(Ordering::Relaxed),
-            statuses: self
-                .statuses
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
+            held_connections,
+            sent: self.sent.into_inner(),
+            ok: self.ok.into_inner(),
+            cache_hits: self.cache_hits.into_inner(),
+            io_errors: self.io_errors.into_inner(),
+            statuses: self.statuses.into_inner().unwrap_or_else(|e| e.into_inner()),
             wall,
             p50: self.latency.quantile(0.50),
             p99: self.latency.quantile(0.99),
@@ -101,16 +106,10 @@ impl Tally {
     }
 }
 
-/// Results of one bench phase (closed loop or one open-loop rate).
+/// Results of one held-connection phase.
 #[derive(Debug, Clone)]
 pub struct NetBenchReport {
-    /// `"closed"`, `"open"` or `"held"` (open loop with a standing
-    /// population of idle keep-alive connections).
-    pub mode: String,
-    /// Offered request rate (req/s; 0 for closed loop).
-    pub offered_rate: f64,
-    /// Idle keep-alive connections held open for the whole phase
-    /// (connection-concurrency sweeps; 0 otherwise).
+    /// Idle keep-alive connections still open when the phase ended.
     pub held_connections: u64,
     /// Requests sent (including ones that failed at the socket level).
     pub sent: u64,
@@ -124,9 +123,9 @@ pub struct NetBenchReport {
     pub statuses: BTreeMap<u16, u64>,
     /// Wall-clock for the phase.
     pub wall: Duration,
-    /// Median end-to-end latency (open loop: from scheduled arrival).
+    /// Median latency, measured from each request's scheduled arrival.
     pub p50: Option<Duration>,
-    /// 99th-percentile latency.
+    /// 99th-percentile latency, same clock.
     pub p99: Option<Duration>,
 }
 
@@ -141,144 +140,68 @@ impl NetBenchReport {
         }
     }
 
-    /// One-line summary for sweep tables.
+    /// One-line summary.
     pub fn render(&self) -> String {
-        fn dur(d: Option<Duration>) -> String {
-            match d {
-                None => "-".into(),
-                Some(d) if d.as_secs_f64() >= 1.0 => format!("{:.2} s", d.as_secs_f64()),
-                Some(d) if d.as_micros() >= 1000 => format!("{:.2} ms", d.as_secs_f64() * 1e3),
-                Some(d) => format!("{} µs", d.as_micros()),
-            }
-        }
+        let us = |d: Option<Duration>| d.map_or(-1.0, |d| d.as_secs_f64() * 1e6);
         let statuses = self
             .statuses
             .iter()
             .map(|(s, c)| format!("{s}:{c}"))
             .collect::<Vec<_>>()
             .join(" ");
-        let held = if self.held_connections > 0 {
-            format!(" holding {} idle conns,", self.held_connections)
-        } else {
-            String::new()
-        };
         format!(
-            "net-bench[{}] offered {:.0} req/s:{} {} sent, {} ok ({} cached), {} io-errors, \
-             statuses [{}], p50 {} p99 {}, {:.1} ok/s over {:.2} s",
-            self.mode,
-            self.offered_rate,
-            held,
+            "holding {} idle conns at {HELD_RATE:.0} req/s: {} sent, {} ok ({} cached), \
+             {} io-errors, statuses [{statuses}], p50 {:.0} µs p99 {:.0} µs, {:.1} ok/s over {:.2} s",
+            self.held_connections,
             self.sent,
             self.ok,
             self.cache_hits,
             self.io_errors,
-            statuses,
-            dur(self.p50),
-            dur(self.p99),
+            us(self.p50),
+            us(self.p99),
             self.goodput(),
             self.wall.as_secs_f64(),
         )
     }
 
-    /// JSON object for BENCH_net.json.
+    /// The phase as one row of `BENCH_net.json`.
     pub fn to_json(&self) -> covidkg_json::Value {
-        use covidkg_json::Value;
-        let statuses = covidkg_json::Value::Object(
-            self.statuses
-                .iter()
-                .map(|(s, c)| (s.to_string(), Value::from(*c as i64)))
-                .collect(),
-        );
         covidkg_json::obj! {
-            "mode" => self.mode.as_str(),
-            "offered_rate" => self.offered_rate,
+            "row" => "held",
             "held_connections" => self.held_connections as i64,
+            "offered_rate" => HELD_RATE,
             "sent" => self.sent as i64,
             "ok" => self.ok as i64,
             "cache_hits" => self.cache_hits as i64,
             "io_errors" => self.io_errors as i64,
-            "statuses" => statuses,
             "wall_secs" => self.wall.as_secs_f64(),
             "goodput_rps" => self.goodput(),
-            "p50_us" => self.p50.map(|d| d.as_micros() as f64).unwrap_or(-1.0),
-            "p99_us" => self.p99.map(|d| d.as_micros() as f64).unwrap_or(-1.0),
+            "p50_us" => self.p50.map_or(-1.0, |d| d.as_micros() as f64),
+            "p99_us" => self.p99.map_or(-1.0, |d| d.as_micros() as f64),
         }
     }
 }
 
-/// Closed-loop phase: `clients` keep-alive connections, each sending
-/// `requests_per_client` back-to-back requests from a deterministic
-/// per-client query stream.
-pub fn run_closed_loop(
-    addr: SocketAddr,
-    clients: usize,
-    requests_per_client: usize,
-    timeout: Duration,
-) -> NetBenchReport {
-    let tally = Tally::default();
+/// [`HELD_RATE`] req/s offered for [`HELD_DURATION`], arrivals striped
+/// over [`DISPATCHERS`] connections. Latency is measured from each
+/// arrival's scheduled instant, so queueing delay a slow server induces
+/// shows up in the percentiles instead of being silently omitted.
+fn open_loop(addr: SocketAddr, tally: &Tally) {
+    let arrivals = (HELD_RATE * HELD_DURATION.as_secs_f64()).ceil() as u64;
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for client in 0..clients {
-            let tally = &tally;
+        for d in 0..DISPATCHERS {
             scope.spawn(move || {
-                let Ok(mut conn) = HttpClient::connect(addr, timeout) else {
-                    for _ in 0..requests_per_client {
-                        tally.io_error();
-                    }
-                    return;
-                };
-                let queries = query_workload(requests_per_client, client as u64);
-                for (i, query) in queries.iter().enumerate() {
-                    let target = target_for(i, query);
-                    let sent_at = Instant::now();
-                    match conn.get(&target) {
-                        Ok(resp) => tally.record(
-                            resp.status,
-                            resp.header("x-cache") == Some("hit"),
-                            sent_at.elapsed(),
-                        ),
-                        Err(_) => tally.io_error(),
-                    }
-                }
-            });
-        }
-    });
-    tally.into_report("closed", 0.0, start.elapsed())
-}
-
-/// Open-loop phase: `rate` req/s offered for `duration`, arrivals
-/// striped over `dispatchers` connections. Latency is measured from
-/// each arrival's scheduled instant, so queueing delay a slow server
-/// induces shows up in the percentiles instead of being silently
-/// omitted.
-pub fn run_open_loop(
-    addr: SocketAddr,
-    rate: f64,
-    duration: Duration,
-    dispatchers: usize,
-    timeout: Duration,
-) -> NetBenchReport {
-    let rate = rate.max(1e-3);
-    let dispatchers = dispatchers.max(1);
-    let arrivals = ((rate * duration.as_secs_f64()).ceil() as u64).max(1);
-    let tally = Tally::default();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for d in 0..dispatchers {
-            let tally = &tally;
-            scope.spawn(move || {
-                let mut conn = HttpClient::connect(addr, timeout).ok();
-                let queries =
-                    query_workload((arrivals as usize).div_ceil(dispatchers), d as u64);
-                for (j, i) in (d as u64..arrivals).step_by(dispatchers).enumerate() {
-                    let scheduled = start + Duration::from_secs_f64(i as f64 / rate);
+                let mut conn = HttpClient::connect(addr, TIMEOUT).ok();
+                let queries = query_workload((arrivals as usize).div_ceil(DISPATCHERS), d as u64);
+                for (j, i) in (d as u64..arrivals).step_by(DISPATCHERS).enumerate() {
+                    let scheduled = start + Duration::from_secs_f64(i as f64 / HELD_RATE);
                     if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
                         std::thread::sleep(wait);
                     }
-                    let query = &queries[j % queries.len()];
-                    let target = target_for(i as usize, query);
+                    let target = target_for(i as usize, &queries[j % queries.len()]);
                     if conn.is_none() {
-                        conn = HttpClient::connect(addr, timeout).ok();
+                        conn = HttpClient::connect(addr, TIMEOUT).ok();
                     }
                     let Some(c) = conn.as_mut() else {
                         tally.io_error();
@@ -299,45 +222,28 @@ pub fn run_open_loop(
             });
         }
     });
-    tally.into_report("open", rate, start.elapsed())
 }
 
-/// Connection-concurrency phase: hold `held` *idle* keep-alive
-/// connections open for the whole phase while an open-loop load at
-/// `rate` req/s runs beside them. Under thread-per-connection each held
-/// socket costs a parked OS thread (and past the cap, admission fails);
-/// under the reactor it costs one fd plus ~1 KiB of state — this phase
-/// makes that difference measurable as goodput/latency at equal load.
-pub fn run_held_connections(
-    addr: SocketAddr,
-    held: usize,
-    rate: f64,
-    duration: Duration,
-    dispatchers: usize,
-    timeout: Duration,
-) -> NetBenchReport {
+/// Hold `held` *idle* keep-alive connections open for the whole phase
+/// while the open-loop load runs beside them. Under the reactor a held
+/// socket costs one fd plus ~1 KiB of state, so goodput and tail
+/// latency should hold flat as `held` scales into the thousands.
+pub fn run_held_connections(addr: SocketAddr, held: usize) -> NetBenchReport {
     let mut idle = Vec::with_capacity(held);
     for _ in 0..held {
-        match HttpClient::connect(addr, timeout) {
+        match HttpClient::connect(addr, TIMEOUT) {
             Ok(conn) => idle.push(conn),
             Err(_) => break,
         }
     }
-    let mut report = run_open_loop(addr, rate, duration, dispatchers, timeout);
-    report.mode = "held".into();
-    // The server reaps idle sockets after its idle timeout, so a phase
-    // that outlasts it (custom --duration-ms, low rates) loses held
-    // connections mid-flight. Count only sockets still open at phase
-    // end — `held_connections` reports what was actually sustained.
-    let mut survivors = 0u64;
-    for conn in &mut idle {
-        if still_open(conn) {
-            survivors += 1;
-        }
-    }
-    report.held_connections = survivors;
-    drop(idle);
-    report
+    let tally = Tally::default();
+    let start = Instant::now();
+    open_loop(addr, &tally);
+    let wall = start.elapsed();
+    // Count only sockets still open at phase end, so the row reports
+    // the population that was actually sustained, not the one asked for.
+    let survivors = idle.iter_mut().map(|conn| still_open(conn) as u64).sum();
+    tally.into_report(survivors, wall)
 }
 
 /// Whether an idle keep-alive connection is still open, without
@@ -400,7 +306,7 @@ mod tests {
         tally.record(200, false, Duration::from_millis(4));
         tally.record(503, false, Duration::from_millis(1));
         tally.io_error();
-        let report = tally.into_report("open", 100.0, Duration::from_secs(1));
+        let report = tally.into_report(64, Duration::from_secs(1));
         assert_eq!(report.sent, 4);
         assert_eq!(report.ok, 2);
         assert_eq!(report.cache_hits, 1);
@@ -410,7 +316,7 @@ mod tests {
         let line = report.render();
         assert!(line.contains("503:1"), "{line}");
         let json = report.to_json().to_json();
-        assert!(json.contains("\"offered_rate\":100"), "{json}");
+        assert!(json.contains("\"held_connections\":64"), "{json}");
         assert!(json.contains("\"ok\":2"), "{json}");
     }
 }

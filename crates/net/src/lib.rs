@@ -12,17 +12,15 @@
 //!   keep-alive semantics;
 //! - [`server`] — the connection supervisor: bounded accept (503 +
 //!   `Retry-After` past the cap), read/write deadlines, idle-connection
-//!   reaping and graceful drain of in-flight requests on shutdown.
-//!   Two [`ConnectionModel`]s share those semantics: the default epoll
-//!   `reactor` (one event-loop thread + a fixed dispatch pool, tens of
-//!   thousands of connections) and the legacy thread-per-connection
-//!   baseline (64 threads, kept for A/B benching);
+//!   reaping and graceful drain of in-flight requests on shutdown,
+//!   all run by the epoll `reactor` (one event-loop thread + a fixed
+//!   dispatch pool, tens of thousands of connections);
 //! - [`router`] — `GET /search/{engine}`, `/kg/node/{id}`, `/stats`,
 //!   `/metrics`, mapping the scheduler's typed backpressure errors
 //!   (`Overloaded`, `DeadlineExceeded`, …) onto honest wire statuses;
-//! - [`client`] + [`bench`] — an in-repo blocking client and closed/
-//!   open-loop load generators, so the wire path is testable and
-//!   benchmarkable without any external tool.
+//! - [`client`] + [`bench`] — an in-repo blocking client and the
+//!   held-connection sweep, so the wire path is testable and its
+//!   connection scaling measurable without any external tool.
 //!
 //! The load-bearing guarantee: a TCP client receives **byte-identical**
 //! JSON search pages to an in-process `SearchPage::to_json()` caller
@@ -36,9 +34,9 @@ mod reactor;
 pub mod router;
 pub mod server;
 
-pub use bench::{run_closed_loop, run_held_connections, run_open_loop, NetBenchReport};
+pub use bench::{run_held_connections, NetBenchReport};
 pub use client::{ClientResponse, HttpClient};
 pub use http::{ParseError, Parser, Request, Response};
 pub use metrics::{ReplExposition, WireMetrics, WireStats};
 pub use router::ReadContext;
-pub use server::{ConnectionModel, HttpServer, NetConfig};
+pub use server::{HttpServer, NetConfig};

@@ -140,8 +140,7 @@ pub struct WireStats {
     pub parse_errors: u64,
     /// Responses written (any status).
     pub requests: u64,
-    /// `epoll_wait` returns (reactor model only; 0 under the legacy
-    /// thread-per-connection model).
+    /// `epoll_wait` returns.
     pub epoll_wakeups: u64,
     /// Non-cumulative ready-events-per-wakeup histogram counts, one per
     /// bucket of [`READY_EVENT_BUCKETS`] plus +Inf.

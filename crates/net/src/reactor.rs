@@ -1,15 +1,12 @@
 //! Event-driven connection core: one epoll reactor thread multiplexing
 //! every socket, plus a small fixed dispatch pool for request handling.
 //!
-//! The legacy model in [`crate::server`] spends one OS thread per
-//! connection, which caps the front-end at `max_connections` threads
-//! (the seed shipped 64). This module replaces threads with *readiness*:
-//! a single reactor thread parks in `epoll_wait`, and every connection
-//! is a small state machine (`Reading → Dispatching → Writing →
-//! KeepAlive`) advanced only when its socket is actually ready. The
-//! ceiling becomes the process fd budget — tens of thousands of mostly
-//! idle keep-alive connections cost a few hundred bytes each, not a
-//! stack.
+//! Connections are driven by *readiness*, not by threads: a single
+//! reactor thread parks in `epoll_wait`, and every connection is a
+//! small state machine (`Reading → Dispatching → Writing → KeepAlive`)
+//! advanced only when its socket is actually ready. The ceiling is the
+//! process fd budget — tens of thousands of mostly idle keep-alive
+//! connections cost a few hundred bytes each, not a stack.
 //!
 //! Layout:
 //!
@@ -29,9 +26,6 @@
 //! One request per connection is in flight at a time; further pipelined
 //! requests (and pre-serialized error responses, which must not jump
 //! the queue) wait in a per-connection FIFO.
-//!
-//! The wire contract is byte-identical to the threaded model: same
-//! router, same serializer, same 503/408/4xx shapes.
 
 use crate::http::{Parser, Request};
 use crate::router::{error_response, handle};
@@ -376,8 +370,8 @@ struct Conn {
     read_paused: bool,
     /// Last write progress while `write_buf` is non-empty (`None` when
     /// flushed). A peer that accepts no response bytes for
-    /// `write_timeout` is cut off — the reactor's analog of the
-    /// threaded model's per-call socket write deadline.
+    /// `write_timeout` is cut off — the reactor's analog of a
+    /// blocking socket's write deadline.
     write_start: Option<Instant>,
     /// Outstanding wheel entries pointing at this connection.
     timers: u32,
@@ -428,10 +422,7 @@ pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> std::io::Resu
     let epoll = sys::Epoll::new()?;
     epoll.add(listener.as_raw_fd(), sys::EPOLLIN, LISTENER_DATA)?;
     epoll.add(wake_rx.as_raw_fd(), sys::EPOLLIN, WAKE_DATA)?;
-    let workers = match shared.config.dispatch_workers {
-        0 => std::thread::available_parallelism().map_or(4, |n| n.get()).max(4),
-        n => n,
-    };
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).max(4);
     let pool = DispatchPool::new(workers, &shared, &wake_tx);
     let now = Instant::now();
     let reactor = Reactor {
@@ -581,7 +572,6 @@ impl Reactor {
                 continue;
             }
             self.live += 1;
-            self.shared.active.fetch_add(1, Ordering::AcqRel);
             self.arm_timer(token, now);
         }
     }
@@ -836,7 +826,7 @@ impl Reactor {
         self.shared.wire.responded(c.status);
         if c.close {
             // `Connection: close` (or drain): anything pipelined behind
-            // this response is dropped, as in the threaded model.
+            // this response is dropped.
             conn.close_after_flush = true;
             conn.pending.clear();
         }
@@ -876,8 +866,8 @@ impl Reactor {
         if let Some(write_start) = conn.write_start {
             if now.saturating_duration_since(write_start) >= config.write_timeout {
                 // The peer has accepted no response bytes for a full
-                // write_timeout: cut it off, matching the threaded
-                // model's socket write deadline against slow readers.
+                // write_timeout: cut it off, so a slow reader cannot
+                // pin its buffer forever.
                 self.close(entry.token);
                 return;
             }
@@ -954,7 +944,6 @@ impl Reactor {
         let _ = conn.stream.shutdown(Shutdown::Both);
         self.free.push(token);
         self.live -= 1;
-        self.shared.active.fetch_sub(1, Ordering::AcqRel);
         self.shared.wire.connection_closed();
     }
 }

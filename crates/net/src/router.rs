@@ -203,6 +203,15 @@ pub fn usages() -> impl Iterator<Item = &'static str> {
     ROUTES.iter().flat_map(|r| r.usage).copied()
 }
 
+/// The pattern of every row answered by a serve-layer op: what
+/// `covidkg smoke` must hold a target for.
+pub fn op_patterns() -> impl Iterator<Item = &'static str> {
+    ROUTES
+        .iter()
+        .filter(|r| matches!(r.target, Target::Op(..)))
+        .map(|r| r.pattern)
+}
+
 impl Route {
     /// The path tail this route parses, when `path` is its.
     fn tail<'p>(&self, path: &'p str) -> Option<&'p str> {

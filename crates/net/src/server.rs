@@ -1,50 +1,29 @@
 //! Connection supervisor: bounded accept, deadlines, idle reaping and
 //! graceful drain over plain `std::net`.
 //!
-//! Two connection models share this front door, selected by
-//! [`NetConfig::model`]:
+//! [`HttpServer`] binds the listener and hands it to the epoll event
+//! loop in [`crate::reactor`]: one reactor thread multiplexes every
+//! socket, a small dispatch pool runs the queries, and the connection
+//! ceiling is the fd budget (tens of thousands), not a thread count.
+//! This module spawns no thread itself.
 //!
-//! * [`ConnectionModel::Reactor`] (default) — the epoll event loop in
-//!   [`crate::reactor`]: one reactor thread multiplexes every socket,
-//!   a small dispatch pool runs the queries, and the connection
-//!   ceiling is the fd budget (tens of thousands), not a thread count.
-//! * [`ConnectionModel::Threaded`] — the legacy thread-per-connection
-//!   supervisor kept for A/B benchmarking: the accept loop counts live
-//!   connections and turns the overflow away immediately with
-//!   `503 + Retry-After`; each connection thread reads with a short
-//!   socket timeout so it can notice shutdown, idle expiry and
-//!   read-deadline expiry between reads.
-//!
-//! Both models enforce the same protocol semantics: over-capacity
-//! accepts get an honest 503 instead of an invisible kernel queue;
-//! idle keep-alive connections are reaped; and the read deadline is
-//! *cumulative per request* — the clock starts at the request's first
-//! byte and is never reset by further arrivals, so a peer trickling
-//! one byte per tick cannot hold the connection open. It gets an
-//! honest 408 once the whole header+body transfer has taken longer
-//! than `read_timeout` (slowloris protection).
+//! The protocol semantics the front door enforces: over-capacity
+//! accepts get an honest `503 + Retry-After` instead of an invisible
+//! kernel queue; idle keep-alive connections are reaped; and the read
+//! deadline is *cumulative per request* — the clock starts at the
+//! request's first byte and is never reset by further arrivals, so a
+//! peer trickling one byte per tick cannot hold the connection open. It
+//! gets an honest 408 once the whole header+body transfer has taken
+//! longer than `read_timeout` (slowloris protection).
 
-use crate::http::{Parser, Response};
 use crate::metrics::{WireMetrics, WireStats};
-use crate::router::{error_response, handle, ReadContext};
+use crate::reactor::ReactorHandle;
+use crate::router::ReadContext;
 use covidkg_serve::Server;
-use std::io::{ErrorKind, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How the front-end maps connections onto threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnectionModel {
-    /// One epoll reactor thread multiplexing every socket plus a fixed
-    /// dispatch pool — the connection ceiling is the fd budget.
-    Reactor,
-    /// Legacy thread-per-connection supervisor — the ceiling is
-    /// `max_connections` OS threads. Kept for A/B comparison.
-    Threaded,
-}
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Network front-end tuning knobs.
 #[derive(Debug, Clone)]
@@ -64,26 +43,18 @@ pub struct NetConfig {
     /// A keep-alive connection idle (no partial request buffered)
     /// longer than this is reaped.
     pub idle_timeout: Duration,
-    /// Connection-to-thread mapping (reactor by default).
-    pub model: ConnectionModel,
-    /// Dispatch workers for the reactor model (0 = size to cores,
-    /// minimum 4). Ignored by the threaded model.
-    pub dispatch_workers: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             addr: "127.0.0.1:0".parse().expect("literal addr"),
-            // Under the reactor a connection is ~1 KiB of state, not a
-            // thread: the default cap is an fd budget, not a thread
-            // count (the threaded seed shipped 64 here).
+            // A connection is ~1 KiB of reactor state, not a thread:
+            // the default cap is an fd budget.
             max_connections: 10_000,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(30),
-            model: ConnectionModel::Reactor,
-            dispatch_workers: 0,
         }
     }
 }
@@ -95,7 +66,6 @@ pub(crate) struct Shared {
     /// Lag-aware read routing across a replica pool, when configured.
     pub(crate) repl: Option<ReadContext>,
     pub(crate) shutting_down: AtomicBool,
-    pub(crate) active: AtomicU64,
 }
 
 /// A running HTTP front-end. Dropping it (or calling
@@ -104,13 +74,7 @@ pub(crate) struct Shared {
 pub struct HttpServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    backend: Backend,
-}
-
-/// Per-model supervisor handle, joined on shutdown.
-enum Backend {
-    Threaded { accept_handle: Option<JoinHandle<()>> },
-    Reactor { handle: crate::reactor::ReactorHandle },
+    reactor: ReactorHandle,
 }
 
 impl HttpServer {
@@ -130,36 +94,18 @@ impl HttpServer {
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(config.addr)?;
         let local_addr = listener.local_addr()?;
-        let model = config.model;
         let shared = Arc::new(Shared {
             serve,
             config,
             wire: WireMetrics::default(),
             repl,
             shutting_down: AtomicBool::new(false),
-            active: AtomicU64::new(0),
         });
-        let backend = match model {
-            ConnectionModel::Reactor => Backend::Reactor {
-                handle: crate::reactor::spawn(listener, Arc::clone(&shared))?,
-            },
-            ConnectionModel::Threaded => {
-                let accept_shared = Arc::clone(&shared);
-                let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> =
-                    Arc::new(Mutex::new(Vec::new()));
-                let accept_handle = std::thread::Builder::new()
-                    .name("covidkg-net-accept".into())
-                    .spawn(move || accept_loop(listener, accept_shared, conn_threads))
-                    .expect("spawn accept thread");
-                Backend::Threaded {
-                    accept_handle: Some(accept_handle),
-                }
-            }
-        };
+        let reactor = crate::reactor::spawn(listener, Arc::clone(&shared))?;
         Ok(HttpServer {
             shared,
             local_addr,
-            backend,
+            reactor,
         })
     }
 
@@ -180,198 +126,12 @@ impl HttpServer {
         if self.shared.shutting_down.swap(true, Ordering::AcqRel) {
             return;
         }
-        match &mut self.backend {
-            Backend::Reactor { handle } => handle.shutdown(),
-            Backend::Threaded { accept_handle } => {
-                // Wake the accept loop: it blocks in accept(), so poke
-                // it with one throwaway connection aimed at ourselves.
-                let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
-                if let Some(h) = accept_handle.take() {
-                    let _ = h.join();
-                }
-            }
-        }
+        self.reactor.shutdown();
     }
 }
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    for stream in listener.incoming() {
-        if shared.shutting_down.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        shared.wire.connection_opened();
-        // Over capacity: reject *now* with an honest 503 instead of
-        // parking the peer in an invisible queue.
-        if shared.active.load(Ordering::Acquire) >= shared.config.max_connections as u64 {
-            let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-            let resp = error_response(503, "connection limit reached").with_header("Retry-After", "1");
-            let mut s = stream;
-            if let Ok(n) = resp.write_to(&mut s, true) {
-                shared.wire.wrote(n);
-            }
-            shared.wire.responded(503);
-            let _ = s.shutdown(Shutdown::Both);
-            shared.wire.connection_closed();
-            continue;
-        }
-        shared.active.fetch_add(1, Ordering::AcqRel);
-        let conn_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("covidkg-net-conn".into())
-            .spawn(move || {
-                // Slot release lives in a drop guard so a panic
-                // unwinding out of serve_connection still returns the
-                // connection-cap slot instead of leaking it forever.
-                let _slot = SlotGuard(Arc::clone(&conn_shared));
-                serve_connection(stream, &conn_shared);
-            })
-            .expect("spawn connection thread");
-        let mut threads = conn_threads.lock().unwrap_or_else(|e| e.into_inner());
-        threads.push(handle);
-        // Opportunistically sweep finished threads so the vec stays
-        // proportional to *live* connections, not total accepted.
-        threads.retain(|h| !h.is_finished());
-    }
-    // Drain: every connection thread observes `shutting_down` within
-    // one read-timeout tick, finishes its in-flight request, and exits.
-    let threads = std::mem::take(&mut *conn_threads.lock().unwrap_or_else(|e| e.into_inner()));
-    for h in threads {
-        let _ = h.join();
-    }
-}
-
-/// Releases a connection's slot in the accept cap (and records the
-/// close) on every exit path of its thread — including panics, which
-/// would otherwise leak the slot until the cap starved out at 503.
-struct SlotGuard(Arc<Shared>);
-
-impl Drop for SlotGuard {
-    fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::AcqRel);
-        self.0.wire.connection_closed();
-    }
-}
-
-/// Read-timeout tick: short enough that shutdown and reaping are
-/// prompt, long enough to stay off the scheduler's back.
-const TICK: Duration = Duration::from_millis(50);
-
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(TICK));
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut parser = Parser::new();
-    let mut buf = [0u8; 16 * 1024];
-    // `last_activity` tracks the last byte received — the *idle* reap
-    // clock. `request_start` pins the first byte of the in-flight
-    // request: the cumulative read deadline is measured from there and
-    // deliberately never reset by later arrivals, so slow-loris
-    // trickling cannot extend it.
-    let mut last_activity = Instant::now();
-    let mut request_start: Option<Instant> = None;
-    loop {
-        // Flush any requests already buffered (pipelining) before
-        // blocking on the socket again.
-        loop {
-            match parser.feed(&[]) {
-                Ok(Some(req)) => {
-                    request_start = None;
-                    let close = req.wants_close() || shared.shutting_down.load(Ordering::Acquire);
-                    let resp = handle(&shared.serve, &shared.wire.snapshot(), shared.repl.as_ref(), &req);
-                    if !respond(&mut stream, shared, resp, close) {
-                        return;
-                    }
-                    if close {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    shared.wire.parse_error();
-                    respond(&mut stream, shared, error_response(e.status(), &e.to_string()), true);
-                    return;
-                }
-            }
-        }
-        if shared.shutting_down.load(Ordering::Acquire) {
-            // Keep-alive connection with nothing in flight: close.
-            return;
-        }
-        if parser.is_idle() {
-            request_start = None;
-            if last_activity.elapsed() >= shared.config.idle_timeout {
-                shared.wire.connection_reaped();
-                return;
-            }
-        } else {
-            // A partial request is buffered: its deadline runs from its
-            // first byte, regardless of how recently bytes trickled in.
-            let started = *request_start.get_or_insert_with(Instant::now);
-            if started.elapsed() >= shared.config.read_timeout {
-                respond(&mut stream, shared, error_response(408, "request read timed out"), true);
-                return;
-            }
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return, // peer closed
-            Ok(n) => {
-                shared.wire.read(n as u64);
-                last_activity = Instant::now();
-                if request_start.is_none() {
-                    request_start = Some(last_activity);
-                }
-                match parser.feed(&buf[..n]) {
-                    Ok(Some(req)) => {
-                        request_start = None;
-                        let close =
-                            req.wants_close() || shared.shutting_down.load(Ordering::Acquire);
-                        let resp =
-                            handle(&shared.serve, &shared.wire.snapshot(), shared.repl.as_ref(), &req);
-                        if !respond(&mut stream, shared, resp, close) {
-                            return;
-                        }
-                        if close {
-                            return;
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        shared.wire.parse_error();
-                        respond(&mut stream, shared, error_response(e.status(), &e.to_string()), true);
-                        return;
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Tick: loop back to the shutdown/idle/deadline checks.
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Write one response, recording bytes and status. Returns `false`
-/// when the connection is unusable and must be dropped.
-fn respond(stream: &mut TcpStream, shared: &Shared, resp: Response, close: bool) -> bool {
-    let status = resp.status;
-    match resp.write_to(stream, close) {
-        Ok(n) => {
-            shared.wire.wrote(n);
-            shared.wire.responded(status);
-            true
-        }
-        Err(_) => false,
     }
 }

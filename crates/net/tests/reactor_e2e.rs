@@ -1,12 +1,10 @@
-//! Reactor-specific end-to-end tests. The protocol regression suite in
-//! `wire_e2e.rs` already runs against the reactor (it is the default
-//! [`ConnectionModel`]); this file covers what only the event-driven
-//! core makes possible — a four-digit standing connection population on
-//! one thread — plus the event-loop observability series and a parity
-//! pass over the legacy threaded model so it stays covered too.
+//! Reactor-specific end-to-end tests. The protocol regression suite is
+//! `wire_e2e.rs`; this file covers what only the event-driven core
+//! makes possible — a four-digit standing connection population on one
+//! thread — plus the event-loop observability series.
 
 use covidkg_core::{CovidKg, CovidKgConfig};
-use covidkg_net::{ConnectionModel, HttpClient, HttpServer, NetConfig};
+use covidkg_net::{HttpClient, HttpServer, NetConfig};
 use covidkg_search::SearchMode;
 use covidkg_serve::{ServeConfig, Server};
 use std::sync::Arc;
@@ -190,34 +188,4 @@ fn connection_churn_returns_every_slot() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-}
-
-/// The legacy thread-per-connection model stays selectable and keeps
-/// its protocol semantics (it is the A/B baseline in net-bench): cap
-/// enforcement, keep-alive, and graceful drain.
-#[test]
-fn threaded_model_keeps_protocol_parity() {
-    let (_serve, mut http) = start_stack(
-        ServeConfig::default(),
-        NetConfig {
-            model: ConnectionModel::Threaded,
-            max_connections: 2,
-            ..NetConfig::default()
-        },
-    );
-    let mut a = client(&http);
-    let mut b = client(&http);
-    assert_eq!(a.get("/stats").unwrap().status, 200);
-    assert_eq!(b.get("/stats").unwrap().status, 200);
-    // Over the cap: honest 503 at accept time.
-    let mut c = client(&http);
-    let resp = c.read_response().unwrap();
-    assert_eq!(resp.status, 503);
-    assert_eq!(resp.header("retry-after"), Some("1"));
-    // Keep-alive still works on the survivors.
-    assert_eq!(a.get("/stats").unwrap().status, 200);
-    // No epoll under the threaded model: the wakeup counter stays 0.
-    assert_eq!(http.wire_stats().epoll_wakeups, 0);
-    http.shutdown();
-    http.shutdown(); // idempotent
 }

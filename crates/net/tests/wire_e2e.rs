@@ -297,6 +297,8 @@ fn connection_cap_rejects_excess_with_503() {
     assert_eq!(resp.status, 503);
     assert_eq!(resp.header("retry-after"), Some("1"));
     assert!(resp.wants_close());
+    // Being capped out does not disturb the admitted connections.
+    assert_eq!(a.get("/stats").unwrap().status, 200);
 }
 
 #[test]

@@ -26,10 +26,9 @@
 //! * [`metrics`] — per-class request counts, cache hit/miss, queue
 //!   depth and a log-bucketed latency histogram, snapshotted into
 //!   [`ServeStats`] (p50/p95/p99).
-//! * [`loadgen`] — closed-loop and open-loop (fixed arrival rate,
-//!   coordinated-omission-aware) load generators (N client threads × M
+//! * [`loadgen`] — a closed-loop load generator (N client threads × M
 //!   queries from `covidkg-corpus`) with direct-search spot checks,
-//!   driving the `covidkg serve-bench` CLI command.
+//!   driving `covidkg chaos` and the stress tests.
 
 pub mod cache;
 pub mod loadgen;
@@ -38,7 +37,7 @@ pub mod op;
 pub mod server;
 
 pub use cache::{CachedValue, CacheStats, QueryCache};
-pub use loadgen::{LoadGenConfig, LoadGenReport, OpenLoopConfig, OpenLoopReport};
+pub use loadgen::{LoadGenConfig, LoadGenReport};
 pub use metrics::{Class, LatencyHistogram, ServeStats};
 pub use op::{Admission, Op, Reply, Staleness};
 pub use server::{InjectedFaults, KgResponse, ServeConfig, ServeError, ServeResponse, Server};

@@ -1,21 +1,14 @@
-//! Load generators: closed-loop and open-loop drivers for a [`Server`].
+//! Load generator: a closed-loop driver for a [`Server`].
 //!
 //! Closed-loop means each client issues its next request only after the
 //! previous one resolved — throughput self-regulates to the server's
 //! capacity instead of piling up unbounded, and `Overloaded` rejections
 //! are retried after a short backoff (bounded, so a stuck server cannot
-//! hang the run). Closed loops measure capacity, but they *hide* queueing
-//! delay: a slow server simply receives requests more slowly.
-//!
-//! The open loop instead fires requests at a **fixed offered rate**
-//! regardless of how fast responses come back, and measures each latency
-//! from the request's *scheduled arrival time* — so time spent queued
-//! behind a saturated server counts against the percentiles
-//! (coordinated-omission-aware). Driving the same server at offered rates
-//! below, at, and above capacity shows where goodput flattens and the
-//! tail explodes.
+//! hang the run). Every n-th answer is spot-checked against an uncached
+//! direct search, which is what the chaos gauntlet and the stress tests
+//! drive it for. (Throughput and open-loop latency are measured over
+//! the wire by `benchmark/`, not here.)
 
-use crate::metrics::LatencyHistogram;
 use crate::server::{ServeError, Server};
 use covidkg_corpus::query_workload;
 use covidkg_search::SearchMode;
@@ -231,164 +224,6 @@ pub fn run(server: &Server, config: &LoadGenConfig) -> LoadGenReport {
     }
 }
 
-/// Open-loop (fixed arrival rate) run configuration.
-#[derive(Debug, Clone)]
-pub struct OpenLoopConfig {
-    /// Offered arrival rate, requests per second.
-    pub rate: f64,
-    /// Run length; `ceil(rate × duration)` arrivals are scheduled.
-    pub duration: Duration,
-    /// Dispatcher threads; arrival `i` is fired by dispatcher
-    /// `i mod dispatchers`, so a single slow response only delays that
-    /// dispatcher's stripe of the schedule.
-    pub dispatchers: usize,
-}
-
-impl Default for OpenLoopConfig {
-    fn default() -> OpenLoopConfig {
-        OpenLoopConfig {
-            rate: 200.0,
-            duration: Duration::from_secs(2),
-            dispatchers: 4,
-        }
-    }
-}
-
-/// Outcome of one open-loop run at one offered rate.
-#[derive(Debug, Clone)]
-pub struct OpenLoopReport {
-    /// The offered rate driven, requests per second.
-    pub offered: f64,
-    /// Arrivals actually dispatched.
-    pub sent: u64,
-    /// Requests that returned a page.
-    pub ok: u64,
-    /// `Overloaded` rejections (not retried — the schedule moves on).
-    pub overloaded: u64,
-    /// Requests that hit their deadline.
-    pub deadline_exceeded: u64,
-    /// Requests failed with `Degraded` or `Closed`.
-    pub degraded: u64,
-    /// Wall-clock duration of the whole run.
-    pub wall: Duration,
-    /// Median latency of successful requests, measured from the
-    /// *scheduled* arrival (includes dispatcher queueing delay).
-    pub p50: Option<Duration>,
-    /// 99th-percentile latency, same clock.
-    pub p99: Option<Duration>,
-}
-
-impl OpenLoopReport {
-    /// Successful responses per second of wall time — the goodput the
-    /// offered rate actually bought.
-    pub fn goodput(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.ok as f64 / secs
-        }
-    }
-
-    /// One-line summary for rate-sweep tables.
-    pub fn render(&self) -> String {
-        fn dur(d: Option<Duration>) -> String {
-            match d {
-                None => "-".into(),
-                Some(d) if d.as_secs_f64() >= 1.0 => format!("{:.2} s", d.as_secs_f64()),
-                Some(d) if d.as_micros() >= 1000 => format!("{:.2} ms", d.as_secs_f64() * 1e3),
-                Some(d) => format!("{} µs", d.as_micros()),
-            }
-        }
-        format!(
-            "offered {:7.1} req/s → goodput {:7.1} req/s  ({} ok / {} sent, \
-             {} overloaded, {} deadline, {} degraded)  p50 {}  p99 {}",
-            self.offered,
-            self.goodput(),
-            self.ok,
-            self.sent,
-            self.overloaded,
-            self.deadline_exceeded,
-            self.degraded,
-            dur(self.p50),
-            dur(self.p99),
-        )
-    }
-}
-
-/// Drive the server at `config.rate` requests/sec for `config.duration`.
-///
-/// Arrival `i` is scheduled at `start + i/rate`; its dispatcher sleeps
-/// until then, fires the request synchronously, and charges the response
-/// latency from the *scheduled* instant — a request that waited behind a
-/// saturated dispatcher pays its queueing delay in the histogram instead
-/// of silently sliding the schedule (coordinated omission).
-pub fn run_open_loop(server: &Server, config: &OpenLoopConfig) -> OpenLoopReport {
-    let rate = config.rate.max(1e-3);
-    let dispatchers = config.dispatchers.max(1);
-    let arrivals = ((rate * config.duration.as_secs_f64()).ceil() as u64).max(1);
-
-    let sent = AtomicU64::new(0);
-    let ok = AtomicU64::new(0);
-    let overloaded = AtomicU64::new(0);
-    let deadline_exceeded = AtomicU64::new(0);
-    let degraded = AtomicU64::new(0);
-    let latency = LatencyHistogram::default();
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for d in 0..dispatchers {
-            let (sent, ok, overloaded, deadline_exceeded, degraded, latency) =
-                (&sent, &ok, &overloaded, &deadline_exceeded, &degraded, &latency);
-            scope.spawn(move || {
-                // Each dispatcher owns the arrivals i ≡ d (mod dispatchers)
-                // and replays a deterministic query stream seeded by d.
-                let queries = query_workload(
-                    (arrivals as usize).div_ceil(dispatchers),
-                    d as u64,
-                );
-                for (j, i) in (d as u64..arrivals).step_by(dispatchers).enumerate() {
-                    let scheduled_offset = Duration::from_secs_f64(i as f64 / rate);
-                    let scheduled = start + scheduled_offset;
-                    if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
-                        std::thread::sleep(wait);
-                    }
-                    let query = queries[j % queries.len()].clone();
-                    let mode = mode_for(i as usize, query);
-                    sent.fetch_add(1, Ordering::Relaxed);
-                    match server.search(&mode, i as usize % 2) {
-                        Ok(_) => {
-                            ok.fetch_add(1, Ordering::Relaxed);
-                            latency.record(scheduled.elapsed());
-                        }
-                        Err(ServeError::Overloaded) => {
-                            overloaded.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(ServeError::DeadlineExceeded) => {
-                            deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(ServeError::Degraded) | Err(ServeError::Closed) => {
-                            degraded.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    OpenLoopReport {
-        offered: rate,
-        sent: sent.into_inner(),
-        ok: ok.into_inner(),
-        overloaded: overloaded.into_inner(),
-        deadline_exceeded: deadline_exceeded.into_inner(),
-        degraded: degraded.into_inner(),
-        wall: start.elapsed(),
-        p50: latency.quantile(0.50),
-        p99: latency.quantile(0.99),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,25 +240,6 @@ mod tests {
         assert!(r.render().contains("100 ok (40 cached, 0 stale)"));
         let empty = LoadGenReport::default();
         assert_eq!(empty.throughput(), 0.0);
-    }
-
-    #[test]
-    fn open_loop_report_math() {
-        let r = OpenLoopReport {
-            offered: 100.0,
-            sent: 200,
-            ok: 150,
-            overloaded: 40,
-            deadline_exceeded: 5,
-            degraded: 5,
-            wall: Duration::from_secs(2),
-            p50: Some(Duration::from_micros(800)),
-            p99: Some(Duration::from_millis(12)),
-        };
-        assert!((r.goodput() - 75.0).abs() < 1e-9);
-        let line = r.render();
-        assert!(line.contains("150 ok / 200 sent"), "{line}");
-        assert!(line.contains("40 overloaded"), "{line}");
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub use covidkg_core::{
 };
 pub use covidkg_core::system::ClassifierChoice;
 pub use covidkg_search::{DenseMode, HybridConfig, SearchMode, SearchPage};
-pub use covidkg_serve::{LoadGenConfig, OpenLoopConfig, OpenLoopReport, ServeConfig, ServeError, ServeStats, Server};
+pub use covidkg_serve::{LoadGenConfig, ServeConfig, ServeError, ServeStats, Server};
 
 /// JSON document model.
 pub use covidkg_json as json;
