@@ -693,9 +693,8 @@ impl CovidKg {
     /// KG returning top-k ranked paths. The single implementation every
     /// surface (CLI, serve layer, HTTP front-end) calls, so wire
     /// responses are byte-identical to in-process results. Runs through
-    /// the plan-level optimizer (co-index elision + selectivity-driven
-    /// anchor reversal), which is equivalence-tested against the plain
-    /// engine.
+    /// the plan-level optimizer (selectivity-driven anchor reversal),
+    /// which is equivalence-tested against the plain engine.
     pub fn kg_query(&self, plan: &QueryPlan) -> QueryResult {
         covidkg_kg::execute_optimized(&self.kg, plan)
     }
@@ -706,7 +705,13 @@ impl CovidKg {
     /// per-path `trust`/`trusted_score` fields plus the trust store's
     /// epoch stamp. The `trust=1` knob on `GET /kg/query`.
     pub fn kg_query_trusted(&self, plan: &QueryPlan) -> Value {
-        let result = self.kg_query(plan);
+        self.kg_trust_rerank(&self.kg_query(plan))
+    }
+
+    /// The trust-aware re-ranking of [`CovidKg::kg_query_trusted`],
+    /// applied to a traversal already run (so a caller can read the
+    /// traversal's work counters first).
+    pub fn kg_trust_rerank(&self, result: &QueryResult) -> Value {
         let mut paths: Vec<(f64, f64, &covidkg_kg::RankedPath)> = result
             .paths
             .iter()
@@ -761,9 +766,7 @@ impl CovidKg {
             "kind" => node.kind.as_str(),
             "parents" => ids(&node.parents),
             "children" => ids(&node.children),
-            "provenance" => Value::Array(
-                node.provenance.iter().map(|p| Value::from(p.as_str())).collect()
-            ),
+            "provenance" => Value::Array(self.kg.provenance(id).map(Value::from).collect()),
             "confidence" => node.confidence,
         })
     }
@@ -1179,11 +1182,7 @@ mod tests {
         let hits = kg.search("side effect");
         assert!(!hits.is_empty());
         // Fused entity nodes carry provenance back to papers.
-        let with_prov = kg
-            .nodes()
-            .iter()
-            .filter(|n| !n.provenance.is_empty())
-            .count();
+        let with_prov = (0..kg.len()).filter(|&n| kg.provenance(n).len() > 0).count();
         assert!(with_prov > 0);
     }
 

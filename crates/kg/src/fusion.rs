@@ -436,7 +436,7 @@ impl<'w> FusionEngine<'w> {
                         .add_child(parent, leaf.clone(), NodeKind::Entity, confidence)
                 }
             };
-            self.kg.add_provenance(node, tree.paper_id.clone());
+            self.kg.add_provenance(node, &tree.paper_id);
         }
         self.stats.leaves_added += added;
         added
@@ -562,7 +562,7 @@ mod tests {
         let kg = engine.graph();
         assert_eq!(kg.node(parent).label, "Vaccine(s)");
         let novo = kg.find_by_term("NovoVac")[0];
-        assert_eq!(kg.node(novo).provenance, ["p1"]);
+        assert_eq!(kg.provenance(novo).collect::<Vec<_>>(), ["p1"]);
         assert_eq!(engine.stats().supervision_rate(), 0.0);
     }
 
@@ -590,7 +590,7 @@ mod tests {
         engine.fuse(tree("Vaccines", &["Pfizer"], "p2"));
         assert_eq!(engine.graph().len(), before);
         let pfizer = engine.graph().find_by_term("Pfizer")[0];
-        assert_eq!(engine.graph().node(pfizer).provenance, ["p1", "p2"]);
+        assert_eq!(engine.graph().provenance(pfizer).collect::<Vec<_>>(), ["p1", "p2"]);
     }
 
     #[test]

@@ -15,6 +15,10 @@ use std::collections::HashMap;
 /// Index of a node within the graph.
 pub type NodeId = usize;
 
+/// Dense id of an interned publication id: its position in the order
+/// papers were first attached to any node.
+pub(crate) type PaperId = u32;
+
 /// What a node represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
@@ -60,11 +64,19 @@ pub struct Node {
     pub parents: Vec<NodeId>,
     /// Child ids.
     pub children: Vec<NodeId>,
-    /// Publication ids this node's knowledge came from (provenance — "the
-    /// nodes along the path provide access to the publications").
-    pub provenance: Vec<String>,
     /// Fusion confidence in `[0, 1]` (1.0 for seeded nodes).
     pub confidence: f64,
+    /// Publications this node's knowledge came from (provenance — "the
+    /// nodes along the path provide access to the publications"), as
+    /// interned ids in insertion order. Read them back as strings with
+    /// [`KnowledgeGraph::provenance`].
+    papers: Vec<PaperId>,
+    /// The same papers as a bitset over [`PaperId`]s, trimmed to the
+    /// word holding the node's highest id: membership is a bit test and
+    /// a path's support an OR + popcount.
+    paper_set: Vec<u64>,
+    /// Other nodes sharing at least one paper with this one, ascending.
+    co: Vec<NodeId>,
 }
 
 /// A search hit: the node plus the highlighted path from the root.
@@ -87,6 +99,13 @@ pub struct KnowledgeGraph {
     /// lowercased-label byte trigram → node ids (search's substring
     /// candidates; a substring match implies every query trigram occurs).
     trigram_index: HashMap<[u8; 3], Vec<NodeId>>,
+    /// Interned publication ids: `paper_names[id]` is the string,
+    /// `paper_ids` its inverse.
+    paper_names: Vec<String>,
+    paper_ids: HashMap<String, PaperId>,
+    /// `paper_nodes[id]` — the nodes carrying that paper, in attachment
+    /// order (what a new attachment's co-neighbours are read from).
+    paper_nodes: Vec<Vec<NodeId>>,
 }
 
 impl KnowledgeGraph {
@@ -141,8 +160,10 @@ impl KnowledgeGraph {
             kind,
             parents,
             children: Vec::new(),
-            provenance: Vec::new(),
             confidence,
+            papers: Vec::new(),
+            paper_set: Vec::new(),
+            co: Vec::new(),
         });
         id
     }
@@ -168,13 +189,91 @@ impl KnowledgeGraph {
         }
     }
 
-    /// Attach provenance (a publication id) to a node.
-    pub fn add_provenance(&mut self, node: NodeId, paper_id: impl Into<String>) {
-        let paper_id = paper_id.into();
-        let prov = &mut self.nodes[node].provenance;
-        if !prov.contains(&paper_id) {
-            prov.push(paper_id);
+    /// Attach provenance (a publication id) to a node; a paper the node
+    /// already carries is ignored.
+    ///
+    /// The only writer of the provenance indexes (fusion and
+    /// [`KnowledgeGraph::from_json`] both come through here): the paper
+    /// is interned, appended to the node's list and bitset, and every
+    /// node already carrying it becomes a co-neighbour, both ways.
+    pub fn add_provenance(&mut self, node: NodeId, paper_id: impl AsRef<str>) {
+        let paper_id = paper_id.as_ref();
+        let paper = match self.paper_ids.get(paper_id) {
+            Some(&paper) => paper,
+            None => {
+                let paper = PaperId::try_from(self.paper_names.len()).expect("fewer than 2^32 papers");
+                self.paper_ids.insert(paper_id.to_string(), paper);
+                self.paper_names.push(paper_id.to_string());
+                self.paper_nodes.push(Vec::new());
+                paper
+            }
+        };
+        if self.has_paper(node, paper) {
+            return;
         }
+        let (word, bit) = (paper as usize / 64, paper % 64);
+        let n = &mut self.nodes[node];
+        n.papers.push(paper);
+        if n.paper_set.len() <= word {
+            n.paper_set.resize(word + 1, 0);
+        }
+        n.paper_set[word] |= 1 << bit;
+        for &other in &self.paper_nodes[paper as usize] {
+            insert_sorted(&mut self.nodes[node].co, other);
+            insert_sorted(&mut self.nodes[other].co, node);
+        }
+        self.paper_nodes[paper as usize].push(node);
+    }
+
+    /// The publication ids attached to a node, in the order they were
+    /// attached.
+    pub fn provenance(&self, node: NodeId) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.nodes[node]
+            .papers
+            .iter()
+            .map(|&p| self.paper_names[p as usize].as_str())
+    }
+
+    /// The interned id of a publication id, if any node carries it.
+    pub(crate) fn paper_id(&self, paper_id: &str) -> Option<PaperId> {
+        self.paper_ids.get(paper_id).copied()
+    }
+
+    /// Does the node carry the paper?
+    pub(crate) fn has_paper(&self, node: NodeId, paper: PaperId) -> bool {
+        self.nodes[node]
+            .paper_set
+            .get(paper as usize / 64)
+            .is_some_and(|w| (w >> (paper % 64)) & 1 == 1)
+    }
+
+    /// The node's papers as a bitset over [`PaperId`]s; words past the
+    /// slice's end are zero.
+    pub(crate) fn paper_set(&self, node: NodeId) -> &[u64] {
+        &self.nodes[node].paper_set
+    }
+
+    /// Words a bitset over every interned paper takes.
+    pub(crate) fn paper_words(&self) -> usize {
+        self.paper_names.len().div_ceil(64)
+    }
+
+    /// The other nodes sharing at least one paper with `node`, ascending.
+    pub fn co_neighbors(&self, node: NodeId) -> &[NodeId] {
+        &self.nodes[node].co
+    }
+
+    /// Distinct papers across the nodes of `path` — the support a
+    /// ranked path is scored by.
+    pub fn support(&self, path: &[NodeId]) -> usize {
+        (0..self.paper_words())
+            .map(|w| {
+                let union = path
+                    .iter()
+                    .fold(0u64, |acc, &n| acc | self.nodes[n].paper_set.get(w).copied().unwrap_or(0));
+                union.count_ones() as usize
+            })
+            .sum()
     }
 
     /// Node accessor.
@@ -354,10 +453,10 @@ impl KnowledgeGraph {
         // Multi-parent nodes appear once; later encounters show a ref.
         use std::fmt::Write as _;
         let n = &self.nodes[node];
-        let prov = if n.provenance.is_empty() {
+        let prov = if n.papers.is_empty() {
             String::new()
         } else {
-            format!("  [{} papers]", n.provenance.len())
+            format!("  [{} papers]", n.papers.len())
         };
         if visited[node] {
             let _ = writeln!(out, "{}{} (↟ shared)", "  ".repeat(depth), n.label);
@@ -414,10 +513,11 @@ impl KnowledgeGraph {
             n.confidence,
             n.children.len()
         );
-        if n.provenance.is_empty() {
+        if n.papers.is_empty() {
             let _ = writeln!(out, "provenance: (seeded by expert)");
         } else {
-            let _ = writeln!(out, "provenance: {}", n.provenance.join(", "));
+            let papers: Vec<&str> = self.provenance(node).collect();
+            let _ = writeln!(out, "provenance: {}", papers.join(", "));
         }
         out
     }
@@ -433,7 +533,7 @@ impl KnowledgeGraph {
                         "label" => n.label.clone(),
                         "kind" => n.kind.as_str(),
                         "parents" => Value::Array(n.parents.iter().map(|&p| Value::int(p as i64)).collect()),
-                        "provenance" => Value::Array(n.provenance.iter().map(|p| Value::str(p.clone())).collect()),
+                        "provenance" => Value::Array(self.provenance(n.id).map(Value::str).collect()),
                         "confidence" => n.confidence,
                     }
                 })
@@ -452,28 +552,17 @@ impl KnowledgeGraph {
             }
             let label = item.get("label")?.as_str()?.to_string();
             let kind = NodeKind::parse(item.get("kind")?.as_str()?)?;
-            let parents: Vec<NodeId> = item
+            let parents = item
                 .get("parents")?
                 .as_array()?
                 .iter()
                 .filter_map(|p| p.as_i64().map(|i| i as usize))
                 .collect();
             let confidence = item.get("confidence")?.as_f64()?;
-            kg.index_label(id, &label);
-            kg.nodes.push(Node {
-                id,
-                label,
-                kind,
-                parents: parents.clone(),
-                children: Vec::new(),
-                provenance: item
-                    .get("provenance")?
-                    .as_array()?
-                    .iter()
-                    .filter_map(|p| p.as_str().map(str::to_string))
-                    .collect(),
-                confidence,
-            });
+            kg.push_node(label, kind, parents, confidence);
+            for paper in item.get("provenance")?.as_array()?.iter().filter_map(Value::as_str) {
+                kg.add_provenance(id, paper);
+            }
         }
         // Rebuild child lists.
         for id in 0..kg.nodes.len() {
@@ -490,6 +579,13 @@ impl KnowledgeGraph {
 
 fn contains_all(hay: &NormalizedTerm, needles: &NormalizedTerm) -> bool {
     !needles.stems.is_empty() && needles.stems.iter().all(|s| hay.stems.contains(s))
+}
+
+/// Insert into an ascending, duplicate-free list, keeping it so.
+fn insert_sorted(ids: &mut Vec<NodeId>, id: NodeId) {
+    if let Err(at) = ids.binary_search(&id) {
+        ids.insert(at, id);
+    }
 }
 
 /// Byte trigrams of a string (empty for strings shorter than 3 bytes).
@@ -523,7 +619,7 @@ mod tests {
         assert_eq!(kg.node(1).parents, [0]);
         assert_eq!(kg.node(0).children, [1, 3]);
         assert_eq!(kg.depth(2), 2);
-        assert_eq!(kg.node(2).provenance, ["paper-000001"]);
+        assert_eq!(kg.provenance(2).collect::<Vec<_>>(), ["paper-000001"]);
     }
 
     #[test]
@@ -602,9 +698,9 @@ mod tests {
     fn provenance_dedupes() {
         let mut kg = sample();
         kg.add_provenance(2, "paper-000001");
-        assert_eq!(kg.node(2).provenance.len(), 1);
+        assert_eq!(kg.provenance(2).len(), 1);
         kg.add_provenance(2, "paper-000002");
-        assert_eq!(kg.node(2).provenance.len(), 2);
+        assert_eq!(kg.provenance(2).len(), 2);
     }
 
     #[test]
@@ -654,7 +750,7 @@ mod tests {
         let back = KnowledgeGraph::from_json(&j).unwrap();
         assert_eq!(back.len(), kg.len());
         assert_eq!(back.node(2).label, "Pfizer");
-        assert_eq!(back.node(2).provenance, ["paper-000001"]);
+        assert_eq!(back.provenance(2).collect::<Vec<_>>(), ["paper-000001"]);
         assert_eq!(back.node(0).children, kg.node(0).children);
         assert_eq!(back.find_by_term("vaccine"), [1]);
         assert_eq!(back.path_to_root(4), kg.path_to_root(4));

@@ -22,10 +22,12 @@
 //!   records grouped by vaccine, dosage and paper;
 //! * [`query`] — the graph query engine: typed multi-hop query plans
 //!   (kind/provenance predicate filters, co-occurrence expansion over
-//!   shared-paper provenance) executed as bounded iterative traversal
-//!   returning top-k ranked paths, with an exhaustive-DFS oracle for
-//!   equivalence testing and a plan-level optimizer that anchors the
-//!   traversal at the estimated-more-selective end;
+//!   shared-paper provenance) executed as one bounded in-place
+//!   traversal over the graph's maintained provenance indexes,
+//!   returning top-k ranked paths, and a plan-level optimizer that
+//!   anchors the traversal at the estimated-more-selective end;
+//! * [`oracle`] — the exhaustive-DFS equivalence oracle for the query
+//!   engine, reading provenance as strings and sharing no code with it;
 //! * [`materialize`] — incrementally-materialized meta-profile
 //!   documents: kept fresh off the collection mutation log instead of
 //!   full rebuilds, epoch-stamped so stale profiles are never served.
@@ -34,6 +36,7 @@ pub mod extract;
 pub mod fusion;
 pub mod graph;
 pub mod materialize;
+pub mod oracle;
 pub mod profile;
 pub mod query;
 pub mod seed;
@@ -43,8 +46,8 @@ pub use fusion::{ExpertOracle, FusionConfig, FusionEngine, FusionOutcome, Fusion
 pub use graph::{KnowledgeGraph, NodeId, NodeKind, SearchHit};
 pub use materialize::{profile_document, ProfileStore, ProfileStoreStats};
 pub use profile::{build_meta_profiles, MetaProfile, Observation};
+pub use oracle::execute_oracle;
 pub use query::{
-    execute, execute_optimized, execute_oracle, HopRel, HopStep, QueryPlan, QueryResult,
-    RankedPath, StartSet,
+    execute, execute_optimized, HopRel, HopStep, QueryPlan, QueryResult, RankedPath, StartSet,
 };
 pub use seed::seed_graph;

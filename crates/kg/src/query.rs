@@ -6,25 +6,24 @@
 //! filters — executed as a bounded traversal that returns the top-k
 //! complete paths ranked by provenance support and inverse path length.
 //!
-//! Two executors share one successor function:
-//!
-//! - [`execute`] — the serving engine: an iterative explicit-stack
-//!   traversal feeding a bounded top-k buffer, with hop/visit counters
-//!   for the `covidkg_kg_*` metrics series.
-//! - [`execute_oracle`] — a naive recursive exhaustive DFS that
-//!   collects *every* complete path, sorts, and truncates. It exists
-//!   only as the equivalence oracle for property tests.
+//! The serving engine is [`execute`] / [`execute_optimized`]: one
+//! in-place depth-first traversal over the provenance indexes the
+//! graph maintains on write — interned paper ids, a per-node paper
+//! bitset and a per-node co-neighbour list — feeding a bounded top-k
+//! buffer, with hop/visit counters for the `covidkg_kg_*` metrics
+//! series. Its equivalence oracle, [`crate::oracle::execute_oracle`],
+//! shares nothing with it but the plan and result types below.
 //!
 //! Determinism contract: successors are sorted by node id, filtered,
-//! then truncated to `max_fanout`; ranking breaks score ties by
-//! lexicographic path order (`(score desc, path lex asc)`), and scores
-//! are computed by one shared function — so both executors return
-//! byte-identical results, including tie-breaks.
+//! then truncated to `max_fanout`; a path scores
+//! `(distinct provenance papers + 1) / length`; ranking breaks score
+//! ties by lexicographic path order (`(score desc, path lex asc)`).
+//! Engine and oracle each implement that contract on their own, and
+//! the property tests hold them to byte-identical results, tie-breaks
+//! included.
 
-use crate::graph::{KnowledgeGraph, NodeId, NodeKind};
+use crate::graph::{KnowledgeGraph, NodeId, NodeKind, PaperId};
 use covidkg_json::{obj, Value};
-use std::collections::BTreeSet;
-use std::collections::HashMap;
 
 /// Hard ceiling on hop steps per plan (bounded depth).
 pub const MAX_STEPS: usize = 8;
@@ -229,76 +228,59 @@ impl QueryResult {
     }
 }
 
-/// Paper-id → node-ids co-occurrence index, built once per execution
-/// so `co` hops don't rescan the graph per expansion.
-struct CoIndex {
-    by_paper: HashMap<String, Vec<NodeId>>,
+/// A hop step as the engine reads it: the provenance filter resolved
+/// against the graph's interned papers once per plan, not once per
+/// candidate.
+struct Step {
+    rel: HopRel,
+    kind: Option<NodeKind>,
+    /// `Some(None)` names a paper no node carries: no target passes.
+    paper: Option<Option<PaperId>>,
 }
 
-impl CoIndex {
-    fn build(kg: &KnowledgeGraph) -> CoIndex {
-        let mut by_paper: HashMap<String, Vec<NodeId>> = HashMap::new();
-        for n in kg.nodes() {
-            for p in &n.provenance {
-                by_paper.entry(p.clone()).or_default().push(n.id);
+impl Step {
+    fn resolve(kg: &KnowledgeGraph, plan: &QueryPlan) -> Vec<Step> {
+        plan.steps
+            .iter()
+            .map(|s| Step {
+                rel: s.rel,
+                kind: s.kind,
+                paper: s.provenance.as_deref().map(|p| kg.paper_id(p)),
+            })
+            .collect()
+    }
+
+    /// Does a node satisfy the step's predicate filters?
+    fn admits(&self, kg: &KnowledgeGraph, node: NodeId) -> bool {
+        self.kind.is_none_or(|k| kg.node(node).kind == k)
+            && match self.paper {
+                None => true,
+                Some(None) => false,
+                Some(Some(paper)) => kg.has_paper(node, paper),
             }
-        }
-        CoIndex { by_paper }
     }
 }
 
-/// The shared successor function: candidates by relation, sorted by
-/// node id, deduplicated, filtered by the step's predicates and the
-/// no-revisit rule, truncated to `max_fanout`. Both executors call
-/// this, which is what makes them equivalent by construction.
-fn successors(
-    kg: &KnowledgeGraph,
-    co: &CoIndex,
-    path: &[NodeId],
-    step: &HopStep,
-    max_fanout: usize,
-) -> Vec<NodeId> {
-    let from = *path.last().expect("path never empty");
+/// The nodes one `rel` edge away from `from`, ascending and distinct,
+/// written over `out`. A `co` hop reads the graph's maintained
+/// co-neighbour list, which is already in that form.
+fn neighbours(kg: &KnowledgeGraph, from: NodeId, rel: HopRel, out: &mut Vec<NodeId>) {
     let node = kg.node(from);
-    let mut cands: Vec<NodeId> = match step.rel {
-        HopRel::Child => node.children.clone(),
-        HopRel::Parent => node.parents.clone(),
+    out.clear();
+    match rel {
+        HopRel::Child => out.extend_from_slice(&node.children),
+        HopRel::Parent => out.extend_from_slice(&node.parents),
         HopRel::Any => {
-            let mut v = node.children.clone();
-            v.extend_from_slice(&node.parents);
-            v
+            out.extend_from_slice(&node.children);
+            out.extend_from_slice(&node.parents);
         }
         HopRel::CoOccur => {
-            let mut v = Vec::new();
-            for p in &node.provenance {
-                if let Some(ids) = co.by_paper.get(p) {
-                    v.extend_from_slice(ids);
-                }
-            }
-            v
+            out.extend_from_slice(kg.co_neighbors(from));
+            return;
         }
-    };
-    cands.sort_unstable();
-    cands.dedup();
-    cands.retain(|&c| {
-        if path.contains(&c) {
-            return false;
-        }
-        let n = kg.node(c);
-        if let Some(k) = step.kind {
-            if n.kind != k {
-                return false;
-            }
-        }
-        if let Some(p) = &step.provenance {
-            if !n.provenance.iter().any(|pp| pp == p) {
-                return false;
-            }
-        }
-        true
-    });
-    cands.truncate(max_fanout);
-    cands
+    }
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// Resolve the start set: sorted by id, truncated to `max_fanout`.
@@ -320,102 +302,127 @@ fn start_nodes(kg: &KnowledgeGraph, plan: &QueryPlan) -> Vec<NodeId> {
     ids
 }
 
-/// Shared scoring: distinct provenance papers across the path's nodes,
-/// +1 floor, divided by path length.
-fn score_path(kg: &KnowledgeGraph, path: &[NodeId]) -> (usize, f64) {
-    let mut papers: BTreeSet<&str> = BTreeSet::new();
-    for &n in path {
-        for p in &kg.node(n).provenance {
-            papers.insert(p.as_str());
-        }
-    }
-    let support = papers.len();
-    (support, (support + 1) as f64 / path.len() as f64)
-}
-
-/// `(score desc, path lex asc)` — the deterministic result order.
-fn better(a: &RankedPath, b: &RankedPath) -> std::cmp::Ordering {
-    b.score.total_cmp(&a.score).then_with(|| a.nodes.cmp(&b.nodes))
-}
-
-fn ranked(kg: &KnowledgeGraph, path: Vec<NodeId>) -> RankedPath {
-    let (support, score) = score_path(kg, &path);
-    let labels = path.iter().map(|&n| kg.node(n).label.clone()).collect();
-    RankedPath { nodes: path, labels, support, score }
-}
-
-/// Bounded buffer keeping the best `k` paths under [`better`].
+/// Bounded buffer keeping the best `k` paths in the deterministic
+/// result order, `(score desc, path lex asc)`.
 struct TopK {
     k: usize,
     items: Vec<RankedPath>,
 }
 
 impl TopK {
-    fn push(&mut self, p: RankedPath) {
-        let pos = self.items.partition_point(|q| better(q, &p).is_lt());
+    /// Offer a complete path with its support (distinct provenance
+    /// papers): scored `(support + 1) / length`, and materialized —
+    /// node ids and labels cloned — only when it enters the buffer.
+    fn offer(&mut self, kg: &KnowledgeGraph, nodes: &[NodeId], support: usize) {
+        let score = (support + 1) as f64 / nodes.len() as f64;
+        let pos = self.items.partition_point(|q| {
+            score.total_cmp(&q.score).then_with(|| q.nodes.as_slice().cmp(nodes)).is_lt()
+        });
         if pos >= self.k {
             return;
         }
-        self.items.insert(pos, p);
-        self.items.truncate(self.k);
+        self.items.truncate(self.k - 1);
+        let labels = nodes.iter().map(|&n| kg.node(n).label.clone()).collect();
+        self.items.insert(pos, RankedPath { nodes: nodes.to_vec(), labels, support, score });
     }
 }
 
-/// The serving engine: iterative explicit-stack traversal with a
-/// bounded top-k buffer and hop/visit counters.
-pub fn execute(kg: &KnowledgeGraph, plan: &QueryPlan) -> QueryResult {
-    execute_with(kg, &CoIndex::build(kg), plan)
-}
-
-fn execute_with(kg: &KnowledgeGraph, co: &CoIndex, plan: &QueryPlan) -> QueryResult {
-    let mut top = TopK { k: plan.k, items: Vec::new() };
-    let mut hops = 0u64;
-    let mut visited = 0u64;
-    // Stack of partial paths; `depth` = steps already taken.
-    let mut stack: Vec<Vec<NodeId>> = start_nodes(kg, plan)
-        .into_iter()
-        .rev()
-        .map(|n| vec![n])
-        .collect();
-    while let Some(path) = stack.pop() {
-        visited += 1;
-        let depth = path.len() - 1;
-        if depth == plan.steps.len() {
-            top.push(ranked(kg, path));
+/// The one traversal every executor runs: a depth-first walk, in
+/// candidate order, over paths of `depth` hops rooted at `roots`,
+/// ranking the complete ones.
+///
+/// `expand(path, out)` writes the successors of `path`'s head over
+/// `out`. Everything the walk needs lives in per-depth buffers
+/// allocated once: the candidate list of each path position, and the
+/// union of the paper bitsets of the path so far — so a complete
+/// path's support is one OR + popcount against its parent's row, and
+/// nothing is allocated per path. `reversed` paths were walked from
+/// their last node to their first and are ranked first-to-last.
+fn traverse(
+    kg: &KnowledgeGraph,
+    roots: Vec<NodeId>,
+    depth: usize,
+    k: usize,
+    reversed: bool,
+    mut expand: impl FnMut(&[NodeId], &mut Vec<NodeId>),
+) -> QueryResult {
+    let words = kg.paper_words();
+    let mut top = TopK { k, items: Vec::new() };
+    let (mut hops, mut visited) = (0u64, 0u64);
+    // cands[d]: the candidates for path position d; taken[d] of them
+    // have been walked.
+    let mut cands = vec![Vec::new(); depth + 1];
+    cands[0] = roots;
+    let mut taken = vec![0usize; depth + 1];
+    // Row d: the papers of path[..d] (row 0 stays empty).
+    let mut unions = vec![0u64; (depth + 1) * words];
+    let mut path: Vec<NodeId> = Vec::with_capacity(depth + 1);
+    let mut forward: Vec<NodeId> = Vec::with_capacity(depth + 1);
+    loop {
+        let d = path.len();
+        let Some(&n) = cands[d].get(taken[d]) else {
+            if path.pop().is_none() {
+                break;
+            }
             continue;
-        }
-        let next = successors(kg, co, &path, &plan.steps[depth], plan.max_fanout);
-        hops += next.len() as u64;
-        for &n in next.iter().rev() {
-            let mut p = path.clone();
-            p.push(n);
-            stack.push(p);
+        };
+        taken[d] += 1;
+        visited += 1;
+        path.push(n);
+        // A node's set is trimmed to its highest paper: past its end the
+        // union is the parent row's words.
+        let set = kg.paper_set(n);
+        let (above, below) = unions[d * words..].split_at_mut(words);
+        let (shared, rest) = above.split_at(set.len());
+        if d == depth {
+            let support = shared.iter().zip(set).map(|(a, b)| (a | b).count_ones()).sum::<u32>()
+                + rest.iter().map(|a| a.count_ones()).sum::<u32>();
+            if reversed {
+                forward.clear();
+                forward.extend(path.iter().rev());
+                top.offer(kg, &forward, support as usize);
+            } else {
+                top.offer(kg, &path, support as usize);
+            }
+            path.pop();
+        } else {
+            let (row, row_rest) = below[..words].split_at_mut(set.len());
+            for ((row, a), b) in row.iter_mut().zip(shared).zip(set) {
+                *row = a | b;
+            }
+            row_rest.copy_from_slice(rest);
+            expand(&path, &mut cands[d + 1]);
+            hops += cands[d + 1].len() as u64;
+            taken[d + 1] = 0;
         }
     }
     QueryResult { paths: top.items, hops, visited }
 }
 
-/// Does a node satisfy one hop step's predicate filters?
-fn matches_step(node: &crate::graph::Node, step: &HopStep) -> bool {
-    if let Some(k) = step.kind {
-        if node.kind != k {
-            return false;
-        }
-    }
-    if let Some(p) = &step.provenance {
-        if !node.provenance.iter().any(|pp| pp == p) {
-            return false;
-        }
-    }
-    true
+/// The serving engine: forward traversal from the start set.
+/// Successors are the step's relation read off the graph, filtered by
+/// the step's predicates and the no-revisit rule, then truncated to
+/// `max_fanout`.
+pub fn execute(kg: &KnowledgeGraph, plan: &QueryPlan) -> QueryResult {
+    execute_forward(kg, plan, &Step::resolve(kg, plan))
+}
+
+fn execute_forward(kg: &KnowledgeGraph, plan: &QueryPlan, steps: &[Step]) -> QueryResult {
+    traverse(kg, start_nodes(kg, plan), steps.len(), plan.k, false, |path, out| {
+        let step = &steps[path.len() - 1];
+        neighbours(kg, *path.last().expect("path never empty"), step.rel, out);
+        out.retain(|&c| !path.contains(&c) && step.admits(kg, c));
+        out.truncate(plan.max_fanout);
+    })
 }
 
 /// Can the plan's results provably not depend on fanout truncation?
 /// Holds when the untruncated start set and every node's total degree
 /// fit under `max_fanout` — then both the forward engine and a reversed
 /// traversal enumerate the *same complete path set* exhaustively, so
-/// reordering is free. Co-occurrence hops are excluded: their candidate
-/// lists are unions over shared papers with no cheap degree bound.
+/// reordering is free. Plans with a co-occurrence hop always run
+/// forward: which direction a plan runs in decides the `hops` and
+/// `visited` a client is sent.
 fn reversal_safe(kg: &KnowledgeGraph, plan: &QueryPlan) -> bool {
     if plan.steps.is_empty() || plan.steps.iter().any(|s| s.rel == HopRel::CoOccur) {
         return false;
@@ -474,146 +481,72 @@ fn estimate_cost(kg: &KnowledgeGraph, anchor: usize, steps: &[&HopStep], reverse
 /// Plan-level query optimization: pick the cheaper traversal anchor by
 /// estimated selectivity before touching the graph.
 ///
-/// Two rewrites, both result-preserving:
-///
-/// 1. **Co-index elision** — the paper→nodes co-occurrence index is
-///    built only when the plan actually contains a `co` hop, instead of
-///    unconditionally per execution.
-/// 2. **Anchor reversal** — when the terminal step's predicate set is
-///    estimated more selective than the start set (terminal cardinality
-///    × reversed-step fanout products vs start cardinality × forward
-///    products), traversal runs *backward* from the nodes matching the
-///    last step's predicates, following reversed relations, and keeps
-///    only paths landing in the start set. Applied only in the
-///    [`reversal_safe`] regime where fanout truncation provably cannot
-///    fire, so the enumerated path set — and therefore the ranked
-///    output — is byte-identical to [`execute`]. Work counters
-///    legitimately differ (that is the point).
+/// **Anchor reversal** — when the terminal step's predicate set is
+/// estimated more selective than the start set (terminal cardinality
+/// × reversed-step fanout products vs start cardinality × forward
+/// products), traversal runs *backward* from the nodes matching the
+/// last step's predicates, following reversed relations, and keeps
+/// only paths landing in the start set. Applied only in the
+/// [`reversal_safe`] regime where fanout truncation provably cannot
+/// fire, so the enumerated path set — and therefore the ranked
+/// output — is byte-identical to [`execute`]. Work counters
+/// legitimately differ (that is the point).
 pub fn execute_optimized(kg: &KnowledgeGraph, plan: &QueryPlan) -> QueryResult {
+    let steps = Step::resolve(kg, plan);
     if reversal_safe(kg, plan) {
-        let last = plan.steps.last().expect("non-empty in safe regime");
-        let terminal: Vec<NodeId> = kg
-            .nodes()
-            .iter()
-            .filter(|node| matches_step(node, last))
-            .map(|node| node.id)
-            .collect();
+        let last = steps.last().expect("non-empty in safe regime");
+        let terminal: Vec<NodeId> = (0..kg.len()).filter(|&n| last.admits(kg, n)).collect();
         let fwd_steps: Vec<&HopStep> = plan.steps.iter().collect();
         let rev_steps: Vec<&HopStep> = plan.steps.iter().rev().collect();
         let fwd = estimate_cost(kg, untruncated_start_len(kg, plan), &fwd_steps, false);
         let bwd = estimate_cost(kg, terminal.len(), &rev_steps, true);
         if bwd < fwd {
-            return execute_backward(kg, plan, terminal);
+            return execute_backward(kg, plan, &steps, terminal);
         }
     }
-    let co = if plan.steps.iter().any(|s| s.rel == HopRel::CoOccur) {
-        CoIndex::build(kg)
-    } else {
-        CoIndex { by_paper: HashMap::new() }
-    };
-    execute_with(kg, &co, plan)
+    execute_forward(kg, plan, &steps)
 }
 
 /// Exhaustive reversed traversal for the [`reversal_safe`] regime:
 /// anchor at `terminal` (nodes matching the last step's predicates),
-/// walk reversed relations toward position 0, accept paths whose far
-/// end lies in the start set, then rank exactly like the oracle.
-fn execute_backward(kg: &KnowledgeGraph, plan: &QueryPlan, terminal: Vec<NodeId>) -> QueryResult {
-    let start: BTreeSet<NodeId> = start_nodes(kg, plan).into_iter().collect();
-    let len = plan.steps.len();
-    let mut all: Vec<RankedPath> = Vec::new();
-    let mut hops = 0u64;
-    let mut visited = 0u64;
-    // Reversed partial paths: rpath[i] holds the node at forward
-    // position `len - i`, so a complete rpath ends at position 0.
-    let mut stack: Vec<Vec<NodeId>> = terminal.into_iter().map(|n| vec![n]).collect();
-    while let Some(rpath) = stack.pop() {
-        visited += 1;
-        if rpath.len() == len + 1 {
-            let mut path = rpath;
-            path.reverse();
-            all.push(ranked(kg, path));
-            continue;
-        }
-        // Forward position of the head, and the step whose edge links it
-        // to the previous position.
+/// walk reversed relations toward position 0 and accept paths whose far
+/// end lies in the start set. Nothing is truncated, so the complete
+/// paths — and, the result order being total, the top `k` of them —
+/// are the forward engine's.
+fn execute_backward(
+    kg: &KnowledgeGraph,
+    plan: &QueryPlan,
+    steps: &[Step],
+    terminal: Vec<NodeId>,
+) -> QueryResult {
+    let start = start_nodes(kg, plan);
+    let len = steps.len();
+    traverse(kg, terminal, len, plan.k, true, |rpath, out| {
+        // rpath[i] holds the node at forward position `len - i`: the
+        // head sits at `pos`, reached from `pos - 1` over that step's
+        // relation, so walk it the other way.
         let pos = len - (rpath.len() - 1);
-        let node = kg.node(*rpath.last().expect("rpath never empty"));
-        let mut cands: Vec<NodeId> = match plan.steps[pos - 1].rel {
-            // Forward `child` goes parent→child, so walk up to parents.
-            HopRel::Child => node.parents.clone(),
-            HopRel::Parent => node.children.clone(),
-            HopRel::Any => {
-                let mut v = node.children.clone();
-                v.extend_from_slice(&node.parents);
-                v
-            }
-            HopRel::CoOccur => unreachable!("excluded by reversal_safe"),
+        let rel = match steps[pos - 1].rel {
+            HopRel::Child => HopRel::Parent,
+            HopRel::Parent => HopRel::Child,
+            symmetric => symmetric,
         };
-        cands.sort_unstable();
-        cands.dedup();
-        cands.retain(|&c| {
-            if rpath.contains(&c) {
-                return false;
-            }
-            if pos - 1 == 0 {
-                start.contains(&c)
-            } else {
-                matches_step(kg.node(c), &plan.steps[pos - 2])
-            }
+        neighbours(kg, *rpath.last().expect("rpath never empty"), rel, out);
+        out.retain(|&c| {
+            !rpath.contains(&c)
+                && if pos == 1 {
+                    start.binary_search(&c).is_ok()
+                } else {
+                    steps[pos - 2].admits(kg, c)
+                }
         });
-        hops += cands.len() as u64;
-        for c in cands {
-            let mut p = rpath.clone();
-            p.push(c);
-            stack.push(p);
-        }
-    }
-    all.sort_by(better);
-    all.truncate(plan.k);
-    QueryResult { paths: all, hops, visited }
-}
-
-/// The naive oracle: recursive exhaustive DFS collecting every
-/// complete path, then sort + truncate. Exists for equivalence tests.
-pub fn execute_oracle(kg: &KnowledgeGraph, plan: &QueryPlan) -> QueryResult {
-    fn dfs(
-        kg: &KnowledgeGraph,
-        co: &CoIndex,
-        plan: &QueryPlan,
-        path: &mut Vec<NodeId>,
-        all: &mut Vec<RankedPath>,
-        hops: &mut u64,
-        visited: &mut u64,
-    ) {
-        *visited += 1;
-        let depth = path.len() - 1;
-        if depth == plan.steps.len() {
-            all.push(ranked(kg, path.clone()));
-            return;
-        }
-        for n in successors(kg, co, path, &plan.steps[depth], plan.max_fanout) {
-            *hops += 1;
-            path.push(n);
-            dfs(kg, co, plan, path, all, hops, visited);
-            path.pop();
-        }
-    }
-    let co = CoIndex::build(kg);
-    let mut all = Vec::new();
-    let mut hops = 0u64;
-    let mut visited = 0u64;
-    for n in start_nodes(kg, plan) {
-        dfs(kg, &co, plan, &mut vec![n], &mut all, &mut hops, &mut visited);
-    }
-    all.sort_by(better);
-    all.truncate(plan.k);
-    QueryResult { paths: all, hops, visited }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::execute_oracle;
     use crate::seed::seed_graph;
 
     fn provenance_graph() -> KnowledgeGraph {

@@ -1,13 +1,15 @@
 //! Property tests: fusion streams keep the knowledge graph a rooted DAG,
-//! JSON round-trips preserve structure, and search never panics. Runs on
-//! the in-repo `covidkg_rand::prop` harness.
+//! JSON round-trips preserve structure, the provenance indexes the graph
+//! maintains on write equal a scan over provenance strings, and search
+//! never panics. Runs on the in-repo `covidkg_rand::prop` harness.
 
 use covidkg_kg::{
-    seed_graph, ExtractedTree, FusionConfig, FusionEngine, FusionOutcome, KnowledgeGraph,
+    seed_graph, ExtractedTree, FusionConfig, FusionEngine, FusionOutcome, KnowledgeGraph, NodeKind,
     ScriptedExpert,
 };
 use covidkg_rand::prop::{self, any_string, charset_string, lowercase_string, vec_of};
 use covidkg_rand::{Rng, SmallRng};
+use std::collections::BTreeSet;
 
 const UPPER: &[char] = &[
     'A', 'B', 'C', 'D', 'E', 'F', 'G', 'H', 'I', 'J', 'K', 'L', 'M', 'N', 'O', 'P', 'Q', 'R', 'S',
@@ -117,10 +119,130 @@ fn json_round_trip_preserves_fused_graphs() {
         for (a, b) in kg.nodes().iter().zip(back.nodes()) {
             assert_eq!(&a.label, &b.label);
             assert_eq!(&a.parents, &b.parents);
-            assert_eq!(&a.provenance, &b.provenance);
+            assert!(kg.provenance(a.id).eq(back.provenance(b.id)));
         }
         assert_rooted_dag(&back);
     });
+}
+
+/// One write to the graph; indices are taken modulo the graph size.
+#[derive(Debug, Clone)]
+enum Write {
+    Child { parent: usize },
+    Parent { node: usize, parent: usize },
+    /// `count` consecutive papers of a 160-paper pool from `first`, so
+    /// bitsets cross word boundaries and repeats hit the dedupe.
+    Provenance { node: usize, first: usize, count: usize },
+}
+
+fn gen_write(rng: &mut SmallRng) -> Write {
+    match rng.gen_range(0u8..4) {
+        0 => Write::Child { parent: rng.gen_range(0usize..64) },
+        1 => Write::Parent { node: rng.gen_range(0usize..64), parent: rng.gen_range(0usize..64) },
+        _ => Write::Provenance {
+            node: rng.gen_range(0usize..64),
+            first: rng.gen_range(0usize..160),
+            count: rng.gen_range(1usize..=40),
+        },
+    }
+}
+
+/// Apply the writes to a graph and, beside it, to the model the
+/// indexes are judged against: each node's paper strings, first
+/// attachment first.
+fn apply_writes(writes: &[Write]) -> (KnowledgeGraph, Vec<Vec<String>>) {
+    let mut kg = KnowledgeGraph::new();
+    kg.add_root("covid");
+    let mut model: Vec<Vec<String>> = vec![Vec::new()];
+    for w in writes {
+        let len = kg.len();
+        match *w {
+            Write::Child { parent } => {
+                kg.add_child(parent % len, format!("n{len}"), NodeKind::Entity, 0.9);
+                model.push(Vec::new());
+            }
+            Write::Parent { node, parent } => {
+                if node % len != parent % len {
+                    kg.add_parent(node % len, parent % len);
+                }
+            }
+            Write::Provenance { node, first, count } => {
+                for p in first..first + count {
+                    let paper = format!("paper-{}", p % 160);
+                    kg.add_provenance(node % len, &paper);
+                    if !model[node % len].contains(&paper) {
+                        model[node % len].push(paper);
+                    }
+                }
+            }
+        }
+    }
+    (kg, model)
+}
+
+/// Every maintained provenance index against a scan over the model's
+/// strings.
+fn check_indexes(kg: &KnowledgeGraph, model: &[Vec<String>], paths: &[Vec<usize>]) -> Result<(), String> {
+    for (n, papers) in model.iter().enumerate() {
+        let rendered: Vec<&str> = kg.provenance(n).collect();
+        if rendered != *papers {
+            return Err(format!("node {n} renders {rendered:?}, attached {papers:?}"));
+        }
+        let scan: Vec<usize> = (0..model.len())
+            .filter(|&m| m != n && model[m].iter().any(|p| papers.contains(p)))
+            .collect();
+        if kg.co_neighbors(n) != scan {
+            return Err(format!("node {n} co-neighbours {:?}, scan {scan:?}", kg.co_neighbors(n)));
+        }
+    }
+    for path in paths {
+        let path: Vec<usize> = path.iter().map(|n| n % model.len()).collect();
+        let distinct: BTreeSet<&String> = path.iter().flat_map(|&n| &model[n]).collect();
+        if kg.support(&path) != distinct.len() {
+            return Err(format!("support({path:?}) = {}, distinct strings {}", kg.support(&path), distinct.len()));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn provenance_indexes_match_a_scan_over_strings() {
+    prop::run_shrink(
+        64,
+        |rng| {
+            let writes = vec_of(rng, 0, 48, gen_write);
+            let paths = vec_of(rng, 1, 6, |r| vec_of(r, 1, 5, |r| r.gen_range(0usize..64)));
+            (writes, paths)
+        },
+        |(writes, paths)| {
+            prop::shrink_vec(writes, |_| Vec::new())
+                .into_iter()
+                .map(|writes| (writes, paths.clone()))
+                .collect()
+        },
+        |(writes, paths)| {
+            let (kg, model) = apply_writes(writes);
+            check_indexes(&kg, &model, paths)?;
+            let stored = kg.to_json();
+            let back = KnowledgeGraph::from_json(&stored).ok_or("graph JSON failed to load")?;
+            check_indexes(&back, &model, paths).map_err(|e| format!("after a JSON round trip: {e}"))?;
+            // A stored document repeating a provenance entry loads
+            // deduplicated, with every index as if it were not there.
+            let mut repeated = stored.clone();
+            for node in repeated.as_array_mut().expect("graph JSON is an array") {
+                let papers = node.get_mut("provenance").and_then(|p| p.as_array_mut()).expect("provenance array");
+                if let Some(first) = papers.first().cloned() {
+                    papers.push(first);
+                }
+            }
+            let deduped = KnowledgeGraph::from_json(&repeated).ok_or("repeated JSON failed to load")?;
+            check_indexes(&deduped, &model, paths).map_err(|e| format!("with repeated entries: {e}"))?;
+            if deduped.to_json().to_json() != stored.to_json() {
+                return Err("repeated entries survived the load".to_string());
+            }
+            Ok(())
+        },
+    );
 }
 
 #[test]

@@ -2,10 +2,13 @@
 //! incremental profile materializer.
 //!
 //! Each case draws a random graph (hierarchy edges, multi-parent links,
-//! overlapping provenance pools so co-occurrence hops have real work to
-//! do) plus a random query plan, and demands the serving engine's
-//! ranked paths be **byte-identical** — including `(score desc, path
-//! lex)` tie-breaks — to the naive exhaustive-DFS oracle. A second
+//! overlapping provenance drawn from a pool wide enough that the
+//! graph's paper bitsets run past one and two words, papers first seen
+//! at any point of the op sequence) plus a random query plan, and
+//! demands the serving engine's result — on the graph as built and on
+//! its JSON round trip — be **byte-identical**, `(score desc, path
+//! lex)` tie-breaks and work counters included, to the naive
+//! exhaustive-DFS oracle, which reads provenance as strings. A second
 //! property drives a [`ProfileStore`] through random mutation sequences
 //! (insert/update/delete papers) and demands every materialized
 //! document match a from-scratch full rebuild byte for byte. Failures
@@ -16,16 +19,32 @@ use std::collections::BTreeMap;
 
 use covidkg_kg::materialize::ProfileStore;
 use covidkg_kg::profile::Observation;
-use covidkg_kg::query::{execute, execute_optimized, execute_oracle, QueryPlan};
-use covidkg_kg::{KnowledgeGraph, NodeKind};
+use covidkg_kg::query::{execute, execute_optimized, QueryPlan, MAX_FANOUT, MAX_K};
+use covidkg_kg::{execute_oracle, KnowledgeGraph, NodeKind};
 use covidkg_rand::rngs::SmallRng;
 use covidkg_rand::{prop, Rng};
 
 /// Small label pool: collisions make `term:` starts multi-node and give
 /// the inverted index duplicate postings to manage.
 const LABELS: &[&str] = &["fever", "chills", "pfizer", "moderna", "dose", "trial", "fatigue"];
-/// Small paper pool: overlap is what makes co-occurrence hops fire.
-const PAPERS: &[&str] = &["p0", "p1", "p2", "p3", "p4"];
+/// Paper pool. Half the draws come from the first few ids — overlap is
+/// what makes co-occurrence hops fire — the rest from the whole pool,
+/// so a graph interns well over 128 papers and its bitsets cross the
+/// 64- and 128-paper word boundaries.
+const PAPER_POOL: usize = 160;
+const HOT_PAPERS: usize = 6;
+
+fn paper(i: usize) -> String {
+    format!("p{i}")
+}
+
+fn gen_paper(rng: &mut SmallRng) -> usize {
+    if rng.gen_bool(0.5) {
+        rng.gen_range(0..HOT_PAPERS)
+    } else {
+        rng.gen_range(0..PAPER_POOL)
+    }
+}
 
 // ---------------------------------------------------------------------
 // Random graphs.
@@ -40,25 +59,36 @@ enum GraphOp {
     Child { parent: usize, label: usize, kind: u8, papers: Vec<usize> },
     /// `add_parent(node % len, parent % len)` (skipped when identical).
     Link { node: usize, parent: usize },
-    /// `add_provenance(node % len, paper)`.
-    Provenance { node: usize, paper: usize },
+    /// `add_provenance(node % len, paper)` for `count` consecutive pool
+    /// papers from `first`: the long provenance list of a well-studied
+    /// node.
+    Provenance { node: usize, first: usize, count: usize },
+    /// A paper no earlier op can have named, attached to two nodes: a
+    /// co-occurrence edge made by the newest interned id, wherever in
+    /// the sequence the op falls.
+    Fresh { a: usize, b: usize },
 }
 
 fn gen_graph_op(rng: &mut SmallRng) -> GraphOp {
-    match rng.gen_range(0u8..10) {
+    match rng.gen_range(0u8..11) {
         0..=5 => GraphOp::Child {
             parent: rng.gen_range(0usize..64),
             label: rng.gen_range(0..LABELS.len()),
             kind: rng.gen_range(0u8..2),
-            papers: prop::vec_of(rng, 0, 2, |r| r.gen_range(0..PAPERS.len())),
+            papers: prop::vec_of(rng, 0, 3, gen_paper),
         },
         6..=7 => GraphOp::Link {
             node: rng.gen_range(0usize..64),
             parent: rng.gen_range(0usize..64),
         },
-        _ => GraphOp::Provenance {
+        8..=9 => GraphOp::Provenance {
             node: rng.gen_range(0usize..64),
-            paper: rng.gen_range(0..PAPERS.len()),
+            first: rng.gen_range(0..PAPER_POOL),
+            count: rng.gen_range(1usize..=64),
+        },
+        _ => GraphOp::Fresh {
+            a: rng.gen_range(0usize..64),
+            b: rng.gen_range(0usize..64),
         },
     }
 }
@@ -69,15 +99,15 @@ fn gen_graph_op(rng: &mut SmallRng) -> GraphOp {
 fn build_graph(ops: &[GraphOp]) -> KnowledgeGraph {
     let mut kg = KnowledgeGraph::new();
     let root = kg.add_root("covid");
-    kg.add_provenance(root, PAPERS[0]);
-    for op in ops {
+    kg.add_provenance(root, paper(0));
+    for (at, op) in ops.iter().enumerate() {
         let len = kg.len();
         match op {
             GraphOp::Child { parent, label, kind, papers } => {
                 let kind = if *kind == 0 { NodeKind::Category } else { NodeKind::Entity };
                 let id = kg.add_child(parent % len, LABELS[*label], kind, 0.9);
                 for p in papers {
-                    kg.add_provenance(id, PAPERS[*p]);
+                    kg.add_provenance(id, paper(*p));
                 }
             }
             GraphOp::Link { node, parent } => {
@@ -85,8 +115,14 @@ fn build_graph(ops: &[GraphOp]) -> KnowledgeGraph {
                     kg.add_parent(node % len, parent % len);
                 }
             }
-            GraphOp::Provenance { node, paper } => {
-                kg.add_provenance(node % len, PAPERS[*paper]);
+            GraphOp::Provenance { node, first, count } => {
+                for p in *first..first + count {
+                    kg.add_provenance(node % len, paper(p % PAPER_POOL));
+                }
+            }
+            GraphOp::Fresh { a, b } => {
+                kg.add_provenance(a % len, format!("fresh-{at}"));
+                kg.add_provenance(b % len, format!("fresh-{at}"));
             }
         }
     }
@@ -111,7 +147,10 @@ fn gen_step(rng: &mut SmallRng) -> String {
     match rng.gen_range(0u8..4) {
         0 => format!("{rel}:entity"),
         1 => format!("{rel}:category"),
-        2 => format!("{rel}::{}", PAPERS[rng.gen_range(0..PAPERS.len())]),
+        // A filter paper from the pool (which any one graph attaches only
+        // part of), or one no graph has.
+        2 if rng.gen_bool(0.2) => format!("{rel}::ghost"),
+        2 => format!("{rel}::{}", paper(gen_paper(rng))),
         _ => rel.to_string(),
     }
 }
@@ -165,21 +204,38 @@ fn engine_matches_oracle_on_random_graphs() {
         },
         |case| {
             let kg = build_graph(&case.ops);
-            let plan =
-                QueryPlan::parse(&case.start, &case.steps.join(","), case.fanout, case.k)
-                    .map_err(|e| format!("plan failed to parse: {e}"))?;
-            let engine = execute(&kg, &plan).paths_json().to_json();
-            let oracle = execute_oracle(&kg, &plan).paths_json().to_json();
-            if engine != oracle {
-                return Err(format!("engine != oracle\n  engine: {engine}\n  oracle: {oracle}"));
-            }
-            // The plan optimizer (co-index elision + selectivity-driven
-            // anchor reversal) must be invisible in the ranked output.
-            let optimized = execute_optimized(&kg, &plan).paths_json().to_json();
-            if optimized != engine {
-                return Err(format!(
-                    "optimizer changed results\n  engine:    {engine}\n  optimized: {optimized}"
-                ));
+            let reloaded = KnowledgeGraph::from_json(&kg.to_json()).ok_or("graph JSON failed to load")?;
+            let drawn = QueryPlan::parse(&case.start, &case.steps.join(","), case.fanout, case.k)
+                .map_err(|e| format!("plan failed to parse: {e}"))?;
+            // Beside the drawn plan, one `co` hop out of every node at the
+            // widest bounds: every co-occurrence edge of the graph is
+            // walked in every case, and counted in `hops`.
+            let sweep = ["kind:root", "kind:category", "kind:entity"]
+                .map(|start| QueryPlan::parse(start, "co", MAX_FANOUT, MAX_K).expect("sweep plan parses"));
+            for plan in std::iter::once(&drawn).chain(&sweep) {
+                // The oracle walks the same forward traversal, so the
+                // work counters — they are in the wire body — must agree.
+                let oracle = execute_oracle(&kg, plan).to_json().to_json();
+                for (which, kg) in [("built", &kg), ("reloaded", &reloaded)] {
+                    let engine = execute(kg, plan);
+                    if engine.to_json().to_json() != oracle {
+                        return Err(format!(
+                            "engine != oracle on the {which} graph, plan {}\n  engine: {}\n  oracle: {oracle}",
+                            plan.cache_key(),
+                            engine.to_json().to_json()
+                        ));
+                    }
+                    // The plan optimizer (selectivity-driven anchor
+                    // reversal) must be invisible in the ranked output.
+                    let optimized = execute_optimized(kg, plan).paths_json().to_json();
+                    if optimized != engine.paths_json().to_json() {
+                        return Err(format!(
+                            "optimizer changed results on the {which} graph, plan {}\n  engine:    {}\n  optimized: {optimized}",
+                            plan.cache_key(),
+                            engine.paths_json().to_json()
+                        ));
+                    }
+                }
             }
             Ok(())
         },

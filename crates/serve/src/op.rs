@@ -140,12 +140,15 @@ impl Op<'_> {
         match self {
             Op::Search(mode, page) => Some(CachedValue::Page(system.search(mode, *page))),
             Op::Dense(mode, page) => Some(CachedValue::Page(system.search_dense(mode, *page))),
-            Op::KgQuery(plan) => {
+            Op::KgQuery(plan) | Op::KgQueryTrusted(plan) => {
                 let result = system.kg_query(plan);
                 metrics.record_kg_traversal(result.hops, result.visited);
-                body(result.to_json().to_json())
+                let doc = match self {
+                    Op::KgQueryTrusted(_) => system.kg_trust_rerank(&result),
+                    _ => result.to_json(),
+                };
+                body(doc.to_json())
             }
-            Op::KgQueryTrusted(plan) => body(system.kg_query_trusted(plan).to_json()),
             Op::KgProfile(vaccine) => system
                 .kg_profile(vaccine)
                 .and_then(|doc| body(doc.to_json())),

@@ -277,6 +277,15 @@ fn requests_hits_misses_and_completions_add_up_across_all_ops() {
         (stats.completed - stats.cache_hits) + errors,
         "every miss completed or failed typed: {stats:?}"
     );
+    // Each traversal op — the plain one and its `trust=1` re-rank are
+    // separate cache entries — was computed once and counted its work.
+    let traversals = known.iter().filter_map(|op| match op {
+        Op::KgQuery(plan) | Op::KgQueryTrusted(plan) => Some(server.with_system(|s| s.kg_query(plan))),
+        _ => None,
+    });
+    let (hops, visited) = traversals.fold((0, 0), |(h, v), r| (h + r.hops, v + r.visited));
+    assert!(hops > 0 && visited > 0);
+    assert_eq!((stats.kg_traversal_hops, stats.kg_nodes_visited), (hops, visited));
     // The nine adapters are that same path.
     assert!(server.kg_node(999_999).unwrap().is_none());
     assert!(server.trust_node(999_999).unwrap().is_none());

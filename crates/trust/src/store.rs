@@ -181,7 +181,7 @@ impl TrustStore {
             labels.push(n.label.clone());
             kinds.push(n.kind);
             neigh.push(adj);
-            prov.push(n.provenance.clone());
+            prov.push(kg.provenance(n.id).map(str::to_string).collect());
             conf.push(n.confidence);
         }
         self.labels = labels;

@@ -111,7 +111,7 @@ fn main() {
                 .iter()
                 .map(|&n| kg.node(n).label.as_str())
                 .collect();
-            let prov = &kg.node(hit.node).provenance;
+            let prov = kg.provenance(hit.node);
             println!(
                 "  {:<22} {}  (from {} papers)",
                 format!("{query:?} →"),

@@ -55,12 +55,12 @@ fn kg_paths_reach_provenance() {
     let kg = s.kg();
     let mut checked = 0;
     for node in kg.nodes() {
-        if node.provenance.is_empty() {
+        if kg.provenance(node.id).len() == 0 {
             continue;
         }
         checked += 1;
         // Every provenance id resolves to a stored publication.
-        for paper in &node.provenance {
+        for paper in kg.provenance(node.id) {
             assert!(
                 s.publications().get(paper).is_some(),
                 "dangling provenance {paper} on {}",
