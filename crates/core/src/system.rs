@@ -857,6 +857,20 @@ impl CovidKg {
     pub fn trust_paper_weight(&self, paper_id: &str) -> f64 {
         self.views.trust().paper_weight(paper_id)
     }
+
+    /// `trust=1` on `/search/*`: `page` re-ranked by provenance trust.
+    /// Page-local by design — each result's lexical/dense score is
+    /// scaled by `0.5 + 0.5 * trust(source)` and the page re-sorted
+    /// (score desc, id asc on ties), so the knob reads the incrementally
+    /// maintained trust store without re-running the search.
+    pub fn rerank_by_trust(&self, mut page: SearchPage) -> SearchPage {
+        for result in &mut page.results {
+            result.score *= 0.5 + 0.5 * self.trust_paper_weight(&result.id);
+        }
+        page.results
+            .sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
+        page
+    }
 }
 
 /// Run the trained classifier over every table in `docs`, extracting

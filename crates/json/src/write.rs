@@ -112,7 +112,10 @@ fn write_number(n: Number, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal, quotes included — the writer's
+/// own escaping, for callers that splice one string into a serialized
+/// document.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for ch in s.chars() {
         match ch {

@@ -8,7 +8,10 @@
 //! oversized declared body with 413, and anything structurally invalid
 //! with 400 — so no peer can make the server buffer without limit.
 
+use covidkg_serve::Entry;
+use std::borrow::Cow;
 use std::io::Write;
+use std::sync::Arc;
 
 /// Longest accepted request line (method + target + version).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -69,27 +72,15 @@ impl Request {
         }
     }
 
-    /// Decoded `key=value` pairs of the query string. Plus signs and
-    /// `%XX` escapes are decoded; malformed escapes pass through as-is.
-    pub fn query_params(&self) -> Vec<(String, String)> {
-        let Some(q) = self.query() else {
-            return Vec::new();
-        };
-        q.split('&')
-            .filter(|kv| !kv.is_empty())
-            .map(|kv| {
-                let (k, v) = kv.split_once('=').unwrap_or((kv, ""));
-                (percent_decode(k), percent_decode(v))
-            })
-            .collect()
-    }
-
-    /// Value of the query parameter `name`, decoded.
+    /// Value of the first query parameter named `name`. Plus signs and
+    /// `%XX` escapes are decoded, in the name too; malformed escapes pass
+    /// through as-is. Only the pair asked for is decoded.
     pub fn query_param(&self, name: &str) -> Option<String> {
-        self.query_params()
-            .into_iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
+        self.query()?.split('&').find_map(|kv| {
+            let (k, v) = kv.split_once('=').unwrap_or((kv, ""));
+            let named = k == name || (k.contains(['%', '+']) && percent_decode(k) == name);
+            named.then(|| percent_decode(v))
+        })
     }
 }
 
@@ -585,77 +576,175 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
+/// A header value, written into the head as it is: the numeric ones
+/// (`X-Generation`, `X-Replica-Lag`, …) without a `String` in between.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HeaderValue {
+    /// A literal.
+    Static(&'static str),
+    /// A number, formatted when the head is written.
+    Number(u64),
+    /// Anything else.
+    Owned(String),
+}
+
+impl std::fmt::Display for HeaderValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HeaderValue::Static(s) => f.write_str(s),
+            HeaderValue::Number(n) => write!(f, "{n}"),
+            HeaderValue::Owned(s) => f.write_str(s),
+        }
+    }
+}
+
+impl PartialEq<str> for HeaderValue {
+    fn eq(&self, other: &str) -> bool {
+        match self {
+            HeaderValue::Static(s) => *s == other,
+            HeaderValue::Number(n) => n.to_string() == other,
+            HeaderValue::Owned(s) => s == other,
+        }
+    }
+}
+
+impl From<&'static str> for HeaderValue {
+    fn from(s: &'static str) -> HeaderValue {
+        HeaderValue::Static(s)
+    }
+}
+
+impl From<u64> for HeaderValue {
+    fn from(n: u64) -> HeaderValue {
+        HeaderValue::Number(n)
+    }
+}
+
+impl From<String> for HeaderValue {
+    fn from(s: String) -> HeaderValue {
+        HeaderValue::Owned(s)
+    }
+}
+
+/// A response body: a serve-cache [`Entry`], shared and never copied on
+/// its way to the socket, and — when the entry was computed for another
+/// spelling of this request's query — the request's own `query` string
+/// literal, sent in place of the entry's. A page the front-end renders
+/// itself (an error, `/stats`) is an entry nobody else holds.
+#[derive(Debug, Clone)]
+pub struct Body {
+    entry: Arc<Entry>,
+    query: Option<Box<str>>,
+}
+
+impl Body {
+    /// `entry`, echoing `query` (unescaped) when given.
+    pub fn new(entry: Arc<Entry>, query: Option<&str>) -> Body {
+        Body {
+            entry,
+            query: query.map(Entry::literal),
+        }
+    }
+
+    /// The body as the slices that make it up, in order; unused ones
+    /// are empty.
+    pub fn slices(&self) -> [&[u8]; 3] {
+        self.entry.slices(self.query.as_deref())
+    }
+
+    /// Length in bytes.
+    pub fn len(&self) -> usize {
+        self.slices().iter().map(|s| s.len()).sum()
+    }
+
+    /// True for a body of no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes, gathered (tests and diagnostics; the wire path never
+    /// does).
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.slices().concat()
+    }
+}
+
+impl From<String> for Body {
+    fn from(body: String) -> Body {
+        Body::new(Arc::new(Entry::from(body)), None)
+    }
+}
+
 /// An outgoing response.
 #[derive(Debug, Clone)]
 pub struct Response {
     /// Status code.
     pub status: u16,
     /// Extra headers (`Content-Length` and `Connection` are added by
-    /// [`Response::write_to`]).
-    pub headers: Vec<(String, String)>,
-    /// Body bytes.
-    pub body: Vec<u8>,
+    /// [`Response::head`]).
+    pub headers: Vec<(Cow<'static, str>, HeaderValue)>,
+    /// The body.
+    pub body: Body,
 }
 
 impl Response {
-    /// An empty-bodied response.
-    pub fn new(status: u16) -> Response {
+    fn typed(status: u16, content_type: &'static str, body: Body) -> Response {
+        let mut headers = Vec::with_capacity(8);
+        headers.push((Cow::Borrowed("Content-Type"), content_type.into()));
         Response {
             status,
-            headers: Vec::new(),
-            body: Vec::new(),
+            headers,
+            body,
         }
     }
 
     /// A `application/json` response.
-    pub fn json(status: u16, body: String) -> Response {
-        Response::new(status)
-            .with_header("Content-Type", "application/json")
-            .with_body(body.into_bytes())
+    pub fn json(status: u16, body: impl Into<Body>) -> Response {
+        Response::typed(status, "application/json", body.into())
     }
 
     /// A `text/plain` response.
-    pub fn text(status: u16, body: impl Into<String>) -> Response {
-        Response::new(status)
-            .with_header("Content-Type", "text/plain; charset=utf-8")
-            .with_body(body.into().into_bytes())
+    pub fn text(status: u16, body: String) -> Response {
+        Response::typed(status, "text/plain; charset=utf-8", body.into())
     }
 
     /// Builder: add one header.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Response {
-        self.headers.push((name.to_string(), value.into()));
+    pub fn with_header(mut self, name: &'static str, value: impl Into<HeaderValue>) -> Response {
+        self.headers.push((Cow::Borrowed(name), value.into()));
         self
     }
 
-    /// Builder: set the body.
-    pub fn with_body(mut self, body: Vec<u8>) -> Response {
-        self.body = body;
-        self
-    }
-
-    /// Serialize onto `w` (HTTP/1.1, explicit `Content-Length`, and a
-    /// `Connection` header matching `close`). Returns bytes written.
-    pub fn write_to(&self, w: &mut impl Write, close: bool) -> std::io::Result<u64> {
-        let mut head = format!(
+    /// The status line and header block (HTTP/1.1, explicit
+    /// `Content-Length`, and a `Connection` header matching `close`),
+    /// blank line included.
+    pub fn head(&self, close: bool) -> Vec<u8> {
+        let mut head = Vec::with_capacity(256);
+        let _ = write!(
+            head,
             "HTTP/1.1 {} {}\r\n",
             self.status,
             reason_phrase(self.status)
         );
         for (n, v) in &self.headers {
-            head.push_str(n);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
+            let _ = write!(head, "{n}: {v}\r\n");
         }
-        head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
-        head.push_str(if close {
-            "Connection: close\r\n"
-        } else {
-            "Connection: keep-alive\r\n"
-        });
-        head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        let connection = if close { "close" } else { "keep-alive" };
+        let _ = write!(
+            head,
+            "Content-Length: {}\r\nConnection: {connection}\r\n\r\n",
+            self.body.len()
+        );
+        head
+    }
+
+    /// Serialize onto `w`: [`Response::head`], then the body. Returns
+    /// bytes written.
+    pub fn write_to(&self, w: &mut impl Write, close: bool) -> std::io::Result<u64> {
+        let head = self.head(close);
+        w.write_all(&head)?;
+        for part in self.body.slices() {
+            w.write_all(part)?;
+        }
         w.flush()?;
         Ok((head.len() + self.body.len()) as u64)
     }
@@ -962,7 +1051,7 @@ mod tests {
     #[test]
     fn response_serializes_with_length_and_connection() {
         let mut out = Vec::new();
-        let n = Response::json(200, "{\"x\":1}".into())
+        let n = Response::json(200, "{\"x\":1}".to_string())
             .write_to(&mut out, false)
             .unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -974,7 +1063,7 @@ mod tests {
         assert_eq!(n, text.len() as u64);
 
         let mut out = Vec::new();
-        Response::new(503)
+        Response::text(503, String::new())
             .with_header("Retry-After", "1")
             .write_to(&mut out, true)
             .unwrap();

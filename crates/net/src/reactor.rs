@@ -27,11 +27,11 @@
 //! requests (and pre-serialized error responses, which must not jump
 //! the queue) wait in a per-connection FIFO.
 
-use crate::http::{Parser, Request};
-use crate::router::{error_response, handle};
+use crate::http::{Body, Parser, Request};
+use crate::router::{error_response, handle_lazily};
 use crate::server::Shared;
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -156,6 +156,8 @@ struct TimerEntry {
     token: usize,
     generation: u64,
     deadline: Instant,
+    /// Armed by a stalled write (see `Conn::write_timer`).
+    write: bool,
 }
 
 /// Hashed timer wheel. `schedule` is O(1); each tick visits one slot.
@@ -223,11 +225,13 @@ struct Job {
     close: bool,
 }
 
-/// A serialized response coming back from the pool.
+/// A response coming back from the pool: the rendered head, and the
+/// body still shared with the serve cache.
 struct Completion {
     token: usize,
     generation: u64,
-    bytes: Vec<u8>,
+    head: Vec<u8>,
+    body: Body,
     status: u16,
     close: bool,
 }
@@ -307,24 +311,22 @@ fn worker_loop(state: Arc<PoolState>, shared: Arc<Shared>, mut wake: UnixStream)
         // A panicking handler must cost the peer one 500, not the pool
         // a worker.
         let resp = catch_unwind(AssertUnwindSafe(|| {
-            handle(
+            handle_lazily(
                 &shared.serve,
-                &shared.wire.snapshot(),
+                || shared.wire.snapshot(),
                 shared.repl.as_ref(),
                 &job.request,
             )
         }))
         .unwrap_or_else(|_| error_response(500, "request handler panicked"));
-        let status = resp.status;
-        let mut bytes = Vec::with_capacity(512);
-        resp.write_to(&mut bytes, job.close)
-            .expect("serializing to a Vec cannot fail");
+        let head = resp.head(job.close);
         let mut done = state.completions.lock().unwrap_or_else(|e| e.into_inner());
         done.push(Completion {
             token: job.token,
             generation: job.generation,
-            bytes,
-            status,
+            head,
+            body: resp.body,
+            status: resp.status,
             close: job.close,
         });
         drop(done);
@@ -373,6 +375,13 @@ struct Conn {
     /// `write_timeout` is cut off — the reactor's analog of a
     /// blocking socket's write deadline.
     write_start: Option<Instant>,
+    /// A wheel entry armed while `write_start` was set is outstanding.
+    /// Its deadline is no later than `write_start + write_timeout`
+    /// however far progress has moved `write_start` since, and when it
+    /// fires on a still-stalled connection it re-arms itself — so a
+    /// stalled write is always covered by exactly one entry, whatever
+    /// the standing idle/read entries are scheduled for.
+    write_timer: bool,
     /// Outstanding wheel entries pointing at this connection.
     timers: u32,
 }
@@ -548,6 +557,7 @@ impl Reactor {
                 request_start: None,
                 read_paused: false,
                 write_start: None,
+                write_timer: false,
                 timers: 0,
             };
             let token = match self.free.pop() {
@@ -766,10 +776,10 @@ impl Reactor {
             conn.write_start = None;
         } else if progressed || conn.write_start.is_none() {
             // Bytes are stuck behind a slow reader: (re)start the write
-            // deadline at the last byte the peer actually accepted. Arm
-            // a wheel entry the first time — the standing entry may be
-            // scheduled as far out as the idle timeout.
-            arm = conn.write_start.is_none();
+            // deadline at the last byte the peer actually accepted, and
+            // make sure a wheel entry covers it — the standing entry may
+            // be scheduled as far out as the idle timeout.
+            arm = !conn.write_timer;
             conn.write_start = Some(now);
         }
         if arm {
@@ -811,9 +821,12 @@ impl Reactor {
         }
     }
 
-    /// A worker finished a request: append its response (order
-    /// preserved — only one request per connection is ever in flight)
-    /// and move the machine along.
+    /// A worker finished a request: send its response (order preserved
+    /// — only one request per connection is ever in flight) and move
+    /// the machine along. With nothing buffered ahead of it, head and
+    /// body are offered to the socket as they are, in one vectored
+    /// write; only what the socket did not take is copied, to wait in
+    /// `write_buf` — so the entry is released here either way.
     fn complete(&mut self, c: Completion, now: Instant) {
         let Some(conn) = self.conns.get_mut(c.token).and_then(|s| s.as_mut()) else {
             return; // connection died while the query ran
@@ -822,7 +835,30 @@ impl Reactor {
             return; // slot reused; response belongs to a previous tenant
         }
         conn.in_flight = false;
-        conn.write_buf.extend_from_slice(&c.bytes);
+        let [first, second, third] = c.body.slices();
+        let parts = [&c.head[..], first, second, third];
+        let mut taken = 0;
+        if conn.write_buf.is_empty() {
+            let slices = parts.map(IoSlice::new);
+            loop {
+                match conn.stream.write_vectored(&slices) {
+                    Ok(n) => {
+                        taken = n;
+                        self.shared.wire.wrote(n as u64);
+                        conn.last_activity = now;
+                        break;
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    // WouldBlock or a dead peer: `flush` meets it again.
+                    Err(_) => break,
+                }
+            }
+        }
+        for part in parts {
+            let skip = taken.min(part.len());
+            conn.write_buf.extend_from_slice(&part[skip..]);
+            taken -= skip;
+        }
         self.shared.wire.responded(c.status);
         if c.close {
             // `Connection: close` (or drain): anything pipelined behind
@@ -842,12 +878,15 @@ impl Reactor {
         let deadline =
             conn.next_deadline(config.read_timeout, config.write_timeout, config.idle_timeout);
         conn.timers += 1;
+        let write = conn.write_start.is_some() && !conn.write_timer;
+        conn.write_timer |= write;
         self.wheel.schedule(
             now,
             TimerEntry {
                 token,
                 generation: conn.generation,
                 deadline,
+                write,
             },
         );
     }
@@ -863,6 +902,9 @@ impl Reactor {
             return;
         }
         conn.timers -= 1;
+        if entry.write {
+            conn.write_timer = false;
+        }
         if let Some(write_start) = conn.write_start {
             if now.saturating_duration_since(write_start) >= config.write_timeout {
                 // The peer has accepted no response bytes for a full
@@ -900,9 +942,11 @@ impl Reactor {
             self.close(entry.token);
             return;
         }
-        // Keep exactly one standing entry per live connection.
+        // Keep exactly one standing entry per live connection, and one
+        // for the write deadline while a write is stalled: progress has
+        // moved `write_start` since the entry that just fired was armed.
         if let Some(conn) = self.conns.get_mut(entry.token).and_then(|c| c.as_mut()) {
-            if conn.timers == 0 {
+            if conn.timers == 0 || (conn.write_start.is_some() && !conn.write_timer) {
                 self.arm_timer(entry.token, now);
             }
         }
@@ -979,11 +1023,11 @@ mod tests {
         let mut wheel = TimerWheel::new(t0);
         wheel.schedule(
             t0,
-            TimerEntry { token: 1, generation: 1, deadline: t0 + Duration::from_millis(30) },
+            TimerEntry { token: 1, generation: 1, deadline: t0 + Duration::from_millis(30), write: false },
         );
         // Far beyond one revolution: must survive the wrap.
         let far = t0 + WHEEL_TICK * (WHEEL_SLOTS as u32 * 3);
-        wheel.schedule(t0, TimerEntry { token: 2, generation: 1, deadline: far });
+        wheel.schedule(t0, TimerEntry { token: 2, generation: 1, deadline: far, write: false });
         let mut due = Vec::new();
         wheel.advance(t0 + Duration::from_millis(100), &mut due);
         assert_eq!(due.len(), 1, "only the near entry is due");
@@ -1000,7 +1044,7 @@ mod tests {
         let mut wheel = TimerWheel::new(t0);
         // A deadline already in the past must still fire (lazily, one
         // tick later) rather than be lost behind the cursor.
-        wheel.schedule(t0, TimerEntry { token: 9, generation: 1, deadline: t0 });
+        wheel.schedule(t0, TimerEntry { token: 9, generation: 1, deadline: t0, write: false });
         let mut due = Vec::new();
         wheel.advance(t0 + WHEEL_TICK * 2, &mut due);
         assert_eq!(due.len(), 1);

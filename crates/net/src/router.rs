@@ -1,22 +1,25 @@
 //! Request routing: a route table mapping parsed HTTP requests onto the
 //! serve layer's op table ([`covidkg_serve::Op`]).
 //!
-//! Byte-correctness contract: the body of a 200 search response is
-//! exactly `SearchPage::to_json().to_json()` — the same canonical JSON
-//! an in-process caller gets — for cached, fresh and stale pages alike;
-//! likewise a 200 `/kg/*`, `/trust/*` or `/bias/report` body is the
-//! server's pre-serialized bytes, identical to in-process
-//! serialization. Cache/degradation metadata rides in response
-//! *headers* (`X-Cache`, `X-Generation`, `X-Trust`) so the body never
-//! varies with cache state.
+//! Byte-correctness contract: one entry, serialized once, spliced per
+//! request. The body of a 200 is the serve layer's [`covidkg_serve::Entry`]
+//! — the bytes `SearchPage::to_json().to_json()` (or the KG/trust
+//! document's `to_json()`) gave the thread that computed the value —
+//! sent as they are, for fresh, cached and stale replies alike. The one
+//! request-dependent field, a search page's echoed `query`, is sent in
+//! this request's own spelling in place of the entry's, so every reply
+//! equals in-process serialization of a page carrying its own query.
+//! Nothing here re-renders a value that came from [`Server::request`].
+//! Cache/degradation metadata rides in response *headers* (`X-Cache`,
+//! `X-Generation`, `X-Trust`) so the body never varies with cache state.
 
-use crate::http::{percent_decode, Request, Response};
+use crate::http::{percent_decode, Body, Request, Response};
 use crate::metrics::{engine_series, render_metrics, ReplExposition, WireStats};
 use covidkg_core::QueryPlan;
 use covidkg_json::{obj, Value};
 use covidkg_repl::{Epoch, ReadRouter, ReplMetrics, RouteError};
 use covidkg_search::{DenseMode, SearchMode, SearchPage};
-use covidkg_serve::{CachedValue, Op, Reply, ServeError, Server};
+use covidkg_serve::{Op, Reply, ServeError, Server};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
@@ -97,9 +100,8 @@ fn cookie_min_seq(header: &str) -> Option<u64> {
     })
 }
 
-/// What a parsed route asks for: the op, and whether the `trust=1`
-/// re-rank knob was on.
-type Parsed = Result<(Op<'static>, bool), Response>;
+/// What a parsed route asks for.
+type Parsed = Result<Op<'static>, Response>;
 
 /// How a route answers.
 enum Target {
@@ -150,7 +152,7 @@ const ROUTES: &[Route] = &[
         pattern: "/kg/profile/",
         usage: &["/kg/profile/{vaccine}"],
         target: Target::Op(
-            |_, vaccine| Ok((Op::KgProfile(vaccine.to_string().into()), false)),
+            |_, vaccine| Ok(Op::KgProfile(vaccine.to_string().into())),
             Some(|_, vaccine| format!("no profile for vaccine {vaccine:?}")),
         ),
     },
@@ -158,16 +160,13 @@ const ROUTES: &[Route] = &[
     Route {
         pattern: "/kg/node/",
         usage: &["/kg/node/{id}"],
-        target: Target::Op(|_, id| Ok((Op::KgNode(node_id(id)?), false)), Some(no_node)),
+        target: Target::Op(|_, id| Ok(Op::KgNode(node_id(id)?)), Some(no_node)),
     },
     // One KG node's provenance-trust document (score, prior, sources).
     Route {
         pattern: "/trust/node/",
         usage: &["/trust/node/{id}"],
-        target: Target::Op(
-            |_, id| Ok((Op::TrustNode(node_id(id)?), false)),
-            Some(no_node),
-        ),
+        target: Target::Op(|_, id| Ok(Op::TrustNode(node_id(id)?)), Some(no_node)),
     },
     // One source venue's credibility document. The venue segment is
     // percent-decoded, so multi-word venues work.
@@ -175,7 +174,7 @@ const ROUTES: &[Route] = &[
         pattern: "/trust/source/",
         usage: &["/trust/source/{venue}"],
         target: Target::Op(
-            |_, venue| Ok((Op::TrustSource(percent_decode(venue).into()), false)),
+            |_, venue| Ok(Op::TrustSource(percent_decode(venue).into())),
             Some(|_, venue| format!("no source venue {:?}", percent_decode(venue))),
         ),
     },
@@ -183,7 +182,7 @@ const ROUTES: &[Route] = &[
     Route {
         pattern: "/bias/report",
         usage: &["/bias/report"],
-        target: Target::Op(|_, _| Ok((Op::BiasReport, false)), None),
+        target: Target::Op(|_, _| Ok(Op::BiasReport), None),
     },
     Route {
         pattern: "/stats",
@@ -228,6 +227,18 @@ impl Route {
 /// lexical `/search/*` is routed lag-aware across the replica pool and
 /// `/metrics` carries the replication series.
 pub fn handle(server: &Server, wire: &WireStats, repl: Option<&ReadContext>, req: &Request) -> Response {
+    handle_lazily(server, || wire.clone(), repl, req)
+}
+
+/// [`handle`] taking the wire counters only if the route reads them
+/// (`/metrics` does): a snapshot locks the status map and clones it, and
+/// no op row looks at one.
+pub(crate) fn handle_lazily(
+    server: &Server,
+    wire: impl FnOnce() -> WireStats,
+    repl: Option<&ReadContext>,
+    req: &Request,
+) -> Response {
     if req.method != "GET" {
         return error_response(405, "only GET is supported");
     }
@@ -246,19 +257,19 @@ pub fn handle(server: &Server, wire: &WireStats, repl: Option<&ReadContext>, req
         return error_response(404, "no such resource");
     };
     let (parse, not_found) = match route.target {
-        Target::Page(page) => return page(server, wire, repl),
+        Target::Page(page) => return page(server, &wire(), repl),
         Target::Op(parse, not_found) => (parse, not_found),
     };
-    let (op, trust) = match parse(req, tail) {
-        Ok(parsed) => parsed,
+    let op = match parse(req, tail) {
+        Ok(op) => op,
         Err(resp) => return resp,
     };
     // The replica router only speaks the lexical modes.
-    if let (Op::Search(mode, page), Some(ctx)) = (&op, repl) {
-        return routed_read(server, ctx, req, mode, *page, trust);
+    if let (Op::Search(mode, page, trusted), Some(ctx)) = (&op, repl) {
+        return routed_read(server, ctx, req, mode, *page, *trusted);
     }
     match server.request(&op, None) {
-        Ok(Some(reply)) => respond(server, reply, trust),
+        Ok(Some(reply)) => respond(reply, op.trusted()),
         Ok(None) => match not_found {
             Some(message) => error_response(404, &message(server, tail)),
             None => error_response(404, "no such resource"),
@@ -267,27 +278,21 @@ pub fn handle(server: &Server, wire: &WireStats, repl: Option<&ReadContext>, req
     }
 }
 
-/// The one 200 for every op: the body is the canonical serialization —
-/// `SearchPage::to_json()` for pages, the server's pre-serialized bytes
-/// for everything else — and cache metadata rides in headers, so the
-/// body never varies with cache state. `trust` flags the re-ranked
-/// variants: a `/kg/query` body was already computed that way, a search
-/// page is re-ranked here.
-fn respond(server: &Server, reply: Reply, trust: bool) -> Response {
-    let body = match reply.value {
-        CachedValue::Page(page) if trust => rerank_by_trust(server, page).to_json().to_json(),
-        CachedValue::Page(page) => page.to_json().to_json(),
-        CachedValue::Body(body) => body,
-    };
+/// The one 200 for every op, fresh, cached or stale: the body is the
+/// reply's shared entry, echoing this request's own query, and cache
+/// metadata rides in headers, so the body never varies with cache
+/// state. `trusted` flags the re-ranked variants, which were computed
+/// that way.
+fn respond(reply: Reply, trusted: bool) -> Response {
     let cache = match (reply.stale, reply.cached) {
         (true, _) => "stale",
         (false, true) => "hit",
         (false, false) => "miss",
     };
-    let resp = Response::json(200, body)
+    let resp = Response::json(200, Body::new(reply.entry, reply.query.as_deref()))
         .with_header("X-Cache", cache)
-        .with_header("X-Generation", reply.generation.to_string());
-    if trust {
+        .with_header("X-Generation", reply.generation);
+    if trusted {
         resp.with_header("X-Trust", "re-ranked")
     } else {
         resp
@@ -304,27 +309,24 @@ fn parse_search(req: &Request, engine: &str) -> Parsed {
             .map_err(|_| error_response(400, "page must be a non-negative integer"))?,
     };
     let trust = trust_knob(req)?;
-    let op = match engine {
-        "semantic" => Op::Dense(Cow::Owned(DenseMode::Semantic(q)), page),
-        "hybrid" => Op::Dense(Cow::Owned(DenseMode::Hybrid(q)), page),
-        "all-fields" => Op::Search(Cow::Owned(SearchMode::AllFields(q)), page),
-        "tables" => Op::Search(Cow::Owned(SearchMode::Tables(q)), page),
-        "scoped" => Op::Search(
-            Cow::Owned(SearchMode::TitleAbstractCaption {
-                title: req.query_param("title").unwrap_or_else(|| q.clone()),
-                abstract_q: req.query_param("abstract").unwrap_or_else(|| q.clone()),
-                caption: req.query_param("caption").unwrap_or_else(|| q.clone()),
-            }),
-            page,
-        ),
+    let lexical = |mode| Op::Search(Cow::Owned(mode), page, trust);
+    Ok(match engine {
+        "semantic" => Op::Dense(Cow::Owned(DenseMode::Semantic(q)), page, trust),
+        "hybrid" => Op::Dense(Cow::Owned(DenseMode::Hybrid(q)), page, trust),
+        "all-fields" => lexical(SearchMode::AllFields(q)),
+        "tables" => lexical(SearchMode::Tables(q)),
+        "scoped" => lexical(SearchMode::TitleAbstractCaption {
+            title: req.query_param("title").unwrap_or_else(|| q.clone()),
+            abstract_q: req.query_param("abstract").unwrap_or_else(|| q.clone()),
+            caption: req.query_param("caption").unwrap_or_else(|| q.clone()),
+        }),
         other => return Err(error_response(
             404,
             &format!(
                 "unknown engine {other:?}: expected all-fields, tables, scoped, semantic or hybrid"
             ),
         )),
-    };
-    Ok((op, trust))
+    })
 }
 
 /// `?start=&steps=[&fanout=][&k=][&trust=]` of `/kg/query`. `start` is
@@ -342,16 +344,7 @@ fn parse_kg_query(req: &Request, _tail: &str) -> Parsed {
     let fanout = bound("fanout", 16, "fanout must be a non-negative integer")?;
     let k = bound("k", 10, "k must be a non-negative integer")?;
     let plan = QueryPlan::parse(&start, &steps, fanout, k).map_err(|e| error_response(400, &e))?;
-    let trust = trust_knob(req)?;
-    let plan = Cow::Owned(plan);
-    Ok((
-        if trust {
-            Op::KgQueryTrusted(plan)
-        } else {
-            Op::KgQuery(plan)
-        },
-        trust,
-    ))
+    Ok(Op::KgQuery(Cow::Owned(plan), trust_knob(req)?))
 }
 
 /// The `{id}` tail of `/kg/node/` and `/trust/node/`.
@@ -396,25 +389,32 @@ fn routed_read(
     let min_seq = explicit_min_seq.max(cookie_floor);
     match ctx.router.search(mode, page, min_seq, ctx.ryw_deadline) {
         // Trust re-rank is page-local, so it composes with routed reads:
-        // the weights come from the local trust store.
-        Ok((resp, info)) => respond(server, resp.into(), trust)
-            .with_header("X-Served-By", info.replica)
-            .with_header("X-Replica-Lag", info.lag.to_string())
-            .with_header("X-Applied-Seq", info.applied.to_string())
-            .with_header(
-                "Set-Cookie",
-                format!(
-                    "{SESSION_COOKIE}={}.{}; Path=/",
-                    info.applied,
-                    ctx.current_epoch()
-                ),
-            ),
+        // the weights come from the local trust store. The replica's
+        // typed page has no entry of this server's: serialized here.
+        Ok((mut resp, info)) => {
+            if trust {
+                let page = SearchPage::clone(&resp.page);
+                resp.page = Arc::new(server.with_system(|system| system.rerank_by_trust(page)));
+            }
+            respond(resp.into(), trust)
+                .with_header("X-Served-By", info.replica)
+                .with_header("X-Replica-Lag", info.lag)
+                .with_header("X-Applied-Seq", info.applied)
+                .with_header(
+                    "Set-Cookie",
+                    format!(
+                        "{SESSION_COOKIE}={}.{}; Path=/",
+                        info.applied,
+                        ctx.current_epoch()
+                    ),
+                )
+        }
         Err(RouteError::NotCaughtUp { wanted, best }) => error_response(
             503,
             &format!("no replica caught up to sequence {wanted} (best applied: {best})"),
         )
         .with_header("Retry-After", "1")
-        .with_header("X-Applied-Seq", best.to_string()),
+        .with_header("X-Applied-Seq", best),
         Err(RouteError::Serve(e)) => serve_error_response(e),
     }
 }
@@ -428,26 +428,6 @@ fn trust_knob(req: &Request) -> Result<bool, Response> {
         Some("1") => Ok(true),
         Some(_) => Err(error_response(400, "trust must be 0 or 1")),
     }
-}
-
-/// `trust=1` on `/search/*`: re-rank the served page by provenance
-/// trust. Page-local by design — each result's lexical/dense score is
-/// scaled by `0.5 + 0.5 * trust(source)` and the page re-sorted (score
-/// desc, id asc on ties), so the knob reads the incrementally
-/// maintained trust store without re-running the search.
-fn rerank_by_trust(server: &Server, mut page: SearchPage) -> SearchPage {
-    let weights: Vec<f64> = server.with_system(|system| {
-        page.results
-            .iter()
-            .map(|r| system.trust_paper_weight(&r.id))
-            .collect()
-    });
-    for (result, weight) in page.results.iter_mut().zip(&weights) {
-        result.score *= 0.5 + 0.5 * weight;
-    }
-    page.results
-        .sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
-    page
 }
 
 /// Map the scheduler's typed backpressure errors onto wire statuses.
@@ -557,7 +537,8 @@ mod tests {
         let server = Server::start(system, covidkg_serve::ServeConfig::default());
 
         let listing =
-            covidkg_json::parse(&String::from_utf8(get(&server, "/").body).unwrap()).unwrap();
+            covidkg_json::parse(&String::from_utf8(get(&server, "/").body.to_vec()).unwrap())
+                .unwrap();
         let listed: Vec<&str> = match listing.get("endpoints") {
             Some(Value::Array(items)) => items.iter().filter_map(Value::as_str).collect(),
             other => panic!("endpoints: {other:?}"),
@@ -603,13 +584,57 @@ mod tests {
                     resp.status,
                     expected,
                     "{target}: {}",
-                    String::from_utf8_lossy(&resp.body)
+                    String::from_utf8_lossy(&resp.body.to_vec())
                 );
             }
         }
         assert_eq!(get(&server, "/search/bogus").status, 404);
         assert_eq!(get(&server, "/kg/node/999999").status, 404);
         assert_eq!(get(&server, "/nowhere").status, 404);
+        server.shutdown();
+    }
+
+    /// No op row reads the wire counters, so answering one takes no
+    /// snapshot (a lock and a map clone); a page row takes exactly one.
+    #[test]
+    fn op_requests_take_no_wire_snapshot() {
+        let system = covidkg_core::CovidKg::build(covidkg_core::CovidKgConfig {
+            corpus_size: 24,
+            max_training_rows: 50,
+            ..Default::default()
+        })
+        .unwrap();
+        let server = Server::start(system, covidkg_serve::ServeConfig::default());
+        let snapshots = std::cell::Cell::new(0);
+        let get = |target: &str| {
+            let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
+            let req = Parser::new().feed(raw.as_bytes()).unwrap().unwrap();
+            let wire = || {
+                snapshots.set(snapshots.get() + 1);
+                WireStats::default()
+            };
+            handle_lazily(&server, wire, None, &req).status
+        };
+        let targets = [
+            "/search/all-fields?q=vaccine",
+            "/search/hybrid?q=vaccine&trust=1",
+            "/kg/query?start=kind:category&steps=child",
+            "/kg/node/0",
+            "/trust/node/0",
+            "/bias/report",
+            "/kg/node/999999",
+            "/search/bogus",
+            "/nowhere",
+            "/",
+        ];
+        for i in 0..100 {
+            let target = targets[i % targets.len()];
+            let status = get(target);
+            assert!(matches!(status, 200 | 404), "{target}: {status}");
+        }
+        assert_eq!(snapshots.get(), 0);
+        assert_eq!(get("/metrics"), 200);
+        assert_eq!(snapshots.get(), 1);
         server.shutdown();
     }
 

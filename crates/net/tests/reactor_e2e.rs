@@ -6,7 +6,11 @@
 use covidkg_core::{CovidKg, CovidKgConfig};
 use covidkg_net::{HttpClient, HttpServer, NetConfig};
 use covidkg_search::SearchMode;
-use covidkg_serve::{ServeConfig, Server};
+use covidkg_serve::{Op, ServeConfig, Server};
+use std::borrow::Cow;
+use std::io::Write;
+use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -144,10 +148,7 @@ fn pipelined_burst_returns_ordered_responses() {
             format!("GET /search/all-fields?q={q}&page=0 HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes(),
         );
     }
-    {
-        use std::io::Write;
-        conn.stream().write_all(&burst).unwrap();
-    }
+    conn.stream().write_all(&burst).unwrap();
     for q in queries {
         let expected = serve
             .search_direct(&SearchMode::AllFields(q.into()), 0)
@@ -188,4 +189,138 @@ fn connection_churn_returns_every_slot() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// `SO_RCVBUF` through the C library: std has no setter and the
+/// workspace is std-only (the reactor declares its epoll calls the same
+/// way).
+fn shrink_receive_buffer(stream: &TcpStream, bytes: i32) {
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_RCVBUF: i32 = 8;
+    // SAFETY: `stream` owns an open socket for the length of the call,
+    // and `value`/`len` describe one live `i32`, which is what
+    // `SO_RCVBUF` reads.
+    let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, &bytes, 4) };
+    assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
+}
+
+/// The largest hot body of the small corpus, its target, and how many
+/// pipelined hits of it overflow any socket buffer between the reactor
+/// and a peer that is not reading.
+const BIG: &str = "/search/all-fields?q=vaccine+side+effects&page=0";
+const BURST: usize = 400;
+
+/// Pipeline `burst` hits of `BIG` at a peer that is not reading, and
+/// wait until the reactor has answered them all — into the socket while
+/// it took bytes, into the connection's buffer after. (Not smaller than
+/// this: below the loopback MSS the receiver only reopens its window on
+/// the sender's persist timer, and the test takes minutes.)
+fn burst_of_hits(conn: &mut HttpClient, http: &HttpServer, burst: usize) {
+    shrink_receive_buffer(conn.stream(), 32 * 1024);
+    let answered = http.wire_stats().requests;
+    let request = format!("GET {BIG} HTTP/1.1\r\nHost: t\r\n\r\n");
+    conn.stream()
+        .write_all(request.repeat(burst).as_bytes())
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while http.wire_stats().requests < answered + burst as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "burst never answered: {:?}",
+            http.wire_stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A reader that stalls mid-body gets what an unstalled one gets. The
+/// reactor offers head and shared body to the socket in one vectored
+/// write and copies only what the socket did not take; whatever the
+/// split, every pipelined reply arrives whole, in order and identical.
+#[test]
+fn a_reader_that_stalls_mid_body_receives_identical_bytes() {
+    let (_serve, http) = start_stack(ServeConfig::default(), NetConfig::default());
+    let mut plain = client(&http);
+    assert_eq!(plain.get(BIG).unwrap().status, 200);
+    let unstalled = plain.get(BIG).unwrap();
+    assert_eq!(unstalled.header("x-cache"), Some("hit"));
+    assert!(unstalled.body.len() > 8 * 1024, "a body worth stalling on");
+
+    let mut stalled = client(&http);
+    burst_of_hits(&mut stalled, &http, BURST);
+    let sent = http.wire_stats().bytes_out;
+    assert!(
+        (sent as usize) < BURST * unstalled.body.len(),
+        "the peer's full buffers stalled the writer: {sent} bytes out"
+    );
+    for i in 0..BURST {
+        let resp = stalled.read_response().unwrap();
+        assert_eq!(resp.status, 200, "reply {i}");
+        assert_eq!(resp.headers, unstalled.headers, "reply {i}");
+        assert!(
+            resp.body == unstalled.body,
+            "reply {i} differs from the unstalled reply"
+        );
+    }
+}
+
+/// A peer that accepts no bytes for `write_timeout` is cut off mid-write,
+/// and takes nothing of the cache entry with it: the entry's only
+/// holders afterwards are the cache and this test. The peer first reads
+/// until the writer moves again (twice `BURST`, so that more stays
+/// buffered than that one step takes), which makes the deadline that
+/// cuts it off one that write progress has moved since the stall began;
+/// with the read and idle deadlines half a minute out, only the write
+/// deadline can be what closes the connection in time.
+#[test]
+fn a_connection_cut_off_mid_write_frees_its_share_of_the_entry() {
+    let (serve, http) = start_stack(
+        ServeConfig::default(),
+        NetConfig {
+            write_timeout: Duration::from_secs(1),
+            read_timeout: Duration::from_secs(30),
+            ..NetConfig::default()
+        },
+    );
+    let op = Op::Search(
+        Cow::Owned(SearchMode::AllFields("vaccine side effects".into())),
+        0,
+        false,
+    );
+    let entry = serve.request(&op, None).unwrap().expect("a page").entry;
+    let holders = Arc::strong_count(&entry);
+
+    let mut stalled = client(&http);
+    burst_of_hits(&mut stalled, &http, 2 * BURST);
+    let mut delivered = 0;
+    let stuck_at = http.wire_stats().bytes_out;
+    while http.wire_stats().bytes_out == stuck_at {
+        assert_eq!(stalled.read_response().unwrap().status, 200);
+        delivered += 1;
+        assert!(delivered < BURST, "reading never moved the writer");
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while http.wire_stats().connections_active > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "write deadline never fired: {:?}",
+            http.wire_stats()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let wire = http.wire_stats();
+    assert!(
+        (wire.bytes_out as usize) < 2 * BURST * entry.as_bytes().len(),
+        "cut off mid-write, not after delivering everything: {wire:?}"
+    );
+    assert_eq!(
+        Arc::strong_count(&entry),
+        holders,
+        "nothing else still holds the entry"
+    );
+    delivered += std::iter::from_fn(|| stalled.read_response().ok()).count();
+    assert!(delivered < 2 * BURST, "the peer saw the connection close early");
 }

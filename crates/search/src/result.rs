@@ -102,6 +102,36 @@ impl SearchPage {
         }
     }
 
+    /// [`SearchPage::to_json`] serialized, with the byte range of its one
+    /// request-dependent part: the string literal (quotes included) of
+    /// the echoed `query`, the first member. Requests that share a cache
+    /// key share every byte outside that range.
+    pub fn to_body(&self) -> (String, std::ops::Range<usize>) {
+        let body = self.to_json().to_json();
+        let start = "{\"query\":".len();
+        let bytes = body.as_bytes();
+        let mut end = start + 1;
+        while bytes[end] != b'"' {
+            end += if bytes[end] == b'\\' { 2 } else { 1 };
+        }
+        let echo = start..end + 1;
+        debug_assert_eq!(
+            body[echo.clone()],
+            *Self::query_literal(&self.query),
+            "`query` is the body's first member"
+        );
+        (body, echo)
+    }
+
+    /// `query` as the JSON string literal [`SearchPage::to_body`] would
+    /// have written for it: what a reply sends over the recorded range
+    /// when it echoes another spelling than the body was computed for.
+    pub fn query_literal(query: &str) -> Box<str> {
+        let mut literal = String::with_capacity(query.len() + 2);
+        covidkg_json::write_string(query, &mut literal);
+        literal.into_boxed_str()
+    }
+
     /// Render the page as text (the CLI stand-in for the Figs 2/4 UI),
     /// with `[matches]` marked. Collapsed sections show a summary line.
     pub fn render(&self) -> String {

@@ -4,9 +4,11 @@
 //! Keys are the canonical per-op strings of the op table ([`crate::op`]):
 //! `(engine, normalized query, page)` from [`covidkg_search::cache_key`]
 //! for search traffic, `kgq|`/`kgp|`/`kgn|`/`tn|`/`ts|`/`bias|` for KG and
-//! trust traffic; values are [`CachedValue`]s — whole [`SearchPage`]s or
-//! pre-serialized KG/trust response bodies — tagged
-//! with the data generation that produced them. A lookup only hits when
+//! trust traffic, each with a `|trust` suffix for its `trust=1` re-rank.
+//! Values are shared [`Entry`]s — the bytes that are sent, serialized
+//! once by the thread that computed them, with the typed page beside
+//! them for search traffic — tagged with the data generation that
+//! produced them. A lookup is a refcount bump, and only hits when
 //! the entry's generation equals the caller's *current* generation, so a
 //! page cached before an ingest can never be served after it *as fresh*.
 //! Generation-stale entries stay resident (they are the preferred
@@ -15,8 +17,8 @@
 //!
 //! Bounding is three-fold: entry count (LRU eviction), entry age (TTL
 //! expiry, lazily on lookup and eagerly when choosing eviction victims)
-//! and resident bytes (approximate page footprint; oldest entries go
-//! first when the budget is exceeded). Every eviction increments a typed
+//! and resident bytes (body plus typed page; oldest entries go first
+//! when the budget is exceeded). Every eviction increments a typed
 //! counter surfaced through [`CacheStats`].
 //!
 //! Sharding (key-hash → shard, each with its own mutex) keeps concurrent
@@ -24,63 +26,126 @@
 //! poisoning (a panicking worker must not wedge the cache), and per-shard
 //! LRU order is tracked with a monotone use-counter.
 //!
-//! For degraded mode, [`QueryCache::get_stale`] returns a page *ignoring*
-//! generation and TTL — the server marks such responses stale rather than
-//! failing outright when its backend is unhealthy.
+//! For degraded mode, [`QueryCache::get_stale`] returns an entry
+//! *ignoring* generation and TTL — the server marks such responses stale
+//! rather than failing outright when its backend is unhealthy.
 
-use covidkg_search::SearchPage;
+use covidkg_search::result::FieldSnippet;
+use covidkg_search::{SearchPage, SearchResult};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::mem::size_of;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// What the cache holds: a structured search page (the search traffic
-/// classes) or a pre-serialized JSON body (the KG and trust traffic
-/// classes, whose wire form is the canonical one).
-#[derive(Debug, Clone)]
-pub enum CachedValue {
-    /// A whole search-result page.
-    Page(SearchPage),
-    /// A pre-serialized response body.
-    Body(String),
+/// What the cache holds and every reply shares: the serialized body as
+/// it is sent and, for the search classes, the typed page it was
+/// serialized from. Immutable once built; requests that share a cache
+/// key share every byte of the body but the echoed `query`, whose place
+/// is recorded so each reply can carry its own spelling.
+#[derive(Debug)]
+pub struct Entry {
+    body: Box<str>,
+    /// For the search classes: the typed page, and where its echoed
+    /// `query` string literal lies in `body`. The KG and trust bodies
+    /// echo nothing.
+    page: Option<(Arc<SearchPage>, Range<usize>)>,
 }
 
-impl CachedValue {
-    /// The page, when this is search traffic.
-    pub fn into_page(self) -> Option<SearchPage> {
-        match self {
-            CachedValue::Page(p) => Some(p),
-            CachedValue::Body(_) => None,
+impl Entry {
+    /// The serialized body, as computed: for a page, with the computing
+    /// request's own query.
+    pub fn as_str(&self) -> &str {
+        &self.body
+    }
+
+    /// [`Entry::as_str`] as bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.body.as_bytes()
+    }
+
+    /// The typed page, when this is search traffic.
+    pub fn page(&self) -> Option<&Arc<SearchPage>> {
+        self.page.as_ref().map(|(page, _)| page)
+    }
+
+    /// `query` as the string literal [`Entry::slices`] takes.
+    pub fn literal(query: &str) -> Box<str> {
+        SearchPage::query_literal(query)
+    }
+
+    /// The body as it is sent, in order, unused slices empty: all of it
+    /// or — for a reply echoing another spelling than the entry was
+    /// computed for — `{"query":`, that spelling's `literal` and
+    /// everything after the entry's own. A body that echoes nothing
+    /// ignores `literal`.
+    pub fn slices<'a>(&'a self, literal: Option<&'a str>) -> [&'a [u8]; 3] {
+        match (literal, &self.page) {
+            (Some(literal), Some((_, echo))) => [
+                self.body[..echo.start].as_bytes(),
+                literal.as_bytes(),
+                self.body[echo.end..].as_bytes(),
+            ],
+            _ => [self.as_bytes(), &[], &[]],
         }
     }
 
-    /// The serialized body, when this is KG or trust traffic.
-    pub fn into_body(self) -> Option<String> {
-        match self {
-            CachedValue::Body(b) => Some(b),
-            CachedValue::Page(_) => None,
+    /// Resident footprint in bytes: the body, and the typed page with
+    /// every snippet, collapsed ones included.
+    fn resident_bytes(&self) -> usize {
+        fn snippets(list: &Vec<FieldSnippet>) -> usize {
+            let own = |s: &FieldSnippet| {
+                s.field.capacity()
+                    + s.snippet.text.capacity()
+                    + s.snippet.highlights.capacity() * size_of::<(usize, usize)>()
+            };
+            list.capacity() * size_of::<FieldSnippet>() + list.iter().map(own).sum::<usize>()
         }
+        let result = |r: &SearchResult| {
+            r.id.capacity() + r.title.capacity() + snippets(&r.snippets) + snippets(&r.collapsed)
+        };
+        let page = |p: &Arc<SearchPage>| {
+            2 * size_of::<usize>() // the Arc's counts
+                + size_of::<SearchPage>()
+                + p.query.capacity()
+                + p.results.capacity() * size_of::<SearchResult>()
+                + p.results.iter().map(result).sum::<usize>()
+        };
+        2 * size_of::<usize>()
+            + size_of::<Entry>()
+            + self.body.len()
+            + self.page().map_or(0, page)
     }
+}
 
-    fn approx_bytes(&self) -> usize {
-        match self {
-            CachedValue::Page(p) => approx_page_bytes(p),
-            CachedValue::Body(b) => 64 + b.len(),
+/// A pre-serialized JSON body (the KG and trust classes, whose wire form
+/// is the canonical one).
+impl From<String> for Entry {
+    fn from(body: String) -> Entry {
+        Entry {
+            body: body.into_boxed_str(),
+            page: None,
         }
     }
 }
 
-impl From<SearchPage> for CachedValue {
-    fn from(p: SearchPage) -> CachedValue {
-        CachedValue::Page(p)
+/// A search page, serialized here — the one time it ever is.
+impl From<Arc<SearchPage>> for Entry {
+    fn from(page: Arc<SearchPage>) -> Entry {
+        let (body, echo) = page.to_body();
+        Entry {
+            body: body.into_boxed_str(),
+            page: Some((page, echo)),
+        }
     }
 }
 
 #[derive(Debug)]
-struct Entry {
-    value: CachedValue,
+struct Slot {
+    entry: Arc<Entry>,
     generation: u64,
     last_used: u64,
     inserted: Instant,
@@ -89,7 +154,7 @@ struct Entry {
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<String, Entry>,
+    map: HashMap<String, Slot>,
     tick: u64,
     bytes: usize,
 }
@@ -100,24 +165,12 @@ fn lock(shard: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
     shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Approximate resident footprint of a cached page, in bytes.
-fn approx_page_bytes(page: &SearchPage) -> usize {
-    let mut bytes = 128 + page.query.len();
-    for r in &page.results {
-        bytes += 96 + r.id.len() + r.title.len();
-        for s in &r.snippets {
-            bytes += 48 + s.field.len() + s.snippet.text.len() + 16 * s.snippet.highlights.len();
-        }
-    }
-    bytes
-}
-
 /// Typed eviction / occupancy counters for the cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries currently resident (any generation).
     pub resident: usize,
-    /// Approximate bytes currently resident.
+    /// Bytes currently resident.
     pub resident_bytes: usize,
     /// Evictions forced by the entry-count (LRU) bound.
     pub evicted_lru: u64,
@@ -140,7 +193,7 @@ pub struct QueryCache {
 }
 
 impl QueryCache {
-    /// Cache holding at most `capacity` pages across `shards` shards
+    /// Cache holding at most `capacity` entries across `shards` shards
     /// (both floored at 1; per-shard capacity is the ceiling division so
     /// total capacity is at least `capacity`), with no TTL or byte bound.
     pub fn new(capacity: usize, shards: usize) -> QueryCache {
@@ -149,7 +202,7 @@ impl QueryCache {
 
     /// [`QueryCache::new`] plus an optional TTL (entries older than this
     /// never hit and are evicted first) and an optional total-bytes
-    /// budget (approximate; split evenly across shards).
+    /// budget (split evenly across shards).
     pub fn with_limits(
         capacity: usize,
         shards: usize,
@@ -175,49 +228,49 @@ impl QueryCache {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    fn expired(&self, entry: &Entry) -> bool {
-        self.ttl.is_some_and(|ttl| entry.inserted.elapsed() > ttl)
+    fn expired(&self, slot: &Slot) -> bool {
+        self.ttl.is_some_and(|ttl| slot.inserted.elapsed() > ttl)
     }
 
-    fn remove_entry(shard: &mut Shard, key: &str) -> Option<Entry> {
-        let entry = shard.map.remove(key)?;
-        shard.bytes = shard.bytes.saturating_sub(entry.bytes);
-        Some(entry)
+    fn remove_slot(shard: &mut Shard, key: &str) -> Option<Slot> {
+        let slot = shard.map.remove(key)?;
+        shard.bytes = shard.bytes.saturating_sub(slot.bytes);
+        Some(slot)
     }
 
-    /// The value cached under `key` at exactly `current_generation`, or
+    /// The entry cached under `key` at exactly `current_generation`, or
     /// `None`. TTL expiry removes the entry; a generation mismatch
-    /// merely misses — the stale value stays resident (preferred eviction
+    /// merely misses — the stale entry stays resident (preferred eviction
     /// victim) so degraded mode can still serve it via
     /// [`QueryCache::get_stale`].
-    pub fn get(&self, key: &str, current_generation: u64) -> Option<CachedValue> {
+    pub fn get(&self, key: &str, current_generation: u64) -> Option<Arc<Entry>> {
         let mut shard = lock(self.shard(key));
         shard.tick += 1;
         let tick = shard.tick;
         match shard.map.get_mut(key) {
-            Some(entry) if entry.generation == current_generation => {
-                if self.expired(entry) {
-                    Self::remove_entry(&mut shard, key);
+            Some(slot) if slot.generation == current_generation => {
+                if self.expired(slot) {
+                    Self::remove_slot(&mut shard, key);
                     self.evicted_ttl.fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
-                entry.last_used = tick;
-                Some(entry.value.clone())
+                slot.last_used = tick;
+                Some(Arc::clone(&slot.entry))
             }
             Some(_) | None => None,
         }
     }
 
-    /// Degraded-mode lookup: the value cached under `key` at *any*
+    /// Degraded-mode lookup: the entry cached under `key` at *any*
     /// generation, ignoring TTL, with the generation it was computed at.
     /// The entry is left resident — when the backend recovers, a fresh
-    /// value will overwrite it.
-    pub fn get_stale(&self, key: &str) -> Option<(CachedValue, u64)> {
+    /// one will overwrite it.
+    pub fn get_stale(&self, key: &str) -> Option<(Arc<Entry>, u64)> {
         let shard = lock(self.shard(key));
         shard
             .map
             .get(key)
-            .map(|entry| (entry.value.clone(), entry.generation))
+            .map(|slot| (Arc::clone(&slot.entry), slot.generation))
     }
 
     /// Evict one victim from `shard`: expired entries first, then
@@ -233,7 +286,7 @@ impl QueryCache {
             return false;
         };
         let expired = shard.map.get(&victim).is_some_and(|e| self.expired(e));
-        Self::remove_entry(shard, &victim);
+        Self::remove_slot(shard, &victim);
         if expired {
             self.evicted_ttl.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -242,15 +295,16 @@ impl QueryCache {
         true
     }
 
-    /// Cache `value` under `key` as of `generation`, evicting (stale →
+    /// Cache `entry` under `key` as of `generation`, evicting (stale →
     /// expired → LRU) until both the entry-count and byte bounds hold.
-    pub fn insert(&self, key: String, generation: u64, value: impl Into<CachedValue>) {
-        let value = value.into();
-        let bytes = value.approx_bytes();
+    pub fn insert(&self, key: String, generation: u64, entry: Arc<Entry>) {
+        // The key, its place in the table (at the table's load factor a
+        // bucket and most of another) and the entry.
+        let bytes = key.capacity() + 2 * size_of::<(String, Slot)>() + entry.resident_bytes();
         let mut shard = lock(self.shard(&key));
         shard.tick += 1;
         let tick = shard.tick;
-        Self::remove_entry(&mut shard, &key);
+        Self::remove_slot(&mut shard, &key);
         while shard.map.len() >= self.per_shard_capacity {
             if !self.evict_one(&mut shard, generation, &self.evicted_lru) {
                 break;
@@ -266,8 +320,8 @@ impl QueryCache {
         shard.bytes += bytes;
         shard.map.insert(
             key,
-            Entry {
-                value,
+            Slot {
+                entry,
                 generation,
                 last_used: tick,
                 inserted: Instant::now(),
@@ -286,7 +340,7 @@ impl QueryCache {
         self.len() == 0
     }
 
-    /// Approximate resident bytes across all shards.
+    /// Resident bytes across all shards.
     pub fn resident_bytes(&self) -> usize {
         self.shards.iter().map(|s| lock(s).bytes).sum()
     }
@@ -307,18 +361,19 @@ impl QueryCache {
 mod tests {
     use super::*;
 
-    fn got(c: &QueryCache, key: &str, generation: u64) -> Option<SearchPage> {
-        c.get(key, generation).and_then(CachedValue::into_page)
+    fn got(c: &QueryCache, key: &str, generation: u64) -> Option<Arc<SearchPage>> {
+        c.get(key, generation)
+            .and_then(|entry| entry.page().cloned())
     }
 
-    fn page(query: &str, total: usize) -> SearchPage {
-        SearchPage {
+    fn page(query: &str, total: usize) -> Arc<Entry> {
+        Arc::new(Entry::from(Arc::new(SearchPage {
             query: query.to_string(),
             page: 0,
             page_size: 10,
             total,
             results: Vec::new(),
-        }
+        })))
     }
 
     #[test]
@@ -383,7 +438,7 @@ mod tests {
         }
         assert!(c.len() >= 48, "hash spread should keep most entries");
         for i in 0..64 {
-            if let Some(p) = c.get(&format!("key-{i}"), 1).and_then(CachedValue::into_page) {
+            if let Some(p) = got(&c, &format!("key-{i}"), 1) {
                 assert_eq!(p.total, i);
             }
         }
@@ -402,14 +457,17 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_oldest_pages() {
-        // Each empty-results page is ~128 bytes + query; budget fits ~3.
-        let c = QueryCache::with_limits(64, 1, None, Some(450));
+        // The budget fits three empty-results pages and a half.
+        let one = QueryCache::new(1, 1);
+        one.insert("k0".into(), 1, page("q", 0));
+        let budget = one.resident_bytes() * 7 / 2;
+        let c = QueryCache::with_limits(64, 1, None, Some(budget));
         for i in 0..6 {
             c.insert(format!("k{i}"), 1, page("q", i));
         }
         let stats = c.stats();
         assert!(
-            stats.resident_bytes <= 450,
+            stats.resident_bytes <= budget,
             "budget respected: {stats:?}"
         );
         assert!(stats.evicted_bytes >= 1, "{stats:?}");
@@ -417,11 +475,29 @@ mod tests {
     }
 
     #[test]
+    fn a_lookup_shares_the_entry_and_the_echo_range_brackets_the_query() {
+        let c = QueryCache::new(8, 1);
+        c.insert("k".into(), 1, page("say \"hi\"\\", 7));
+        let (hit, stale) = (c.get("k", 1).unwrap(), c.get_stale("k").unwrap().0);
+        assert!(Arc::ptr_eq(&hit, &stale), "a refcount bump, not a copy");
+        let own = Entry::literal("say \"hi\"\\");
+        assert_eq!(&*own, "\"say \\\"hi\\\"\\\\\"");
+        let [before, literal, after] = hit.slices(Some(&own));
+        assert_eq!(before, b"{\"query\":");
+        assert_eq!(literal, own.as_bytes());
+        assert!(after.starts_with(b",\"page\":0,"));
+        assert_eq!([before, literal, after].concat(), hit.as_bytes());
+        assert_eq!(hit.slices(None), [hit.as_bytes(), &[], &[]]);
+        let plain = Entry::from("{}".to_string());
+        assert_eq!(plain.slices(Some(&own)), [&b"{}"[..], &[], &[]]);
+    }
+
+    #[test]
     fn stale_lookup_ignores_generation_and_leaves_entry() {
         let c = QueryCache::new(8, 1);
         c.insert("k".into(), 1, page("q", 7));
         let (stale, generation) = c.get_stale("k").expect("stale page available");
-        assert_eq!(stale.into_page().unwrap().total, 7);
+        assert_eq!(stale.page().unwrap().total, 7);
         assert_eq!(generation, 1);
         // Still resident for the next degraded request…
         assert!(c.get_stale("k").is_some());

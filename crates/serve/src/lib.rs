@@ -18,11 +18,13 @@
 //!   [`ServeError::Overloaded`] instead of queueing unboundedly, and
 //!   every request carries a deadline after which the caller gets
 //!   [`ServeError::DeadlineExceeded`] instead of waiting forever.
-//! * [`cache::QueryCache`] — a sharded LRU over whole result pages keyed
-//!   by `(engine, normalized query, page)` ([`covidkg_search::cache_key`]),
-//!   invalidated by data generation: [`Server::ingest`] bumps the
-//!   generation, and a cached page whose tag no longer matches is never
-//!   served (see `server.rs` for the stale-freedom argument).
+//! * [`cache::QueryCache`] — a sharded LRU of shared [`Entry`]s (the
+//!   bytes that are sent, serialized once, with the typed page beside
+//!   them) keyed by `(engine, normalized query, page)`
+//!   ([`covidkg_search::cache_key`]), invalidated by data generation:
+//!   [`Server::ingest`] bumps the generation, and an entry whose tag no
+//!   longer matches is never served as fresh (see `server.rs` for the
+//!   stale-freedom argument).
 //! * [`metrics`] — per-class request counts, cache hit/miss, queue
 //!   depth and a log-bucketed latency histogram, snapshotted into
 //!   [`ServeStats`] (p50/p95/p99).
@@ -36,7 +38,7 @@ pub mod metrics;
 pub mod op;
 pub mod server;
 
-pub use cache::{CachedValue, CacheStats, QueryCache};
+pub use cache::{CacheStats, Entry, QueryCache};
 pub use loadgen::{LoadGenConfig, LoadGenReport};
 pub use metrics::{Class, LatencyHistogram, ServeStats};
 pub use op::{Admission, Op, Reply, Staleness};

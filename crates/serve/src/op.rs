@@ -1,26 +1,31 @@
-//! The op table: the nine operations the server answers, and the per-op
+//! The op table: the operations the server answers, and the per-op
 //! constants that are the only things that differ between them. The
 //! serve path ([`crate::Server::request`]) and the wire router both read
 //! it, so a traffic class is a row here, not a copy of the plumbing.
 //!
 //! ```text
-//! op              class label               cache key       admission  staleness        breaker
-//! Search          all-fields|tables|scoped  all| tab| tac|  queued     may-serve-stale  per engine
-//! Dense           semantic|hybrid           sem| hyb|       inline     never-stale      -
-//! KgQuery         kg                        kgq|…           queued     never-stale      kg
-//! KgQueryTrusted  kg                        kgq|…|trust     queued     never-stale      kg
-//! KgProfile       kg                        kgp|            queued     never-stale      kg
-//! KgNode          kg                        kgn|            inline     never-stale      -
-//! TrustNode       trust                     tn|             queued     never-stale      trust
-//! TrustSource     trust                     ts|             queued     never-stale      trust
-//! BiasReport      trust                     bias|           queued     never-stale      trust
+//! op           class label               cache key       admission  staleness        breaker
+//! Search       all-fields|tables|scoped  all| tab| tac|  queued     may-serve-stale  per engine
+//! Dense        semantic|hybrid           sem| hyb|       inline     never-stale      -
+//! KgQuery      kg                        kgq|            queued     never-stale      kg
+//! KgProfile    kg                        kgp|            queued     never-stale      kg
+//! KgNode       kg                        kgn|            inline     never-stale      -
+//! TrustNode    trust                     tn|             queued     never-stale      trust
+//! TrustSource  trust                     ts|             queued     never-stale      trust
+//! BiasReport   trust                     bias|           queued     never-stale      trust
 //! ```
+//!
+//! The three rankable ops carry the `trust=1` knob as their last field:
+//! the trust re-rank is computed with the value, under the same system
+//! read lock, and cached apart from the default ranking under the key
+//! suffix `|trust`.
 
-use crate::cache::CachedValue;
+use crate::cache::Entry;
 use crate::metrics::{Class, Metrics};
 use covidkg_core::{CovidKg, QueryPlan};
 use covidkg_search::{cache_key_and_query, dense_cache_key, DenseMode, SearchMode};
 use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How a cache miss reaches the engines.
@@ -52,15 +57,15 @@ pub enum Staleness {
 /// to cross into the worker queue; [`Op::into_owned`] is that crossing.
 #[derive(Debug, Clone)]
 pub enum Op<'a> {
-    /// One of the three §2.1 lexical engines, and the 0-based page.
-    Search(Cow<'a, SearchMode>, usize),
-    /// Semantic (pure ANN) or hybrid (ANN + lexical, rank-fused) search.
-    Dense(Cow<'a, DenseMode>, usize),
-    /// Multi-hop ranked-path traversal.
-    KgQuery(Cow<'a, QueryPlan>),
-    /// Traversal re-ranked by provenance trust (the `trust=1` knob),
-    /// cached apart from the default ranking.
-    KgQueryTrusted(Cow<'a, QueryPlan>),
+    /// One of the three §2.1 lexical engines, the 0-based page, and
+    /// whether the page is re-ranked by provenance trust.
+    Search(Cow<'a, SearchMode>, usize, bool),
+    /// Semantic (pure ANN) or hybrid (ANN + lexical, rank-fused) search;
+    /// page and trust re-rank as for [`Op::Search`].
+    Dense(Cow<'a, DenseMode>, usize, bool),
+    /// Multi-hop ranked-path traversal, and whether the paths are
+    /// re-ranked by provenance trust.
+    KgQuery(Cow<'a, QueryPlan>, bool),
     /// One vaccine's materialized meta-profile document.
     KgProfile(Cow<'a, str>),
     /// One KG node document.
@@ -78,16 +83,16 @@ impl Op<'_> {
     /// circuit breaker, this op is accounted against.
     pub fn class(&self) -> Class {
         match self {
-            Op::Search(mode, _) => match &**mode {
+            Op::Search(mode, ..) => match &**mode {
                 SearchMode::AllFields(_) => Class::AllFields,
                 SearchMode::Tables(_) => Class::Tables,
                 SearchMode::TitleAbstractCaption { .. } => Class::Scoped,
             },
-            Op::Dense(mode, _) => match &**mode {
+            Op::Dense(mode, ..) => match &**mode {
                 DenseMode::Semantic(_) => Class::Semantic,
                 DenseMode::Hybrid(_) => Class::Hybrid,
             },
-            Op::KgQuery(_) | Op::KgQueryTrusted(_) | Op::KgProfile(_) | Op::KgNode(_) => Class::Kg,
+            Op::KgQuery(..) | Op::KgProfile(_) | Op::KgNode(_) => Class::Kg,
             Op::TrustNode(_) | Op::TrustSource(_) | Op::BiasReport => Class::Trust,
         }
     }
@@ -108,44 +113,65 @@ impl Op<'_> {
         }
     }
 
+    /// Whether the `trust=1` re-rank knob is on.
+    pub fn trusted(&self) -> bool {
+        matches!(
+            self,
+            Op::Search(_, _, true) | Op::Dense(_, _, true) | Op::KgQuery(_, true)
+        )
+    }
+
     /// The canonical cache key, and for searches the text a page echoes
     /// as its `query`: the cache keys a search by its stems, so requests
-    /// that spell a query differently share a page — every byte of it
-    /// but that echo, which is stamped with each request's own.
+    /// that spell a query differently share an entry — every byte of it
+    /// but that echo, which each reply carries in its own spelling.
     pub(crate) fn key_and_echo(&self) -> (String, Option<Cow<'_, str>>) {
-        match self {
-            Op::Search(mode, page) => {
+        let (mut key, echo) = match self {
+            Op::Search(mode, page, _) => {
                 let (key, query) = cache_key_and_query(mode, *page);
                 (key, Some(query))
             }
-            Op::Dense(mode, page) => (
+            Op::Dense(mode, page, _) => (
                 dense_cache_key(mode, *page),
                 Some(Cow::Borrowed(mode.query())),
             ),
-            Op::KgQuery(plan) => (plan.cache_key(), None),
-            Op::KgQueryTrusted(plan) => (format!("{}|trust", plan.cache_key()), None),
+            Op::KgQuery(plan, _) => (plan.cache_key(), None),
             Op::KgProfile(vaccine) => (format!("kgp|{}:{vaccine}", vaccine.len()), None),
             Op::KgNode(id) => (format!("kgn|{id}"), None),
             Op::TrustNode(id) => (format!("tn|{id}"), None),
             Op::TrustSource(venue) => (format!("ts|{}:{venue}", venue.len()), None),
             Op::BiasReport => ("bias|".to_string(), None),
+        };
+        if self.trusted() {
+            key.push_str("|trust");
         }
+        (key, echo)
     }
 
-    /// Compute the answer against `system`: a page for the searches, the
-    /// pre-serialized JSON body (the canonical wire form) for everything
-    /// else. `None` = unknown node id, vaccine or venue.
-    pub(crate) fn compute(&self, system: &CovidKg, metrics: &Metrics) -> Option<CachedValue> {
-        let body = |json: String| Some(CachedValue::Body(json));
-        match self {
-            Op::Search(mode, page) => Some(CachedValue::Page(system.search(mode, *page))),
-            Op::Dense(mode, page) => Some(CachedValue::Page(system.search_dense(mode, *page))),
-            Op::KgQuery(plan) | Op::KgQueryTrusted(plan) => {
+    /// Compute the answer against `system` and serialize it — the one
+    /// time it is: a page (kept beside its bytes) for the searches, the
+    /// JSON document for everything else. `None` = unknown node id,
+    /// vaccine or venue.
+    pub(crate) fn compute(&self, system: &CovidKg, metrics: &Metrics) -> Option<Arc<Entry>> {
+        let body = |json: String| Some(Entry::from(json));
+        let page = |page, trusted| {
+            let page = if trusted {
+                system.rerank_by_trust(page)
+            } else {
+                page
+            };
+            Some(Entry::from(Arc::new(page)))
+        };
+        let entry = match self {
+            Op::Search(mode, at, trusted) => page(system.search(mode, *at), *trusted),
+            Op::Dense(mode, at, trusted) => page(system.search_dense(mode, *at), *trusted),
+            Op::KgQuery(plan, trusted) => {
                 let result = system.kg_query(plan);
                 metrics.record_kg_traversal(result.hops, result.visited);
-                let doc = match self {
-                    Op::KgQueryTrusted(_) => system.kg_trust_rerank(&result),
-                    _ => result.to_json(),
+                let doc = if *trusted {
+                    system.kg_trust_rerank(&result)
+                } else {
+                    result.to_json()
                 };
                 body(doc.to_json())
             }
@@ -158,16 +184,20 @@ impl Op<'_> {
                 .trust_source(venue)
                 .and_then(|doc| body(doc.to_json())),
             Op::BiasReport => body(system.bias_document().to_json()),
-        }
+        };
+        entry.map(Arc::new)
     }
 
     /// The op with everything it borrowed cloned, ready for the queue.
     pub fn into_owned(self) -> Op<'static> {
         match self {
-            Op::Search(mode, page) => Op::Search(Cow::Owned(mode.into_owned()), page),
-            Op::Dense(mode, page) => Op::Dense(Cow::Owned(mode.into_owned()), page),
-            Op::KgQuery(plan) => Op::KgQuery(Cow::Owned(plan.into_owned())),
-            Op::KgQueryTrusted(plan) => Op::KgQueryTrusted(Cow::Owned(plan.into_owned())),
+            Op::Search(mode, page, trusted) => {
+                Op::Search(Cow::Owned(mode.into_owned()), page, trusted)
+            }
+            Op::Dense(mode, page, trusted) => {
+                Op::Dense(Cow::Owned(mode.into_owned()), page, trusted)
+            }
+            Op::KgQuery(plan, trusted) => Op::KgQuery(Cow::Owned(plan.into_owned()), trusted),
             Op::KgProfile(vaccine) => Op::KgProfile(Cow::Owned(vaccine.into_owned())),
             Op::KgNode(id) => Op::KgNode(id),
             Op::TrustNode(id) => Op::TrustNode(id),
@@ -177,11 +207,18 @@ impl Op<'_> {
     }
 }
 
-/// What [`crate::Server::request`] answers with, whatever the op.
+/// What [`crate::Server::request`] answers with, whatever the op —
+/// fresh, cached and stale alike: the shared entry, and the one thing a
+/// reply does not share with the others under its key.
 #[derive(Debug, Clone)]
 pub struct Reply {
-    /// The page or serialized body.
-    pub value: CachedValue,
+    /// The serialized body (and for searches the typed page), shared
+    /// with the cache and every other reply under the same key.
+    pub entry: Arc<Entry>,
+    /// This request's own query text, when the entry was computed for
+    /// another spelling of it: what the reply echoes in place of the
+    /// entry's.
+    pub query: Option<String>,
     /// Whether the value came from the cache.
     pub cached: bool,
     /// Degraded-mode answer: the value may predate the current data

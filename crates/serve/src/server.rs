@@ -61,7 +61,7 @@
 //! exception: it may serve an old-generation page, but always labeled
 //! `stale: true`.
 
-use crate::cache::{CachedValue, QueryCache};
+use crate::cache::{Entry, QueryCache};
 use crate::metrics::{Class, Metrics, ServeStats};
 use crate::op::{Admission, Op, Reply, Staleness};
 use covidkg_core::{CovidKg, QueryPlan};
@@ -174,8 +174,10 @@ impl std::error::Error for ServeError {}
 /// A served search result.
 #[derive(Debug, Clone)]
 pub struct ServeResponse {
-    /// The result page.
-    pub page: SearchPage,
+    /// The result page, shared with the cache entry it came from — or,
+    /// when that entry was computed for another spelling of the query,
+    /// a copy echoing this request's own.
+    pub page: Arc<SearchPage>,
     /// Whether the page came from the cache.
     pub cached: bool,
     /// Degraded-mode answer: the page may predate the current data
@@ -189,8 +191,16 @@ pub struct ServeResponse {
 
 impl From<Reply> for ServeResponse {
     fn from(reply: Reply) -> ServeResponse {
+        let page = reply.entry.page().expect("search ops cache pages");
+        let page = match reply.query {
+            None => Arc::clone(page),
+            Some(query) => Arc::new(SearchPage {
+                query,
+                ..SearchPage::clone(page)
+            }),
+        };
         ServeResponse {
-            page: reply.value.into_page().expect("search ops cache pages"),
+            page,
             cached: reply.cached,
             stale: reply.stale,
             generation: reply.generation,
@@ -199,10 +209,13 @@ impl From<Reply> for ServeResponse {
     }
 }
 
+/// A typed page on its way to the wire without a cache entry of this
+/// server's behind it (a replica's answer): serialized here, once.
 impl From<ServeResponse> for Reply {
     fn from(resp: ServeResponse) -> Reply {
         Reply {
-            value: CachedValue::Page(resp.page),
+            entry: Arc::new(Entry::from(resp.page)),
+            query: None,
             cached: resp.cached,
             stale: resp.stale,
             generation: resp.generation,
@@ -221,8 +234,9 @@ impl From<ServeResponse> for Reply {
 /// generation, so degraded mode fails typed instead of serving stale.
 #[derive(Debug, Clone)]
 pub struct KgResponse {
-    /// Serialized JSON body.
-    pub body: String,
+    /// Serialized JSON body (`body.as_str()`, `body.as_bytes()`), shared
+    /// with the cache entry.
+    pub body: Arc<Entry>,
     /// Whether the body came from the cache.
     pub cached: bool,
     /// Data generation the body was computed at.
@@ -234,10 +248,7 @@ pub struct KgResponse {
 impl From<Reply> for KgResponse {
     fn from(reply: Reply) -> KgResponse {
         KgResponse {
-            body: reply
-                .value
-                .into_body()
-                .expect("kg and trust ops cache bodies"),
+            body: reply.entry,
             cached: reply.cached,
             generation: reply.generation,
             latency: reply.latency,
@@ -265,7 +276,7 @@ pub struct InjectedFaults {
 struct QueuedRequest {
     op: Op<'static>,
     key: String,
-    /// The query text a stale page is stamped with (searches only).
+    /// The query text a stale page echoes (searches only).
     echo: Option<String>,
     deadline: Instant,
     submitted: Instant,
@@ -410,10 +421,14 @@ impl Inner {
         &self.breakers[class.index()]
     }
 
-    /// Record a completed request and wrap its value as the reply.
+    /// Record a completed request and wrap the entry as its reply —
+    /// the one place fresh, cached and stale replies are made: a page
+    /// computed for another spelling is answered echoing `echo`, this
+    /// request's own.
     fn complete(
         &self,
-        value: CachedValue,
+        entry: Arc<Entry>,
+        echo: Option<&str>,
         cached: bool,
         stale: bool,
         generation: u64,
@@ -421,8 +436,12 @@ impl Inner {
     ) -> Reply {
         let latency = submitted.elapsed();
         self.metrics.record_completed(latency);
+        let computed_for = entry.page().map(|page| page.query.as_str());
         Reply {
-            value,
+            query: echo
+                .filter(|q| Some(*q) != computed_for)
+                .map(str::to_string),
+            entry,
             cached,
             stale,
             generation,
@@ -433,18 +452,24 @@ impl Inner {
     /// Compute `op` under the shared system lock and cache the value
     /// under `key`. `None` (unknown node id, vaccine or venue) is not
     /// cached, but it is an answer: the request completed.
-    fn compute(&self, op: &Op<'_>, key: String, submitted: Instant) -> Option<Reply> {
-        let (value, generation) = {
+    fn compute(
+        &self,
+        op: &Op<'_>,
+        key: String,
+        echo: Option<&str>,
+        submitted: Instant,
+    ) -> Option<Reply> {
+        let (entry, generation) = {
             let system = read_lock(&self.system);
             // Generation read under the same read lock the op runs
             // under: the pair is consistent even against concurrent
             // ingest commits.
             (op.compute(&system, &self.metrics), system.generation())
         };
-        match value {
-            Some(value) => {
-                self.cache.insert(key, generation, value.clone());
-                Some(self.complete(value, false, false, generation, submitted))
+        match entry {
+            Some(entry) => {
+                self.cache.insert(key, generation, Arc::clone(&entry));
+                Some(self.complete(entry, echo, false, false, generation, submitted))
             }
             None => {
                 self.metrics.record_completed(submitted.elapsed());
@@ -467,15 +492,11 @@ impl Inner {
         if staleness == Staleness::NeverStale {
             return Err(ServeError::Degraded);
         }
-        let (value, generation) = self.cache.get_stale(key).ok_or(ServeError::Degraded)?;
+        let (entry, generation) = self.cache.get_stale(key).ok_or(ServeError::Degraded)?;
         self.metrics.record_stale_served();
-        Ok(Some(self.complete(
-            echoing(value, echo),
-            true,
-            true,
-            generation,
-            submitted,
-        )))
+        Ok(Some(
+            self.complete(entry, echo, true, true, generation, submitted),
+        ))
     }
 }
 
@@ -583,16 +604,20 @@ impl Server {
         // Cache sits in front of the queue: hits cost two mutex hops and
         // never consume queue capacity or a worker.
         let generation = inner.generation.load(Ordering::Acquire);
-        if let Some(value) = inner.cache.get(&key, generation) {
+        if let Some(entry) = inner.cache.get(&key, generation) {
             inner.metrics.record_hit();
-            let value = echoing(value, echo.as_deref());
-            return Ok(Some(
-                inner.complete(value, true, false, generation, submitted),
-            ));
+            return Ok(Some(inner.complete(
+                entry,
+                echo.as_deref(),
+                true,
+                false,
+                generation,
+                submitted,
+            )));
         }
         inner.metrics.record_miss();
         if op.admission() == Admission::Inline {
-            return Ok(inner.compute(op, key, submitted));
+            return Ok(inner.compute(op, key, echo.as_deref(), submitted));
         }
 
         // Unhealthy class: don't waste queue capacity on it.
@@ -661,7 +686,7 @@ impl Server {
 
     /// Serve a lexical search with the configured default deadline.
     pub fn search(&self, mode: &SearchMode, page: usize) -> Result<ServeResponse, ServeError> {
-        self.always(Op::Search(Cow::Borrowed(mode), page), None)
+        self.always(Op::Search(Cow::Borrowed(mode), page, false), None)
     }
 
     /// Serve a lexical search, waiting at most `deadline` for the result.
@@ -671,7 +696,7 @@ impl Server {
         page: usize,
         deadline: Duration,
     ) -> Result<ServeResponse, ServeError> {
-        self.always(Op::Search(Cow::Borrowed(mode), page), Some(deadline))
+        self.always(Op::Search(Cow::Borrowed(mode), page, false), Some(deadline))
     }
 
     /// Ingest new publications, invalidating the result cache: the data
@@ -709,7 +734,7 @@ impl Server {
     /// inline (an ANN query is sub-millisecond at our sizes, so queue
     /// admission and circuit breaking would cost more than the search).
     pub fn search_dense(&self, mode: &DenseMode, page: usize) -> Result<ServeResponse, ServeError> {
-        self.always(Op::Dense(Cow::Borrowed(mode), page), None)
+        self.always(Op::Dense(Cow::Borrowed(mode), page, false), None)
     }
 
     /// Serve a KG traversal: queue-admitted like the lexical engines (a
@@ -717,14 +742,14 @@ impl Server {
     /// served stale — an open breaker or a crashed worker yields the
     /// typed [`ServeError::Degraded`] instead of an old-generation body.
     pub fn kg_query(&self, plan: &QueryPlan) -> Result<KgResponse, ServeError> {
-        self.always(Op::KgQuery(Cow::Borrowed(plan)), None)
+        self.always(Op::KgQuery(Cow::Borrowed(plan), false), None)
     }
 
     /// Serve a KG traversal re-ranked by provenance trust (the
     /// `trust=1` knob on `/kg/query`). Cached under a distinct key so
     /// the default (untrusted) ranking is never cross-contaminated.
     pub fn kg_query_trusted(&self, plan: &QueryPlan) -> Result<KgResponse, ServeError> {
-        self.always(Op::KgQueryTrusted(Cow::Borrowed(plan)), None)
+        self.always(Op::KgQuery(Cow::Borrowed(plan), true), None)
     }
 
     /// Serve one vaccine's materialized meta-profile document.
@@ -854,20 +879,6 @@ impl Drop for Server {
     }
 }
 
-/// A cached value as the answer to a request echoing `echo`: a page is
-/// stamped with this request's own query text (see `Op::key_and_echo`).
-fn echoing(value: CachedValue, echo: Option<&str>) -> CachedValue {
-    match (value, echo) {
-        (CachedValue::Page(page), Some(query)) if page.query != query => {
-            CachedValue::Page(SearchPage {
-                query: query.to_string(),
-                ..page
-            })
-        }
-        (value, _) => value,
-    }
-}
-
 /// Run one job with panic isolation: a panicking compute is caught,
 /// counted, fed to the class's breaker, and answered degraded — the
 /// worker thread (and every other queued request) survives.
@@ -910,7 +921,7 @@ fn run_job(inner: &Inner, job: &QueuedRequest, class: Class) -> Result<Option<Re
             panic!("injected {} panic (seq {seq})", class.label());
         }
     }
-    let reply = inner.compute(&job.op, job.key.clone(), job.submitted);
+    let reply = inner.compute(&job.op, job.key.clone(), job.echo.as_deref(), job.submitted);
     inner
         .breaker(class)
         .record_success(Instant::now(), &inner.config);

@@ -23,7 +23,8 @@ fn build_system() -> CovidKg {
 }
 
 /// One op of every kind (the three lexical engines each, both dense
-/// modes), all resolving to a value on the built system.
+/// modes, and the `trust=1` re-rank of every rankable one), all
+/// resolving to a value on the built system.
 fn every_op(server: &Server) -> Vec<Op<'static>> {
     let (vaccine, venue) = server.with_system(|s| {
         (
@@ -33,23 +34,26 @@ fn every_op(server: &Server) -> Vec<Op<'static>> {
     });
     let plan = QueryPlan::parse("kind:category", "child", 16, 10).unwrap();
     let q = || "vaccine".to_string();
-    vec![
-        Op::Search(Cow::Owned(SearchMode::AllFields(q())), 0),
-        Op::Search(Cow::Owned(SearchMode::Tables(q())), 0),
-        Op::Search(
-            Cow::Owned(SearchMode::TitleAbstractCaption { title: q(), abstract_q: q(), caption: q() }),
-            0,
-        ),
-        Op::Dense(Cow::Owned(DenseMode::Semantic(q())), 0),
-        Op::Dense(Cow::Owned(DenseMode::Hybrid(q())), 0),
-        Op::KgQuery(Cow::Owned(plan.clone())),
-        Op::KgQueryTrusted(Cow::Owned(plan)),
+    let scoped = || SearchMode::TitleAbstractCaption { title: q(), abstract_q: q(), caption: q() };
+    let mut ops = Vec::new();
+    for trusted in [false, true] {
+        ops.extend([
+            Op::Search(Cow::Owned(SearchMode::AllFields(q())), 0, trusted),
+            Op::Search(Cow::Owned(SearchMode::Tables(q())), 0, trusted),
+            Op::Search(Cow::Owned(scoped()), 0, trusted),
+            Op::Dense(Cow::Owned(DenseMode::Semantic(q())), 0, trusted),
+            Op::Dense(Cow::Owned(DenseMode::Hybrid(q())), 0, trusted),
+            Op::KgQuery(Cow::Owned(plan.clone()), trusted),
+        ]);
+    }
+    ops.extend([
         Op::KgProfile(Cow::Owned(vaccine)),
         Op::KgNode(0),
         Op::TrustNode(0),
         Op::TrustSource(Cow::Owned(venue)),
         Op::BiasReport,
-    ]
+    ]);
+    ops
 }
 
 /// Ops that resolve to nothing: the wire layer's 404s.
@@ -121,7 +125,8 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
         let hit = server.request(op, None).unwrap().expect("a value");
         assert!(hit.cached && !hit.stale, "{op:?}");
         assert_eq!(hit.generation, generation);
-        assert_eq!(format!("{:?}", hit.value), format!("{:?}", miss.value), "{op:?}");
+        assert!(std::sync::Arc::ptr_eq(&hit.entry, &miss.entry), "{op:?}: a hit shares the entry");
+        assert_eq!(hit.query, None, "{op:?}: same spelling, nothing to echo");
     }
     ingest_more(&server);
     server.set_injected_faults(Some(InjectedFaults { panic_every: 1, ..InjectedFaults::default() }));
@@ -150,12 +155,15 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
     for op in &ops {
         fresh(server.request(op, None), generation, op);
     }
+    // Cached under the default ranking only.
+    let plain_only = |trusted| Op::Search(Cow::Owned(SearchMode::AllFields("masks".into())), 0, trusted);
+    fresh(server.request(&plain_only(false), None), generation, &plain_only(false));
     ingest_more(&server);
     server.set_injected_faults(Some(InjectedFaults { panic_every: 1, ..InjectedFaults::default() }));
     let trigger = || "breaker trigger".to_string();
     let triggers = [
-        Op::Search(Cow::Owned(SearchMode::AllFields(trigger())), 0),
-        Op::Search(Cow::Owned(SearchMode::Tables(trigger())), 0),
+        Op::Search(Cow::Owned(SearchMode::AllFields(trigger())), 0, false),
+        Op::Search(Cow::Owned(SearchMode::Tables(trigger())), 0, false),
         Op::Search(
             Cow::Owned(SearchMode::TitleAbstractCaption {
                 title: trigger(),
@@ -163,6 +171,7 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
                 caption: trigger(),
             }),
             0,
+            false,
         ),
         Op::KgProfile(Cow::Owned(trigger())),
         Op::TrustSource(Cow::Owned(trigger())),
@@ -176,6 +185,12 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
     for op in &ops {
         assert_degraded_by_policy(&server, op, generation);
     }
+    // A stale `trust=1` page is the trusted entry as ranked at the
+    // generation it names (the loop above), never the default ranking
+    // re-ranked by today's weights: with only the default ranking
+    // resident, the re-rank is the typed error.
+    assert_degraded_by_policy(&server, &plain_only(false), generation);
+    assert_eq!(server.request(&plain_only(true), None).err(), Some(ServeError::Degraded));
     assert_eq!(
         server.stats().worker_panics as usize,
         triggers.len(),
@@ -280,7 +295,7 @@ fn requests_hits_misses_and_completions_add_up_across_all_ops() {
     // Each traversal op — the plain one and its `trust=1` re-rank are
     // separate cache entries — was computed once and counted its work.
     let traversals = known.iter().filter_map(|op| match op {
-        Op::KgQuery(plan) | Op::KgQueryTrusted(plan) => Some(server.with_system(|s| s.kg_query(plan))),
+        Op::KgQuery(plan, _) => Some(server.with_system(|s| s.kg_query(plan))),
         _ => None,
     });
     let (hops, visited) = traversals.fold((0, 0), |(h, v), r| (h + r.hops, v + r.visited));

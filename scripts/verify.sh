@@ -19,6 +19,9 @@ cargo test --workspace --offline -q
 echo "==> search equivalence property tests (postings-driven pages vs the tokenizing oracles)"
 cargo test -p covidkg-search --test equivalence --test postings_oracle --offline -q
 
+echo "==> splice property test (every reply under a cache key vs re-rendering a page with its own query)"
+cargo test -p covidkg-net --test splice_prop --offline -q
+
 # The benchmark is a package of its own that no PR may edit: its smoke is
 # the only thing that notices when a program change breaks its build or
 # its byte-for-byte body check.
@@ -32,11 +35,14 @@ echo "==> chaos gauntlet (deterministic seed, scaled-down storm)"
 echo "==> HTTP parser property tests (incl. one-byte split reads)"
 cargo test -p covidkg-net --test parser_prop --offline -q
 
-echo "==> reactor regression suite (1000 idle conns, pipelining, churn)"
+echo "==> reactor regression suite (1000 idle conns, pipelining, churn, stalled readers)"
 cargo test -p covidkg-net --test reactor_e2e --offline -q
 
 echo "==> protocol regression suite on the reactor path (slowloris 408, 431/413/400, drain)"
 cargo test -p covidkg-net --test wire_e2e --offline -q
+
+echo "==> hit path pinned by counts (allocations per op row: parse / handle / write, no body copy)"
+cargo test -p covidkg-net --test hit_allocs --offline -q
 
 # The committed tables must already be what the committed artefacts
 # render to: regenerating them may not change the tracked document.
