@@ -18,8 +18,8 @@ use std::time::Duration;
 /// last bucket is +Inf).
 pub const READY_EVENT_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// Lock-free wire counters shared by the accept loop (or reactor) and
-/// every connection thread (or dispatch worker).
+/// Lock-free wire counters shared by the reactor and every serve
+/// worker that answers a request.
 #[derive(Debug, Default)]
 pub struct WireMetrics {
     accepted: AtomicU64,
@@ -36,8 +36,6 @@ pub struct WireMetrics {
     ready_buckets: [AtomicU64; READY_EVENT_BUCKETS.len() + 1],
     /// Total ready events observed (histogram sum).
     ready_events: AtomicU64,
-    /// Requests sitting in the reactor's dispatch queue right now.
-    dispatch_depth: AtomicU64,
     /// Response counts keyed by status code. A mutex is fine here: the
     /// map is touched once per response, after the search completed.
     statuses: Mutex<BTreeMap<u16, u64>>,
@@ -90,15 +88,6 @@ impl WireMetrics {
         self.ready_buckets[idx].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Dispatch-queue depth transitions (reactor worker pool).
-    pub(crate) fn dispatch_enqueued(&self) {
-        self.dispatch_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn dispatch_dequeued(&self) {
-        self.dispatch_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
     /// Point-in-time snapshot.
     pub fn snapshot(&self) -> WireStats {
         WireStats {
@@ -112,7 +101,6 @@ impl WireMetrics {
             epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
             ready_event_buckets: std::array::from_fn(|i| self.ready_buckets[i].load(Ordering::Relaxed)),
             ready_events: self.ready_events.load(Ordering::Relaxed),
-            dispatch_queue_depth: self.dispatch_depth.load(Ordering::Relaxed),
             responses_by_status: self
                 .statuses
                 .lock()
@@ -147,8 +135,6 @@ pub struct WireStats {
     pub ready_event_buckets: [u64; READY_EVENT_BUCKETS.len() + 1],
     /// Total ready events across all wakeups (histogram sum).
     pub ready_events: u64,
-    /// Requests queued for the reactor's dispatch workers right now.
-    pub dispatch_queue_depth: u64,
     /// Responses by status code.
     pub responses_by_status: BTreeMap<u16, u64>,
 }
@@ -260,7 +246,6 @@ pub fn render_metrics(
     }
     line("net_ready_events_per_wakeup_count", cumulative.to_string());
     line("net_ready_events_per_wakeup_sum", wire.ready_events.to_string());
-    line("net_dispatch_queue_depth", wire.dispatch_queue_depth.to_string());
     for (status, count) in &wire.responses_by_status {
         line(
             &format!("net_responses{{status=\"{status}\"}}"),
@@ -336,7 +321,7 @@ mod tests {
         net_ready_events_per_wakeup_bucket{le=\"4\"} net_ready_events_per_wakeup_bucket{le=\"8\"} \
         net_ready_events_per_wakeup_bucket{le=\"16\"} net_ready_events_per_wakeup_bucket{le=\"32\"} \
         net_ready_events_per_wakeup_bucket{le=\"64\"} net_ready_events_per_wakeup_bucket{le=\"+Inf\"} \
-        net_ready_events_per_wakeup_count net_ready_events_per_wakeup_sum net_dispatch_queue_depth \
+        net_ready_events_per_wakeup_count net_ready_events_per_wakeup_sum \
         net_responses{status=\"200\"} net_responses{status=\"404\"} \
         serve_requests_all_fields serve_requests_tables serve_requests_scoped serve_requests_kg \
         serve_requests_trust serve_requests_semantic serve_requests_hybrid serve_cache_hits \
@@ -391,9 +376,6 @@ mod tests {
         m.epoll_wakeup(2);
         m.epoll_wakeup(5);
         m.epoll_wakeup(500); // past the largest bound -> +Inf
-        m.dispatch_enqueued();
-        m.dispatch_enqueued();
-        m.dispatch_dequeued();
         let s = m.snapshot();
         assert_eq!(s.epoll_wakeups, 5);
         assert_eq!(s.ready_events, 1 + 2 + 5 + 500);
@@ -401,7 +383,6 @@ mod tests {
         assert_eq!(s.ready_event_buckets[1], 1); // le=2
         assert_eq!(s.ready_event_buckets[3], 1); // le=8 holds the 5
         assert_eq!(s.ready_event_buckets[READY_EVENT_BUCKETS.len()], 1); // +Inf
-        assert_eq!(s.dispatch_queue_depth, 1);
         let serve = ServeStats::default();
         let text = render_metrics(&s, &serve, None, &[]);
         assert!(text.contains("covidkg_net_epoll_wakeups 5\n"), "{text}");
@@ -411,7 +392,6 @@ mod tests {
         assert!(text.contains("covidkg_net_ready_events_per_wakeup_bucket{le=\"+Inf\"} 4\n"));
         assert!(text.contains("covidkg_net_ready_events_per_wakeup_count 4\n"));
         assert!(text.contains("covidkg_net_ready_events_per_wakeup_sum 508\n"));
-        assert!(text.contains("covidkg_net_dispatch_queue_depth 1\n"));
         assert!(text.contains("covidkg_net_open_connections 0\n"));
     }
 

@@ -1,5 +1,6 @@
 //! Event-driven connection core: one epoll reactor thread multiplexing
-//! every socket, plus a small fixed dispatch pool for request handling.
+//! every socket, handing each parsed request to the serve layer's one
+//! worker pool.
 //!
 //! Connections are driven by *readiness*, not by threads: a single
 //! reactor thread parks in `epoll_wait`, and every connection is a
@@ -17,10 +18,14 @@
 //!   (idle reap, cumulative slow-loris read deadline). Entries are
 //!   lazy: firing re-checks the connection's real state and re-arms,
 //!   so renewing activity never has to hunt down stale entries.
-//! * [`DispatchPool`] — fixed worker threads that parse-complete
-//!   requests route through ([`crate::router::handle`]) and serialize.
-//!   The reactor thread itself never runs a query, so one slow search
-//!   cannot stall accept, timers, or other connections' I/O.
+//! * Dispatch — each parse-complete request becomes one job on the serve
+//!   layer's bounded queue ([`covidkg_serve::Server::submit`]). The
+//!   worker that dequeues it routes it ([`crate::router::handle`]),
+//!   computing a miss itself, and posts the response to the [`Mailbox`]
+//!   with one byte on the wake pipe. The reactor thread itself never runs
+//!   a query, so one slow search cannot stall accept, timers, or other
+//!   connections' I/O. A job the queue rejects (full, or shut down) is
+//!   answered at once with the 503 that rejection renders to.
 //!
 //! Ordering guarantee: responses leave a connection in request order.
 //! One request per connection is in flight at a time; further pipelined
@@ -28,16 +33,18 @@
 //! the queue) wait in a per-connection FIFO.
 
 use crate::http::{Body, Parser, Request};
-use crate::router::{error_response, handle_lazily};
+use crate::metrics::WireMetrics;
+use crate::router::{error_response, handle_lazily, serve_error_response};
 use crate::server::Shared;
+use covidkg_serve::ServeError;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -210,23 +217,15 @@ impl TimerWheel {
 
 /// A unit of ordered output for one connection.
 enum Work {
-    /// A parsed request awaiting dispatch to the worker pool.
+    /// A parsed request awaiting dispatch to the serve queue.
     Request(Request),
     /// A pre-serialized terminal response (parse error, 408) that must
     /// keep FIFO order behind any requests dispatched before it.
     Immediate { bytes: Vec<u8>, status: u16 },
 }
 
-/// A request handed to the dispatch pool.
-struct Job {
-    token: usize,
-    generation: u64,
-    request: Request,
-    close: bool,
-}
-
-/// A response coming back from the pool: the rendered head, and the
-/// body still shared with the serve cache.
+/// A response coming back from a serve worker: the rendered head, and
+/// the body still shared with the serve cache.
 struct Completion {
     token: usize,
     generation: u64,
@@ -236,105 +235,69 @@ struct Completion {
     close: bool,
 }
 
-struct PoolState {
-    queue: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-    shutdown: AtomicBool,
-    completions: Mutex<Vec<Completion>>,
+/// Where serve workers leave completions for the reactor, and the pipe
+/// that wakes it to collect them.
+struct Mailbox {
+    done: Mutex<Vec<Completion>>,
+    wake: UnixStream,
 }
 
-/// Fixed worker threads running parse-complete requests through the
-/// router and serializing the response off the reactor thread.
-struct DispatchPool {
-    state: Arc<PoolState>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl DispatchPool {
-    fn new(threads: usize, shared: &Arc<Shared>, wake: &UnixStream) -> DispatchPool {
-        let state = Arc::new(PoolState {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            completions: Mutex::new(Vec::new()),
-        });
-        let workers = (0..threads.max(1))
-            .map(|i| {
-                let state = Arc::clone(&state);
-                let shared = Arc::clone(shared);
-                let wake = wake.try_clone().expect("clone wake pipe");
-                std::thread::Builder::new()
-                    .name(format!("covidkg-net-dispatch-{i}"))
-                    .spawn(move || worker_loop(state, shared, wake))
-                    .expect("spawn dispatch worker")
-            })
-            .collect();
-        DispatchPool { state, workers }
+impl Mailbox {
+    fn post(&self, completion: Completion) {
+        self.done
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(completion);
+        self.wake();
     }
 
-    fn submit(&self, job: Job) {
-        let mut queue = self.state.queue.lock().unwrap_or_else(|e| e.into_inner());
-        queue.push_back(job);
-        drop(queue);
-        self.state.ready.notify_one();
+    /// One byte on the wake pipe pulls the reactor out of epoll_wait.
+    /// WouldBlock means the pipe is already full of wakeups — the
+    /// reactor is guaranteed to drain completions on that pending
+    /// wakeup, so dropping this byte is safe.
+    fn wake(&self) {
+        let _ = (&self.wake).write(&[1]);
     }
 
-    fn take_completions(&self, into: &mut Vec<Completion>) {
-        let mut done = self.state.completions.lock().unwrap_or_else(|e| e.into_inner());
-        into.append(&mut done);
-    }
-
-    fn shutdown(mut self) {
-        self.state.shutdown.store(true, Ordering::Release);
-        self.state.ready.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    fn take(&self, into: &mut Vec<Completion>) {
+        into.append(&mut self.done.lock().unwrap_or_else(|e| e.into_inner()));
     }
 }
 
-fn worker_loop(state: Arc<PoolState>, shared: Arc<Shared>, mut wake: UnixStream) {
-    loop {
-        let job = {
-            let mut queue = state.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                if state.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                queue = state.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
-            }
+/// The job a request becomes on the serve queue: route it on the worker
+/// that dequeues it (or render the rejection it was handed) and post the
+/// response.
+fn job(
+    shared: Arc<Shared>,
+    mailbox: Arc<Mailbox>,
+    token: usize,
+    generation: u64,
+    request: Request,
+    close: bool,
+) -> impl FnOnce(Result<(), ServeError>) + Send + 'static {
+    move |admitted| {
+        let resp = match admitted {
+            // A panicking handler must cost the peer one 500, not the
+            // pool a worker.
+            Ok(()) => catch_unwind(AssertUnwindSafe(|| {
+                handle_lazily(
+                    &shared.serve,
+                    || shared.wire.snapshot(),
+                    shared.repl.as_ref(),
+                    &request,
+                )
+            }))
+            .unwrap_or_else(|_| error_response(500, "request handler panicked")),
+            Err(e) => serve_error_response(e),
         };
-        shared.wire.dispatch_dequeued();
-        // A panicking handler must cost the peer one 500, not the pool
-        // a worker.
-        let resp = catch_unwind(AssertUnwindSafe(|| {
-            handle_lazily(
-                &shared.serve,
-                || shared.wire.snapshot(),
-                shared.repl.as_ref(),
-                &job.request,
-            )
-        }))
-        .unwrap_or_else(|_| error_response(500, "request handler panicked"));
-        let head = resp.head(job.close);
-        let mut done = state.completions.lock().unwrap_or_else(|e| e.into_inner());
-        done.push(Completion {
-            token: job.token,
-            generation: job.generation,
-            head,
+        mailbox.post(Completion {
+            token,
+            generation,
+            head: resp.head(close),
             body: resp.body,
             status: resp.status,
-            close: job.close,
+            close,
         });
-        drop(done);
-        // One byte on the wake pipe pulls the reactor out of
-        // epoll_wait. WouldBlock means the pipe is already full of
-        // wakeups — the reactor is guaranteed to drain completions on
-        // that pending wakeup, so dropping this byte is safe.
-        let _ = wake.write(&[1]);
     }
 }
 
@@ -348,7 +311,8 @@ struct Conn {
     /// Parsed requests (and terminal error responses) not yet
     /// dispatched, in arrival order.
     pending: VecDeque<Work>,
-    /// One request is at the workers; its completion gates `pending`.
+    /// One request is on the serve queue or at a worker; its completion
+    /// gates `pending`.
     in_flight: bool,
     write_buf: Vec<u8>,
     write_pos: usize,
@@ -387,6 +351,45 @@ struct Conn {
 }
 
 impl Conn {
+    /// Send one response in FIFO order: with nothing buffered ahead of
+    /// it, head and body are offered to the socket as they are, in one
+    /// vectored write; only what the socket did not take is copied, to
+    /// wait in `write_buf` — so the body is released here either way.
+    fn send(&mut self, head: &[u8], body: &Body, status: u16, close: bool, now: Instant, wire: &WireMetrics) {
+        let [first, second, third] = body.slices();
+        let parts = [head, first, second, third];
+        let mut taken = 0;
+        // Counted before the peer can read the reply.
+        wire.responded(status);
+        if self.write_buf.is_empty() {
+            let slices = parts.map(IoSlice::new);
+            loop {
+                match self.stream.write_vectored(&slices) {
+                    Ok(n) => {
+                        taken = n;
+                        wire.wrote(n as u64);
+                        self.last_activity = now;
+                        break;
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    // WouldBlock or a dead peer: `flush` meets it again.
+                    Err(_) => break,
+                }
+            }
+        }
+        for part in parts {
+            let skip = taken.min(part.len());
+            self.write_buf.extend_from_slice(&part[skip..]);
+            taken -= skip;
+        }
+        if close {
+            // `Connection: close` (or drain): anything pipelined behind
+            // this response is dropped.
+            self.close_after_flush = true;
+            self.pending.clear();
+        }
+    }
+
     fn next_deadline(
         &self,
         read_timeout: Duration,
@@ -404,9 +407,9 @@ impl Conn {
     }
 }
 
-/// Handle held by [`crate::server::HttpServer`]: wake writer + thread.
+/// Handle held by [`crate::server::HttpServer`]: wake pipe + thread.
 pub(crate) struct ReactorHandle {
-    wake: UnixStream,
+    mailbox: Arc<Mailbox>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -414,15 +417,14 @@ impl ReactorHandle {
     /// Wake the reactor (it re-checks `shutting_down`) and join it.
     /// The caller sets the flag first.
     pub(crate) fn shutdown(&mut self) {
-        let _ = (&self.wake).write(&[1]);
+        self.mailbox.wake();
         if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
     }
 }
 
-/// Spawn the reactor thread and its dispatch pool over an already-bound
-/// listener.
+/// Spawn the reactor thread over an already-bound listener.
 pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> std::io::Result<ReactorHandle> {
     listener.set_nonblocking(true)?;
     let (wake_tx, wake_rx) = UnixStream::pair()?;
@@ -431,8 +433,10 @@ pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> std::io::Resu
     let epoll = sys::Epoll::new()?;
     epoll.add(listener.as_raw_fd(), sys::EPOLLIN, LISTENER_DATA)?;
     epoll.add(wake_rx.as_raw_fd(), sys::EPOLLIN, WAKE_DATA)?;
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).max(4);
-    let pool = DispatchPool::new(workers, &shared, &wake_tx);
+    let mailbox = Arc::new(Mailbox {
+        done: Mutex::new(Vec::new()),
+        wake: wake_tx,
+    });
     let now = Instant::now();
     let reactor = Reactor {
         epoll,
@@ -444,14 +448,14 @@ pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> std::io::Resu
         live: 0,
         next_generation: 0,
         wheel: TimerWheel::new(now),
-        pool: Some(pool),
+        mailbox: Arc::clone(&mailbox),
         draining: false,
     };
     let thread = std::thread::Builder::new()
         .name("covidkg-net-reactor".into())
         .spawn(move || reactor.run())?;
     Ok(ReactorHandle {
-        wake: wake_tx,
+        mailbox,
         thread: Some(thread),
     })
 }
@@ -468,7 +472,7 @@ struct Reactor {
     live: usize,
     next_generation: u64,
     wheel: TimerWheel,
-    pool: Option<DispatchPool>,
+    mailbox: Arc<Mailbox>,
     draining: bool,
 }
 
@@ -493,10 +497,7 @@ impl Reactor {
                     token => self.conn_ready(token as usize, bits, now, &mut scratch),
                 }
             }
-            completions.clear();
-            if let Some(pool) = &self.pool {
-                pool.take_completions(&mut completions);
-            }
+            self.mailbox.take(&mut completions);
             for c in completions.drain(..) {
                 self.complete(c, now);
             }
@@ -513,9 +514,6 @@ impl Reactor {
                     break;
                 }
             }
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
         }
     }
 
@@ -700,14 +698,22 @@ impl Reactor {
                 Some(Work::Request(request)) => {
                     let close = request.wants_close()
                         || self.shared.shutting_down.load(Ordering::Acquire);
-                    conn.in_flight = true;
-                    self.shared.wire.dispatch_enqueued();
-                    self.pool.as_ref().expect("pool lives while conns do").submit(Job {
+                    let job = job(
+                        Arc::clone(&self.shared),
+                        Arc::clone(&self.mailbox),
                         token,
-                        generation: conn.generation,
+                        conn.generation,
                         request,
                         close,
-                    });
+                    );
+                    match self.shared.serve.submit(job) {
+                        Ok(()) => conn.in_flight = true,
+                        Err(e) => {
+                            let resp = serve_error_response(e);
+                            let head = resp.head(close);
+                            conn.send(&head, &resp.body, resp.status, close, now, &self.shared.wire);
+                        }
+                    }
                 }
                 Some(Work::Immediate { bytes, status }) => {
                     conn.write_buf.extend_from_slice(&bytes);
@@ -823,10 +829,7 @@ impl Reactor {
 
     /// A worker finished a request: send its response (order preserved
     /// — only one request per connection is ever in flight) and move
-    /// the machine along. With nothing buffered ahead of it, head and
-    /// body are offered to the socket as they are, in one vectored
-    /// write; only what the socket did not take is copied, to wait in
-    /// `write_buf` — so the entry is released here either way.
+    /// the machine along.
     fn complete(&mut self, c: Completion, now: Instant) {
         let Some(conn) = self.conns.get_mut(c.token).and_then(|s| s.as_mut()) else {
             return; // connection died while the query ran
@@ -835,37 +838,7 @@ impl Reactor {
             return; // slot reused; response belongs to a previous tenant
         }
         conn.in_flight = false;
-        let [first, second, third] = c.body.slices();
-        let parts = [&c.head[..], first, second, third];
-        let mut taken = 0;
-        if conn.write_buf.is_empty() {
-            let slices = parts.map(IoSlice::new);
-            loop {
-                match conn.stream.write_vectored(&slices) {
-                    Ok(n) => {
-                        taken = n;
-                        self.shared.wire.wrote(n as u64);
-                        conn.last_activity = now;
-                        break;
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    // WouldBlock or a dead peer: `flush` meets it again.
-                    Err(_) => break,
-                }
-            }
-        }
-        for part in parts {
-            let skip = taken.min(part.len());
-            conn.write_buf.extend_from_slice(&part[skip..]);
-            taken -= skip;
-        }
-        self.shared.wire.responded(c.status);
-        if c.close {
-            // `Connection: close` (or drain): anything pipelined behind
-            // this response is dropped.
-            conn.close_after_flush = true;
-            conn.pending.clear();
-        }
+        conn.send(&c.head, &c.body, c.status, c.close, now, &self.shared.wire);
         self.pump(c.token, now);
     }
 

@@ -268,7 +268,7 @@ pub(crate) fn handle_lazily(
     if let (Op::Search(mode, page, trusted), Some(ctx)) = (&op, repl) {
         return routed_read(server, ctx, req, mode, *page, *trusted);
     }
-    match server.request(&op, None) {
+    match server.request(&op) {
         Ok(Some(reply)) => respond(reply, op.trusted()),
         Ok(None) => match not_found {
             Some(message) => error_response(404, &message(server, tail)),

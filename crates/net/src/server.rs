@@ -3,9 +3,11 @@
 //!
 //! [`HttpServer`] binds the listener and hands it to the epoll event
 //! loop in [`crate::reactor`]: one reactor thread multiplexes every
-//! socket, a small dispatch pool runs the queries, and the connection
-//! ceiling is the fd budget (tens of thousands), not a thread count.
-//! This module spawns no thread itself.
+//! socket and hands each parsed request to the serve layer's one bounded
+//! queue, whose workers run the queries; the connection ceiling is the
+//! fd budget (tens of thousands), not a thread count. This module spawns
+//! no thread itself, and a stack's threads are the reactor plus
+//! `ServeConfig::workers`.
 //!
 //! The protocol semantics the front door enforces: over-capacity
 //! accepts get an honest `503 + Retry-After` instead of an invisible
@@ -69,8 +71,8 @@ pub(crate) struct Shared {
 }
 
 /// A running HTTP front-end. Dropping it (or calling
-/// [`HttpServer::shutdown`]) drains in-flight requests and joins every
-/// thread.
+/// [`HttpServer::shutdown`]) drains in-flight requests and joins the
+/// reactor thread.
 pub struct HttpServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
@@ -119,7 +121,7 @@ impl HttpServer {
         self.shared.wire.snapshot()
     }
 
-    /// Stop accepting, drain in-flight requests, join every thread.
+    /// Stop accepting, drain in-flight requests, join the reactor.
     /// Idempotent. The serve-layer [`Server`] is left running — it is
     /// owned by the caller.
     pub fn shutdown(&mut self) {

@@ -100,9 +100,9 @@ fn a_thousand_idle_connections_do_not_starve_fresh_requests() {
 }
 
 /// The `/metrics` page carries the event-loop series: wakeups, the
-/// ready-events histogram, dispatch queue depth and the open gauge.
+/// ready-events histogram, the open gauge — and the one queue's depth.
 #[test]
-fn metrics_expose_epoll_and_dispatch_series() {
+fn metrics_expose_epoll_and_queue_series() {
     let (_serve, http) = start_stack(ServeConfig::default(), NetConfig::default());
     let mut conn = client(&http);
     for i in 0..5 {
@@ -123,8 +123,10 @@ fn metrics_expose_epoll_and_dispatch_series() {
     assert!(text.contains("covidkg_net_ready_events_per_wakeup_bucket{le=\"1\"}"), "{text}");
     assert!(text.contains("covidkg_net_ready_events_per_wakeup_bucket{le=\"+Inf\"}"), "{text}");
     assert_eq!(series_value("covidkg_net_open_connections"), 1);
-    // Quiet wire: nothing should be sitting in the dispatch queue.
-    assert_eq!(series_value("covidkg_net_dispatch_queue_depth"), 0);
+    // Quiet wire: nothing should be sitting in the serve queue, and
+    // there is no other queue to report.
+    assert_eq!(series_value("covidkg_serve_queue_depth"), 0);
+    assert!(!text.contains("dispatch"), "{text}");
     // Histogram buckets are cumulative: +Inf equals the count.
     let inf = text
         .lines()
@@ -136,7 +138,7 @@ fn metrics_expose_epoll_and_dispatch_series() {
 
 /// A burst of pipelined requests written in one packet comes back as
 /// complete responses in request order, even though each request is
-/// dispatched to the worker pool individually.
+/// dispatched to the serve queue individually.
 #[test]
 fn pipelined_burst_returns_ordered_responses() {
     let (serve, http) = start_stack(ServeConfig::default(), NetConfig::default());
@@ -290,7 +292,7 @@ fn a_connection_cut_off_mid_write_frees_its_share_of_the_entry() {
         0,
         false,
     );
-    let entry = serve.request(&op, None).unwrap().expect("a page").entry;
+    let entry = serve.request(&op).unwrap().expect("a page").entry;
     let holders = Arc::strong_count(&entry);
 
     let mut stalled = client(&http);

@@ -32,9 +32,10 @@ const WORDS: [&str; 8] = [
     "\"exact phrase\"",
     "dose",
 ];
-const ODD: [&str; 10] = [
+const ODD: [&str; 11] = [
     "\"",
     "\\",
+    "\\\"",
     "\u{1}",
     "\n",
     "\t",

@@ -6,9 +6,9 @@
 use covidkg_core::{CovidKg, CovidKgConfig};
 use covidkg_net::{HttpClient, HttpServer, NetConfig};
 use covidkg_search::SearchMode;
-use covidkg_serve::{ServeConfig, Server};
+use covidkg_serve::{InjectedFaults, ServeConfig, Server};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn build_system() -> CovidKg {
     CovidKg::build(CovidKgConfig {
@@ -118,40 +118,49 @@ fn a_cache_hit_echoes_the_requests_own_query() {
 
 #[test]
 fn overloaded_queue_maps_to_503_with_retry_after() {
-    // No workers: the first enqueued job sticks, the queue (capacity 1)
-    // fills, and subsequent requests must be turned away as 503.
-    let (_serve, http) = start_stack(
+    // One worker held by an injected delay and a queue of one: the next
+    // request waits past its deadline (504), and the one after finds the
+    // queue full (503 + Retry-After, at once).
+    let (serve, http) = start_stack(
         ServeConfig {
-            workers: 0,
+            workers: 1,
             queue_capacity: 1,
-            default_deadline: Duration::from_millis(50),
+            default_deadline: Duration::from_millis(150),
             ..ServeConfig::default()
         },
         NetConfig::default(),
     );
-    let mut statuses = Vec::new();
-    for i in 0..4 {
-        // Fresh connection per request: a 504 on the first request
-        // must not block the rest.
+    serve.set_injected_faults(Some(InjectedFaults {
+        delay_every: 1,
+        delay: Duration::from_millis(600),
+        ..InjectedFaults::default()
+    }));
+    let get = |i: usize| {
         let mut conn = client(&http);
-        let resp = conn
-            .get(&format!("/search/all-fields?q=q{i}&page=0"))
-            .unwrap();
-        if resp.status == 503 {
-            assert_eq!(resp.header("retry-after"), Some("1"), "503 carries Retry-After");
+        move || conn.get(&format!("/search/all-fields?q=q{i}&page=0")).unwrap()
+    };
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let t0 = Instant::now();
+        while !done() {
+            assert!(t0.elapsed() < Duration::from_secs(5), "{what}");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        statuses.push(resp.status);
-    }
-    assert!(
-        statuses.contains(&503),
-        "expected at least one Overloaded → 503, got {statuses:?}"
-    );
-    assert!(
-        statuses.iter().all(|s| *s == 503 || *s == 504),
-        "with no workers every request fails honestly: {statuses:?}"
-    );
+    };
+    std::thread::scope(|scope| {
+        let running = scope.spawn(get(0));
+        wait_for("the first request never ran", &|| serve.stats().requests_all_fields == 1);
+        let queued = scope.spawn(get(1));
+        wait_for("the second request never queued", &|| serve.stats().queue_depth == 1);
+        let rejected = get(2)();
+        assert_eq!(rejected.status, 503, "{}", rejected.text());
+        assert_eq!(rejected.header("retry-after"), Some("1"), "503 carries Retry-After");
+        assert_eq!(queued.join().unwrap().status, 504);
+        assert_eq!(running.join().unwrap().status, 200);
+    });
     let wire = http.wire_stats();
-    assert!(wire.responses_by_status.contains_key(&503), "{wire:?}");
+    for status in [200, 503, 504] {
+        assert_eq!(wire.responses_by_status.get(&status), Some(&1), "{wire:?}");
+    }
 }
 
 #[test]

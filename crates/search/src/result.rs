@@ -108,18 +108,13 @@ impl SearchPage {
     /// key share every byte outside that range.
     pub fn to_body(&self) -> (String, std::ops::Range<usize>) {
         let body = self.to_json().to_json();
-        let start = "{\"query\":".len();
-        let bytes = body.as_bytes();
-        let mut end = start + 1;
-        while bytes[end] != b'"' {
-            end += if bytes[end] == b'\\' { 2 } else { 1 };
-        }
-        let echo = start..end + 1;
-        debug_assert_eq!(
-            body[echo.clone()],
-            *Self::query_literal(&self.query),
+        let prefix = "{\"query\":";
+        let literal = Self::query_literal(&self.query);
+        assert!(
+            body.starts_with(prefix) && body[prefix.len()..].starts_with(&*literal),
             "`query` is the body's first member"
         );
+        let echo = prefix.len()..prefix.len() + literal.len();
         (body, echo)
     }
 
@@ -348,6 +343,33 @@ mod tests {
             "title" => "Mask mandates in schools",
             "abstract" => "We found masks reduce transmission substantially.",
             "body" => arr![ obj!{ "heading" => "Methods", "text" => "No relevant terms here." } ],
+        }
+    }
+
+    /// The echo range is the query's literal whatever the query holds:
+    /// quotes, backslashes, control characters, non-ASCII, nothing.
+    #[test]
+    fn the_echo_range_is_the_query_literal() {
+        for query in [
+            "",
+            "plain",
+            "\"exact phrase\"",
+            "back\\slash \\\"",
+            "\u{0}\u{1}\n\t\r\u{7f}",
+            "é \u{1F637} \u{2028}",
+        ] {
+            let page = SearchPage {
+                query: query.to_string(),
+                page: 0,
+                page_size: 10,
+                total: 0,
+                results: Vec::new(),
+            };
+            let (body, echo) = page.to_body();
+            assert_eq!(body, page.to_json().to_json());
+            assert_eq!(body[echo.clone()], *SearchPage::query_literal(query));
+            let echoed = covidkg_json::parse(&body[echo]).unwrap();
+            assert_eq!(echoed.as_str(), Some(query), "the range decodes to the query");
         }
     }
 

@@ -10,14 +10,15 @@
 //!
 //! Architecture (std-only, no external dependencies):
 //!
-//! * [`Server`] — a worker thread pool draining a **bounded request
-//!   queue**. Every traffic class takes the one [`Server::request`] path
+//! * [`Server`] — one worker thread pool draining one **bounded job
+//!   queue** ([`Server::submit`]), the wire front end's only pool.
+//!   Admission control is explicit: a full queue rejects with
+//!   [`ServeError::Overloaded`] instead of queueing unboundedly, and a
+//!   job that waited past the configured deadline is handed
+//!   [`ServeError::DeadlineExceeded`] instead of running. Every traffic
+//!   class takes the one [`Server::request`] path, on the calling thread,
 //!   and differs only in its row of the [`op`] table (class label, cache
-//!   key, queued vs inline, may-serve-stale vs never-stale). Admission
-//!   control is explicit: a full queue rejects with
-//!   [`ServeError::Overloaded`] instead of queueing unboundedly, and
-//!   every request carries a deadline after which the caller gets
-//!   [`ServeError::DeadlineExceeded`] instead of waiting forever.
+//!   key, breaker-guarded vs bare, may-serve-stale vs never-stale).
 //! * [`cache::QueryCache`] — a sharded LRU of shared [`Entry`]s (the
 //!   bytes that are sent, serialized once, with the typed page beside
 //!   them) keyed by `(engine, normalized query, page)`
@@ -41,5 +42,5 @@ pub mod server;
 pub use cache::{CacheStats, Entry, QueryCache};
 pub use loadgen::{LoadGenConfig, LoadGenReport};
 pub use metrics::{Class, LatencyHistogram, ServeStats};
-pub use op::{Admission, Op, Reply, Staleness};
+pub use op::{Guard, Op, Reply, Staleness};
 pub use server::{InjectedFaults, KgResponse, ServeConfig, ServeError, ServeResponse, Server};

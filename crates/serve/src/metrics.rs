@@ -13,7 +13,7 @@ use std::time::Duration;
 /// The traffic class a request is accounted against: the three §2.1
 /// lexical engines, the two dense modes, the §4 knowledge-graph engine
 /// and the trust/bias interrogation engine. One request counter per
-/// class, and one circuit-breaker slot (consulted only by queued ops).
+/// class; the [`Class::GUARDED`] ones also have a circuit breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
     /// §2.1.2 all-fields engine.
@@ -45,6 +45,16 @@ impl Class {
     ];
     /// The length of per-class arrays.
     pub(crate) const COUNT: usize = Class::ALL.len();
+    /// The classes some guarded op ([`crate::op::Guard::Breaker`]) is
+    /// accounted against, each with a breaker slot: a prefix of
+    /// [`Class::ALL`], so a class's index is its slot.
+    pub const GUARDED: [Class; 5] = [
+        Class::AllFields,
+        Class::Tables,
+        Class::Scoped,
+        Class::Kg,
+        Class::Trust,
+    ];
 
     pub(crate) fn index(self) -> usize {
         self as usize
@@ -211,21 +221,10 @@ impl Metrics {
         self.kg_nodes_visited.fetch_add(visited, Ordering::Relaxed);
     }
 
-    /// Pre-admission increment: called *before* the `try_send` so a
-    /// worker's matching [`Metrics::dequeued`] can never drive the gauge
-    /// negative. The max watermark is recorded separately, only once the
-    /// job was actually admitted.
-    pub(crate) fn enqueued(&self) {
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_admitted_depth(&self) {
-        let depth = self.queue_depth.load(Ordering::Relaxed);
+    /// The queue's length after a push or a pop, taken under its lock.
+    pub(crate) fn record_queue_depth(&self, depth: usize) {
+        self.queue_depth.store(depth, Ordering::Relaxed);
         self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    pub(crate) fn dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Consistent-enough point-in-time snapshot for reporting.
@@ -285,19 +284,19 @@ pub struct ServeStats {
     pub cache_hits: u64,
     /// Requests that had to run a search.
     pub cache_misses: u64,
-    /// Requests rejected because the queue was full.
+    /// Jobs rejected because the queue was full.
     pub overloaded: u64,
-    /// Requests that missed their deadline.
+    /// Jobs dequeued past `default_deadline` and not run.
     pub deadline_exceeded: u64,
     /// Requests that completed a search.
     pub completed: u64,
-    /// Worker panics caught or suffered while running jobs.
+    /// Panics caught in a guarded compute, or that killed a worker.
     pub worker_panics: u64,
     /// Workers respawned after dying to a panic.
     pub worker_respawns: u64,
     /// Requests answered degraded (stale page or typed `Degraded` error)
     /// because the target engine's circuit breaker was open or its
-    /// worker crashed mid-request.
+    /// compute panicked mid-request.
     pub degraded: u64,
     /// Degraded requests that could be answered with a stale cached page.
     pub stale_served: u64,
@@ -316,7 +315,8 @@ pub struct ServeStats {
     pub queue_depth: usize,
     /// Highest queue depth observed.
     pub max_queue_depth: usize,
-    /// Median end-to-end latency of completed searches.
+    /// Median latency of completed requests inside `Server::request`
+    /// (queue wait not included).
     pub p50: Option<Duration>,
     /// 95th-percentile latency.
     pub p95: Option<Duration>,
@@ -487,11 +487,9 @@ mod tests {
         m.record_miss();
         m.record_overloaded();
         m.record_deadline_exceeded();
-        m.enqueued();
-        m.record_admitted_depth();
-        m.enqueued();
-        m.record_admitted_depth();
-        m.dequeued();
+        m.record_queue_depth(1);
+        m.record_queue_depth(2);
+        m.record_queue_depth(1);
         m.record_completed(Duration::from_millis(3));
         m.record_request(Class::Kg);
         m.record_request(Class::Trust);
@@ -500,6 +498,7 @@ mod tests {
         for (index, class) in Class::ALL.iter().enumerate() {
             assert_eq!(class.index(), index, "{}", class.label());
         }
+        assert_eq!(Class::GUARDED, Class::ALL[..Class::GUARDED.len()]);
         let s = m.snapshot();
         assert_eq!(s.requests_all_fields, 2);
         assert_eq!(s.requests_tables, 1);

@@ -4,16 +4,19 @@
 //! it, so a traffic class is a row here, not a copy of the plumbing.
 //!
 //! ```text
-//! op           class label               cache key       admission  staleness        breaker
-//! Search       all-fields|tables|scoped  all| tab| tac|  queued     may-serve-stale  per engine
-//! Dense        semantic|hybrid           sem| hyb|       inline     never-stale      -
-//! KgQuery      kg                        kgq|            queued     never-stale      kg
-//! KgProfile    kg                        kgp|            queued     never-stale      kg
-//! KgNode       kg                        kgn|            inline     never-stale      -
-//! TrustNode    trust                     tn|             queued     never-stale      trust
-//! TrustSource  trust                     ts|             queued     never-stale      trust
-//! BiasReport   trust                     bias|           queued     never-stale      trust
+//! op           class label               cache key       guard    staleness        breaker
+//! Search       all-fields|tables|scoped  all| tab| tac|  breaker  may-serve-stale  per engine
+//! Dense        semantic|hybrid           sem| hyb|       bare     never-stale      -
+//! KgQuery      kg                        kgq|            breaker  never-stale      kg
+//! KgProfile    kg                        kgp|            breaker  never-stale      kg
+//! KgNode       kg                        kgn|            bare     never-stale      -
+//! TrustNode    trust                     tn|             breaker  never-stale      trust
+//! TrustSource  trust                     ts|             breaker  never-stale      trust
+//! BiasReport   trust                     bias|           breaker  never-stale      trust
 //! ```
+//!
+//! The breaker slots are the classes of the guarded rows
+//! ([`Class::GUARDED`]): `semantic` and `hybrid` have none.
 //!
 //! The three rankable ops carry the `trust=1` knob as their last field:
 //! the trust re-rank is computed with the value, under the same system
@@ -28,17 +31,17 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How a cache miss reaches the engines.
+/// What a cache miss runs behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Through the bounded worker queue: admission control, deadline,
-    /// panic isolation and the class's circuit breaker all apply.
-    Queued,
-    /// On the caller's thread under the shared system lock. For lookups
-    /// that cost less than a queue hop (an ANN search touches a
-    /// logarithmic fraction of the corpus, a node lookup is O(1)), so
-    /// they are never `Overloaded` and never consult a breaker.
-    Inline,
+pub enum Guard {
+    /// The class's circuit breaker, the fault schedule and panic
+    /// isolation all apply.
+    Breaker,
+    /// Computed bare under the shared system lock: for lookups that cost
+    /// less than the guard (an ANN search touches a logarithmic fraction
+    /// of the corpus, a node lookup is O(1)), so they never consult a
+    /// breaker and a panic is the caller's.
+    Bare,
 }
 
 /// What an unhealthy class (breaker open, or the worker panicked on this
@@ -53,8 +56,8 @@ pub enum Staleness {
     NeverStale,
 }
 
-/// One request. Borrowed from the caller (`Cow::Borrowed`) until it has
-/// to cross into the worker queue; [`Op::into_owned`] is that crossing.
+/// One request: borrowed from a typed caller (`Cow::Borrowed`), owned by
+/// the wire router that parsed it.
 #[derive(Debug, Clone)]
 pub enum Op<'a> {
     /// One of the three §2.1 lexical engines, the 0-based page, and
@@ -79,7 +82,7 @@ pub enum Op<'a> {
 }
 
 impl Op<'_> {
-    /// The traffic class: the request counter, and for queued ops the
+    /// The traffic class: the request counter, and for guarded ops the
     /// circuit breaker, this op is accounted against.
     pub fn class(&self) -> Class {
         match self {
@@ -97,11 +100,11 @@ impl Op<'_> {
         }
     }
 
-    /// Whether a miss is queued for a worker or computed inline.
-    pub fn admission(&self) -> Admission {
+    /// Whether a miss runs behind the class's breaker or bare.
+    pub fn guard(&self) -> Guard {
         match self {
-            Op::Dense(..) | Op::KgNode(_) => Admission::Inline,
-            _ => Admission::Queued,
+            Op::Dense(..) | Op::KgNode(_) => Guard::Bare,
+            _ => Guard::Breaker,
         }
     }
 
@@ -187,24 +190,6 @@ impl Op<'_> {
         };
         entry.map(Arc::new)
     }
-
-    /// The op with everything it borrowed cloned, ready for the queue.
-    pub fn into_owned(self) -> Op<'static> {
-        match self {
-            Op::Search(mode, page, trusted) => {
-                Op::Search(Cow::Owned(mode.into_owned()), page, trusted)
-            }
-            Op::Dense(mode, page, trusted) => {
-                Op::Dense(Cow::Owned(mode.into_owned()), page, trusted)
-            }
-            Op::KgQuery(plan, trusted) => Op::KgQuery(Cow::Owned(plan.into_owned()), trusted),
-            Op::KgProfile(vaccine) => Op::KgProfile(Cow::Owned(vaccine.into_owned())),
-            Op::KgNode(id) => Op::KgNode(id),
-            Op::TrustNode(id) => Op::TrustNode(id),
-            Op::TrustSource(venue) => Op::TrustSource(Cow::Owned(venue.into_owned())),
-            Op::BiasReport => Op::BiasReport,
-        }
-    }
 }
 
 /// What [`crate::Server::request`] answers with, whatever the op —
@@ -226,6 +211,53 @@ pub struct Reply {
     pub stale: bool,
     /// Data generation the value was computed at.
     pub generation: u64,
-    /// End-to-end latency observed by the server.
+    /// Time inside `Server::request`, from the call to the reply (a
+    /// wire request's wait in the queue comes before it).
     pub latency: Duration,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The breaker slots are the classes of the guarded rows: every
+    /// guarded op has a slot, and every slot has a guarded op.
+    #[test]
+    fn breaker_slots_are_the_guarded_classes() {
+        let q = || "q".to_string();
+        let plan = QueryPlan::parse("kind:category", "child", 4, 4).unwrap();
+        let ops = [
+            Op::Search(Cow::Owned(SearchMode::AllFields(q())), 0, false),
+            Op::Search(Cow::Owned(SearchMode::Tables(q())), 0, false),
+            Op::Search(
+                Cow::Owned(SearchMode::TitleAbstractCaption { title: q(), abstract_q: q(), caption: q() }),
+                0,
+                false,
+            ),
+            Op::Dense(Cow::Owned(DenseMode::Semantic(q())), 0, false),
+            Op::Dense(Cow::Owned(DenseMode::Hybrid(q())), 0, false),
+            Op::KgQuery(Cow::Owned(plan), false),
+            Op::KgProfile(Cow::Owned(q())),
+            Op::KgNode(0),
+            Op::TrustNode(0),
+            Op::TrustSource(Cow::Owned(q())),
+            Op::BiasReport,
+        ];
+        let guarded: Vec<Class> = ops
+            .iter()
+            .filter(|op| op.guard() == Guard::Breaker)
+            .map(Op::class)
+            .collect();
+        for class in Class::ALL {
+            assert_eq!(
+                guarded.contains(&class),
+                Class::GUARDED.contains(&class),
+                "{}",
+                class.label()
+            );
+        }
+        for (slot, class) in Class::GUARDED.iter().enumerate() {
+            assert_eq!(class.index(), slot, "{}", class.label());
+        }
+    }
 }

@@ -1,39 +1,45 @@
-//! The serving frontend: a bounded request queue drained by a worker
-//! thread pool, fronted by the generation-keyed result cache.
+//! The serving frontend: one worker pool draining one bounded job queue,
+//! and the one request path, fronted by the generation-keyed result
+//! cache.
 //!
-//! Every traffic class takes the same path — [`Server::request`] — and
+//! The queue ([`Server::submit`]) is where admission happens. The wire
+//! front end hands it every parsed request as a job; a full queue
+//! rejects at once with [`ServeError::Overloaded`] (the caller gets a
+//! typed backpressure signal instead of unbounded queueing), and a job
+//! dequeued after `default_deadline` is handed
+//! [`ServeError::DeadlineExceeded`] instead of running. The worker that
+//! dequeues a job runs it to the end — a miss included — so a request
+//! crosses one queue and is held by one thread.
+//!
+//! Every traffic class takes the same path — [`Server::request`], on the
+//! calling thread (a pool worker, or an in-process caller's own) — and
 //! differs only in its row of the op table ([`crate::op`]):
 //!
 //! 1. The request is counted against its class, its canonical cache key
 //!    computed, and the cache probed — a hit (entry generation == current
-//!    generation) returns immediately without touching the queue.
-//! 2. On a miss an *inline* op is computed right there under the shared
-//!    system lock. A *queued* op consults its class's circuit breaker:
-//!    an open breaker short-circuits to the degradation ladder below.
-//!    Else the request is `try_send`-enqueued; a full queue rejects with
-//!    [`ServeError::Overloaded`] (admission control: the caller gets a
-//!    typed backpressure signal instead of unbounded queueing).
-//! 3. A worker dequeues the job, drops it with `DeadlineExceeded` if the
-//!    deadline already passed, else computes the op under the system read
-//!    lock, capturing the data generation *under that same lock*, caches
-//!    the value tagged with it, and replies. An op that resolves to
-//!    nothing (unknown id) is not cached but completes like any other.
-//! 4. The caller waits on its private reply channel at most until its
-//!    deadline; a timeout reports [`ServeError::DeadlineExceeded`]
-//!    (the worker's late reply lands in the buffered channel and is
-//!    dropped with it).
+//!    generation) returns at once.
+//! 2. On a miss a *bare* op is computed right there under the shared
+//!    system lock. A *guarded* op first consults its class's circuit
+//!    breaker: an open breaker short-circuits to the degradation ladder
+//!    below.
+//! 3. Otherwise the guarded op runs under `catch_unwind` and the fault
+//!    schedule, under the system read lock, capturing the data
+//!    generation *under that same lock*; the value is cached tagged with
+//!    it and returned, and the outcome is fed to the breaker. An op that
+//!    resolves to nothing (unknown id) is not cached but completes like
+//!    any other.
 //!
 //! # Panic isolation and the degradation ladder
 //!
 //! A panicking query must cost exactly one request, never the server:
 //!
-//! * every job runs under `catch_unwind`, so a panic mid-compute is
-//!   caught, counted, fed to the class's circuit breaker, and the
-//!   waiting caller still gets a reply (stale page or typed error) —
-//!   the worker thread survives;
-//! * a panic that does escape the catch (e.g. an injected worker crash)
-//!   trips a sentinel that **respawns a replacement worker**, so the
-//!   pool never shrinks;
+//! * every guarded miss runs under `catch_unwind`, so a panic mid-compute
+//!   is caught, counted, fed to the class's circuit breaker, and the
+//!   caller still gets a reply (stale page or typed error) — the thread
+//!   survives;
+//! * a panic that escapes a job (e.g. an injected worker crash) trips a
+//!   sentinel that **respawns a replacement worker**, so the pool never
+//!   shrinks;
 //! * every lock acquisition recovers from poisoning instead of
 //!   `unwrap`ing, so stats, shutdown and later requests keep working
 //!   after any panic anywhere;
@@ -63,7 +69,7 @@
 
 use crate::cache::{Entry, QueryCache};
 use crate::metrics::{Class, Metrics, ServeStats};
-use crate::op::{Admission, Op, Reply, Staleness};
+use crate::op::{Guard, Op, Reply, Staleness};
 use covidkg_core::{CovidKg, QueryPlan};
 use covidkg_corpus::Publication;
 use covidkg_search::{DenseMode, SearchMode, SearchPage};
@@ -71,9 +77,8 @@ use covidkg_store::StoreError;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -96,9 +101,11 @@ fn write_lock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// Serving configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads draining the request queue.
+    /// Worker threads draining the job queue: the wire front end's only
+    /// pool. With 0 no job ever runs (for deterministic overload tests).
     pub workers: usize,
-    /// Bounded queue capacity; a full queue rejects with `Overloaded`.
+    /// Jobs that may wait in the queue; one more is rejected with
+    /// `Overloaded`.
     pub queue_capacity: usize,
     /// Total cached result pages.
     pub cache_capacity: usize,
@@ -108,7 +115,8 @@ pub struct ServeConfig {
     pub cache_ttl: Option<Duration>,
     /// Approximate total-bytes budget for cached pages (None = none).
     pub cache_max_bytes: Option<usize>,
-    /// Deadline applied when a request does not carry its own.
+    /// A job still queued this long after it was submitted is handed
+    /// `DeadlineExceeded` instead of running.
     pub default_deadline: Duration,
     /// Sliding window over which an engine's error rate is measured for
     /// circuit breaking.
@@ -147,12 +155,11 @@ impl Default for ServeConfig {
 pub enum ServeError {
     /// The bounded queue was full — back off and retry.
     Overloaded,
-    /// The request missed its deadline (either queued too long or the
-    /// caller stopped waiting).
+    /// The job waited in the queue past `default_deadline`.
     DeadlineExceeded,
     /// The target engine is unhealthy (circuit breaker open or the
-    /// worker crashed on this request) and no cached page — not even a
-    /// stale one — could stand in.
+    /// compute panicked on this request) and no cached page — not even
+    /// a stale one — could stand in.
     Degraded,
     /// The server has shut down.
     Closed,
@@ -185,7 +192,8 @@ pub struct ServeResponse {
     pub stale: bool,
     /// Data generation the page was computed at.
     pub generation: u64,
-    /// End-to-end latency observed by the server.
+    /// Time inside `Server::request`, from the call to the reply (a
+    /// wire request's wait in the queue comes before it).
     pub latency: Duration,
 }
 
@@ -241,7 +249,8 @@ pub struct KgResponse {
     pub cached: bool,
     /// Data generation the body was computed at.
     pub generation: u64,
-    /// End-to-end latency observed by the server.
+    /// Time inside `Server::request`, from the call to the reply (a
+    /// wire request's wait in the queue comes before it).
     pub latency: Duration,
 }
 
@@ -256,38 +265,32 @@ impl From<Reply> for KgResponse {
     }
 }
 
-/// Deterministic worker-side fault schedule for chaos runs: every
-/// `panic_every`-th job panics mid-compute, every `delay_every`-th
-/// sleeps for `delay` first (0 disables either). Jobs of every class are
+/// Deterministic fault schedule for chaos runs: every `panic_every`-th
+/// guarded miss panics mid-compute, every `delay_every`-th sleeps for
+/// `delay` first (0 disables either). Guarded misses of every class are
 /// numbered by one global sequence, so a fixed schedule yields a fixed
 /// fault pattern.
 #[derive(Debug, Clone, Default)]
 pub struct InjectedFaults {
-    /// Panic on jobs where `seq % panic_every == panic_every - 1`.
+    /// Panic on misses where `seq % panic_every == panic_every - 1`.
     pub panic_every: u64,
-    /// Delay jobs where `seq % delay_every == delay_every - 1`.
+    /// Delay misses where `seq % delay_every == delay_every - 1`.
     pub delay_every: u64,
     /// Length of the injected delay.
     pub delay: Duration,
 }
 
-/// A queued request: the op, owned, and everything the worker needs to
-/// answer it — degraded included — without going back to the caller.
-struct QueuedRequest {
-    op: Op<'static>,
-    key: String,
-    /// The query text a stale page echoes (searches only).
-    echo: Option<String>,
-    deadline: Instant,
-    submitted: Instant,
-    reply: SyncSender<Result<Option<Reply>, ServeError>>,
-}
+/// A unit of work for the pool: run with `Ok(())`, or handed the
+/// `DeadlineExceeded` it earned by waiting too long to be dequeued.
+type Job = Box<dyn FnOnce(Result<(), ServeError>) + Send>;
 
-enum Job {
-    Request(Box<QueuedRequest>),
-    /// Chaos hook: makes the dequeuing worker panic *outside* the
-    /// per-job `catch_unwind`, exercising the respawn sentinel.
-    CrashWorker,
+/// The one queue: jobs with the instant they were submitted.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<(Instant, Job)>,
+    /// Set by shutdown: no job is admitted, and workers exit once the
+    /// jobs already queued have run.
+    closed: bool,
 }
 
 #[derive(Debug, Default)]
@@ -300,8 +303,8 @@ struct BreakerState {
     open_until: Option<Instant>,
     /// When the in-flight half-open probe was admitted; the probe's
     /// outcome decides between close and re-open. A probe whose outcome
-    /// is never recorded (e.g. its job was dropped on a queue deadline)
-    /// expires after one cooldown, releasing the slot for a new probe.
+    /// is never recorded expires after one cooldown, releasing the slot
+    /// for a new probe.
     probe_started: Option<Instant>,
 }
 
@@ -403,22 +406,51 @@ struct Inner {
     generation: AtomicU64,
     cache: QueryCache,
     metrics: Metrics,
-    /// One slot per class; inline ops never consult theirs.
-    breakers: [Breaker; Class::COUNT],
-    /// What the server was started with: breaker tuning, default deadline.
+    /// One slot per class some guarded op is accounted against.
+    breakers: [Breaker; Class::GUARDED.len()],
+    /// What the server was started with: pool size, queue bound,
+    /// deadline, breaker tuning.
     config: ServeConfig,
-    /// Worker-side fault schedule (chaos testing); None in production.
+    /// Fault schedule (chaos testing); None in production.
     faults: RwLock<Option<InjectedFaults>>,
-    /// Global job sequence (every class) driving the fault schedule.
-    job_seq: AtomicU64,
+    /// Global guarded-miss sequence (every class) driving the fault
+    /// schedule.
+    fault_seq: AtomicU64,
+    queue: Mutex<Queue>,
+    /// Signalled when a job is queued or the queue closes.
+    ready: Condvar,
     /// Live worker handles; the respawn sentinel pushes replacements
     /// here so shutdown can join every worker that ever ran.
     worker_handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Worker threads spawned and not yet out of their loop.
+    live: AtomicUsize,
+    /// Injected crashes queued or unwinding: workers about to be
+    /// replaced, so not counted by [`Server::worker_count`].
+    crashes: AtomicUsize,
 }
 
 impl Inner {
     fn breaker(&self, class: Class) -> &Breaker {
         &self.breakers[class.index()]
+    }
+
+    /// Block until a job is queued and take it, or `None` once the
+    /// queue is closed and drained.
+    fn next_job(&self) -> Option<(Instant, Job)> {
+        let mut queue = lock(&self.queue);
+        loop {
+            if let Some(job) = queue.jobs.pop_front() {
+                self.metrics.record_queue_depth(queue.jobs.len());
+                return Some(job);
+            }
+            if queue.closed {
+                return None;
+            }
+            queue = self
+                .ready
+                .wait(queue)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
     }
 
     /// Record a completed request and wrap the entry as its reply —
@@ -432,9 +464,9 @@ impl Inner {
         cached: bool,
         stale: bool,
         generation: u64,
-        submitted: Instant,
+        started: Instant,
     ) -> Reply {
-        let latency = submitted.elapsed();
+        let latency = started.elapsed();
         self.metrics.record_completed(latency);
         let computed_for = entry.page().map(|page| page.query.as_str());
         Reply {
@@ -457,7 +489,7 @@ impl Inner {
         op: &Op<'_>,
         key: String,
         echo: Option<&str>,
-        submitted: Instant,
+        started: Instant,
     ) -> Option<Reply> {
         let (entry, generation) = {
             let system = read_lock(&self.system);
@@ -469,13 +501,40 @@ impl Inner {
         match entry {
             Some(entry) => {
                 self.cache.insert(key, generation, Arc::clone(&entry));
-                Some(self.complete(entry, echo, false, false, generation, submitted))
+                Some(self.complete(entry, echo, false, false, generation, started))
             }
             None => {
-                self.metrics.record_completed(submitted.elapsed());
+                self.metrics.record_completed(started.elapsed());
                 None
             }
         }
+    }
+
+    /// [`Inner::compute`] for a guarded op: the fault schedule first,
+    /// then a success recorded with the class's breaker. The caller
+    /// catches a panic and records the failure.
+    fn compute_guarded(
+        &self,
+        op: &Op<'_>,
+        key: String,
+        echo: Option<&str>,
+        started: Instant,
+    ) -> Option<Reply> {
+        let class = op.class();
+        // Chaos schedule: deterministic panics/delays keyed by sequence.
+        let seq = self.fault_seq.fetch_add(1, Ordering::Relaxed);
+        if let Some(faults) = read_lock(&self.faults).clone() {
+            if faults.delay_every > 0 && seq % faults.delay_every == faults.delay_every - 1 {
+                std::thread::sleep(faults.delay);
+            }
+            if faults.panic_every > 0 && seq % faults.panic_every == faults.panic_every - 1 {
+                panic!("injected {} panic (seq {seq})", class.label());
+            }
+        }
+        let reply = self.compute(op, key, echo, started);
+        self.breaker(class)
+            .record_success(Instant::now(), &self.config);
+        reply
     }
 
     /// Answer a request whose class is unhealthy: for a may-serve-stale
@@ -486,7 +545,7 @@ impl Inner {
         key: &str,
         staleness: Staleness,
         echo: Option<&str>,
-        submitted: Instant,
+        started: Instant,
     ) -> Result<Option<Reply>, ServeError> {
         self.metrics.record_degraded();
         if staleness == Staleness::NeverStale {
@@ -495,61 +554,56 @@ impl Inner {
         let (entry, generation) = self.cache.get_stale(key).ok_or(ServeError::Degraded)?;
         self.metrics.record_stale_served();
         Ok(Some(
-            self.complete(entry, echo, true, true, generation, submitted),
+            self.complete(entry, echo, true, true, generation, started),
         ))
     }
 }
 
 /// Respawns a replacement worker when its thread dies to a panic that
-/// escaped the per-job catch (armed only while unwinding).
-struct RespawnSentinel {
-    inner: Arc<Inner>,
-    rx: Arc<Mutex<Receiver<Job>>>,
-}
+/// escaped a job (armed only while unwinding).
+struct RespawnSentinel(Arc<Inner>);
 
 impl Drop for RespawnSentinel {
     fn drop(&mut self) {
+        self.0.live.fetch_sub(1, Ordering::AcqRel);
         if std::thread::panicking() {
-            self.inner.metrics.record_panic();
-            self.inner.metrics.record_respawn();
-            spawn_worker(Arc::clone(&self.inner), Arc::clone(&self.rx));
+            self.0.metrics.record_panic();
+            self.0.metrics.record_respawn();
+            spawn_worker(Arc::clone(&self.0));
+            let _ = self
+                .0
+                .crashes
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
         }
     }
 }
 
-fn spawn_worker(inner: Arc<Inner>, rx: Arc<Mutex<Receiver<Job>>>) {
-    let handle_registry = Arc::clone(&inner);
-    let handle = std::thread::spawn(move || {
-        let sentinel = RespawnSentinel {
-            inner: Arc::clone(&inner),
-            rx: Arc::clone(&rx),
-        };
-        loop {
-            // Hold the receiver lock only for the dequeue itself.
-            let job = match lock(&sentinel.rx).recv() {
-                Ok(job) => job,
-                Err(_) => return, // queue sender dropped: shutdown
-            };
-            sentinel.inner.metrics.dequeued();
-            match job {
-                Job::CrashWorker => panic!("injected worker crash"),
-                Job::Request(job) => run_isolated(&sentinel.inner, &job),
+fn spawn_worker(inner: Arc<Inner>) {
+    let registry = Arc::clone(&inner);
+    inner.live.fetch_add(1, Ordering::AcqRel);
+    let handle = std::thread::Builder::new()
+        .name("covidkg-serve-worker".into())
+        .spawn(move || {
+            let sentinel = RespawnSentinel(inner);
+            let inner = &*sentinel.0;
+            while let Some((submitted, job)) = inner.next_job() {
+                let admitted = if submitted.elapsed() >= inner.config.default_deadline {
+                    // Expired while queued: don't waste the engines on it.
+                    inner.metrics.record_deadline_exceeded();
+                    Err(ServeError::DeadlineExceeded)
+                } else {
+                    Ok(())
+                };
+                job(admitted);
             }
-        }
-    });
-    lock(&handle_registry.worker_handles).push(handle);
+        })
+        .expect("spawn serve worker");
+    lock(&registry.worker_handles).push(handle);
 }
 
 /// Concurrent query-serving frontend over one [`CovidKg`] system.
 pub struct Server {
     inner: Arc<Inner>,
-    /// `None` once shut down; dropping the last sender disconnects the
-    /// workers' shared receiver, which ends their loops.
-    queue: Mutex<Option<SyncSender<Job>>>,
-    /// Keeps the queue connected even with zero workers, so a full
-    /// queue reports `Overloaded` (Full) rather than `Closed`
-    /// (Disconnected).
-    _queue_rx: Arc<Mutex<Receiver<Job>>>,
 }
 
 impl Server {
@@ -569,111 +623,95 @@ impl Server {
             metrics: Metrics::default(),
             breakers: Default::default(),
             faults: RwLock::new(None),
-            job_seq: AtomicU64::new(0),
+            fault_seq: AtomicU64::new(0),
+            queue: Mutex::new(Queue::default()),
+            ready: Condvar::new(),
             worker_handles: Mutex::new(Vec::new()),
+            live: AtomicUsize::new(0),
+            crashes: AtomicUsize::new(0),
             config,
         });
-        let (tx, rx) = sync_channel::<Job>(inner.config.queue_capacity.max(1));
-        let rx = Arc::new(Mutex::new(rx));
         for _ in 0..inner.config.workers {
-            spawn_worker(Arc::clone(&inner), Arc::clone(&rx));
+            spawn_worker(Arc::clone(&inner));
         }
-        Server {
-            inner,
-            queue: Mutex::new(Some(tx)),
-            _queue_rx: rx,
-        }
+        Server { inner }
     }
 
-    /// The one request path: count, probe the cache, then — by the op's
-    /// row in the table — compute inline or check the breaker, enqueue
-    /// and wait at most `deadline` (`None` = the configured default).
-    /// `Ok(None)` = the op resolved to nothing (unknown node id, vaccine
-    /// or venue; the wire layer's 404).
-    pub fn request(
+    /// Queue `job` for the pool: [`ServeError::Overloaded`] at once when
+    /// `queue_capacity` jobs are already waiting, [`ServeError::Closed`]
+    /// after shutdown. The worker that dequeues it calls it with `Ok(())`,
+    /// or with `Err(DeadlineExceeded)` when it waited `default_deadline`
+    /// or longer.
+    pub fn submit(
         &self,
-        op: &Op<'_>,
-        deadline: Option<Duration>,
-    ) -> Result<Option<Reply>, ServeError> {
-        let submitted = Instant::now();
+        job: impl FnOnce(Result<(), ServeError>) + Send + 'static,
+    ) -> Result<(), ServeError> {
+        let inner = &*self.inner;
+        let mut queue = lock(&inner.queue);
+        if queue.closed {
+            return Err(ServeError::Closed);
+        }
+        if queue.jobs.len() >= inner.config.queue_capacity.max(1) {
+            drop(queue);
+            inner.metrics.record_overloaded();
+            return Err(ServeError::Overloaded);
+        }
+        queue.jobs.push_back((Instant::now(), Box::new(job)));
+        inner.metrics.record_queue_depth(queue.jobs.len());
+        drop(queue);
+        inner.ready.notify_one();
+        Ok(())
+    }
+
+    /// The one request path, run on the calling thread: count, probe the
+    /// cache, then — by the op's row in the table — compute bare, or
+    /// check the breaker and compute guarded. `Ok(None)` = the op
+    /// resolved to nothing (unknown node id, vaccine or venue; the wire
+    /// layer's 404).
+    pub fn request(&self, op: &Op<'_>) -> Result<Option<Reply>, ServeError> {
+        let started = Instant::now();
         let inner = &*self.inner;
         let class = op.class();
         inner.metrics.record_request(class);
         let (key, echo) = op.key_and_echo();
+        let echo = echo.as_deref();
 
-        // Cache sits in front of the queue: hits cost two mutex hops and
-        // never consume queue capacity or a worker.
         let generation = inner.generation.load(Ordering::Acquire);
         if let Some(entry) = inner.cache.get(&key, generation) {
             inner.metrics.record_hit();
-            return Ok(Some(inner.complete(
-                entry,
-                echo.as_deref(),
-                true,
-                false,
-                generation,
-                submitted,
-            )));
+            return Ok(Some(
+                inner.complete(entry, echo, true, false, generation, started),
+            ));
         }
         inner.metrics.record_miss();
-        if op.admission() == Admission::Inline {
-            return Ok(inner.compute(op, key, echo.as_deref(), submitted));
+        if lock(&inner.queue).closed {
+            return Err(ServeError::Closed);
         }
-
-        // Unhealthy class: don't waste queue capacity on it.
+        if op.guard() == Guard::Bare {
+            return Ok(inner.compute(op, key, echo, started));
+        }
+        // Unhealthy class: don't spend the engines on it.
         if !inner.breaker(class).allow(Instant::now(), &inner.config) {
-            return inner.degraded(&key, op.staleness(), echo.as_deref(), submitted);
+            return inner.degraded(&key, op.staleness(), echo, started);
         }
-
-        let deadline = deadline.unwrap_or(inner.config.default_deadline);
-        // Buffered reply slot so a worker finishing after we time out
-        // never blocks on a reader that left.
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let job = Job::Request(Box::new(QueuedRequest {
-            op: op.clone().into_owned(),
-            key,
-            echo: echo.map(Cow::into_owned),
-            deadline: submitted + deadline,
-            submitted,
-            reply: reply_tx,
+        let computed = catch_unwind(AssertUnwindSafe(|| {
+            inner.compute_guarded(op, key.clone(), echo, started)
         }));
-        let sender = match &*lock(&self.queue) {
-            Some(tx) => tx.clone(),
-            None => return Err(ServeError::Closed),
-        };
-        // Count the enqueue before the send: a worker may dequeue (and
-        // decrement the depth) the instant the job lands, so counting
-        // afterwards could drive the gauge below zero.
-        inner.metrics.enqueued();
-        match sender.try_send(job) {
-            Ok(()) => inner.metrics.record_admitted_depth(),
-            Err(TrySendError::Full(_)) => {
-                inner.metrics.dequeued();
-                inner.metrics.record_overloaded();
-                return Err(ServeError::Overloaded);
+        computed.or_else(|_| {
+            inner.metrics.record_panic();
+            if inner
+                .breaker(class)
+                .record_failure(Instant::now(), &inner.config)
+            {
+                inner.metrics.record_breaker_open();
             }
-            Err(TrySendError::Disconnected(_)) => {
-                inner.metrics.dequeued();
-                return Err(ServeError::Closed);
-            }
-        }
-        match reply_rx.recv_timeout(deadline) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => {
-                inner.metrics.record_deadline_exceeded();
-                Err(ServeError::DeadlineExceeded)
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
-        }
+            inner.degraded(&key, op.staleness(), echo, started)
+        })
     }
 
     /// [`Server::request`] for an op that always resolves to a value.
-    fn always<R: From<Reply>>(
-        &self,
-        op: Op<'_>,
-        deadline: Option<Duration>,
-    ) -> Result<R, ServeError> {
-        let reply = self.request(&op, deadline)?;
+    fn always<R: From<Reply>>(&self, op: Op<'_>) -> Result<R, ServeError> {
+        let reply = self.request(&op)?;
         Ok(reply
             .expect("searches, traversals and the bias report always yield a value")
             .into())
@@ -681,22 +719,12 @@ impl Server {
 
     /// [`Server::request`] for an op that may resolve to nothing.
     fn lookup(&self, op: Op<'_>) -> Result<Option<KgResponse>, ServeError> {
-        Ok(self.request(&op, None)?.map(KgResponse::from))
+        Ok(self.request(&op)?.map(KgResponse::from))
     }
 
-    /// Serve a lexical search with the configured default deadline.
+    /// Serve a lexical search behind its engine's breaker.
     pub fn search(&self, mode: &SearchMode, page: usize) -> Result<ServeResponse, ServeError> {
-        self.always(Op::Search(Cow::Borrowed(mode), page, false), None)
-    }
-
-    /// Serve a lexical search, waiting at most `deadline` for the result.
-    pub fn search_with_deadline(
-        &self,
-        mode: &SearchMode,
-        page: usize,
-        deadline: Duration,
-    ) -> Result<ServeResponse, ServeError> {
-        self.always(Op::Search(Cow::Borrowed(mode), page, false), Some(deadline))
+        self.always(Op::Search(Cow::Borrowed(mode), page, false))
     }
 
     /// Ingest new publications, invalidating the result cache: the data
@@ -724,32 +752,32 @@ impl Server {
         Ok(added)
     }
 
-    /// Uncached, unqueued search straight against the system — the
+    /// Uncached, unguarded search straight against the system — the
     /// ground truth the load generator verifies served responses with.
     pub fn search_direct(&self, mode: &SearchMode, page: usize) -> SearchPage {
         read_lock(&self.inner.system).search(mode, page)
     }
 
     /// Serve a dense (semantic or hybrid) search: cache-fronted, computed
-    /// inline (an ANN query is sub-millisecond at our sizes, so queue
-    /// admission and circuit breaking would cost more than the search).
+    /// bare (an ANN query is sub-millisecond at our sizes, so circuit
+    /// breaking would cost more than the search).
     pub fn search_dense(&self, mode: &DenseMode, page: usize) -> Result<ServeResponse, ServeError> {
-        self.always(Op::Dense(Cow::Borrowed(mode), page, false), None)
+        self.always(Op::Dense(Cow::Borrowed(mode), page, false))
     }
 
-    /// Serve a KG traversal: queue-admitted like the lexical engines (a
-    /// deep traversal is real work) behind the `kg` breaker, but never
-    /// served stale — an open breaker or a crashed worker yields the
-    /// typed [`ServeError::Degraded`] instead of an old-generation body.
+    /// Serve a KG traversal: guarded like the lexical engines (a deep
+    /// traversal is real work) by the `kg` breaker, but never served
+    /// stale — an open breaker or a panicked compute yields the typed
+    /// [`ServeError::Degraded`] instead of an old-generation body.
     pub fn kg_query(&self, plan: &QueryPlan) -> Result<KgResponse, ServeError> {
-        self.always(Op::KgQuery(Cow::Borrowed(plan), false), None)
+        self.always(Op::KgQuery(Cow::Borrowed(plan), false))
     }
 
     /// Serve a KG traversal re-ranked by provenance trust (the
     /// `trust=1` knob on `/kg/query`). Cached under a distinct key so
     /// the default (untrusted) ranking is never cross-contaminated.
     pub fn kg_query_trusted(&self, plan: &QueryPlan) -> Result<KgResponse, ServeError> {
-        self.always(Op::KgQuery(Cow::Borrowed(plan), true), None)
+        self.always(Op::KgQuery(Cow::Borrowed(plan), true))
     }
 
     /// Serve one vaccine's materialized meta-profile document.
@@ -758,7 +786,7 @@ impl Server {
         self.lookup(Op::KgProfile(Cow::Borrowed(vaccine)))
     }
 
-    /// Serve one KG node document, computed inline (the lookup is O(1)).
+    /// Serve one KG node document, computed bare (the lookup is O(1)).
     /// `Ok(None)` = out-of-range id.
     pub fn kg_node(&self, id: usize) -> Result<Option<KgResponse>, ServeError> {
         self.lookup(Op::KgNode(id))
@@ -781,7 +809,7 @@ impl Server {
     /// memoized inside the system keyed on (trust epoch, generation),
     /// and cache-fronted here like every other trust body.
     pub fn bias_report(&self) -> Result<KgResponse, ServeError> {
-        self.always(Op::BiasReport, None)
+        self.always(Op::BiasReport)
     }
 
     /// Current data generation.
@@ -820,50 +848,49 @@ impl Server {
         stats
     }
 
-    /// Install (or clear) a deterministic worker-side fault schedule.
+    /// Install (or clear) a deterministic fault schedule.
     pub fn set_injected_faults(&self, faults: Option<InjectedFaults>) {
         *write_lock(&self.inner.faults) = faults;
     }
 
-    /// Chaos hook: enqueue a job that makes one worker panic *outside*
-    /// its per-job `catch_unwind`, killing the thread and exercising the
-    /// respawn path. Blocks until queue space is available.
+    /// Chaos hook: queue a job that panics, killing the worker that runs
+    /// it and exercising the respawn path. Fails like [`Server::submit`].
+    /// Until the replacement is running, [`Server::worker_count`] counts
+    /// the worker it will kill as gone.
     pub fn inject_worker_panic(&self) -> Result<(), ServeError> {
-        let sender = match &*lock(&self.queue) {
-            Some(tx) => tx.clone(),
-            None => return Err(ServeError::Closed),
-        };
-        // The worker decrements the depth gauge for every dequeue, so
-        // the crash job must increment it like any other.
-        self.inner.metrics.enqueued();
-        match sender.send(Job::CrashWorker) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                self.inner.metrics.dequeued();
-                Err(ServeError::Closed)
-            }
+        let crashes = &self.inner.crashes;
+        crashes.fetch_add(1, Ordering::AcqRel);
+        let queued = self.submit(|_| panic!("injected worker crash"));
+        if queued.is_err() {
+            crashes.fetch_sub(1, Ordering::AcqRel);
         }
+        queued
     }
 
-    /// Live worker threads (respawns keep this at the configured size).
+    /// Live workers able to take a job (respawns keep this at the
+    /// configured size): an injected crash not yet replaced counts as a
+    /// worker gone, from the moment it is queued.
     pub fn worker_count(&self) -> usize {
-        lock(&self.inner.worker_handles)
-            .iter()
-            .filter(|h| !h.is_finished())
-            .count()
+        let live = self.inner.live.load(Ordering::Acquire);
+        live.saturating_sub(self.inner.crashes.load(Ordering::Acquire))
     }
 
-    /// Stop accepting work and join the workers. Already-queued jobs are
-    /// drained first; subsequent requests that miss the cache return
-    /// [`ServeError::Closed`]. Idempotent.
+    /// Stop admitting jobs and join the workers. Already-queued jobs run
+    /// first; subsequent requests that miss the cache return
+    /// [`ServeError::Closed`]. Idempotent. A worker never joins itself:
+    /// when a job drops the last handle to the server, the shutdown it
+    /// runs leaves that worker to exit on its own once the queue drains.
     pub fn shutdown(&self) {
-        drop(lock(&self.queue).take());
+        lock(&self.inner.queue).closed = true;
+        self.inner.ready.notify_all();
         // Workers may still respawn replacements while dying (the
-        // replacement sees the disconnected queue and exits); loop until
-        // the registry stays empty.
+        // replacement sees the closed queue and exits); loop until the
+        // registry stays empty.
+        let me = std::thread::current().id();
         loop {
             let handle = lock(&self.inner.worker_handles).pop();
             match handle {
+                Some(h) if h.thread().id() == me => {}
                 Some(h) => {
                     let _ = h.join();
                 }
@@ -877,55 +904,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Run one job with panic isolation: a panicking compute is caught,
-/// counted, fed to the class's breaker, and answered degraded — the
-/// worker thread (and every other queued request) survives.
-fn run_isolated(inner: &Inner, job: &QueuedRequest) {
-    let class = job.op.class();
-    let result =
-        catch_unwind(AssertUnwindSafe(|| run_job(inner, job, class))).unwrap_or_else(|_| {
-            inner.metrics.record_panic();
-            if inner
-                .breaker(class)
-                .record_failure(Instant::now(), &inner.config)
-            {
-                inner.metrics.record_breaker_open();
-            }
-            inner.degraded(
-                &job.key,
-                job.op.staleness(),
-                job.echo.as_deref(),
-                job.submitted,
-            )
-        });
-    // The one send into a one-slot buffer: never blocks, and a caller
-    // that stopped waiting just drops the late reply with its receiver.
-    let _ = job.reply.send(result);
-}
-
-fn run_job(inner: &Inner, job: &QueuedRequest, class: Class) -> Result<Option<Reply>, ServeError> {
-    if Instant::now() >= job.deadline {
-        // Expired while queued: don't waste the engines on it.
-        inner.metrics.record_deadline_exceeded();
-        return Err(ServeError::DeadlineExceeded);
-    }
-    // Chaos schedule: deterministic panics/delays keyed by job sequence.
-    let seq = inner.job_seq.fetch_add(1, Ordering::Relaxed);
-    if let Some(faults) = read_lock(&inner.faults).clone() {
-        if faults.delay_every > 0 && seq % faults.delay_every == faults.delay_every - 1 {
-            std::thread::sleep(faults.delay);
-        }
-        if faults.panic_every > 0 && seq % faults.panic_every == faults.panic_every - 1 {
-            panic!("injected {} panic (seq {seq})", class.label());
-        }
-    }
-    let reply = inner.compute(&job.op, job.key.clone(), job.echo.as_deref(), job.submitted);
-    inner
-        .breaker(class)
-        .record_success(Instant::now(), &inner.config);
-    Ok(reply)
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
 //! Cross-class contract tests: every op kind goes through the same
-//! situations on the one request path, and the outcome is the one its
-//! row of the op table predicts — not something each class's own test
-//! file has to restate.
+//! situations on the one request path and the one queue, and the outcome
+//! is the one its row of the op table predicts — not something each
+//! class's own test file has to restate.
 
 use covidkg_core::{CovidKg, CovidKgConfig, QueryPlan};
 use covidkg_search::{DenseMode, SearchMode};
-use covidkg_serve::{
-    Admission, InjectedFaults, Op, Reply, ServeConfig, ServeError, Server, Staleness,
-};
+use covidkg_serve::{Guard, InjectedFaults, Op, Reply, ServeConfig, ServeError, Server, Staleness};
 use std::borrow::Cow;
+use std::sync::mpsc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CORPUS: usize = 24;
@@ -66,8 +66,42 @@ fn unknown_ops() -> Vec<Op<'static>> {
     ]
 }
 
-fn queued(ops: &[Op<'static>]) -> usize {
-    ops.iter().filter(|op| op.admission() == Admission::Queued).count()
+fn guarded(ops: &[Op<'static>]) -> usize {
+    ops.iter().filter(|op| op.guard() == Guard::Breaker).count()
+}
+
+type Outcome = Result<Result<Option<Reply>, ServeError>, ServeError>;
+
+/// Queue one job per op, each sending back its index and what it got: the
+/// queue's own verdict, or the op's reply when it ran. `Err` = the job
+/// was turned away at `submit`.
+fn submit_each(
+    server: &Arc<Server>,
+    ops: &[Op<'static>],
+    outcomes: &mpsc::Sender<(usize, Outcome)>,
+) -> Vec<Result<(), ServeError>> {
+    let jobs = ops.iter().cloned().enumerate().map(|(i, op)| {
+        let (held, outcomes) = (Arc::clone(server), outcomes.clone());
+        server.submit(move |admitted| {
+            let _ = outcomes.send((i, admitted.map(|()| held.request(&op))));
+        })
+    });
+    jobs.collect()
+}
+
+/// Hold the only worker until the returned sender is dropped.
+fn hold_the_worker(server: &Server) -> mpsc::Sender<()> {
+    let (release, held) = mpsc::channel::<()>();
+    let (started, running) = mpsc::channel();
+    server
+        .submit(move |admitted| {
+            assert_eq!(admitted, Ok(()));
+            started.send(()).unwrap();
+            let _ = held.recv();
+        })
+        .unwrap();
+    running.recv().unwrap();
+    release
 }
 
 /// Advance the data generation: everything cached so far stays resident
@@ -88,23 +122,23 @@ fn fresh(outcome: Result<Option<Reply>, ServeError>, generation: u64, op: &Op<'_
     reply
 }
 
-/// What an op whose class is unhealthy (breaker open, or its worker
+/// What an op whose class is unhealthy (breaker open, or its compute
 /// panicked on this request) is answered with, after an ingest moved the
-/// generation past its cached value's: inline ops never notice; a
+/// generation past its cached value's: bare ops never notice; a
 /// may-serve-stale op gets the old page, marked; a never-stale op gets
 /// the typed error and never the old-generation body.
 fn assert_degraded_by_policy(server: &Server, op: &Op<'static>, stale_generation: u64) {
-    let outcome = server.request(op, None);
-    match (op.admission(), op.staleness()) {
-        (Admission::Inline, _) => {
+    let outcome = server.request(op);
+    match (op.guard(), op.staleness()) {
+        (Guard::Bare, _) => {
             fresh(outcome, server.generation(), op);
         }
-        (Admission::Queued, Staleness::MayServeStale) => {
+        (Guard::Breaker, Staleness::MayServeStale) => {
             let reply = outcome.unwrap().expect("the stale page");
             assert!(reply.stale && reply.cached, "{op:?}");
             assert_eq!(reply.generation, stale_generation, "{op:?}");
         }
-        (Admission::Queued, Staleness::NeverStale) => {
+        (Guard::Breaker, Staleness::NeverStale) => {
             assert_eq!(outcome.err(), Some(ServeError::Degraded), "{op:?}");
         }
     }
@@ -113,7 +147,7 @@ fn assert_degraded_by_policy(server: &Server, op: &Op<'static>, stale_generation
 #[test]
 fn every_op_kind_meets_its_policy_in_every_situation() {
     // 1. Miss then hit: flags, generation and value agree — then,
-    //    3. on the same server, an injected panic on the worker.
+    //    3. on the same server, an injected panic mid-compute.
     let server = Server::start(
         build_system(),
         ServeConfig { breaker_min_samples: 100, ..ServeConfig::default() },
@@ -121,8 +155,8 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
     let ops = every_op(&server);
     let generation = server.generation();
     for op in &ops {
-        let miss = fresh(server.request(op, None), generation, op);
-        let hit = server.request(op, None).unwrap().expect("a value");
+        let miss = fresh(server.request(op), generation, op);
+        let hit = server.request(op).unwrap().expect("a value");
         assert!(hit.cached && !hit.stale, "{op:?}");
         assert_eq!(hit.generation, generation);
         assert!(std::sync::Arc::ptr_eq(&hit.entry, &miss.entry), "{op:?}: a hit shares the entry");
@@ -134,13 +168,13 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
         assert_degraded_by_policy(&server, op, generation);
     }
     let stats = server.stats();
-    assert_eq!(stats.worker_panics as usize, queued(&ops), "every queued op reached a worker");
+    assert_eq!(stats.worker_panics as usize, guarded(&ops), "every guarded op ran its compute");
     assert_eq!(stats.breaker_opens, 0, "the sample floor kept every breaker closed");
     assert_eq!(server.worker_count(), ServeConfig::default().workers);
     server.shutdown();
 
-    // 2. Breaker forced open: one panicking request per queued class
-    //    (under another key) trips it; then no request reaches a worker.
+    // 2. Breaker forced open: one panicking request per guarded class
+    //    (under another key) trips it; then no request reaches an engine.
     let server = Server::start(
         build_system(),
         ServeConfig {
@@ -153,11 +187,11 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
     );
     let generation = server.generation();
     for op in &ops {
-        fresh(server.request(op, None), generation, op);
+        fresh(server.request(op), generation, op);
     }
     // Cached under the default ranking only.
     let plain_only = |trusted| Op::Search(Cow::Owned(SearchMode::AllFields("masks".into())), 0, trusted);
-    fresh(server.request(&plain_only(false), None), generation, &plain_only(false));
+    fresh(server.request(&plain_only(false)), generation, &plain_only(false));
     ingest_more(&server);
     server.set_injected_faults(Some(InjectedFaults { panic_every: 1, ..InjectedFaults::default() }));
     let trigger = || "breaker trigger".to_string();
@@ -178,7 +212,7 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
     ];
     for op in &triggers {
         // Nothing cached under these keys: stale-capable or not, degraded.
-        assert_eq!(server.request(op, None).err(), Some(ServeError::Degraded), "{op:?}");
+        assert_eq!(server.request(op).err(), Some(ServeError::Degraded), "{op:?}");
     }
     server.set_injected_faults(None);
     assert_eq!(server.stats().breaker_opens as usize, triggers.len());
@@ -190,102 +224,123 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
     // re-ranked by today's weights: with only the default ranking
     // resident, the re-rank is the typed error.
     assert_degraded_by_policy(&server, &plain_only(false), generation);
-    assert_eq!(server.request(&plain_only(true), None).err(), Some(ServeError::Degraded));
+    assert_eq!(server.request(&plain_only(true)).err(), Some(ServeError::Degraded));
     assert_eq!(
         server.stats().worker_panics as usize,
         triggers.len(),
-        "open breakers short-circuit: nothing reached a worker after the triggers"
+        "open breakers short-circuit: nothing reached an engine after the triggers"
     );
     server.shutdown();
 
     // 4. Deadline already expired when dequeued: the one worker is held
-    //    by a delayed job while every queued op times out behind it.
-    let server = Server::start(build_system(), ServeConfig { workers: 1, ..ServeConfig::default() });
+    //    while a job per op waits out the deadline behind it; every one
+    //    is handed `DeadlineExceeded` and computes nothing. The queue does
+    //    not look at the op: bare and guarded rows alike.
+    let server = Arc::new(Server::start(
+        build_system(),
+        ServeConfig { workers: 1, default_deadline: Duration::from_millis(300), ..ServeConfig::default() },
+    ));
     let generation = server.generation();
-    server.set_injected_faults(Some(InjectedFaults {
-        delay_every: 1,
-        delay: Duration::from_secs(1),
-        ..InjectedFaults::default()
-    }));
-    // The blocker: enqueued by the time its caller gives up, and taken by
-    // the idle worker, which then sleeps out the injected delay.
-    let blocker = server.request(&Op::KgProfile("blocker".into()), Some(Duration::from_millis(100)));
-    assert_eq!(blocker.err(), Some(ServeError::DeadlineExceeded));
-    assert_eq!(server.stats().queue_depth, 0, "the worker holds the blocker");
-    for op in &ops {
-        let outcome = server.request(op, Some(Duration::from_millis(5)));
-        match op.admission() {
-            Admission::Inline => drop(fresh(outcome, generation, op)),
-            Admission::Queued => assert_eq!(outcome.err(), Some(ServeError::DeadlineExceeded), "{op:?}"),
-        }
+    let (outcomes, results) = mpsc::channel();
+    let release = hold_the_worker(&server);
+    assert!(submit_each(&server, &ops, &outcomes).iter().all(Result::is_ok));
+    assert_eq!(server.stats().queue_depth, ops.len(), "all behind the held worker");
+    std::thread::sleep(Duration::from_millis(350));
+    drop(release);
+    for _ in &ops {
+        let (i, outcome) = results.recv().unwrap();
+        assert_eq!(outcome.err(), Some(ServeError::DeadlineExceeded), "{:?}", ops[i]);
     }
-    assert_eq!(server.stats().queue_depth, queued(&ops), "all still behind the blocker");
-    server.set_injected_faults(None);
-    // Each of these waits its turn at the one worker, so the first to
-    // return has seen every expired job dropped.
-    for op in ops.iter().filter(|op| op.admission() == Admission::Queued) {
-        fresh(server.request(op, None), generation, op); // dropped, not computed
+    let stats = server.stats();
+    assert_eq!(stats.deadline_exceeded as usize, ops.len());
+    assert_eq!(stats.total_requests(), 0, "an expired job never reaches `request`");
+    // Within the deadline the same jobs compute.
+    assert!(submit_each(&server, &ops, &outcomes).iter().all(Result::is_ok));
+    for _ in &ops {
+        let (i, outcome) = results.recv().unwrap();
+        fresh(outcome.expect("admitted"), generation, &ops[i]);
     }
-    assert_eq!(
-        server.stats().deadline_exceeded as usize,
-        1 + 2 * queued(&ops),
-        "the blocker's caller; then once by each caller that stopped waiting, once by the worker that dropped the job"
-    );
     server.shutdown();
 
-    // 5. Queue full with zero workers: queued ops are rejected at once,
-    //    inline ops never are.
-    let server = Server::start(
+    // 5. Queue full with zero workers: every job is rejected at once,
+    //    whatever its op; a typed caller computes on its own thread and
+    //    never sees the queue.
+    let server = Arc::new(Server::start(
         build_system(),
         ServeConfig { workers: 0, queue_capacity: 2, ..ServeConfig::default() },
-    );
-    for filler in ["filler one", "filler two"] {
-        let op = Op::KgProfile(filler.into());
-        let outcome = server.request(&op, Some(Duration::from_millis(5)));
-        assert_eq!(outcome.err(), Some(ServeError::DeadlineExceeded));
+    ));
+    for _filler in 0..2 {
+        server.submit(|_| {}).unwrap();
     }
+    let started = Instant::now();
+    let rejected = submit_each(&server, &ops, &outcomes);
+    assert!(started.elapsed() < Duration::from_secs(1), "rejection does not wait");
+    assert!(rejected.iter().all(|r| *r == Err(ServeError::Overloaded)), "{rejected:?}");
+    assert_eq!(server.stats().overloaded as usize, ops.len());
     for op in &ops {
-        let started = Instant::now();
-        let outcome = server.request(op, Some(Duration::from_secs(5)));
-        match op.admission() {
-            Admission::Inline => drop(fresh(outcome, server.generation(), op)),
-            Admission::Queued => {
-                assert_eq!(outcome.err(), Some(ServeError::Overloaded), "{op:?}");
-                assert!(started.elapsed() < Duration::from_secs(5), "rejection does not wait");
-            }
-        }
+        fresh(server.request(op), server.generation(), op);
     }
-    assert_eq!(server.stats().overloaded as usize, queued(&ops));
     server.shutdown();
 }
 
 /// The accounting identities of the one path: every request is a hit or
 /// a miss, and every miss ends completed or in a typed error — for ops
 /// that resolve to nothing too (`kg_node` on an out-of-range id used to
-/// return before recording its completion).
+/// return before recording its completion). A job the queue rejects
+/// (`overloaded`, `deadline_exceeded`) never reaches `request`, so it is
+/// counted there and nowhere else: every job submitted is a request or a
+/// rejection.
 #[test]
 fn requests_hits_misses_and_completions_add_up_across_all_ops() {
-    let server = Server::start(build_system(), ServeConfig::default());
+    let server = Arc::new(Server::start(
+        build_system(),
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 16,
+            default_deadline: Duration::from_millis(300),
+            ..ServeConfig::default()
+        },
+    ));
     let (known, unknown) = (every_op(&server), unknown_ops());
-    let ops = || known.iter().map(|op| (op, true)).chain(unknown.iter().map(|op| (op, false)));
-    let mut errors = 0u64;
-    for round in 0..3 {
-        for (op, resolves) in ops() {
-            // A zero deadline on the last round: queued misses (the
-            // unknown ids, never cached) end in a typed error instead.
-            let deadline = (round == 2).then_some(Duration::ZERO);
-            match server.request(op, deadline) {
-                Ok(reply) => assert_eq!(reply.is_some(), resolves, "{op:?}"),
-                Err(e) => {
-                    assert_eq!(e, ServeError::DeadlineExceeded, "{op:?}");
-                    errors += 1;
-                }
-            }
+    let resolves = |i: usize| i < known.len();
+    let ops: Vec<Op<'static>> = known.iter().chain(&unknown).cloned().collect();
+    let (outcomes, results) = mpsc::channel();
+    // Two rounds on the caller's thread, one through the queue.
+    for _ in 0..2 {
+        for (i, op) in ops.iter().enumerate() {
+            assert_eq!(server.request(op).unwrap().is_some(), resolves(i), "{op:?}");
         }
     }
-    assert_eq!(errors as usize, queued(&unknown), "the zero-deadline round's typed errors");
+    assert!(submit_each(&server, &ops, &outcomes).iter().all(Result::is_ok));
+    for _ in &ops {
+        let (i, outcome) = results.recv().unwrap();
+        let reply = outcome.expect("admitted").expect("answered");
+        assert_eq!(reply.is_some(), resolves(i), "{:?}", ops[i]);
+    }
+    // And a round the queue rejects: 16 wait out the deadline behind a
+    // held worker, the rest find the queue full.
+    let release = hold_the_worker(&server);
+    let submitted = submit_each(&server, &ops, &outcomes);
+    std::thread::sleep(Duration::from_millis(350));
+    drop(release);
+    let admitted = submitted.iter().filter(|r| r.is_ok()).count();
+    for _ in 0..admitted {
+        assert_eq!(results.recv().unwrap().1.err(), Some(ServeError::DeadlineExceeded));
+    }
+    // A typed error from `request` itself: a panicking compute with
+    // nothing cached to stand in.
+    server.set_injected_faults(Some(InjectedFaults { panic_every: 1, ..InjectedFaults::default() }));
+    assert_eq!(server.request(&unknown[0]).err(), Some(ServeError::Degraded));
+    server.set_injected_faults(None);
+    let errors = 1;
     let stats = server.stats();
-    assert_eq!(stats.total_requests(), 3 * ops().count() as u64);
+    assert_eq!(
+        ops.len() as u64,
+        stats.overloaded + stats.deadline_exceeded,
+        "every rejected job is a rejection and not a request: {stats:?}"
+    );
+    assert_eq!((admitted, stats.overloaded as usize), (16, ops.len() - 16));
+    assert_eq!(stats.total_requests(), 3 * ops.len() as u64 + errors);
     assert_eq!(stats.total_requests(), stats.cache_hits + stats.cache_misses);
     assert_eq!(
         stats.cache_misses,

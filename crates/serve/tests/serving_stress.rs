@@ -1,10 +1,11 @@
 //! End-to-end serving tests: concurrent correctness against the direct
 //! search path, generation-based cache invalidation under a racing
-//! ingest, and the two admission-control failure modes.
+//! ingest, and the two ways the one queue turns a job away.
 
 use covidkg_core::{CovidKg, CovidKgConfig};
 use covidkg_search::SearchMode;
 use covidkg_serve::{loadgen, InjectedFaults, LoadGenConfig, ServeConfig, ServeError, Server};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn build_system() -> CovidKg {
@@ -52,7 +53,7 @@ fn concurrent_clients_get_correct_results_and_cache_hits() {
 
 #[test]
 fn full_queue_rejects_immediately_with_overloaded() {
-    // No workers: enqueued jobs are never drained, so the bounded queue
+    // No workers: queued jobs are never drained, so the bounded queue
     // fills deterministically.
     let server = Server::start(
         build_system(),
@@ -62,35 +63,23 @@ fn full_queue_rejects_immediately_with_overloaded() {
             ..ServeConfig::default()
         },
     );
-    let deadline = Duration::from_millis(50);
-    // Distinct queries so the (empty) cache is bypassed.
-    let q1 = SearchMode::AllFields("vaccine".into());
-    let q2 = SearchMode::AllFields("masks".into());
-    let q3 = SearchMode::AllFields("ventilator".into());
-    // First two occupy the queue (and time out waiting for a worker).
-    assert!(matches!(
-        server.search_with_deadline(&q1, 0, deadline),
-        Err(ServeError::DeadlineExceeded)
-    ));
-    assert!(matches!(
-        server.search_with_deadline(&q2, 0, deadline),
-        Err(ServeError::DeadlineExceeded)
-    ));
-    // Queue is now full: the third request must be rejected without
+    server.submit(|_| {}).unwrap();
+    server.submit(|_| {}).unwrap();
+    // Queue is now full: the third job must be rejected without
     // blocking — admission control, not queueing.
     let start = Instant::now();
-    assert!(matches!(
-        server.search_with_deadline(&q3, 0, deadline),
-        Err(ServeError::Overloaded)
-    ));
+    assert_eq!(server.submit(|_| {}), Err(ServeError::Overloaded));
     assert!(
-        start.elapsed() < deadline,
-        "overload rejection must not wait out the deadline"
+        start.elapsed() < Duration::from_millis(50),
+        "overload rejection must not wait"
     );
     let stats = server.stats();
     assert_eq!(stats.overloaded, 1);
-    assert_eq!(stats.deadline_exceeded, 2);
-    assert_eq!(stats.max_queue_depth, 2);
+    assert_eq!((stats.queue_depth, stats.max_queue_depth), (2, 2));
+    // A typed caller computes on its own thread: the full queue is not
+    // in its way.
+    let resp = server.search(&SearchMode::AllFields("vaccine".into()), 0).unwrap();
+    assert!(!resp.cached);
 }
 
 #[test]
@@ -98,22 +87,61 @@ fn deadline_expiry_is_reported_not_hung() {
     let server = Server::start(
         build_system(),
         ServeConfig {
-            workers: 0, // nothing will ever answer
-            queue_capacity: 8,
+            workers: 1,
+            default_deadline: Duration::from_millis(30),
             ..ServeConfig::default()
         },
     );
+    // The one worker is held until the expiring job has waited past its
+    // deadline behind it.
+    let (release, held) = mpsc::channel::<()>();
+    server.submit(move |_| {
+        let _ = held.recv();
+    })
+    .unwrap();
+    let (tx, rx) = mpsc::channel();
     let start = Instant::now();
-    let out = server.search_with_deadline(
-        &SearchMode::AllFields("vaccine".into()),
-        0,
-        Duration::from_millis(30),
-    );
-    assert!(matches!(out, Err(ServeError::DeadlineExceeded)));
-    let waited = start.elapsed();
-    assert!(waited >= Duration::from_millis(30));
-    assert!(waited < Duration::from_secs(5), "must not hang");
-    assert_eq!(server.stats().deadline_exceeded, 1);
+    server.submit(move |admitted| tx.send(admitted).unwrap()).unwrap();
+    std::thread::sleep(Duration::from_millis(40));
+    drop(release);
+    let out = rx.recv_timeout(Duration::from_secs(5)).expect("must not hang");
+    assert_eq!(out, Err(ServeError::DeadlineExceeded));
+    assert!(start.elapsed() >= Duration::from_millis(30));
+    let stats = server.stats();
+    assert_eq!(stats.deadline_exceeded, 1);
+    assert_eq!(stats.total_requests(), 0, "an expired job computes nothing");
+}
+
+/// A job can hold the last handle to its own server: dropping it runs
+/// `Server::drop` → `shutdown` on the worker, which must join the other
+/// workers but never itself.
+#[test]
+fn a_job_dropping_the_last_handle_does_not_join_its_own_worker() {
+    let server = Arc::new(Server::start(
+        build_system(),
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    ));
+    let (open, gate) = mpsc::channel::<()>();
+    let (done, finished) = mpsc::channel();
+    let held = Arc::clone(&server);
+    server
+        .submit(move |admitted| {
+            gate.recv().unwrap();
+            let served = held.search(&SearchMode::AllFields("vaccine".into()), 0).is_ok();
+            drop(held);
+            done.send((admitted, served)).unwrap();
+        })
+        .unwrap();
+    drop(server);
+    open.send(()).unwrap();
+    let (admitted, served) = finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the worker that dropped the server joined itself");
+    assert_eq!(admitted, Ok(()));
+    assert!(served);
 }
 
 #[test]
@@ -312,7 +340,7 @@ fn uncached_reads_complete_strictly_inside_the_ingest_window() {
     server.shutdown();
 }
 
-/// A panicking query must cost exactly one request: the worker pool
+/// A panicking query must cost exactly one request: the caller's thread
 /// survives, no lock is left poisoned, and every subsequent request is
 /// answered normally.
 #[test]
@@ -335,7 +363,7 @@ fn panicking_query_neither_kills_pool_nor_poisons_requests() {
     assert!(matches!(out, Err(ServeError::Degraded)), "{out:?}");
     server.set_injected_faults(None);
 
-    // The pool is intact and later requests (including the one that just
+    // The server is intact and later requests (including the one that just
     // panicked) succeed; stats and shutdown don't hit poisoned locks.
     for q in ["vaccine", "masks", "treatment", "symptom"] {
         let resp = server.search(&SearchMode::AllFields(q.into()), 0).unwrap();
@@ -361,24 +389,28 @@ fn crashed_workers_are_respawned() {
     );
     server.inject_worker_panic().unwrap();
     server.inject_worker_panic().unwrap();
-    // Respawn happens during the dying thread's unwind; give it a beat.
+    // A queued crash counts its worker as gone until the respawn, which
+    // happens during the dying thread's unwind: a full count means both
+    // were replaced.
+    assert!(server.worker_count() < 2);
     let deadline = Instant::now() + Duration::from_secs(5);
-    while server.stats().worker_respawns < 2 && Instant::now() < deadline {
+    while server.worker_count() < 2 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
     let stats = server.stats();
     assert_eq!(stats.worker_respawns, 2, "both crashed workers replaced");
     assert_eq!(stats.worker_panics, 2);
-    // The replacement workers serve real traffic.
-    let resp = server.search(&SearchMode::AllFields("vaccine".into()), 0).unwrap();
-    assert!(!resp.page.query.is_empty() || resp.page.total == 0);
+    // The replacement workers run jobs.
+    let (tx, rx) = mpsc::channel();
+    server.submit(move |admitted| tx.send(admitted).unwrap()).unwrap();
+    assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(Ok(())));
     assert_eq!(server.worker_count(), 2);
     server.shutdown();
 }
 
 /// Repeated failures trip the engine breaker; while it is open the
 /// server answers from the stale cache (marked stale) instead of
-/// queueing doomed work, and it closes again after the cooldown.
+/// computing doomed work, and it closes again after the cooldown.
 #[test]
 fn open_breaker_serves_stale_pages_then_recovers() {
     let server = Server::start(
@@ -427,7 +459,7 @@ fn open_breaker_serves_stale_pages_then_recovers() {
     assert!(respelled.stale);
     assert_eq!(respelled.page.query, "Vaccines");
     assert_eq!(respelled.page.total, warm.page.total);
-    // Breaker now open: requests short-circuit (no queue, no worker) but
+    // Breaker now open: requests short-circuit (no engine runs) but
     // still get the stale page.
     let resp = server.search(&mode, 0).unwrap();
     assert!(resp.stale);
