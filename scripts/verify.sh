@@ -57,6 +57,13 @@ cargo test -p covidkg-net --test wire_e2e --offline -q
 echo "==> hit path pinned by counts (allocations per op row: parse / handle / write, no body copy)"
 cargo test -p covidkg-net --test hit_allocs --offline -q
 
+# The paper's E1-E8 at their documented sizes: the run fails when a shape
+# check misses or when a member that is not a time, a rate or a speedup
+# differs from the committed BENCH_paper.json.
+echo "==> paper claims E1-E8: shape checks + drift from BENCH_paper.json"
+mkdir -p target/verify
+./target/release/covidkg bench paper --out target/verify/BENCH_paper.json
+
 # The committed tables must already be what the committed artefacts
 # render to: regenerating them may not change the tracked document.
 echo "==> EXPERIMENTS.md tables are what the committed BENCH_*.json render to"
@@ -66,7 +73,6 @@ git diff --exit-code -- EXPERIMENTS.md
 # A scaled-down run cannot write the committed artefact: it must be
 # given --out.
 echo "==> held-connection sweep smoke: TCP end-to-end with the in-repo client (no curl)"
-mkdir -p target/verify
 ./target/release/covidkg bench net --corpus 16 --workers 2 --connections 32,128 \
     --out target/verify/BENCH_net.json
 test -s target/verify/BENCH_net.json

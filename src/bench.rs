@@ -1,17 +1,18 @@
-//! `covidkg bench <net|repl|ann|kg|trust>` and `covidkg table [name]`:
-//! the measurements the wire benchmark (`benchmark/`, `BENCHMARK.json`)
-//! cannot see — held-connection scaling, replica read scaling and
-//! failover time, ANN recall against distance evaluations, and the
-//! KG/trust incremental-vs-rebuild ratios.
+//! `covidkg bench <net|repl|ann|kg|trust|paper>` and `covidkg table
+//! [name]`: the measurements the wire benchmark (`benchmark/`,
+//! `BENCHMARK.json`) cannot see — held-connection scaling, replica read
+//! scaling and failover time, ANN recall against distance evaluations,
+//! the KG/trust incremental-vs-rebuild ratios, and the paper's own
+//! claims E1–E8 (`paper.rs`).
 //!
 //! Every bench returns flat rows; one writer stamps them with commit,
-//! host and scale into `BENCH_{name}.json`; one renderer turns a table
-//! of column specs into the marked blocks of `EXPERIMENTS.md`. A run
-//! below a bench's documented scale cannot write the committed
+//! host, scale and seed into `BENCH_{name}.json`; one renderer turns a
+//! table of column specs into the marked blocks of `EXPERIMENTS.md`. A
+//! run below a bench's documented scale cannot write the committed
 //! artefact, and `table` refuses a committed artefact below it.
 
 use crate::{
-    build_system, open_system, pool_router, start_http, start_primary, start_server, Args,
+    build_system, open_system, paper, pool_router, start_http, start_primary, start_server, Args,
 };
 use covidkg::json::{obj, Value};
 use covidkg::repl::{
@@ -159,6 +160,155 @@ const SPECS: &[Spec] = &[
             ],
         }],
     },
+    Spec {
+        name: "paper",
+        unit: "publications",
+        scale: &[72, 48, 400, 180, 60, 90, 150, 900],
+        tables: &[
+            Table {
+                marker: "e1-table",
+                kind: "e1",
+                columns: &[
+                    ("model", "model", (0, "")),
+                    ("slice", "slice", (0, "")),
+                    ("rows", "rows", (0, "")),
+                    ("folds", "folds", (0, "")),
+                    ("precision", "precision", (3, "")),
+                    ("recall", "recall", (3, "")),
+                    ("F1", "f1", (3, "")),
+                ],
+            },
+            Table {
+                marker: "e2-table",
+                kind: "e2",
+                columns: &[
+                    ("model", "model", (0, "")),
+                    ("rows", "rows", (0, "")),
+                    ("precision", "precision", (3, "")),
+                    ("recall", "recall", (3, "")),
+                    ("F1", "f1", (3, "")),
+                    ("train time", "train_ms", (0, " ms")),
+                    ("params", "params", (0, "")),
+                ],
+            },
+            Table {
+                marker: "e2-delta-table",
+                kind: "e2_delta",
+                columns: &[
+                    ("ΔF1", "d_f1", (3, "")),
+                    ("ΔPrecision", "d_precision", (3, "")),
+                    ("ΔRecall", "d_recall", (3, "")),
+                    ("GRU training speedup", "gru_speedup", (2, "x")),
+                ],
+            },
+            Table {
+                marker: "e3-table",
+                kind: "e3",
+                columns: &[
+                    ("pipeline", "pipeline", (0, "")),
+                    ("docs", "docs", (0, "")),
+                    ("reps", "reps", (0, "")),
+                    ("mean latency", "mean_ms", (2, " ms")),
+                    ("speedup", "speedup", (1, "x")),
+                ],
+            },
+            Table {
+                marker: "e4-table",
+                kind: "e4",
+                columns: &[
+                    ("engine / mode", "engine", (0, "")),
+                    ("queries", "queries", (0, "")),
+                    ("P@10", "p_at_10", (3, "")),
+                    ("MRR", "mrr", (3, "")),
+                    ("mean latency", "mean_ms", (2, " ms")),
+                    ("`search_naive`", "naive_mean_ms", (2, " ms")),
+                    ("pruned speedup", "naive_speedup", (1, "x")),
+                ],
+            },
+            Table {
+                marker: "e4-index-table",
+                kind: "e4_index",
+                columns: &[
+                    ("docs", "docs", (0, "")),
+                    ("matches", "matches", (0, "")),
+                    ("`$text` with inverted index", "index_ms", (2, " ms")),
+                    ("full scan", "full_scan_ms", (2, " ms")),
+                    ("speedup", "index_speedup", (0, "x")),
+                ],
+            },
+            Table {
+                marker: "e5-table",
+                kind: "e5",
+                columns: &[
+                    ("rows", "rows", (0, "")),
+                    ("max vocab", "max_vocab", (0, "")),
+                    ("dims used", "dims", (0, "")),
+                    ("train time", "train_ms", (0, " ms")),
+                    ("F1", "f1", (3, "")),
+                ],
+            },
+            Table {
+                marker: "e6-table",
+                kind: "e6",
+                columns: &[
+                    ("variant", "variant", (0, "")),
+                    ("subtrees", "subtrees", (0, "")),
+                    ("unseen roots", "unseen_pct", (0, " %")),
+                    ("auto", "auto_pct", (1, " %")),
+                    ("queued", "queued_pct", (1, " %")),
+                    ("correct parent", "correct", (0, "")),
+                    ("graded", "graded", (0, "")),
+                    ("expert reviews", "reviews", (0, "")),
+                ],
+            },
+            Table {
+                marker: "e6-round-table",
+                kind: "e6_round",
+                columns: &[
+                    ("round", "round", (0, "")),
+                    ("submitted", "submitted", (0, "")),
+                    ("expert reviews", "reviews", (0, "")),
+                    ("supervised", "reviews_pct", (1, " %")),
+                ],
+            },
+            Table {
+                marker: "e7-table",
+                kind: "e7",
+                columns: &[
+                    ("papers", "papers", (0, "")),
+                    ("tables parsed", "tables", (0, "")),
+                    ("side-effect observations", "observations", (0, "")),
+                    ("profiles", "profiles", (0, "")),
+                    ("sources per profile", "sources_per_profile", (1, "")),
+                    ("extract", "extract_ms", (1, " ms")),
+                    ("build", "build_ms", (2, " ms")),
+                ],
+            },
+            Table {
+                marker: "e7-profile-table",
+                kind: "e7_profile",
+                columns: &[
+                    ("vaccine", "vaccine", (0, "")),
+                    ("doses", "doses", (0, "")),
+                    ("sources", "sources", (0, "")),
+                    ("observations", "observations", (0, "")),
+                ],
+            },
+            Table {
+                marker: "e8-table",
+                kind: "e8",
+                columns: &[
+                    ("shards", "shards", (0, "")),
+                    ("docs", "docs", (0, "")),
+                    ("balance", "balance", (2, "")),
+                    ("scan matches", "scan_matches", (0, "")),
+                    ("ingest", "ingest_ms", (1, " ms")),
+                    ("docs/s", "docs_per_sec", (0, "")),
+                    ("scan query", "scan_ms", (2, " ms")),
+                ],
+            },
+        ],
+    },
 ];
 
 const EXPERIMENTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md");
@@ -229,9 +379,41 @@ pub fn run(args: &Args) -> Result<(), String> {
         "repl" => repl(args, &scale, spec.tables)?,
         "ann" => ann(args, &scale, &spec.tables[0])?,
         "kg" => kg(args, &scale, &spec.tables[0])?,
+        "paper" => return paper(spec, &path, args.out.is_some()),
         _ => trust(args, &scale, &spec.tables[0])?,
     };
     write_artefact(&path, spec, &scale, args.seed, rows)
+}
+
+/// `bench paper`: E1–E8 at the documented scale and seed. Fails when a
+/// shape check misses, and, for a run written beside the committed
+/// artefact (`--out`), when a deterministic member drifted from it.
+fn paper(spec: &Spec, path: &str, beside_committed: bool) -> Result<(), String> {
+    let mut rows = Vec::new();
+    for ((title, experiment), &n) in paper::EXPERIMENTS.iter().zip(spec.scale) {
+        println!("{title}, {n} publications");
+        for row in experiment(n) {
+            let kind = row.get("row").and_then(Value::as_str);
+            if let Some(table) = spec.tables.iter().find(|t| Some(t.kind) == kind) {
+                print!("{}", render_row(table.columns, &row));
+            }
+            rows.push(row);
+        }
+    }
+    write_artefact(path, spec, spec.scale, paper::SEED, rows)?;
+    // Read back: the checks see the numbers as the file holds them.
+    let run = load(path)?;
+    let misses = paper::shape_misses(rows_of(&run));
+    if !misses.is_empty() {
+        return Err(format!("shape check missed: {}", misses.join("; ")));
+    }
+    if beside_committed {
+        let committed = load(&committed_path(spec.name))?;
+        if let Some(drift) = paper::first_drift(rows_of(&run), rows_of(&committed)) {
+            return Err(format!("{path} drifted from BENCH_paper.json: {drift}"));
+        }
+    }
+    Ok(())
 }
 
 /// The one writer of `BENCH_*.json`: `rows` under the stamps that say
@@ -650,7 +832,7 @@ fn bench_replica(
 }
 
 fn scratch_dir(tag: &str) -> String {
-    let dir = std::env::temp_dir().join(format!("covidkg-bench-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("covidkg-repl-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir.to_string_lossy().into_owned()
 }
@@ -880,11 +1062,7 @@ fn render_table(table: &Table, artefact: &Value) -> String {
         headers.join(" | "),
         "---|".repeat(headers.len())
     );
-    let rows = artefact
-        .get("rows")
-        .and_then(Value::as_array)
-        .unwrap_or_default();
-    for row in rows {
+    for row in rows_of(artefact) {
         if row.get("row").and_then(Value::as_str) == Some(table.kind) {
             out.push_str(&render_row(table.columns, row));
         }
@@ -892,13 +1070,24 @@ fn render_table(table: &Table, artefact: &Value) -> String {
     out
 }
 
+fn rows_of(artefact: &Value) -> &[Value] {
+    artefact
+        .get("rows")
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+}
+
+/// The artefact at `path`, parsed.
+fn load(path: &str) -> Result<Value, String> {
+    let raw = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    covidkg::json::parse(&raw).map_err(|e| format!("parse {path}: {e}"))
+}
+
 /// The committed artefact of `spec`, refused when its stamped scale is
 /// below the documented one.
 fn load_committed(spec: &Spec) -> Result<Value, String> {
-    let path = committed_path(spec.name);
-    let raw = std::fs::read_to_string(&path)
-        .map_err(|e| format!("read {path}: {e} (run `covidkg bench {}` first)", spec.name))?;
-    let artefact = covidkg::json::parse(&raw).map_err(|e| format!("parse {path}: {e}"))?;
+    let artefact = load(&committed_path(spec.name))
+        .map_err(|e| format!("{e} (run `covidkg bench {}` first)", spec.name))?;
     let stamped: Vec<usize> = artefact
         .get("scale")
         .and_then(Value::as_array)
@@ -1005,6 +1194,54 @@ mod tests {
                 spec.name
             );
         }
+    }
+
+    fn committed_paper_rows() -> Vec<Value> {
+        rows_of(&load_committed(spec_named("paper").unwrap()).unwrap()).to_vec()
+    }
+
+    /// The member `key` of the first row of `kind` (optionally whose
+    /// `model` is `model`), for a test to overwrite.
+    fn member_mut<'r>(rows: &'r mut [Value], kind: &str, model: &str, key: &str) -> &'r mut Value {
+        let row = rows
+            .iter_mut()
+            .find(|r| {
+                r.get("row").and_then(Value::as_str) == Some(kind)
+                    && (model.is_empty() || r.get("model").and_then(Value::as_str) == Some(model))
+            })
+            .unwrap();
+        let members = row.as_object_mut().unwrap();
+        &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    #[test]
+    fn the_committed_paper_artefact_holds_every_shape() {
+        let rows = committed_paper_rows();
+        assert_eq!(paper::shape_misses(&rows), Vec::<&str>::new());
+
+        let mut seeded = rows.clone();
+        *member_mut(&mut seeded, "e1", "BiGRU", "f1") = Value::from(0.5);
+        assert_eq!(
+            paper::shape_misses(&seeded),
+            ["E1: BiGRU overall F1 in 0.80..=1.0"]
+        );
+    }
+
+    #[test]
+    fn a_paper_run_drifts_on_a_deterministic_member_only() {
+        let committed = committed_paper_rows();
+        assert_eq!(paper::first_drift(&committed, &committed), None);
+
+        let mut retimed = committed.clone();
+        *member_mut(&mut retimed, "e2", "BiLSTM", "train_ms") = Value::from(1e6);
+        *member_mut(&mut retimed, "e2_delta", "", "gru_speedup") = Value::from(0.1);
+        assert_eq!(paper::first_drift(&retimed, &committed), None);
+
+        let mut moved = committed.clone();
+        *member_mut(&mut moved, "e1", "SVM", "f1") = Value::from(0.918);
+        let drift = paper::first_drift(&moved, &committed).unwrap();
+        assert!(drift.starts_with("rows[0] (e1) member \"f1\""), "{drift}");
+        assert!(paper::first_drift(&committed[1..], &committed).is_some());
     }
 
     #[test]

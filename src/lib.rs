@@ -53,8 +53,6 @@ pub use covidkg_serve as serve;
 pub use covidkg_net as net;
 /// WAL-shipping replication: primary listener, replica nodes, routing.
 pub use covidkg_repl as repl;
-/// Std-only micro-benchmark harness (criterion-compatible surface).
-pub use covidkg_bench as bench;
 /// HNSW approximate-nearest-neighbour index (the dense retrieval tier).
 pub use covidkg_ann as ann;
 /// Provenance-weighted trust scoring (the fourth wire traffic class).

@@ -29,6 +29,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 mod bench;
+mod paper;
 mod smoke;
 
 const USAGE: &str = "\
@@ -49,10 +50,12 @@ COMMANDS:
     smoke                    every op route over TCP: miss -> hit, bodies
                              byte-identical to in-process; recall + trust knob
     repl-smoke               primary + replica over loopback: write, converge, read
-    bench <net|repl|ann|kg|trust>
+    bench <net|repl|ann|kg|trust|paper>
                              what benchmark/ cannot see: held-connection scaling,
                              replica read scaling (--failover: + promotion time),
-                             ANN recall vs work, KG and trust incremental-vs-rebuild;
+                             ANN recall vs work, KG and trust incremental-vs-rebuild,
+                             the paper's claims E1-E8 (shape-checked; with --out,
+                             also checked against the committed artefact);
                              writes the stamped BENCH_<name>.json
     table [name]             regenerate the EXPERIMENTS.md tables from BENCH_*.json
     ann-build                build the HNSW dense index and print its shape
