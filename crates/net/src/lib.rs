@@ -13,9 +13,9 @@
 //! - [`server`] — the connection supervisor: bounded accept (503 +
 //!   `Retry-After` past the cap), read/write deadlines, idle-connection
 //!   reaping and graceful drain of in-flight requests on shutdown,
-//!   all run by the epoll `reactor` (one event-loop thread handing
-//!   requests to the serve layer's one bounded queue, tens of thousands
-//!   of connections);
+//!   all run by the epoll `reactor` (one event-loop thread answering
+//!   cache hits itself and handing the rest to the serve layer's one
+//!   bounded queue, tens of thousands of connections);
 //! - [`router`] — `GET /search/{engine}`, `/kg/node/{id}`, `/stats`,
 //!   `/metrics`, mapping the scheduler's typed backpressure errors
 //!   (`Overloaded`, `DeadlineExceeded`, …) onto honest wire statuses;

@@ -1,6 +1,6 @@
 //! Event-driven connection core: one epoll reactor thread multiplexing
-//! every socket, handing each parsed request to the serve layer's one
-//! worker pool.
+//! every socket, answering a cache hit where it is parsed and handing the
+//! rest to the serve layer's one worker pool.
 //!
 //! Connections are driven by *readiness*, not by threads: a single
 //! reactor thread parks in `epoll_wait`, and every connection is a
@@ -18,23 +18,30 @@
 //!   (idle reap, cumulative slow-loris read deadline). Entries are
 //!   lazy: firing re-checks the connection's real state and re-arms,
 //!   so renewing activity never has to hunt down stale entries.
-//! * Dispatch — each parse-complete request becomes one job on the serve
-//!   layer's bounded queue ([`covidkg_serve::Server::submit`]). The
-//!   worker that dequeues it routes it ([`crate::router::handle`]),
-//!   computing a miss itself, and posts the response to the [`Mailbox`]
-//!   with one byte on the wake pipe. The reactor thread itself never runs
-//!   a query, so one slow search cannot stall accept, timers, or other
-//!   connections' I/O. A job the queue rejects (full, or shut down) is
-//!   answered at once with the 503 that rejection renders to.
+//! * Dispatch — each parse-complete request is routed once, on the
+//!   reactor thread ([`crate::router::route`]): the route table, and for
+//!   an op the cache probe ([`covidkg_serve::Server::probe`]). What that
+//!   answers (a hit, a route-level 400/404/405, the listing) is written
+//!   to the socket at once. The rest (a miss, carrying its op and cache
+//!   key; `/stats` and `/metrics`; a routed read) becomes one job on the
+//!   serve layer's bounded queue ([`covidkg_serve::Server::submit`]); the
+//!   worker that dequeues it finishes it
+//!   ([`crate::router::Deferred::finish`]) and posts the response to the
+//!   [`Mailbox`] with one byte on the wake pipe. The reactor never runs
+//!   an engine or takes the system lock, so one slow search cannot stall
+//!   accept, timers, hits or other connections' I/O. A job the queue
+//!   rejects (full, or shut down) is answered at once with the 503 that
+//!   rejection renders to; a hit never meets the queue. A panic while
+//!   routing costs its peer one 500, as a panic on a worker does.
 //!
 //! Ordering guarantee: responses leave a connection in request order.
 //! One request per connection is in flight at a time; further pipelined
-//! requests (and pre-serialized error responses, which must not jump
-//! the queue) wait in a per-connection FIFO.
+//! requests (hits included, and pre-serialized error responses, which
+//! must not jump the queue) wait in a per-connection FIFO.
 
-use crate::http::{Body, Parser, Request};
+use crate::http::{Body, Parser, Request, Response};
 use crate::metrics::WireMetrics;
-use crate::router::{error_response, handle_lazily, serve_error_response};
+use crate::router::{error_response, route, serve_error_response, Deferred, Routed};
 use crate::server::Shared;
 use covidkg_serve::ServeError;
 use std::collections::VecDeque;
@@ -217,7 +224,7 @@ impl TimerWheel {
 
 /// A unit of ordered output for one connection.
 enum Work {
-    /// A parsed request awaiting dispatch to the serve queue.
+    /// A parsed request awaiting its turn to be routed.
     Request(Request),
     /// A pre-serialized terminal response (parse error, 408) that must
     /// keep FIFO order behind any requests dispatched before it.
@@ -264,15 +271,16 @@ impl Mailbox {
     }
 }
 
-/// The job a request becomes on the serve queue: route it on the worker
-/// that dequeues it (or render the rejection it was handed) and post the
-/// response.
+/// The job a request [`route`] could not answer becomes on the serve
+/// queue: finish it on the worker that dequeues it (or render the
+/// rejection it was handed) and post the response.
 fn job(
     shared: Arc<Shared>,
     mailbox: Arc<Mailbox>,
     token: usize,
     generation: u64,
     request: Request,
+    deferred: Deferred,
     close: bool,
 ) -> impl FnOnce(Result<(), ServeError>) + Send + 'static {
     move |admitted| {
@@ -280,14 +288,14 @@ fn job(
             // A panicking handler must cost the peer one 500, not the
             // pool a worker.
             Ok(()) => catch_unwind(AssertUnwindSafe(|| {
-                handle_lazily(
+                deferred.finish(
                     &shared.serve,
                     || shared.wire.snapshot(),
                     shared.repl.as_ref(),
                     &request,
                 )
             }))
-            .unwrap_or_else(|_| error_response(500, "request handler panicked")),
+            .unwrap_or_else(|_| handler_panicked()),
             Err(e) => serve_error_response(e),
         };
         mailbox.post(Completion {
@@ -301,6 +309,10 @@ fn job(
     }
 }
 
+fn handler_panicked() -> Response {
+    error_response(500, "request handler panicked")
+}
+
 /// Per-connection state machine. The phase is implicit in the fields:
 /// Reading (parser mid-request), Dispatching (`in_flight`), Writing
 /// (`write_buf` non-empty), KeepAlive (all quiet).
@@ -312,7 +324,7 @@ struct Conn {
     /// dispatched, in arrival order.
     pending: VecDeque<Work>,
     /// One request is on the serve queue or at a worker; its completion
-    /// gates `pending`.
+    /// gates `pending`, hits behind it included.
     in_flight: bool,
     write_buf: Vec<u8>,
     write_pos: usize,
@@ -696,24 +708,38 @@ impl Reactor {
         while !conn.in_flight && !conn.close_after_flush {
             match conn.pending.pop_front() {
                 Some(Work::Request(request)) => {
-                    let close = request.wants_close()
-                        || self.shared.shutting_down.load(Ordering::Acquire);
-                    let job = job(
-                        Arc::clone(&self.shared),
-                        Arc::clone(&self.mailbox),
-                        token,
-                        conn.generation,
-                        request,
-                        close,
-                    );
-                    match self.shared.serve.submit(job) {
-                        Ok(()) => conn.in_flight = true,
-                        Err(e) => {
-                            let resp = serve_error_response(e);
-                            let head = resp.head(close);
-                            conn.send(&head, &resp.body, resp.status, close, now, &self.shared.wire);
+                    let shared = &self.shared;
+                    let close =
+                        request.wants_close() || shared.shutting_down.load(Ordering::Acquire);
+                    // A panic while routing costs the peer one 500, never
+                    // the reactor.
+                    let routed = catch_unwind(AssertUnwindSafe(|| {
+                        route(&shared.serve, shared.repl.as_ref(), &request)
+                    }))
+                    .unwrap_or_else(|_| Routed::Answered(handler_panicked()));
+                    let resp = match routed {
+                        Routed::Answered(resp) => resp,
+                        Routed::Deferred(deferred) => {
+                            let job = job(
+                                Arc::clone(shared),
+                                Arc::clone(&self.mailbox),
+                                token,
+                                conn.generation,
+                                request,
+                                deferred,
+                                close,
+                            );
+                            match shared.serve.submit(job) {
+                                Ok(()) => {
+                                    conn.in_flight = true;
+                                    continue;
+                                }
+                                Err(e) => serve_error_response(e),
+                            }
                         }
-                    }
+                    };
+                    let head = resp.head(close);
+                    conn.send(&head, &resp.body, resp.status, close, now, &shared.wire);
                 }
                 Some(Work::Immediate { bytes, status }) => {
                     conn.write_buf.extend_from_slice(&bytes);

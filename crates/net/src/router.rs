@@ -19,7 +19,7 @@ use covidkg_core::QueryPlan;
 use covidkg_json::{obj, Value};
 use covidkg_repl::{Epoch, ReadRouter, ReplMetrics, RouteError};
 use covidkg_search::{DenseMode, SearchMode, SearchPage};
-use covidkg_serve::{Op, Reply, ServeError, Server};
+use covidkg_serve::{Miss, Op, Reply, ServeError, Server};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
@@ -119,7 +119,7 @@ enum Target {
 }
 
 /// One row of the route table.
-struct Route {
+pub(crate) struct Route {
     /// The path: matched whole, or as a prefix when it ends in `/`.
     pattern: &'static str,
     /// The lines `GET /` lists for this row.
@@ -226,55 +226,106 @@ impl Route {
 /// wrong methods 405, bad parameters 400. With a [`ReadContext`],
 /// lexical `/search/*` is routed lag-aware across the replica pool and
 /// `/metrics` carries the replication series.
+///
+/// The reactor routes a request on its own thread and finishes what that
+/// leaves on a serve worker; this is the same two halves on one thread.
 pub fn handle(server: &Server, wire: &WireStats, repl: Option<&ReadContext>, req: &Request) -> Response {
-    handle_lazily(server, || wire.clone(), repl, req)
+    match route(server, repl, req) {
+        Routed::Answered(resp) => resp,
+        Routed::Deferred(deferred) => deferred.finish(server, || wire.clone(), repl, req),
+    }
 }
 
-/// [`handle`] taking the wire counters only if the route reads them
-/// (`/metrics` does): a snapshot locks the status map and clones it, and
-/// no op row looks at one.
-pub(crate) fn handle_lazily(
-    server: &Server,
-    wire: impl FnOnce() -> WireStats,
-    repl: Option<&ReadContext>,
-    req: &Request,
-) -> Response {
+/// What [`route`] makes of a request.
+pub(crate) enum Routed {
+    /// Answered on the spot: a route-level 400/404/405, the `GET /`
+    /// listing, or a cache hit.
+    Answered(Response),
+    /// Left for [`Deferred::finish`].
+    Deferred(Deferred),
+}
+
+/// What is left of a request once it is routed: everything that reads
+/// the system, runs an engine or does I/O.
+pub(crate) enum Deferred {
+    /// A page about the server itself.
+    Page(fn(&Server, &WireStats, Option<&ReadContext>) -> Response),
+    /// A lexical search (mode, page, trust) under a [`ReadContext`]: the
+    /// replica router reads over the network.
+    Read(Cow<'static, SearchMode>, usize, bool),
+    /// An op the cache did not hold, with what its probe worked out and
+    /// the row that renders its 404.
+    Miss(Op<'static>, Miss, &'static Route),
+}
+
+/// Route `req` once, on the thread that parsed it: answer what needs no
+/// more than the route table and the cache, and defer the rest. Takes no
+/// lock but a cache shard's.
+pub(crate) fn route(server: &Server, repl: Option<&ReadContext>, req: &Request) -> Routed {
     if req.method != "GET" {
-        return error_response(405, "only GET is supported");
+        return Routed::Answered(error_response(405, "only GET is supported"));
     }
     let path = req.path();
     if path == "/" {
         let endpoints = Value::Array(usages().map(Value::from).collect());
-        return Response::json(
+        return Routed::Answered(Response::json(
             200,
             obj! { "service" => "covidkg", "endpoints" => endpoints }.to_json(),
-        );
+        ));
     }
-    let Some((route, tail)) = ROUTES
+    let Some((row, tail)) = ROUTES
         .iter()
         .find_map(|r| r.tail(path).map(|tail| (r, tail)))
     else {
-        return error_response(404, "no such resource");
+        return Routed::Answered(error_response(404, "no such resource"));
     };
-    let (parse, not_found) = match route.target {
-        Target::Page(page) => return page(server, &wire(), repl),
-        Target::Op(parse, not_found) => (parse, not_found),
+    let parse = match row.target {
+        Target::Page(page) => return Routed::Deferred(Deferred::Page(page)),
+        Target::Op(parse, _) => parse,
     };
-    let op = match parse(req, tail) {
-        Ok(op) => op,
-        Err(resp) => return resp,
+    let op = match (parse(req, tail), repl) {
+        // The replica router only speaks the lexical modes.
+        (Ok(Op::Search(mode, page, trusted)), Some(_)) => {
+            return Routed::Deferred(Deferred::Read(mode, page, trusted))
+        }
+        (Ok(op), _) => op,
+        (Err(resp), _) => return Routed::Answered(resp),
     };
-    // The replica router only speaks the lexical modes.
-    if let (Op::Search(mode, page, trusted), Some(ctx)) = (&op, repl) {
-        return routed_read(server, ctx, req, mode, *page, *trusted);
+    match server.probe(&op) {
+        Ok(hit) => Routed::Answered(respond(hit, op.trusted())),
+        Err(miss) => Routed::Deferred(Deferred::Miss(op, miss, row)),
     }
-    match server.request(&op) {
-        Ok(Some(reply)) => respond(reply, op.trusted()),
-        Ok(None) => match not_found {
-            Some(message) => error_response(404, &message(server, tail)),
-            None => error_response(404, "no such resource"),
-        },
-        Err(e) => serve_error_response(e),
+}
+
+impl Deferred {
+    /// Answer what [`route`] left of `req`, under the same `repl`. The
+    /// wire counters are taken only if the route reads them (`/metrics`
+    /// does): a snapshot locks the status map and clones it, and no op
+    /// row looks at one.
+    pub(crate) fn finish(
+        self,
+        server: &Server,
+        wire: impl FnOnce() -> WireStats,
+        repl: Option<&ReadContext>,
+        req: &Request,
+    ) -> Response {
+        match self {
+            Deferred::Page(page) => page(server, &wire(), repl),
+            Deferred::Read(mode, page, trusted) => {
+                let ctx = repl.expect("a read is deferred only under a ReadContext");
+                routed_read(server, ctx, req, &mode, page, trusted)
+            }
+            Deferred::Miss(op, miss, row) => match server.compute_miss(&op, miss) {
+                Ok(Some(reply)) => respond(reply, op.trusted()),
+                Ok(None) => match (&row.target, row.tail(req.path())) {
+                    (Target::Op(_, Some(message)), Some(tail)) => {
+                        error_response(404, &message(server, tail))
+                    }
+                    _ => error_response(404, "no such resource"),
+                },
+                Err(e) => serve_error_response(e),
+            },
+        }
     }
 }
 
@@ -613,7 +664,10 @@ mod tests {
                 snapshots.set(snapshots.get() + 1);
                 WireStats::default()
             };
-            handle_lazily(&server, wire, None, &req).status
+            match route(&server, None, &req) {
+                Routed::Answered(resp) => resp.status,
+                Routed::Deferred(deferred) => deferred.finish(&server, wire, None, &req).status,
+            }
         };
         let targets = [
             "/search/all-fields?q=vaccine",

@@ -3,8 +3,8 @@
 //!
 //! [`HttpServer`] binds the listener and hands it to the epoll event
 //! loop in [`crate::reactor`]: one reactor thread multiplexes every
-//! socket and hands each parsed request to the serve layer's one bounded
-//! queue, whose workers run the queries; the connection ceiling is the
+//! socket, answers each cache hit itself and hands the other requests to
+//! the serve layer's one bounded queue, whose workers run the queries; the connection ceiling is the
 //! fd budget (tens of thousands), not a thread count. This module spawns
 //! no thread itself, and a stack's threads are the reactor plus
 //! `ServeConfig::workers`.

@@ -16,8 +16,10 @@
 //!   [`ServeError::Overloaded`] instead of queueing unboundedly, and a
 //!   job that waited past the configured deadline is handed
 //!   [`ServeError::DeadlineExceeded`] instead of running. Every traffic
-//!   class takes the one [`Server::request`] path, on the calling thread,
-//!   and differs only in its row of the [`op`] table (class label, cache
+//!   class takes the one [`Server::request`] path, on the calling thread
+//!   (or its two halves, [`Server::probe`] and [`Server::compute_miss`],
+//!   on two: the wire front end answers a hit where it parsed it), and
+//!   differs only in its row of the [`op`] table (class label, cache
 //!   key, breaker-guarded vs bare, may-serve-stale vs never-stale).
 //! * [`cache::QueryCache`] — a sharded LRU of shared [`Entry`]s (the
 //!   bytes that are sent, serialized once, with the typed page beside
@@ -42,5 +44,5 @@ pub mod server;
 pub use cache::{CacheStats, Entry, QueryCache};
 pub use loadgen::{LoadGenConfig, LoadGenReport};
 pub use metrics::{Class, LatencyHistogram, ServeStats};
-pub use op::{Guard, Op, Reply, Staleness};
+pub use op::{Guard, Miss, Op, Reply, Staleness};
 pub use server::{InjectedFaults, KgResponse, ServeConfig, ServeError, ServeResponse, Server};

@@ -211,9 +211,23 @@ pub struct Reply {
     pub stale: bool,
     /// Data generation the value was computed at.
     pub generation: u64,
-    /// Time inside `Server::request`, from the call to the reply (a
-    /// wire request's wait in the queue comes before it).
+    /// Time inside `Server::request`: the probe, and for a miss the
+    /// compute (a wire miss's wait in the queue between the two is not
+    /// counted).
     pub latency: Duration,
+}
+
+/// A request the cache did not answer: what [`crate::Server::probe`]
+/// worked out for it, handed with its op to
+/// [`crate::Server::compute_miss`], so a miss is keyed once wherever it
+/// is computed.
+#[derive(Debug)]
+pub struct Miss {
+    pub(crate) key: String,
+    pub(crate) echo: Option<String>,
+    /// How long the probe took: part of the reply's latency, where a wait
+    /// before `compute_miss` is not.
+    pub(crate) probed: Duration,
 }
 
 #[cfg(test)]

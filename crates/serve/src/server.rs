@@ -3,25 +3,30 @@
 //! cache.
 //!
 //! The queue ([`Server::submit`]) is where admission happens. The wire
-//! front end hands it every parsed request as a job; a full queue
-//! rejects at once with [`ServeError::Overloaded`] (the caller gets a
-//! typed backpressure signal instead of unbounded queueing), and a job
-//! dequeued after `default_deadline` is handed
-//! [`ServeError::DeadlineExceeded`] instead of running. The worker that
-//! dequeues a job runs it to the end — a miss included — so a request
-//! crosses one queue and is held by one thread.
+//! front end answers a cache hit itself, through [`Server::probe`], and
+//! hands the queue the rest as jobs; a full queue rejects at once with
+//! [`ServeError::Overloaded`] (the caller gets a typed backpressure
+//! signal instead of unbounded queueing), and a job dequeued after
+//! `default_deadline` is handed [`ServeError::DeadlineExceeded`] instead
+//! of running. A hit never meets either. The worker that dequeues a job
+//! runs it to the end — a miss included — so a miss crosses one queue
+//! and is held by one thread.
 //!
-//! Every traffic class takes the same path — [`Server::request`], on the
-//! calling thread (a pool worker, or an in-process caller's own) — and
-//! differs only in its row of the op table ([`crate::op`]):
+//! Every traffic class takes the same path — [`Server::request`] on the
+//! calling thread, or its two halves on two threads (the wire front end
+//! probes on its reactor and computes a miss on a worker) — and differs
+//! only in its row of the op table ([`crate::op`]):
 //!
-//! 1. The request is counted against its class, its canonical cache key
-//!    computed, and the cache probed — a hit (entry generation == current
-//!    generation) returns at once.
-//! 2. On a miss a *bare* op is computed right there under the shared
-//!    system lock. A *guarded* op first consults its class's circuit
-//!    breaker: an open breaker short-circuits to the degradation ladder
-//!    below.
+//! 1. [`Server::probe`] computes the op's canonical cache key and probes
+//!    the cache — a hit (entry generation == current generation) is
+//!    counted against its class and returned at once. A miss counts
+//!    nothing yet: it comes back as a [`Miss`] carrying the key, so
+//!    nothing is keyed twice.
+//! 2. [`Server::compute_miss`] probes once more under that key (a
+//!    duplicate computed meanwhile is a hit), then counts the miss. A
+//!    *bare* op is computed right there under the shared system lock. A
+//!    *guarded* op first consults its class's circuit breaker: an open
+//!    breaker short-circuits to the degradation ladder below.
 //! 3. Otherwise the guarded op runs under `catch_unwind` and the fault
 //!    schedule, under the system read lock, capturing the data
 //!    generation *under that same lock*; the value is cached tagged with
@@ -69,7 +74,7 @@
 
 use crate::cache::{Entry, QueryCache};
 use crate::metrics::{Class, Metrics, ServeStats};
-use crate::op::{Guard, Op, Reply, Staleness};
+use crate::op::{Guard, Miss, Op, Reply, Staleness};
 use covidkg_core::{CovidKg, QueryPlan};
 use covidkg_corpus::Publication;
 use covidkg_search::{DenseMode, SearchMode, SearchPage};
@@ -192,8 +197,9 @@ pub struct ServeResponse {
     pub stale: bool,
     /// Data generation the page was computed at.
     pub generation: u64,
-    /// Time inside `Server::request`, from the call to the reply (a
-    /// wire request's wait in the queue comes before it).
+    /// Time inside `Server::request`: the probe, and for a miss the
+    /// compute (a wire miss's wait in the queue between the two is not
+    /// counted).
     pub latency: Duration,
 }
 
@@ -249,8 +255,9 @@ pub struct KgResponse {
     pub cached: bool,
     /// Data generation the body was computed at.
     pub generation: u64,
-    /// Time inside `Server::request`, from the call to the reply (a
-    /// wire request's wait in the queue comes before it).
+    /// Time inside `Server::request`: the probe, and for a miss the
+    /// compute (a wire miss's wait in the queue between the two is not
+    /// counted).
     pub latency: Duration,
 }
 
@@ -451,6 +458,17 @@ impl Inner {
                 .wait(queue)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
+    }
+
+    /// The entry cached under `key` at the current generation, counted as
+    /// a hit of `class` and answered: what a hit counts wherever it is
+    /// found.
+    fn hit(&self, class: Class, key: &str, echo: Option<&str>, started: Instant) -> Option<Reply> {
+        let generation = self.generation.load(Ordering::Acquire);
+        let entry = self.cache.get(key, generation)?;
+        self.metrics.record_request(class);
+        self.metrics.record_hit();
+        Some(self.complete(entry, echo, true, false, generation, started))
     }
 
     /// Record a completed request and wrap the entry as its reply —
@@ -663,26 +681,54 @@ impl Server {
         Ok(())
     }
 
-    /// The one request path, run on the calling thread: count, probe the
-    /// cache, then — by the op's row in the table — compute bare, or
-    /// check the breaker and compute guarded. `Ok(None)` = the op
-    /// resolved to nothing (unknown node id, vaccine or venue; the wire
-    /// layer's 404).
+    /// The one request path, run on the calling thread: [`Server::probe`]
+    /// the cache, then [`Server::compute_miss`] what it did not hold.
+    /// `Ok(None)` = the op resolved to nothing (unknown node id, vaccine or
+    /// venue; the wire layer's 404).
     pub fn request(&self, op: &Op<'_>) -> Result<Option<Reply>, ServeError> {
+        match self.probe(op) {
+            Ok(hit) => Ok(Some(hit)),
+            Err(miss) => self.compute_miss(op, miss),
+        }
+    }
+
+    /// The first half of [`Server::request`]: key `op` and look it up. A
+    /// hit is counted (request, hit, completion) and answered. A miss
+    /// counts nothing and comes back as the ticket
+    /// [`Server::compute_miss`] takes, on this thread or carried with the
+    /// op to another. Takes no lock but a cache shard's, so it never waits
+    /// on an engine or an ingest.
+    pub fn probe(&self, op: &Op<'_>) -> Result<Reply, Miss> {
         let started = Instant::now();
+        let (key, echo) = op.key_and_echo();
+        match self.inner.hit(op.class(), &key, echo.as_deref(), started) {
+            Some(reply) => Ok(reply),
+            None => Err(Miss {
+                key,
+                echo: echo.map(Cow::into_owned),
+                probed: started.elapsed(),
+            }),
+        }
+    }
+
+    /// The second half of [`Server::request`]: answer `op`, whose `miss`
+    /// [`Server::probe`] handed back. A duplicate computed while this one
+    /// waited is the hit it now is; otherwise the miss is counted and, by
+    /// the op's row in the table, computed bare, or behind the class's
+    /// breaker and computed guarded.
+    pub fn compute_miss(&self, op: &Op<'_>, miss: Miss) -> Result<Option<Reply>, ServeError> {
+        // The probe's time counts; a wait between the two halves does not.
+        let started = Instant::now()
+            .checked_sub(miss.probed)
+            .unwrap_or_else(Instant::now);
+        let Miss { key, echo, .. } = miss;
+        let echo = echo.as_deref();
         let inner = &*self.inner;
         let class = op.class();
-        inner.metrics.record_request(class);
-        let (key, echo) = op.key_and_echo();
-        let echo = echo.as_deref();
-
-        let generation = inner.generation.load(Ordering::Acquire);
-        if let Some(entry) = inner.cache.get(&key, generation) {
-            inner.metrics.record_hit();
-            return Ok(Some(
-                inner.complete(entry, echo, true, false, generation, started),
-            ));
+        if let Some(hit) = inner.hit(class, &key, echo, started) {
+            return Ok(Some(hit));
         }
+        inner.metrics.record_request(class);
         inner.metrics.record_miss();
         if lock(&inner.queue).closed {
             return Err(ServeError::Closed);

@@ -292,11 +292,12 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
 /// rejection.
 #[test]
 fn requests_hits_misses_and_completions_add_up_across_all_ops() {
+    let capacity = 16;
     let server = Arc::new(Server::start(
         build_system(),
         ServeConfig {
             workers: 1,
-            queue_capacity: 16,
+            queue_capacity: capacity,
             default_deadline: Duration::from_millis(300),
             ..ServeConfig::default()
         },
@@ -311,11 +312,15 @@ fn requests_hits_misses_and_completions_add_up_across_all_ops() {
             assert_eq!(server.request(op).unwrap().is_some(), resolves(i), "{op:?}");
         }
     }
-    assert!(submit_each(&server, &ops, &outcomes).iter().all(Result::is_ok));
-    for _ in &ops {
-        let (i, outcome) = results.recv().unwrap();
-        let reply = outcome.expect("admitted").expect("answered");
-        assert_eq!(reply.is_some(), resolves(i), "{:?}", ops[i]);
+    // In batches the queue holds whole, each drained before the next: a
+    // batch fits however few jobs the one worker has dequeued yet.
+    for (first, batch) in (0..).step_by(capacity).zip(ops.chunks(capacity)) {
+        assert!(submit_each(&server, batch, &outcomes).iter().all(Result::is_ok));
+        for _ in batch {
+            let (i, outcome) = results.recv().unwrap();
+            let reply = outcome.expect("admitted").expect("answered");
+            assert_eq!(reply.is_some(), resolves(first + i), "{:?}", ops[first + i]);
+        }
     }
     // And a round the queue rejects: 16 wait out the deadline behind a
     // held worker, the rest find the queue full.

@@ -51,6 +51,9 @@ cargo test -p covidkg-net --test parser_prop --offline -q
 echo "==> reactor regression suite (1000 idle conns, pipelining, churn, stalled readers)"
 cargo test -p covidkg-net --test reactor_e2e --offline -q
 
+echo "==> one queue on the wire (burst past the bound, hits while every worker is held, inline/queued order, hit/miss accounting)"
+cargo test -p covidkg-net --test one_queue --offline -q
+
 echo "==> protocol regression suite on the reactor path (slowloris 408, 431/413/400, drain)"
 cargo test -p covidkg-net --test wire_e2e --offline -q
 
