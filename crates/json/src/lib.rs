@@ -27,7 +27,7 @@ mod write;
 
 pub use parse::{parse, ParseError};
 pub use value::{Number, Value};
-pub use write::write_string;
+pub use write::{write_number, write_string};
 
 /// Build a [`Value::Object`] from `key => value` pairs.
 ///

@@ -91,11 +91,11 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-fn write_number(n: Number, out: &mut String) {
+/// Append `n` as JSON: an integer in decimal, a finite float so that it
+/// parses back as a float (`5.0`, not `5`), a non-finite one as `null`.
+pub fn write_number(n: Number, out: &mut String) {
     match n {
-        Number::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
+        Number::Int(i) => write_int(i, out),
         Number::Float(f) => {
             if f.is_finite() {
                 // Ensure floats stay floats on round-trip.
@@ -112,27 +112,94 @@ fn write_number(n: Number, out: &mut String) {
     }
 }
 
-/// Append `s` as a JSON string literal, quotes included — the writer's
-/// own escaping, for callers that splice one string into a serialized
-/// document.
-pub fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// `i` in decimal, filled from the right into a stack buffer (20 bytes
+/// hold `i64::MIN`: a sign and 19 digits).
+fn write_int(i: i64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Append `s` as a JSON string literal, quotes included — the writer's
+/// own escaping, for callers that splice one string into a serialized
+/// document or write one directly. Only `"`, `\` and bytes below 0x20
+/// are escaped; every run between them is copied whole.
+pub fn write_string(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
     out.push('"');
+    let bytes = s.as_bytes();
+    let mut clean = 0;
+    loop {
+        let at = next_escape(bytes, clean);
+        // `at` is an ASCII byte or the end, so a char boundary.
+        out.push_str(&s[clean..at]);
+        let Some(&b) = bytes.get(at) else { break };
+        push_escape(b, out);
+        clean = at + 1;
+    }
+    out.push('"');
+}
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of every byte of `w` below `n` (`n` ≤ 0x80). Only the
+/// lowest set bit is exact — a borrow out of a marked byte can mark the
+/// bytes above it — and it is all [`next_escape`] reads.
+fn bytes_below(w: u64, n: u8) -> u64 {
+    w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS
+}
+
+/// The index of the first byte at or after `from` that
+/// [`write_string`] escapes, or `bytes.len()`: eight bytes per step,
+/// each tested for `< 0x20`, `"` and `\` at once.
+fn next_escape(bytes: &[u8], mut from: usize) -> usize {
+    while let Some(chunk) = bytes.get(from..from + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let hits = bytes_below(w, 0x20)
+            | bytes_below(w ^ (ONES * u64::from(b'"')), 1)
+            | bytes_below(w ^ (ONES * u64::from(b'\\')), 1);
+        if hits != 0 {
+            return from + (hits.trailing_zeros() / 8) as usize;
+        }
+        from += 8;
+    }
+    bytes[from..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+        .map_or(bytes.len(), |p| from + p)
+}
+
+/// The escape of one byte [`next_escape`] stopped at.
+fn push_escape(b: u8, out: &mut String) {
+    match b {
+        b'"' => out.push_str("\\\""),
+        b'\\' => out.push_str("\\\\"),
+        b'\n' => out.push_str("\\n"),
+        b'\r' => out.push_str("\\r"),
+        b'\t' => out.push_str("\\t"),
+        0x08 => out.push_str("\\b"),
+        0x0c => out.push_str("\\f"),
+        _ => {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Property-based tests: every generated value round-trips through the
-//! compact and pretty writers, and cmp_total is a total order. Runs on
+//! compact and pretty writers, the writer's string escaping and integer
+//! formatting equal their char-by-char / `write!` references to the
+//! byte, and cmp_total is a total order. Runs on
 //! the in-repo `covidkg_rand::prop` harness (offline proptest
 //! replacement).
 
@@ -104,5 +106,98 @@ fn flatten_paths_resolve_back() {
         for (path, leaf) in v.flatten() {
             assert_eq!(v.path(&path), Some(leaf));
         }
+    });
+}
+
+/// The writer's escaping as it was written first, one `char` at a time:
+/// the reference the byte-scanning `write_string` must equal exactly.
+fn reference_string(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::from('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{0008}' => out.push_str("\\b"),
+            '\u{000C}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Every character class the escape scan treats differently: each byte
+/// below 0x20, `"`, `\`, DEL and plain ASCII around them (0x1f/0x20 and
+/// 0x21/0x23 sit one off the tested values), and 2-, 3- and 4-byte
+/// UTF-8 whose continuation bytes have the high bit set.
+fn escape_alphabet() -> Vec<char> {
+    let mut chars: Vec<char> = (0u8..0x20).map(char::from).collect();
+    chars.extend("\"\\\u{7f} !#[]a~\u{80}é\u{2028}漢\u{ffff}😀\u{10ffff}".chars());
+    chars
+}
+
+fn assert_string_matches_reference(s: &str) {
+    let expected = reference_string(s);
+    let mut out = String::from("prefix:");
+    covidkg_json::write_string(s, &mut out);
+    assert_eq!(out["prefix:".len()..], expected, "write_string({s:?})");
+    assert_eq!(Value::str(s).to_json(), expected, "to_json of {s:?}");
+}
+
+#[test]
+fn write_string_equals_the_char_by_char_reference() {
+    let alphabet = escape_alphabet();
+    prop::run(2048, |rng| {
+        let s = prop::charset_string(rng, &alphabet, 0, 40);
+        assert_string_matches_reference(&s);
+    });
+}
+
+/// Each special character at every offset across two 8-byte chunks,
+/// alone, doubled, and followed by a multi-byte character, so every
+/// chunk edge sees every class.
+#[test]
+fn every_class_at_every_chunk_offset_equals_the_reference() {
+    for ch in escape_alphabet() {
+        for offset in 0..17 {
+            let pad = "x".repeat(offset);
+            for tail in ["", "yz", "\"", "é漢😀", "\u{1}"] {
+                assert_string_matches_reference(&format!("{pad}{ch}{tail}"));
+                assert_string_matches_reference(&format!("{pad}{ch}{ch}{tail}{pad}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn integers_equal_the_formatter() {
+    use covidkg_json::Number;
+    let check = |i: i64| {
+        let mut out = String::from("[");
+        covidkg_json::write_number(Number::Int(i), &mut out);
+        assert_eq!(out, format!("[{i}"));
+        assert_eq!(Value::int(i).to_json(), format!("{i}"));
+    };
+    for i in [i64::MIN, -1, 0, 1, i64::MAX] {
+        check(i.saturating_sub(1));
+        check(i);
+        check(i.saturating_add(1));
+    }
+    for p in 0..19 {
+        let ten = 10i64.pow(p);
+        for i in [ten - 1, ten, ten + 1, -ten + 1, -ten, -ten - 1] {
+            check(i);
+        }
+    }
+    prop::run(1024, |rng| {
+        check(rng.gen_range(i64::MIN..=i64::MAX));
+        check(rng.gen_range(-100_000..=100_000));
     });
 }

@@ -7,7 +7,7 @@
 //! show them in red.
 
 use crate::rank::{collect_strings, Ranker};
-use covidkg_json::Value;
+use covidkg_json::{write_number, write_string, Number, Value};
 use covidkg_store::index::{IndexReader, Posting};
 use covidkg_text::{make_snippet, Snippet};
 
@@ -57,10 +57,10 @@ impl SearchPage {
         self.total.div_ceil(self.page_size.max(1))
     }
 
-    /// Canonical JSON encoding of the page — the body served by the
-    /// `covidkg-net` HTTP front-end. Both the in-process API and the wire
-    /// serialize through this one function, so a network client receives
-    /// byte-identical JSON to `page.to_json().to_json()` computed locally.
+    /// Canonical JSON encoding of the page. The body the `covidkg-net`
+    /// HTTP front-end serves is [`SearchPage::to_body`], which writes the
+    /// same bytes without building this tree and is held to
+    /// `page.to_json().to_json()` byte for byte.
     pub fn to_json(&self) -> Value {
         fn snippet_json(fs: &FieldSnippet) -> Value {
             covidkg_json::obj! {
@@ -102,20 +102,63 @@ impl SearchPage {
         }
     }
 
-    /// [`SearchPage::to_json`] serialized, with the byte range of its one
-    /// request-dependent part: the string literal (quotes included) of
-    /// the echoed `query`, the first member. Requests that share a cache
-    /// key share every byte outside that range.
+    /// The page's wire body: [`SearchPage::to_json`] serialized, written
+    /// straight into one `String` sized up front (`to_json().to_json()`
+    /// is its byte-for-byte oracle), with the byte range of its one
+    /// request-dependent part — the string literal (quotes included) of
+    /// the echoed `query`, the first member — recorded as it is written.
+    /// Requests that share a cache key share every byte outside that
+    /// range.
     pub fn to_body(&self) -> (String, std::ops::Range<usize>) {
-        let body = self.to_json().to_json();
-        let prefix = "{\"query\":";
-        let literal = Self::query_literal(&self.query);
-        assert!(
-            body.starts_with(prefix) && body[prefix.len()..].starts_with(&*literal),
-            "`query` is the body's first member"
-        );
-        let echo = prefix.len()..prefix.len() + literal.len();
-        (body, echo)
+        let mut out = String::with_capacity(self.body_capacity());
+        out.push_str("{\"query\":");
+        let start = out.len();
+        write_string(&self.query, &mut out);
+        let echo = start..out.len();
+        for (name, n) in [
+            (",\"page\":", self.page),
+            (",\"page_size\":", self.page_size),
+            (",\"total\":", self.total),
+            (",\"page_count\":", self.page_count()),
+        ] {
+            out.push_str(name);
+            write_usize(n, &mut out);
+        }
+        out.push_str(",\"results\":[");
+        for (i, r) in self.results.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"id\":");
+            write_string(&r.id, &mut out);
+            out.push_str(",\"title\":");
+            write_string(&r.title, &mut out);
+            out.push_str(",\"score\":");
+            write_number(Number::Float(r.score), &mut out);
+            out.push_str(",\"snippets\":");
+            write_snippets(&r.snippets, &mut out);
+            out.push_str(",\"collapsed\":");
+            write_snippets(&r.collapsed, &mut out);
+            out.push('}');
+        }
+        out.push_str("]}");
+        (out, echo)
+    }
+
+    /// What [`SearchPage::to_body`] reserves: every string's unescaped
+    /// length plus, per page, result, snippet and highlight, at least its
+    /// member names, punctuation and numbers at their longest integer
+    /// (20 bytes) and a typical score (24) — so the body grows only for
+    /// escapes beyond that slack or a score printed longer.
+    fn body_capacity(&self) -> usize {
+        let snippet = |fs: &FieldSnippet| {
+            96 + fs.field.len() + fs.snippet.text.len() + 44 * fs.snippet.highlights.len()
+        };
+        let result = |r: &SearchResult| {
+            let snippets: usize = r.snippets.iter().chain(&r.collapsed).map(snippet).sum();
+            96 + r.id.len() + r.title.len() + snippets
+        };
+        160 + self.query.len() + self.results.iter().map(result).sum::<usize>()
     }
 
     /// `query` as the JSON string literal [`SearchPage::to_body`] would
@@ -123,7 +166,7 @@ impl SearchPage {
     /// when it echoes another spelling than the body was computed for.
     pub fn query_literal(query: &str) -> Box<str> {
         let mut literal = String::with_capacity(query.len() + 2);
-        covidkg_json::write_string(query, &mut literal);
+        write_string(query, &mut literal);
         literal.into_boxed_str()
     }
 
@@ -171,6 +214,44 @@ impl SearchPage {
         }
         out
     }
+}
+
+/// A `usize` member as [`SearchPage::to_json`] converts it: through
+/// `i64`, as `Value::from(usize)` does.
+fn write_usize(n: usize, out: &mut String) {
+    write_number(Number::Int(n as i64), out);
+}
+
+/// A snippet array as [`SearchPage::to_json`] builds it.
+fn write_snippets(snippets: &[FieldSnippet], out: &mut String) {
+    out.push('[');
+    for (i, fs) in snippets.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"field\":");
+        write_string(&fs.field, out);
+        out.push_str(",\"text\":");
+        write_string(&fs.snippet.text, out);
+        out.push_str(",\"highlights\":[");
+        for (j, &(s, e)) in fs.snippet.highlights.iter().enumerate() {
+            out.push_str(if j > 0 { ",[" } else { "[" });
+            write_usize(s, out);
+            out.push(',');
+            write_usize(e, out);
+            out.push(']');
+        }
+        out.push(']');
+        for (name, flag) in [
+            (",\"leading_ellipsis\":", fs.snippet.leading_ellipsis),
+            (",\"trailing_ellipsis\":", fs.snippet.trailing_ellipsis),
+        ] {
+            out.push_str(name);
+            out.push_str(if flag { "true" } else { "false" });
+        }
+        out.push('}');
+    }
+    out.push(']');
 }
 
 /// Snippet window width in bytes.

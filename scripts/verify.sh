@@ -22,6 +22,12 @@ cargo test -p covidkg-search --test equivalence --test postings_oracle --offline
 echo "==> splice property test (every reply under a cache key vs re-rendering a page with its own query)"
 cargo test -p covidkg-net --test splice_prop --offline -q
 
+echo "==> JSON writer byte oracle (escape/integer kernel vs the char-by-char and write! references)"
+cargo test -p covidkg-json --test proptest_roundtrip --offline -q
+
+echo "==> search body parity property test (SearchPage::to_body vs to_json().to_json(), echo range)"
+cargo test -p covidkg-search --test body_parity --offline -q
+
 # The benchmark is a package of its own that no PR may edit: its smoke is
 # the only thing that notices when a program change breaks its build or
 # its byte-for-byte body check.
