@@ -26,6 +26,12 @@
 //! The load-bearing guarantee: a TCP client receives **byte-identical**
 //! JSON search pages to an in-process `SearchPage::to_json()` caller
 //! for the same (engine, query, page) — cached, fresh or stale.
+//!
+//! The only `unsafe` in the workspace is the four epoll calls in
+//! `reactor`; every other crate forbids it, and each block here must
+//! state its invariant.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bench;
 pub mod client;

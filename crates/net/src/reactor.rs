@@ -96,6 +96,8 @@ mod sys {
 
     impl Epoll {
         pub fn new() -> io::Result<Epoll> {
+            // SAFETY: `epoll_create1` takes a flags word by value and
+            // touches no caller memory; a negative return is handled below.
             let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if fd < 0 {
                 return Err(io::Error::last_os_error());
@@ -106,6 +108,11 @@ mod sys {
         fn ctl(&self, op: i32, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
             let mut ev = EpollEvent { events, data };
             let ptr = if op == EPOLL_CTL_DEL { std::ptr::null_mut() } else { &mut ev };
+            // SAFETY: `self.fd` is a live epoll fd owned by `self`. `ptr` is
+            // null only for `EPOLL_CTL_DEL`, which ignores the event;
+            // otherwise it points at `ev`, laid out as the kernel's
+            // `epoll_event` and live on this frame while the kernel copies
+            // it in.
             if unsafe { epoll_ctl(self.fd, op, fd, ptr) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -126,6 +133,10 @@ mod sys {
 
         /// Wait for readiness; `Ok(0)` on timeout or signal interrupt.
         pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+            // SAFETY: `self.fd` is a live epoll fd owned by `self`, and the
+            // kernel writes at most `maxevents` = `events.len()` entries
+            // through the pointer, all inside the exclusively borrowed
+            // slice; callers pass buffers far below `i32::MAX` entries.
             let n = unsafe {
                 epoll_wait(self.fd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
             };
@@ -142,6 +153,8 @@ mod sys {
 
     impl Drop for Epoll {
         fn drop(&mut self) {
+            // SAFETY: `self.fd` was opened by `Epoll::new`, is owned by
+            // `self` alone and is closed exactly once, here.
             unsafe { close(self.fd) };
         }
     }

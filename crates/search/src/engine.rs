@@ -49,7 +49,7 @@ pub const PAGE_SIZE: usize = 10;
 /// How to execute a compiled search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExecStrategy {
-    /// Index-pruned, shard-parallel, postings-scored top-k when the index
+    /// Index-pruned, shard-partitioned, postings-scored top-k when the index
     /// covers every ranked field; otherwise the pushdown pipeline.
     Auto,
     /// Full scan of every shard, tokenizing scorer, full sort — the

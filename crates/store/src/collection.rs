@@ -12,13 +12,12 @@ use crate::fault::{with_backoff, Fault, FaultOp, FaultPlan, RetryPolicy};
 use crate::filter::Filter;
 use crate::index::{HashIndex, IndexReader, TextIndex};
 use crate::pipeline::Pipeline;
-use crate::pool::ScorePool;
 use crate::shard::{route_hash, Shard};
 use crate::stats::{CollectionStats, ShardStats};
 use crate::wal::{self, WalRecord, WalTail, WalWriter};
 use covidkg_json::Value;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, RwLock};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,10 +72,6 @@ fn read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
 fn write<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
-
-/// Below this many documents (or candidates) a read runs single-threaded;
-/// thread startup would cost more than it saves.
-const PARALLEL_THRESHOLD: usize = 512;
 
 /// Bounded best-k buffer under `(score desc, _id asc)` — sorted insertion
 /// with eviction of the worst entry, identical to full sort + truncate.
@@ -141,11 +136,6 @@ pub struct Collection {
     /// Replication sequence for in-memory collections (durable ones
     /// track it in the WAL writer; see [`Collection::repl_watermark`]).
     mem_seq: AtomicU64,
-    /// Persistent shard-parallel scoring pool. Injected by the owning
-    /// [`crate::Database`] (one pool shared across its collections);
-    /// falls back to [`ScorePool::global`] so no query path ever spawns
-    /// a thread per shard.
-    score_pool: OnceLock<Arc<ScorePool>>,
 }
 
 /// How many recent writes [`Collection::touched_since`] can account
@@ -187,21 +177,7 @@ impl Collection {
             mutations: AtomicU64::new(0),
             mutation_log: Mutex::new(VecDeque::new()),
             mem_seq: AtomicU64::new(0),
-            score_pool: OnceLock::new(),
         }
-    }
-
-    /// Inject a shared scoring pool (first injection wins; later calls
-    /// are no-ops). [`crate::Database`] injects its per-database pool
-    /// into every collection it creates; a collection never handed one
-    /// scores through [`ScorePool::global`].
-    pub fn set_score_pool(&self, pool: Arc<ScorePool>) {
-        let _ = self.score_pool.set(pool);
-    }
-
-    /// The pool shard-parallel reads run on.
-    pub fn score_pool(&self) -> &Arc<ScorePool> {
-        self.score_pool.get().unwrap_or_else(|| ScorePool::global())
     }
 
     /// Create a persistent collection in `dir`, recovering any existing
@@ -577,12 +553,12 @@ impl Collection {
                     .collect();
             }
         }
-        self.parallel_scan(|_, doc| filter.matches(doc).then(|| doc.clone()))
+        self.scan_shards(|_, doc| filter.matches(doc).then(|| doc.clone()))
     }
 
     /// Count documents matching a filter without materializing them.
     pub fn count(&self, filter: &Filter) -> usize {
-        self.parallel_scan(|_, d| filter.matches(d).then_some(()))
+        self.scan_shards(|_, d| filter.matches(d).then_some(()))
             .len()
     }
 
@@ -597,18 +573,19 @@ impl Collection {
     /// bound the filter, every shard is scanned through the filter.
     ///
     /// The work is partitioned by shard — candidate ids routed to their
-    /// home shard, or whole shards — and large partitions fan out one
-    /// task per shard, each keeping only a bounded `k`-entry buffer of
-    /// scores and ids (documents are read under the shard lock and never
-    /// cloned). The per-shard buffers merge under the same total order,
-    /// so the result is identical to scoring every match and fully
-    /// sorting, independent of thread scheduling.
+    /// home shard, or whole shards — and each shard keeps only a bounded
+    /// `k`-entry buffer of scores and ids (documents are read under the
+    /// shard lock and never cloned). It all runs on the calling thread:
+    /// a read already owns one serve worker, and sharding spreads
+    /// storage, not one request's CPU. The per-shard buffers merge under
+    /// the same total order, so the result is identical to scoring every
+    /// match and fully sorting.
     pub fn scored_top_k(
         &self,
         filter: &Filter,
         k: usize,
         index: Option<&IndexReader<'_>>,
-        score: impl Fn(&str, &Value) -> f64 + Sync,
+        score: impl Fn(&str, &Value) -> f64,
     ) -> (usize, Vec<(f64, String)>) {
         let candidates = index.and_then(|index| filter.index_candidates(index));
         let mut residual = Vec::new();
@@ -618,16 +595,13 @@ impl Collection {
         }
         // Partition candidate ids by home shard; `None` partitions mean
         // "scan the whole shard".
-        let (work, parts): (usize, Option<Vec<Vec<&str>>>) = match &candidates {
-            Some(ids) => {
-                let mut parts: Vec<Vec<&str>> = vec![Vec::new(); self.shards.len()];
-                for id in ids {
-                    parts[(route_hash(id) % self.shards.len() as u64) as usize].push(id);
-                }
-                (ids.len(), Some(parts))
+        let parts: Option<Vec<Vec<&str>>> = candidates.as_ref().map(|ids| {
+            let mut parts: Vec<Vec<&str>> = vec![Vec::new(); self.shards.len()];
+            for id in ids {
+                parts[(route_hash(id) % self.shards.len() as u64) as usize].push(id);
             }
-            None => (self.len(), None),
-        };
+            parts
+        });
 
         // One shard's worth of work: verify, score, keep the best k.
         let run_shard = |shard: &Shard, part: Option<&[&str]>| -> (usize, TopBuffer) {
@@ -650,38 +624,10 @@ impl Collection {
             (matched, best)
         };
 
-        let pool = self.score_pool();
-        let part_for = |i: usize| parts.as_ref().map(|p| p[i].as_slice());
-        let per_shard: Vec<(usize, TopBuffer)> =
-            if pool.threads() == 1 || self.shards.len() == 1 || work < PARALLEL_THRESHOLD {
-                self.shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, shard)| run_shard(shard, part_for(i)))
-                    .collect()
-            } else {
-                // Shard fan-out rides the persistent pool: zero thread
-                // spawns per query, one disjoint output slot per shard.
-                let run_shard = &run_shard;
-                let part_for = &part_for;
-                let mut slots: Vec<Option<(usize, TopBuffer)>> =
-                    (0..self.shards.len()).map(|_| None).collect();
-                pool.scope(|scope| {
-                    for ((i, shard), slot) in
-                        self.shards.iter().enumerate().zip(slots.iter_mut())
-                    {
-                        scope.spawn(move || *slot = Some(run_shard(shard, part_for(i))));
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("scoring task completed"))
-                    .collect()
-            };
-
         let mut total = 0usize;
         let mut merged: Vec<(f64, String)> = Vec::new();
-        for (matched, best) in per_shard {
+        for (i, shard) in self.shards.iter().enumerate() {
+            let (matched, best) = run_shard(shard, parts.as_ref().map(|p| p[i].as_slice()));
             total += matched;
             merged.extend(best.entries);
         }
@@ -690,33 +636,13 @@ impl Collection {
         (total, merged)
     }
 
-    /// Scan every shard with `f`, fanning the shards out across the
-    /// persistent scoring pool when the collection is large enough that
-    /// queueing amortizes — this is where the §2 sharding pays off on
-    /// the read side, without a thread spawn per shard per scan.
-    fn parallel_scan<T: Send>(
-        &self,
-        f: impl Fn(&str, &Value) -> Option<T> + Sync,
-    ) -> Vec<T> {
-        let pool = self.score_pool();
-        if pool.threads() == 1 || self.shards.len() == 1 || self.len() < PARALLEL_THRESHOLD {
-            let mut out = Vec::new();
-            for shard in &self.shards {
-                out.extend(shard.scan(|id, doc| f(id, doc)));
-            }
-            return out;
+    /// Scan every shard in order with `f`, keeping what it returns.
+    fn scan_shards<T>(&self, f: impl Fn(&str, &Value) -> Option<T>) -> Vec<T> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            out.extend(shard.scan(|id, doc| f(id, doc)));
         }
-        let f = &f;
-        let mut slots: Vec<Option<Vec<T>>> = (0..self.shards.len()).map(|_| None).collect();
-        pool.scope(|scope| {
-            for (shard, slot) in self.shards.iter().zip(slots.iter_mut()) {
-                scope.spawn(move || *slot = Some(shard.scan(|id, doc| f(id, doc))));
-            }
-        });
-        slots
-            .into_iter()
-            .flat_map(|s| s.expect("scan task completed"))
-            .collect()
+        out
     }
 
     /// Run an aggregation pipeline. A leading `$match` is pushed into the
@@ -1102,9 +1028,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_agrees_with_sequential_and_keeps_order() {
-        // Above the parallel threshold the scan fans out per shard; the
-        // result must be identical (including order) to the sequential path.
+    fn find_and_count_agree_with_scan_all_and_keep_order() {
+        // An unindexed filter scans every shard; the result must equal
+        // (including order) filtering the whole collection.
         let c = coll();
         for i in 0..900 {
             c.insert(obj! { "_id" => format!("p{i:04}"), "n" => i % 7 }).unwrap();
@@ -1234,26 +1160,20 @@ mod tests {
     }
 
     #[test]
-    fn scored_top_k_reuses_the_pool_and_spawns_zero_threads_per_query() {
-        // Big enough to clear PARALLEL_THRESHOLD so the parallel branch
-        // engages, with an explicitly injected multi-worker pool (the
-        // harness machine may report one core, which would otherwise
-        // keep everything on the sequential path).
+    fn scored_top_k_merges_four_shards_into_the_full_sort() {
+        // 1024 candidates spread over 4 shards: each shard keeps its own
+        // bounded buffer, and the merge must equal scoring every match.
         let c = Collection::new(
             CollectionConfig::new("pubs")
                 .with_shards(4)
                 .with_text_fields(["title"]),
         );
-        let pool = Arc::new(ScorePool::new(3));
-        c.set_score_pool(Arc::clone(&pool));
-        for i in 0..(PARALLEL_THRESHOLD * 2) {
-            c.insert(obj! { "_id" => format!("d{i:05}"), "title" => "mask study", "n" => i as i64 })
+        for i in 0..1024_i64 {
+            c.insert(obj! { "_id" => format!("d{i:05}"), "title" => "mask study", "n" => i })
                 .unwrap();
         }
         let filter = Filter::text("mask", vec!["title".into()]);
         let score = |_: &str, d: &Value| d.path("n").unwrap().as_f64().unwrap();
-        let spawned_before = pool.threads_spawned();
-        let executed_before = pool.tasks_executed();
         let (expect_total, expect_top) = naive_top_k(&c, &filter, 5, score);
         for q in 0..25 {
             let index = c.text_index().map(TextIndex::read);
@@ -1261,17 +1181,8 @@ mod tests {
             assert_eq!(total, expect_total, "query {q}");
             assert_eq!(got, expect_top, "query {q}");
         }
-        assert_eq!(
-            pool.threads_spawned(),
-            spawned_before,
-            "a query under load must cost zero thread spawns"
-        );
-        assert!(
-            pool.tasks_executed() >= executed_before + 25 * 4,
-            "every query fans its 4 shards across the persistent pool: {} -> {}",
-            executed_before,
-            pool.tasks_executed()
-        );
+        assert_eq!(expect_total, 1024);
+        assert!(c.stats().shards.iter().all(|s| s.docs > 0), "every shard holds candidates");
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use crate::collection::{Collection, CollectionConfig};
 use crate::error::StoreError;
-use crate::pool::ScorePool;
 use crate::stats::DbStats;
 use std::sync::RwLock;
 use std::collections::BTreeMap;
@@ -34,14 +33,6 @@ impl Database {
         })
     }
 
-    /// The scoring pool injected into every collection this database
-    /// opens: the process-wide shared pool (sized to cores, created on
-    /// first use), so query bursts across collections — and across
-    /// databases in the same process — share one fixed worker set.
-    pub fn score_pool(&self) -> Arc<ScorePool> {
-        Arc::clone(ScorePool::global())
-    }
-
     /// Create (or re-open, when persistent state exists) a collection.
     /// Fails if a collection with this name is already live.
     pub fn create_collection(&self, config: CollectionConfig) -> Result<Arc<Collection>, StoreError> {
@@ -50,7 +41,6 @@ impl Database {
             Some(dir) => Collection::open(config, dir)?,
             None => Collection::new(config),
         };
-        coll.set_score_pool(self.score_pool());
         let coll = Arc::new(coll);
         let mut guard = self.collections.write().unwrap();
         if guard.contains_key(&name) {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # covidkg-store
 //!
@@ -42,7 +43,6 @@ pub mod gauntlet;
 pub mod index;
 pub mod pipeline;
 mod pipeline_parse;
-pub mod pool;
 pub mod shard;
 pub mod update;
 pub mod stats;
@@ -57,7 +57,6 @@ pub use flusher::{Flusher, FlusherStats};
 pub use gauntlet::{run_gauntlet, GauntletConfig, GauntletReport};
 pub use index::{DocPostings, HashIndex, IndexReader, Posting, TextIndex};
 pub use pipeline::{Accumulator, Pipeline, Stage};
-pub use pool::ScorePool;
 pub use stats::{CollectionStats, DbStats, ShardStats};
 pub use update::UpdateSpec;
 pub use wal::{WalReader, WalRecord, WalTail};

@@ -301,7 +301,7 @@ impl Pipeline {
                     } else if f.text_stems().is_some() {
                         "inverted-index candidates + verify"
                     } else {
-                        "parallel shard scan"
+                        "shard scan"
                     };
                     format!("$match (pushed into scan: {access})")
                 }

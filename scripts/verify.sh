@@ -63,6 +63,9 @@ cargo test -p covidkg-net --test one_queue --offline -q
 echo "==> protocol regression suite on the reactor path (slowloris 408, 431/413/400, drain)"
 cargo test -p covidkg-net --test wire_e2e --offline -q
 
+echo "==> thread count (one stack, store included, is one reactor plus the serve workers)"
+cargo test -p covidkg-net --test thread_count --offline -q
+
 echo "==> hit path pinned by counts (allocations per op row: parse / handle / write, no body copy)"
 cargo test -p covidkg-net --test hit_allocs --offline -q
 

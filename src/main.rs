@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `covidkg` — command-line front door to the reproduction.
 //!
 //! Stateless usage builds a fresh in-memory system per invocation; with
