@@ -11,11 +11,11 @@
 use crate::registry::ModelRegistry;
 use crate::training::{self, build_tuple_examples, labeled_rows_from_corpus, LabeledRow};
 use covidkg_corpus::{CorpusConfig, CorpusGenerator, Publication};
-use covidkg_json::Value;
+use covidkg_json::{write_number, Number, Value};
 use crate::views::Views;
 use covidkg_kg::materialize::ProfileStore;
 use covidkg_kg::profile::Observation;
-use covidkg_kg::query::{QueryPlan, QueryResult};
+use covidkg_kg::query::{QueryPlan, QueryResult, RankedPath};
 use covidkg_kg::{
     extract_subtrees, seed_graph, FusionConfig, FusionEngine, FusionStats,
     KnowledgeGraph, MetaProfile, ScriptedExpert,
@@ -710,25 +710,12 @@ impl CovidKg {
 
     /// The trust-aware re-ranking of [`CovidKg::kg_query_trusted`],
     /// applied to a traversal already run (so a caller can read the
-    /// traversal's work counters first).
+    /// traversal's work counters first). The wire body is
+    /// [`CovidKg::kg_trust_body`], held to this document's `to_json()`.
     pub fn kg_trust_rerank(&self, result: &QueryResult) -> Value {
-        let mut paths: Vec<(f64, f64, &covidkg_kg::RankedPath)> = result
-            .paths
-            .iter()
-            .map(|p| {
-                let mean = if p.nodes.is_empty() {
-                    0.0
-                } else {
-                    p.nodes.iter().filter_map(|&n| self.views.trust().trust(n)).sum::<f64>()
-                        / p.nodes.len() as f64
-                };
-                (p.score * (0.5 + 0.5 * mean), mean, p)
-            })
-            .collect();
-        paths.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.2.nodes.cmp(&b.2.nodes)));
         covidkg_json::obj! {
             "paths" => Value::Array(
-                paths
+                self.trust_ranked(result)
                     .iter()
                     .map(|(trusted_score, trust, p)| {
                         let mut v = p.to_json();
@@ -743,6 +730,61 @@ impl CovidKg {
             "epoch" => self.views.trust().epoch() as i64,
             "generation" => self.generation as i64,
         }
+    }
+
+    /// The `GET /kg/query?trust=1` body: [`CovidKg::kg_trust_rerank`]
+    /// serialized, written straight into one `String` sized up front
+    /// (`kg_trust_rerank(result).to_json()` is its byte-for-byte oracle).
+    pub fn kg_trust_body(&self, result: &QueryResult) -> String {
+        // Per path: `,"trust":` and `,"trusted_score":` with a score
+        // each; per body: `,"epoch":` and `,"generation":` with an
+        // integer each.
+        let paths: usize = result.paths.iter().map(|p| p.body_capacity() + 74).sum();
+        let mut out = String::with_capacity(136 + paths);
+        out.push_str("{\"paths\":[");
+        for (i, (trusted_score, trust, p)) in self.trust_ranked(result).iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('{');
+            p.write_members(&mut out);
+            out.push_str(",\"trust\":");
+            write_number(Number::Float(*trust), &mut out);
+            out.push_str(",\"trusted_score\":");
+            write_number(Number::Float(*trusted_score), &mut out);
+            out.push('}');
+        }
+        out.push(']');
+        result.write_counters(&mut out);
+        out.push_str(",\"epoch\":");
+        write_number(Number::Int(self.views.trust().epoch() as i64), &mut out);
+        out.push_str(",\"generation\":");
+        write_number(Number::Int(self.generation as i64), &mut out);
+        out.push('}');
+        out
+    }
+
+    /// The one trust re-rank both forms serialize: every path as
+    /// `(trusted_score, trust, path)`, where `trust` is the mean
+    /// propagated trust of its nodes and `trusted_score` is
+    /// `score × (0.5 + 0.5·trust)`, ordered by `trusted_score`
+    /// descending, ties by node path.
+    fn trust_ranked<'r>(&self, result: &'r QueryResult) -> Vec<(f64, f64, &'r RankedPath)> {
+        let mut paths: Vec<_> = result
+            .paths
+            .iter()
+            .map(|p| {
+                let mean = if p.nodes.is_empty() {
+                    0.0
+                } else {
+                    p.nodes.iter().filter_map(|&n| self.views.trust().trust(n)).sum::<f64>()
+                        / p.nodes.len() as f64
+                };
+                (p.score * (0.5 + 0.5 * mean), mean, p)
+            })
+            .collect();
+        paths.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.2.nodes.cmp(&b.2.nodes)));
+        paths
     }
 
     /// One vaccine's epoch-stamped meta-profile document (JSON +
@@ -1343,6 +1385,39 @@ mod tests {
             prev = ts;
         }
         assert!(trusted.path("epoch").and_then(Value::as_i64).is_some());
+    }
+
+    /// The two `/kg/query` body writers against their `Value` oracles,
+    /// over real traversals: every start kind, every relation (`co`
+    /// shapes included), predicate filters, k from 1 to 100.
+    #[test]
+    fn kg_query_bodies_equal_their_value_oracles() {
+        let system = CovidKg::build(small_config()).unwrap();
+        let starts = [
+            "term:vaccine", "term:fever", "kind:root", "kind:category", "kind:entity", "node:0",
+            "node:3", "node:99999",
+        ];
+        let steps = [
+            "", "child", "parent", "any", "co", "child,child", "parent,child:entity", "any,co",
+            "co,co", "co:entity", "co::paper-1", "child,co,any",
+        ];
+        let mut paths = 0;
+        for start in starts {
+            for step in steps {
+                for (fanout, k) in [(1, 1), (4, 7), (16, 100), (64, 100)] {
+                    let plan = QueryPlan::parse(start, step, fanout, k).unwrap();
+                    let r = system.kg_query(&plan);
+                    paths += r.paths.len();
+                    assert_eq!(r.to_body(), r.to_json().to_json(), "plan {plan:?}");
+                    assert_eq!(
+                        system.kg_trust_body(&r),
+                        system.kg_trust_rerank(&r).to_json(),
+                        "plan {plan:?}"
+                    );
+                }
+            }
+        }
+        assert!(paths > 1000, "the plans return {paths} paths in all");
     }
 
     #[test]

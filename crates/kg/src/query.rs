@@ -23,7 +23,7 @@
 //! included.
 
 use crate::graph::{KnowledgeGraph, NodeId, NodeKind, PaperId};
-use covidkg_json::{obj, Value};
+use covidkg_json::{obj, write_number, write_string, Number, Value};
 
 /// Hard ceiling on hop steps per plan (bounded depth).
 pub const MAX_STEPS: usize = 8;
@@ -200,7 +200,8 @@ impl QueryPlan {
 }
 
 impl RankedPath {
-    /// JSON form of one path.
+    /// JSON form of one path. The wire writes it with
+    /// [`RankedPath::write_members`], held to this byte for byte.
     pub fn to_json(&self) -> Value {
         obj! {
             "nodes" => Value::Array(self.nodes.iter().map(|&n| Value::int(n as i64)).collect()),
@@ -208,6 +209,40 @@ impl RankedPath {
             "support" => self.support,
             "score" => self.score,
         }
+    }
+
+    /// The members of [`RankedPath::to_json`]'s object, serialized in its
+    /// order without the braces, so a caller can close the object or
+    /// append members of its own first.
+    pub fn write_members(&self, out: &mut String) {
+        out.push_str("\"nodes\":[");
+        for (i, &n) in self.nodes.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_number(Number::Int(n as i64), out);
+        }
+        out.push_str("],\"labels\":[");
+        for (i, label) in self.labels.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_string(label, out);
+        }
+        out.push_str("],\"support\":");
+        write_number(Number::Int(self.support as i64), out);
+        out.push_str(",\"score\":");
+        write_number(Number::Float(self.score), out);
+    }
+
+    /// What [`RankedPath::write_members`] writes at most, braces and a
+    /// separating comma included, unless a label escapes or the score
+    /// prints longer than 24 bytes: member names and punctuation, every
+    /// label's unescaped length in quotes, and every number at its
+    /// longest integer (20 bytes).
+    pub fn body_capacity(&self) -> usize {
+        let labels: usize = self.labels.iter().map(|l| l.len() + 3).sum();
+        90 + 21 * self.nodes.len() + labels
     }
 }
 
@@ -218,13 +253,44 @@ impl QueryResult {
         Value::Array(self.paths.iter().map(RankedPath::to_json).collect())
     }
 
-    /// Full JSON form: paths plus work counters.
+    /// Full JSON form: paths plus work counters. The wire body is
+    /// [`QueryResult::to_body`], held to `to_json().to_json()`.
     pub fn to_json(&self) -> Value {
         obj! {
             "paths" => self.paths_json(),
             "hops" => self.hops as i64,
             "visited" => self.visited as i64,
         }
+    }
+
+    /// The `GET /kg/query` body: [`QueryResult::to_json`] serialized,
+    /// written straight into one `String` sized up front
+    /// (`to_json().to_json()` is its byte-for-byte oracle).
+    pub fn to_body(&self) -> String {
+        let paths: usize = self.paths.iter().map(RankedPath::body_capacity).sum();
+        let mut out = String::with_capacity(72 + paths);
+        out.push_str("{\"paths\":[");
+        for (i, p) in self.paths.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('{');
+            p.write_members(&mut out);
+            out.push('}');
+        }
+        out.push(']');
+        self.write_counters(&mut out);
+        out.push('}');
+        out
+    }
+
+    /// The `hops` and `visited` members, each after a comma: what follows
+    /// the paths array in every serialized query result.
+    pub fn write_counters(&self, out: &mut String) {
+        out.push_str(",\"hops\":");
+        write_number(Number::Int(self.hops as i64), out);
+        out.push_str(",\"visited\":");
+        write_number(Number::Int(self.visited as i64), out);
     }
 }
 
@@ -311,9 +377,10 @@ struct TopK {
 
 impl TopK {
     /// Offer a complete path with its support (distinct provenance
-    /// papers): scored `(support + 1) / length`, and materialized —
-    /// node ids and labels cloned — only when it enters the buffer.
-    fn offer(&mut self, kg: &KnowledgeGraph, nodes: &[NodeId], support: usize) {
+    /// papers): scored `(support + 1) / length`, and its node ids copied
+    /// only when it enters the buffer. Labels are left empty: a path can
+    /// still be pushed out, so [`traverse`] fills them for the survivors.
+    fn offer(&mut self, nodes: &[NodeId], support: usize) {
         let score = (support + 1) as f64 / nodes.len() as f64;
         let pos = self.items.partition_point(|q| {
             score.total_cmp(&q.score).then_with(|| q.nodes.as_slice().cmp(nodes)).is_lt()
@@ -322,8 +389,8 @@ impl TopK {
             return;
         }
         self.items.truncate(self.k - 1);
-        let labels = nodes.iter().map(|&n| kg.node(n).label.clone()).collect();
-        self.items.insert(pos, RankedPath { nodes: nodes.to_vec(), labels, support, score });
+        let path = RankedPath { nodes: nodes.to_vec(), labels: Vec::new(), support, score };
+        self.items.insert(pos, path);
     }
 }
 
@@ -380,9 +447,9 @@ fn traverse(
             if reversed {
                 forward.clear();
                 forward.extend(path.iter().rev());
-                top.offer(kg, &forward, support as usize);
+                top.offer(&forward, support as usize);
             } else {
-                top.offer(kg, &path, support as usize);
+                top.offer(&path, support as usize);
             }
             path.pop();
         } else {
@@ -396,7 +463,11 @@ fn traverse(
             taken[d + 1] = 0;
         }
     }
-    QueryResult { paths: top.items, hops, visited }
+    let mut paths = top.items;
+    for p in &mut paths {
+        p.labels = p.nodes.iter().map(|&n| kg.node(n).label.clone()).collect();
+    }
+    QueryResult { paths, hops, visited }
 }
 
 /// The serving engine: forward traversal from the start set.

@@ -1,7 +1,8 @@
-//! Property test: the index-pruned, shard-parallel, postings-scored top-k
-//! fast path must return **byte-identical** pages to the naive full-scan,
-//! tokenizing-scorer, full-sort oracle — same totals, same ids in the same
-//! order (including `(score, _id)` tie-breaks), and bit-equal `f64` scores.
+//! Property test: the index-pruned, postings-scored top-k fast path
+//! (per-shard buffers, merged) must return **byte-identical** pages to
+//! the naive full-scan, tokenizing-scorer, full-sort oracle — same
+//! totals, same ids in the same order (including `(score, _id)`
+//! tie-breaks), and bit-equal `f64` scores.
 
 use covidkg_json::{arr, obj, Value};
 use covidkg_rand::prop;
@@ -169,11 +170,11 @@ fn pruned_top_k_is_byte_identical_to_full_scan() {
     });
 }
 
-/// Crosses the store's parallel threshold (512 scoring candidates) so the
-/// per-shard worker-thread merge path is exercised, not just the
-/// sequential fallback.
+/// More than 512 candidates, per-shard buffers merged: every shard
+/// fills its own top-k buffer before the merge, at a size the small
+/// random corpora above never reach.
 #[test]
-fn equivalence_at_parallel_scale() {
+fn equivalence_past_512_candidates() {
     let mut rng = <SmallRng as covidkg_rand::SeedableRng>::seed_from_u64(0xD0C5);
     let collection = random_corpus(&mut rng, 700, 4);
     let engine = SearchEngine::new(collection);

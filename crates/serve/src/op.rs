@@ -152,9 +152,9 @@ impl Op<'_> {
     }
 
     /// Compute the answer against `system` and serialize it — the one
-    /// time it is: a page (kept beside its bytes) for the searches, the
-    /// JSON document for everything else. `None` = unknown node id,
-    /// vaccine or venue.
+    /// time it is: a page (kept beside its bytes) for the searches, a
+    /// KG query's body written straight to bytes, the JSON document for
+    /// everything else. `None` = unknown node id, vaccine or venue.
     pub(crate) fn compute(&self, system: &CovidKg, metrics: &Metrics) -> Option<Arc<Entry>> {
         let body = |json: String| Some(Entry::from(json));
         let page = |page, trusted| {
@@ -171,12 +171,11 @@ impl Op<'_> {
             Op::KgQuery(plan, trusted) => {
                 let result = system.kg_query(plan);
                 metrics.record_kg_traversal(result.hops, result.visited);
-                let doc = if *trusted {
-                    system.kg_trust_rerank(&result)
+                body(if *trusted {
+                    system.kg_trust_body(&result)
                 } else {
-                    result.to_json()
-                };
-                body(doc.to_json())
+                    result.to_body()
+                })
             }
             Op::KgProfile(vaccine) => system
                 .kg_profile(vaccine)

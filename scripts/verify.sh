@@ -28,6 +28,10 @@ cargo test -p covidkg-json --test proptest_roundtrip --offline -q
 echo "==> search body parity property test (SearchPage::to_body vs to_json().to_json(), echo range)"
 cargo test -p covidkg-search --test body_parity --offline -q
 
+echo "==> KG query body parity and allocation count (both /kg/query writers vs their Value oracles, one buffer each)"
+cargo test -p covidkg-kg --test body_parity --offline -q
+cargo test -p covidkg-core --test kg_body_allocs --offline -q
+
 # The benchmark is a package of its own that no PR may edit: its smoke is
 # the only thing that notices when a program change breaks its build or
 # its byte-for-byte body check.
