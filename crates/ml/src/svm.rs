@@ -136,12 +136,116 @@ pub struct Svm {
     bias: f32,
 }
 
+/// Largest training set (n² f32s) whose kernel matrix is cached; the
+/// training sets in the experiments are ≤ a few thousand rows.
+const KERNEL_CACHE_LIMIT: usize = 16_000_000;
+
+/// The full kernel matrix, or `None` when n² exceeds `limit`. Each pair
+/// is evaluated once and stored at both `(i, j)` and `(j, i)`, so a row
+/// read is bit-for-bit the column read.
+fn kernel_matrix(examples: &[SparseVector], kernel: Kernel, limit: usize) -> Option<Vec<f32>> {
+    let n = examples.len();
+    if n * n > limit {
+        return None;
+    }
+    let mut k = vec![0.0f32; n * n];
+    for i in 0..n {
+        for j in i..n {
+            let v = kernel.eval(&examples[i], &examples[j]);
+            k[i * n + j] = v;
+            k[j * n + i] = v;
+        }
+    }
+    Some(k)
+}
+
+/// How many margins SMO computes per pass over the nonzero α list.
+const MARGIN_BATCH: usize = 4;
+
+/// SMO's working state for the margin `f(i) = b + Σ_j α_j·y_j·K(j, i)`:
+/// the kernel (cached or not) and the nonzero α terms of that sum.
+struct Margins<'a> {
+    examples: &'a [SparseVector],
+    kernel: Kernel,
+    cache: Option<Vec<f32>>,
+    /// `(j, α_j·y_j)` for every `j` whose `α_j != 0.0`, ascending in `j`:
+    /// the terms the full sum would not skip, in the order it adds them.
+    terms: Vec<(usize, f32)>,
+}
+
+impl Margins<'_> {
+    fn kval(&self, i: usize, j: usize) -> f32 {
+        match &self.cache {
+            Some(k) => k[i * self.examples.len() + j],
+            None => self.kernel.eval(&self.examples[i], &self.examples[j]),
+        }
+    }
+
+    /// Record a new `α_j` (with label `y_j`), keeping `terms` ascending.
+    fn set_alpha(&mut self, j: usize, alpha: f32, y: f32) {
+        let at = self.terms.binary_search_by_key(&j, |&(t, _)| t);
+        match (at, alpha != 0.0) {
+            (Ok(k), true) => self.terms[k].1 = alpha * y,
+            (Ok(k), false) => {
+                self.terms.remove(k);
+            }
+            (Err(k), true) => self.terms.insert(k, (j, alpha * y)),
+            (Err(_), false) => {}
+        }
+    }
+
+    /// `f(first + r)` into `out[r]`: one independent chain per margin,
+    /// each starting at `b` and adding the same terms in the same order
+    /// as a lone `f`, so batching changes no bit.
+    fn fill(&self, b: f32, first: usize, out: &mut [f32]) {
+        out.fill(b);
+        match &self.cache {
+            Some(k) => {
+                let n = self.examples.len();
+                let mut rows: [&[f32]; MARGIN_BATCH] = [&[]; MARGIN_BATCH];
+                for (row, i) in rows.iter_mut().zip(first..first + out.len()) {
+                    *row = &k[i * n..(i + 1) * n];
+                }
+                for &(j, c) in &self.terms {
+                    for (acc, row) in out.iter_mut().zip(&rows) {
+                        *acc += c * row[j];
+                    }
+                }
+            }
+            None => {
+                let xs = &self.examples[first..first + out.len()];
+                for &(j, c) in &self.terms {
+                    for (acc, x) in out.iter_mut().zip(xs) {
+                        *acc += c * self.kernel.eval(&self.examples[j], x);
+                    }
+                }
+            }
+        }
+    }
+
+    fn f(&self, b: f32, i: usize) -> f32 {
+        let mut out = [0.0f32];
+        self.fill(b, i, &mut out);
+        out[0]
+    }
+}
+
 impl Svm {
     /// Train on sparse examples with ±1 labels (`true` ⇒ +1).
     ///
     /// Panics if `examples` is empty or lengths mismatch — training-set
     /// construction bugs, not data errors.
     pub fn train(examples: &[SparseVector], labels: &[bool], config: &SvmConfig) -> Svm {
+        Self::train_within(examples, labels, config, KERNEL_CACHE_LIMIT)
+    }
+
+    /// [`Svm::train`] caching the kernel matrix only when n² ≤ `cache_limit`.
+    fn train_within(
+        examples: &[SparseVector],
+        labels: &[bool],
+        config: &SvmConfig,
+        cache_limit: usize,
+    ) -> Svm {
         assert!(!examples.is_empty(), "empty training set");
         assert_eq!(examples.len(), labels.len());
         let n = examples.len();
@@ -149,44 +253,28 @@ impl Svm {
         let mut alpha = vec![0.0f32; n];
         let mut b = 0.0f32;
         let mut rng = SmallRng::seed_from_u64(config.seed);
-
-        // Cache the kernel matrix when it fits (n² f32s); the training
-        // sets in the experiments are ≤ a few thousand rows.
-        let cache: Option<Vec<f32>> = if n * n <= 16_000_000 {
-            let mut k = vec![0.0f32; n * n];
-            for i in 0..n {
-                for j in i..n {
-                    let v = config.kernel.eval(&examples[i], &examples[j]);
-                    k[i * n + j] = v;
-                    k[j * n + i] = v;
-                }
-            }
-            Some(k)
-        } else {
-            None
+        let mut m = Margins {
+            examples,
+            kernel: config.kernel,
+            cache: kernel_matrix(examples, config.kernel, cache_limit),
+            terms: Vec::new(),
         };
-        let kval = |i: usize, j: usize| -> f32 {
-            match &cache {
-                Some(k) => k[i * n + j],
-                None => config.kernel.eval(&examples[i], &examples[j]),
-            }
-        };
-        let f = |alpha: &[f32], b: f32, i: usize| -> f32 {
-            let mut acc = b;
-            for (j, &a) in alpha.iter().enumerate() {
-                if a != 0.0 {
-                    acc += a * y[j] * kval(j, i);
-                }
-            }
-            acc
-        };
+        // `f(i)` for `i` in `batch_at..batch_at + batch_len`, valid until
+        // α or `b` next changes.
+        let mut batch = [0.0f32; MARGIN_BATCH];
+        let (mut batch_at, mut batch_len) = (0, 0);
 
         let mut passes = 0;
         let mut iters = 0;
         while passes < config.max_passes && iters < config.max_iters {
             let mut changed = 0;
             for i in 0..n {
-                let ei = f(&alpha, b, i) - y[i];
+                if !(batch_at..batch_at + batch_len).contains(&i) {
+                    batch_at = i;
+                    batch_len = MARGIN_BATCH.min(n - i);
+                    m.fill(b, i, &mut batch[..batch_len]);
+                }
+                let ei = batch[i - batch_at] - y[i];
                 let violates = (y[i] * ei < -config.tol && alpha[i] < config.c)
                     || (y[i] * ei > config.tol && alpha[i] > 0.0);
                 if !violates {
@@ -197,7 +285,7 @@ impl Svm {
                 if j >= i {
                     j += 1;
                 }
-                let ej = f(&alpha, b, j) - y[j];
+                let ej = m.f(b, j) - y[j];
                 let (ai_old, aj_old) = (alpha[i], alpha[j]);
                 let (lo, hi) = if (y[i] - y[j]).abs() < f32::EPSILON {
                     ((ai_old + aj_old - config.c).max(0.0), (ai_old + aj_old).min(config.c))
@@ -209,7 +297,7 @@ impl Svm {
                 if hi <= lo + 1e-8 {
                     continue;
                 }
-                let eta = 2.0 * kval(i, j) - kval(i, i) - kval(j, j);
+                let eta = 2.0 * m.kval(i, j) - m.kval(i, i) - m.kval(j, j);
                 if eta >= 0.0 {
                     continue;
                 }
@@ -221,13 +309,16 @@ impl Svm {
                 let ai = ai_old + y[i] * y[j] * (aj_old - aj);
                 alpha[i] = ai;
                 alpha[j] = aj;
+                m.set_alpha(i, ai, y[i]);
+                m.set_alpha(j, aj, y[j]);
+                batch_len = 0;
                 // Bias update (Platt's rules).
                 let b1 = b - ei
-                    - y[i] * (ai - ai_old) * kval(i, i)
-                    - y[j] * (aj - aj_old) * kval(i, j);
+                    - y[i] * (ai - ai_old) * m.kval(i, i)
+                    - y[j] * (aj - aj_old) * m.kval(i, j);
                 let b2 = b - ej
-                    - y[i] * (ai - ai_old) * kval(i, j)
-                    - y[j] * (aj - aj_old) * kval(j, j);
+                    - y[i] * (ai - ai_old) * m.kval(i, j)
+                    - y[j] * (aj - aj_old) * m.kval(j, j);
                 b = if ai > 0.0 && ai < config.c {
                     b1
                 } else if aj > 0.0 && aj < config.c {
@@ -244,7 +335,18 @@ impl Svm {
             }
             iters += 1;
         }
+        Self::from_alphas(config.kernel, examples, &y, &alpha, b)
+    }
 
+    /// The model SMO's final α and `b` describe: every row with
+    /// α > 1e-7 is a support vector with coefficient `α·y`.
+    fn from_alphas(
+        kernel: Kernel,
+        examples: &[SparseVector],
+        y: &[f32],
+        alpha: &[f32],
+        b: f32,
+    ) -> Svm {
         let mut support = Vec::new();
         let mut coef = Vec::new();
         for (i, &a) in alpha.iter().enumerate() {
@@ -254,7 +356,7 @@ impl Svm {
             }
         }
         Svm {
-            kernel: config.kernel,
+            kernel,
             support,
             coef,
             bias: b,
@@ -358,6 +460,219 @@ impl Svm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use covidkg_rand::prop;
+
+    /// The SMO loop before the nonzero-α list, row reads and batched
+    /// margins: every `f(i)` walks all n α values down a kernel column.
+    /// [`Svm::train_within`] must match it bit for bit.
+    fn train_reference(
+        examples: &[SparseVector],
+        labels: &[bool],
+        config: &SvmConfig,
+        cache_limit: usize,
+    ) -> Svm {
+        let n = examples.len();
+        let y: Vec<f32> = labels.iter().map(|&l| if l { 1.0 } else { -1.0 }).collect();
+        let mut alpha = vec![0.0f32; n];
+        let mut b = 0.0f32;
+        let mut rng = SmallRng::seed_from_u64(config.seed);
+        let cache = kernel_matrix(examples, config.kernel, cache_limit);
+        let kval = |i: usize, j: usize| -> f32 {
+            match &cache {
+                Some(k) => k[i * n + j],
+                None => config.kernel.eval(&examples[i], &examples[j]),
+            }
+        };
+        let f = |alpha: &[f32], b: f32, i: usize| -> f32 {
+            let mut acc = b;
+            for (j, &a) in alpha.iter().enumerate() {
+                if a != 0.0 {
+                    acc += a * y[j] * kval(j, i);
+                }
+            }
+            acc
+        };
+        let mut passes = 0;
+        let mut iters = 0;
+        while passes < config.max_passes && iters < config.max_iters {
+            let mut changed = 0;
+            for i in 0..n {
+                let ei = f(&alpha, b, i) - y[i];
+                let violates = (y[i] * ei < -config.tol && alpha[i] < config.c)
+                    || (y[i] * ei > config.tol && alpha[i] > 0.0);
+                if !violates {
+                    continue;
+                }
+                let mut j = rng.gen_range(0..n - 1);
+                if j >= i {
+                    j += 1;
+                }
+                let ej = f(&alpha, b, j) - y[j];
+                let (ai_old, aj_old) = (alpha[i], alpha[j]);
+                let (lo, hi) = if (y[i] - y[j]).abs() < f32::EPSILON {
+                    ((ai_old + aj_old - config.c).max(0.0), (ai_old + aj_old).min(config.c))
+                } else {
+                    ((aj_old - ai_old).max(0.0), (config.c + aj_old - ai_old).min(config.c))
+                };
+                if hi <= lo + 1e-8 {
+                    continue;
+                }
+                let eta = 2.0 * kval(i, j) - kval(i, i) - kval(j, j);
+                if eta >= 0.0 {
+                    continue;
+                }
+                let mut aj = aj_old - y[j] * (ei - ej) / eta;
+                aj = aj.clamp(lo, hi);
+                if (aj - aj_old).abs() < 1e-5 {
+                    continue;
+                }
+                let ai = ai_old + y[i] * y[j] * (aj_old - aj);
+                alpha[i] = ai;
+                alpha[j] = aj;
+                let b1 = b - ei
+                    - y[i] * (ai - ai_old) * kval(i, i)
+                    - y[j] * (aj - aj_old) * kval(i, j);
+                let b2 = b - ej
+                    - y[i] * (ai - ai_old) * kval(i, j)
+                    - y[j] * (aj - aj_old) * kval(j, j);
+                b = if ai > 0.0 && ai < config.c {
+                    b1
+                } else if aj > 0.0 && aj < config.c {
+                    b2
+                } else {
+                    (b1 + b2) / 2.0
+                };
+                changed += 1;
+            }
+            if changed == 0 {
+                passes += 1;
+            } else {
+                passes = 0;
+            }
+            iters += 1;
+        }
+        Svm::from_alphas(config.kernel, examples, &y, &alpha, b)
+    }
+
+    /// One generated training problem for the SMO oracle.
+    #[derive(Debug, Clone)]
+    struct Case {
+        rows: Vec<(SparseVector, bool)>,
+        kernel: Kernel,
+        c: f32,
+        max_passes: usize,
+        max_iters: usize,
+        seed: u64,
+        cached: bool,
+    }
+
+    fn gen_case(rng: &mut SmallRng) -> Case {
+        let n = if rng.gen_bool(0.3) {
+            rng.gen_range(2..=12)
+        } else {
+            rng.gen_range(2..=300)
+        };
+        let dims = rng.gen_range(1..=24u32);
+        // One-class sets, sets of near-duplicates and mixed labels.
+        let labelling = rng.gen_range(0..4);
+        let mut rows: Vec<(SparseVector, bool)> = Vec::with_capacity(n);
+        for i in 0..n {
+            let label = match labelling {
+                0 => true,
+                1 => false,
+                _ => rng.gen_bool(0.5),
+            };
+            let x: SparseVector = if i > 0 && rng.gen_bool(0.1) {
+                rows[rng.gen_range(0..i)].0.clone()
+            } else if rng.gen_bool(0.05) {
+                Vec::new()
+            } else {
+                let shift = if label { 0.5 } else { -0.5 };
+                let mut x = SparseVector::new();
+                for f in 0..dims {
+                    if rng.gen_bool(0.3) {
+                        x.push((f, rng.gen_range(-1.0f32..1.0) + shift));
+                    }
+                }
+                x
+            };
+            rows.push((x, label));
+        }
+        let kernel = match rng.gen_range(0..3) {
+            0 => Kernel::Linear,
+            1 => Kernel::Rbf {
+                gamma: rng.gen_range(0.05f32..2.0),
+            },
+            _ => Kernel::Sigmoid {
+                alpha: rng.gen_range(0.05f32..1.0),
+                c: rng.gen_range(-1.0f32..1.0),
+            },
+        };
+        // Uncached training re-evaluates the kernel per term: keep its
+        // sweeps few so a debug build stays quick.
+        let cached = rng.gen_bool(0.6);
+        let max_iters = if cached {
+            rng.gen_range(1..=200)
+        } else {
+            rng.gen_range(1..=12)
+        };
+        Case {
+            rows,
+            kernel,
+            c: *prop::pick(rng, &[0.1f32, 1.0, 5.0, 100.0]),
+            max_passes: rng.gen_range(1..=5),
+            max_iters,
+            seed: rng.gen(),
+            cached,
+        }
+    }
+
+    fn check_case(case: &Case) -> Result<(), String> {
+        if case.rows.len() < 2 {
+            return Ok(());
+        }
+        let (xs, ys): (Vec<SparseVector>, Vec<bool>) = case.rows.iter().cloned().unzip();
+        let config = SvmConfig {
+            kernel: case.kernel,
+            c: case.c,
+            max_passes: case.max_passes,
+            max_iters: case.max_iters,
+            seed: case.seed,
+            ..SvmConfig::default()
+        };
+        let limit = if case.cached { KERNEL_CACHE_LIMIT } else { 0 };
+        let fast = Svm::train_within(&xs, &ys, &config, limit);
+        let slow = train_reference(&xs, &ys, &config, limit);
+        if fast.save_text() != slow.save_text() {
+            return Err(format!(
+                "save_text differs:\n{}\nvs reference\n{}",
+                fast.save_text(),
+                slow.save_text()
+            ));
+        }
+        for x in &xs {
+            let (a, b) = (fast.decision(x), slow.decision(x));
+            if a.to_bits() != b.to_bits() {
+                return Err(format!("decision {a} vs reference {b} on {x:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn smo_matches_the_full_scan_reference_bit_for_bit() {
+        prop::run_shrink(
+            96,
+            gen_case,
+            |case| {
+                prop::shrink_vec(&case.rows, |_| Vec::new())
+                    .into_iter()
+                    .map(|rows| Case { rows, ..case.clone() })
+                    .collect()
+            },
+            check_case,
+        );
+    }
 
     fn dense(v: &[f32]) -> SparseVector {
         v.iter()

@@ -69,6 +69,15 @@ pub struct Word2Vec {
 impl Word2Vec {
     /// Train on tokenized sentences.
     pub fn train(sentences: &[Vec<String>], config: &Word2VecConfig) -> Word2Vec {
+        let (mut model, mut rng) = Self::initialized(sentences, config);
+        model.fine_tune(sentences, config, &mut rng);
+        model.renormalize();
+        model
+    }
+
+    /// The vocabulary and random initial vectors [`Word2Vec::train`]
+    /// starts from, with the RNG positioned for its training passes.
+    fn initialized(sentences: &[Vec<String>], config: &Word2VecConfig) -> (Word2Vec, SmallRng) {
         // Vocabulary with counts.
         let mut counts: HashMap<&str, usize> = HashMap::new();
         for s in sentences {
@@ -95,16 +104,14 @@ impl Word2Vec {
             *x = rng.gen_range(-0.5f32..0.5) / config.dims as f32;
         }
         let output = Matrix::zeros(v, config.dims);
-        let mut model = Word2Vec {
+        let model = Word2Vec {
             vocab,
             words,
             input,
             output,
             normalized: Matrix::zeros(v, config.dims),
         };
-        model.fine_tune(sentences, config, &mut rng);
-        model.renormalize();
-        model
+        (model, rng)
     }
 
     /// Additional training passes on another corpus (the paper's
@@ -139,18 +146,19 @@ impl Word2Vec {
         if v == 0 {
             return;
         }
+        // Every sentence's in-vocabulary ids, resolved once for all epochs.
+        let resolved: Vec<Vec<usize>> = sentences
+            .iter()
+            .map(|s| s.iter().filter_map(|t| self.vocab.get(t).copied()).collect())
+            .collect();
         // Unigram^0.75 negative-sampling table.
         let mut counts = vec![1usize; v];
-        for s in sentences {
-            for t in s {
-                if let Some(&i) = self.vocab.get(t) {
-                    counts[i] += 1;
-                }
-            }
+        for &i in resolved.iter().flatten() {
+            counts[i] += 1;
         }
         let weights: Vec<f64> = counts.iter().map(|&c| (c as f64).powf(0.75)).collect();
         let total_w: f64 = weights.iter().sum();
-        // Cumulative table for binary-search sampling.
+        // Cumulative table, strictly increasing, for binary-search sampling.
         let mut cum = Vec::with_capacity(v);
         let mut acc = 0.0;
         for w in &weights {
@@ -159,14 +167,16 @@ impl Word2Vec {
         }
         let sample_neg = |rng: &mut SmallRng| -> usize {
             let r: f64 = rng.gen();
-            match cum.binary_search_by(|p| p.partial_cmp(&r).unwrap()) {
-                Ok(i) | Err(i) => i.min(v - 1),
-            }
+            cum.partition_point(|&p| p < r).min(v - 1)
         };
 
         let total_pairs: usize = sentences.iter().map(|s| s.len()).sum::<usize>().max(1);
         let mut seen_pairs = 0usize;
         let mut grad_in = vec![0.0f32; config.dims];
+        // The centre row, copied once per context pair: only output rows
+        // change while its positive and negative samples are scored.
+        let mut center_row = vec![0.0f32; config.dims];
+        let mut ids: Vec<usize> = Vec::new();
 
         // Frequent-word subsampling: per-token keep probability √(t/f).
         let total_tokens: f64 = counts.iter().map(|&c| c as f64).sum::<f64>().max(1.0);
@@ -183,12 +193,14 @@ impl Word2Vec {
             .collect();
 
         for epoch in 0..config.epochs {
-            for sentence in sentences {
-                let ids: Vec<usize> = sentence
-                    .iter()
-                    .filter_map(|t| self.vocab.get(t).copied())
-                    .filter(|&id| keep_prob[id] >= 1.0 || rng.gen::<f64>() < keep_prob[id])
-                    .collect();
+            for sentence in &resolved {
+                ids.clear();
+                ids.extend(
+                    sentence
+                        .iter()
+                        .copied()
+                        .filter(|&id| keep_prob[id] >= 1.0 || rng.gen::<f64>() < keep_prob[id]),
+                );
                 for (pos, &center) in ids.iter().enumerate() {
                     seen_pairs += 1;
                     let progress =
@@ -203,6 +215,7 @@ impl Word2Vec {
                             continue;
                         }
                         grad_in.iter_mut().for_each(|g| *g = 0.0);
+                        center_row.copy_from_slice(self.input.row(center));
                         // Positive pair + negatives.
                         for k in 0..=config.negatives {
                             let (target, label) = if k == 0 {
@@ -213,16 +226,17 @@ impl Word2Vec {
                             if k > 0 && target == context {
                                 continue;
                             }
-                            let dot = crate::matrix::vecops::dot(
-                                self.input.row(center),
-                                self.output.row(target),
-                            );
+                            let dot =
+                                crate::matrix::vecops::dot(&center_row, self.output.row(target));
                             let pred = crate::matrix::sigmoid(dot);
                             let g = (label - pred) * lr;
                             // Accumulate input grad; update output row now.
                             crate::matrix::vecops::axpy(g, self.output.row(target), &mut grad_in);
-                            let center_row: Vec<f32> = self.input.row(center).to_vec();
-                            crate::matrix::vecops::axpy(g, &center_row, self.output.row_mut(target));
+                            crate::matrix::vecops::axpy(
+                                g,
+                                &center_row,
+                                self.output.row_mut(target),
+                            );
                         }
                         let row = self.input.row_mut(center);
                         for (w, g) in row.iter_mut().zip(&grad_in) {
@@ -371,6 +385,160 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use covidkg_rand::prop;
+
+    /// `fine_tune` before ids were resolved once, the centre row copied
+    /// once per context pair and negatives drawn by `partition_point`.
+    /// The training passes must match it byte for byte.
+    fn fine_tune_reference(
+        model: &mut Word2Vec,
+        sentences: &[Vec<String>],
+        config: &Word2VecConfig,
+        rng: &mut SmallRng,
+    ) {
+        let v = model.words.len();
+        if v == 0 {
+            return;
+        }
+        // Unigram^0.75 negative-sampling table.
+        let mut counts = vec![1usize; v];
+        for s in sentences {
+            for t in s {
+                if let Some(&i) = model.vocab.get(t) {
+                    counts[i] += 1;
+                }
+            }
+        }
+        let weights: Vec<f64> = counts.iter().map(|&c| (c as f64).powf(0.75)).collect();
+        let total_w: f64 = weights.iter().sum();
+        // Cumulative table for binary-search sampling.
+        let mut cum = Vec::with_capacity(v);
+        let mut acc = 0.0;
+        for w in &weights {
+            acc += w / total_w;
+            cum.push(acc);
+        }
+        let sample_neg = |rng: &mut SmallRng| -> usize {
+            let r: f64 = rng.gen();
+            match cum.binary_search_by(|p| p.partial_cmp(&r).unwrap()) {
+                Ok(i) | Err(i) => i.min(v - 1),
+            }
+        };
+
+        let total_pairs: usize = sentences.iter().map(|s| s.len()).sum::<usize>().max(1);
+        let mut seen_pairs = 0usize;
+        let mut grad_in = vec![0.0f32; config.dims];
+
+        // Frequent-word subsampling: per-token keep probability √(t/f).
+        let total_tokens: f64 = counts.iter().map(|&c| c as f64).sum::<f64>().max(1.0);
+        let keep_prob: Vec<f64> = counts
+            .iter()
+            .map(|&c| {
+                if config.subsample <= 0.0 {
+                    1.0
+                } else {
+                    let f = c as f64 / total_tokens;
+                    (config.subsample / f).sqrt().min(1.0)
+                }
+            })
+            .collect();
+
+        for epoch in 0..config.epochs {
+            for sentence in sentences {
+                let ids: Vec<usize> = sentence
+                    .iter()
+                    .filter_map(|t| model.vocab.get(t).copied())
+                    .filter(|&id| keep_prob[id] >= 1.0 || rng.gen::<f64>() < keep_prob[id])
+                    .collect();
+                for (pos, &center) in ids.iter().enumerate() {
+                    seen_pairs += 1;
+                    let progress =
+                        (epoch * total_pairs + seen_pairs.min(total_pairs)) as f32
+                            / (config.epochs * total_pairs) as f32;
+                    let lr = (config.learning_rate * (1.0 - progress)).max(config.learning_rate * 0.01);
+                    let window = rng.gen_range(1..=config.window);
+                    let lo = pos.saturating_sub(window);
+                    let hi = (pos + window + 1).min(ids.len());
+                    for (ctx_pos, &context) in ids.iter().enumerate().take(hi).skip(lo) {
+                        if ctx_pos == pos {
+                            continue;
+                        }
+                        grad_in.iter_mut().for_each(|g| *g = 0.0);
+                        // Positive pair + negatives.
+                        for k in 0..=config.negatives {
+                            let (target, label) = if k == 0 {
+                                (context, 1.0f32)
+                            } else {
+                                (sample_neg(rng), 0.0f32)
+                            };
+                            if k > 0 && target == context {
+                                continue;
+                            }
+                            let dot = crate::matrix::vecops::dot(
+                                model.input.row(center),
+                                model.output.row(target),
+                            );
+                            let pred = crate::matrix::sigmoid(dot);
+                            let g = (label - pred) * lr;
+                            // Accumulate input grad; update output row now.
+                            crate::matrix::vecops::axpy(g, model.output.row(target), &mut grad_in);
+                            let center_row: Vec<f32> = model.input.row(center).to_vec();
+                            crate::matrix::vecops::axpy(g, &center_row, model.output.row_mut(target));
+                        }
+                        let row = model.input.row_mut(center);
+                        for (w, g) in row.iter_mut().zip(&grad_in) {
+                            *w += g;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A random corpus over a vocabulary of `vocab` words whose first
+    /// three are far more frequent than the rest.
+    fn random_corpus(rng: &mut SmallRng, vocab: usize) -> Vec<Vec<String>> {
+        prop::vec_of(rng, 1, 24, |rng| {
+            prop::vec_of(rng, 0, 16, |rng| {
+                let w = rng.gen_range(0..vocab);
+                let w = if rng.gen_bool(0.4) { w % 3 } else { w };
+                format!("w{w}")
+            })
+        })
+    }
+
+    #[test]
+    fn training_passes_match_the_reference_byte_for_byte() {
+        prop::run(48, |rng| {
+            let vocab = rng.gen_range(1..=40);
+            let corpus = random_corpus(rng, vocab);
+            let config = Word2VecConfig {
+                dims: rng.gen_range(1..=12),
+                window: rng.gen_range(1..=4),
+                negatives: rng.gen_range(0..=6),
+                epochs: rng.gen_range(1..=4),
+                learning_rate: *prop::pick(rng, &[0.025f32, 0.1, 0.5]),
+                min_count: rng.gen_range(1..=3),
+                subsample: *prop::pick(rng, &[0.0, 1e-3, 0.05, 0.5]),
+                seed: rng.gen(),
+            };
+            let fast = Word2Vec::train(&corpus, &config);
+            let (mut slow, mut slow_rng) = Word2Vec::initialized(&corpus, &config);
+            fine_tune_reference(&mut slow, &corpus, &config, &mut slow_rng);
+            slow.renormalize();
+            assert_eq!(fast.save_text(), slow.save_text(), "train, {config:?}");
+
+            // A second corpus through `continue_training`, with tokens the
+            // vocabulary has never seen.
+            let more = random_corpus(rng, vocab + 5);
+            let mut fast = fast;
+            fast.continue_training(&more, &config);
+            let mut more_rng = SmallRng::seed_from_u64(config.seed.wrapping_add(1));
+            fine_tune_reference(&mut slow, &more, &config, &mut more_rng);
+            slow.renormalize();
+            assert_eq!(fast.save_text(), slow.save_text(), "continue_training, {config:?}");
+        });
+    }
 
     /// A toy corpus with two clearly separated topic clusters.
     fn toy_corpus(reps: usize) -> Vec<Vec<String>> {

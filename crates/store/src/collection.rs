@@ -395,6 +395,9 @@ impl Collection {
     }
 
     /// Replace a document wholesale (the `_id` in `doc` is overwritten).
+    /// The WAL record and the mutation-log entry are always written; the
+    /// text index is rebuilt for the document only when a text field's
+    /// value changed, a hash index only when its key did.
     pub fn replace(&self, id: &str, doc: Value) -> Result<(), StoreError> {
         self.apply_replace(id, doc, true)
     }
@@ -414,20 +417,27 @@ impl Collection {
                 doc: doc.clone(),
             })?;
         }
+        // Re-index only what the write changed: a text entry when some
+        // text field's value differs (equal values have the same string
+        // leaves in the same order), a hash entry when its key does.
         if let Some(ti) = &self.text_index {
-            ti.remove(id, &old);
-            ti.add(id, &doc);
+            if ti.fields().iter().any(|f| old.path(f) != doc.path(f)) {
+                ti.remove(id, &old);
+                ti.add(id, &doc);
+            }
         }
         for idx in read(&self.hash_indexes).iter() {
-            idx.remove(id, &old);
-            idx.add(id, &doc);
+            if idx.key_of(&old) != idx.key_of(&doc) {
+                idx.remove(id, &old);
+                idx.add(id, &doc);
+            }
         }
         shard.put(id, doc);
         self.log_mutation(Some(id));
         Ok(())
     }
 
-    /// Apply an in-place mutation, re-indexing afterwards.
+    /// Apply an in-place mutation, re-indexing what it changed.
     pub fn update(&self, id: &str, f: impl FnOnce(&mut Value)) -> Result<(), StoreError> {
         let Some(mut doc) = self.get(id) else {
             return Err(StoreError::NotFound(id.to_string()));

@@ -36,6 +36,13 @@ impl HashIndex {
         &self.path
     }
 
+    /// The document's value at the indexed path as JSON, which fixes
+    /// every key it is indexed under. `Value` equality is no substitute:
+    /// `2020 == 2020.0` and `0.0 == -0.0`, yet their keys differ.
+    pub(crate) fn key_of(&self, doc: &Value) -> Option<String> {
+        doc.path(&self.path).map(Value::to_json)
+    }
+
     /// Index a document (array fields index every element).
     pub fn add(&self, id: &str, doc: &Value) {
         let Some(v) = doc.path(&self.path) else { return };

@@ -4,8 +4,9 @@
 //! classifiers run "non-stop, classifying new incoming publications" (§2)
 //! and write their outputs back onto the documents. [`UpdateSpec`] parses
 //! the `{"$set": …, "$inc": …}` wire form and applies it in place;
-//! [`crate::Collection::update_spec`] runs one against a stored document
-//! with full re-indexing.
+//! [`crate::Collection::update_spec`] runs one against a stored document,
+//! re-indexing only the text and hash entries whose content it changed —
+//! an enrichment `$set` leaves the publication's text postings alone.
 
 use crate::error::StoreError;
 use covidkg_json::Value;
@@ -145,8 +146,9 @@ impl UpdateSpec {
 
 impl crate::Collection {
     /// Apply a MongoDB-style update document to one stored document,
-    /// re-indexing afterwards. The update is atomic per document: on an
-    /// operator error the stored document is unchanged.
+    /// re-indexing what it changed (see [`crate::Collection::replace`]).
+    /// The update is atomic per document: on an operator error the stored
+    /// document is unchanged.
     pub fn update_spec(&self, id: &str, spec: &Value) -> Result<(), StoreError> {
         let update = UpdateSpec::parse(spec)?;
         let Some(mut doc) = self.get(id) else {

@@ -32,6 +32,12 @@ echo "==> KG query body parity and allocation count (both /kg/query writers vs t
 cargo test -p covidkg-kg --test body_parity --offline -q
 cargo test -p covidkg-core --test kg_body_allocs --offline -q
 
+echo "==> set-up oracles (SMO and word2vec bytes vs their full-scan references, indexes after every write vs a fresh build)"
+cargo test -p covidkg-ml --lib --offline -q -- \
+    svm::tests::smo_matches_the_full_scan_reference_bit_for_bit \
+    word2vec::tests::training_passes_match_the_reference_byte_for_byte
+cargo test -p covidkg-store --test index_prop --offline -q
+
 # The benchmark is a package of its own that no PR may edit: its smoke is
 # the only thing that notices when a program change breaks its build or
 # its byte-for-byte body check.
