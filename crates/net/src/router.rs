@@ -18,14 +18,14 @@ use crate::metrics::{engine_series, render_metrics, ReplExposition, WireStats};
 use covidkg_core::QueryPlan;
 use covidkg_json::{obj, Value};
 use covidkg_repl::{Epoch, ReadRouter, ReplMetrics, RouteError};
-use covidkg_search::{DenseMode, SearchMode, SearchPage};
+use covidkg_search::{DenseMode, SearchMode};
 use covidkg_serve::{Miss, Op, Reply, ServeError, Server};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Replication-aware read context for a front-end that routes search
-/// traffic across a replica pool instead of a single local server.
+/// Replication-aware read context for a front-end that routes every op
+/// across a replica pool instead of answering it from its local server.
 pub struct ReadContext {
     /// The lag-aware router (replicas + optional primary fallback).
     pub router: Arc<ReadRouter>,
@@ -132,7 +132,7 @@ pub(crate) struct Route {
 const ROUTES: &[Route] = &[
     // `scoped` also accepts per-field `title`/`abstract`/`caption`
     // parameters, each defaulting to `q`. `semantic` and `hybrid` engage
-    // the dense tier and always execute locally.
+    // the dense tier.
     Route {
         pattern: "/search/",
         usage: &[
@@ -223,9 +223,9 @@ impl Route {
 }
 
 /// Resolve one request to a response. Never panics; unknown paths 404,
-/// wrong methods 405, bad parameters 400. With a [`ReadContext`],
-/// lexical `/search/*` is routed lag-aware across the replica pool and
-/// `/metrics` carries the replication series.
+/// wrong methods 405, bad parameters 400. With a [`ReadContext`], every
+/// op row is answered by a server the replica router picks, lag-aware and
+/// read-your-writes, and `/metrics` carries the replication series.
 ///
 /// The reactor routes a request on its own thread and finishes what that
 /// leaves on a serve worker; this is the same two halves on one thread.
@@ -250,12 +250,11 @@ pub(crate) enum Routed {
 pub(crate) enum Deferred {
     /// A page about the server itself.
     Page(fn(&Server, &WireStats, Option<&ReadContext>) -> Response),
-    /// A lexical search (mode, page, trust) under a [`ReadContext`]: the
-    /// replica router reads over the network.
-    Read(Cow<'static, SearchMode>, usize, bool),
-    /// An op the cache did not hold, with what its probe worked out and
-    /// the row that renders its 404.
-    Miss(Op<'static>, Miss, &'static Route),
+    /// An op and the row that renders its 404: with what its probe of
+    /// this server worked out when the cache did not hold it, or unprobed
+    /// under a [`ReadContext`], whose router picks the server (and may
+    /// wait for one).
+    Op(Op<'static>, Option<Miss>, &'static Route),
 }
 
 /// Route `req` once, on the thread that parsed it: answer what needs no
@@ -283,17 +282,16 @@ pub(crate) fn route(server: &Server, repl: Option<&ReadContext>, req: &Request) 
         Target::Page(page) => return Routed::Deferred(Deferred::Page(page)),
         Target::Op(parse, _) => parse,
     };
-    let op = match (parse(req, tail), repl) {
-        // The replica router only speaks the lexical modes.
-        (Ok(Op::Search(mode, page, trusted)), Some(_)) => {
-            return Routed::Deferred(Deferred::Read(mode, page, trusted))
-        }
-        (Ok(op), _) => op,
-        (Err(resp), _) => return Routed::Answered(resp),
+    let op = match parse(req, tail) {
+        Ok(op) => op,
+        Err(resp) => return Routed::Answered(resp),
     };
+    if repl.is_some() {
+        return Routed::Deferred(Deferred::Op(op, None, row));
+    }
     match server.probe(&op) {
         Ok(hit) => Routed::Answered(respond(hit, op.trusted())),
-        Err(miss) => Routed::Deferred(Deferred::Miss(op, miss, row)),
+        Err(miss) => Routed::Deferred(Deferred::Op(op, Some(miss), row)),
     }
 }
 
@@ -311,21 +309,35 @@ impl Deferred {
     ) -> Response {
         match self {
             Deferred::Page(page) => page(server, &wire(), repl),
-            Deferred::Read(mode, page, trusted) => {
-                let ctx = repl.expect("a read is deferred only under a ReadContext");
-                routed_read(server, ctx, req, &mode, page, trusted)
+            Deferred::Op(op, Some(miss), row) => {
+                answer(server, server.compute_miss(&op, miss), &op, row, req)
             }
-            Deferred::Miss(op, miss, row) => match server.compute_miss(&op, miss) {
-                Ok(Some(reply)) => respond(reply, op.trusted()),
-                Ok(None) => match (&row.target, row.tail(req.path())) {
-                    (Target::Op(_, Some(message)), Some(tail)) => {
-                        error_response(404, &message(server, tail))
-                    }
-                    _ => error_response(404, "no such resource"),
-                },
-                Err(e) => serve_error_response(e),
-            },
+            Deferred::Op(op, None, row) => {
+                let ctx = repl.expect("an op is deferred unprobed only under a ReadContext");
+                routed_read(ctx, &op, row, req)
+            }
         }
+    }
+}
+
+/// The response to what `server` answered `op` with: the 200, the row's
+/// 404 (naming what `server` holds), or the typed error's status.
+fn answer(
+    server: &Server,
+    outcome: Result<Option<Reply>, ServeError>,
+    op: &Op<'_>,
+    row: &Route,
+    req: &Request,
+) -> Response {
+    match outcome {
+        Ok(Some(reply)) => respond(reply, op.trusted()),
+        Ok(None) => match (&row.target, row.tail(req.path())) {
+            (Target::Op(_, Some(message)), Some(tail)) => {
+                error_response(404, &message(server, tail))
+            }
+            _ => error_response(404, "no such resource"),
+        },
+        Err(e) => serve_error_response(e),
     }
 }
 
@@ -411,63 +423,47 @@ fn no_node(server: &Server, tail: &str) -> String {
     format!("no node {id} (graph has {len})")
 }
 
-/// A lexical search under a [`ReadContext`]: `X-Min-Seq` (header) or
-/// `min_seq` (query parameter) demands read-your-writes — the response
-/// comes from a target that has applied at least that sequence, or 503.
-fn routed_read(
-    server: &Server,
-    ctx: &ReadContext,
-    req: &Request,
-    mode: &SearchMode,
-    page: usize,
-    trust: bool,
-) -> Response {
+/// An op under a [`ReadContext`]: `X-Min-Seq` (header) or `min_seq`
+/// (query parameter) demands read-your-writes — the response comes from
+/// a target that has applied at least that sequence, or 503. The target
+/// answers the op on its own request path, so the body is its own bytes.
+fn routed_read(ctx: &ReadContext, op: &Op<'_>, row: &Route, req: &Request) -> Response {
     let min_seq_raw = req
         .header("x-min-seq")
         .map(|v| v.to_string())
         .or_else(|| req.query_param("min_seq"));
-    let explicit_min_seq = match min_seq_raw.as_deref() {
+    let explicit_min_seq = match min_seq_raw.map(|v| v.trim().parse::<u64>()) {
         None => 0,
-        Some(v) => match v.trim().parse::<u64>() {
-            Ok(s) => s,
-            Err(_) => return error_response(400, "X-Min-Seq must be a non-negative integer"),
-        },
+        Some(Ok(seq)) => seq,
+        Some(Err(_)) => return error_response(400, "X-Min-Seq must be a non-negative integer"),
     };
     // The session cookie carries the client's ambient high-water mark;
     // the effective floor is the max of both tokens, so an explicit
     // X-Min-Seq still wins when it demands more.
     let cookie_floor = req.header("cookie").and_then(cookie_min_seq).unwrap_or(0);
     let min_seq = explicit_min_seq.max(cookie_floor);
-    match ctx.router.search(mode, page, min_seq, ctx.ryw_deadline) {
-        // Trust re-rank is page-local, so it composes with routed reads:
-        // the weights come from the local trust store. The replica's
-        // typed page has no entry of this server's: serialized here.
-        Ok((mut resp, info)) => {
-            if trust {
-                let page = SearchPage::clone(&resp.page);
-                resp.page = Arc::new(server.with_system(|system| system.rerank_by_trust(page)));
-            }
-            respond(resp.into(), trust)
-                .with_header("X-Served-By", info.replica)
-                .with_header("X-Replica-Lag", info.lag)
-                .with_header("X-Applied-Seq", info.applied)
-                .with_header(
-                    "Set-Cookie",
-                    format!(
-                        "{SESSION_COOKIE}={}.{}; Path=/",
-                        info.applied,
-                        ctx.current_epoch()
-                    ),
-                )
+    let (target, info) = match ctx.router.route(min_seq, ctx.ryw_deadline) {
+        Ok(picked) => picked,
+        Err(RouteError::NotCaughtUp { wanted, best }) => {
+            return error_response(
+                503,
+                &format!("no replica caught up to sequence {wanted} (best applied: {best})"),
+            )
+            .with_header("Retry-After", "1")
+            .with_header("X-Applied-Seq", best)
         }
-        Err(RouteError::NotCaughtUp { wanted, best }) => error_response(
-            503,
-            &format!("no replica caught up to sequence {wanted} (best applied: {best})"),
-        )
-        .with_header("Retry-After", "1")
-        .with_header("X-Applied-Seq", best),
-        Err(RouteError::Serve(e)) => serve_error_response(e),
+    };
+    let resp = answer(&target, target.request(op), op, row, req);
+    if resp.status != 200 {
+        return resp;
     }
+    resp.with_header("X-Served-By", info.replica)
+        .with_header("X-Replica-Lag", info.lag)
+        .with_header("X-Applied-Seq", info.applied)
+        .with_header(
+            "Set-Cookie",
+            format!("{SESSION_COOKIE}={}.{}; Path=/", info.applied, ctx.current_epoch()),
+        )
 }
 
 /// Parse the `trust=` re-rank knob, shared by `/search/*` and

@@ -37,7 +37,7 @@ fn in_process(serve: &Server, target: &str) -> Response {
     router::handle(serve, &WireStats::default(), None, &req)
 }
 
-/// Every guarded miss sleeps `delay` first (`None` lifts it).
+/// Every miss sleeps `delay` first (`None` lifts it).
 fn delay_misses(serve: &Server, delay: Option<Duration>) {
     serve.set_injected_faults(delay.map(|delay| InjectedFaults {
         delay_every: 1,
@@ -46,7 +46,7 @@ fn delay_misses(serve: &Server, delay: Option<Duration>) {
     }));
 }
 
-/// Targets of several op rows, bare and guarded.
+/// Targets of several op rows.
 const WARM: [&str; 6] = [
     "/search/all-fields?q=vaccine",
     "/search/tables?q=dose&trust=1",

@@ -4,12 +4,13 @@
 //! read-your-writes rides the `X-Min-Seq` header (or `min_seq` query
 //! parameter), and `/metrics` carries the replication series.
 
-use covidkg_core::{CovidKg, CovidKgConfig};
-use covidkg_net::{HttpClient, HttpServer, NetConfig, ReadContext};
+use covidkg_core::{CovidKg, CovidKgConfig, QueryPlan};
+use covidkg_net::bench::encode_query;
+use covidkg_net::{router, HttpClient, HttpServer, NetConfig, ReadContext};
 use covidkg_repl::{
     ReadRouter, ReplConfig, ReplListener, ReplicaNode, ReplicaNodeConfig, ReplicaTarget,
 };
-use covidkg_search::SearchMode;
+use covidkg_search::{DenseMode, SearchMode};
 use covidkg_serve::{ServeConfig, Server};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -203,11 +204,18 @@ fn unsatisfiable_min_seq_on_a_pure_replica_pool_is_503() {
     assert_eq!(ok.status, 200, "{}", ok.text());
     assert_eq!(ok.header("X-Served-By"), Some("stale"));
 
-    // Unsatisfiable token: 503 with Retry-After and the best applied.
+    // Unsatisfiable token: 503 with Retry-After and the best applied —
+    // for a search and a KG node alike, each routed like the other.
     let miss = client.get("/search/all-fields?q=covid&min_seq=999").unwrap();
     assert_eq!(miss.status, 503, "{}", miss.text());
     assert_eq!(miss.header("Retry-After"), Some("1"));
     assert_eq!(miss.header("X-Applied-Seq"), Some("3"));
+    let node = client
+        .send_raw(b"GET /kg/node/0 HTTP/1.1\r\nHost: covidkg\r\nX-Min-Seq: 999\r\n\r\n")
+        .unwrap();
+    assert_eq!(node.status, 503, "{}", node.text());
+    assert_eq!(node.header("Retry-After"), Some("1"));
+    assert_eq!(node.header("X-Applied-Seq"), Some("3"));
 
     // Malformed token: 400, not a routed read.
     let bad = client.send_raw(
@@ -216,4 +224,128 @@ fn unsatisfiable_min_seq_on_a_pure_replica_pool_is_503() {
     assert_eq!(bad.unwrap().status, 400);
 
     drop(http);
+}
+
+/// Every op row of the route table, under a [`ReadContext`] whose pool
+/// is one real [`ReplicaNode`] and no primary: each 200 is the replica's
+/// answer — routing headers and session cookie set, body byte-identical
+/// to the replica's own in-process serialization (a `trust=1` search
+/// re-ranked by the replica's weights) — and an unknown node's 404 names
+/// the replica's graph, not the front end's local one.
+#[test]
+fn every_op_row_is_answered_by_the_routed_replica() {
+    let primary = CovidKg::build(CovidKgConfig {
+        corpus_size: 24,
+        max_training_rows: 300,
+        data_dir: Some(scratch("every-row-primary")),
+        ..CovidKgConfig::default()
+    })
+    .unwrap();
+    let primary = Arc::new(Server::start(primary, ServeConfig::default()));
+    let sources = primary.with_system(|s| {
+        let db = s.database();
+        let names = db.collection_names().into_iter();
+        names.map(|name| (name.clone(), db.collection(&name).unwrap())).collect::<Vec<_>>()
+    });
+    let pubs = sources.iter().find(|(n, _)| n == "publications").unwrap().1.clone();
+    let listener = ReplListener::start(sources, ReplConfig::default()).unwrap();
+    let node = ReplicaNode::start(ReplicaNodeConfig::new(
+        listener.local_addr(),
+        "replica-r",
+        scratch("every-row-replica"),
+    ))
+    .unwrap();
+    let mark = pubs.repl_watermark();
+    assert!(wait_until(Duration::from_secs(10), || node.applied() >= mark));
+    let replica = node.server();
+    let clock = Arc::clone(&pubs);
+    let router = Arc::new(ReadRouter::new(
+        None,
+        vec![ReplicaTarget::tracking("replica-r", replica.clone(), &node.publications_state())],
+        Arc::new(move || clock.repl_watermark()),
+        u64::MAX,
+    ));
+    // The front end's own server holds another, smaller system.
+    let local = CovidKgConfig { corpus_size: 8, max_training_rows: 50, ..CovidKgConfig::default() };
+    let local = CovidKg::build(local).unwrap();
+    let local = Arc::new(Server::start(local, ServeConfig::default()));
+    let http = HttpServer::start_routed(
+        Arc::clone(&local),
+        Some(ReadContext::new(router, None)),
+        NetConfig::default(),
+    )
+    .unwrap();
+    let mut client = HttpClient::connect(http.local_addr(), Duration::from_secs(5)).unwrap();
+
+    let q = || "covid vaccine".to_string();
+    let search = |engine: &str, trust: u8| {
+        format!("/search/{engine}?q={}&trust={trust}", encode_query(&q()))
+    };
+    let targets: Vec<(&str, String, String)> = replica.with_system(|s| {
+        let plan = QueryPlan::parse("kind:category", "child", 16, 10).unwrap();
+        let vaccine = s.profiles().first().expect("a profile").vaccine.clone();
+        let venue = s.trust_store().venues().next().expect("a venue").to_string();
+        let lexical = SearchMode::AllFields(q());
+        vec![
+            ("/search/", search("all-fields", 0), s.search(&lexical, 0).to_json().to_json()),
+            (
+                "/search/",
+                search("all-fields", 1),
+                s.rerank_by_trust(s.search(&lexical, 0)).to_json().to_json(),
+            ),
+            (
+                "/search/",
+                search("hybrid", 0),
+                s.search_dense(&DenseMode::Hybrid(q()), 0).to_json().to_json(),
+            ),
+            (
+                "/kg/query",
+                "/kg/query?start=kind:category&steps=child&fanout=16&k=10".into(),
+                s.kg_query(&plan).to_json().to_json(),
+            ),
+            (
+                "/kg/profile/",
+                format!("/kg/profile/{vaccine}"),
+                s.kg_profile(&vaccine).unwrap().to_json(),
+            ),
+            ("/kg/node/", "/kg/node/0".into(), s.kg_node(0).unwrap().to_json()),
+            ("/trust/node/", "/trust/node/0".into(), s.trust_node(0).unwrap().to_json()),
+            (
+                "/trust/source/",
+                format!("/trust/source/{}", encode_query(&venue)),
+                s.trust_source(&venue).unwrap().to_json(),
+            ),
+            ("/bias/report", "/bias/report".into(), s.bias_document().to_json()),
+        ]
+    });
+    let mut covered: Vec<&str> = targets.iter().map(|(pattern, ..)| *pattern).collect();
+    covered.dedup();
+    assert_eq!(covered, router::op_patterns().collect::<Vec<_>>(), "one target per op row");
+
+    for (_, target, expected) in &targets {
+        let raw = format!("GET {target} HTTP/1.1\r\nHost: covidkg\r\nX-Min-Seq: {mark}\r\n\r\n");
+        let resp = client.send_raw(raw.as_bytes()).unwrap();
+        assert_eq!(resp.status, 200, "{target}: {}", resp.text());
+        assert_eq!(resp.header("X-Served-By"), Some("replica-r"), "{target}");
+        let applied: u64 = resp.header("X-Applied-Seq").expect("applied").parse().unwrap();
+        assert!(applied >= mark, "{target}");
+        resp.header("X-Replica-Lag").expect("lag header");
+        let cookie = resp.header("Set-Cookie").expect("session cookie");
+        assert!(cookie.starts_with(&format!("covidkg-session={applied}.")), "{target}: {cookie}");
+        assert!(resp.text() == *expected, "{target}: not the replica's bytes");
+    }
+
+    let replica_len = replica.with_system(|s| s.kg().len());
+    let local_len = local.with_system(|s| s.kg().len());
+    assert_ne!(replica_len, local_len, "the two graphs must be told apart");
+    let unknown = client.get("/kg/node/999999").unwrap();
+    assert_eq!(unknown.status, 404, "{}", unknown.text());
+    assert!(
+        unknown.text().contains(&format!("no node 999999 (graph has {replica_len})")),
+        "{}",
+        unknown.text()
+    );
+
+    drop(http);
+    drop(node);
 }

@@ -7,8 +7,7 @@
 //! waiting up to a deadline when none has (the primary, when present,
 //! satisfies any `min_seq` instantly — it *is* the write path).
 
-use covidkg_search::SearchMode;
-use covidkg_serve::{ServeError, ServeResponse, Server};
+use covidkg_serve::Server;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -131,8 +130,6 @@ pub enum RouteError {
         /// The best applied sequence any target offered.
         best: u64,
     },
-    /// The picked server failed the search.
-    Serve(ServeError),
 }
 
 impl std::fmt::Display for RouteError {
@@ -142,7 +139,6 @@ impl std::fmt::Display for RouteError {
                 f,
                 "no replica caught up to sequence {wanted} (best applied: {best})"
             ),
-            RouteError::Serve(e) => write!(f, "routed search failed: {e}"),
         }
     }
 }
@@ -178,17 +174,6 @@ impl ReadRouter {
             max_lag,
             rr: AtomicUsize::new(0),
         }
-    }
-
-    /// Number of configured replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Whether a primary fallback is configured (read-your-writes can
-    /// never 503 when it is).
-    pub fn has_primary(&self) -> bool {
-        self.primary.is_some()
     }
 
     /// Point-in-time `(name, applied, lag)` for every replica — the
@@ -281,21 +266,6 @@ impl ReadRouter {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
-
-    /// Route and serve one search.
-    pub fn search(
-        &self,
-        mode: &SearchMode,
-        page: usize,
-        min_seq: u64,
-        deadline: Duration,
-    ) -> Result<(ServeResponse, RouteInfo), RouteError> {
-        let (server, info) = self.route(min_seq, deadline)?;
-        match server.search(mode, page) {
-            Ok(resp) => Ok((resp, info)),
-            Err(e) => Err(RouteError::Serve(e)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -311,13 +281,8 @@ mod tests {
             Ok(_) => panic!("route must fail with an empty pool"),
             Err(e) => e,
         };
-        match err {
-            RouteError::NotCaughtUp { wanted, best } => {
-                assert_eq!(wanted, 5);
-                assert_eq!(best, 0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let RouteError::NotCaughtUp { wanted, best } = err;
+        assert_eq!((wanted, best), (5, 0));
     }
 
     #[test]

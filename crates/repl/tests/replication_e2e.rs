@@ -289,14 +289,8 @@ fn router_prefers_caught_up_replica_and_honours_read_your_writes() {
     );
 
     // A caught-up replica takes the read, even with read-your-writes.
-    let (resp, info) = router
-        .search(
-            &SearchMode::AllFields("vaccine".into()),
-            0,
-            mark,
-            Duration::from_secs(2),
-        )
-        .unwrap();
+    let (server, info) = router.route(mark, Duration::from_secs(2)).unwrap();
+    let resp = server.search(&SearchMode::AllFields("vaccine".into()), 0).unwrap();
     assert!(!info.primary, "caught-up replica should have served");
     assert_eq!(info.replica, "replica-r");
     assert_eq!(info.applied, mark);
@@ -313,14 +307,7 @@ fn router_prefers_caught_up_replica_and_honours_read_your_writes() {
     // Force the replica to look stale: the primary fallback serves
     // instantly instead of 503ing.
     applied.store(0, Ordering::Release);
-    let (_, info) = router
-        .search(
-            &SearchMode::AllFields("vaccine".into()),
-            0,
-            mark.max(1),
-            Duration::from_millis(200),
-        )
-        .unwrap();
+    let (_, info) = router.route(mark.max(1), Duration::from_millis(200)).unwrap();
     assert!(info.primary, "stale replica must fall back to the primary");
     drop(node);
 }

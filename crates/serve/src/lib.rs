@@ -21,7 +21,8 @@
 //!   (or its two halves, [`Server::probe`] and [`Server::compute_miss`],
 //!   on two: the wire front end answers a hit where it parsed it), and
 //!   differs only in its row of the [`op`] table (class label, cache
-//!   key, breaker-guarded vs bare, may-serve-stale vs never-stale).
+//!   key, may-serve-stale vs never-stale); every miss runs behind its
+//!   class's circuit breaker.
 //! * [`cache::QueryCache`] — a sharded LRU of shared [`Entry`]s (the
 //!   bytes that are sent, serialized once, with the typed page beside
 //!   them) keyed by `(engine, normalized query, page)`
@@ -45,5 +46,5 @@ pub mod server;
 pub use cache::{CacheStats, Entry, QueryCache};
 pub use loadgen::{LoadGenConfig, LoadGenReport};
 pub use metrics::{Class, LatencyHistogram, ServeStats};
-pub use op::{Guard, Miss, Op, Reply, Staleness};
+pub use op::{Miss, Op, Reply, Staleness};
 pub use server::{InjectedFaults, KgResponse, ServeConfig, ServeError, ServeResponse, Server};

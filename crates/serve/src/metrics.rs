@@ -13,7 +13,7 @@ use std::time::Duration;
 /// The traffic class a request is accounted against: the three §2.1
 /// lexical engines, the two dense modes, the §4 knowledge-graph engine
 /// and the trust/bias interrogation engine. One request counter per
-/// class; the [`Class::GUARDED`] ones also have a circuit breaker.
+/// class, and one circuit breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
     /// §2.1.2 all-fields engine.
@@ -45,16 +45,6 @@ impl Class {
     ];
     /// The length of per-class arrays.
     pub(crate) const COUNT: usize = Class::ALL.len();
-    /// The classes some guarded op ([`crate::op::Guard::Breaker`]) is
-    /// accounted against, each with a breaker slot: a prefix of
-    /// [`Class::ALL`], so a class's index is its slot.
-    pub const GUARDED: [Class; 5] = [
-        Class::AllFields,
-        Class::Tables,
-        Class::Scoped,
-        Class::Kg,
-        Class::Trust,
-    ];
 
     pub(crate) fn index(self) -> usize {
         self as usize
@@ -290,7 +280,7 @@ pub struct ServeStats {
     pub deadline_exceeded: u64,
     /// Requests that completed a search.
     pub completed: u64,
-    /// Panics caught in a guarded compute, or that killed a worker.
+    /// Panics caught in a miss's compute, or that killed a worker.
     pub worker_panics: u64,
     /// Workers respawned after dying to a panic.
     pub worker_respawns: u64,
@@ -498,7 +488,6 @@ mod tests {
         for (index, class) in Class::ALL.iter().enumerate() {
             assert_eq!(class.index(), index, "{}", class.label());
         }
-        assert_eq!(Class::GUARDED, Class::ALL[..Class::GUARDED.len()]);
         let s = m.snapshot();
         assert_eq!(s.requests_all_fields, 2);
         assert_eq!(s.requests_tables, 1);

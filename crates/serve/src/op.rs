@@ -4,19 +4,19 @@
 //! it, so a traffic class is a row here, not a copy of the plumbing.
 //!
 //! ```text
-//! op           class label               cache key       guard    staleness        breaker
-//! Search       all-fields|tables|scoped  all| tab| tac|  breaker  may-serve-stale  per engine
-//! Dense        semantic|hybrid           sem| hyb|       bare     never-stale      -
-//! KgQuery      kg                        kgq|            breaker  never-stale      kg
-//! KgProfile    kg                        kgp|            breaker  never-stale      kg
-//! KgNode       kg                        kgn|            bare     never-stale      -
-//! TrustNode    trust                     tn|             breaker  never-stale      trust
-//! TrustSource  trust                     ts|             breaker  never-stale      trust
-//! BiasReport   trust                     bias|           breaker  never-stale      trust
+//! op           class (and breaker)       cache key       staleness
+//! Search       all-fields|tables|scoped  all| tab| tac|  may-serve-stale
+//! Dense        semantic|hybrid           sem| hyb|       never-stale
+//! KgQuery      kg                        kgq|            never-stale
+//! KgProfile    kg                        kgp|            never-stale
+//! KgNode       kg                        kgn|            never-stale
+//! TrustNode    trust                     tn|             never-stale
+//! TrustSource  trust                     ts|             never-stale
+//! BiasReport   trust                     bias|           never-stale
 //! ```
 //!
-//! The breaker slots are the classes of the guarded rows
-//! ([`Class::GUARDED`]): `semantic` and `hybrid` have none.
+//! Every miss runs behind its class's circuit breaker, the fault
+//! schedule and panic isolation: one breaker per [`Class`].
 //!
 //! The three rankable ops carry the `trust=1` knob as their last field:
 //! the trust re-rank is computed with the value, under the same system
@@ -30,19 +30,6 @@ use covidkg_search::{cache_key_and_query, dense_cache_key, DenseMode, SearchMode
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// What a cache miss runs behind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Guard {
-    /// The class's circuit breaker, the fault schedule and panic
-    /// isolation all apply.
-    Breaker,
-    /// Computed bare under the shared system lock: for lookups that cost
-    /// less than the guard (an ANN search touches a logarithmic fraction
-    /// of the corpus, a node lookup is O(1)), so they never consult a
-    /// breaker and a panic is the caller's.
-    Bare,
-}
 
 /// What an unhealthy class (breaker open, or the worker panicked on this
 /// request) may answer with.
@@ -82,8 +69,8 @@ pub enum Op<'a> {
 }
 
 impl Op<'_> {
-    /// The traffic class: the request counter, and for guarded ops the
-    /// circuit breaker, this op is accounted against.
+    /// The traffic class: the request counter and the circuit breaker
+    /// this op is accounted against.
     pub fn class(&self) -> Class {
         match self {
             Op::Search(mode, ..) => match &**mode {
@@ -97,14 +84,6 @@ impl Op<'_> {
             },
             Op::KgQuery(..) | Op::KgProfile(_) | Op::KgNode(_) => Class::Kg,
             Op::TrustNode(_) | Op::TrustSource(_) | Op::BiasReport => Class::Trust,
-        }
-    }
-
-    /// Whether a miss runs behind the class's breaker or bare.
-    pub fn guard(&self) -> Guard {
-        match self {
-            Op::Dense(..) | Op::KgNode(_) => Guard::Bare,
-            _ => Guard::Breaker,
         }
     }
 
@@ -227,50 +206,4 @@ pub struct Miss {
     /// How long the probe took: part of the reply's latency, where a wait
     /// before `compute_miss` is not.
     pub(crate) probed: Duration,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The breaker slots are the classes of the guarded rows: every
-    /// guarded op has a slot, and every slot has a guarded op.
-    #[test]
-    fn breaker_slots_are_the_guarded_classes() {
-        let q = || "q".to_string();
-        let plan = QueryPlan::parse("kind:category", "child", 4, 4).unwrap();
-        let ops = [
-            Op::Search(Cow::Owned(SearchMode::AllFields(q())), 0, false),
-            Op::Search(Cow::Owned(SearchMode::Tables(q())), 0, false),
-            Op::Search(
-                Cow::Owned(SearchMode::TitleAbstractCaption { title: q(), abstract_q: q(), caption: q() }),
-                0,
-                false,
-            ),
-            Op::Dense(Cow::Owned(DenseMode::Semantic(q())), 0, false),
-            Op::Dense(Cow::Owned(DenseMode::Hybrid(q())), 0, false),
-            Op::KgQuery(Cow::Owned(plan), false),
-            Op::KgProfile(Cow::Owned(q())),
-            Op::KgNode(0),
-            Op::TrustNode(0),
-            Op::TrustSource(Cow::Owned(q())),
-            Op::BiasReport,
-        ];
-        let guarded: Vec<Class> = ops
-            .iter()
-            .filter(|op| op.guard() == Guard::Breaker)
-            .map(Op::class)
-            .collect();
-        for class in Class::ALL {
-            assert_eq!(
-                guarded.contains(&class),
-                Class::GUARDED.contains(&class),
-                "{}",
-                class.label()
-            );
-        }
-        for (slot, class) in Class::GUARDED.iter().enumerate() {
-            assert_eq!(class.index(), slot, "{}", class.label());
-        }
-    }
 }

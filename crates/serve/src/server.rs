@@ -23,14 +23,13 @@
 //!    nothing yet: it comes back as a [`Miss`] carrying the key, so
 //!    nothing is keyed twice.
 //! 2. [`Server::compute_miss`] probes once more under that key (a
-//!    duplicate computed meanwhile is a hit), then counts the miss. A
-//!    *bare* op is computed right there under the shared system lock. A
-//!    *guarded* op first consults its class's circuit breaker: an open
-//!    breaker short-circuits to the degradation ladder below.
-//! 3. Otherwise the guarded op runs under `catch_unwind` and the fault
-//!    schedule, under the system read lock, capturing the data
-//!    generation *under that same lock*; the value is cached tagged with
-//!    it and returned, and the outcome is fed to the breaker. An op that
+//!    duplicate computed meanwhile is a hit), then counts the miss and
+//!    consults its class's circuit breaker: an open breaker
+//!    short-circuits to the degradation ladder below.
+//! 3. Otherwise the op runs under `catch_unwind` and the fault schedule,
+//!    under the system read lock, capturing the data generation *under
+//!    that same lock*; the outcome is fed to the breaker, and the value
+//!    is cached tagged with that generation and returned. An op that
 //!    resolves to nothing (unknown id) is not cached but completes like
 //!    any other.
 //!
@@ -38,7 +37,7 @@
 //!
 //! A panicking query must cost exactly one request, never the server:
 //!
-//! * every guarded miss runs under `catch_unwind`, so a panic mid-compute
+//! * every miss runs under `catch_unwind`, so a panic mid-compute
 //!   is caught, counted, fed to the class's circuit breaker, and the
 //!   caller still gets a reply (stale page or typed error) — the thread
 //!   survives;
@@ -74,7 +73,7 @@
 
 use crate::cache::{Entry, QueryCache};
 use crate::metrics::{Class, Metrics, ServeStats};
-use crate::op::{Guard, Miss, Op, Reply, Staleness};
+use crate::op::{Miss, Op, Reply, Staleness};
 use covidkg_core::{CovidKg, QueryPlan};
 use covidkg_corpus::Publication;
 use covidkg_search::{DenseMode, SearchMode, SearchPage};
@@ -223,21 +222,6 @@ impl From<Reply> for ServeResponse {
     }
 }
 
-/// A typed page on its way to the wire without a cache entry of this
-/// server's behind it (a replica's answer): serialized here, once.
-impl From<ServeResponse> for Reply {
-    fn from(resp: ServeResponse) -> Reply {
-        Reply {
-            entry: Arc::new(Entry::from(resp.page)),
-            query: None,
-            cached: resp.cached,
-            stale: resp.stale,
-            generation: resp.generation,
-            latency: resp.latency,
-        }
-    }
-}
-
 /// A served KG or trust response: the pre-serialized JSON body (the
 /// canonical wire form — `GET /kg/query`, `GET /trust/node/{id}` and the
 /// rest send these bytes verbatim, so wire output is byte-identical to
@@ -273,10 +257,9 @@ impl From<Reply> for KgResponse {
 }
 
 /// Deterministic fault schedule for chaos runs: every `panic_every`-th
-/// guarded miss panics mid-compute, every `delay_every`-th sleeps for
-/// `delay` first (0 disables either). Guarded misses of every class are
-/// numbered by one global sequence, so a fixed schedule yields a fixed
-/// fault pattern.
+/// miss panics mid-compute, every `delay_every`-th sleeps for `delay`
+/// first (0 disables either). Misses of every class are numbered by one
+/// global sequence, so a fixed schedule yields a fixed fault pattern.
 #[derive(Debug, Clone, Default)]
 pub struct InjectedFaults {
     /// Panic on misses where `seq % panic_every == panic_every - 1`.
@@ -413,15 +396,14 @@ struct Inner {
     generation: AtomicU64,
     cache: QueryCache,
     metrics: Metrics,
-    /// One slot per class some guarded op is accounted against.
-    breakers: [Breaker; Class::GUARDED.len()],
+    /// One circuit breaker per class.
+    breakers: [Breaker; Class::ALL.len()],
     /// What the server was started with: pool size, queue bound,
     /// deadline, breaker tuning.
     config: ServeConfig,
     /// Fault schedule (chaos testing); None in production.
     faults: RwLock<Option<InjectedFaults>>,
-    /// Global guarded-miss sequence (every class) driving the fault
-    /// schedule.
+    /// Global miss sequence (every class) driving the fault schedule.
     fault_seq: AtomicU64,
     queue: Mutex<Queue>,
     /// Signalled when a job is queued or the queue closes.
@@ -437,10 +419,6 @@ struct Inner {
 }
 
 impl Inner {
-    fn breaker(&self, class: Class) -> &Breaker {
-        &self.breakers[class.index()]
-    }
-
     /// Block until a job is queued and take it, or `None` once the
     /// queue is closed and drained.
     fn next_job(&self) -> Option<(Instant, Job)> {
@@ -499,60 +477,57 @@ impl Inner {
         }
     }
 
-    /// Compute `op` under the shared system lock and cache the value
-    /// under `key`. `None` (unknown node id, vaccine or venue) is not
-    /// cached, but it is an answer: the request completed.
+    /// Compute a miss of `op` behind its class's breaker, and cache the
+    /// value under `key`. An open breaker, or a panic mid-compute
+    /// (caught, counted and fed to the breaker), answers degraded.
+    /// `None` (unknown node id, vaccine or venue) is not cached, but it
+    /// is an answer: the request completed.
     fn compute(
         &self,
         op: &Op<'_>,
         key: String,
         echo: Option<&str>,
         started: Instant,
-    ) -> Option<Reply> {
-        let (entry, generation) = {
+    ) -> Result<Option<Reply>, ServeError> {
+        let class = op.class();
+        let breaker = &self.breakers[class.index()];
+        // Unhealthy class: don't spend the engines on it.
+        if !breaker.allow(Instant::now(), &self.config) {
+            return self.degraded(&key, op.staleness(), echo, started);
+        }
+        let computed = catch_unwind(AssertUnwindSafe(|| {
+            // Chaos schedule: deterministic panics/delays keyed by sequence.
+            let seq = self.fault_seq.fetch_add(1, Ordering::Relaxed);
+            if let Some(faults) = read_lock(&self.faults).clone() {
+                if faults.delay_every > 0 && seq % faults.delay_every == faults.delay_every - 1 {
+                    std::thread::sleep(faults.delay);
+                }
+                if faults.panic_every > 0 && seq % faults.panic_every == faults.panic_every - 1 {
+                    panic!("injected {} panic (seq {seq})", class.label());
+                }
+            }
             let system = read_lock(&self.system);
             // Generation read under the same read lock the op runs
             // under: the pair is consistent even against concurrent
             // ingest commits.
             (op.compute(&system, &self.metrics), system.generation())
+        }));
+        let Ok((entry, generation)) = computed else {
+            self.metrics.record_panic();
+            if breaker.record_failure(Instant::now(), &self.config) {
+                self.metrics.record_breaker_open();
+            }
+            return self.degraded(&key, op.staleness(), echo, started);
         };
-        match entry {
-            Some(entry) => {
-                self.cache.insert(key, generation, Arc::clone(&entry));
-                Some(self.complete(entry, echo, false, false, generation, started))
-            }
-            None => {
-                self.metrics.record_completed(started.elapsed());
-                None
-            }
-        }
-    }
-
-    /// [`Inner::compute`] for a guarded op: the fault schedule first,
-    /// then a success recorded with the class's breaker. The caller
-    /// catches a panic and records the failure.
-    fn compute_guarded(
-        &self,
-        op: &Op<'_>,
-        key: String,
-        echo: Option<&str>,
-        started: Instant,
-    ) -> Option<Reply> {
-        let class = op.class();
-        // Chaos schedule: deterministic panics/delays keyed by sequence.
-        let seq = self.fault_seq.fetch_add(1, Ordering::Relaxed);
-        if let Some(faults) = read_lock(&self.faults).clone() {
-            if faults.delay_every > 0 && seq % faults.delay_every == faults.delay_every - 1 {
-                std::thread::sleep(faults.delay);
-            }
-            if faults.panic_every > 0 && seq % faults.panic_every == faults.panic_every - 1 {
-                panic!("injected {} panic (seq {seq})", class.label());
-            }
-        }
-        let reply = self.compute(op, key, echo, started);
-        self.breaker(class)
-            .record_success(Instant::now(), &self.config);
-        reply
+        breaker.record_success(Instant::now(), &self.config);
+        let Some(entry) = entry else {
+            self.metrics.record_completed(started.elapsed());
+            return Ok(None);
+        };
+        self.cache.insert(key, generation, Arc::clone(&entry));
+        Ok(Some(
+            self.complete(entry, echo, false, false, generation, started),
+        ))
     }
 
     /// Answer a request whose class is unhealthy: for a may-serve-stale
@@ -713,9 +688,8 @@ impl Server {
 
     /// The second half of [`Server::request`]: answer `op`, whose `miss`
     /// [`Server::probe`] handed back. A duplicate computed while this one
-    /// waited is the hit it now is; otherwise the miss is counted and, by
-    /// the op's row in the table, computed bare, or behind the class's
-    /// breaker and computed guarded.
+    /// waited is the hit it now is; otherwise the miss is counted and
+    /// computed behind the class's breaker.
     pub fn compute_miss(&self, op: &Op<'_>, miss: Miss) -> Result<Option<Reply>, ServeError> {
         // The probe's time counts; a wait between the two halves does not.
         let started = Instant::now()
@@ -733,26 +707,7 @@ impl Server {
         if lock(&inner.queue).closed {
             return Err(ServeError::Closed);
         }
-        if op.guard() == Guard::Bare {
-            return Ok(inner.compute(op, key, echo, started));
-        }
-        // Unhealthy class: don't spend the engines on it.
-        if !inner.breaker(class).allow(Instant::now(), &inner.config) {
-            return inner.degraded(&key, op.staleness(), echo, started);
-        }
-        let computed = catch_unwind(AssertUnwindSafe(|| {
-            inner.compute_guarded(op, key.clone(), echo, started)
-        }));
-        computed.or_else(|_| {
-            inner.metrics.record_panic();
-            if inner
-                .breaker(class)
-                .record_failure(Instant::now(), &inner.config)
-            {
-                inner.metrics.record_breaker_open();
-            }
-            inner.degraded(&key, op.staleness(), echo, started)
-        })
+        inner.compute(op, key, echo, started)
     }
 
     /// [`Server::request`] for an op that always resolves to a value.
@@ -804,16 +759,14 @@ impl Server {
         read_lock(&self.inner.system).search(mode, page)
     }
 
-    /// Serve a dense (semantic or hybrid) search: cache-fronted, computed
-    /// bare (an ANN query is sub-millisecond at our sizes, so circuit
-    /// breaking would cost more than the search).
+    /// Serve a dense (semantic or hybrid) search behind its mode's
+    /// breaker. Never served stale: degraded mode fails typed.
     pub fn search_dense(&self, mode: &DenseMode, page: usize) -> Result<ServeResponse, ServeError> {
         self.always(Op::Dense(Cow::Borrowed(mode), page, false))
     }
 
-    /// Serve a KG traversal: guarded like the lexical engines (a deep
-    /// traversal is real work) by the `kg` breaker, but never served
-    /// stale — an open breaker or a panicked compute yields the typed
+    /// Serve a KG traversal behind the `kg` breaker, never served stale:
+    /// an open breaker or a panicked compute yields the typed
     /// [`ServeError::Degraded`] instead of an old-generation body.
     pub fn kg_query(&self, plan: &QueryPlan) -> Result<KgResponse, ServeError> {
         self.always(Op::KgQuery(Cow::Borrowed(plan), false))
@@ -832,7 +785,7 @@ impl Server {
         self.lookup(Op::KgProfile(Cow::Borrowed(vaccine)))
     }
 
-    /// Serve one KG node document, computed bare (the lookup is O(1)).
+    /// Serve one KG node document behind the `kg` breaker.
     /// `Ok(None)` = out-of-range id.
     pub fn kg_node(&self, id: usize) -> Result<Option<KgResponse>, ServeError> {
         self.lookup(Op::KgNode(id))

@@ -5,7 +5,7 @@
 
 use covidkg_core::{CovidKg, CovidKgConfig, QueryPlan};
 use covidkg_search::{DenseMode, SearchMode};
-use covidkg_serve::{Guard, InjectedFaults, Op, Reply, ServeConfig, ServeError, Server, Staleness};
+use covidkg_serve::{Class, InjectedFaults, Op, Reply, ServeConfig, ServeError, Server, Staleness};
 use std::borrow::Cow;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -66,10 +66,6 @@ fn unknown_ops() -> Vec<Op<'static>> {
     ]
 }
 
-fn guarded(ops: &[Op<'static>]) -> usize {
-    ops.iter().filter(|op| op.guard() == Guard::Breaker).count()
-}
-
 type Outcome = Result<Result<Option<Reply>, ServeError>, ServeError>;
 
 /// Queue one job per op, each sending back its index and what it got: the
@@ -124,21 +120,18 @@ fn fresh(outcome: Result<Option<Reply>, ServeError>, generation: u64, op: &Op<'_
 
 /// What an op whose class is unhealthy (breaker open, or its compute
 /// panicked on this request) is answered with, after an ingest moved the
-/// generation past its cached value's: bare ops never notice; a
-/// may-serve-stale op gets the old page, marked; a never-stale op gets
-/// the typed error and never the old-generation body.
+/// generation past its cached value's: a may-serve-stale op gets the old
+/// page, marked; a never-stale op gets the typed error and never the
+/// old-generation body.
 fn assert_degraded_by_policy(server: &Server, op: &Op<'static>, stale_generation: u64) {
     let outcome = server.request(op);
-    match (op.guard(), op.staleness()) {
-        (Guard::Bare, _) => {
-            fresh(outcome, server.generation(), op);
-        }
-        (Guard::Breaker, Staleness::MayServeStale) => {
+    match op.staleness() {
+        Staleness::MayServeStale => {
             let reply = outcome.unwrap().expect("the stale page");
             assert!(reply.stale && reply.cached, "{op:?}");
             assert_eq!(reply.generation, stale_generation, "{op:?}");
         }
-        (Guard::Breaker, Staleness::NeverStale) => {
+        Staleness::NeverStale => {
             assert_eq!(outcome.err(), Some(ServeError::Degraded), "{op:?}");
         }
     }
@@ -168,13 +161,13 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
         assert_degraded_by_policy(&server, op, generation);
     }
     let stats = server.stats();
-    assert_eq!(stats.worker_panics as usize, guarded(&ops), "every guarded op ran its compute");
+    assert_eq!(stats.worker_panics as usize, ops.len(), "every op ran its compute");
     assert_eq!(stats.breaker_opens, 0, "the sample floor kept every breaker closed");
     assert_eq!(server.worker_count(), ServeConfig::default().workers);
     server.shutdown();
 
-    // 2. Breaker forced open: one panicking request per guarded class
-    //    (under another key) trips it; then no request reaches an engine.
+    // 2. Breaker forced open: one panicking request per class (under
+    //    another key) trips it; then no request reaches an engine.
     let server = Server::start(
         build_system(),
         ServeConfig {
@@ -209,7 +202,11 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
         ),
         Op::KgProfile(Cow::Owned(trigger())),
         Op::TrustSource(Cow::Owned(trigger())),
+        Op::Dense(Cow::Owned(DenseMode::Semantic(trigger())), 0, false),
+        Op::Dense(Cow::Owned(DenseMode::Hybrid(trigger())), 0, false),
     ];
+    let tripped: Vec<Class> = triggers.iter().map(Op::class).collect();
+    assert!(Class::ALL.iter().all(|c| tripped.contains(c)), "one trigger per class");
     for op in &triggers {
         // Nothing cached under these keys: stale-capable or not, degraded.
         assert_eq!(server.request(op).err(), Some(ServeError::Degraded), "{op:?}");
@@ -235,7 +232,7 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
     // 4. Deadline already expired when dequeued: the one worker is held
     //    while a job per op waits out the deadline behind it; every one
     //    is handed `DeadlineExceeded` and computes nothing. The queue does
-    //    not look at the op: bare and guarded rows alike.
+    //    not look at the op: every row alike.
     let server = Arc::new(Server::start(
         build_system(),
         ServeConfig { workers: 1, default_deadline: Duration::from_millis(300), ..ServeConfig::default() },
@@ -280,6 +277,55 @@ fn every_op_kind_meets_its_policy_in_every_situation() {
     for op in &ops {
         fresh(server.request(op), server.generation(), op);
     }
+    server.shutdown();
+}
+
+/// Both dense modes and the node lookup, the cheapest rows, follow the
+/// same policy as every other row, on a worker of the one queue: an
+/// injected panic is caught, counted and answered with the typed
+/// `Degraded` (they are never-stale), the worker survives it, and the
+/// panic opens the class's breaker, after which no request of that class
+/// reaches an engine while the other classes still compute.
+#[test]
+fn dense_and_node_rows_meet_their_class_breaker() {
+    let server = Arc::new(Server::start(
+        build_system(),
+        ServeConfig {
+            workers: 1,
+            // Any failure opens, and stays open for the whole test.
+            breaker_min_samples: 1,
+            breaker_error_rate: 0.0,
+            breaker_cooldown: Duration::from_secs(600),
+            ..ServeConfig::default()
+        },
+    ));
+    let q = || "vaccine".to_string();
+    let ops = [
+        Op::Dense(Cow::Owned(DenseMode::Semantic(q())), 0, false),
+        Op::Dense(Cow::Owned(DenseMode::Hybrid(q())), 0, true),
+        Op::KgNode(0),
+    ];
+    let panics = InjectedFaults { panic_every: 1, ..InjectedFaults::default() };
+    server.set_injected_faults(Some(panics));
+    let (outcomes, results) = mpsc::channel();
+    for (i, op) in ops.iter().enumerate() {
+        assert_eq!(op.staleness(), Staleness::NeverStale, "{op:?}");
+        assert!(submit_each(&server, std::slice::from_ref(op), &outcomes)[0].is_ok());
+        let (_, outcome) = results.recv_timeout(Duration::from_secs(10)).expect("an answer");
+        assert_eq!(outcome.expect("admitted").err(), Some(ServeError::Degraded), "{op:?}");
+        let stats = server.stats();
+        assert_eq!(stats.worker_panics as usize, i + 1, "{op:?}: the panic is counted");
+        assert_eq!(stats.worker_respawns, 0, "{op:?}: caught on the worker, not escaped");
+        assert_eq!(stats.breaker_opens as usize, i + 1, "{op:?}: its class's breaker opened");
+    }
+    assert_eq!(server.worker_count(), 1);
+    server.set_injected_faults(None);
+    for op in &ops {
+        assert_eq!(server.request(op).err(), Some(ServeError::Degraded), "{op:?}");
+    }
+    assert_eq!(server.stats().worker_panics, 3, "open breakers short-circuit");
+    let lexical = Op::Search(Cow::Owned(SearchMode::AllFields(q())), 0, false);
+    fresh(server.request(&lexical), server.generation(), &lexical);
     server.shutdown();
 }
 

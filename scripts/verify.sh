@@ -16,6 +16,10 @@ cargo test --offline -q
 echo "==> cargo test --workspace --offline -q"
 cargo test --workspace --offline -q
 
+echo "==> one request path: every op row meets its class breaker, every op row routes to a replica"
+cargo test -p covidkg-serve --test op_policies --offline -q
+cargo test -p covidkg-net --test routed_wire --offline -q
+
 echo "==> search equivalence property tests (postings-driven pages vs the tokenizing oracles)"
 cargo test -p covidkg-search --test equivalence --test postings_oracle --offline -q
 

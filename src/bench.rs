@@ -887,7 +887,9 @@ fn repl(args: &Args, scale: &[usize], tables: &[Table]) -> Result<Vec<Value>, St
                         let mut ok = 0u64;
                         for i in 0..per_client {
                             let mode = SearchMode::AllFields(queries[i % queries.len()].clone());
-                            ok += router.search(&mode, 0, 0, Duration::from_secs(5)).is_ok() as u64;
+                            let routed = router.route(0, Duration::from_secs(5));
+                            ok += routed.is_ok_and(|(server, _)| server.search(&mode, 0).is_ok())
+                                as u64;
                         }
                         ok
                     })
@@ -1004,19 +1006,22 @@ fn failover(args: &Args, floor: Option<Duration>) -> Result<Value, String> {
         h.store(health as u8, Ordering::Release);
     }
     let read_floor = slate[winner].1;
+    let mode = SearchMode::AllFields("covid".into());
     let first_read = loop {
-        match router.search(
-            &SearchMode::AllFields("covid".into()),
-            0,
-            read_floor,
-            Duration::from_millis(200),
-        ) {
-            Ok((_, info)) if info.replica == slate[winner].0 => break t0.elapsed(),
-            Ok(_) | Err(_) if t0.elapsed() < Duration::from_secs(10) => {
+        match router.route(read_floor, Duration::from_millis(200)) {
+            Ok((server, info))
+                if info.replica == slate[winner].0 && server.search(&mode, 0).is_ok() =>
+            {
+                break t0.elapsed()
+            }
+            _ if t0.elapsed() < Duration::from_secs(10) => {
                 std::thread::sleep(Duration::from_millis(1));
             }
             Ok((_, info)) => {
-                return Err(format!("failover bench: read served by {:?}", info.replica))
+                return Err(format!(
+                    "failover bench: last read routed to {:?}",
+                    info.replica
+                ))
             }
             Err(e) => return Err(format!("failover bench: routed read never recovered: {e}")),
         }

@@ -3,8 +3,10 @@
 //! `covidkg repl-smoke` drives the replication stack over loopback.
 
 use crate::{build_system, pool_router, start_http, start_primary, Args};
+use covidkg::json::{self, Value};
 use covidkg::net::bench::encode_query;
 use covidkg::repl::{Epoch, ReplicaNode, ReplicaNodeConfig, ReplicaTarget};
+use covidkg::serve::Op;
 use covidkg::{CovidKg, DenseMode, HttpClient, SearchMode, ServeConfig, Server};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -234,20 +236,23 @@ pub fn repl_smoke(args: &Args) -> Result<(), String> {
     }
     println!("live writes converged: watermark {mark}, checksums equal");
 
-    // Read-your-writes at the new watermark, served by the replica.
+    // Read-your-writes at the new watermark, served by the replica: a
+    // search, a KG node and a trust node, each routed on its own.
     let target =
         ReplicaTarget::tracking("smoke-replica", node.server(), &node.publications_state());
     let router = pool_router(vec![target], &pubs);
-    let (resp, info) = router
-        .search(
-            &SearchMode::AllFields("covid".into()),
-            0,
-            mark,
-            Duration::from_secs(5),
-        )
-        .map_err(|e| format!("routed read failed: {e}"))?;
+    let routed = || {
+        router
+            .route(mark, Duration::from_secs(5))
+            .map_err(|e| format!("routed read failed: {e}"))
+    };
+    let (replica, info) = routed()?;
+    let mode = SearchMode::AllFields("covid".into());
+    let resp = replica
+        .search(&mode, 0)
+        .map_err(|e| format!("replica read failed: {e}"))?;
     let on_primary = primary
-        .search(&SearchMode::AllFields("covid".into()), 0)
+        .search(&mode, 0)
         .map_err(|e| format!("primary read failed: {e}"))?;
     if resp.page.total != on_primary.page.total {
         return Err(format!(
@@ -259,6 +264,42 @@ pub fn repl_smoke(args: &Args) -> Result<(), String> {
         "read-your-writes OK: {:?} served {} results at applied {}",
         info.replica, resp.page.total, info.applied
     );
+    // A trust document stamps the node's own refresh counters (`epoch`,
+    // `generation`); the rest must be the primary's. The replica refreshes
+    // its derived views a moment after it applies frames: wait for that.
+    for op in [Op::KgNode(0), Op::TrustNode(0)] {
+        let doc = |server: &Server| -> Result<Value, String> {
+            let reply = server.request(&op).map_err(|e| e.to_string())?;
+            let mut doc = json::parse(reply.ok_or("no document")?.entry.as_str())
+                .map_err(|e| e.to_string())?;
+            doc.remove("epoch");
+            doc.remove("generation");
+            Ok(doc)
+        };
+        let (want, t0) = (doc(&primary)?, Instant::now());
+        let (got, info) = loop {
+            let (replica, info) = routed()?;
+            let got = doc(&replica)?;
+            if got == want || t0.elapsed() >= Duration::from_secs(5) {
+                break (got, info);
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        if got != want {
+            return Err(format!(
+                "{op:?}: {:?} answered {}, not the primary's {}",
+                info.replica,
+                got.to_json(),
+                want.to_json()
+            ));
+        }
+        println!(
+            "{op:?} OK: {:?} at applied {} answered the primary's document after {:?}",
+            info.replica,
+            info.applied,
+            t0.elapsed()
+        );
+    }
     node.shutdown();
     println!("REPL SMOKE PASSED");
     Ok(())
