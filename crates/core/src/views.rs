@@ -12,7 +12,9 @@
 //! ingest on this node or a replicated frame applied beneath it — the
 //! log names them, so both callers make the same call and pay for the
 //! delta; only a window the bounded log no longer covers falls back to
-//! `rebuild`.
+//! `rebuild`. The graph's side of the delta is the node list
+//! [`KnowledgeGraph::take_changed`] drains: trust re-reads those nodes
+//! and no others.
 //!
 //! `crates/core/tests/views_prop.rs` holds the contract: after any
 //! interleaving of writes, graph growth and `advance`, every served
@@ -24,7 +26,7 @@ use covidkg_ann::{HnswConfig, HnswIndex};
 use covidkg_json::Value;
 use covidkg_kg::materialize::ProfileStore;
 use covidkg_kg::profile::Observation;
-use covidkg_kg::KnowledgeGraph;
+use covidkg_kg::{GraphChanges, KnowledgeGraph};
 use covidkg_ml::Word2Vec;
 use covidkg_store::Collection;
 use covidkg_tables::parse_tables;
@@ -85,13 +87,16 @@ impl Views {
             .unwrap_or_else(|| build_ann(&docs, embeddings, *self.ann.config()));
     }
 
-    /// Replay the mutation log since the cursor into all three views.
-    /// Always re-snapshots the graph for trust, so graph growth with an
-    /// empty document delta is picked up too.
+    /// Replay the mutation log since the cursor into all three views,
+    /// and re-read for trust the graph nodes `changes` names (what
+    /// [`KnowledgeGraph::take_changed`] drained since the graph was last
+    /// read), so graph growth with an empty document delta is picked up
+    /// too.
     pub fn advance(
         &mut self,
         publications: &Collection,
         kg: &KnowledgeGraph,
+        changes: &GraphChanges,
         embeddings: &Word2Vec,
     ) {
         let epoch = publications.mutation_epoch();
@@ -122,7 +127,7 @@ impl Views {
             observations.remove(id).unwrap_or_default()
         });
         self.trust
-            .refresh(epoch, &touched, kg, |id| facts.remove(id));
+            .refresh(epoch, &touched, kg, changes, |id| facts.remove(id));
     }
 
     /// Stamp the system generation the views are current as of.

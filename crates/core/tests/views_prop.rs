@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 
 use covidkg_core::Views;
 use covidkg_json::{obj, Value};
-use covidkg_kg::{KnowledgeGraph, NodeKind};
+use covidkg_kg::{GraphChanges, KnowledgeGraph, NodeKind};
 use covidkg_ml::{Word2Vec, Word2VecConfig};
 use covidkg_rand::rngs::SmallRng;
 use covidkg_rand::{prop, Rng};
@@ -90,6 +90,8 @@ enum Op {
     Shipped(Frame),
     /// Fusion grows the graph (possibly with no document written).
     Grow { parent: usize, label: usize, papers: Vec<usize> },
+    /// Fusion attaches a paper to a node the graph already has.
+    Attach { node: usize, paper: usize },
     Advance,
 }
 
@@ -127,6 +129,7 @@ fn gen_op(rng: &mut SmallRng) -> Op {
             label: rng.gen_range(0..LABELS.len()),
             papers: prop::vec_of(rng, 0, 2, |r| r.gen_range(0..PAPERS)),
         },
+        16 => Op::Attach { node: rng.gen_range(0usize..32), paper },
         _ => Op::Advance,
     }
 }
@@ -209,6 +212,7 @@ fn write(coll: &Collection, kg: &mut KnowledgeGraph, op: &Op) {
                 kg.add_provenance(id, paper_id(*p));
             }
         }
+        Op::Attach { node, paper } => kg.add_provenance(node % kg.len(), paper_id(*paper)),
         Op::Advance => {}
     }
 }
@@ -302,6 +306,7 @@ fn advanced_views_equal_a_rebuild_at_the_same_epoch() {
             let coll = Collection::new(CollectionConfig::new("publications").with_shards(3));
             let mut kg = KnowledgeGraph::new();
             kg.add_root("covid");
+            kg.take_changed();
             let mut views = Views::new(model().dims());
             views.rebuild(&coll, &kg, model(), None);
             let mut burst_pending = false;
@@ -316,7 +321,8 @@ fn advanced_views_equal_a_rebuild_at_the_same_epoch() {
                     (v.profiles().stats().full_rebuilds, v.trust().stats().full_rebuilds)
                 };
                 let before = rebuilds(&views);
-                views.advance(&coll, &kg, model());
+                let changed = kg.take_changed();
+                views.advance(&coll, &kg, &changed, model());
                 let expected = before.0 + u64::from(burst_pending);
                 if rebuilds(&views) != (expected, expected) {
                     return Err(format!(
@@ -340,6 +346,7 @@ fn six_papers() -> (Collection, KnowledgeGraph, Views) {
     }
     let mut kg = KnowledgeGraph::new();
     kg.add_root("covid");
+    kg.take_changed();
     let mut views = Views::new(model().dims());
     views.rebuild(&coll, &kg, model(), None);
     (coll, kg, views)
@@ -358,7 +365,7 @@ fn insert_only_delta_reaches_every_view() {
     coll.insert(doc(6, &plain(1))).unwrap();
     let with_table = Shape { table: Some(vec![(0, 0, 12)]), ..plain(1) };
     coll.insert(doc(7, &with_table)).unwrap();
-    views.advance(&coll, &kg, model());
+    views.advance(&coll, &kg, &GraphChanges::default(), model());
     assert_eq!(views.ann().len(), 8);
     assert!(views.ann().contains(&paper_id(6)));
     assert_eq!(views.trust().stats().papers, 8);
@@ -376,7 +383,7 @@ fn enriched_new_id_is_indexed_once() {
     let dead = views.ann().tombstones();
     coll.insert(doc(6, &plain(0))).unwrap();
     coll.replace(&paper_id(6), doc(6, &plain(1))).unwrap();
-    views.advance(&coll, &kg, model());
+    views.advance(&coll, &kg, &GraphChanges::default(), model());
     assert!(views.ann().contains(&paper_id(6)));
     assert_eq!(views.ann().tombstones(), dead);
 }
@@ -386,7 +393,7 @@ fn replace_and_delete_reach_the_index_and_a_second_advance_is_a_no_op() {
     let (coll, kg, mut views) = six_papers();
     coll.replace(&paper_id(0), doc(0, &plain(2))).unwrap();
     coll.delete(&paper_id(1)).unwrap();
-    views.advance(&coll, &kg, model());
+    views.advance(&coll, &kg, &GraphChanges::default(), model());
     assert_eq!(views.ann().len(), 5);
     assert!(!views.ann().contains(&paper_id(1)));
     assert!(views.ann().contains(&paper_id(0)));
@@ -394,7 +401,7 @@ fn replace_and_delete_reach_the_index_and_a_second_advance_is_a_no_op() {
 
     let (cursor, dead) = (views.cursor(), views.ann().tombstones());
     let repropagated = views.trust().stats().nodes_repropagated;
-    views.advance(&coll, &kg, model());
+    views.advance(&coll, &kg, &GraphChanges::default(), model());
     assert_eq!(views.cursor(), cursor);
     assert_eq!(views.ann().len(), 5);
     assert_eq!(views.ann().tombstones(), dead);
@@ -407,7 +414,8 @@ fn graph_growth_alone_reaches_trust() {
     let node = kg.add_child(0, "fever", NodeKind::Entity, 0.8);
     kg.add_provenance(node, paper_id(2));
     assert!(views.trust().trust(node).is_none());
-    views.advance(&coll, &kg, model());
+    let changed = kg.take_changed();
+    views.advance(&coll, &kg, &changed, model());
     assert!(views.trust().trust(node).is_some(), "empty document delta, new graph");
     equals_rebuild(&views, &coll, &kg, "graph growth").unwrap();
 }

@@ -10,7 +10,7 @@
 
 use covidkg_json::{obj, Value};
 use covidkg_text::{normalize_term, NormalizedTerm};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Index of a node within the graph.
 pub type NodeId = usize;
@@ -106,6 +106,28 @@ pub struct KnowledgeGraph {
     /// `paper_nodes[id]` — the nodes carrying that paper, in attachment
     /// order (what a new attachment's co-neighbours are read from).
     paper_nodes: Vec<Vec<NodeId>>,
+    /// Nodes created, or whose parents, children or provenance grew,
+    /// since the last [`KnowledgeGraph::take_changed`]: how fusion tells
+    /// the views built over the graph which nodes to re-read.
+    changed: BTreeSet<NodeId>,
+    /// Set by the first [`KnowledgeGraph::take_changed`].
+    drained: bool,
+}
+
+/// What [`KnowledgeGraph::take_changed`] reports: the nodes that changed
+/// since the previous call. The default reports nothing changed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GraphChanges {
+    /// No earlier call saw this graph (it was built, or read back by
+    /// [`KnowledgeGraph::from_json`], since): a view must re-read it
+    /// whole. Otherwise a node outside `nodes` reads exactly as it did
+    /// at the previous call, and one inside it either is new or only
+    /// gained parents, children or provenance — provenance appended
+    /// after what it carried then.
+    pub fresh: bool,
+    /// Nodes created, or whose parents, children or provenance grew,
+    /// ascending.
+    pub nodes: Vec<NodeId>,
 }
 
 impl KnowledgeGraph {
@@ -131,6 +153,7 @@ impl KnowledgeGraph {
         assert!(parent < self.nodes.len(), "unknown parent {parent}");
         let id = self.push_node(label.into(), kind, vec![parent], confidence);
         self.nodes[parent].children.push(id);
+        self.changed.insert(parent);
         id
     }
 
@@ -142,6 +165,7 @@ impl KnowledgeGraph {
         if !self.nodes[node].parents.contains(&parent) {
             self.nodes[node].parents.push(parent);
             self.nodes[parent].children.push(node);
+            self.changed.extend([node, parent]);
         }
     }
 
@@ -154,6 +178,7 @@ impl KnowledgeGraph {
     ) -> NodeId {
         let id = self.nodes.len();
         self.index_label(id, &label);
+        self.changed.insert(id);
         self.nodes.push(Node {
             id,
             label,
@@ -212,6 +237,7 @@ impl KnowledgeGraph {
             return;
         }
         let (word, bit) = (paper as usize / 64, paper % 64);
+        self.changed.insert(node);
         let n = &mut self.nodes[node];
         n.papers.push(paper);
         if n.paper_set.len() <= word {
@@ -223,6 +249,17 @@ impl KnowledgeGraph {
             insert_sorted(&mut self.nodes[other].co, node);
         }
         self.paper_nodes[paper as usize].push(node);
+    }
+
+    /// Drain the change journal: the nodes created, or whose parents,
+    /// children or provenance grew, since the previous call. Labels,
+    /// kinds and confidences never change after creation and provenance
+    /// is only appended to, which is what lets a view built over the
+    /// graph re-read the reported nodes alone (see [`GraphChanges`]).
+    pub fn take_changed(&mut self) -> GraphChanges {
+        let fresh = !std::mem::replace(&mut self.drained, true);
+        let nodes = std::mem::take(&mut self.changed).into_iter().collect();
+        GraphChanges { fresh, nodes }
     }
 
     /// The publication ids attached to a node, in the order they were
@@ -754,6 +791,22 @@ mod tests {
         assert_eq!(back.node(0).children, kg.node(0).children);
         assert_eq!(back.find_by_term("vaccine"), [1]);
         assert_eq!(back.path_to_root(4), kg.path_to_root(4));
+    }
+
+    #[test]
+    fn change_journal_reports_growth_once() {
+        let mut kg = KnowledgeGraph::from_json(&sample().to_json()).unwrap();
+        let first = kg.take_changed();
+        assert!(first.fresh, "a graph read back is new to every view");
+        assert_eq!(first.nodes, (0..kg.len()).collect::<Vec<_>>());
+        assert_eq!(kg.take_changed(), GraphChanges::default(), "nothing since");
+        kg.add_provenance(2, "paper-000001"); // already carried
+        kg.add_parent(4, 2);
+        kg.add_provenance(3, "paper-9");
+        let child = kg.add_child(3, "Chills", NodeKind::Entity, 0.9);
+        let changes = kg.take_changed();
+        assert!(!changes.fresh);
+        assert_eq!(changes.nodes, [2, 3, 4, child]);
     }
 
     #[test]

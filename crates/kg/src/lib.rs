@@ -44,7 +44,7 @@ pub mod seed;
 
 pub use extract::{extract_subtrees, ExtractedTree};
 pub use fusion::{ExpertOracle, FusionConfig, FusionEngine, FusionOutcome, FusionStats, ScriptedExpert};
-pub use graph::{KnowledgeGraph, NodeId, NodeKind, SearchHit};
+pub use graph::{GraphChanges, KnowledgeGraph, NodeId, NodeKind, SearchHit};
 pub use materialize::{profile_document, ProfileStore, ProfileStoreStats};
 pub use profile::{build_meta_profiles, MetaProfile, Observation};
 pub use oracle::execute_oracle;

@@ -5,7 +5,9 @@
 //! from every observation. This module keeps the same profiles *live*
 //! instead: a [`ProfileStore`] holds observations keyed by source
 //! paper, and a mutation (one paper ingested, updated or deleted)
-//! rebuilds only the vaccines that paper touches. The store is
+//! folds that paper's old observations out of, and its new ones into,
+//! the profiles of the vaccines it reports on — work proportional to
+//! the paper, not to the vaccine's literature. The store is
 //! log-agnostic: the caller names the touched papers (in the system,
 //! `covidkg-core`'s derived-view driver reads them off the collection
 //! mutation log, which records every write).
@@ -14,11 +16,12 @@
 //! profiles are **equal** to a from-scratch
 //! `build_meta_profiles(canonical observations)` where canonical order
 //! is papers ascending by id, observations in extraction order within
-//! a paper. That holds because a vaccine's profile is a function of
-//! the ordered subsequence of its observations, and the store always
-//! replays a dirty vaccine's observations in canonical order. The
-//! property test in `tests/query_prop.rs` pins it across random
-//! mutation sequences.
+//! a paper. That holds because a full rebuild lists every effect's
+//! reports, and every profile's sources, in ascending paper order
+//! (extraction order within a paper), and a fold removes or inserts
+//! exactly one paper's run at its place in that order. The property
+//! test in `tests/query_prop.rs` pins it across random mutation
+//! sequences; [`ProfileStore::rebuild_all`] is its oracle.
 //!
 //! Freshness contract: the store is stamped with the collection
 //! mutation epoch it replayed up to and the system generation it was
@@ -28,7 +31,7 @@
 
 use crate::profile::{build_meta_profiles, MetaProfile, Observation};
 use covidkg_json::{obj, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Counters for the `covidkg_kg_profile_*` metrics series.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,7 +46,8 @@ pub struct ProfileStoreStats {
     pub incremental_refreshes: u64,
     /// Full rebuilds (initial build, or the bounded log overflowed).
     pub full_rebuilds: u64,
-    /// Vaccine profiles rebuilt across all refreshes.
+    /// Vaccine profiles rebuilt (a full rebuild) or patched (one per
+    /// vaccine a changed paper reports on, before or after the change).
     pub vaccines_rebuilt: u64,
     /// Collection mutation epoch the store has replayed up to.
     pub epoch: u64,
@@ -57,12 +61,10 @@ pub struct ProfileStore {
     /// paper id → its observations, in extraction order. BTreeMap is
     /// the canonical order the equivalence contract depends on.
     by_paper: BTreeMap<String, Vec<Observation>>,
-    /// vaccine → materialized profile.
-    profiles: BTreeMap<String, MetaProfile>,
-    /// Flat view in vaccine order, for the `&[MetaProfile]` accessor.
-    flat: Vec<MetaProfile>,
-    /// Vaccines whose profiles need a rebuild.
-    dirty: BTreeSet<String>,
+    /// Materialized profiles, ascending by vaccine.
+    profiles: Vec<MetaProfile>,
+    /// Observations across all papers, kept as a running count.
+    observations: usize,
     epoch: u64,
     generation: u64,
     incremental_refreshes: u64,
@@ -80,28 +82,21 @@ impl ProfileStore {
     /// when the bounded mutation log no longer covers the window
     /// (`touched_since` returned `None`). `papers` is `(paper id,
     /// observations)`; order does not matter, the store canonicalizes.
+    /// Also the oracle every incremental [`ProfileStore::refresh`] is
+    /// held to.
     pub fn rebuild_all(&mut self, papers: Vec<(String, Vec<Observation>)>, epoch: u64) {
-        self.by_paper.clear();
-        for (id, obs) in papers {
-            if !obs.is_empty() {
-                self.by_paper.insert(id, obs);
-            }
-        }
-        self.profiles.clear();
-        for p in build_meta_profiles(&self.canonical_observations()) {
-            self.profiles.insert(p.vaccine.clone(), p);
-        }
-        self.dirty.clear();
+        self.by_paper = papers.into_iter().filter(|(_, obs)| !obs.is_empty()).collect();
+        self.observations = self.by_paper.values().map(Vec::len).sum();
+        self.profiles = build_meta_profiles(&self.canonical_observations());
         self.epoch = epoch;
         self.full_rebuilds += 1;
         self.vaccines_rebuilt += self.profiles.len() as u64;
-        self.reflatten();
     }
 
     /// Incremental refresh: replay only the given papers (the mutation
-    /// log's touched ids), then rebuild only the vaccines those papers
-    /// mention. `extract` re-derives one paper's observations (empty =
-    /// paper gone or has no side-effect tables).
+    /// log's touched ids), folding each one's change into the profiles
+    /// of the vaccines it reports on. `extract` re-derives one paper's
+    /// observations (empty = paper gone or has no side-effect tables).
     pub fn refresh(
         &mut self,
         epoch: u64,
@@ -114,56 +109,90 @@ impl ProfileStore {
         for id in ids {
             self.apply(id, extract(id));
         }
-        self.rebuild_dirty();
         self.epoch = epoch;
         self.incremental_refreshes += 1;
-        self.reflatten();
     }
 
-    /// Upsert or remove one paper's observations, marking the vaccines
-    /// of both the old and the new set dirty.
+    /// Upsert or remove one paper's observations: fold the old set out
+    /// of its vaccines' profiles and the new set in. A write that left
+    /// the observations as they were (an enrichment `$set`) folds
+    /// nothing.
     fn apply(&mut self, paper_id: &str, obs: Vec<Observation>) {
-        if let Some(old) = self.by_paper.get(paper_id) {
-            for o in old {
-                self.dirty.insert(o.vaccine.clone());
-            }
+        let old = self.by_paper.remove(paper_id).unwrap_or_default();
+        if old != obs {
+            let mut vaccines: Vec<&str> = old.iter().chain(&obs).map(|o| o.vaccine.as_str()).collect();
+            vaccines.sort_unstable();
+            vaccines.dedup();
+            self.vaccines_rebuilt += vaccines.len() as u64;
+            self.fold_out(paper_id, &old);
+            self.fold_in(paper_id, &obs);
+            self.observations = self.observations - old.len() + obs.len();
         }
-        for o in &obs {
-            self.dirty.insert(o.vaccine.clone());
-        }
-        if obs.is_empty() {
-            self.by_paper.remove(paper_id);
-        } else {
+        if !obs.is_empty() {
             self.by_paper.insert(paper_id.to_string(), obs);
         }
     }
 
-    /// Rebuild every dirty vaccine from its canonical observation
-    /// subsequence.
-    fn rebuild_dirty(&mut self) {
-        let dirty = std::mem::take(&mut self.dirty);
-        for vaccine in dirty {
-            let obs: Vec<Observation> = self
-                .by_paper
-                .values()
-                .flatten()
-                .filter(|o| o.vaccine == vaccine)
-                .cloned()
-                .collect();
-            self.vaccines_rebuilt += 1;
-            match build_meta_profiles(&obs).pop() {
-                Some(p) => {
-                    self.profiles.insert(vaccine, p);
+    /// Remove every report of `paper_id` from the profiles `old` names,
+    /// dropping effects, doses and profiles left empty.
+    fn fold_out(&mut self, paper_id: &str, old: &[Observation]) {
+        for o in old {
+            let Ok(i) = self.profiles.binary_search_by(|p| p.vaccine.cmp(&o.vaccine)) else {
+                continue; // an earlier observation emptied the profile
+            };
+            let profile = &mut self.profiles[i];
+            if let Ok(s) = profile.sources.binary_search_by(|s| s.as_str().cmp(paper_id)) {
+                profile.sources.remove(s);
+            }
+            if let Some(layer) = profile.doses.get_mut(&o.dose) {
+                if let Some(reports) = layer.effects.get_mut(&o.effect) {
+                    let from = reports.partition_point(|(p, _)| p.as_str() < paper_id);
+                    let to = reports.partition_point(|(p, _)| p.as_str() <= paper_id);
+                    reports.drain(from..to);
+                    if reports.is_empty() {
+                        layer.effects.remove(&o.effect);
+                    }
                 }
-                None => {
-                    self.profiles.remove(&vaccine);
+                if layer.effects.is_empty() {
+                    profile.doses.remove(&o.dose);
                 }
+            }
+            if profile.doses.is_empty() {
+                self.profiles.remove(i);
             }
         }
     }
 
-    fn reflatten(&mut self) {
-        self.flat = self.profiles.values().cloned().collect();
+    /// Insert `paper_id`'s observations at their place in paper order:
+    /// after the reports of every paper sorting at or before it, so the
+    /// paper's own reports keep their extraction order.
+    fn fold_in(&mut self, paper_id: &str, obs: &[Observation]) {
+        for o in obs {
+            let i = match self.profiles.binary_search_by(|p| p.vaccine.cmp(&o.vaccine)) {
+                Ok(i) => i,
+                Err(i) => {
+                    let profile = MetaProfile {
+                        vaccine: o.vaccine.clone(),
+                        ..MetaProfile::default()
+                    };
+                    self.profiles.insert(i, profile);
+                    i
+                }
+            };
+            let profile = &mut self.profiles[i];
+            if let Err(s) = profile.sources.binary_search_by(|s| s.as_str().cmp(paper_id)) {
+                profile.sources.insert(s, paper_id.to_string());
+            }
+            let reports = profile
+                .doses
+                .entry(o.dose)
+                .or_default()
+                .effects
+                .entry(o.effect.clone())
+                .or_default();
+            let at = reports.partition_point(|(p, _)| p.as_str() <= paper_id);
+            reports.insert(at, (paper_id.to_string(), o.rate));
+        }
     }
 
     /// All observations in canonical order (papers ascending,
@@ -179,12 +208,13 @@ impl ProfileStore {
 
     /// Profiles in vaccine order.
     pub fn profiles(&self) -> &[MetaProfile] {
-        &self.flat
+        &self.profiles
     }
 
     /// One vaccine's profile.
     pub fn profile(&self, vaccine: &str) -> Option<&MetaProfile> {
-        self.profiles.get(vaccine)
+        let i = self.profiles.binary_search_by(|p| p.vaccine.as_str().cmp(vaccine)).ok()?;
+        Some(&self.profiles[i])
     }
 
     /// Mutation epoch the store has replayed up to.
@@ -196,7 +226,7 @@ impl ProfileStore {
     /// (doses → effects → per-paper rates) plus the rendered Fig 6
     /// panel, or `None` for an unknown vaccine.
     pub fn document(&self, vaccine: &str) -> Option<Value> {
-        let p = self.profiles.get(vaccine)?;
+        let p = self.profile(vaccine)?;
         Some(profile_document(p, self.epoch, self.generation))
     }
 
@@ -205,7 +235,7 @@ impl ProfileStore {
         ProfileStoreStats {
             papers: self.by_paper.len(),
             profiles: self.profiles.len(),
-            observations: self.by_paper.values().map(Vec::len).sum(),
+            observations: self.observations,
             incremental_refreshes: self.incremental_refreshes,
             full_rebuilds: self.full_rebuilds,
             vaccines_rebuilt: self.vaccines_rebuilt,
@@ -275,8 +305,10 @@ mod tests {
     }
 
     fn assert_matches_full_rebuild(store: &ProfileStore) {
-        let full = build_meta_profiles(&store.canonical_observations());
+        let canonical = store.canonical_observations();
+        let full = build_meta_profiles(&canonical);
         assert_eq!(store.profiles(), &full[..], "incremental ≡ full rebuild");
+        assert_eq!(store.stats().observations, canonical.len(), "running count ≡ the sum");
     }
 
     #[test]

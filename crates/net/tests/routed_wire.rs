@@ -349,3 +349,82 @@ fn every_op_row_is_answered_by_the_routed_replica() {
     drop(http);
     drop(node);
 }
+
+/// A replica whose store has applied a write but whose derived views
+/// have not refreshed yet (a refresh interval far longer than the test)
+/// must not answer a read that asks for that write: the router sees the
+/// sequence the views reflect, not the one the store applied. A
+/// `/trust/node/0` read at the new watermark gets the primary's
+/// document (the replica's would carry the pre-write trust and
+/// generation) or, were there no primary, a 503 — never the stale one.
+#[test]
+fn applied_but_unrefreshed_replica_does_not_serve_derived_views() {
+    let config = CovidKgConfig {
+        corpus_size: 24,
+        max_training_rows: 300,
+        data_dir: Some(scratch("unrefreshed-primary")),
+        ..CovidKgConfig::default()
+    };
+    let seed = config.seed;
+    let primary = Arc::new(Server::start(CovidKg::build(config).unwrap(), ServeConfig::default()));
+    let sources = primary.with_system(|s| {
+        let db = s.database();
+        let names = db.collection_names().into_iter();
+        names.map(|name| (name.clone(), db.collection(&name).unwrap())).collect::<Vec<_>>()
+    });
+    let pubs = sources.iter().find(|(n, _)| n == "publications").unwrap().1.clone();
+    let listener = ReplListener::start(sources, ReplConfig::default()).unwrap();
+    let node = ReplicaNode::start(ReplicaNodeConfig {
+        refresh_interval: Duration::from_secs(3600),
+        ..ReplicaNodeConfig::new(listener.local_addr(), "replica-u", scratch("unrefreshed-replica"))
+    })
+    .unwrap();
+    let before = pubs.repl_watermark();
+    assert!(wait_until(Duration::from_secs(10), || node.applied() >= before));
+
+    let extra = covidkg_corpus::CorpusGenerator::with_size(26, seed).generate().split_off(24);
+    primary.ingest(&extra).unwrap();
+    let mark = pubs.repl_watermark();
+    assert!(mark > before);
+    assert!(
+        wait_until(Duration::from_secs(10), || node.applied() >= mark),
+        "the replica's store never applied the write"
+    );
+    let state = node.publications_state();
+    let clock = Arc::clone(&pubs);
+    let router = Arc::new(ReadRouter::new(
+        Some(Arc::clone(&primary)),
+        vec![ReplicaTarget::tracking("replica-u", node.server(), &state)],
+        Arc::new(move || clock.repl_watermark()),
+        u64::MAX,
+    ));
+    // Past a few ticks of the gauge's mirror thread.
+    std::thread::sleep(Duration::from_millis(50));
+    let http = HttpServer::start_routed(
+        Arc::clone(&primary),
+        Some(ReadContext::new(router, None)),
+        NetConfig::default(),
+    )
+    .unwrap();
+    let mut client = HttpClient::connect(http.local_addr(), Duration::from_secs(5)).unwrap();
+
+    let want = primary.with_system(|s| s.trust_node(0).unwrap().to_json());
+    let stale = node.server().with_system(|s| s.trust_node(0).unwrap().to_json());
+    assert_ne!(want, stale, "the replica's views must still be the pre-write ones");
+    let raw = format!("GET /trust/node/0 HTTP/1.1\r\nHost: covidkg\r\nX-Min-Seq: {mark}\r\n\r\n");
+    let resp = client.send_raw(raw.as_bytes()).unwrap();
+    if !(resp.status == 503 || (resp.status == 200 && resp.text() == want)) {
+        // Leak the node rather than shut it down, so the failure is
+        // reported at once whatever its refresh thread is doing.
+        std::mem::forget(node);
+        panic!(
+            "{} from {:?}: {}",
+            resp.status,
+            resp.header("X-Served-By"),
+            resp.text()
+        );
+    }
+
+    drop(http);
+    drop(node);
+}

@@ -12,7 +12,9 @@
 //! [`covidkg_core::CovidKg`] reopened over those same live collections
 //! once the initial sync converges, a [`covidkg_serve::Server`] on top,
 //! and a refresh thread that rebuilds derived state (KG document,
-//! profiles, generation) whenever applied frames advance.
+//! profiles, generation) whenever applied frames advance, then
+//! publishes how far the derived views reach
+//! ([`PullerState::visible`]).
 
 use crate::failover::Epoch;
 use crate::primary::{docs_checksum, ReplConfig, ReplListener};
@@ -49,6 +51,12 @@ const SESSION_STALL: Duration = Duration::from_secs(5);
 pub struct PullerState {
     /// Highest contiguously applied (durable) sequence on the replica.
     pub applied: AtomicU64,
+    /// Highest applied sequence the node's derived views (KG, profiles,
+    /// trust, dense index) reflect: a serving replica's refresh thread
+    /// publishes the `applied` it read before its last successful
+    /// refresh. Reads that need sequence `s` routed here wait for this,
+    /// not for `applied`, to reach `s`.
+    pub visible: AtomicU64,
     /// Last watermark the primary reported for this collection.
     pub primary_watermark: AtomicU64,
     /// Completed sessions beyond the first (reconnects).
@@ -378,6 +386,19 @@ fn run_session(
     }
 }
 
+/// Each puller's applied sequence, in order.
+fn applied_of(states: &[Arc<PullerState>]) -> Vec<u64> {
+    states.iter().map(|s| s.applied.load(Ordering::Acquire)).collect()
+}
+
+/// Publish `applied` (read by [`applied_of`] before the views were
+/// derived) as each puller's visible sequence.
+fn publish_visible(states: &[Arc<PullerState>], applied: &[u64]) {
+    for (state, &seq) in states.iter().zip(applied) {
+        state.visible.store(seq, Ordering::Release);
+    }
+}
+
 fn bump_max(cell: &AtomicU64, value: u64) {
     cell.fetch_max(value, Ordering::AcqRel);
 }
@@ -583,6 +604,9 @@ impl ReplicaNode {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
+        // What the views derived by the reopen below reflect at least.
+        let watch: Vec<Arc<PullerState>> = pullers.iter().map(ReplicaPuller::state).collect();
+        let seen = applied_of(&watch);
         // The system's own config rode along in the replicated kg
         // collection; adopt it with our local data dir.
         let saved = collections
@@ -596,29 +620,31 @@ impl ReplicaNode {
         };
         let system = CovidKg::reopen_with(db, system_config)?;
         let server = Arc::new(Server::start(system, config.serve.clone()));
+        publish_visible(&watch, &seen);
 
         // Refresh thread: when applied frames advance, rebuild derived
         // state (KG doc, profiles) and bump the generation so caches
-        // re-key.
+        // re-key; then publish the applied sequences read before the
+        // refresh as visible — what the refreshed views reflect at least.
         let refresh_stop = Arc::new(AtomicBool::new(false));
-        let watch: Vec<Arc<PullerState>> = pullers.iter().map(ReplicaPuller::state).collect();
         let refresh_server = Arc::clone(&server);
         let thread_stop = Arc::clone(&refresh_stop);
         let interval = config.refresh_interval;
         let refresh_handle = std::thread::Builder::new()
             .name("covidkg-repl-refresh".into())
             .spawn(move || {
-                let applied_sum =
-                    |w: &[Arc<PullerState>]| -> u64 {
-                        w.iter().map(|s| s.applied.load(Ordering::Acquire)).sum()
-                    };
-                let mut last = applied_sum(&watch);
+                let mut last = seen;
                 while !thread_stop.load(Ordering::Acquire) {
-                    std::thread::sleep(interval);
-                    let now = applied_sum(&watch);
-                    if now != last {
+                    // `shutdown` unparks: a long interval does not hold
+                    // it up.
+                    std::thread::park_timeout(interval);
+                    if thread_stop.load(Ordering::Acquire) {
+                        return;
+                    }
+                    let now = applied_of(&watch);
+                    if now != last && refresh_server.with_system_mut(CovidKg::refresh_derived).is_ok() {
+                        publish_visible(&watch, &now);
                         last = now;
-                        let _ = refresh_server.with_system_mut(CovidKg::refresh_derived);
                     }
                 }
             })
@@ -765,6 +791,7 @@ impl ReplicaNode {
     pub fn shutdown(&mut self) {
         self.refresh_stop.store(true, Ordering::Release);
         if let Some(h) = self.refresh_handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
         for p in &mut self.pullers {

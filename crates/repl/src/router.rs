@@ -62,16 +62,17 @@ pub struct ReplicaTarget {
 }
 
 impl ReplicaTarget {
-    /// A target whose `applied` gauge follows a live puller: a small
-    /// mirror thread copies the puller's applied sequence every few
-    /// milliseconds and exits once either side (target or puller) is
-    /// dropped.
+    /// A target whose `applied` gauge follows a serving replica's
+    /// puller: a small mirror thread copies the puller's *visible*
+    /// sequence (what the replica's derived views reflect, not merely
+    /// what its store applied) every few milliseconds and exits once
+    /// either side (target or puller) is dropped.
     pub fn tracking(
         name: impl Into<String>,
         server: Arc<Server>,
         state: &Arc<crate::replica::PullerState>,
     ) -> ReplicaTarget {
-        let applied = Arc::new(AtomicU64::new(state.applied.load(Ordering::Acquire)));
+        let applied = Arc::new(AtomicU64::new(state.visible.load(Ordering::Acquire)));
         let weak_state = Arc::downgrade(state);
         let weak_gauge = Arc::downgrade(&applied);
         std::thread::Builder::new()
@@ -81,7 +82,7 @@ impl ReplicaTarget {
                 else {
                     return;
                 };
-                gauge.store(state.applied.load(Ordering::Acquire), Ordering::Release);
+                gauge.store(state.visible.load(Ordering::Acquire), Ordering::Release);
                 drop((state, gauge));
                 std::thread::sleep(Duration::from_millis(5));
             })

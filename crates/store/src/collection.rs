@@ -352,30 +352,34 @@ impl Collection {
         docs.into_iter().map(|d| self.insert(d)).collect()
     }
 
-    /// Insert a batch using `threads` worker threads (std scoped
-    /// threads pulling from a shared work queue).
-    /// Returns the number inserted; duplicate-id errors abort the batch
-    /// with the first error observed.
+    /// Insert a batch using up to `threads` workers pulling from a
+    /// shared work queue: the calling thread is one of them, and no more
+    /// workers run than there are documents, so a one-document batch
+    /// spawns no thread at all. Returns the number inserted; an error
+    /// stops the worker that hit it, and the batch returns the first
+    /// error observed.
     pub fn insert_parallel(&self, docs: Vec<Value>, threads: usize) -> Result<usize, StoreError> {
-        let threads = threads.max(1);
         let total = docs.len();
+        let workers = threads.clamp(1, total.max(1));
         let queue = Mutex::new(docs.into_iter());
         let first_err: Mutex<Option<StoreError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let Some(doc) = lock(&queue).next() else {
-                        return;
-                    };
-                    if let Err(e) = self.insert(doc) {
-                        let mut slot = lock(&first_err);
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        return;
-                    }
-                });
+        let work = || loop {
+            let Some(doc) = lock(&queue).next() else {
+                return;
+            };
+            if let Err(e) = self.insert(doc) {
+                let mut slot = lock(&first_err);
+                if slot.is_none() {
+                    *slot = Some(e);
+                }
+                return;
             }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
         match first_err.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner) {
             Some(e) => Err(e),

@@ -215,25 +215,44 @@ impl TextIndex {
         map
     }
 
+    /// A document's postings grouped by the stripe each stem lives in,
+    /// so a write takes each stripe's lock once rather than once per
+    /// stem.
+    fn doc_postings_by_stripe(&self, doc: &Value) -> Vec<Vec<(String, Vec<Posting>)>> {
+        let mut by_stripe: Vec<Vec<(String, Vec<Posting>)>> =
+            (0..TEXT_STRIPES).map(|_| Vec::new()).collect();
+        for (s, postings) in self.doc_postings(doc) {
+            by_stripe[Self::stripe_of(&s)].push((s, postings));
+        }
+        by_stripe
+    }
+
     /// Index a document.
     pub fn add(&self, id: &str, doc: &Value) {
-        for (s, postings) in self.doc_postings(doc) {
-            self.stripe(&s)
-                .write().unwrap()
-                .entry(s)
-                .or_default()
-                .insert(id.to_string(), postings);
+        for (stripe, stems) in self.stripes.iter().zip(self.doc_postings_by_stripe(doc)) {
+            if stems.is_empty() {
+                continue;
+            }
+            let mut stripe = stripe.write().unwrap();
+            for (s, postings) in stems {
+                stripe.entry(s).or_default().insert(id.to_string(), postings);
+            }
         }
     }
 
     /// Remove a document.
     pub fn remove(&self, id: &str, doc: &Value) {
-        for s in self.doc_postings(doc).into_keys() {
-            let mut stripe = self.stripe(&s).write().unwrap();
-            if let Some(docs) = stripe.get_mut(&s) {
-                docs.remove(id);
-                if docs.is_empty() {
-                    stripe.remove(&s);
+        for (stripe, stems) in self.stripes.iter().zip(self.doc_postings_by_stripe(doc)) {
+            if stems.is_empty() {
+                continue;
+            }
+            let mut stripe = stripe.write().unwrap();
+            for (s, _) in stems {
+                if let Some(docs) = stripe.get_mut(&s) {
+                    docs.remove(id);
+                    if docs.is_empty() {
+                        stripe.remove(&s);
+                    }
                 }
             }
         }

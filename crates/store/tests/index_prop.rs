@@ -12,7 +12,7 @@
 //! `2020` vs `2020.0` and `0.0` vs `-0.0`.
 
 use covidkg_json::{arr, obj, Value};
-use covidkg_rand::{prop, Rng, SmallRng};
+use covidkg_rand::{prop, Rng, SeedableRng, SmallRng};
 use covidkg_store::{Collection, CollectionConfig, HashIndex};
 use covidkg_text::stem;
 use std::sync::Arc;
@@ -187,6 +187,11 @@ fn index_difference(live: &Indexed) -> Option<String> {
     for doc in live.coll.scan_all() {
         fresh.coll.insert(doc).unwrap();
     }
+    difference(live, &fresh)
+}
+
+/// Where `live`'s indexes differ from `fresh`'s.
+fn difference(live: &Indexed, fresh: &Indexed) -> Option<String> {
     let (a, b) = (
         live.coll.text_index().unwrap(),
         fresh.coll.text_index().unwrap(),
@@ -266,4 +271,43 @@ fn indexes_after_every_write_equal_a_fresh_build() {
             Ok(())
         },
     );
+}
+
+/// `insert_parallel` runs no more workers than documents; whatever the
+/// batch size against the thread count, it must land what sequential
+/// `insert` lands: the same count, the same `DuplicateId` for an id
+/// already stored, the same documents and the same indexes.
+#[test]
+fn parallel_insert_of_small_batches_equals_sequential_insert() {
+    let mut rng = SmallRng::seed_from_u64(0x1ab5);
+    for docs in 0..4 {
+        for threads in [0, 1, 2, 4, 8] {
+            for duplicate in [false, true] {
+                let mut batch: Vec<Value> = (0..docs)
+                    .map(|i| {
+                        let mut doc = gen_doc(&mut rng);
+                        doc.insert("_id", Value::str(IDS[i + 1]));
+                        doc
+                    })
+                    .collect();
+                let (seq, par) = (indexed(), indexed());
+                if duplicate {
+                    // The clash is last, so sequential insert has landed
+                    // every other document when it stops.
+                    let stored = obj! { "_id" => IDS[0], "title" => "mask" };
+                    seq.coll.insert(stored.clone()).unwrap();
+                    par.coll.insert(stored).unwrap();
+                    batch.push(obj! { "_id" => IDS[0], "title" => "dose" });
+                }
+                let want = batch
+                    .iter()
+                    .try_fold(0, |n, doc| seq.coll.insert(doc.clone()).map(|_| n + 1));
+                let got = par.coll.insert_parallel(batch, threads);
+                let ctx = format!("{docs} docs, {threads} threads, duplicate {duplicate}");
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{ctx}");
+                assert_eq!(par.coll.scan_all(), seq.coll.scan_all(), "{ctx}");
+                assert_eq!(difference(&par, &seq), None, "{ctx}");
+            }
+        }
+    }
 }

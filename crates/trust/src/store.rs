@@ -6,7 +6,8 @@
 //! [`TrustStore::rebuild_all`] (initial build, or the bounded mutation
 //! log overflowed), and replays only touched papers on
 //! [`TrustStore::refresh`] — handed the same touched ids as the profile
-//! store by `covidkg-core`'s derived-view driver. From the facts it
+//! store by `covidkg-core`'s derived-view driver, with the graph nodes
+//! fusion changed, the only ones it re-reads. From the facts it
 //! derives venue credibility priors ([`SourceLedger`]), per-node base
 //! trust (prior mass of a node's provenance papers × corroboration
 //! across *independent* venues), and propagated node trust (damped
@@ -29,8 +30,8 @@
 use crate::prior::{PaperFacts, SourceLedger, VenueScore, PRIOR_FLOOR};
 use crate::propagate::{propagate_dirty, propagate_full, SWEEPS};
 use covidkg_json::{obj, Value};
-use covidkg_kg::{KnowledgeGraph, NodeKind};
-use std::collections::{BTreeMap, BTreeSet};
+use covidkg_kg::{GraphChanges, KnowledgeGraph, NodeId, NodeKind};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Base trust of a node with no literature provenance (seeded by the
 /// medical expert): scaled by the node's fusion confidence.
@@ -59,24 +60,43 @@ pub struct TrustStoreStats {
     pub generation: u64,
 }
 
+/// One paper the store has seen, by interned ordinal.
+#[derive(Debug, Clone, Default)]
+struct PaperSlot {
+    /// The paper's facts; `None` while it is not in the collection.
+    facts: Option<PaperFacts>,
+    /// Snapshot nodes whose provenance carries the paper.
+    nodes: Vec<usize>,
+}
+
 /// Live trust scores over sources and KG nodes, kept fresh per-paper.
 #[derive(Debug, Clone, Default)]
 pub struct TrustStore {
-    /// paper id → its extracted facts. BTreeMap is the canonical order
-    /// the equivalence contract depends on.
-    by_paper: BTreeMap<String, PaperFacts>,
+    /// Papers by ordinal: facts, and the nodes carrying each.
+    papers: Vec<PaperSlot>,
+    /// Paper id → ordinal into `papers`.
+    paper_ids: HashMap<String, u32>,
+    /// Slots holding facts.
+    live_papers: usize,
     /// Delta-maintained venue aggregates.
     ledger: SourceLedger,
     /// Venue scores, recomputed from the ledger every refresh.
     scores: BTreeMap<String, VenueScore>,
-    // --- graph snapshot (labels are immutable; topology only grows) ---
+    // --- graph snapshot, patched for the nodes the graph reports changed ---
     labels: Vec<String>,
     kinds: Vec<NodeKind>,
     /// Sorted, deduplicated parents ∪ children per node.
     neigh: Vec<Vec<usize>>,
-    prov: Vec<Vec<String>>,
+    /// Provenance papers per node: how much of the graph's provenance
+    /// list the snapshot has read (the papers themselves are held as
+    /// ordinals, inverted, in each [`PaperSlot`]'s node list).
+    prov_len: Vec<usize>,
+    /// Per node: venue → provenance papers with facts from that venue.
+    /// Its keys are the node's distinct venues in the sorted order the
+    /// base sums their priors in.
+    venues: Vec<BTreeMap<String, usize>>,
     conf: Vec<f64>,
-    /// Per-node base trust (pure function of scores + facts + graph).
+    /// Per-node base trust (pure function of scores + venues + confidence).
     base: Vec<f64>,
     /// Jacobi sweep history, `SWEEPS + 1` rows; the last row is the
     /// trust vector. Kept so dirty-ball updates can read unchanged
@@ -98,125 +118,239 @@ impl TrustStore {
     /// Replace the whole corpus and graph snapshot: the initial build,
     /// and the fallback when the bounded mutation log no longer covers
     /// the window (`touched_since` returned `None`). Paper order does
-    /// not matter — the store canonicalizes by paper id.
+    /// not matter — the ledger's aggregates are order-free counters.
+    /// Also the oracle every incremental [`TrustStore::refresh`] is held
+    /// to.
     pub fn rebuild_all(&mut self, papers: Vec<PaperFacts>, kg: &KnowledgeGraph, epoch: u64) {
-        self.by_paper.clear();
-        self.ledger = SourceLedger::new();
+        *self = TrustStore {
+            generation: self.generation,
+            incremental_refreshes: self.incremental_refreshes,
+            full_rebuilds: self.full_rebuilds + 1,
+            nodes_repropagated: self.nodes_repropagated,
+            ..TrustStore::default()
+        };
         for f in papers {
-            self.apply(f.paper_id.clone(), Some(f));
+            let id = f.paper_id.clone();
+            self.apply(&id, Some(f));
         }
         self.scores = self.ledger.score();
-        self.snapshot_graph(kg);
-        self.base = self.compute_bases();
+        self.patch_graph(kg, &GraphChanges { fresh: true, nodes: Vec::new() });
+        self.base = (0..kg.len()).map(|n| self.base_of(n)).collect();
         self.history = propagate_full(&self.neigh, &self.base);
         self.nodes_repropagated += (self.base.len() as u64) * (SWEEPS as u64);
         self.epoch = epoch;
-        self.full_rebuilds += 1;
     }
 
     /// Incremental refresh: replay only the given papers (the mutation
-    /// log's touched ids), rescore venues from the delta-maintained
-    /// aggregates, and re-propagate only the dirty ball. `extract`
+    /// log's touched ids) and re-read only the graph nodes `changes`
+    /// names (what [`KnowledgeGraph::take_changed`] drained since the
+    /// graph was last read; a fresh graph is re-read whole). Venues are
+    /// rescored from the delta-maintained ledger; a node's base is
+    /// recomputed only when its venue set, or the prior of a venue in
+    /// it, moved; propagation re-sweeps only the dirty ball. `extract`
     /// re-derives one paper's facts (`None` = paper gone).
     pub fn refresh(
         &mut self,
         epoch: u64,
         paper_ids: &[String],
         kg: &KnowledgeGraph,
+        changes: &GraphChanges,
         mut extract: impl FnMut(&str) -> Option<PaperFacts>,
     ) {
         let mut ids: Vec<&String> = paper_ids.iter().collect();
         ids.sort();
         ids.dedup();
+        let mut rebase = BTreeSet::new();
         for id in ids {
             let facts = extract(id);
-            self.apply(id.clone(), facts);
+            rebase.extend(self.apply(id, facts));
         }
-        self.scores = self.ledger.score();
-        let mut dirty = self.snapshot_graph(kg);
-        let new_base = self.compute_bases();
-        for (n, &b) in new_base.iter().enumerate() {
-            if self.base.get(n) != Some(&b) {
+        let scores = self.ledger.score();
+        let moved: BTreeSet<&String> = self
+            .scores
+            .keys()
+            .chain(scores.keys())
+            .filter(|v| {
+                let prior = |s: &BTreeMap<String, VenueScore>| s.get(*v).map(|s| s.prior.to_bits());
+                prior(&self.scores) != prior(&scores)
+            })
+            .collect();
+        if !moved.is_empty() {
+            rebase.extend(
+                (0..self.venues.len())
+                    .filter(|&n| self.venues[n].keys().any(|v| moved.contains(v))),
+            );
+        }
+        self.scores = scores;
+        let (mut dirty, patched) = self.patch_graph(kg, changes);
+        rebase.extend(patched);
+        self.base.resize(kg.len(), 0.0);
+        for n in rebase {
+            let b = self.base_of(n);
+            if b.to_bits() != self.base[n].to_bits() {
+                self.base[n] = b;
                 dirty.insert(n);
             }
         }
-        self.base = new_base;
         self.nodes_repropagated += propagate_dirty(&mut self.history, &self.neigh, &self.base, &dirty);
         self.epoch = epoch;
         self.incremental_refreshes += 1;
     }
 
-    /// Upsert or remove one paper's facts, keeping the ledger in exact
-    /// sync with `by_paper`.
-    fn apply(&mut self, paper_id: String, facts: Option<PaperFacts>) {
-        if let Some(old) = self.by_paper.remove(&paper_id) {
-            self.ledger.remove(&old);
+    /// Upsert or remove one paper's facts, keeping the ledger and every
+    /// snapshot node's venue counts in step. Returns the nodes whose
+    /// venue counts moved (the paper changed venue, arrived or left).
+    fn apply(&mut self, paper_id: &str, facts: Option<PaperFacts>) -> Vec<usize> {
+        let ord = self.intern(paper_id) as usize;
+        let facts = facts.map(PaperFacts::canonicalize);
+        let old = std::mem::replace(&mut self.papers[ord].facts, facts);
+        if let Some(old) = &old {
+            self.ledger.remove(old);
+            self.live_papers -= 1;
         }
-        if let Some(f) = facts {
-            let f = f.canonicalize();
-            self.ledger.add(&f);
-            self.by_paper.insert(paper_id, f);
+        let slot = &self.papers[ord];
+        if let Some(new) = &slot.facts {
+            self.ledger.add(new);
+            self.live_papers += 1;
         }
+        let (old_venue, new_venue) = (old.map(|f| f.venue), slot.facts.as_ref().map(|f| &f.venue));
+        if old_venue.as_ref() == new_venue {
+            return Vec::new();
+        }
+        for &n in &slot.nodes {
+            if let Some(v) = &old_venue {
+                uncount(&mut self.venues[n], v);
+            }
+            if let Some(v) = new_venue {
+                *self.venues[n].entry(v.clone()).or_default() += 1;
+            }
+        }
+        slot.nodes.clone()
     }
 
-    /// Re-snapshot the graph, returning nodes whose adjacency changed
-    /// (new nodes included). Labels are immutable and confidence /
-    /// provenance changes surface through the base diff, so adjacency
-    /// is the only topology signal propagation needs.
-    fn snapshot_graph(&mut self, kg: &KnowledgeGraph) -> BTreeSet<usize> {
-        let old_len = self.neigh.len();
+    /// The ordinal of a paper id, interning it on first sight.
+    fn intern(&mut self, paper_id: &str) -> u32 {
+        if let Some(&ord) = self.paper_ids.get(paper_id) {
+            return ord;
+        }
+        let ord = u32::try_from(self.papers.len()).expect("fewer than 2^32 papers");
+        self.paper_ids.insert(paper_id.to_string(), ord);
+        self.papers.push(PaperSlot::default());
+        ord
+    }
+
+    /// Forget the graph snapshot (papers and scores stay), so the next
+    /// patch reads every node as new and propagation runs in full.
+    fn reset_graph(&mut self) {
+        self.forget_provenance();
+        self.labels.clear();
+        self.kinds.clear();
+        self.neigh.clear();
+        self.prov_len.clear();
+        self.venues.clear();
+        self.conf.clear();
+        self.base.clear();
+        self.history.clear();
+    }
+
+    /// Forget which papers each node carries, so the next patch counts
+    /// every node's provenance from the start.
+    fn forget_provenance(&mut self) {
+        for slot in &mut self.papers {
+            slot.nodes.clear();
+        }
+        self.prov_len.iter_mut().for_each(|n| *n = 0);
+        self.venues.iter_mut().for_each(BTreeMap::clear);
+    }
+
+    /// Bring the graph snapshot up to `kg`. A graph smaller than the
+    /// snapshot is read as new; a fresh one (read back whole, as on a
+    /// replica) has every node re-read, against the adjacency, bases
+    /// and sweep history kept to diff with; otherwise only the changed
+    /// nodes are, and of their provenance only the papers appended
+    /// since. Returns the nodes whose adjacency changed (new nodes
+    /// included) — the propagation's dirty seeds — and the nodes whose
+    /// venue counts may have moved, whose bases need recomputing.
+    fn patch_graph(
+        &mut self,
+        kg: &KnowledgeGraph,
+        changes: &GraphChanges,
+    ) -> (BTreeSet<usize>, Vec<usize>) {
+        if kg.len() < self.labels.len() {
+            self.reset_graph();
+        }
+        let old_len = self.labels.len();
+        let reread: Vec<NodeId> = if changes.fresh {
+            self.forget_provenance();
+            (0..old_len).collect()
+        } else {
+            changes.nodes.iter().copied().filter(|&n| n < old_len).collect()
+        };
         let mut dirty = BTreeSet::new();
-        let mut labels = Vec::with_capacity(kg.len());
-        let mut kinds = Vec::with_capacity(kg.len());
-        let mut neigh = Vec::with_capacity(kg.len());
-        let mut prov = Vec::with_capacity(kg.len());
-        let mut conf = Vec::with_capacity(kg.len());
-        for n in kg.nodes() {
-            let mut adj: Vec<usize> = n.parents.iter().chain(n.children.iter()).copied().collect();
+        let mut rebase = Vec::new();
+        for n in reread.into_iter().chain(old_len..kg.len()) {
+            let node = kg.node(n);
+            if n >= old_len {
+                self.labels.push(String::new());
+                self.kinds.push(node.kind);
+                self.neigh.push(Vec::new());
+                self.prov_len.push(0);
+                self.venues.push(BTreeMap::new());
+                self.conf.push(node.confidence);
+                dirty.insert(n);
+            }
+            // Fixed at creation; re-read for a graph read back whole.
+            if self.labels[n] != node.label {
+                self.labels[n] = node.label.clone();
+            }
+            self.kinds[n] = node.kind;
+            self.conf[n] = node.confidence;
+            let mut adj: Vec<usize> = node.parents.iter().chain(&node.children).copied().collect();
             adj.sort_unstable();
             adj.dedup();
-            if n.id >= old_len || adj != self.neigh[n.id] {
-                dirty.insert(n.id);
+            if adj != self.neigh[n] {
+                self.neigh[n] = adj;
+                dirty.insert(n);
             }
-            labels.push(n.label.clone());
-            kinds.push(n.kind);
-            neigh.push(adj);
-            prov.push(kg.provenance(n.id).map(str::to_string).collect());
-            conf.push(n.confidence);
+            let provenance = kg.provenance(n);
+            let total = provenance.len();
+            for paper in provenance.skip(self.prov_len[n]) {
+                let p = self.intern(paper);
+                self.carry(n, p);
+            }
+            self.prov_len[n] = total;
+            rebase.push(n);
         }
-        self.labels = labels;
-        self.kinds = kinds;
-        self.neigh = neigh;
-        self.prov = prov;
-        self.conf = conf;
-        dirty
+        (dirty, rebase)
     }
 
-    /// Base trust for every node: mean venue prior of the node's
-    /// provenance papers, scaled by independent-venue corroboration
-    /// (`|V| / (|V| + 1)`) and fusion confidence. Venue sets iterate in
-    /// sorted order so the float sum is order-independent.
-    fn compute_bases(&self) -> Vec<f64> {
-        (0..self.neigh.len())
-            .map(|n| {
-                let mut venues: BTreeSet<&str> = BTreeSet::new();
-                for p in &self.prov[n] {
-                    if let Some(f) = self.by_paper.get(p) {
-                        venues.insert(f.venue.as_str());
-                    }
-                }
-                if venues.is_empty() {
-                    SEEDED_BASE * self.conf[n]
-                } else {
-                    let vcount = venues.len() as f64;
-                    let mass: f64 = venues
-                        .iter()
-                        .map(|v| self.scores.get(*v).map(|s| s.prior).unwrap_or(PRIOR_FLOOR))
-                        .sum();
-                    (mass / vcount) * (vcount / (vcount + 1.0)) * (0.5 + 0.5 * self.conf[n])
-                }
-            })
-            .collect()
+    /// Attach paper `p` to node `n`'s provenance: the paper's node list
+    /// and the node's venue counts follow.
+    fn carry(&mut self, n: usize, p: u32) {
+        let slot = &mut self.papers[p as usize];
+        slot.nodes.push(n);
+        if let Some(f) = &slot.facts {
+            *self.venues[n].entry(f.venue.clone()).or_default() += 1;
+        }
+    }
+
+    /// Base trust of one node: mean venue prior of the node's distinct
+    /// provenance venues, scaled by independent-venue corroboration
+    /// (`|V| / (|V| + 1)`) and fusion confidence. Venues are summed in
+    /// sorted order, so the float sum does not depend on arrival order.
+    /// O(venues) from the node's maintained venue counts.
+    fn base_of(&self, n: usize) -> f64 {
+        let venues = &self.venues[n];
+        if venues.is_empty() {
+            SEEDED_BASE * self.conf[n]
+        } else {
+            let vcount = venues.len() as f64;
+            let mass: f64 = venues
+                .keys()
+                .map(|v| self.scores.get(v).map(|s| s.prior).unwrap_or(PRIOR_FLOOR))
+                .sum();
+            (mass / vcount) * (vcount / (vcount + 1.0)) * (0.5 + 0.5 * self.conf[n])
+        }
     }
 
     /// Propagated trust of one node, or `None` for an unknown id.
@@ -224,12 +358,19 @@ impl TrustStore {
         self.history.last()?.get(id).copied()
     }
 
+    /// Base trust of one node (before propagation), or `None` for an
+    /// unknown id.
+    pub fn base(&self, id: usize) -> Option<f64> {
+        self.base.get(id).copied()
+    }
+
     /// The venue credibility prior weighting one paper (for
     /// trust-weighted bias mass and search re-ranking). Unknown papers
     /// get the floor prior.
     pub fn paper_weight(&self, paper_id: &str) -> f64 {
-        self.by_paper
+        self.paper_ids
             .get(paper_id)
+            .and_then(|&p| self.papers[p as usize].facts.as_ref())
             .and_then(|f| self.scores.get(&f.venue))
             .map(|s| s.prior)
             .unwrap_or(PRIOR_FLOOR)
@@ -262,20 +403,15 @@ impl TrustStore {
         if id >= self.labels.len() {
             return None;
         }
-        let mut venues: BTreeSet<&str> = BTreeSet::new();
-        for p in &self.prov[id] {
-            if let Some(f) = self.by_paper.get(p) {
-                venues.insert(f.venue.as_str());
-            }
-        }
+        let venues = &self.venues[id];
         Some(obj! {
             "id" => id,
             "label" => self.labels[id].as_str(),
             "kind" => self.kinds[id].as_str(),
             "trust" => self.trust(id).unwrap_or(0.0),
             "base" => self.base.get(id).copied().unwrap_or(0.0),
-            "venues" => Value::Array(venues.iter().map(|v| Value::str(v.to_string())).collect()),
-            "papers" => self.prov[id].len(),
+            "venues" => Value::Array(venues.keys().map(|v| Value::str(v.clone())).collect()),
+            "papers" => self.prov_len[id],
             "neighbors" => self.neigh[id].len(),
             "epoch" => self.epoch as i64,
             "generation" => self.generation as i64,
@@ -305,7 +441,7 @@ impl TrustStore {
     /// Counter snapshot.
     pub fn stats(&self) -> TrustStoreStats {
         TrustStoreStats {
-            papers: self.by_paper.len(),
+            papers: self.live_papers,
             venues: self.ledger.venue_count(),
             claims: self.ledger.claim_count(),
             nodes: self.labels.len(),
@@ -315,6 +451,15 @@ impl TrustStore {
             epoch: self.epoch,
             generation: self.generation,
         }
+    }
+}
+
+/// Drop one paper of `venue` from a node's venue counts.
+fn uncount(venues: &mut BTreeMap<String, usize>, venue: &str) {
+    let n = venues.get_mut(venue).expect("venue counted");
+    *n -= 1;
+    if *n == 0 {
+        venues.remove(venue);
     }
 }
 
@@ -345,10 +490,37 @@ mod tests {
         kg
     }
 
+    /// Every node's base read straight off the graph's provenance
+    /// strings and the papers' facts, sharing no state with the store's
+    /// venue counts.
+    fn bases_from_strings(store: &TrustStore, kg: &KnowledgeGraph) -> Vec<f64> {
+        let venue_of: BTreeMap<&str, &str> = store
+            .papers
+            .iter()
+            .filter_map(|s| s.facts.as_ref())
+            .map(|f| (f.paper_id.as_str(), f.venue.as_str()))
+            .collect();
+        (0..kg.len())
+            .map(|n| {
+                let conf = kg.node(n).confidence;
+                let venues: BTreeSet<&str> =
+                    kg.provenance(n).filter_map(|p| venue_of.get(p).copied()).collect();
+                if venues.is_empty() {
+                    return SEEDED_BASE * conf;
+                }
+                let vcount = venues.len() as f64;
+                let mass: f64 = venues.iter().map(|v| store.venue_score(v).unwrap().prior).sum();
+                (mass / vcount) * (vcount / (vcount + 1.0)) * (0.5 + 0.5 * conf)
+            })
+            .collect()
+    }
+
     fn assert_matches_full_rebuild(store: &TrustStore, kg: &KnowledgeGraph) {
         let mut fresh = TrustStore::new();
-        fresh.rebuild_all(store.by_paper.values().cloned().collect(), kg, store.epoch());
-        for id in 0..kg.len() {
+        let papers = store.papers.iter().filter_map(|s| s.facts.clone()).collect();
+        fresh.rebuild_all(papers, kg, store.epoch());
+        for (id, want) in bases_from_strings(store, kg).into_iter().enumerate() {
+            assert_eq!(store.base(id).map(f64::to_bits), Some(want.to_bits()), "node {id} base");
             assert_eq!(store.trust(id), fresh.trust(id), "node {id} trust");
             assert_eq!(
                 store.node_document(id).map(|d| d.to_json()),
@@ -394,11 +566,11 @@ mod tests {
         let mut store = TrustStore::new();
         store.rebuild_all(vec![facts("p1", "lancet", &["pfizer|fever"])], &kg, 1);
         // Upsert p2, update p1, delete p2: every path through apply().
-        store.refresh(2, &["p2".into()], &kg, |_| Some(facts("p2", "nejm", &["pfizer|fever"])));
+        store.refresh(2, &["p2".into()], &kg, &GraphChanges::default(), |_| Some(facts("p2", "nejm", &["pfizer|fever"])));
         assert_matches_full_rebuild(&store, &kg);
-        store.refresh(3, &["p1".into()], &kg, |_| Some(facts("p1", "lancet", &["moderna|chills"])));
+        store.refresh(3, &["p1".into()], &kg, &GraphChanges::default(), |_| Some(facts("p1", "lancet", &["moderna|chills"])));
         assert_matches_full_rebuild(&store, &kg);
-        store.refresh(4, &["p2".into()], &kg, |_| None);
+        store.refresh(4, &["p2".into()], &kg, &GraphChanges::default(), |_| None);
         assert_matches_full_rebuild(&store, &kg);
         let s = store.stats();
         assert_eq!(s.incremental_refreshes, 3);
@@ -412,13 +584,24 @@ mod tests {
         let mut kg = sample_graph();
         let mut store = TrustStore::new();
         store.rebuild_all(vec![facts("p1", "lancet", &["pfizer|fever"])], &kg, 1);
-        // Fusion adds a node and provenance after the build.
+        kg.take_changed();
+        // Fusion adds a node and provenance after the build, and more
+        // provenance to an existing node.
         let side = kg.add_child(0, "Side-effects", NodeKind::Category, 1.0);
         let rash = kg.add_child(side, "Rash", NodeKind::Entity, 0.8);
         kg.add_provenance(rash, "p9");
-        store.refresh(2, &["p9".into()], &kg, |_| Some(facts("p9", "medrxiv", &["rash"])));
+        kg.add_provenance(3, "p9");
+        let changed = kg.take_changed();
+        assert_eq!(changed.nodes, [0, 3, side, rash], "the root gained a child, Moderna a paper");
+        assert!(!changed.fresh);
+        store.refresh(2, &["p9".into()], &kg, &changed, |_| Some(facts("p9", "medrxiv", &["rash"])));
         assert!(store.trust(rash).is_some());
         assert_matches_full_rebuild(&store, &kg);
+        // A graph replaced by a smaller one is re-read whole.
+        let small = sample_graph();
+        store.refresh(3, &[], &small, &GraphChanges::default(), |_| unreachable!("no papers touched"));
+        assert_eq!(store.stats().nodes, small.len());
+        assert_matches_full_rebuild(&store, &small);
     }
 
     #[test]
@@ -439,7 +622,7 @@ mod tests {
         assert_eq!(src.get("epoch").unwrap().as_i64(), Some(7));
         assert!(store.source_document("nature").is_none());
         // Documents re-stamp on refresh: a later epoch shows through.
-        store.refresh(9, &[], &kg, |_| unreachable!("no papers touched"));
+        store.refresh(9, &[], &kg, &GraphChanges::default(), |_| unreachable!("no papers touched"));
         assert_eq!(store.node_document(2).unwrap().get("epoch").unwrap().as_i64(), Some(9));
     }
 
@@ -449,8 +632,16 @@ mod tests {
         let mut store = TrustStore::new();
         store.rebuild_all(vec![facts("p1", "lancet", &["pfizer|fever"])], &kg, 1);
         let before = store.stats().nodes_repropagated;
-        store.refresh(2, &[], &kg, |_| unreachable!("no papers touched"));
+        store.refresh(2, &[], &kg, &GraphChanges::default(), |_| unreachable!("no papers touched"));
         assert_eq!(store.stats().nodes_repropagated, before, "no dirty ball, no sweeps");
+        // The same graph read back whole (a replica's reload) is re-read
+        // node by node, and still sweeps nothing.
+        let mut reloaded = KnowledgeGraph::from_json(&kg.to_json()).unwrap();
+        let changes = reloaded.take_changed();
+        assert!(changes.fresh);
+        store.refresh(3, &[], &reloaded, &changes, |_| unreachable!("no papers touched"));
+        assert_eq!(store.stats().nodes_repropagated, before, "an unchanged reload sweeps nothing");
+        assert_matches_full_rebuild(&store, &reloaded);
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //! to a minimal op sequence via `covidkg_rand::prop::run_shrink` and
 //! print a replay seed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use covidkg_kg::{KnowledgeGraph, NodeKind};
+use covidkg_kg::{GraphChanges, KnowledgeGraph, NodeKind};
 use covidkg_rand::rngs::SmallRng;
 use covidkg_rand::{prop, Rng};
+use covidkg_trust::store::SEEDED_BASE;
 use covidkg_trust::{PaperFacts, TrustStore};
 
 const VENUES: &[&str] = &["lancet", "nejm", "medrxiv", "jama"];
@@ -36,10 +38,14 @@ enum Op {
     Grow { parent: usize, label: usize, papers: Vec<usize> },
     /// `add_parent` between existing nodes (skipped when identical).
     Link { node: usize, parent: usize },
+    /// More provenance on a node the graph already has.
+    Attach { node: usize, paper: usize },
+    /// The graph read back from its JSON, as a replica reloads it.
+    Reload,
 }
 
 fn gen_op(rng: &mut SmallRng) -> Op {
-    match rng.gen_range(0u8..10) {
+    match rng.gen_range(0u8..11) {
         0..=4 => Op::Upsert {
             paper: rng.gen_range(0..PAPERS),
             venue: rng.gen_range(0..VENUES.len()),
@@ -48,12 +54,14 @@ fn gen_op(rng: &mut SmallRng) -> Op {
             claims: prop::vec_of(rng, 0, 3, |r| r.gen_range(0..CLAIMS.len())),
         },
         5 => Op::Delete { paper: rng.gen_range(0..PAPERS) },
-        6..=8 => Op::Grow {
+        6 => Op::Attach { node: rng.gen_range(0usize..32), paper: rng.gen_range(0..PAPERS) },
+        7..=8 => Op::Grow {
             parent: rng.gen_range(0usize..32),
             label: rng.gen_range(0..LABELS.len()),
             papers: prop::vec_of(rng, 0, 2, |r| r.gen_range(0..PAPERS)),
         },
-        _ => Op::Link { node: rng.gen_range(0usize..32), parent: rng.gen_range(0usize..32) },
+        9 => Op::Link { node: rng.gen_range(0usize..32), parent: rng.gen_range(0usize..32) },
+        _ => Op::Reload,
     }
 }
 
@@ -72,6 +80,28 @@ fn make_facts(paper: usize, venue: usize, year: u32, tables: usize, claims: &[us
     }
 }
 
+/// One node's base read off the graph's provenance strings and the
+/// model's facts (mean prior of the distinct venues, summed in sorted
+/// order, times corroboration and confidence), with priors from
+/// `scored`: an oracle that shares no state with the store's per-node
+/// venue counts.
+fn base_from_strings(
+    scored: &TrustStore,
+    model: &BTreeMap<String, PaperFacts>,
+    kg: &KnowledgeGraph,
+    id: usize,
+) -> f64 {
+    let conf = kg.node(id).confidence;
+    let venues: BTreeSet<&str> =
+        kg.provenance(id).filter_map(|p| model.get(p)).map(|f| f.venue.as_str()).collect();
+    if venues.is_empty() {
+        return SEEDED_BASE * conf;
+    }
+    let vcount = venues.len() as f64;
+    let mass: f64 = venues.iter().map(|v| scored.venue_score(v).unwrap().prior).sum();
+    (mass / vcount) * (vcount / (vcount + 1.0)) * (0.5 + 0.5 * conf)
+}
+
 /// Compare every observable surface of the incremental store against a
 /// from-scratch rebuild over the same papers and graph.
 fn assert_equiv(
@@ -83,6 +113,10 @@ fn assert_equiv(
     let mut fresh = TrustStore::new();
     fresh.rebuild_all(model.values().cloned().collect(), kg, store.epoch());
     for id in 0..kg.len() {
+        let want = base_from_strings(&fresh, model, kg, id);
+        if store.base(id).map(f64::to_bits) != Some(want.to_bits()) {
+            return Err(format!("{ctx}: node {id} base {:?}, strings say {want}", store.base(id)));
+        }
         let got = store.node_document(id).map(|d| d.to_json());
         let want = fresh.node_document(id).map(|d| d.to_json());
         if got != want {
@@ -142,8 +176,11 @@ fn incremental_propagation_matches_full_fixed_point() {
                             kg.add_parent(node % len, parent % len);
                         }
                     }
+                    Op::Attach { node, paper } => kg.add_provenance(node % kg.len(), paper_id(*paper)),
+                    Op::Reload => kg = KnowledgeGraph::from_json(&kg.to_json()).unwrap(),
                 }
-                store.refresh(epoch, &touched, &kg, |id| model.get(id).cloned());
+                let changed = kg.take_changed();
+                store.refresh(epoch, &touched, &kg, &changed, |id| model.get(id).cloned());
                 assert_equiv(&store, &model, &kg, &format!("after epoch {epoch} ({op:?})"))?;
             }
             Ok(())
@@ -214,7 +251,8 @@ fn propagation_is_deterministic_across_scan_orders() {
             for pass in [1usize, 0] {
                 for (i, f) in facts.iter().enumerate() {
                     if i % 2 == pass {
-                        incr.refresh(1, std::slice::from_ref(&f.paper_id), &kg, |_| Some(f.clone()));
+                        let id = std::slice::from_ref(&f.paper_id);
+                        incr.refresh(1, id, &kg, &GraphChanges::default(), |_| Some(f.clone()));
                     }
                 }
             }
@@ -238,4 +276,98 @@ fn propagation_is_deterministic_across_scan_orders() {
             Ok(())
         },
     );
+}
+
+/// A venue's prior can move while no node's provenance does: its
+/// breadth is relative to the largest venue (`max_papers`), its recency
+/// to the corpus-wide year window, and its corroboration to what other
+/// venues claim. Papers outside the graph move all three; every node
+/// carrying the venue must be rebased all the same.
+#[test]
+fn venue_prior_moves_without_provenance_changes() {
+    static MOVED: AtomicUsize = AtomicUsize::new(0);
+    prop::run_shrink(
+        48,
+        |rng| {
+            let on_graph: Vec<Op> = (0..2)
+                .map(|paper| Op::Upsert {
+                    paper,
+                    venue: rng.gen_range(0..VENUES.len()),
+                    year: 2020 + rng.gen_range(0u32..2),
+                    tables: rng.gen_range(0usize..3),
+                    claims: prop::vec_of(rng, 0, 2, |r| r.gen_range(0..CLAIMS.len())),
+                })
+                .collect();
+            // Off-graph papers 2.. : bulk up one venue, stretch the year
+            // window, corroborate or withdraw claims — then delete.
+            let off_graph = prop::vec_of(rng, 1, 12, |r| {
+                let paper = r.gen_range(2..PAPERS);
+                if r.gen_range(0u8..4) == 0 {
+                    Op::Delete { paper }
+                } else {
+                    Op::Upsert {
+                        paper,
+                        venue: r.gen_range(0..VENUES.len()),
+                        year: 2015 + r.gen_range(0u32..12),
+                        tables: r.gen_range(0usize..3),
+                        claims: prop::vec_of(r, 0, 3, |r| r.gen_range(0..CLAIMS.len())),
+                    }
+                }
+            });
+            (on_graph, off_graph)
+        },
+        |(on_graph, off_graph)| {
+            prop::shrink_vec(off_graph, |_| Vec::new())
+                .into_iter()
+                .map(|o| (on_graph.clone(), o))
+                .collect()
+        },
+        |(on_graph, off_graph)| {
+            let mut kg = KnowledgeGraph::new();
+            let root = kg.add_root("covid");
+            for (i, label) in ["pfizer", "moderna"].into_iter().enumerate() {
+                let node = kg.add_child(root, label, NodeKind::Entity, 0.8);
+                kg.add_provenance(node, paper_id(i));
+            }
+            let mut model: BTreeMap<String, PaperFacts> = BTreeMap::new();
+            for op in on_graph {
+                if let Op::Upsert { paper, venue, year, tables, claims } = op {
+                    let f = make_facts(*paper, *venue, *year, *tables, claims).canonicalize();
+                    model.insert(f.paper_id.clone(), f);
+                }
+            }
+            let mut store = TrustStore::new();
+            store.rebuild_all(model.values().cloned().collect(), &kg, 0);
+            kg.take_changed();
+            let mut moved = 0;
+            for (epoch0, op) in off_graph.iter().enumerate() {
+                let epoch = epoch0 as u64 + 1;
+                let id = match op {
+                    Op::Upsert { paper, venue, year, tables, claims } => {
+                        let f = make_facts(*paper, *venue, *year, *tables, claims).canonicalize();
+                        model.insert(f.paper_id.clone(), f.clone());
+                        f.paper_id
+                    }
+                    Op::Delete { paper } => {
+                        model.remove(&paper_id(*paper));
+                        paper_id(*paper)
+                    }
+                    _ => unreachable!("off-graph ops are paper writes"),
+                };
+                let before: Vec<Option<f64>> = (0..kg.len()).map(|n| store.base(n)).collect();
+                let changed = kg.take_changed();
+                if changed != GraphChanges::default() {
+                    return Err(format!("epoch {epoch}: the graph reported {changed:?} changed"));
+                }
+                store.refresh(epoch, std::slice::from_ref(&id), &kg, &changed, |id| {
+                    model.get(id).cloned()
+                });
+                moved += (0..kg.len()).filter(|&n| store.base(n) != before[n]).count();
+                assert_equiv(&store, &model, &kg, &format!("after epoch {epoch} ({op:?})"))?;
+            }
+            MOVED.fetch_add(moved, Ordering::Relaxed);
+            Ok(())
+        },
+    );
+    assert!(MOVED.load(Ordering::Relaxed) > 0, "no case moved an on-graph base: the test tests nothing");
 }

@@ -124,6 +124,9 @@ cargo test -p covidkg-trust --test trust_prop --offline -q
 echo "==> derived-view driver property test (advance vs rebuild over a real collection)"
 cargo test -p covidkg-core --test views_prop --offline -q
 
+echo "==> ingest oracle (after every one-publication ingest, update or delete: served trust, profile, bias and trusted-query bodies vs a twin rebuilt from scratch)"
+cargo test -p covidkg-core --test ingest_oracle --offline -q -- ingest_views_equal_a_rebuilt_twin_after_every_step --exact
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets --offline"
     cargo clippy --workspace --all-targets --offline -- -D warnings

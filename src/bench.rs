@@ -643,7 +643,8 @@ fn trust(args: &Args, scale: &[usize], table: &Table) -> Result<Vec<Value>, Stri
         let mut store = TrustStore::new();
         store.rebuild_all(facts, kg, epoch);
         let incremental = median_time(INCR_REPEATS, |i| {
-            store.refresh(epoch + 1 + i as u64, &touched, kg, |id| {
+            let unchanged = Default::default();
+            store.refresh(epoch + 1 + i as u64, &touched, kg, &unchanged, |id| {
                 publications
                     .get(id)
                     .map(|doc| doc_paper_facts(&doc, id, &doc_observations(&doc, id)))
