@@ -7,7 +7,7 @@
 
 use crate::client::HttpClient;
 use covidkg_corpus::query_workload;
-use covidkg_serve::LatencyHistogram;
+use covidkg_serve::Histogram;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,7 +65,7 @@ struct Tally {
     cache_hits: AtomicU64,
     io_errors: AtomicU64,
     statuses: Mutex<BTreeMap<u16, u64>>,
-    latency: LatencyHistogram,
+    latency: Histogram,
 }
 
 impl Tally {
@@ -83,7 +83,7 @@ impl Tally {
             .unwrap_or_else(|e| e.into_inner())
             .entry(status)
             .or_insert(0) += 1;
-        self.latency.record(latency);
+        self.latency.record_duration(latency);
     }
 
     fn io_error(&self) {
@@ -100,8 +100,8 @@ impl Tally {
             io_errors: self.io_errors.into_inner(),
             statuses: self.statuses.into_inner().unwrap_or_else(|e| e.into_inner()),
             wall,
-            p50: self.latency.quantile(0.50),
-            p99: self.latency.quantile(0.99),
+            p50: self.latency.quantile(0.50).map(Duration::from_nanos),
+            p99: self.latency.quantile(0.99).map(Duration::from_nanos),
         }
     }
 }

@@ -44,6 +44,6 @@ pub mod server;
 pub use bench::{run_held_connections, NetBenchReport};
 pub use client::{ClientResponse, HttpClient};
 pub use http::{ParseError, Parser, Request, Response};
-pub use metrics::{ReplExposition, WireMetrics, WireStats};
+pub use metrics::{WireMetrics, WireStats};
 pub use router::ReadContext;
 pub use server::{HttpServer, NetConfig};

@@ -1,18 +1,18 @@
-//! Wire-level counters and the `/metrics` text exposition.
+//! Wire-level counters and the assembly of the `/metrics` page.
 //!
-//! The serve layer already tracks scheduler-side metrics (queue depth,
-//! cache hit rate, latency percentiles). This registry adds the
-//! network-only dimensions the scheduler cannot see — connections,
-//! bytes on the wire, parse failures, and the per-status-code response
-//! mix — and renders both layers as one flat `name value` text page in
-//! the Prometheus exposition style (no external client required).
+//! The serve layer tracks scheduler-side metrics (queue depth, cache hit
+//! rate, latency percentiles). This registry adds the network-only
+//! dimensions the scheduler cannot see — connections, bytes on the wire,
+//! parse failures, ready events per `epoll_wait` and the per-status-code
+//! response mix — and [`WireStats::expose`] writes them as the page's
+//! first section through the serve layer's [`Exposition`], which owns
+//! the page format. `page` lays the sections out in page order.
 
-use covidkg_core::CovidKg;
-use covidkg_serve::ServeStats;
+use crate::router::ReadContext;
+use covidkg_serve::{Exposition, Histogram, ServeStats, Server};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Upper bounds of the ready-events-per-wakeup histogram buckets (the
 /// last bucket is +Inf).
@@ -20,7 +20,7 @@ pub const READY_EVENT_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Lock-free wire counters shared by the reactor and every serve
 /// worker that answers a request.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct WireMetrics {
     accepted: AtomicU64,
     active: AtomicU64,
@@ -31,14 +31,31 @@ pub struct WireMetrics {
     requests: AtomicU64,
     /// `epoll_wait` returns (reactor model only).
     epoll_wakeups: AtomicU64,
-    /// Ready-events-per-wakeup histogram: one counter per bucket of
-    /// [`READY_EVENT_BUCKETS`] plus a final +Inf bucket.
-    ready_buckets: [AtomicU64; READY_EVENT_BUCKETS.len() + 1],
+    /// Ready-events-per-wakeup histogram over [`READY_EVENT_BUCKETS`].
+    ready: Histogram,
     /// Total ready events observed (histogram sum).
     ready_events: AtomicU64,
     /// Response counts keyed by status code. A mutex is fine here: the
     /// map is touched once per response, after the search completed.
     statuses: Mutex<BTreeMap<u16, u64>>,
+}
+
+impl Default for WireMetrics {
+    fn default() -> WireMetrics {
+        WireMetrics {
+            accepted: AtomicU64::default(),
+            active: AtomicU64::default(),
+            reaped: AtomicU64::default(),
+            bytes_in: AtomicU64::default(),
+            bytes_out: AtomicU64::default(),
+            parse_errors: AtomicU64::default(),
+            requests: AtomicU64::default(),
+            epoll_wakeups: AtomicU64::default(),
+            ready: Histogram::new(READY_EVENT_BUCKETS.to_vec()),
+            ready_events: AtomicU64::default(),
+            statuses: Mutex::default(),
+        }
+    }
 }
 
 impl WireMetrics {
@@ -81,11 +98,7 @@ impl WireMetrics {
             return;
         }
         self.ready_events.fetch_add(ready as u64, Ordering::Relaxed);
-        let idx = READY_EVENT_BUCKETS
-            .iter()
-            .position(|&le| ready as u64 <= le)
-            .unwrap_or(READY_EVENT_BUCKETS.len());
-        self.ready_buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.ready.record(ready as u64);
     }
 
     /// Point-in-time snapshot.
@@ -99,7 +112,7 @@ impl WireMetrics {
             parse_errors: self.parse_errors.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
             epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
-            ready_event_buckets: std::array::from_fn(|i| self.ready_buckets[i].load(Ordering::Relaxed)),
+            ready_event_buckets: std::array::from_fn(|i| self.ready.bucket(i)),
             ready_events: self.ready_events.load(Ordering::Relaxed),
             responses_by_status: self
                 .statuses
@@ -139,178 +152,60 @@ pub struct WireStats {
     pub responses_by_status: BTreeMap<u16, u64>,
 }
 
-/// Replication series for the exposition, gathered from the routing
-/// layer when the front-end runs with one (primary- and replica-side).
-#[derive(Debug, Clone, Default)]
-pub struct ReplExposition {
-    /// The primary's durable publications watermark (sequence clock).
-    pub watermark: u64,
-    /// This node's fencing epoch (leadership generation; bumps on
-    /// every failover promotion).
-    pub epoch: u64,
-    /// `(name, applied, lag)` per routable replica.
-    pub replicas: Vec<(String, u64, u64)>,
-    /// Primary-side shipping counters, when this node is the primary.
-    pub shipping: Option<covidkg_repl::ReplStats>,
+impl WireStats {
+    /// Write the wire section of the metrics page: the connection and
+    /// byte counters, the ready-events histogram and the responses by
+    /// status.
+    pub(crate) fn expose(&self, page: &mut Exposition) {
+        page.series("net_connections_accepted", self.connections_accepted);
+        page.series("net_connections_active", self.connections_active);
+        page.series("net_connections_reaped", self.connections_reaped);
+        page.series("net_bytes_in", self.bytes_in);
+        page.series("net_bytes_out", self.bytes_out);
+        page.series("net_parse_errors", self.parse_errors);
+        page.series("net_requests", self.requests);
+        page.series("net_open_connections", self.connections_active);
+        page.series("net_epoll_wakeups", self.epoll_wakeups);
+        page.histogram(
+            "net_ready_events_per_wakeup",
+            &READY_EVENT_BUCKETS,
+            &self.ready_event_buckets,
+            self.ready_events,
+        );
+        for (status, count) in &self.responses_by_status {
+            page.labelled("net_responses", "status", status, count);
+        }
+    }
 }
 
-/// The engine-side series of the exposition, in page order: the HNSW
-/// index behind `semantic`/`hybrid` (`ann_*`), the graph and the
-/// incrementally materialized profile store behind `/kg/*` (`kg_*`), and
-/// the trust store behind `/trust/*` and `/bias/report` (`trust_*`) —
-/// read straight off the stores, with the per-class query counts the
-/// serve layer owns slotted in where the page has always had them (that
-/// interleaving is the page's, which is why the list is assembled here
-/// and not by any one store).
-pub fn engine_series(system: &CovidKg, serve: &ServeStats) -> Vec<(&'static str, u64)> {
-    let ann = system.ann();
-    let a = ann.stats();
-    let p = system.profile_store().stats();
-    let t = system.trust_store().stats();
-    vec![
-        ("ann_nodes", ann.len() as u64),
-        ("ann_tombstones", ann.tombstones() as u64),
-        ("ann_max_level", ann.max_level() as u64),
-        ("ann_searches", a.searches),
-        ("ann_distance_evals", a.distance_evals),
-        ("ann_hops", a.hops),
-        ("ann_candidates", a.candidates),
-        ("ann_inserts", a.inserts),
-        ("kg_nodes", system.kg().len() as u64),
-        ("kg_queries", serve.requests_kg),
-        ("kg_traversal_hops", serve.kg_traversal_hops),
-        ("kg_nodes_visited", serve.kg_nodes_visited),
-        ("kg_profiles", p.profiles as u64),
-        ("kg_profile_papers", p.papers as u64),
-        ("kg_profile_observations", p.observations as u64),
-        ("kg_profile_incremental_refreshes", p.incremental_refreshes),
-        ("kg_profile_full_rebuilds", p.full_rebuilds),
-        ("kg_profile_vaccines_rebuilt", p.vaccines_rebuilt),
-        ("kg_profile_epoch", p.epoch),
-        ("trust_papers", t.papers as u64),
-        ("trust_venues", t.venues as u64),
-        ("trust_claims", t.claims as u64),
-        ("trust_nodes", t.nodes as u64),
-        ("trust_queries", serve.requests_trust),
-        ("trust_incremental_refreshes", t.incremental_refreshes),
-        ("trust_full_rebuilds", t.full_rebuilds),
-        ("trust_nodes_repropagated", t.nodes_repropagated),
-        ("trust_epoch", t.epoch),
-        ("trust_generation", t.generation),
-    ]
-}
-
-/// Render wire + serve stats as a text metrics page, one
-/// `covidkg_<name> <value>` per line, statuses as labelled series.
-/// `engines` ([`engine_series`]) follows the replication series, in the
-/// order given.
-pub fn render_metrics(
+/// The `/metrics` page, section by section in page order: `wire`,
+/// `serve`, the replication series under a routing layer, and the
+/// engine series read through `server`'s system.
+pub(crate) fn page(
+    server: &Server,
     wire: &WireStats,
     serve: &ServeStats,
-    repl: Option<&ReplExposition>,
-    engines: &[(&'static str, u64)],
+    repl: Option<&ReadContext>,
 ) -> String {
-    fn secs(d: Option<Duration>) -> f64 {
-        d.map(|d| d.as_secs_f64()).unwrap_or(0.0)
-    }
-    let mut out = String::new();
-    let mut line = |name: &str, v: String| {
-        out.push_str("covidkg_");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&v);
-        out.push('\n');
-    };
-    line("net_connections_accepted", wire.connections_accepted.to_string());
-    line("net_connections_active", wire.connections_active.to_string());
-    line("net_connections_reaped", wire.connections_reaped.to_string());
-    line("net_bytes_in", wire.bytes_in.to_string());
-    line("net_bytes_out", wire.bytes_out.to_string());
-    line("net_parse_errors", wire.parse_errors.to_string());
-    line("net_requests", wire.requests.to_string());
-    line("net_open_connections", wire.connections_active.to_string());
-    line("net_epoll_wakeups", wire.epoll_wakeups.to_string());
-    // Cumulative buckets, Prometheus histogram style. Labels contain no
-    // spaces, keeping the strict `name value` line shape.
-    let mut cumulative = 0;
-    for (i, count) in wire.ready_event_buckets.iter().enumerate() {
-        cumulative += count;
-        let le = READY_EVENT_BUCKETS
-            .get(i)
-            .map(|b| b.to_string())
-            .unwrap_or_else(|| "+Inf".to_string());
-        line(
-            &format!("net_ready_events_per_wakeup_bucket{{le=\"{le}\"}}"),
-            cumulative.to_string(),
-        );
-    }
-    line("net_ready_events_per_wakeup_count", cumulative.to_string());
-    line("net_ready_events_per_wakeup_sum", wire.ready_events.to_string());
-    for (status, count) in &wire.responses_by_status {
-        line(
-            &format!("net_responses{{status=\"{status}\"}}"),
-            count.to_string(),
-        );
-    }
-    line("serve_requests_all_fields", serve.requests_all_fields.to_string());
-    line("serve_requests_tables", serve.requests_tables.to_string());
-    line("serve_requests_scoped", serve.requests_scoped.to_string());
-    line("serve_requests_kg", serve.requests_kg.to_string());
-    line("serve_requests_trust", serve.requests_trust.to_string());
-    line("serve_requests_semantic", serve.requests_semantic.to_string());
-    line("serve_requests_hybrid", serve.requests_hybrid.to_string());
-    line("serve_cache_hits", serve.cache_hits.to_string());
-    line("serve_cache_misses", serve.cache_misses.to_string());
-    line("serve_overloaded", serve.overloaded.to_string());
-    line("serve_deadline_exceeded", serve.deadline_exceeded.to_string());
-    line("serve_completed", serve.completed.to_string());
-    line("serve_worker_panics", serve.worker_panics.to_string());
-    line("serve_worker_respawns", serve.worker_respawns.to_string());
-    line("serve_degraded", serve.degraded.to_string());
-    line("serve_stale_served", serve.stale_served.to_string());
-    line("serve_breaker_opens", serve.breaker_opens.to_string());
-    line("serve_io_retries", serve.io_retries.to_string());
-    line("serve_queue_depth", serve.queue_depth.to_string());
-    line("serve_max_queue_depth", serve.max_queue_depth.to_string());
-    line("serve_latency_p50_seconds", format!("{:.6}", secs(serve.p50)));
-    line("serve_latency_p95_seconds", format!("{:.6}", secs(serve.p95)));
-    line("serve_latency_p99_seconds", format!("{:.6}", secs(serve.p99)));
+    let mut page = Exposition::default();
+    wire.expose(&mut page);
+    serve.expose(&mut page);
     if let Some(repl) = repl {
-        // Replica names are operator-chosen: squash anything that would
-        // break the strict `name value` line shape.
-        let label = |name: &str| -> String {
-            name.chars()
-                .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '-' })
-                .collect()
-        };
-        line("repl_watermark", repl.watermark.to_string());
-        line("repl_epoch", repl.epoch.to_string());
-        line("repl_replicas", repl.replicas.len().to_string());
-        for (name, applied, lag) in &repl.replicas {
-            let name = label(name);
-            line(&format!("repl_replica_applied{{replica=\"{name}\"}}"), applied.to_string());
-            line(&format!("repl_replica_lag{{replica=\"{name}\"}}"), lag.to_string());
-        }
-        if let Some(s) = &repl.shipping {
-            line("repl_bytes_shipped", s.bytes_shipped.to_string());
-            line("repl_frames_shipped", s.frames_shipped.to_string());
-            line("repl_batches_shipped", s.batches_shipped.to_string());
-            line("repl_bytes_saved", s.bytes_saved.to_string());
-            line("repl_snapshot_bootstraps", s.snapshot_bootstraps.to_string());
-            line("repl_reconnects", s.reconnects.to_string());
-            line("repl_fenced_sessions", s.fenced_sessions.to_string());
-        }
+        repl.expose(&mut page);
     }
-    for (name, value) in engines {
-        line(name, value.to_string());
-    }
-    out
+    server.with_system(|system| serve.expose_engines(system, &mut page));
+    page.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use covidkg_core::CovidKgConfig;
+    use covidkg_core::{CovidKg, CovidKgConfig};
+    use covidkg_repl::{ReadRouter, ReplMetrics, ReplicaTarget};
+    use covidkg_serve::ServeConfig;
+    use std::sync::atomic::AtomicU8;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     /// Every series name `/metrics` emits (less the `covidkg_` prefix)
     /// for a routed primary after one 200 and one 404, in page order.
@@ -384,7 +279,10 @@ mod tests {
         assert_eq!(s.ready_event_buckets[3], 1); // le=8 holds the 5
         assert_eq!(s.ready_event_buckets[READY_EVENT_BUCKETS.len()], 1); // +Inf
         let serve = ServeStats::default();
-        let text = render_metrics(&s, &serve, None, &[]);
+        let mut page = Exposition::default();
+        s.expose(&mut page);
+        serve.expose(&mut page);
+        let text = page.finish();
         assert!(text.contains("covidkg_net_epoll_wakeups 5\n"), "{text}");
         assert!(text.contains("covidkg_net_ready_events_per_wakeup_bucket{le=\"1\"} 1\n"));
         assert!(text.contains("covidkg_net_ready_events_per_wakeup_bucket{le=\"2\"} 2\n"));
@@ -416,25 +314,6 @@ mod tests {
             max_queue_depth: 2,
             p50: Some(Duration::from_micros(1500)),
             ..ServeStats::default()
-        };
-        let repl = ReplExposition {
-            watermark: 42,
-            epoch: 2,
-            replicas: vec![
-                ("replica-1".into(), 42, 0),
-                ("weird name!".into(), 40, 2),
-            ],
-            shipping: Some(covidkg_repl::ReplStats {
-                bytes_shipped: 1024,
-                frames_shipped: 17,
-                batches_shipped: 4,
-                bytes_saved: 900,
-                snapshot_bootstraps: 1,
-                reconnects: 3,
-                fenced_sessions: 1,
-                epoch: 2,
-                replicas: Vec::new(),
-            }),
         };
         // The engine series come straight off a real system's stores. Two
         // profile-sourcing papers deleted, five publications ingested in
@@ -469,8 +348,41 @@ mod tests {
         for query in ["vaccine", "fever", "mask"] {
             system.search_dense(&covidkg_search::DenseMode::Semantic(query.into()), 0);
         }
-        let engines = engine_series(&system, &serve);
-        let text = render_metrics(&m.snapshot(), &serve, Some(&repl), &engines);
+        let server = Arc::new(Server::start(
+            system,
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        ));
+        // A routed primary: a watermark of 42, one replica caught up and
+        // one (with a name the label must squash) two behind, and the
+        // shipping counters of a primary at epoch 2.
+        let target = |name: &str, applied: u64| ReplicaTarget {
+            name: name.into(),
+            server: Arc::clone(&server),
+            applied: Arc::new(AtomicU64::new(applied)),
+            health: Arc::new(AtomicU8::new(0)), // ready
+        };
+        let router = ReadRouter::new(
+            None,
+            vec![target("replica-1", 42), target("weird name!", 40)],
+            Arc::new(|| 42),
+            16,
+        );
+        let shipping = ReplMetrics::default();
+        shipping.shipped(1024);
+        for (frames, saved) in [(5, 300), (4, 200), (4, 200), (4, 200)] {
+            shipping.batch_shipped(frames, 1000 + saved, 1000);
+        }
+        shipping.snapshot_bootstrap();
+        for _ in 0..3 {
+            shipping.reconnect();
+        }
+        shipping.fenced_session();
+        shipping.observe_epoch(2);
+        let repl = ReadContext::new(Arc::new(router), Some(Arc::new(shipping)));
+        let text = page(&server, &m.snapshot(), &serve, Some(&repl));
         assert!(text.contains("covidkg_net_connections_accepted 1\n"), "{text}");
         assert!(text.contains("covidkg_net_responses{status=\"200\"} 1\n"));
         assert!(text.contains("covidkg_net_responses{status=\"404\"} 1\n"));
@@ -493,46 +405,47 @@ mod tests {
         assert!(text.contains("covidkg_serve_requests_hybrid 5\n"));
         // Every engine series carries its own store's number (or, for the
         // per-class counts interleaved with them, serve's)…
-        let (ann, profiles, trust) = (
-            system.ann(),
-            system.profile_store().stats(),
-            system.trust_store().stats(),
-        );
-        let expected = [
-            ("ann_nodes", ann.len() as u64),
-            ("ann_tombstones", ann.tombstones() as u64),
-            ("ann_max_level", ann.max_level() as u64),
-            ("ann_searches", ann.stats().searches),
-            ("ann_distance_evals", ann.stats().distance_evals),
-            ("ann_hops", ann.stats().hops),
-            ("ann_candidates", ann.stats().candidates),
-            ("ann_inserts", ann.stats().inserts),
-            ("kg_nodes", system.kg().len() as u64),
-            ("kg_queries", 3),
-            ("kg_traversal_hops", 44),
-            ("kg_nodes_visited", 19),
-            ("kg_profiles", profiles.profiles as u64),
-            ("kg_profile_papers", profiles.papers as u64),
-            ("kg_profile_observations", profiles.observations as u64),
-            (
-                "kg_profile_incremental_refreshes",
-                profiles.incremental_refreshes,
-            ),
-            ("kg_profile_full_rebuilds", profiles.full_rebuilds),
-            ("kg_profile_vaccines_rebuilt", profiles.vaccines_rebuilt),
-            ("kg_profile_epoch", profiles.epoch),
-            ("trust_papers", trust.papers as u64),
-            ("trust_venues", trust.venues as u64),
-            ("trust_claims", trust.claims as u64),
-            ("trust_nodes", trust.nodes as u64),
-            ("trust_queries", 6),
-            ("trust_incremental_refreshes", trust.incremental_refreshes),
-            ("trust_full_rebuilds", trust.full_rebuilds),
-            ("trust_nodes_repropagated", trust.nodes_repropagated),
-            ("trust_epoch", trust.epoch),
-            ("trust_generation", trust.generation),
-        ];
-        assert_eq!(engines, expected);
+        let expected = server.with_system(|system| {
+            let (ann, profiles, trust) = (
+                system.ann(),
+                system.profile_store().stats(),
+                system.trust_store().stats(),
+            );
+            [
+                ("ann_nodes", ann.len() as u64),
+                ("ann_tombstones", ann.tombstones() as u64),
+                ("ann_max_level", ann.max_level() as u64),
+                ("ann_searches", ann.stats().searches),
+                ("ann_distance_evals", ann.stats().distance_evals),
+                ("ann_hops", ann.stats().hops),
+                ("ann_candidates", ann.stats().candidates),
+                ("ann_inserts", ann.stats().inserts),
+                ("kg_nodes", system.kg().len() as u64),
+                ("kg_queries", 3),
+                ("kg_traversal_hops", 44),
+                ("kg_nodes_visited", 19),
+                ("kg_profiles", profiles.profiles as u64),
+                ("kg_profile_papers", profiles.papers as u64),
+                ("kg_profile_observations", profiles.observations as u64),
+                (
+                    "kg_profile_incremental_refreshes",
+                    profiles.incremental_refreshes,
+                ),
+                ("kg_profile_full_rebuilds", profiles.full_rebuilds),
+                ("kg_profile_vaccines_rebuilt", profiles.vaccines_rebuilt),
+                ("kg_profile_epoch", profiles.epoch),
+                ("trust_papers", trust.papers as u64),
+                ("trust_venues", trust.venues as u64),
+                ("trust_claims", trust.claims as u64),
+                ("trust_nodes", trust.nodes as u64),
+                ("trust_queries", 6),
+                ("trust_incremental_refreshes", trust.incremental_refreshes),
+                ("trust_full_rebuilds", trust.full_rebuilds),
+                ("trust_nodes_repropagated", trust.nodes_repropagated),
+                ("trust_epoch", trust.epoch),
+                ("trust_generation", trust.generation),
+            ]
+        });
         for (name, value) in expected {
             assert!(
                 text.contains(&format!("covidkg_{name} {value}\n")),
@@ -570,10 +483,14 @@ mod tests {
             assert_eq!(l.split(' ').count(), 2, "{l}");
             assert!(l.starts_with("covidkg_"), "{l}");
         }
-        // Without a routing layer / engine series the optional series
-        // are absent entirely.
-        let text = render_metrics(&m.snapshot(), &serve, None, &[]);
+        // Without a routing layer the replication series are absent
+        // entirely, and the wire and serve sections write no engine series.
+        let text = page(&server, &m.snapshot(), &serve, None);
         assert!(!text.contains("repl_"), "{text}");
+        let mut page = Exposition::default();
+        m.snapshot().expose(&mut page);
+        serve.expose(&mut page);
+        let text = page.finish();
         assert!(!text.contains("ann_"), "{text}");
         assert!(!text.contains("covidkg_kg_"), "{text}");
         assert!(!text.contains("covidkg_trust_"), "{text}");

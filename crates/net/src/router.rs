@@ -14,12 +14,12 @@
 //! `X-Generation`, `X-Trust`) so the body never varies with cache state.
 
 use crate::http::{percent_decode, Body, Request, Response};
-use crate::metrics::{engine_series, render_metrics, ReplExposition, WireStats};
+use crate::metrics::{self, WireStats};
 use covidkg_core::QueryPlan;
 use covidkg_json::{obj, Value};
 use covidkg_repl::{Epoch, ReadRouter, ReplMetrics, RouteError};
 use covidkg_search::{DenseMode, SearchMode};
-use covidkg_serve::{Miss, Op, Reply, ServeError, Server};
+use covidkg_serve::{Exposition, Miss, Op, Reply, ServeError, Server};
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
@@ -68,12 +68,27 @@ impl ReadContext {
             .unwrap_or(0)
     }
 
-    fn exposition(&self) -> ReplExposition {
-        ReplExposition {
-            watermark: self.router.watermark(),
-            epoch: self.current_epoch(),
-            replicas: self.router.targets(),
-            shipping: self.metrics.as_ref().map(|m| m.snapshot()),
+    /// Write the replication section of the metrics page: the primary's
+    /// watermark, this node's fencing epoch, each routable replica's
+    /// applied sequence and lag, and, on the primary, the shipping
+    /// counters.
+    pub(crate) fn expose(&self, page: &mut Exposition) {
+        page.series("repl_watermark", self.router.watermark());
+        page.series("repl_epoch", self.current_epoch());
+        let replicas = self.router.targets();
+        page.series("repl_replicas", replicas.len());
+        for (name, applied, lag) in &replicas {
+            page.labelled("repl_replica_applied", "replica", name, applied);
+            page.labelled("repl_replica_lag", "replica", name, lag);
+        }
+        if let Some(s) = self.metrics.as_ref().map(|m| m.snapshot()) {
+            page.series("repl_bytes_shipped", s.bytes_shipped);
+            page.series("repl_frames_shipped", s.frames_shipped);
+            page.series("repl_batches_shipped", s.batches_shipped);
+            page.series("repl_bytes_saved", s.bytes_saved);
+            page.series("repl_snapshot_bootstraps", s.snapshot_bootstraps);
+            page.series("repl_reconnects", s.reconnects);
+            page.series("repl_fenced_sessions", s.fenced_sessions);
         }
     }
 }
@@ -494,10 +509,7 @@ pub fn serve_error_response(e: ServeError) -> Response {
 /// `GET /metrics` — wire counters, the serve histogram, the replication
 /// series under a [`ReadContext`], and the engine series.
 fn metrics_page(server: &Server, wire: &WireStats, repl: Option<&ReadContext>) -> Response {
-    let serve = server.stats();
-    let engines = server.with_system(|system| engine_series(system, &serve));
-    let repl = repl.map(|r| r.exposition());
-    Response::text(200, render_metrics(wire, &serve, repl.as_ref(), &engines))
+    Response::text(200, metrics::page(server, wire, &server.stats(), repl))
 }
 
 /// `GET /stats` — storage + KG + serving summary as JSON.

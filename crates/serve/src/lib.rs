@@ -31,8 +31,10 @@
 //!   longer matches is never served as fresh (see `server.rs` for the
 //!   stale-freedom argument).
 //! * [`metrics`] — per-class request counts, cache hit/miss, queue
-//!   depth and a log-bucketed latency histogram, snapshotted into
-//!   [`ServeStats`] (p50/p95/p99).
+//!   depth and a log-bucketed latency [`Histogram`], snapshotted into
+//!   [`ServeStats`] (p50/p95/p99); and [`Exposition`], the one writer of
+//!   the `/metrics` page, through which each layer's snapshot writes its
+//!   own series.
 //! * [`loadgen`] — a closed-loop load generator (N client threads × M
 //!   queries from `covidkg-corpus`) with direct-search spot checks,
 //!   driving `covidkg chaos` and the stress tests.
@@ -45,6 +47,6 @@ pub mod server;
 
 pub use cache::{CacheStats, Entry, QueryCache};
 pub use loadgen::{LoadGenConfig, LoadGenReport};
-pub use metrics::{Class, LatencyHistogram, ServeStats};
+pub use metrics::{Class, Exposition, Histogram, ServeStats};
 pub use op::{Miss, Op, Reply, Staleness};
 pub use server::{InjectedFaults, KgResponse, ServeConfig, ServeError, ServeResponse, Server};

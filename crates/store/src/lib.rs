@@ -42,7 +42,6 @@ pub mod flusher;
 pub mod gauntlet;
 pub mod index;
 pub mod pipeline;
-mod pipeline_parse;
 pub mod shard;
 pub mod update;
 pub mod stats;

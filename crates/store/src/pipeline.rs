@@ -9,8 +9,9 @@
 //! the searched query for ranking results."
 //!
 //! Stages are applied in order to a stream of documents. `$function`
-//! stages hold registered Rust closures (the Mongo original embeds
-//! JavaScript; the registry in [`FunctionRegistry`] plays that role).
+//! stages hold Rust closures ([`DocFn`]) where the Mongo original embeds
+//! JavaScript. Pipelines are built in code, stage by stage; there is no
+//! parser for the JSON wire form, because nothing receives one.
 
 use crate::error::StoreError;
 use crate::filter::Filter;
@@ -21,40 +22,6 @@ use std::sync::Arc;
 /// A scoring/derivation function usable in `$function` stages: document in,
 /// computed value out.
 pub type DocFn = Arc<dyn Fn(&Value) -> Value + Send + Sync>;
-
-/// Named registry of `$function` implementations. The search crate
-/// registers its ranking functions here, mirroring the paper's "custom
-/// functions … written in JavaScript inside of MongoDB aggregation
-/// pipeline query".
-#[derive(Clone, Default)]
-pub struct FunctionRegistry {
-    fns: HashMap<String, DocFn>,
-}
-
-impl FunctionRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register `f` under `name` (replacing any previous binding).
-    pub fn register(&mut self, name: impl Into<String>, f: DocFn) {
-        self.fns.insert(name.into(), f);
-    }
-
-    /// Look up a function.
-    pub fn get(&self, name: &str) -> Option<DocFn> {
-        self.fns.get(name).cloned()
-    }
-}
-
-impl std::fmt::Debug for FunctionRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FunctionRegistry")
-            .field("names", &self.fns.keys().collect::<Vec<_>>())
-            .finish()
-    }
-}
 
 /// Sort direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -124,6 +124,9 @@ cargo test -p covidkg-trust --test trust_prop --offline -q
 echo "==> derived-view driver property test (advance vs rebuild over a real collection)"
 cargo test -p covidkg-core --test views_prop --offline -q
 
+echo "==> benchmark set-up floor (the benchmark's corpus has every KG and trust node its warm-up requests)"
+cargo test -p covidkg-net --test bench_floor --offline -q
+
 echo "==> ingest oracle (after every one-publication ingest, update or delete: served trust, profile, bias and trusted-query bodies vs a twin rebuilt from scratch)"
 cargo test -p covidkg-core --test ingest_oracle --offline -q -- ingest_views_equal_a_rebuilt_twin_after_every_step --exact
 
@@ -144,10 +147,15 @@ rust_files=$(git ls-files -- 'crates/*/src/*.rs' 'src/*.rs')
 echo "==> Rust lines under crates/*/src + src: $(echo "$rust_files" | xargs cat | wc -l)"
 if rustfmt --version >/dev/null 2>&1; then
     normalized=$(for f in $rust_files; do
-        rustfmt --edition 2021 --emit stdout --quiet <"$f" 2>/dev/null || cat "$f"
+        rustfmt --edition 2021 --emit stdout --quiet <"$f" 2>/dev/null || {
+            echo "==> rustfmt rejected $f: counted unformatted" >&2
+            cat "$f"
+        }
     done)
-    echo "==> the same, rustfmt-normalized: $(echo "$normalized" | wc -l)"
-    echo "==> the same, outside #[cfg(test)] modules: $(echo "$normalized" | awk '
+    # printf, not echo: sh's echo may expand the backslash escapes in Rust
+    # string literals (`\n`) into line breaks, which would count them.
+    echo "==> the same, rustfmt-normalized: $(printf '%s\n' "$normalized" | wc -l)"
+    echo "==> the same, outside #[cfg(test)] modules: $(printf '%s\n' "$normalized" | awk '
         skip { if ($0 == "}") skip = 0; next }
         held { held = 0; if ($0 ~ /^mod [a-z_]+ \{$/) { skip = 1; next } print "#[cfg(test)]" }
         $0 == "#[cfg(test)]" { held = 1; next }

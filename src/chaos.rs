@@ -1,6 +1,6 @@
 //! Chaos harness: one deterministic end-to-end survival run.
 //!
-//! Three phases, all driven by a single seed so a failure replays
+//! Five phases, all driven by a single seed so a failure replays
 //! exactly:
 //!
 //! 1. **Crash gauntlet** — [`covidkg_store::run_gauntlet`] simulates a
@@ -17,7 +17,8 @@
 //!    query and two whole workers are crashed outright. Every request
 //!    must resolve (fresh, stale-degraded or typed `Degraded` — never a
 //!    hang), the pool must respawn to full strength, and spot checks
-//!    must agree with direct search.
+//!    must agree with direct search. The server's own counters print as
+//!    the serve section of the `/metrics` page, `covidkg_serve_*` lines.
 //! 4. **Replication gauntlet** — [`covidkg_repl::run_repl_gauntlet`]
 //!    kills and restarts a replica mid-stream, truncates its WAL at
 //!    every frame boundary (plus seeded mid-frame cuts and byte flips),
@@ -41,7 +42,7 @@ use covidkg_repl::{
     ReplGauntletReport,
 };
 use covidkg_serve::loadgen::{self, LoadGenConfig, LoadGenReport};
-use covidkg_serve::{InjectedFaults, ServeConfig, ServeStats, Server};
+use covidkg_serve::{Exposition, InjectedFaults, ServeConfig, ServeStats, Server};
 use covidkg_store::{
     run_gauntlet, FaultConfig, FaultPlan, FaultStats, Flusher, FlusherStats, GauntletConfig,
     GauntletReport, RetryPolicy,
@@ -168,7 +169,9 @@ impl fmt::Display for ChaosReport {
             self.index_rebuild_attempts,
         )?;
         write!(f, "panic-injected serving: {}", self.serve.render())?;
-        write!(f, "{}", self.serve_stats.render())?;
+        let mut page = Exposition::default();
+        self.serve_stats.expose(&mut page);
+        write!(f, "{}", page.finish())?;
         writeln!(
             f,
             "  {} of {} workers alive at shutdown",
