@@ -66,6 +66,9 @@ impl ClassifierChoice {
     }
 }
 
+/// Threads a batch insert into the publications collection spreads over.
+const INGEST_THREADS: usize = 4;
+
 /// System build configuration.
 #[derive(Debug, Clone)]
 pub struct CovidKgConfig {
@@ -81,8 +84,6 @@ pub struct CovidKgConfig {
     pub max_training_rows: usize,
     /// Word2Vec embedding dimensionality.
     pub embed_dims: usize,
-    /// Ingest worker threads.
-    pub ingest_threads: usize,
     /// Data directory for durable storage (None = in-memory). With a
     /// directory set, the publications, released models and the KG
     /// survive restarts and [`CovidKg::reopen`] restores the system
@@ -99,7 +100,6 @@ impl Default for CovidKgConfig {
             classifier: ClassifierChoice::Svm,
             max_training_rows: 1200,
             embed_dims: 24,
-            ingest_threads: 4,
             data_dir: None,
         }
     }
@@ -118,7 +118,6 @@ impl CovidKgConfig {
             "classifier" => self.classifier.name(),
             "max_training_rows" => self.max_training_rows as i64,
             "embed_dims" => self.embed_dims as i64,
-            "ingest_threads" => self.ingest_threads as i64,
         }
     }
 
@@ -140,7 +139,6 @@ impl CovidKgConfig {
                 .unwrap_or(d.classifier),
             max_training_rows: usize_of("max_training_rows", d.max_training_rows),
             embed_dims: usize_of("embed_dims", d.embed_dims),
-            ingest_threads: usize_of("ingest_threads", d.ingest_threads),
             data_dir: None,
         }
     }
@@ -249,7 +247,7 @@ impl CovidKg {
                 .with_text_fields(Publication::text_fields()),
         )?;
         let docs: Vec<Value> = pubs.iter().map(Publication::to_doc).collect();
-        publications.insert_parallel(docs, config.ingest_threads)?;
+        publications.insert_parallel(docs, INGEST_THREADS)?;
 
         // №4 — embeddings (WDC pre-train + corpus fine-tune) and the
         // metadata classifiers.
@@ -635,10 +633,7 @@ impl CovidKg {
     /// returns `Ok` is fully acknowledged (every document durable in the
     /// WAL).
     fn store_docs(&self, docs: &[Value]) -> Result<(), StoreError> {
-        match self
-            .publications
-            .insert_parallel(docs.to_vec(), self.config.ingest_threads)
-        {
+        match self.publications.insert_parallel(docs.to_vec(), INGEST_THREADS) {
             Ok(_) => return Ok(()),
             Err(e) if e.is_transient() => {}
             Err(e) => return Err(e),
@@ -723,11 +718,11 @@ impl CovidKg {
     /// Execute a graph query plan: bounded multi-hop traversal over the
     /// KG returning top-k ranked paths. The single implementation every
     /// surface (CLI, serve layer, HTTP front-end) calls, so wire
-    /// responses are byte-identical to in-process results. Runs through
-    /// the plan-level optimizer (selectivity-driven anchor reversal),
-    /// which is equivalence-tested against the plain engine.
+    /// responses are byte-identical to in-process results. The engine's
+    /// result, work counters included, is held to the exhaustive-DFS
+    /// oracle (`covidkg_kg::execute_oracle`).
     pub fn kg_query(&self, plan: &QueryPlan) -> QueryResult {
-        covidkg_kg::execute_optimized(&self.kg, plan)
+        covidkg_kg::execute(&self.kg, plan)
     }
 
     /// [`CovidKg::kg_query`] with trust-aware re-ranking: each path's

@@ -24,9 +24,8 @@
 //! * [`query`] — the graph query engine: typed multi-hop query plans
 //!   (kind/provenance predicate filters, co-occurrence expansion over
 //!   shared-paper provenance) executed as one bounded in-place
-//!   traversal over the graph's maintained provenance indexes,
-//!   returning top-k ranked paths, and a plan-level optimizer that
-//!   anchors the traversal at the estimated-more-selective end;
+//!   forward traversal over the graph's maintained provenance indexes,
+//!   returning top-k ranked paths;
 //! * [`oracle`] — the exhaustive-DFS equivalence oracle for the query
 //!   engine, reading provenance as strings and sharing no code with it;
 //! * [`materialize`] — incrementally-materialized meta-profile

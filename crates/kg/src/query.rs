@@ -6,12 +6,12 @@
 //! filters — executed as a bounded traversal that returns the top-k
 //! complete paths ranked by provenance support and inverse path length.
 //!
-//! The serving engine is [`execute`] / [`execute_optimized`]: one
-//! in-place depth-first traversal over the provenance indexes the
-//! graph maintains on write — interned paper ids, a per-node paper
-//! bitset and a per-node co-neighbour list — feeding a bounded top-k
-//! buffer, with hop/visit counters for the `covidkg_kg_*` metrics
-//! series. Its equivalence oracle, [`crate::oracle::execute_oracle`],
+//! The serving engine is [`execute`]: one in-place depth-first
+//! traversal over the provenance indexes the graph maintains on write —
+//! interned paper ids, a per-node paper bitset and a per-node
+//! co-neighbour list — feeding a bounded top-k buffer, with hop/visit
+//! counters for the `covidkg_kg_*` metrics series and every
+//! `/kg/query` body. Its equivalence oracle, [`crate::oracle::execute_oracle`],
 //! shares nothing with it but the plan and result types below.
 //!
 //! Determinism contract: successors are sorted by node id, filtered,
@@ -247,17 +247,11 @@ impl RankedPath {
 }
 
 impl QueryResult {
-    /// The ranked paths alone — the part both executors must agree on
-    /// byte-for-byte (work counters legitimately differ).
-    pub fn paths_json(&self) -> Value {
-        Value::Array(self.paths.iter().map(RankedPath::to_json).collect())
-    }
-
     /// Full JSON form: paths plus work counters. The wire body is
     /// [`QueryResult::to_body`], held to `to_json().to_json()`.
     pub fn to_json(&self) -> Value {
         obj! {
-            "paths" => self.paths_json(),
+            "paths" => Value::Array(self.paths.iter().map(RankedPath::to_json).collect()),
             "hops" => self.hops as i64,
             "visited" => self.visited as i64,
         }
@@ -394,23 +388,21 @@ impl TopK {
     }
 }
 
-/// The one traversal every executor runs: a depth-first walk, in
-/// candidate order, over paths of `depth` hops rooted at `roots`,
-/// ranking the complete ones.
+/// The traversal [`execute`] runs: a depth-first walk, in candidate
+/// order, over paths of `depth` hops rooted at `roots`, ranking the
+/// complete ones.
 ///
 /// `expand(path, out)` writes the successors of `path`'s head over
 /// `out`. Everything the walk needs lives in per-depth buffers
 /// allocated once: the candidate list of each path position, and the
 /// union of the paper bitsets of the path so far — so a complete
 /// path's support is one OR + popcount against its parent's row, and
-/// nothing is allocated per path. `reversed` paths were walked from
-/// their last node to their first and are ranked first-to-last.
+/// nothing is allocated per path.
 fn traverse(
     kg: &KnowledgeGraph,
     roots: Vec<NodeId>,
     depth: usize,
     k: usize,
-    reversed: bool,
     mut expand: impl FnMut(&[NodeId], &mut Vec<NodeId>),
 ) -> QueryResult {
     let words = kg.paper_words();
@@ -424,7 +416,6 @@ fn traverse(
     // Row d: the papers of path[..d] (row 0 stays empty).
     let mut unions = vec![0u64; (depth + 1) * words];
     let mut path: Vec<NodeId> = Vec::with_capacity(depth + 1);
-    let mut forward: Vec<NodeId> = Vec::with_capacity(depth + 1);
     loop {
         let d = path.len();
         let Some(&n) = cands[d].get(taken[d]) else {
@@ -444,13 +435,7 @@ fn traverse(
         if d == depth {
             let support = shared.iter().zip(set).map(|(a, b)| (a | b).count_ones()).sum::<u32>()
                 + rest.iter().map(|a| a.count_ones()).sum::<u32>();
-            if reversed {
-                forward.clear();
-                forward.extend(path.iter().rev());
-                top.offer(&forward, support as usize);
-            } else {
-                top.offer(&path, support as usize);
-            }
+            top.offer(&path, support as usize);
             path.pop();
         } else {
             let (row, row_rest) = below[..words].split_at_mut(set.len());
@@ -475,11 +460,8 @@ fn traverse(
 /// the step's predicates and the no-revisit rule, then truncated to
 /// `max_fanout`.
 pub fn execute(kg: &KnowledgeGraph, plan: &QueryPlan) -> QueryResult {
-    execute_forward(kg, plan, &Step::resolve(kg, plan))
-}
-
-fn execute_forward(kg: &KnowledgeGraph, plan: &QueryPlan, steps: &[Step]) -> QueryResult {
-    traverse(kg, start_nodes(kg, plan), steps.len(), plan.k, false, |path, out| {
+    let steps = Step::resolve(kg, plan);
+    traverse(kg, start_nodes(kg, plan), steps.len(), plan.k, |path, out| {
         let step = &steps[path.len() - 1];
         neighbours(kg, *path.last().expect("path never empty"), step.rel, out);
         out.retain(|&c| !path.contains(&c) && step.admits(kg, c));
@@ -487,132 +469,9 @@ fn execute_forward(kg: &KnowledgeGraph, plan: &QueryPlan, steps: &[Step]) -> Que
     })
 }
 
-/// Can the plan's results provably not depend on fanout truncation?
-/// Holds when the untruncated start set and every node's total degree
-/// fit under `max_fanout` — then both the forward engine and a reversed
-/// traversal enumerate the *same complete path set* exhaustively, so
-/// reordering is free. Plans with a co-occurrence hop always run
-/// forward: which direction a plan runs in decides the `hops` and
-/// `visited` a client is sent.
-fn reversal_safe(kg: &KnowledgeGraph, plan: &QueryPlan) -> bool {
-    if plan.steps.is_empty() || plan.steps.iter().any(|s| s.rel == HopRel::CoOccur) {
-        return false;
-    }
-    if untruncated_start_len(kg, plan) > plan.max_fanout {
-        return false;
-    }
-    kg.nodes()
-        .iter()
-        .all(|n| n.children.len() + n.parents.len() <= plan.max_fanout)
-}
-
-/// Start-set cardinality *before* the `max_fanout` truncation.
-fn untruncated_start_len(kg: &KnowledgeGraph, plan: &QueryPlan) -> usize {
-    match &plan.start {
-        StartSet::Term(t) => {
-            let mut ids = kg.find_by_term(t);
-            ids.sort_unstable();
-            ids.dedup();
-            ids.len()
-        }
-        StartSet::Kind(k) => kg.nodes().iter().filter(|n| n.kind == *k).count(),
-        StartSet::Node(id) => usize::from(*id < kg.len()),
-    }
-}
-
-/// Estimated frontier size after anchoring at `anchor` nodes and
-/// expanding through `steps`: anchor cardinality × per-step expected
-/// fanout (mean degree for the relation, scaled by the kind predicate's
-/// population fraction and a flat penalty for provenance filters). All
-/// integer-derived floats, so the estimate — and hence the chosen
-/// direction — is deterministic for a given graph.
-fn estimate_cost(kg: &KnowledgeGraph, anchor: usize, steps: &[&HopStep], reversed: bool) -> f64 {
-    let n = kg.len().max(1) as f64;
-    let (child_edges, parent_edges) = kg.nodes().iter().fold((0usize, 0usize), |(c, p), node| {
-        (c + node.children.len(), p + node.parents.len())
-    });
-    let kind_count = |k: NodeKind| kg.nodes().iter().filter(|x| x.kind == k).count() as f64;
-    let mut cost = anchor as f64;
-    for step in steps {
-        let mean_fanout = match (step.rel, reversed) {
-            (HopRel::Child, false) | (HopRel::Parent, true) => child_edges as f64 / n,
-            (HopRel::Parent, false) | (HopRel::Child, true) => parent_edges as f64 / n,
-            _ => (child_edges + parent_edges) as f64 / n,
-        };
-        let kind_fraction = match step.kind {
-            Some(k) => kind_count(k) / n,
-            None => 1.0,
-        };
-        let provenance_penalty = if step.provenance.is_some() { 0.25 } else { 1.0 };
-        cost *= (mean_fanout * kind_fraction * provenance_penalty).max(0.05);
-    }
-    cost
-}
-
-/// Plan-level query optimization: pick the cheaper traversal anchor by
-/// estimated selectivity before touching the graph.
-///
-/// **Anchor reversal** — when the terminal step's predicate set is
-/// estimated more selective than the start set (terminal cardinality
-/// × reversed-step fanout products vs start cardinality × forward
-/// products), traversal runs *backward* from the nodes matching the
-/// last step's predicates, following reversed relations, and keeps
-/// only paths landing in the start set. Applied only in the
-/// [`reversal_safe`] regime where fanout truncation provably cannot
-/// fire, so the enumerated path set — and therefore the ranked
-/// output — is byte-identical to [`execute`]. Work counters
-/// legitimately differ (that is the point).
-pub fn execute_optimized(kg: &KnowledgeGraph, plan: &QueryPlan) -> QueryResult {
-    let steps = Step::resolve(kg, plan);
-    if reversal_safe(kg, plan) {
-        let last = steps.last().expect("non-empty in safe regime");
-        let terminal: Vec<NodeId> = (0..kg.len()).filter(|&n| last.admits(kg, n)).collect();
-        let fwd_steps: Vec<&HopStep> = plan.steps.iter().collect();
-        let rev_steps: Vec<&HopStep> = plan.steps.iter().rev().collect();
-        let fwd = estimate_cost(kg, untruncated_start_len(kg, plan), &fwd_steps, false);
-        let bwd = estimate_cost(kg, terminal.len(), &rev_steps, true);
-        if bwd < fwd {
-            return execute_backward(kg, plan, &steps, terminal);
-        }
-    }
-    execute_forward(kg, plan, &steps)
-}
-
-/// Exhaustive reversed traversal for the [`reversal_safe`] regime:
-/// anchor at `terminal` (nodes matching the last step's predicates),
-/// walk reversed relations toward position 0 and accept paths whose far
-/// end lies in the start set. Nothing is truncated, so the complete
-/// paths — and, the result order being total, the top `k` of them —
-/// are the forward engine's.
-fn execute_backward(
-    kg: &KnowledgeGraph,
-    plan: &QueryPlan,
-    steps: &[Step],
-    terminal: Vec<NodeId>,
-) -> QueryResult {
-    let start = start_nodes(kg, plan);
-    let len = steps.len();
-    traverse(kg, terminal, len, plan.k, true, |rpath, out| {
-        // rpath[i] holds the node at forward position `len - i`: the
-        // head sits at `pos`, reached from `pos - 1` over that step's
-        // relation, so walk it the other way.
-        let pos = len - (rpath.len() - 1);
-        let rel = match steps[pos - 1].rel {
-            HopRel::Child => HopRel::Parent,
-            HopRel::Parent => HopRel::Child,
-            symmetric => symmetric,
-        };
-        neighbours(kg, *rpath.last().expect("rpath never empty"), rel, out);
-        out.retain(|&c| {
-            !rpath.contains(&c)
-                && if pos == 1 {
-                    start.binary_search(&c).is_ok()
-                } else {
-                    steps[pos - 2].admits(kg, c)
-                }
-        });
-    })
-}
+/// [`execute`] under the name the benchmark's trace replay
+/// (`benchmark/src/trace.rs`) calls it by.
+pub use self::execute as execute_optimized;
 
 #[cfg(test)]
 mod tests {
@@ -720,79 +579,9 @@ mod tests {
             for p in plans {
                 let engine = execute(&kg, &p);
                 let oracle = execute_oracle(&kg, &p);
-                assert_eq!(
-                    engine.paths_json().to_json(),
-                    oracle.paths_json().to_json(),
-                    "plan {p:?}"
-                );
+                assert_eq!(engine.to_json().to_json(), oracle.to_json().to_json(), "plan {p:?}");
             }
         }
-    }
-
-    #[test]
-    fn optimized_matches_engine_on_fixed_graphs() {
-        for (kg, plans) in [
-            (provenance_graph(), vec![
-                plan("node:0", "child,child"),
-                plan("kind:entity", "parent,child"),
-                plan("kind:category", "any,any"),
-                plan("kind:entity", "parent,child:entity:paper-2"),
-                plan("term:pfizer", "co,co"),
-            ]),
-            (seed_graph(), vec![
-                plan("node:0", "child,child,child"),
-                plan("kind:category", "parent"),
-                plan("kind:entity", "parent,parent"),
-                plan("term:symptoms", "any,any"),
-            ]),
-        ] {
-            for p in plans {
-                let engine = execute(&kg, &p);
-                let optimized = execute_optimized(&kg, &p);
-                assert_eq!(
-                    engine.paths_json().to_json(),
-                    optimized.paths_json().to_json(),
-                    "plan {p:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn reversal_anchors_at_the_selective_end() {
-        // Broad start (every entity), needle terminal (provenance
-        // filter matching one node): reversal must fire, and fire
-        // cheaper — strictly fewer node expansions than forward.
-        let kg = provenance_graph();
-        let p = plan("kind:entity", "parent,child::paper-1");
-        assert!(reversal_safe(&kg, &p));
-        let forward = execute(&kg, &p);
-        let optimized = execute_optimized(&kg, &p);
-        assert_eq!(
-            forward.paths_json().to_json(),
-            optimized.paths_json().to_json()
-        );
-        assert!(
-            optimized.visited < forward.visited,
-            "backward {} vs forward {}",
-            optimized.visited,
-            forward.visited
-        );
-    }
-
-    #[test]
-    fn reversal_declines_unsafe_regimes() {
-        let kg = provenance_graph();
-        // Co hops have no degree bound.
-        assert!(!reversal_safe(&kg, &plan("node:0", "co")));
-        // Tiny fanout: truncation may fire, order matters.
-        let narrow = QueryPlan::parse("kind:entity", "parent,child", 1, 10).unwrap();
-        assert!(!reversal_safe(&kg, &narrow));
-        // Still correct through the fallback path.
-        assert_eq!(
-            execute(&kg, &narrow).paths_json().to_json(),
-            execute_optimized(&kg, &narrow).paths_json().to_json()
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The three search engines (§2.1), compiled to aggregation pipelines.
+//! The three search engines (§2.1).
 //!
 //! "The Search Engine receives results from the database by using an
 //! aggregation query … The first stage in the pipeline is a `$match`
@@ -8,6 +8,13 @@
 //! stage, which streams only the specified fields … The pipeline also
 //! uses a few custom `$function` stages to derive calculations … for
 //! ranking results."
+//!
+//! [`SearchEngine::search`] serves that plan as one bounded pass: the
+//! `$match` filter's candidates from the inverted index, scores from its
+//! postings, only the top `(page+1)·PAGE_SIZE` kept and only the page's
+//! documents read and rendered. The pipeline itself, run over a full
+//! scan, is the oracle [`SearchEngine::search_naive`] the served path is
+//! held to page for page.
 
 use crate::query::{parse_query, ParsedQuery};
 use crate::rank::{RankWeights, Ranker};
@@ -46,17 +53,6 @@ pub enum SearchMode {
 /// Results per page — "paginated as a list of ten per page".
 pub const PAGE_SIZE: usize = 10;
 
-/// How to execute a compiled search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecStrategy {
-    /// Index-pruned, shard-partitioned, postings-scored top-k when the index
-    /// covers every ranked field; otherwise the pushdown pipeline.
-    Auto,
-    /// Full scan of every shard, tokenizing scorer, full sort — the
-    /// correctness oracle and the unindexed-collection fallback semantics.
-    FullScan,
-}
-
 /// A search engine bound to a publications collection.
 pub struct SearchEngine {
     collection: Arc<Collection>,
@@ -92,89 +88,69 @@ impl SearchEngine {
         self.render_cache.as_ref().map(|c| c.stats())
     }
 
-    /// Run a search, returning the requested 0-based page.
-    ///
-    /// When the inverted index covers every ranked field, the query reads
-    /// nothing else until the page's documents are rendered: candidates
-    /// and membership come from the `$match` filter's postings, scores
-    /// from posting lists across one task per shard, bounded to the top
-    /// `(page+1)·PAGE_SIZE` ids, and highlights from the positions the
-    /// postings hold — returning exactly the same page (ids, order,
-    /// score bits, snippets) as [`SearchEngine::search_naive`].
+    /// Run a search, returning the requested 0-based page: the top
+    /// `(page+1)·PAGE_SIZE` `(score, _id)` of the `$match` filter from one
+    /// `scored_top_k` pass, then only the page's documents rendered
+    /// (`render_hits`). Returns exactly the page
+    /// (ids, order, score bits, snippets) of [`SearchEngine::search_naive`].
     pub fn search(&self, mode: &SearchMode, page: usize) -> SearchPage {
-        self.run_search(mode, page, ExecStrategy::Auto)
+        let (query, ranker, filter, projection) = self.prepare(mode);
+        let (total, top) = self.scored_top_k(&filter, &ranker, (page + 1) * PAGE_SIZE);
+        let hits = top.chunks(PAGE_SIZE).nth(page).unwrap_or_default();
+        let results = self.render_hits(hits, &ranker, &projection);
+        SearchPage { query, page, page_size: PAGE_SIZE, total, results }
     }
 
-    /// The naive reference path: score every document with the tokenizing
-    /// ranker over a full shard scan and fully sort all matches. This is
-    /// the oracle the equivalence property test holds [`SearchEngine::search`]
-    /// against, and the semantics every optimized path must preserve.
+    /// The reference path [`SearchEngine::search`] is held to: the
+    /// `$match` → `$project` → `$function(rank)` → `$sort` pipeline over a
+    /// full scan of every shard, scoring each match with the tokenizing
+    /// [`Ranker::score`] and rendering each hit with [`build_result`]. No
+    /// index, postings or render cache is read.
     pub fn search_naive(&self, mode: &SearchMode, page: usize) -> SearchPage {
-        self.run_search(mode, page, ExecStrategy::FullScan)
+        let (query, ranker, filter, projection) = self.prepare(mode);
+        let mut naive = SearchPage { query, page, page_size: PAGE_SIZE, total: 0, results: Vec::new() };
+        if ranker.query().is_empty() {
+            return naive;
+        }
+        let ranker = Arc::new(ranker);
+        let rank_fn: DocFn = {
+            let ranker = Arc::clone(&ranker);
+            Arc::new(move |doc: &Value| Value::float(ranker.score(doc)))
+        };
+        let ranked = Pipeline::new()
+            .match_filter(filter)
+            .project(projection)
+            .function("covidkg_rank", "score", rank_fn)
+            .stage(Stage::Sort(vec![
+                ("score".into(), Order::Desc),
+                ("_id".into(), Order::Asc),
+            ]))
+            .run(self.collection.scan_all());
+        naive.total = ranked.len();
+        naive.results = ranked
+            .iter()
+            .skip(page * PAGE_SIZE)
+            .take(PAGE_SIZE)
+            .map(|doc| {
+                let score = doc.path("score").and_then(Value::as_f64).unwrap_or(0.0);
+                build_result(doc, score, &ranker)
+            })
+            .collect();
+        naive
     }
 
-    fn run_search(&self, mode: &SearchMode, page: usize, strategy: ExecStrategy) -> SearchPage {
-        let (query_text, parsed, filter, field_paths) = self.compile(mode);
-        let page_of = move |total, results| SearchPage {
-            query: query_text,
-            page,
-            page_size: PAGE_SIZE,
-            total,
-            results,
-        };
-        if parsed.is_empty() {
-            return page_of(0, Vec::new());
-        }
-        let ranker = Arc::new(self.ranker(parsed, &field_paths));
-        let mut projection: Vec<String> = field_paths;
+    /// A mode compiled for both paths: the echoed query text, its ranker,
+    /// the `$match` filter and the rendered projection (the searched
+    /// fields plus `title` and `date`).
+    fn prepare(&self, mode: &SearchMode) -> (String, Ranker, Filter, Vec<String>) {
+        let (query_text, parsed, filter, mut projection) = self.compile(mode);
+        let ranker = self.ranker(parsed, &projection);
         for keep in ["title", "date"] {
             if !projection.iter().any(|p| p == keep) {
                 projection.push(keep.to_string());
             }
         }
-
-        // Fast path: the page's ids straight from the postings, then only
-        // those documents rendered.
-        if strategy == ExecStrategy::Auto {
-            let k = (page + 1) * PAGE_SIZE;
-            if let Some((total, top)) = self.top_from_postings(&filter, &ranker, k) {
-                let hits = top.chunks(PAGE_SIZE).nth(page).unwrap_or_default();
-                return page_of(total, self.render_hits(hits, &ranker, &projection));
-            }
-        }
-
-        // $match → $project → $function(rank) → $sort → paginate.
-        let rank_fn: DocFn = {
-            let ranker = Arc::clone(&ranker);
-            Arc::new(move |doc: &Value| Value::float(ranker.score(doc)))
-        };
-        let pipeline = Pipeline::new()
-            .match_filter(filter)
-            .project(projection.clone())
-            .function("covidkg_rank", "score", rank_fn)
-            .sort_desc("score")
-            .stage(Stage::Sort(vec![
-                ("score".into(), Order::Desc),
-                ("_id".into(), Order::Asc),
-            ]));
-        let ranked = match strategy {
-            // Pushdown: a leading `$match` seeds from the index.
-            ExecStrategy::Auto => self.collection.aggregate(&pipeline),
-            // Oracle: materialize everything, no index assistance.
-            ExecStrategy::FullScan => pipeline.run(self.collection.scan_all()),
-        };
-        let renders = self.renders(&projection, &ranker);
-        let results = ranked
-            .iter()
-            .skip(page * PAGE_SIZE)
-            .take(PAGE_SIZE)
-            .filter_map(|doc| {
-                let score = doc.path("score").and_then(Value::as_f64).unwrap_or(0.0);
-                let id = doc.get("_id").and_then(Value::as_str).unwrap_or("<missing id>");
-                renders.get_or_build(id, score, || Some(build_result(doc, score, &ranker)))
-            })
-            .collect();
-        page_of(ranked.len(), results)
+        (query_text, ranker, filter, projection)
     }
 
     /// A ranker for `parsed` over `field_paths`, with this engine's
@@ -188,21 +164,28 @@ impl SearchEngine {
         )
     }
 
-    /// Total match count and top-`k` `(score, _id)` of `filter`, decided
-    /// and scored from the postings alone — `None` when the index does
-    /// not cover every ranked field. Same order, totals and score bits as
-    /// ranking every matching document with [`Ranker::score`].
-    fn top_from_postings(
+    /// Match count and top-`k` `(score, _id)` of `filter` under `ranker`,
+    /// `(score desc, _id asc)`, from one [`Collection::scored_top_k`] pass:
+    /// candidates come from the index where it can bound the filter (a
+    /// shard scan otherwise), scores from the postings when the index
+    /// covers every ranked field and from [`Ranker::score`] on the
+    /// document otherwise — the same totals, order and score bits either
+    /// way.
+    pub(crate) fn scored_top_k(
         &self,
         filter: &Filter,
         ranker: &Ranker,
         k: usize,
-    ) -> Option<(usize, Vec<(f64, String)>)> {
-        let index = self.collection.text_index()?.read();
-        let scorer = ranker.postings_scorer(&index)?;
-        Some(self.collection.scored_top_k(filter, k, Some(&index), |id, doc| {
-            scorer.score(id, doc)
-        }))
+    ) -> (usize, Vec<(f64, String)>) {
+        if ranker.query().is_empty() || k == 0 {
+            return (0, Vec::new());
+        }
+        let index = self.collection.text_index().map(TextIndex::read);
+        let index = index.as_ref();
+        match index.and_then(|index| ranker.postings_scorer(index)) {
+            Some(scorer) => self.collection.scored_top_k(filter, k, index, |id, doc| scorer.score(id, doc)),
+            None => self.collection.scored_top_k(filter, k, index, |_, doc| ranker.score(doc)),
+        }
     }
 
     /// This request's view of the render cache: snippets depend on the
@@ -292,42 +275,10 @@ impl SearchEngine {
     /// The top-`k` `(score, _id)` pairs for a mode — the lexical
     /// candidate list the hybrid ranker fuses with ANN neighbors.
     /// Ordering matches [`SearchEngine::search`]: `(score desc, _id
-    /// asc)`, same fast path / pipeline split.
+    /// asc)`, from the same `scored_top_k` pass.
     pub fn ranked_ids(&self, mode: &SearchMode, k: usize) -> Vec<(f64, String)> {
         let (_, parsed, filter, field_paths) = self.compile(mode);
-        let ranker = Arc::new(self.ranker(parsed, &field_paths));
-        self.top_ids(filter, &ranker, k)
-    }
-
-    /// [`SearchEngine::ranked_ids`] for an already compiled query.
-    pub(crate) fn top_ids(&self, filter: Filter, ranker: &Arc<Ranker>, k: usize) -> Vec<(f64, String)> {
-        if ranker.query().is_empty() || k == 0 {
-            return Vec::new();
-        }
-        if let Some((_, top)) = self.top_from_postings(&filter, ranker, k) {
-            return top;
-        }
-        let rank_fn: DocFn = {
-            let ranker = Arc::clone(ranker);
-            Arc::new(move |doc: &Value| Value::float(ranker.score(doc)))
-        };
-        let pipeline = Pipeline::new()
-            .match_filter(filter)
-            .function("covidkg_rank", "score", rank_fn)
-            .stage(Stage::Sort(vec![
-                ("score".into(), Order::Desc),
-                ("_id".into(), Order::Asc),
-            ]));
-        self.collection
-            .aggregate(&pipeline)
-            .iter()
-            .take(k)
-            .map(|doc| {
-                let score = doc.path("score").and_then(Value::as_f64).unwrap_or(0.0);
-                let id = doc.get("_id").and_then(Value::as_str).unwrap_or_default();
-                (score, id.to_string())
-            })
-            .collect()
+        self.scored_top_k(&filter, &self.ranker(parsed, &field_paths), k).1
     }
 
     /// Compile a mode into (display text, parsed query, `$match` filter,

@@ -24,7 +24,6 @@ use crate::result::SearchPage;
 use covidkg_ann::HnswIndex;
 use covidkg_ml::Word2Vec;
 use covidkg_text::tokenize_lower;
-use std::sync::Arc;
 
 /// Which dense serving mode to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,7 +114,7 @@ pub fn dense_search(
     // snippets) and share their cached renders.
     let (query_text, parsed, filter, mut fields) =
         engine.compile(&SearchMode::AllFields(mode.query().to_string()));
-    let ranker = Arc::new(engine.ranker(parsed, &fields));
+    let ranker = engine.ranker(parsed, &fields);
 
     // Scored candidate list, ordered: either cosine (semantic) or RRF
     // over the dense + lexical lists (hybrid).
@@ -125,7 +124,7 @@ pub fn dense_search(
             .map(|(id, sim)| (f64::from(sim), id))
             .collect(),
         DenseMode::Hybrid(_) => {
-            let lexical = engine.top_ids(filter, &ranker, config.k_lexical);
+            let (_, lexical) = engine.scored_top_k(&filter, &ranker, config.k_lexical);
             let mut fused: std::collections::HashMap<String, f64> =
                 std::collections::HashMap::new();
             for (rank, (id, _)) in dense.iter().enumerate() {

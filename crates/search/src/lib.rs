@@ -18,8 +18,10 @@
 //!   number of matches, proximity between the matched terms and which
 //!   field the term was matched in");
 //! * [`engine`] — the three engines (title/abstract/caption, all fields,
-//!   tables) compiled into `$match` → `$project` → `$function` → `$sort`
-//!   pipelines with 10-per-page pagination;
+//!   tables), each compiled to a `$match` filter and served as one
+//!   bounded top-k pass with 10-per-page pagination; the
+//!   `$match` → `$project` → `$function` → `$sort` pipeline over a full
+//!   scan is their oracle;
 //! * [`result`] — result pages with snippets and highlight spans
 //!   (Figs 2 & 4);
 //! * [`render_cache`] — a bounded, epoch-invalidated memo of built

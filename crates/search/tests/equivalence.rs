@@ -1,8 +1,11 @@
-//! Property test: the index-pruned, postings-scored top-k fast path
-//! (per-shard buffers, merged) must return **byte-identical** pages to
-//! the naive full-scan, tokenizing-scorer, full-sort oracle — same
-//! totals, same ids in the same order (including `(score, _id)`
-//! tie-breaks), and bit-equal `f64` scores.
+//! Property test: the served path (index-pruned candidates, postings- or
+//! document-scored top-k in per-shard buffers, merged, then only the
+//! page rendered) must return **byte-identical** pages to the naive
+//! full-scan, tokenizing-scorer, full-sort pipeline oracle — same totals,
+//! same ids in the same order (including `(score, _id)` tie-breaks),
+//! bit-equal `f64` scores and the same snippets. Collections index a
+//! random subset of the ranked fields, the empty one included, so both
+//! scorers and the unindexed scan are drawn.
 
 use covidkg_json::{arr, obj, Value};
 use covidkg_rand::prop;
@@ -70,11 +73,29 @@ fn random_doc(rng: &mut SmallRng, id: usize, clone_pool: &[Value]) -> Value {
     }
 }
 
-fn random_corpus(rng: &mut SmallRng, n_docs: usize, shards: usize) -> Arc<Collection> {
+/// Every field a search ranks: the all-fields engine ranks all five.
+const RANKED_FIELDS: [&str; 5] = ["title", "abstract", "tables", "figure_captions", "body"];
+
+/// The fields a collection indexes: all of them half the time (the
+/// postings scorer), otherwise a random subset, possibly empty (no text
+/// index at all).
+fn random_text_fields(rng: &mut SmallRng) -> Vec<&'static str> {
+    if rng.gen_bool(0.5) {
+        return RANKED_FIELDS.to_vec();
+    }
+    RANKED_FIELDS.into_iter().filter(|_| rng.gen_bool(0.5)).collect()
+}
+
+fn random_corpus(
+    rng: &mut SmallRng,
+    n_docs: usize,
+    shards: usize,
+    text_fields: &[&str],
+) -> Arc<Collection> {
     let c = Collection::new(
         CollectionConfig::new("pubs")
             .with_shards(shards)
-            .with_text_fields(["title", "abstract", "tables", "figure_captions", "body"]),
+            .with_text_fields(text_fields.iter().copied()),
     );
     let mut inserted: Vec<Value> = Vec::new();
     for i in 0..n_docs {
@@ -129,7 +150,8 @@ fn random_mode(rng: &mut SmallRng) -> SearchMode {
     }
 }
 
-/// Byte-identical comparison: totals, ids+order, and bit-equal scores.
+/// Byte-identical comparison: totals, ids+order and bit-equal scores
+/// first, for a readable failure, then the whole serialized page.
 fn assert_identical(fast: &SearchPage, naive: &SearchPage, ctx: &str) {
     assert_eq!(fast.total, naive.total, "total mismatch: {ctx}");
     assert_eq!(fast.page, naive.page, "page mismatch: {ctx}");
@@ -147,6 +169,7 @@ fn assert_identical(fast: &SearchPage, naive: &SearchPage, ctx: &str) {
         );
         assert_eq!(f.title, n.title, "title mismatch for {}: {ctx}", f.id);
     }
+    assert_eq!(fast.to_json().to_json(), naive.to_json().to_json(), "page bytes differ: {ctx}");
 }
 
 #[test]
@@ -154,7 +177,8 @@ fn pruned_top_k_is_byte_identical_to_full_scan() {
     prop::run(25, |rng| {
         let n_docs = rng.gen_range(5..40usize);
         let shards = *prop::pick(rng, &[1usize, 2, 3, 4, 7]);
-        let collection = random_corpus(rng, n_docs, shards);
+        let text_fields = random_text_fields(rng);
+        let collection = random_corpus(rng, n_docs, shards, &text_fields);
         let engine = SearchEngine::new(collection);
         for _ in 0..3 {
             let mode = random_mode(rng);
@@ -162,7 +186,7 @@ fn pruned_top_k_is_byte_identical_to_full_scan() {
                 let fast = engine.search(&mode, page);
                 let naive = engine.search_naive(&mode, page);
                 let ctx = format!(
-                    "docs={n_docs} shards={shards} page={page} mode={mode:?}"
+                    "docs={n_docs} shards={shards} indexed={text_fields:?} page={page} mode={mode:?}"
                 );
                 assert_identical(&fast, &naive, &ctx);
             }
@@ -172,12 +196,18 @@ fn pruned_top_k_is_byte_identical_to_full_scan() {
 
 /// More than 512 candidates, per-shard buffers merged: every shard
 /// fills its own top-k buffer before the merge, at a size the small
-/// random corpora above never reach.
+/// random corpora above never reach — under the postings scorer (every
+/// ranked field indexed) and the document scorer (two of them).
 #[test]
 fn equivalence_past_512_candidates() {
-    let mut rng = <SmallRng as covidkg_rand::SeedableRng>::seed_from_u64(0xD0C5);
-    let collection = random_corpus(&mut rng, 700, 4);
-    let engine = SearchEngine::new(collection);
+    for text_fields in [&RANKED_FIELDS[..], &["title", "tables"]] {
+        let mut rng = <SmallRng as covidkg_rand::SeedableRng>::seed_from_u64(0xD0C5);
+        let collection = random_corpus(&mut rng, 700, 4, text_fields);
+        assert_pages_at_scale(&SearchEngine::new(collection), text_fields);
+    }
+}
+
+fn assert_pages_at_scale(engine: &SearchEngine, text_fields: &[&str]) {
     let modes = [
         SearchMode::AllFields("vaccine efficacy".into()),
         SearchMode::AllFields("mask transmission \"icu surge\"".into()),
@@ -192,7 +222,8 @@ fn equivalence_past_512_candidates() {
         for page in 0..5 {
             let fast = engine.search(mode, page);
             let naive = engine.search_naive(mode, page);
-            assert_identical(&fast, &naive, &format!("parallel-scale page={page} mode={mode:?}"));
+            let ctx = format!("parallel-scale indexed={text_fields:?} page={page} mode={mode:?}");
+            assert_identical(&fast, &naive, &ctx);
         }
     }
 }

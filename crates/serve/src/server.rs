@@ -102,6 +102,9 @@ fn write_lock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Shards (locks) the result cache's capacity is spread over.
+const CACHE_SHARDS: usize = 8;
+
 /// Serving configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -113,8 +116,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Total cached result pages.
     pub cache_capacity: usize,
-    /// Cache shards (locks) the capacity is spread over.
-    pub cache_shards: usize,
     /// Cached pages older than this never hit (None = no TTL).
     pub cache_ttl: Option<Duration>,
     /// Approximate total-bytes budget for cached pages (None = none).
@@ -142,7 +143,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 64,
             cache_capacity: 512,
-            cache_shards: 8,
             cache_ttl: Some(Duration::from_secs(120)),
             cache_max_bytes: Some(8 << 20),
             default_deadline: Duration::from_secs(5),
@@ -609,7 +609,7 @@ impl Server {
             generation: AtomicU64::new(generation),
             cache: QueryCache::with_limits(
                 config.cache_capacity,
-                config.cache_shards,
+                CACHE_SHARDS,
                 config.cache_ttl,
                 config.cache_max_bytes,
             ),

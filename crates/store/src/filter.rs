@@ -220,19 +220,6 @@ impl Filter {
         }
     }
 
-    /// Collect the stems this filter needs via `$text`, for inverted-index
-    /// candidate pruning. Returns `None` when the filter cannot be served
-    /// by the index (e.g. top-level `$or` with a non-text branch).
-    pub fn text_stems(&self) -> Option<Vec<&str>> {
-        match self {
-            Filter::Text { stems, .. } => {
-                Some(stems.iter().map(String::as_str).collect())
-            }
-            Filter::And(fs) => fs.iter().find_map(Filter::text_stems),
-            _ => None,
-        }
-    }
-
     /// Resolve this filter against the inverted index into a candidate id
     /// set that is a **superset** of the matching documents (callers still
     /// check [`Filter::residual`] on each). Returns `None` when the index
@@ -498,15 +485,6 @@ mod tests {
     fn type_mismatch_never_orders() {
         // year > "abc" must be false, not a cross-type comparison.
         assert!(!f(obj! { "year" => obj!{ "$gt" => "abc" } }).matches(&doc()));
-    }
-
-    #[test]
-    fn text_stems_surface_for_index_pruning() {
-        let filter = f(obj! { "$text" => obj!{ "$search" => "mask mandates" } });
-        let stems = filter.text_stems().unwrap();
-        assert!(stems.contains(&"mask"));
-        let plain = f(obj! { "year" => 2021 });
-        assert!(plain.text_stems().is_none());
     }
 
     #[test]

@@ -73,16 +73,6 @@ pub enum Stage {
     AddFields(Vec<(String, Value)>),
     /// `$sort` by one or more paths.
     Sort(Vec<(String, Order)>),
-    /// Explicit bounded top-k under a `$sort` ordering — what the
-    /// `$sort`+`$limit` peephole produces, but as a first-class stage so
-    /// callers that know their page bound (`search(page=p)` needs only the
-    /// top `(p+1)·PAGE_SIZE`) never materialize a full sort.
-    TopK {
-        /// Sort keys, highest priority first.
-        keys: Vec<(String, Order)>,
-        /// Number of documents to keep.
-        k: usize,
-    },
     /// `$skip`.
     Skip(usize),
     /// `$limit`.
@@ -109,7 +99,6 @@ impl std::fmt::Debug for Stage {
             Stage::Function { name, output, .. } => write!(f, "$function({name} -> {output})"),
             Stage::AddFields(fs) => write!(f, "$addFields({} fields)", fs.len()),
             Stage::Sort(keys) => write!(f, "$sort{keys:?}"),
-            Stage::TopK { keys, k } => write!(f, "$topK(top-{k} by {keys:?})"),
             Stage::Skip(n) => write!(f, "$skip({n})"),
             Stage::Limit(n) => write!(f, "$limit({n})"),
             Stage::Unwind(p) => write!(f, "$unwind({p})"),
@@ -181,11 +170,6 @@ impl Pipeline {
         self.stage(Stage::Sort(vec![(path.into(), Order::Asc)]))
     }
 
-    /// Bounded top-k by the given sort keys (see [`Stage::TopK`]).
-    pub fn top_k(self, keys: Vec<(String, Order)>, k: usize) -> Self {
-        self.stage(Stage::TopK { keys, k })
-    }
-
     /// `$skip`.
     pub fn skip(self, n: usize) -> Self {
         self.stage(Stage::Skip(n))
@@ -251,49 +235,6 @@ impl Pipeline {
             i += 1;
         }
         docs
-    }
-
-    /// Describe the execution plan: one line per physical step, including
-    /// pushdown and fusion decisions (the `explain` a Mongo operator
-    /// would read before trusting a pipeline).
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        let mut first = true;
-        let mut i = 0;
-        while i < self.stages.len() {
-            let line = match (&self.stages[i], self.stages.get(i + 1)) {
-                (Stage::Match(f), _) if first => {
-                    let access = if f.exact_id().is_some() {
-                        "single-shard id lookup"
-                    } else if f.text_stems().is_some() {
-                        "inverted-index candidates + verify"
-                    } else {
-                        "shard scan"
-                    };
-                    format!("$match (pushed into scan: {access})")
-                }
-                (Stage::Sort(keys), Some(Stage::Limit(n))) => {
-                    let line = format!("$sort+$limit fused: heap top-{n} by {keys:?}");
-                    out.push_str(&line);
-                    out.push('\n');
-                    i += 2;
-                    first = false;
-                    continue;
-                }
-                (Stage::TopK { keys, k }, _) => {
-                    format!("$topK: heap top-{k} by {keys:?} (page bound known)")
-                }
-                (stage, _) => format!("{stage:?}"),
-            };
-            out.push_str(&line);
-            out.push('\n');
-            first = false;
-            i += 1;
-        }
-        if out.is_empty() {
-            out.push_str("(identity pipeline)\n");
-        }
-        out
     }
 }
 
@@ -389,7 +330,6 @@ fn apply_stage(stage: &Stage, docs: Vec<Value>) -> Vec<Value> {
             });
             docs
         }
-        Stage::TopK { keys, k } => top_k(docs, keys, *k),
         Stage::Skip(n) => docs.into_iter().skip(*n).collect(),
         Stage::Limit(n) => docs.into_iter().take(*n).collect(),
         Stage::Unwind(path) => {
@@ -723,50 +663,5 @@ mod tests {
             .run(docs);
         reference.truncate(7);
         assert_eq!(fused, reference);
-    }
-
-    #[test]
-    fn top_k_stage_matches_sort_truncate() {
-        let docs: Vec<Value> = (0..40)
-            .map(|i| obj! { "k" => (i * 13) % 17, "seq" => i })
-            .collect();
-        let keys = vec![("k".into(), Order::Desc), ("seq".into(), Order::Asc)];
-        for k in [0, 1, 5, 40, 100] {
-            let topk = Pipeline::new()
-                .top_k(keys.clone(), k)
-                .run(docs.clone());
-            let mut reference = Pipeline::new()
-                .stage(Stage::Sort(keys.clone()))
-                .run(docs.clone());
-            reference.truncate(k);
-            assert_eq!(topk, reference, "k = {k}");
-        }
-        let plan = Pipeline::new().top_k(keys, 10).explain();
-        assert!(plan.contains("$topK: heap top-10"), "{plan}");
-    }
-
-    #[test]
-    fn explain_describes_pushdown_and_fusion() {
-        let p = Pipeline::new()
-            .match_spec(&obj! { "_id" => "a" }, &[])
-            .unwrap()
-            .project(["topic"])
-            .sort_desc("cites")
-            .limit(10);
-        let plan = p.explain();
-        assert!(plan.contains("single-shard id lookup"), "{plan}");
-        assert!(plan.contains("heap top-10"), "{plan}");
-
-        let p = Pipeline::new()
-            .match_spec(&obj! { "$text" => obj!{ "$search" => "mask" } }, &["title".to_string()])
-            .unwrap()
-            .sort_desc("score");
-        let plan = p.explain();
-        assert!(plan.contains("inverted-index candidates"), "{plan}");
-        assert!(plan.contains("$sort"), "{plan}");
-        // Non-leading match is not a pushdown.
-        let p = Pipeline::new().limit(1).match_spec(&obj! {}, &[]).unwrap();
-        assert!(!p.explain().contains("pushed into scan"));
-        assert_eq!(Pipeline::new().explain(), "(identity pipeline)\n");
     }
 }

@@ -115,7 +115,7 @@ cargo test -p covidkg-repl --test failover_prop --offline -q
 echo "==> ANN recall property tests (HNSW vs brute-force oracle)"
 cargo test -p covidkg-ann --test recall_prop --offline -q
 
-echo "==> KG equivalence property tests (engine vs DFS oracle, provenance indexes vs string scan, incremental vs full rebuild)"
+echo "==> KG equivalence property tests (served executor vs DFS oracle, counters included; provenance indexes vs string scan; incremental vs full rebuild)"
 cargo test -p covidkg-kg --test query_prop --test proptest_kg --offline -q
 
 echo "==> trust equivalence property tests (incremental vs full rebuild, prior ledger)"
