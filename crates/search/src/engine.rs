@@ -9,25 +9,25 @@
 //! uses a few custom `$function` stages to derive calculations … for
 //! ranking results."
 //!
-//! [`SearchEngine::search`] serves that plan as one bounded pass: the
-//! `$match` filter's candidates from the inverted index, scores from its
-//! postings, only the top `(page+1)·PAGE_SIZE` kept and only the page's
-//! documents read and rendered. The pipeline itself, run over a full
-//! scan, is the oracle [`SearchEngine::search_naive`] the served path is
-//! held to page for page.
+//! [`SearchEngine::search`] serves that plan as one bounded, ordered
+//! pass: the `$match` filter's candidates merged from the inverted index
+//! in id order, scores from its postings, only the top
+//! `(page+1)·PAGE_SIZE` kept and only the page's ids copied out, read and
+//! rendered. The pipeline itself, run over a full scan, is the oracle
+//! [`SearchEngine::search_naive`] the served path is held to page for
+//! page.
 
 use crate::query::{parse_query, ParsedQuery};
 use crate::rank::{RankWeights, Ranker};
-use crate::render_cache::{RenderCache, RenderCacheStats};
-use crate::result::{
-    build_result, build_result_indexed, SearchPage, SearchResult, RENDERED_FIELDS,
-};
+use crate::render_cache::{CachedRender, RenderCache, RenderCacheStats};
+use crate::result::{build_result, render_indexed, SearchPage, SearchResult, RENDERED_FIELDS};
 use covidkg_json::Value;
 use covidkg_regex::{escape, Regex};
 use covidkg_store::index::{DocPostings, Posting, TextIndex};
 use covidkg_store::pipeline::{DocFn, Order, Pipeline, Stage};
 use covidkg_store::{Collection, Filter};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which of the three §2.1 engines to run.
@@ -88,16 +88,16 @@ impl SearchEngine {
         self.render_cache.as_ref().map(|c| c.stats())
     }
 
-    /// Run a search, returning the requested 0-based page: the top
-    /// `(page+1)·PAGE_SIZE` `(score, _id)` of the `$match` filter from one
+    /// Run a search, returning the requested 0-based page: the page's
+    /// ranks of the `$match` filter's `(score, _id)` from one
     /// `scored_top_k` pass, then only the page's documents rendered
     /// (`render_hits`). Returns exactly the page
     /// (ids, order, score bits, snippets) of [`SearchEngine::search_naive`].
     pub fn search(&self, mode: &SearchMode, page: usize) -> SearchPage {
         let (query, ranker, filter, projection) = self.prepare(mode);
-        let (total, top) = self.scored_top_k(&filter, &ranker, (page + 1) * PAGE_SIZE);
-        let hits = top.chunks(PAGE_SIZE).nth(page).unwrap_or_default();
-        let results = self.render_hits(hits, &ranker, &projection);
+        let ranks = page * PAGE_SIZE..(page + 1) * PAGE_SIZE;
+        let (total, hits) = self.scored_top_k(&filter, &ranker, ranks);
+        let results = self.render_hits(&hits, &ranker, &projection);
         SearchPage { query, page, page_size: PAGE_SIZE, total, results }
     }
 
@@ -164,8 +164,9 @@ impl SearchEngine {
         )
     }
 
-    /// Match count and top-`k` `(score, _id)` of `filter` under `ranker`,
-    /// `(score desc, _id asc)`, from one [`Collection::scored_top_k`] pass:
+    /// Match count and the `(score, _id)` of `filter` under `ranker` ranked
+    /// `ranks` by `(score desc, _id asc)`, from one
+    /// [`Collection::scored_top_k`] pass:
     /// candidates come from the index where it can bound the filter (a
     /// shard scan otherwise), scores from the postings when the index
     /// covers every ranked field and from [`Ranker::score`] on the
@@ -175,44 +176,40 @@ impl SearchEngine {
         &self,
         filter: &Filter,
         ranker: &Ranker,
-        k: usize,
+        ranks: Range<usize>,
     ) -> (usize, Vec<(f64, String)>) {
-        if ranker.query().is_empty() || k == 0 {
+        if ranker.query().is_empty() || ranks.is_empty() {
             return (0, Vec::new());
         }
         let index = self.collection.text_index().map(TextIndex::read);
         let index = index.as_ref();
         match index.and_then(|index| ranker.postings_scorer(index)) {
-            Some(scorer) => self.collection.scored_top_k(filter, k, index, |id, doc| scorer.score(id, doc)),
-            None => self.collection.scored_top_k(filter, k, index, |_, doc| ranker.score(doc)),
+            Some(mut scorer) => {
+                self.collection.scored_top_k(filter, ranks, index, |id, doc| scorer.score(id, doc))
+            }
+            None => self.collection.scored_top_k(filter, ranks, index, |_, doc| ranker.score(doc)),
         }
     }
 
-    /// This request's view of the render cache: snippets depend on the
+    /// This request's key into the render cache: snippets depend on the
     /// projected fields and the query's stem/phrase sets (not on scores),
-    /// so that pair is the key, at the collection's current epoch.
-    fn renders(&self, projection: &[String], ranker: &Ranker) -> Renders<'_> {
-        let epoch = self.collection.mutation_epoch();
-        if let Some(cache) = &self.render_cache {
-            // Per-document invalidation: only renders of touched docs are
-            // dropped; warm entries survive unrelated updates. Falls back
-            // to a wholesale clear when the store can't bound the set.
-            cache.sync(epoch, |since| self.collection.touched_since(since));
-        }
-        Renders {
-            cache: self.render_cache.as_deref().map(|cache| {
-                let key = format!("f={}|{}", projection.join(","), normalized(ranker.query()));
-                (cache, key)
-            }),
-            epoch,
-        }
+    /// so that pair is the key.
+    fn render_key(projection: &[String], ranker: &Ranker) -> String {
+        format!("f={}|{}", projection.join(","), normalized(ranker.query()))
     }
 
     /// Render one page's `(score, _id)` hits — lexical, semantic or
-    /// hybrid — restricted to the `projection` fields. Each document is
-    /// read in place under its shard lock; where the index covers a field
-    /// its postings say which leaves and tokens to highlight. A hit whose
-    /// document has since been deleted is dropped.
+    /// hybrid — restricted to the `projection` fields.
+    ///
+    /// With a render cache, the page first brings the cache to the
+    /// collection's epoch (a lock only when the store has been written
+    /// since: the renders of touched documents are dropped), then probes
+    /// it for all its hits under one lock and inserts all its misses
+    /// under one more. Misses are built between the two, outside the
+    /// cache's lock, each document read in place under its shard's one
+    /// read guard; where the index covers a field its postings say which
+    /// leaves and tokens to highlight. A hit whose document has since
+    /// been deleted is dropped.
     pub(crate) fn render_hits(
         &self,
         hits: &[(f64, String)],
@@ -222,7 +219,39 @@ impl SearchEngine {
         if hits.is_empty() {
             return Vec::new();
         }
-        let renders = self.renders(projection, ranker);
+        let epoch = self.collection.mutation_epoch();
+        let cache = self.render_cache.as_deref().map(|cache| {
+            cache.sync(epoch, |since| self.collection.touched_since(since));
+            (cache, Self::render_key(projection, ranker))
+        });
+        let mut renders = match &cache {
+            Some((cache, key)) => cache.get(epoch, key, hits.iter().map(|(_, id)| id.as_str())),
+            None => vec![None; hits.len()],
+        };
+        if renders.iter().any(Option::is_none) {
+            let built = self.build_renders(hits, &mut renders, ranker, projection);
+            if let Some((cache, key)) = cache {
+                cache.put(epoch, Arc::from(key), built);
+            }
+        }
+        hits.iter()
+            .zip(renders)
+            .filter_map(|((score, id), render)| {
+                Some(Arc::unwrap_or_clone(render?).into_result(id, *score))
+            })
+            .collect()
+    }
+
+    /// Fill every empty slot of `renders` with its hit's render, built
+    /// from the document and its postings, and return what was built
+    /// for the cache. A slot whose document is gone stays empty.
+    fn build_renders(
+        &self,
+        hits: &[(f64, String)],
+        renders: &mut [Option<Arc<CachedRender>>],
+        ranker: &Ranker,
+        projection: &[String],
+    ) -> Vec<(Arc<str>, Arc<CachedRender>)> {
         let unindexed;
         let index = match self.collection.text_index() {
             Some(index) => index,
@@ -236,20 +265,25 @@ impl SearchEngine {
         let query = ranker.query();
         let stems = query.stems.iter().chain(&query.synonym_stems);
         let stem_docs: Vec<&DocPostings> = stems.filter_map(|s| index.docs(s)).collect();
-        hits.iter()
-            .filter_map(|(score, id)| {
-                renders.get_or_build(id, *score, || {
-                    self.collection.with_doc(id, |doc| {
-                        let postings: Vec<&[Posting]> = stem_docs
-                            .iter()
-                            .filter_map(|docs| docs.get(id))
-                            .map(Vec::as_slice)
-                            .collect();
-                        build_result_indexed(doc, *score, ranker, projection, &index, &postings)
-                    })
-                })
-            })
-            .collect()
+        let docs = self.collection.read_docs();
+        let mut built = Vec::new();
+        for ((_, id), slot) in hits.iter().zip(renders) {
+            if slot.is_some() {
+                continue;
+            }
+            let Some(doc) = docs.get(id) else { continue };
+            let postings: Vec<&[Posting]> = stem_docs
+                .iter()
+                .filter_map(|docs| docs.get(id))
+                .map(Vec::as_slice)
+                .collect();
+            let render = Arc::new(render_indexed(doc, ranker, projection, &index, &postings));
+            if self.render_cache.is_some() {
+                built.push((Arc::from(id.as_str()), Arc::clone(&render)));
+            }
+            *slot = Some(render);
+        }
+        built
     }
 
     /// The engine's rank weights restricted to `field_paths` (unknown
@@ -278,7 +312,7 @@ impl SearchEngine {
     /// asc)`, from the same `scored_top_k` pass.
     pub fn ranked_ids(&self, mode: &SearchMode, k: usize) -> Vec<(f64, String)> {
         let (_, parsed, filter, field_paths) = self.compile(mode);
-        self.scored_top_k(&filter, &self.ranker(parsed, &field_paths), k).1
+        self.scored_top_k(&filter, &self.ranker(parsed, &field_paths), 0..k).1
     }
 
     /// Compile a mode into (display text, parsed query, `$match` filter,
@@ -388,40 +422,6 @@ pub(crate) fn normalized(q: &ParsedQuery) -> String {
         sorted(&q.synonym_stems).join(","),
         phrases.join("\u{1}")
     )
-}
-
-/// A request's view of the render cache (see [`SearchEngine::renders`]).
-struct Renders<'e> {
-    /// The attached cache and this request's render key.
-    cache: Option<(&'e RenderCache, String)>,
-    epoch: u64,
-}
-
-impl Renders<'_> {
-    /// The result for document `id`: its memoized snippets under this
-    /// search's `score`, or else `build()`, memoized for the next search.
-    fn get_or_build(
-        &self,
-        id: &str,
-        score: f64,
-        build: impl FnOnce() -> Option<SearchResult>,
-    ) -> Option<SearchResult> {
-        let Some((cache, key)) = &self.cache else {
-            return build();
-        };
-        if let Some(cached) = cache.get(self.epoch, id, key) {
-            return Some(SearchResult {
-                id: id.to_string(),
-                title: cached.title,
-                score,
-                snippets: cached.snippets,
-                collapsed: cached.collapsed,
-            });
-        }
-        let built = build()?;
-        cache.put(self.epoch, id, key, &built);
-        Some(built)
-    }
 }
 
 /// Canonical cache key for an (engine, query, page) triple, used by the
@@ -720,7 +720,7 @@ mod tests {
             let (_, parsed, _, mut projection) = engine.compile(mode);
             let ranker = engine.ranker(parsed, &projection);
             projection.push("date".into());
-            engine.renders(&projection, &ranker).cache.expect("cache attached").1
+            SearchEngine::render_key(&projection, &ranker)
         };
         assert_eq!(
             render_key(&SearchMode::AllFields(q.into())),

@@ -124,7 +124,7 @@ pub fn dense_search(
             .map(|(id, sim)| (f64::from(sim), id))
             .collect(),
         DenseMode::Hybrid(_) => {
-            let (_, lexical) = engine.scored_top_k(&filter, &ranker, config.k_lexical);
+            let (_, lexical) = engine.scored_top_k(&filter, &ranker, 0..config.k_lexical);
             let mut fused: std::collections::HashMap<String, f64> =
                 std::collections::HashMap::new();
             for (rank, (id, _)) in dense.iter().enumerate() {

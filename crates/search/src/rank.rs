@@ -193,8 +193,8 @@ impl Ranker {
     /// A scorer over `index`'s postings, when the index can stand in for
     /// the documents: every ranked field is covered, so
     /// [`PostingsScorer::score`] reproduces [`Ranker::score`] bit-for-bit
-    /// from posting lists alone. Field ordinals and each query stem's
-    /// posting map are resolved here, once per query.
+    /// from posting lists alone. Field ordinals and a cursor over each
+    /// query stem's postings are resolved here, once per query.
     pub fn postings_scorer<'a>(&'a self, index: &'a IndexReader<'_>) -> Option<PostingsScorer<'a>> {
         let fields = self
             .weights
@@ -203,10 +203,17 @@ impl Ranker {
             .map(|(path, weight)| Some((index.field_id(path)?, *weight, path.as_str())))
             .collect::<Option<Vec<_>>>()?;
         let stems = self.query.stems.iter().chain(&self.query.synonym_stems);
+        static NO_POSTINGS: DocPostings = DocPostings::new();
+        let cursors: Vec<_> = stems
+            .map(|s| index.docs(s).unwrap_or(&NO_POSTINGS).iter().peekable())
+            .collect();
+        let n = cursors.len();
         Some(PostingsScorer {
             ranker: self,
             fields,
-            stems: stems.map(|s| index.docs(s)).collect(),
+            cursors,
+            postings: Vec::with_capacity(n),
+            heads: Vec::with_capacity(n),
         })
     }
 
@@ -243,19 +250,19 @@ impl Ranker {
     }
 
     /// Add the exact phrases' spans to the token spans; sort and dedup.
+    /// Phrases are found in the lowercased text, whose byte offsets drift
+    /// from `text`'s wherever a character lowercases to a different
+    /// length ("İ" to "i̇"), so each match is mapped back to the
+    /// characters of `text` it came from.
     fn finish_spans(&self, text: &str, mut spans: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
         if !self.phrases_lower.is_empty() {
-            let lower = text.to_lowercase();
+            let lower = Lowered::new(text);
             for needle in &self.phrases_lower {
                 let mut at = 0;
-                while let Some(p) = lower[at..].find(needle.as_str()) {
-                    // `to_lowercase` can change byte lengths for non-ASCII;
-                    // guard the span against boundary drift.
+                while let Some(p) = lower.text[at..].find(needle.as_str()) {
                     let (s, e) = (at + p, at + p + needle.len());
-                    if text.is_char_boundary(s) && text.is_char_boundary(e.min(text.len())) {
-                        spans.push((s, e.min(text.len())));
-                    }
-                    at += p + needle.len().max(1);
+                    spans.push(lower.span_in_original(s, e));
+                    at = s + needle.len().max(1);
                 }
             }
         }
@@ -271,6 +278,40 @@ impl Ranker {
     }
 }
 
+/// A text lowercased, with a way back to the original's byte offsets.
+struct Lowered {
+    text: String,
+    /// Per byte of `text`, the span in the original of the character it
+    /// was lowercased from; `None` when every character lowercases to
+    /// the same length, so offsets coincide.
+    origin: Option<Vec<(usize, usize)>>,
+}
+
+impl Lowered {
+    fn new(original: &str) -> Lowered {
+        let lowered_len = |c: char| c.to_lowercase().map(char::len_utf8).sum::<usize>();
+        let text = original.to_lowercase();
+        let same_lengths = || original.chars().all(|c| lowered_len(c) == c.len_utf8());
+        if text.len() == original.len() && same_lengths() {
+            return Lowered { text, origin: None };
+        }
+        let mut origin = Vec::with_capacity(text.len());
+        for (i, c) in original.char_indices() {
+            origin.extend(std::iter::repeat_n((i, i + c.len_utf8()), lowered_len(c)));
+        }
+        Lowered { text, origin: Some(origin) }
+    }
+
+    /// The span of the original covering the characters the lowercase
+    /// bytes `s..e` (non-empty, on character boundaries) came from.
+    fn span_in_original(&self, s: usize, e: usize) -> (usize, usize) {
+        match &self.origin {
+            None => (s, e),
+            Some(origin) => (origin[s].0, origin[e - 1].1),
+        }
+    }
+}
+
 /// [`Ranker::score`] computed from posting lists (see
 /// [`Ranker::postings_scorer`]).
 pub struct PostingsScorer<'a> {
@@ -278,35 +319,46 @@ pub struct PostingsScorer<'a> {
     /// `(index field ordinal, weight, dot path)` per ranked field, in
     /// weight order.
     fields: Vec<(u16, f64, &'a str)>,
-    /// Every document's postings per direct stem (query order), then per
-    /// synonym stem.
-    stems: Vec<Option<&'a DocPostings>>,
+    /// A cursor over every document's postings per direct stem (query
+    /// order), then per synonym stem, advanced in id order.
+    cursors: Vec<std::iter::Peekable<StemPostings<'a>>>,
+    /// The scored document's postings per stem, and the part of each
+    /// within the field being scored: buffers reused across documents.
+    postings: Vec<&'a [Posting]>,
+    heads: Vec<&'a [Posting]>,
 }
 
-impl PostingsScorer<'_> {
+/// One stem's postings, in id order.
+type StemPostings<'a> = std::collections::btree_map::Iter<'a, String, Vec<Posting>>;
+
+impl<'a> PostingsScorer<'a> {
     /// Score one document from its postings instead of re-tokenizing its
     /// text. Returns **exactly** the same `f64` as [`Ranker::score`]
     /// (float addition is non-associative, so every partial sum is
     /// accumulated in the same order: fields in weight order, string
     /// leaves in depth-first order, per leaf direct stems in query order,
     /// then synonyms, proximity, phrases, and finally recency).
-    pub fn score(&self, id: &str, doc: &Value) -> f64 {
-        // One lookup per query stem, shared across fields; postings of a
-        // document are sorted by `(field, leaf)`.
-        let postings: Vec<&[Posting]> = self
-            .stems
-            .iter()
-            .map(|docs| docs.and_then(|d| d.get(id)).map_or(&[][..], Vec::as_slice))
-            .collect();
-        let mut heads = postings.clone();
+    ///
+    /// Documents must come in ascending id order (as
+    /// [`covidkg_store::Collection::scored_top_k`] hands them out): each
+    /// stem's cursor only moves forward, so a query's postings are walked
+    /// once whatever the number of candidates.
+    pub fn score(&mut self, id: &str, doc: &Value) -> f64 {
+        self.postings.clear();
+        for cursor in &mut self.cursors {
+            while cursor.next_if(|&(other, _)| other.as_str() < id).is_some() {}
+            let here = cursor.next_if(|&(other, _)| other == id);
+            self.postings.push(here.map_or(&[][..], |(_, postings)| postings.as_slice()));
+        }
         let mut total = 0.0;
         for &(fid, field_weight, path) in &self.fields {
-            for (head, all) in heads.iter_mut().zip(&postings) {
+            self.heads.clear();
+            for all in &self.postings {
                 let from = all.partition_point(|p| p.field < fid);
                 let to = all.partition_point(|p| p.field <= fid);
-                *head = &all[from..to];
+                self.heads.push(&all[from..to]);
             }
-            total += field_weight * self.field_score(doc, path, &mut heads);
+            total += field_weight * field_score(self.ranker, doc, path, &mut self.heads);
         }
         if let Some(date) = doc.path("date").and_then(Value::as_str) {
             if let Some(year) = date.get(..4).and_then(|y| y.parse::<i32>().ok()) {
@@ -315,90 +367,89 @@ impl PostingsScorer<'_> {
         }
         total
     }
+}
 
-    /// One field's score: `heads` hold each stem's postings within the
-    /// field, ascending by leaf, and are consumed leaf by leaf — the same
-    /// depth-first order `score_field` walks the leaves in.
-    fn field_score(&self, doc: &Value, path: &str, heads: &mut [&[Posting]]) -> f64 {
-        let mut score = 0.0;
-        if !self.ranker.has_phrases() {
-            // Leaves without matches contribute exactly 0.0, so folding
-            // only the matched leaves yields the same sum as walking
-            // every leaf.
-            while let Some(leaf) = heads.iter().filter_map(|h| h.first()).map(|p| p.leaf).min() {
-                score += self.leaf_score(leaf, heads);
-            }
-        } else {
-            // Phrase bonuses need each leaf's raw text (a leaf with no
-            // stem match can still contain the phrase), so walk the
-            // field's strings in the same DFS order the index numbered
-            // them and merge postings by ordinal.
-            let mut texts = Vec::new();
-            collect_strings(doc.path(path), &mut texts);
-            for (ordinal, text) in texts.iter().enumerate() {
-                // `score_text` returns early on token-less text — phrase
-                // bonuses included — and a text has a token iff it has an
-                // alphanumeric character.
-                if !text.chars().any(char::is_alphanumeric) {
-                    continue;
-                }
-                let mut leaf = 0.0;
-                leaf += self.leaf_score(ordinal as u32, heads);
-                self.ranker.add_phrase_bonus(text, &mut leaf);
-                score += leaf;
-            }
+/// One field's score: `heads` hold each stem's postings within the
+/// field, ascending by leaf, and are consumed leaf by leaf — the same
+/// depth-first order `score_field` walks the leaves in.
+fn field_score(ranker: &Ranker, doc: &Value, path: &str, heads: &mut [&[Posting]]) -> f64 {
+    let mut score = 0.0;
+    if !ranker.has_phrases() {
+        // Leaves without matches contribute exactly 0.0, so folding
+        // only the matched leaves yields the same sum as walking
+        // every leaf.
+        while let Some(leaf) = heads.iter().filter_map(|h| h.first()).map(|p| p.leaf).min() {
+            score += leaf_score(ranker, leaf, heads);
         }
-        score
+    } else {
+        // Phrase bonuses need each leaf's raw text (a leaf with no
+        // stem match can still contain the phrase), so walk the
+        // field's strings in the same DFS order the index numbered
+        // them and merge postings by ordinal.
+        let mut texts = Vec::new();
+        collect_strings(doc.path(path), &mut texts);
+        for (ordinal, text) in texts.iter().enumerate() {
+            // `score_text` returns early on token-less text — phrase
+            // bonuses included — and a text has a token iff it has an
+            // alphanumeric character.
+            if !text.chars().any(char::is_alphanumeric) {
+                continue;
+            }
+            let mut leaf = 0.0;
+            leaf += leaf_score(ranker, ordinal as u32, heads);
+            ranker.add_phrase_bonus(text, &mut leaf);
+            score += leaf;
+        }
     }
+    score
+}
 
-    /// Replay `score_text`'s accumulation for one leaf from the heads
-    /// that sit on it, and step those heads past it: direct TF·IDF in
-    /// query order, synonym TF·IDF at the discount, then the proximity
-    /// bonus over direct-match positions.
-    fn leaf_score(&self, leaf: u32, heads: &mut [&[Posting]]) -> f64 {
-        /// The positions of a head's first posting, if it sits on `leaf`.
-        fn on(head: &[Posting], leaf: u32) -> Option<&[u32]> {
-            head.first().filter(|p| p.leaf == leaf).map(|p| p.positions.as_slice())
+/// Replay `score_text`'s accumulation for one leaf from the heads that
+/// sit on it, and step those heads past it: direct TF·IDF in query order,
+/// synonym TF·IDF at the discount, then the proximity bonus over
+/// direct-match positions.
+fn leaf_score(ranker: &Ranker, leaf: u32, heads: &mut [&[Posting]]) -> f64 {
+    /// The positions of a head's first posting, if it sits on `leaf`.
+    fn on(head: &[Posting], leaf: u32) -> Option<&[u32]> {
+        head.first().filter(|p| p.leaf == leaf).map(|p| p.positions.as_slice())
+    }
+    let (direct, synonym) = heads.split_at_mut(ranker.query.stems.len());
+    let mut score = 0.0;
+    let mut direct_hits = 0;
+    for (qi, head) in direct.iter().enumerate() {
+        if let Some(positions) = on(head, leaf) {
+            score += (1.0 + (positions.len() as f64).ln()) * ranker.idf_at(qi);
+            direct_hits += 1;
         }
-        let ranker = self.ranker;
-        let (direct, synonym) = heads.split_at_mut(ranker.query.stems.len());
-        let mut score = 0.0;
-        let mut direct_hits = 0;
-        for (qi, head) in direct.iter().enumerate() {
-            if let Some(positions) = on(head, leaf) {
-                score += (1.0 + (positions.len() as f64).ln()) * ranker.idf_at(qi);
-                direct_hits += 1;
-            }
+    }
+    for (qi, head) in synonym.iter().enumerate() {
+        if let Some(positions) = on(head, leaf) {
+            let idf = ranker.syn_idf.get(qi).copied().unwrap_or(1.0);
+            score += ranker.weights.synonym * (1.0 + (positions.len() as f64).ln()) * idf;
         }
-        for (qi, head) in synonym.iter().enumerate() {
-            if let Some(positions) = on(head, leaf) {
-                let idf = ranker.syn_idf.get(qi).copied().unwrap_or(1.0);
-                score += ranker.weights.synonym * (1.0 + (positions.len() as f64).ln()) * idf;
-            }
-        }
-        if direct_hits >= 2 {
-            let mut best = u32::MAX;
-            for (i, a) in direct.iter().enumerate() {
-                for b in &direct[i + 1..] {
-                    if let (Some(pa), Some(pb)) = (on(a, leaf), on(b, leaf)) {
-                        for &x in pa {
-                            for &y in pb {
-                                best = best.min(x.abs_diff(y));
-                            }
+    }
+    if direct_hits >= 2 {
+        let mut best = u32::MAX;
+        for (i, a) in direct.iter().enumerate() {
+            for b in &direct[i + 1..] {
+                if let (Some(pa), Some(pb)) = (on(a, leaf), on(b, leaf)) {
+                    for &x in pa {
+                        for &y in pb {
+                            best = best.min(x.abs_diff(y));
                         }
                     }
                 }
             }
-            let dist = best.saturating_sub(1);
-            score += ranker.weights.proximity / (1.0 + f64::from(dist));
         }
-        for head in direct.iter_mut().chain(synonym) {
-            if on(head, leaf).is_some() {
-                *head = &head[1..];
-            }
-        }
-        score
+        let dist = best.saturating_sub(1);
+        score += ranker.weights.proximity / (1.0 + f64::from(dist));
     }
+    for head in direct.iter_mut().chain(synonym) {
+        if on(head, leaf).is_some() {
+            *head = &head[1..];
+        }
+    }
+    score
 }
 
 /// Minimum distance between positions of two different matched stems.
@@ -554,6 +605,25 @@ mod tests {
         assert_eq!(r.spans_at(text, &[3, 3]), None, "positions must ascend");
     }
 
+    /// "İ" lowercases to "i̇" (2 bytes to 3), so the phrase's offsets in
+    /// the lowercased text lie past the original's: they are mapped back
+    /// to the characters they came from.
+    #[test]
+    fn phrase_spans_index_the_original_text() {
+        let r = ranker("\"mask\"");
+        let text = "İİ mask";
+        assert_eq!(r.match_spans(text), [(5, 9)]);
+        assert_eq!(&text[5..9], "mask");
+        assert_eq!(r.spans_at(text, &[]), Some(vec![(5, 9)]));
+        // A phrase that starts inside a character's lowercase expansion
+        // covers the whole character.
+        let r = ranker("\"i̇stanbul\"");
+        assert_eq!(r.match_spans("in İstanbul"), [(3, 12)]);
+        // Characters whose lowercase keeps its length map one to one.
+        let r = ranker("\"dose two\"");
+        assert_eq!(r.match_spans("Ärzte: DOSE TWO"), [(8, 16)]);
+    }
+
     #[test]
     fn no_query_terms_scores_zero() {
         let r = ranker("the of");
@@ -604,7 +674,7 @@ mod tests {
         ] {
             let r = Ranker::new(parse_query(q), RankWeights::publication_default(), Some(&idx), 3);
             let reader = idx.read();
-            let scorer = r.postings_scorer(&reader).expect("every ranked field is indexed");
+            let mut scorer = r.postings_scorer(&reader).expect("every ranked field is indexed");
             for d in &docs {
                 let id = d.get("_id").unwrap().as_str().unwrap();
                 let naive = r.score(d);

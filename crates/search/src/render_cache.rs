@@ -4,18 +4,24 @@
 //! (new query, new page number, generation bump) rebuilds every result
 //! from scratch — re-walking each document's fields for match spans and
 //! snippet windows. This cache memoizes the per-document render instead,
-//! keyed on `(mutation epoch, document id, canonical query stems)`:
-//! different pages, engines and paginations of overlapping result sets
-//! share the rendered snippets, and an epoch bump (replace/update/delete
-//! in the store) invalidates everything at once. Scores are *not* cached
-//! — they depend on corpus-level IDF and are filled in fresh per search.
+//! keyed on `(canonical query, document id)` at the store's mutation
+//! epoch: different pages, engines and paginations of overlapping result
+//! sets share the rendered snippets, and [`RenderCache::sync`] drops the
+//! renders of documents written since. Scores are *not* cached — they
+//! depend on corpus-level IDF and are filled in fresh per search.
+//!
+//! A page costs two lock acquisitions at most: one probe for all of its
+//! hits ([`RenderCache::get`]) and one insert for all of its misses
+//! ([`RenderCache::put`]). Keys and values are built outside the lock
+//! and shared (`Arc`), so neither call allocates a key to look up nor
+//! copies a render under the lock.
 
-use crate::result::{FieldSnippet, SearchResult};
-use std::collections::{HashMap, VecDeque};
+use crate::result::FieldSnippet;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// The memoized, score-free part of a [`SearchResult`].
+/// The memoized, score-free part of a [`crate::SearchResult`].
 #[derive(Debug, Clone)]
 pub struct CachedRender {
     /// Rendered title.
@@ -39,12 +45,37 @@ pub struct RenderCacheStats {
 
 #[derive(Default)]
 struct Inner {
-    /// Epoch the resident entries were rendered at; a different epoch on
-    /// lookup clears the map wholesale (documents may have changed).
+    /// Epoch the resident entries are valid at. It only moves forward: a
+    /// lookup or insert at an older epoch is a miss or a no-op, and one
+    /// at a newer epoch the cache was not synced to drops everything.
     epoch: u64,
-    map: HashMap<(String, String), CachedRender>,
-    /// Insertion order for FIFO eviction once `cap` is reached.
-    order: VecDeque<(String, String)>,
+    /// Query key → document id → render.
+    by_query: HashMap<Arc<str>, HashMap<Arc<str>, Arc<CachedRender>>>,
+    /// Every resident `(query key, document id)`, oldest first, for FIFO
+    /// eviction once `cap` is reached.
+    order: VecDeque<(Arc<str>, Arc<str>)>,
+}
+
+impl Inner {
+    /// Whether entries can be read or written at `epoch`, moving the
+    /// cache forward (emptied) to a newer one.
+    fn at(&mut self, epoch: u64) -> bool {
+        if epoch > self.epoch {
+            self.by_query.clear();
+            self.order.clear();
+            self.epoch = epoch;
+        }
+        epoch == self.epoch
+    }
+
+    fn remove(&mut self, query_key: &str, doc_id: &str) {
+        if let Some(docs) = self.by_query.get_mut(query_key) {
+            docs.remove(doc_id);
+            if docs.is_empty() {
+                self.by_query.remove(query_key);
+            }
+        }
+    }
 }
 
 /// Bounded, epoch-invalidated memo of built result renders.
@@ -54,6 +85,11 @@ struct Inner {
 pub struct RenderCache {
     cap: usize,
     inner: Mutex<Inner>,
+    /// `inner.epoch`, readable without the lock, so that a
+    /// [`RenderCache::sync`] with nothing to do takes none. Stored
+    /// (`Release`) under the lock after `inner.epoch` moves, loaded
+    /// (`Acquire`) before it; a stale read only sends a sync to the lock.
+    epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -76,94 +112,100 @@ impl RenderCache {
         RenderCache {
             cap: cap.max(1),
             inner: Mutex::new(Inner::default()),
+            epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Look up a render for `(doc_id, query_key)` at the given store
-    /// epoch. A stale epoch drops every resident entry first.
-    pub fn get(&self, epoch: u64, doc_id: &str, query_key: &str) -> Option<CachedRender> {
-        let mut inner = self.lock();
-        if inner.epoch != epoch {
-            inner.map.clear();
-            inner.order.clear();
-            inner.epoch = epoch;
+    /// Look up the renders of `doc_ids` under `query_key` at the store's
+    /// `epoch`, all under one lock: one slot per id, in order, `None` for
+    /// a miss. Every lookup at an epoch older than the cache's misses.
+    pub fn get<'i>(
+        &self,
+        epoch: u64,
+        query_key: &str,
+        doc_ids: impl IntoIterator<Item = &'i str>,
+    ) -> Vec<Option<Arc<CachedRender>>> {
+        let doc_ids = doc_ids.into_iter();
+        let mut out = Vec::with_capacity(doc_ids.size_hint().0);
+        {
+            let mut inner = self.lock();
+            let docs = if inner.at(epoch) { inner.by_query.get(query_key) } else { None };
+            out.extend(doc_ids.map(|id| docs.and_then(|docs| docs.get(id)).cloned()));
+            self.epoch.store(inner.epoch, Ordering::Release);
         }
-        let hit = inner
-            .map
-            .get(&(doc_id.to_string(), query_key.to_string()))
-            .cloned();
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
+        let hits = out.iter().filter(|r| r.is_some()).count() as u64;
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(out.len() as u64 - hits, Ordering::Relaxed);
+        out
     }
 
-    /// Store the render built from a [`SearchResult`].
-    pub fn put(&self, epoch: u64, doc_id: &str, query_key: &str, result: &SearchResult) {
+    /// Store renders built at the store's `epoch` under `query_key`, all
+    /// under one lock. Renders built at an epoch older than the cache's
+    /// are dropped: their documents may have changed since.
+    pub fn put(
+        &self,
+        epoch: u64,
+        query_key: Arc<str>,
+        renders: Vec<(Arc<str>, Arc<CachedRender>)>,
+    ) {
         let mut inner = self.lock();
-        if inner.epoch != epoch {
-            inner.map.clear();
-            inner.order.clear();
-            inner.epoch = epoch;
+        if inner.at(epoch) {
+            for (doc_id, render) in renders {
+                if inner.by_query.get(&query_key).is_some_and(|docs| docs.contains_key(&doc_id)) {
+                    continue;
+                }
+                while inner.order.len() >= self.cap {
+                    let Some((q, d)) = inner.order.pop_front() else { break };
+                    inner.remove(&q, &d);
+                }
+                inner.order.push_back((Arc::clone(&query_key), Arc::clone(&doc_id)));
+                inner
+                    .by_query
+                    .entry(Arc::clone(&query_key))
+                    .or_default()
+                    .insert(doc_id, render);
+            }
         }
-        let key = (doc_id.to_string(), query_key.to_string());
-        if inner.map.contains_key(&key) {
-            return;
-        }
-        while inner.map.len() >= self.cap {
-            let Some(oldest) = inner.order.pop_front() else { break };
-            inner.map.remove(&oldest);
-        }
-        inner.order.push_back(key.clone());
-        inner.map.insert(
-            key,
-            CachedRender {
-                title: result.title.clone(),
-                snippets: result.snippets.clone(),
-                collapsed: result.collapsed.clone(),
-            },
-        );
+        self.epoch.store(inner.epoch, Ordering::Release);
     }
 
     /// Advance the cache to `epoch`, evicting only the documents the
     /// store proves were touched. `touched_since` receives the resident
     /// epoch and returns the ids mutated since it — or `None` when the
-    /// store can't bound the set, in which case everything is dropped
-    /// (the pre-existing wholesale behavior). Entries for unrelated
-    /// documents survive the epoch bump.
+    /// store can't bound the set, in which case everything is dropped.
+    /// Entries for unrelated documents survive the epoch bump. A sync to
+    /// the cache's epoch or an older one does nothing, and takes no lock.
     pub fn sync(&self, epoch: u64, touched_since: impl FnOnce(u64) -> Option<Vec<String>>) {
+        if self.epoch.load(Ordering::Acquire) >= epoch {
+            return;
+        }
         let mut inner = self.lock();
-        if inner.epoch == epoch {
+        if inner.epoch >= epoch {
             return;
         }
         match touched_since(inner.epoch) {
             Some(ids) => {
-                let touched: std::collections::HashSet<&str> =
-                    ids.iter().map(String::as_str).collect();
-                inner.map.retain(|(doc_id, _), _| !touched.contains(doc_id.as_str()));
-                let map = &inner.map;
-                let retained: VecDeque<(String, String)> = inner
-                    .order
-                    .iter()
-                    .filter(|k| map.contains_key(*k))
-                    .cloned()
-                    .collect();
-                inner.order = retained;
+                let touched: HashSet<&str> = ids.iter().map(String::as_str).collect();
+                inner.by_query.retain(|_, docs| {
+                    docs.retain(|doc_id, _| !touched.contains(&**doc_id));
+                    !docs.is_empty()
+                });
+                inner.order.retain(|(_, doc_id)| !touched.contains(&**doc_id));
             }
             None => {
-                inner.map.clear();
+                inner.by_query.clear();
                 inner.order.clear();
             }
         }
         inner.epoch = epoch;
+        self.epoch.store(epoch, Ordering::Release);
     }
 
     /// Current counters.
     pub fn stats(&self) -> RenderCacheStats {
-        let resident = self.lock().map.len();
+        let resident = self.lock().order.len();
         RenderCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -183,11 +225,9 @@ mod tests {
     use super::*;
     use covidkg_text::Snippet;
 
-    fn render(tag: &str) -> SearchResult {
-        SearchResult {
-            id: tag.to_string(),
+    fn render(tag: &str) -> Arc<CachedRender> {
+        Arc::new(CachedRender {
             title: format!("title {tag}"),
-            score: 1.0,
             snippets: vec![FieldSnippet {
                 field: "title".into(),
                 snippet: Snippet {
@@ -198,94 +238,143 @@ mod tests {
                 },
             }],
             collapsed: vec![],
-        }
+        })
+    }
+
+    fn put(cache: &RenderCache, epoch: u64, doc: &str, query: &str) {
+        cache.put(epoch, Arc::from(query), vec![(Arc::from(doc), render(doc))]);
+    }
+
+    fn get(cache: &RenderCache, epoch: u64, doc: &str, query: &str) -> Option<Arc<CachedRender>> {
+        cache.get(epoch, query, [doc]).pop().expect("one slot per id")
     }
 
     #[test]
     fn hit_after_put_and_counters() {
         let cache = RenderCache::new(8);
-        assert!(cache.get(1, "d1", "q").is_none());
-        cache.put(1, "d1", "q", &render("d1"));
-        let hit = cache.get(1, "d1", "q").expect("cached");
+        assert!(get(&cache, 1, "d1", "q").is_none());
+        put(&cache, 1, "d1", "q");
+        let hit = get(&cache, 1, "d1", "q").expect("cached");
         assert_eq!(hit.title, "title d1");
         assert_eq!(hit.snippets[0].snippet.text, "snippet d1");
         // Different query key is a different entry.
-        assert!(cache.get(1, "d1", "other").is_none());
+        assert!(get(&cache, 1, "d1", "other").is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.resident), (1, 2, 1));
     }
 
     #[test]
+    fn a_page_is_probed_and_filled_in_one_call_each() {
+        let cache = RenderCache::new(8);
+        let page = ["d1", "d2", "d3"];
+        assert!(cache.get(1, "q", page).iter().all(Option::is_none));
+        cache.put(
+            1,
+            Arc::from("q"),
+            vec![(Arc::from("d1"), render("d1")), (Arc::from("d3"), render("d3"))],
+        );
+        let slots = cache.get(1, "q", page);
+        let titles: Vec<Option<&str>> =
+            slots.iter().map(|r| r.as_ref().map(|r| r.title.as_str())).collect();
+        assert_eq!(titles, [Some("title d1"), None, Some("title d3")]);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.resident), (2, 4, 2));
+    }
+
+    #[test]
     fn epoch_change_invalidates_everything() {
         let cache = RenderCache::new(8);
-        cache.put(1, "d1", "q", &render("d1"));
-        cache.put(1, "d2", "q", &render("d2"));
-        assert!(cache.get(1, "d2", "q").is_some());
-        // The store mutated: epoch 2 lookups see an empty cache.
-        assert!(cache.get(2, "d1", "q").is_none());
+        put(&cache, 1, "d1", "q");
+        put(&cache, 1, "d2", "q");
+        assert!(get(&cache, 1, "d2", "q").is_some());
+        // The store mutated and nobody synced: epoch 2 lookups see an
+        // empty cache.
+        assert!(get(&cache, 2, "d1", "q").is_none());
         assert_eq!(cache.stats().resident, 0);
         // And the old epoch's entries never resurface.
-        assert!(cache.get(1, "d1", "q").is_none());
+        assert!(get(&cache, 1, "d1", "q").is_none());
+    }
+
+    /// A search that read the epoch before a write and the cache after
+    /// the next search synced past it neither reads nor writes, and the
+    /// renders the sync kept stay resident.
+    #[test]
+    fn older_epochs_miss_and_leave_newer_entries_resident() {
+        let cache = RenderCache::new(8);
+        put(&cache, 6, "d1", "q");
+        put(&cache, 6, "d2", "q");
+        assert!(get(&cache, 5, "d1", "q").is_none(), "a lookup at an older epoch misses");
+        put(&cache, 5, "d3", "q");
+        assert_eq!(cache.stats().resident, 2, "an insert at an older epoch is dropped");
+        assert!(get(&cache, 6, "d1", "q").is_some());
+        assert!(get(&cache, 6, "d2", "q").is_some());
+        assert!(get(&cache, 6, "d3", "q").is_none());
+        cache.sync(5, |_| panic!("a sync to an older epoch does nothing"));
+        assert_eq!(cache.stats().resident, 2);
     }
 
     #[test]
     fn sync_evicts_only_touched_documents() {
         let cache = RenderCache::new(8);
-        cache.put(1, "d1", "q", &render("d1"));
-        cache.put(1, "d2", "q", &render("d2"));
-        cache.put(1, "d2", "other", &render("d2"));
+        put(&cache, 1, "d1", "q");
+        put(&cache, 1, "d2", "q");
+        put(&cache, 1, "d2", "other");
         // The store reports only d2 changed between epochs 1 and 3.
         cache.sync(3, |since| {
             assert_eq!(since, 1);
             Some(vec!["d2".to_string()])
         });
-        assert!(cache.get(3, "d1", "q").is_some(), "unrelated doc survives");
-        assert!(cache.get(3, "d2", "q").is_none(), "touched doc evicted");
-        assert!(cache.get(3, "d2", "other").is_none(), "all keys of it");
+        assert!(get(&cache, 3, "d1", "q").is_some(), "unrelated doc survives");
+        assert!(get(&cache, 3, "d2", "q").is_none(), "touched doc evicted");
+        assert!(get(&cache, 3, "d2", "other").is_none(), "all keys of it");
         assert_eq!(cache.stats().resident, 1);
     }
 
     #[test]
     fn sync_without_coverage_clears_everything() {
         let cache = RenderCache::new(8);
-        cache.put(1, "d1", "q", &render("d1"));
+        put(&cache, 1, "d1", "q");
         cache.sync(9, |_| None);
-        assert!(cache.get(9, "d1", "q").is_none());
+        assert!(get(&cache, 9, "d1", "q").is_none());
         assert_eq!(cache.stats().resident, 0);
     }
 
     #[test]
     fn sync_same_epoch_is_a_no_op() {
         let cache = RenderCache::new(8);
-        cache.put(4, "d1", "q", &render("d1"));
+        put(&cache, 4, "d1", "q");
         cache.sync(4, |_| panic!("touched_since must not be consulted"));
-        assert!(cache.get(4, "d1", "q").is_some());
+        assert!(get(&cache, 4, "d1", "q").is_some());
     }
 
     #[test]
     fn sync_keeps_eviction_order_consistent() {
         let cache = RenderCache::new(2);
-        cache.put(1, "a", "q", &render("a"));
-        cache.put(1, "b", "q", &render("b"));
+        put(&cache, 1, "a", "q");
+        put(&cache, 1, "b", "q");
         cache.sync(2, |_| Some(vec!["a".to_string()]));
         // "a" is gone; inserting two more must evict "b" first, not a
         // phantom slot left behind by the sync.
-        cache.put(2, "c", "q", &render("c"));
-        cache.put(2, "d", "q", &render("d"));
-        assert!(cache.get(2, "b", "q").is_none());
-        assert!(cache.get(2, "c", "q").is_some());
-        assert!(cache.get(2, "d", "q").is_some());
+        put(&cache, 2, "c", "q");
+        put(&cache, 2, "d", "q");
+        assert!(get(&cache, 2, "b", "q").is_none());
+        assert!(get(&cache, 2, "c", "q").is_some());
+        assert!(get(&cache, 2, "d", "q").is_some());
     }
 
     #[test]
     fn capacity_evicts_oldest_first() {
         let cache = RenderCache::new(2);
-        cache.put(1, "a", "q", &render("a"));
-        cache.put(1, "b", "q", &render("b"));
-        cache.put(1, "c", "q", &render("c"));
-        assert!(cache.get(1, "a", "q").is_none(), "oldest evicted");
-        assert!(cache.get(1, "b", "q").is_some());
-        assert!(cache.get(1, "c", "q").is_some());
+        put(&cache, 1, "a", "q");
+        put(&cache, 1, "b", "other");
+        put(&cache, 1, "c", "q");
+        assert!(get(&cache, 1, "a", "q").is_none(), "oldest evicted");
+        assert!(get(&cache, 1, "b", "other").is_some());
+        assert!(get(&cache, 1, "c", "q").is_some());
         assert_eq!(cache.stats().resident, 2);
+        // A second insert of a resident entry keeps the first.
+        put(&cache, 1, "c", "q");
+        assert_eq!(cache.stats().resident, 2);
+        assert!(get(&cache, 1, "b", "other").is_some());
     }
 }

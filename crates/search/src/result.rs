@@ -7,6 +7,7 @@
 //! show them in red.
 
 use crate::rank::{collect_strings, Ranker};
+use crate::render_cache::CachedRender;
 use covidkg_json::{write_number, write_string, Number, Value};
 use covidkg_store::index::{IndexReader, Posting};
 use covidkg_text::{make_snippet, Snippet};
@@ -274,51 +275,56 @@ type LeafSpans = (usize, Vec<(usize, usize)>);
 /// Build a [`SearchResult`] from a ranked document, extracting snippets
 /// for every field that has query matches. Every string leaf of `doc`'s
 /// rendered fields is tokenized and stemmed to find them — the reference
-/// [`build_result_indexed`] is held against, and the renderer for
-/// collections whose index does not cover the ranked fields.
+/// [`render_indexed`] is held against, and the renderer for collections
+/// whose index does not cover the ranked fields.
 pub fn build_result(doc: &Value, score: f64, ranker: &Ranker) -> SearchResult {
-    render(doc, score, |_, texts| tokenized_spans(ranker, texts))
+    let id = doc.get("_id").and_then(Value::as_str).unwrap_or("<missing id>");
+    let render = render(doc, |_| true, |_, texts| tokenized_spans(ranker, texts));
+    render.into_result(id, score)
 }
 
-/// [`build_result`] restricted to `fields`, guided by the index: a
-/// document's postings for the query's stems and synonym stems
-/// (`postings`, one slice per stem) already name the leaves that match
-/// and the token positions inside them, so only those leaves are visited
-/// and nothing is stemmed. Exact phrases are not indexed; a query that
-/// has some still looks for them in every leaf. A field the index does
-/// not cover, or whose postings no longer fit the document, is rendered
-/// by tokenizing, as in [`build_result`].
-pub(crate) fn build_result_indexed(
+/// [`build_result`]'s score-free part, restricted to `fields` and guided
+/// by the index: a document's postings for the query's stems and synonym
+/// stems (`postings`, one slice per stem) already name the leaves that
+/// match and the token positions inside them, so only those leaves are
+/// visited, nothing is stemmed, and a field the postings never touch is
+/// not walked at all. Exact phrases are not indexed; a query that has
+/// some still looks for them in every leaf. A field the index does not
+/// cover, or whose postings no longer fit the document, is rendered by
+/// tokenizing, as in [`build_result`].
+pub(crate) fn render_indexed(
     doc: &Value,
-    score: f64,
     ranker: &Ranker,
     fields: &[String],
     index: &IndexReader<'_>,
     postings: &[&[Posting]],
-) -> SearchResult {
-    render(doc, score, |field, texts| {
-        if !fields.iter().any(|f| f == field) {
-            return Vec::new();
+) -> CachedRender {
+    let touched = |field: &str| match index.field_id(field) {
+        Some(fid) if !ranker.has_phrases() => {
+            postings.iter().flat_map(|p| p.iter()).any(|p| p.field == fid)
         }
-        index
-            .field_id(field)
-            .and_then(|fid| indexed_spans(ranker, texts, fid, postings))
-            .unwrap_or_else(|| tokenized_spans(ranker, texts))
-    })
+        _ => true,
+    };
+    render(
+        doc,
+        |field| fields.iter().any(|f| f == field) && touched(field),
+        |field, texts| {
+            index
+                .field_id(field)
+                .and_then(|fid| indexed_spans(ranker, texts, fid, postings))
+                .unwrap_or_else(|| tokenized_spans(ranker, texts))
+        },
+    )
 }
 
-/// Assemble a result from each rendered field's matching leaves, which
-/// `leaf_spans(field, leaves)` lists in ascending leaf order.
+/// Assemble a render from each rendered field that `visit` admits and its
+/// matching leaves, which `leaf_spans(field, leaves)` lists in ascending
+/// leaf order.
 fn render(
     doc: &Value,
-    score: f64,
+    visit: impl Fn(&str) -> bool,
     mut leaf_spans: impl FnMut(&str, &[&str]) -> Vec<LeafSpans>,
-) -> SearchResult {
-    let id = doc
-        .get("_id")
-        .and_then(Value::as_str)
-        .unwrap_or("<missing id>")
-        .to_string();
+) -> CachedRender {
     let title = doc
         .get("title")
         .and_then(Value::as_str)
@@ -327,6 +333,9 @@ fn render(
     let mut snippets = Vec::new();
     let mut collapsed = Vec::new();
     for (field, label) in RENDERED_FIELDS {
+        if !visit(field) {
+            continue;
+        }
         let mut texts = Vec::new();
         collect_strings(doc.path(field), &mut texts);
         for (nth, (leaf, spans)) in leaf_spans(field, &texts).into_iter().enumerate() {
@@ -343,12 +352,23 @@ fn render(
             }
         }
     }
-    SearchResult {
-        id,
+    CachedRender {
         title,
-        score,
         snippets,
         collapsed,
+    }
+}
+
+impl CachedRender {
+    /// The result for document `id` at `score`, with this render.
+    pub(crate) fn into_result(self, id: &str, score: f64) -> SearchResult {
+        SearchResult {
+            id: id.to_string(),
+            title: self.title,
+            score,
+            snippets: self.snippets,
+            collapsed: self.collapsed,
+        }
     }
 }
 

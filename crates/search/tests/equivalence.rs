@@ -16,7 +16,9 @@ use std::sync::Arc;
 
 /// Word pool: includes stems the default synonym table links
 /// ("vaccine"/"immunization", "mask"/"face covering") plus generic noise,
-/// so random queries exercise direct, synonym, proximity and phrase paths.
+/// so random queries exercise direct, synonym, proximity and phrase paths,
+/// and non-ASCII words — "İ" lowercases to a longer string, so a phrase's
+/// offsets in the lowercased text drift from the leaf's.
 const WORDS: &[&str] = &[
     "vaccine",
     "immunization",
@@ -38,6 +40,10 @@ const WORDS: &[&str] = &[
     "aerosol",
     "testing",
     "outbreak",
+    "İstanbul",
+    "İİ",
+    "médecine",
+    "naïve",
 ];
 
 fn sentence(rng: &mut SmallRng, min_words: usize, max_words: usize) -> String {

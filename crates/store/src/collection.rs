@@ -75,12 +75,13 @@ fn write<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 
 /// Bounded best-k buffer under `(score desc, _id asc)` — sorted insertion
 /// with eviction of the worst entry, identical to full sort + truncate.
-struct TopBuffer {
+/// Ids stay borrowed until the `k` survivors are known.
+struct TopBuffer<'a> {
     k: usize,
-    entries: Vec<(f64, String)>,
+    entries: Vec<(f64, &'a str)>,
 }
 
-impl TopBuffer {
+impl<'a> TopBuffer<'a> {
     fn new(k: usize) -> Self {
         TopBuffer {
             k,
@@ -91,26 +92,69 @@ impl TopBuffer {
     /// The ranking total order: higher score first (`f64::total_cmp`;
     /// scores are finite and non-negative, so this agrees with the
     /// `$sort`-stage comparison on `Value::float` scores), then ascending
-    /// id. Ids are unique, so distinct documents never compare equal —
-    /// which is what makes the per-shard merge schedule-independent.
+    /// id. Ids are unique, so distinct documents never compare equal.
     fn cmp(sa: f64, ia: &str, sb: f64, ib: &str) -> std::cmp::Ordering {
         sb.total_cmp(&sa).then_with(|| ia.cmp(ib))
     }
 
-    fn push(&mut self, score: f64, id: &str) {
+    fn push(&mut self, score: f64, id: &'a str) {
         if self.k == 0 {
             return;
         }
-        let pos = self.entries.partition_point(|(s, eid)| {
-            Self::cmp(*s, eid, score, id) == std::cmp::Ordering::Less
+        let pos = self.entries.partition_point(|&(s, eid)| {
+            Self::cmp(s, eid, score, id) == std::cmp::Ordering::Less
         });
         if pos < self.k {
-            self.entries.insert(pos, (score, id.to_string()));
+            self.entries.insert(pos, (score, id));
             if self.entries.len() > self.k {
                 self.entries.pop();
             }
         }
     }
+
+    /// The survivors from rank `from` on, best first, their ids copied
+    /// out.
+    fn into_owned(self, from: usize) -> Vec<(f64, String)> {
+        let kept = self.entries.get(from..).unwrap_or_default();
+        kept.iter().map(|&(s, id)| (s, id.to_string())).collect()
+    }
+}
+
+/// Every shard of a collection under its read lock (see
+/// [`Collection::read_docs`]).
+pub struct DocsReader<'c> {
+    shards: Vec<std::sync::RwLockReadGuard<'c, BTreeMap<String, Value>>>,
+}
+
+impl DocsReader<'_> {
+    /// A document by id, read in place.
+    pub fn get(&self, id: &str) -> Option<&Value> {
+        self.shards[shard_index(id, self.shards.len())].get(id)
+    }
+
+    /// Visit every document in ascending id order: one merge over the
+    /// shards, each already ordered by id.
+    fn for_each_ascending<'s>(&'s self, mut f: impl FnMut(&'s str, &'s Value)) {
+        let mut cursors: Vec<_> = self.shards.iter().map(|s| s.iter().peekable()).collect();
+        loop {
+            let mut next: Option<(usize, &str)> = None;
+            for (i, cursor) in cursors.iter_mut().enumerate() {
+                if let Some(&(id, _)) = cursor.peek() {
+                    if next.is_none_or(|(_, best)| id.as_str() < best) {
+                        next = Some((i, id));
+                    }
+                }
+            }
+            let Some((i, _)) = next else { return };
+            let (id, doc) = cursors[i].next().expect("peeked");
+            f(id, doc);
+        }
+    }
+}
+
+/// The shard a document id routes to.
+fn shard_index(id: &str, shards: usize) -> usize {
+    (route_hash(id) % shards as u64) as usize
 }
 
 /// A sharded document collection.
@@ -229,7 +273,7 @@ impl Collection {
     }
 
     fn shard_for(&self, id: &str) -> &Shard {
-        &self.shards[(route_hash(id) % self.shards.len() as u64) as usize]
+        &self.shards[shard_index(id, self.shards.len())]
     }
 
     fn fresh_id(&self) -> String {
@@ -393,7 +437,8 @@ impl Collection {
     }
 
     /// Run `f` against a document under its shard's read lock, without
-    /// cloning it (a result page renders its ten documents this way).
+    /// cloning it. Reading many documents, take [`Collection::read_docs`]
+    /// once instead.
     pub fn with_doc<T>(&self, id: &str, f: impl FnOnce(&Value) -> T) -> Option<T> {
         self.shard_for(id).with_doc(id, f)
     }
@@ -576,30 +621,43 @@ impl Collection {
             .len()
     }
 
+    /// Every shard's documents under one read guard each, for reading
+    /// many documents in place — a search's candidates, a page's renders
+    /// — with one lock per shard rather than one per document. Until the
+    /// reader is dropped this thread must not write to the collection.
+    pub fn read_docs(&self) -> DocsReader<'_> {
+        DocsReader {
+            shards: self.shards.iter().map(Shard::read).collect(),
+        }
+    }
+
     /// Score the documents matching `filter` and return the total match
-    /// count plus the top `k` `(score, _id)` by `(score desc, _id asc)`.
+    /// count plus the `(score, _id)` ranked `ranks` (0 the best) by
+    /// `(score desc, _id asc)`: a page asks for its own ranks, and only
+    /// its ids are copied out.
     ///
     /// With `index` (the collection's text index, read-locked by the
     /// caller so its scorer can borrow postings from the same state) the
     /// matching set comes from the postings: `$text` conjuncts resolve to
-    /// an exact candidate set and only [`Filter::residual`] is evaluated
+    /// ascending candidate ids and only [`Filter::residual`] is evaluated
     /// on a candidate's document. Without it, or when the index cannot
-    /// bound the filter, every shard is scanned through the filter.
+    /// bound the filter, every document is visited, merged across the
+    /// shards in id order.
     ///
-    /// The work is partitioned by shard — candidate ids routed to their
-    /// home shard, or whole shards — and each shard keeps only a bounded
-    /// `k`-entry buffer of scores and ids (documents are read under the
-    /// shard lock and never cloned). It all runs on the calling thread:
-    /// a read already owns one serve worker, and sharding spreads
-    /// storage, not one request's CPU. The per-shard buffers merge under
-    /// the same total order, so the result is identical to scoring every
-    /// match and fully sorting.
+    /// Either way `score` sees the matching documents in ascending id
+    /// order (so a scorer can walk postings with cursors), each read in
+    /// place under its shard's one read guard and never cloned, and one
+    /// buffer of the best `ranks.end` keeps borrowed ids until the
+    /// survivors are known. It all runs on the calling thread: a read
+    /// already owns one serve worker, and sharding spreads storage, not
+    /// one request's CPU. The result is identical to scoring every match
+    /// and fully sorting.
     pub fn scored_top_k(
         &self,
         filter: &Filter,
-        k: usize,
+        ranks: std::ops::Range<usize>,
         index: Option<&IndexReader<'_>>,
-        score: impl Fn(&str, &Value) -> f64,
+        mut score: impl FnMut(&str, &Value) -> f64,
     ) -> (usize, Vec<(f64, String)>) {
         let candidates = index.and_then(|index| filter.index_candidates(index));
         let mut residual = Vec::new();
@@ -607,47 +665,26 @@ impl Collection {
             (Some(index), Some(_)) => filter.residual(index, &mut residual),
             _ => residual.push(filter),
         }
-        // Partition candidate ids by home shard; `None` partitions mean
-        // "scan the whole shard".
-        let parts: Option<Vec<Vec<&str>>> = candidates.as_ref().map(|ids| {
-            let mut parts: Vec<Vec<&str>> = vec![Vec::new(); self.shards.len()];
-            for id in ids {
-                parts[(route_hash(id) % self.shards.len() as u64) as usize].push(id);
+        let docs = self.read_docs();
+        let mut matched = 0usize;
+        let mut best = TopBuffer::new(ranks.end);
+        let mut visit = |id, doc: &Value| {
+            if residual.iter().all(|f| f.matches(doc)) {
+                matched += 1;
+                best.push(score(id, doc), id);
             }
-            parts
-        });
-
-        // One shard's worth of work: verify, score, keep the best k.
-        let run_shard = |shard: &Shard, part: Option<&[&str]>| -> (usize, TopBuffer) {
-            let mut matched = 0usize;
-            let mut best = TopBuffer::new(k);
-            let mut visit = |id: &str, doc: &Value| {
-                if residual.iter().all(|f| f.matches(doc)) {
-                    matched += 1;
-                    best.push(score(id, doc), id);
-                }
-            };
-            match part {
-                Some(ids) => {
-                    for id in ids {
-                        shard.with_doc(id, |doc| visit(id, doc));
+        };
+        match &candidates {
+            Some(ids) => {
+                for &id in ids {
+                    if let Some(doc) = docs.get(id) {
+                        visit(id, doc);
                     }
                 }
-                None => shard.for_each(|id, doc| visit(id, doc)),
             }
-            (matched, best)
-        };
-
-        let mut total = 0usize;
-        let mut merged: Vec<(f64, String)> = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let (matched, best) = run_shard(shard, parts.as_ref().map(|p| p[i].as_slice()));
-            total += matched;
-            merged.extend(best.entries);
+            None => docs.for_each_ascending(visit),
         }
-        merged.sort_by(|a, b| TopBuffer::cmp(a.0, &a.1, b.0, &b.1));
-        merged.truncate(k);
-        (total, merged)
+        (matched, best.into_owned(ranks.start))
     }
 
     /// Scan every shard in order with `f`, keeping what it returns.
@@ -1150,11 +1187,18 @@ mod tests {
         let score = |_: &str, d: &Value| d.path("g").unwrap().as_f64().unwrap();
         for k in [0, 1, 7, 50, 200] {
             let index = c.text_index().map(TextIndex::read);
-            let (total, got) = c.scored_top_k(&filter, k, index.as_ref(), score);
+            let (total, got) = c.scored_top_k(&filter, 0..k, index.as_ref(), score);
             let (naive_total, naive) = naive_top_k(&c, &filter, k, score);
             assert_eq!(total, naive_total);
             assert_eq!(got, naive, "k = {k}");
+            // A page of ranks is that slice of the full sort.
+            let from = k / 2;
+            let (_, page) = c.scored_top_k(&filter, from..k, index.as_ref(), score);
+            assert_eq!(page, naive.get(from..).unwrap_or_default(), "ranks {from}..{k}");
         }
+        let index = c.text_index().map(TextIndex::read);
+        let (_, past) = c.scored_top_k(&filter, 60..70, index.as_ref(), score);
+        assert!(past.is_empty(), "ranks past the matches are empty");
     }
 
     #[test]
@@ -1166,8 +1210,17 @@ mod tests {
         let filter = Filter::Gte("n".into(), Value::int(15));
         let score = |_: &str, d: &Value| d.path("n").unwrap().as_f64().unwrap();
         let index = c.text_index().map(TextIndex::read);
-        let (total, top) = c.scored_top_k(&filter, 3, index.as_ref(), score);
-        assert_eq!(c.scored_top_k(&filter, 3, None, score), (total, top.clone()));
+        let (total, top) = c.scored_top_k(&filter, 0..3, index.as_ref(), score);
+        assert_eq!(c.scored_top_k(&filter, 0..3, None, score), (total, top.clone()));
+        // The scan hands out documents in ascending id order, as the
+        // candidate path does: a postings scorer's cursors rely on it.
+        let mut seen = Vec::new();
+        c.scored_top_k(&Filter::True, 0..1, None, |id, _| {
+            seen.push(id.to_string());
+            0.0
+        });
+        assert_eq!(seen.len(), 20);
+        assert!(seen.is_sorted(), "{seen:?}");
         assert_eq!(total, 5);
         let ns: Vec<f64> = top.iter().map(|(s, _)| *s).collect();
         assert_eq!(ns, [19.0, 18.0, 17.0]);
@@ -1175,8 +1228,8 @@ mod tests {
 
     #[test]
     fn scored_top_k_merges_four_shards_into_the_full_sort() {
-        // 1024 candidates spread over 4 shards: each shard keeps its own
-        // bounded buffer, and the merge must equal scoring every match.
+        // 1024 candidates spread over 4 shards, visited in one ascending
+        // pass: the bounded buffer must equal scoring every match.
         let c = Collection::new(
             CollectionConfig::new("pubs")
                 .with_shards(4)
@@ -1191,7 +1244,7 @@ mod tests {
         let (expect_total, expect_top) = naive_top_k(&c, &filter, 5, score);
         for q in 0..25 {
             let index = c.text_index().map(TextIndex::read);
-            let (total, got) = c.scored_top_k(&filter, 5, index.as_ref(), score);
+            let (total, got) = c.scored_top_k(&filter, 0..5, index.as_ref(), score);
             assert_eq!(total, expect_total, "query {q}");
             assert_eq!(got, expect_top, "query {q}");
         }

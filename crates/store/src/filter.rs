@@ -20,7 +20,6 @@ use covidkg_text::{stem, tokenize_lower};
 use crate::error::StoreError;
 use crate::index::IndexReader;
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A compiled query filter.
@@ -220,12 +219,12 @@ impl Filter {
         }
     }
 
-    /// Resolve this filter against the inverted index into a candidate id
-    /// set that is a **superset** of the matching documents (callers still
-    /// check [`Filter::residual`] on each). Returns `None` when the index
-    /// cannot bound the result:
+    /// Resolve this filter against the inverted index into candidate ids,
+    /// ascending and without duplicates, that are a **superset** of the
+    /// matching documents (callers still check [`Filter::residual`] on
+    /// each). Returns `None` when the index cannot bound the result:
     ///
-    /// * `$text` resolves exactly — union of postings over the queried
+    /// * `$text` resolves exactly — the merged postings over the queried
     ///   fields — but only when every queried field is indexed (a match in
     ///   an unindexed field would otherwise be missed);
     /// * `$and` intersects the branches the index can bound, ignoring the
@@ -233,27 +232,29 @@ impl Filter {
     /// * `$or` unions the branches, but every branch must be boundable —
     ///   one unboundable branch means any document could match;
     /// * everything else (`$regex`, comparisons, `$not`, …) is unbounded.
-    pub fn index_candidates<'r>(&self, index: &'r IndexReader<'_>) -> Option<BTreeSet<&'r str>> {
+    ///
+    /// Every list is sorted, so `$and` and `$or` are sorted merges.
+    pub fn index_candidates<'r>(&self, index: &'r IndexReader<'_>) -> Option<Vec<&'r str>> {
         match self {
             Filter::Text { stems, fields } => {
                 Some(index.candidates_in_fields(stems, &indexed_fields(fields, index)?))
             }
             Filter::And(fs) => {
-                let mut acc: Option<BTreeSet<&str>> = None;
+                let mut acc: Option<Vec<&str>> = None;
                 for f in fs {
                     if let Some(ids) = f.index_candidates(index) {
                         acc = Some(match acc {
                             None => ids,
-                            Some(prev) => prev.intersection(&ids).copied().collect(),
+                            Some(prev) => intersect_sorted(&prev, &ids),
                         });
                     }
                 }
                 acc
             }
             Filter::Or(fs) => {
-                let mut out = BTreeSet::new();
+                let mut out = Vec::new();
                 for f in fs {
-                    out.extend(f.index_candidates(index)?);
+                    out = union_sorted(&out, &f.index_candidates(index)?);
                 }
                 Some(out)
             }
@@ -280,6 +281,51 @@ impl Filter {
 /// The index ordinals of `fields`, when every one of them is indexed.
 fn indexed_fields(fields: &[String], index: &IndexReader<'_>) -> Option<Vec<u16>> {
     fields.iter().map(|f| index.field_id(f)).collect()
+}
+
+/// The ids in both ascending lists, ascending.
+fn intersect_sorted<'r>(a: &[&'r str], b: &[&'r str]) -> Vec<&'r str> {
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
+        match x.cmp(y) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                out.push(*x);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
+}
+
+/// The ids in either ascending, duplicate-free list, ascending and
+/// without duplicates.
+fn union_sorted<'r>(a: &[&'r str], b: &[&'r str]) -> Vec<&'r str> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
+        match x.cmp(y) {
+            Ordering::Less => {
+                out.push(*x);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(*y);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push(*x);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 fn operand_list(op: &str, operand: &Value) -> Result<Vec<Value>, StoreError> {
@@ -506,9 +552,8 @@ mod tests {
         };
 
         // $text scoped to indexed fields resolves exactly.
-        let ids = title_mask.index_candidates(&idx).unwrap();
-        assert!(ids.contains("a") && !ids.contains("b"));
-        assert_eq!(any_mask.index_candidates(&idx).unwrap().len(), 2);
+        assert_eq!(title_mask.index_candidates(&idx).unwrap(), ["a"]);
+        assert_eq!(any_mask.index_candidates(&idx).unwrap(), ["a", "b"]);
         assert_eq!(residual(&any_mask), 0, "nothing left to verify");
 
         // A queried field outside the index makes the filter unboundable.
@@ -526,8 +571,7 @@ mod tests {
             ]),
             unindexed,
         ]);
-        let ids = and.index_candidates(&idx).unwrap();
-        assert_eq!(ids.iter().collect::<Vec<_>>(), [&"b"]);
+        assert_eq!(and.index_candidates(&idx).unwrap(), ["b"]);
         let mut left = Vec::new();
         and.residual(&idx, &mut left);
         assert!(matches!(left[..], [Filter::Gte(..), Filter::Text { .. }]), "{left:?}");
@@ -535,7 +579,7 @@ mod tests {
         // $or unions only when every branch is boundable; it is never
         // split, so it stays as its own residual.
         let or = Filter::Or(vec![title_mask.clone(), title_vaccine]);
-        assert_eq!(or.index_candidates(&idx).unwrap().len(), 2);
+        assert_eq!(or.index_candidates(&idx).unwrap(), ["a", "b"]);
         assert_eq!(residual(&or), 1);
         let or_open = Filter::Or(vec![title_mask, Filter::Gte("year".into(), Value::int(0))]);
         assert!(or_open.index_candidates(&idx).is_none());

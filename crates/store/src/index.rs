@@ -294,18 +294,27 @@ impl IndexReader<'_> {
         self.stripes[TextIndex::stripe_of(stem)].get(stem)
     }
 
-    /// Ids containing any of the query stems **within the given fields**:
-    /// matches in indexed-but-unlisted fields don't qualify a document, so
-    /// the set is exact (not merely a superset) for a `$text` filter
-    /// scoped to those fields.
-    pub fn candidates_in_fields(&self, stems: &[String], fields: &[u16]) -> BTreeSet<&str> {
-        let mut out = BTreeSet::new();
-        for docs in stems.iter().filter_map(|s| self.docs(s)) {
-            for (id, postings) in docs {
-                if !out.contains(id.as_str()) && postings.iter().any(|p| fields.contains(&p.field))
-                {
-                    out.insert(id.as_str());
+    /// Ids containing any of the query stems **within the given fields**,
+    /// ascending and without duplicates: matches in indexed-but-unlisted
+    /// fields don't qualify a document, so the set is exact (not merely a
+    /// superset) for a `$text` filter scoped to those fields. One k-way
+    /// merge over the stems' postings, which are already ordered by id.
+    pub fn candidates_in_fields(&self, stems: &[String], fields: &[u16]) -> Vec<&str> {
+        let mut cursors: Vec<_> = stems
+            .iter()
+            .filter_map(|s| self.docs(s))
+            .map(|docs| docs.iter().peekable())
+            .collect();
+        let mut out = Vec::new();
+        while let Some(id) = cursors.iter_mut().filter_map(|c| c.peek().map(|&(id, _)| id)).min() {
+            let mut hit = false;
+            for cursor in &mut cursors {
+                if let Some((_, postings)) = cursor.next_if(|&(other, _)| other == id) {
+                    hit = hit || postings.iter().any(|p| fields.contains(&p.field));
                 }
+            }
+            if hit {
+                out.push(id.as_str());
             }
         }
         out

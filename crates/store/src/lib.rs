@@ -47,7 +47,7 @@ pub mod update;
 pub mod stats;
 pub mod wal;
 
-pub use collection::{Collection, CollectionConfig};
+pub use collection::{Collection, CollectionConfig, DocsReader};
 pub use db::Database;
 pub use error::StoreError;
 pub use fault::{Fault, FaultConfig, FaultOp, FaultPlan, FaultStats, RetryPolicy};

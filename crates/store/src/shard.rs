@@ -5,7 +5,7 @@
 //! set of these shards so reads of different shards never contend.
 
 use covidkg_json::Value;
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard};
 use std::collections::BTreeMap;
 
 /// One shard of a collection.
@@ -42,11 +42,14 @@ impl Shard {
         self.docs.read().unwrap().get(id).cloned()
     }
 
-    /// Run `f` against a document under the read lock, without cloning —
-    /// the scoring hot path reads thousands of candidates and clones only
-    /// the few that enter a top-k heap.
+    /// Run `f` against a document under the read lock, without cloning.
     pub fn with_doc<T>(&self, id: &str, f: impl FnOnce(&Value) -> T) -> Option<T> {
         self.docs.read().unwrap().get(id).map(f)
+    }
+
+    /// Every document under the read lock, for reading many in place.
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, BTreeMap<String, Value>> {
+        self.docs.read().unwrap()
     }
 
     /// Remove a document, returning it.

@@ -20,8 +20,10 @@ echo "==> one request path: every op row meets its class breaker, every op row r
 cargo test -p covidkg-serve --test op_policies --offline -q
 cargo test -p covidkg-net --test routed_wire --offline -q
 
-echo "==> search equivalence property tests (postings-driven pages vs the tokenizing oracles)"
+echo "==> search equivalence property tests (postings-driven pages vs the tokenizing oracles; merged index candidates vs a full scan; the render cache under concurrent writes; a search's allocations pinned)"
 cargo test -p covidkg-search --test equivalence --test postings_oracle --offline -q
+cargo test -p covidkg-store --test candidates_prop --offline -q
+cargo test -p covidkg-search --test render_cache_threads --test search_allocs --offline -q
 
 echo "==> splice property test (every reply under a cache key vs re-rendering a page with its own query)"
 cargo test -p covidkg-net --test splice_prop --offline -q
