@@ -31,6 +31,7 @@ use covidkg_store::{Collection, CollectionConfig, Database, StoreError};
 use covidkg_tables::{detect_orientation, parse_tables, row_features, Orientation, Preprocessor};
 use covidkg_text::tokenize_lower;
 use covidkg_trust::TrustStore;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Capacity of the search render cache (memoized snippets/highlights);
@@ -209,7 +210,7 @@ pub struct CovidKg {
     /// The classifier's table-cell preprocessor, compiled once.
     preprocessor: Preprocessor,
     /// Fusion correction memory carried across ingest calls.
-    fusion_memory: std::collections::HashMap<String, covidkg_kg::NodeId>,
+    fusion_memory: HashMap<String, covidkg_kg::NodeId>,
     /// Data generation: bumped by every completed [`CovidKg::ingest`].
     /// Serving layers key cached query results on this so a write
     /// invalidates all earlier entries (covidkg-serve).
@@ -230,10 +231,7 @@ impl CovidKg {
 
     /// Build from an existing corpus (lets experiments share one corpus).
     pub fn build_from(config: CovidKgConfig, pubs: &[Publication]) -> Result<CovidKg, StoreError> {
-        let mut report = IngestReport {
-            publications: pubs.len(),
-            ..IngestReport::default()
-        };
+        let mut report = IngestReport::default();
 
         // №3 — the sharded document store of publications (durable when
         // a data_dir is configured).
@@ -246,8 +244,6 @@ impl CovidKg {
                 .with_shards(config.shards)
                 .with_text_fields(Publication::text_fields()),
         )?;
-        let docs: Vec<Value> = pubs.iter().map(Publication::to_doc).collect();
-        publications.insert_parallel(docs, INGEST_THREADS)?;
 
         // №4 — embeddings (WDC pre-train + corpus fine-tune) and the
         // metadata classifiers.
@@ -267,16 +263,14 @@ impl CovidKg {
         }
         let classifier = TrainedClassifier::train(&rows, &config, &embeddings);
 
-        // Classify every stored table (running the real inference path on
-        // the HTML round-tripped through the store), extract subtrees.
-        let preprocessor = Preprocessor::new();
-        let docs = publications.scan_all();
-        let (trees, enrichments) =
-            classify_and_extract(&docs, &classifier, &preprocessor, &mut report);
-        for (paper_id, update) in &enrichments {
-            publications.update_spec(paper_id, update)?;
-        }
-        report.subtrees = trees.len();
+        // Classify every table, store each publication once with its
+        // enrichment, and fuse the subtrees in the store's scan order
+        // (shard by shard), which numbers the graph's nodes.
+        let docs = pubs.iter().map(Publication::to_doc).collect();
+        let mut trees =
+            classify_and_store(&publications, docs, &classifier, &Preprocessor::new(), &mut report)?;
+        let scan_rank: HashMap<String, usize> = publications.ids().into_iter().zip(0..).collect();
+        trees.sort_by_key(|t| scan_rank.get(&t.paper_id).copied());
 
         // №5 — topical clustering over TF-IDF-ish embedding vectors.
         let (clusters, purity) = cluster_topics(pubs, &embeddings);
@@ -291,16 +285,6 @@ impl CovidKg {
         let mut expert = default_expert();
         engine.process_reviews(&mut expert);
         report.fusion = engine.stats();
-        let (mut kg, fusion_memory) = engine.into_parts();
-        report.kg_nodes = kg.len();
-
-        // №7 and the trust and dense tiers — derived once here, kept
-        // fresh incrementally by every later ingest.
-        kg.take_changed();
-        let mut views = Views::new(embeddings.dims());
-        views.rebuild(&publications, &kg, &embeddings, None);
-        views.set_generation(1);
-        report.observations = views.profiles().stats().observations;
 
         // №11/13 — release trained artifacts.
         let registry =
@@ -318,13 +302,42 @@ impl CovidKg {
         };
         registry.publish("metadata-classifier", config.classifier.name(), classifier_payload)?;
 
+        let system =
+            Self::assemble(config, db, engine.into_parts(), embeddings, classifier, report, None)?;
         // The dense tier's index, published alongside the other trained
         // artifacts so reopen can skip the rebuild.
-        registry.publish("ann-hnsw", "hnsw", views.ann().save_text())?;
+        system
+            .registry
+            .publish("ann-hnsw", "hnsw", system.views.ann().save_text())?;
+        system.persist()?;
+        Ok(system)
+    }
 
+    /// The system over `db`'s publications and models and a graph just
+    /// fused or read back: №7 and the trust and dense tiers derived once
+    /// here (from `restored_ann` when it still matches the store), kept
+    /// fresh incrementally by every later ingest.
+    fn assemble(
+        config: CovidKgConfig,
+        db: Database,
+        (mut kg, fusion_memory): (KnowledgeGraph, HashMap<String, covidkg_kg::NodeId>),
+        embeddings: Word2Vec,
+        classifier: TrainedClassifier,
+        mut report: IngestReport,
+        restored_ann: Option<HnswIndex>,
+    ) -> Result<CovidKg, StoreError> {
+        let publications = db.collection("publications")?;
+        let registry = ModelRegistry::over(db.collection("models")?);
+        kg.take_changed();
+        let mut views = Views::new(embeddings.dims());
+        views.rebuild(&publications, &kg, &embeddings, restored_ann);
+        views.set_generation(1);
+        report.publications = publications.len();
+        report.kg_nodes = kg.len();
+        report.observations = views.profiles().stats().observations;
         let search = SearchEngine::new(Arc::clone(&publications))
             .with_render_cache(Arc::new(RenderCache::new(RENDER_CACHE_CAP)));
-        let system = CovidKg {
+        Ok(CovidKg {
             config,
             db,
             publications,
@@ -336,12 +349,10 @@ impl CovidKg {
             embeddings,
             report,
             classifier,
-            preprocessor,
+            preprocessor: Preprocessor::new(),
             fusion_memory,
             generation: 1,
-        };
-        system.persist()?;
-        Ok(system)
+        })
     }
 
     /// Persist the KG document and snapshot every durable collection.
@@ -398,7 +409,7 @@ impl CovidKg {
     /// assembles a serving system around the same `Arc`s so applied
     /// frames are visible to search without reopening files).
     pub fn reopen_with(db: Database, config: CovidKgConfig) -> Result<CovidKg, StoreError> {
-        let publications = db.get_or_create(
+        db.get_or_create(
             CollectionConfig::new("publications")
                 .with_shards(config.shards)
                 .with_text_fields(Publication::text_fields()),
@@ -439,48 +450,29 @@ impl CovidKg {
                 )));
             }
         }
-        let mut kg = kg_coll
+        let kg = kg_coll
             .get("kg")
             .and_then(|d| d.path("graph").and_then(KnowledgeGraph::from_json))
             .ok_or_else(|| corrupt("knowledge graph"))?;
-        kg.take_changed();
 
-        // Re-derive the views from the stored documents (cheap,
+        // The views re-derive from the stored documents (cheap,
         // classifier-free). The ANN index restores from its published
         // payload when it still matches the recovered store (WAL replay
-        // may have advanced the corpus past the last persist).
+        // may have advanced the corpus past the last persist). Correction
+        // memory is session-scoped; the expert relearns quickly thanks to
+        // the persisted KG structure.
         let restored_ann = registry
             .fetch("ann-hnsw")
             .and_then(|t| HnswIndex::load_text(&t));
-        let mut views = Views::new(embeddings.dims());
-        views.rebuild(&publications, &kg, &embeddings, restored_ann);
-        views.set_generation(1);
-        let report = IngestReport {
-            publications: publications.len(),
-            kg_nodes: kg.len(),
-            observations: views.profiles().stats().observations,
-            ..IngestReport::default()
-        };
-        let search = SearchEngine::new(Arc::clone(&publications))
-            .with_render_cache(Arc::new(RenderCache::new(RENDER_CACHE_CAP)));
-        Ok(CovidKg {
+        Self::assemble(
             config,
             db,
-            publications,
-            search,
-            kg,
-            views,
-            bias_cache: Mutex::new(None),
-            registry,
+            (kg, HashMap::new()),
             embeddings,
-            report,
             classifier,
-            preprocessor: Preprocessor::new(),
-            // Correction memory is session-scoped; the expert relearns
-            // quickly thanks to the persisted KG structure.
-            fusion_memory: std::collections::HashMap::new(),
-            generation: 1,
-        })
+            IngestReport::default(),
+            restored_ann,
+        )
     }
 
     /// Incrementally ingest new publications (№12 in Fig 1: "the World
@@ -501,23 +493,20 @@ impl CovidKg {
         Ok(added)
     }
 
-    /// Phase 1 of ingest: store the publications, classify their tables
-    /// and write back enrichments — all through `&self`, so concurrent
+    /// Phase 1 of ingest: classify the publications' tables and store
+    /// each once with its enrichment — all through `&self`, so concurrent
     /// readers proceed untouched. Report deltas accumulate in the
     /// returned [`PreparedIngest`] and are merged during commit.
     pub fn ingest_prepare(&self, pubs: &[Publication]) -> Result<PreparedIngest, StoreError> {
-        let docs: Vec<Value> = pubs.iter().map(Publication::to_doc).collect();
-        self.store_docs(&docs)?;
-        let mut delta = IngestReport {
-            publications: pubs.len(),
-            ..IngestReport::default()
-        };
-        let (trees, enrichments) =
-            classify_and_extract(&docs, &self.classifier, &self.preprocessor, &mut delta);
-        for (paper_id, update) in &enrichments {
-            self.publications.update_spec(paper_id, update)?;
-        }
-        delta.subtrees = trees.len();
+        let mut delta = IngestReport::default();
+        let docs = pubs.iter().map(Publication::to_doc).collect();
+        let trees = classify_and_store(
+            &self.publications,
+            docs,
+            &self.classifier,
+            &self.preprocessor,
+            &mut delta,
+        )?;
         Ok(PreparedIngest { trees, delta })
     }
 
@@ -620,41 +609,6 @@ impl CovidKg {
         self.report.publications = self.publications.len();
         self.report.kg_nodes = self.kg.len();
         self.advance_views();
-        Ok(())
-    }
-
-    /// Store a batch of new documents, riding out transient I/O faults.
-    ///
-    /// The parallel fast path may have landed an arbitrary subset of the
-    /// batch before a fault surfaced, so the transient-error fallback
-    /// walks the batch sequentially — tolerating `DuplicateId` for
-    /// documents that already made it — with a bounded number of passes
-    /// per document. Permanent errors propagate immediately; a batch that
-    /// returns `Ok` is fully acknowledged (every document durable in the
-    /// WAL).
-    fn store_docs(&self, docs: &[Value]) -> Result<(), StoreError> {
-        match self.publications.insert_parallel(docs.to_vec(), INGEST_THREADS) {
-            Ok(_) => return Ok(()),
-            Err(e) if e.is_transient() => {}
-            Err(e) => return Err(e),
-        }
-        const SEQUENTIAL_PASSES: usize = 8;
-        for doc in docs {
-            let mut last = None;
-            for _ in 0..SEQUENTIAL_PASSES {
-                match self.publications.insert(doc.clone()) {
-                    Ok(_) | Err(StoreError::DuplicateId(_)) => {
-                        last = None;
-                        break;
-                    }
-                    Err(e) if e.is_transient() => last = Some(e),
-                    Err(e) => return Err(e),
-                }
-            }
-            if let Some(e) = last {
-                return Err(e);
-            }
-        }
         Ok(())
     }
 
@@ -941,35 +895,34 @@ impl CovidKg {
     }
 }
 
-/// Run the trained classifier over every table in `docs`, extracting
-/// candidate subtrees and the per-paper enrichment `$set`s. Shared by
-/// the initial build and incremental [`CovidKg::ingest`].
-fn classify_and_extract(
-    docs: &[Value],
+/// Run the trained classifier over every table of `docs`, store each
+/// document once carrying its classification, and return the candidate
+/// subtrees in `docs` order. The paper's back-end stores publications
+/// "enriched with different classified characteristics by our
+/// Deep-Learning models": a document with a `tables` array gains a last
+/// member, `enrichment`, summarising them. Shared by the initial build
+/// and incremental [`CovidKg::ingest`].
+fn classify_and_store(
+    publications: &Collection,
+    mut docs: Vec<Value>,
     classifier: &TrainedClassifier,
     pre: &Preprocessor,
     report: &mut IngestReport,
-) -> (Vec<covidkg_kg::ExtractedTree>, Vec<(String, Value)>) {
+) -> Result<Vec<covidkg_kg::ExtractedTree>, StoreError> {
     let mut trees = Vec::new();
-    let mut enrichments: Vec<(String, Value)> = Vec::new();
-    for doc in docs {
-        let paper_id = doc
-            .get("_id")
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let mut paper_tables = 0usize;
-        let mut paper_meta_rows = 0usize;
-        let Some(tables) = doc.path("tables").and_then(Value::as_array) else {
+    for doc in &mut docs {
+        let Some(tables) = doc.get("tables").and_then(Value::as_array) else {
             continue;
         };
+        let paper_id = doc.get("_id").and_then(Value::as_str).unwrap_or_default();
+        let mut paper_tables = 0usize;
+        let mut paper_meta_rows = 0usize;
         for t in tables {
             let Some(html) = t.path("html").and_then(Value::as_str) else {
                 continue;
             };
-            let parsed = match parse_tables(html) {
-                Ok(p) => p,
-                Err(_) => continue,
+            let Ok(parsed) = parse_tables(html) else {
+                continue;
             };
             for table in &parsed {
                 report.tables_parsed += 1;
@@ -990,26 +943,57 @@ fn classify_and_extract(
                     &predictions,
                     orientation == Orientation::Vertical,
                     &table.caption,
-                    &paper_id,
+                    paper_id,
                 ));
             }
         }
-        // The paper's back-end stores publications "enriched with
-        // different classified characteristics by our Deep-Learning
-        // models"; write the classification summary back via a $set.
-        enrichments.push((
-            paper_id,
+        doc.insert(
+            "enrichment",
             covidkg_json::obj! {
-                "$set" => covidkg_json::obj! {
-                    "enrichment" => covidkg_json::obj! {
-                        "tables" => paper_tables,
-                        "metadata_rows" => paper_meta_rows,
-                    },
-                },
+                "tables" => paper_tables,
+                "metadata_rows" => paper_meta_rows,
             },
-        ));
+        );
     }
-    (trees, enrichments)
+    report.publications += docs.len();
+    report.subtrees += trees.len();
+    store_docs(publications, &docs)?;
+    Ok(trees)
+}
+
+/// Store a batch of new documents, riding out transient I/O faults.
+///
+/// The parallel fast path may have landed an arbitrary subset of the
+/// batch before a fault surfaced, so the transient-error fallback
+/// walks the batch sequentially — tolerating `DuplicateId` for
+/// documents that already made it — with a bounded number of passes
+/// per document. Permanent errors propagate immediately; a batch that
+/// returns `Ok` is fully acknowledged (every document durable in the
+/// WAL).
+fn store_docs(publications: &Collection, docs: &[Value]) -> Result<(), StoreError> {
+    match publications.insert_parallel(docs.to_vec(), INGEST_THREADS) {
+        Ok(_) => return Ok(()),
+        Err(e) if e.is_transient() => {}
+        Err(e) => return Err(e),
+    }
+    const SEQUENTIAL_PASSES: usize = 8;
+    for doc in docs {
+        let mut last = None;
+        for _ in 0..SEQUENTIAL_PASSES {
+            match publications.insert(doc.clone()) {
+                Ok(_) | Err(StoreError::DuplicateId(_)) => {
+                    last = None;
+                    break;
+                }
+                Err(e) if e.is_transient() => last = Some(e),
+                Err(e) => return Err(e),
+            }
+        }
+        if let Some(e) = last {
+            return Err(e);
+        }
+    }
+    Ok(())
 }
 
 /// The classifier actually used during ingest.
@@ -1188,6 +1172,7 @@ fn capitalize(w: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use covidkg_store::WalRecord;
 
     fn small_config() -> CovidKgConfig {
         CovidKgConfig {
@@ -1444,6 +1429,95 @@ mod tests {
             }
         }
         assert!(paths > 1000, "the plans return {paths} paths in all");
+    }
+
+    /// Publications `start..48` of the small corpus: ids the 36-paper
+    /// build does not hold.
+    fn later_pubs(start: usize) -> Vec<Publication> {
+        CorpusGenerator::with_size(48, 42).generate().into_iter().skip(start).collect()
+    }
+
+    #[test]
+    fn each_publication_is_written_once() {
+        let mut system = CovidKg::build(small_config()).unwrap();
+        assert_eq!(system.publications().mutation_epoch(), 36, "one write per built paper");
+        system.ingest(&later_pubs(36)).unwrap();
+        assert_eq!(system.publications().mutation_epoch(), 48, "one write per ingested paper");
+        for doc in system.publications().scan_all() {
+            let members = doc.as_object().unwrap();
+            let has_tables = doc.get("tables").and_then(Value::as_array).is_some();
+            assert_eq!(members.last().unwrap().0 == "enrichment", has_tables, "{:?}", doc.get("_id"));
+        }
+    }
+
+    #[test]
+    fn a_durable_ingest_logs_one_enriched_insert_per_publication() {
+        let dir = std::env::temp_dir().join(format!("covidkg-one-write-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = CovidKgConfig {
+            data_dir: Some(dir.to_string_lossy().into_owned()),
+            ..small_config()
+        };
+        let mut system = CovidKg::build(config).unwrap();
+        // The build's persist snapshotted the store and emptied its WAL;
+        // commit without persisting so the ingest's records stay there.
+        let pubs = later_pubs(36);
+        let prepared = system.ingest_prepare(&pubs).unwrap();
+        system.ingest_commit(prepared).unwrap();
+        let (records, truncated) =
+            covidkg_store::wal::read_wal(&dir.join("publications.wal")).unwrap();
+        assert!(!truncated);
+        let mut ids: Vec<&str> = records
+            .iter()
+            .map(|r| match r {
+                WalRecord::Insert(doc) => {
+                    assert!(doc.get("enrichment").is_some(), "{}", doc.to_json());
+                    doc.get("_id").and_then(Value::as_str).unwrap()
+                }
+                other => panic!("an ingest logged {other:?}"),
+            })
+            .collect();
+        ids.sort_unstable();
+        let mut want: Vec<&str> = pubs.iter().map(|p| p.id.as_str()).collect();
+        want.sort_unstable();
+        assert_eq!(ids, want);
+        drop(system);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The build's graph is the one fusing in the store's scan order
+    /// gives: the bare documents stored, read back with `scan_all` and
+    /// classified in that order, their subtrees fused as they come.
+    /// Node ids are on the wire, so the order may not change.
+    #[test]
+    fn the_build_fuses_in_the_store_scan_order() {
+        let corpus = CorpusGenerator::with_size(240, 2023).generate();
+        let config = CovidKgConfig {
+            corpus_size: corpus.len(),
+            ..CovidKgConfig::default()
+        };
+        let system = CovidKg::build_from(config, &corpus).unwrap();
+        let bare = Collection::new(
+            CollectionConfig::new("publications").with_shards(system.config().shards),
+        );
+        bare.insert_many(corpus.iter().map(Publication::to_doc)).unwrap();
+        let trees = classify_and_store(
+            &Collection::new(CollectionConfig::new("classified")),
+            bare.scan_all(),
+            &system.classifier,
+            &system.preprocessor,
+            &mut IngestReport::default(),
+        )
+        .unwrap();
+        let mut engine =
+            FusionEngine::new(seed_graph(), Some(system.embeddings()), FusionConfig::default());
+        for tree in trees {
+            engine.fuse(tree);
+        }
+        engine.process_reviews(&mut default_expert());
+        let (reference, _) = engine.into_parts();
+        assert_eq!(system.kg().len(), 46);
+        assert_eq!(system.kg().to_json().to_json(), reference.to_json().to_json());
     }
 
     #[test]

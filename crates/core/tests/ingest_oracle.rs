@@ -17,7 +17,6 @@ use std::sync::OnceLock;
 
 use covidkg_core::{CovidKg, CovidKgConfig, QueryPlan};
 use covidkg_corpus::{CorpusGenerator, Publication};
-use covidkg_json::obj;
 use covidkg_rand::rngs::SmallRng;
 use covidkg_rand::{prop, Rng};
 use covidkg_serve::{Op, ServeConfig, Server};
@@ -87,12 +86,12 @@ fn apply(server: &Server, step: &Step, next: &mut usize) {
             return;
         }
         Step::Revenue { paper, venue } => server.with_system(|s| {
-            let spec = obj! { "$set" => obj! { "venue" => VENUES[*venue] } };
-            let _ = s.publications().update_spec(&id(*paper), &spec);
+            let _ = s.publications().update(&id(*paper), |d| d.insert("venue", VENUES[*venue]));
         }),
         Step::DropTables { paper } => server.with_system(|s| {
-            let spec = obj! { "$unset" => obj! { "tables" => 1 } };
-            let _ = s.publications().update_spec(&id(*paper), &spec);
+            let _ = s.publications().update(&id(*paper), |d| {
+                d.remove("tables");
+            });
         }),
         Step::Delete { paper } => server.with_system(|s| {
             let _ = s.publications().delete(&id(*paper));

@@ -3,7 +3,7 @@
 //! One property drives a real [`Collection`], a growing
 //! [`KnowledgeGraph`] and a [`Views`] through random interleavings of
 //! every kind of write the mutation log must carry — insert (with and
-//! without a `tables` array), replace, `update_spec`, delete,
+//! without a `tables` array), replace, `update`, delete,
 //! delete-then-reinsert, a burst longer than the log window,
 //! replicated `Insert`/`Update`/`Delete` frames — with graph growth and
 //! `advance` at random points. After every `advance` the views must
@@ -81,7 +81,7 @@ enum Frame {
 enum Op {
     Insert { paper: usize, shape: Shape },
     Replace { paper: usize, shape: Shape },
-    /// The ingest path's enrichment `$set`.
+    /// An in-place edit of a stored paper: an `enrichment` member set.
     Enrich { paper: usize },
     Delete { paper: usize },
     Reinsert { paper: usize, shape: Shape },
@@ -178,8 +178,7 @@ fn write(coll: &Collection, kg: &mut KnowledgeGraph, op: &Op) {
             let _ = coll.replace(&paper_id(*paper), doc(*paper, shape));
         }
         Op::Enrich { paper } => {
-            let spec = obj! { "$set" => obj! { "enrichment" => obj! { "tables" => 1 } } };
-            let _ = coll.update_spec(&paper_id(*paper), &spec);
+            let _ = coll.update(&paper_id(*paper), |d| d.insert("enrichment", obj! { "tables" => 1 }));
         }
         Op::Delete { paper } => {
             let _ = coll.delete(&paper_id(*paper));

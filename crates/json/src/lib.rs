@@ -16,7 +16,7 @@
 //! * [`parse`] / [`Value::parse`] — a recursive-descent parser with precise
 //!   error positions.
 //! * [`Value::to_json`] / [`Value::to_json_pretty`] — writers.
-//! * Dot-path access ([`Value::path`], [`Value::path_mut`],
+//! * Dot-path access ([`Value::path`], [`Value::remove_path`],
 //!   [`Value::set_path`]) matching MongoDB's `a.b.0.c` addressing, used by
 //!   `$match` / `$project` stages.
 //! * A total ordering over values ([`Value::cmp_total`]) used by `$sort`.

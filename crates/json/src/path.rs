@@ -24,15 +24,6 @@ impl Value {
         Some(cur)
     }
 
-    /// Mutable variant of [`Value::path`].
-    pub fn path_mut(&mut self, path: &str) -> Option<&mut Value> {
-        let mut cur = self;
-        for seg in split_path(path) {
-            cur = step_mut(cur, seg)?;
-        }
-        Some(cur)
-    }
-
     /// Set the value at a dot path, creating intermediate objects as needed
     /// (array segments must already exist — we never implicitly grow
     /// arrays, matching the store's `$addFields` semantics).

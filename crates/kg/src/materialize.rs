@@ -115,7 +115,7 @@ impl ProfileStore {
 
     /// Upsert or remove one paper's observations: fold the old set out
     /// of its vaccines' profiles and the new set in. A write that left
-    /// the observations as they were (an enrichment `$set`) folds
+    /// the observations as they were (a field no table lives in) folds
     /// nothing.
     fn apply(&mut self, paper_id: &str, obs: Vec<Observation>) {
         let old = self.by_paper.remove(paper_id).unwrap_or_default();

@@ -377,14 +377,16 @@ fn respond(reply: Reply, trusted: bool) -> Response {
     }
 }
 
-/// `?q=&page=&trust=` of `/search/{engine}`.
+/// `?q=&page=&trust=` of `/search/{engine}`; a page past `i64::MAX`
+/// (a JSON body's largest integer) is served as that page.
 fn parse_search(req: &Request, engine: &str) -> Parsed {
     let q = req.query_param("q").unwrap_or_default();
     let page = match req.query_param("page").as_deref() {
         None => 0,
         Some(p) => p
             .parse::<usize>()
-            .map_err(|_| error_response(400, "page must be a non-negative integer"))?,
+            .map_err(|_| error_response(400, "page must be a non-negative integer"))?
+            .min(i64::MAX as usize),
     };
     let trust = trust_knob(req)?;
     let lexical = |mode| Op::Search(Cow::Owned(mode), page, trust);

@@ -395,6 +395,8 @@ fn stream_collection(
     }
 
     let mut next = from_seq.max(1);
+    // A persist must not compact away what is still to ship.
+    let hold = coll.hold_wal(next);
     let mut scratch = [0u8; 64 * 1024];
     let mut last_sent = Instant::now();
     loop {
@@ -459,6 +461,7 @@ fn stream_collection(
                 return;
             }
         }
+        hold.store(next, Ordering::Release);
 
         if last_sent.elapsed() >= shared.config.heartbeat_interval {
             let hb = Message::Heartbeat {

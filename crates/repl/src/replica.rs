@@ -542,7 +542,6 @@ impl ReplicaNodeConfig {
 pub struct ReplicaNode {
     name: String,
     data_dir: String,
-    reconnect: RetryPolicy,
     server: Arc<Server>,
     collections: BTreeMap<String, Arc<Collection>>,
     pullers: Vec<ReplicaPuller>,
@@ -653,7 +652,6 @@ impl ReplicaNode {
         Ok(ReplicaNode {
             name: config.name,
             data_dir: config.data_dir,
-            reconnect: config.reconnect,
             server,
             collections,
             pullers,
@@ -745,31 +743,6 @@ impl ReplicaNode {
             .map(|(n, c)| (n.clone(), Arc::clone(c)))
             .collect();
         ReplListener::start(sources, config).map_err(ReplError::Io)
-    }
-
-    /// Re-point this replica at a different primary (after a failover
-    /// elected someone else): restart every puller against `primary`,
-    /// keeping the collections, server, and epoch handle. The durable
-    /// watermark makes the handoff safe — the first Hello resumes from
-    /// exactly what this node already applied.
-    pub fn repoint(&mut self, primary: SocketAddr) {
-        for p in &mut self.pullers {
-            p.shutdown();
-        }
-        self.pullers = self
-            .collections
-            .iter()
-            .map(|(name, coll)| {
-                ReplicaPuller::start(
-                    Arc::clone(coll),
-                    name.clone(),
-                    primary,
-                    self.name.clone(),
-                    self.reconnect,
-                    self.epoch.clone(),
-                )
-            })
-            .collect();
     }
 
     /// Start re-shipping this replica's collections downstream while it

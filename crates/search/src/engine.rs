@@ -70,12 +70,6 @@ impl SearchEngine {
         }
     }
 
-    /// Override ranking weights.
-    pub fn with_weights(mut self, weights: RankWeights) -> SearchEngine {
-        self.weights = weights;
-        self
-    }
-
     /// Attach a render-level cache memoizing built snippets/highlights
     /// across searches (invalidated by the collection's mutation epoch).
     pub fn with_render_cache(mut self, cache: Arc<RenderCache>) -> SearchEngine {
@@ -95,7 +89,8 @@ impl SearchEngine {
     /// (ids, order, score bits, snippets) of [`SearchEngine::search_naive`].
     pub fn search(&self, mode: &SearchMode, page: usize) -> SearchPage {
         let (query, ranker, filter, projection) = self.prepare(mode);
-        let ranks = page * PAGE_SIZE..(page + 1) * PAGE_SIZE;
+        let first = page.saturating_mul(PAGE_SIZE);
+        let ranks = first..first.saturating_add(PAGE_SIZE);
         let (total, hits) = self.scored_top_k(&filter, &ranker, ranks);
         let results = self.render_hits(&hits, &ranker, &projection);
         SearchPage { query, page, page_size: PAGE_SIZE, total, results }
@@ -129,7 +124,7 @@ impl SearchEngine {
         naive.total = ranked.len();
         naive.results = ranked
             .iter()
-            .skip(page * PAGE_SIZE)
+            .skip(page.saturating_mul(PAGE_SIZE))
             .take(PAGE_SIZE)
             .map(|doc| {
                 let score = doc.path("score").and_then(Value::as_f64).unwrap_or(0.0);
@@ -178,7 +173,7 @@ impl SearchEngine {
         ranker: &Ranker,
         ranks: Range<usize>,
     ) -> (usize, Vec<(f64, String)>) {
-        if ranker.query().is_empty() || ranks.is_empty() {
+        if ranker.query().is_empty() {
             return (0, Vec::new());
         }
         let index = self.collection.text_index().map(TextIndex::read);
@@ -340,6 +335,7 @@ impl SearchEngine {
                 let mut clauses = Vec::new();
                 let mut fields = Vec::new();
                 let mut combined = ParsedQuery::default();
+                let mut synonyms = Vec::new();
                 for (field, _, parsed) in parts {
                     if parsed.is_empty() {
                         continue;
@@ -352,6 +348,14 @@ impl SearchEngine {
                         if !combined.stems.contains(&s) {
                             combined.stems.push(s);
                         }
+                    }
+                    synonyms.extend(parsed.synonym_stems);
+                }
+                // A synonym scores at a discount, so one that another
+                // field queries as a direct stem stays direct.
+                for s in synonyms {
+                    if !combined.stems.contains(&s) && !combined.synonym_stems.contains(&s) {
+                        combined.synonym_stems.push(s);
                     }
                 }
                 let filter = match clauses.len() {
@@ -658,6 +662,38 @@ mod tests {
         assert!(page.results[0].score > page.results[1].score);
     }
 
+    /// A scoped query ranks and highlights a synonym-only match the way
+    /// the all-fields engine does, at the synonym discount.
+    #[test]
+    fn scoped_synonym_matches_score_and_highlight() {
+        let c = Collection::new(CollectionConfig::new("pubs").with_text_fields(["title"]));
+        c.insert(obj! { "_id" => "direct", "title" => "vaccine rollout", "date" => "2021-01" })
+            .unwrap();
+        c.insert(obj! { "_id" => "synonym", "title" => "immunization rollout", "date" => "2021-01" })
+            .unwrap();
+        let engine = SearchEngine::new(Arc::new(c));
+        let scoped = engine.search(
+            &SearchMode::TitleAbstractCaption {
+                title: "vaccine".into(),
+                abstract_q: String::new(),
+                caption: String::new(),
+            },
+            0,
+        );
+        let all = engine.search(&SearchMode::AllFields("vaccine".into()), 0);
+        let ids = |p: &SearchPage| p.results.iter().map(|r| r.id.clone()).collect::<Vec<_>>();
+        assert_eq!(ids(&scoped), ["direct", "synonym"]);
+        assert_eq!(ids(&all), ids(&scoped));
+        let (direct, synonym) = (&scoped.results[0], &scoped.results[1]);
+        assert!(synonym.score > 0.0, "a synonym match must score");
+        assert!(synonym.score < direct.score);
+        let discount = |p: &SearchPage| p.results[1].score / p.results[0].score;
+        assert!((discount(&scoped) - discount(&all)).abs() < 1e-12);
+        let marked: Vec<String> =
+            synonym.snippets.iter().map(|f| f.snippet.render_marked()).collect();
+        assert!(marked.iter().any(|m| m.contains("[immunization]")), "{marked:?}");
+    }
+
     #[test]
     fn cache_keys_canonicalize_equivalent_queries() {
         let a = cache_key(&SearchMode::AllFields("Vaccines mask".into()), 0);
@@ -726,7 +762,11 @@ mod tests {
             render_key(&SearchMode::AllFields(q.into())),
             format!("f=title,abstract,tables,figure_captions,body,date|{norm}")
         );
-        assert_eq!(render_key(&scoped), "f=title,tables,date|s=efficaci,mask;y=;p=table 1");
+        // The scoped ranker carries its fields' synonym stems too.
+        assert_eq!(
+            render_key(&scoped),
+            "f=title,tables,date|s=efficaci,mask;y=effect,ppe,respir;p=table 1"
+        );
 
         // The echoed text comes from the same parse as the key.
         assert_eq!(cache_key_and_query(&SearchMode::AllFields(q.into()), 0).1, q);

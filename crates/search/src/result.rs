@@ -189,7 +189,7 @@ impl SearchPage {
             out,
             "results for {:?} — page {}/{} ({} matches)",
             self.query,
-            self.page + 1,
+            self.page.saturating_add(1),
             self.page_count().max(1),
             self.total
         );
@@ -197,7 +197,7 @@ impl SearchPage {
             let _ = writeln!(
                 out,
                 "{:>2}. {}  (score {:.2}, id {})",
-                self.page * self.page_size + i + 1,
+                self.page.saturating_mul(self.page_size).saturating_add(i + 1),
                 r.title,
                 r.score,
                 r.id
@@ -503,6 +503,9 @@ mod tests {
         assert!(text.contains("23 matches"));
         assert!(text.contains("[masks]"));
         assert!(text.contains("paper-7"));
+        // The page number comes from the wire unbounded.
+        let last = SearchPage { page: usize::MAX, ..page };
+        assert!(last.render().contains(&format!("page {}/3", usize::MAX)));
     }
 
     #[test]

@@ -178,6 +178,11 @@ fn assert_identical(fast: &SearchPage, naive: &SearchPage, ctx: &str) {
     assert_eq!(fast.to_json().to_json(), naive.to_json().to_json(), "page bytes differ: {ctx}");
 }
 
+/// Pages past every corpus's end whose first rank, `page × PAGE_SIZE`,
+/// overflows `usize`: both paths must answer the same empty page, with
+/// the same total.
+const HUGE_PAGES: [usize; 2] = [usize::MAX / 10 + 1, usize::MAX];
+
 #[test]
 fn pruned_top_k_is_byte_identical_to_full_scan() {
     prop::run(25, |rng| {
@@ -188,7 +193,7 @@ fn pruned_top_k_is_byte_identical_to_full_scan() {
         let engine = SearchEngine::new(collection);
         for _ in 0..3 {
             let mode = random_mode(rng);
-            for page in 0..4 {
+            for page in (0..4).chain(HUGE_PAGES) {
                 let fast = engine.search(&mode, page);
                 let naive = engine.search_naive(&mode, page);
                 let ctx = format!(
@@ -225,7 +230,7 @@ fn assert_pages_at_scale(engine: &SearchEngine, text_fields: &[&str]) {
         },
     ];
     for mode in &modes {
-        for page in 0..5 {
+        for page in (0..5).chain(HUGE_PAGES) {
             let fast = engine.search(mode, page);
             let naive = engine.search_naive(mode, page);
             let ctx = format!("parallel-scale indexed={text_fields:?} page={page} mode={mode:?}");

@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, RwLock};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Configuration for a collection.
 #[derive(Debug, Clone)]
@@ -180,12 +180,19 @@ pub struct Collection {
     /// Replication sequence for in-memory collections (durable ones
     /// track it in the WAL writer; see [`Collection::repl_watermark`]).
     mem_seq: AtomicU64,
+    /// What each replication session has yet to ship (see
+    /// [`Collection::hold_wal`]).
+    wal_holds: Mutex<Vec<Weak<AtomicU64>>>,
 }
+
+/// A session's hold defers compaction only while the log is smaller
+/// than this (bytes); past it a session still behind gets a checkpoint.
+const WAL_HOLD_CAP: u64 = 16 << 20;
 
 /// How many recent writes [`Collection::touched_since`] can account
 /// for; older windows fall back to "everything may have changed". An
-/// ingested publication logs two (its insert and its enrichment
-/// `$set`), so one window covers 256 of them.
+/// ingested publication logs one (its insert, enrichment included), so
+/// one window covers 512 of them.
 const MUTATION_LOG_CAP: usize = 512;
 
 impl std::fmt::Debug for Collection {
@@ -221,6 +228,7 @@ impl Collection {
             mutations: AtomicU64::new(0),
             mutation_log: Mutex::new(VecDeque::new()),
             mem_seq: AtomicU64::new(0),
+            wal_holds: Mutex::new(Vec::new()),
         }
     }
 
@@ -667,7 +675,10 @@ impl Collection {
         }
         let docs = self.read_docs();
         let mut matched = 0usize;
-        let mut best = TopBuffer::new(ranks.end);
+        // No more can match than the shards hold: a page past them keeps
+        // nothing, however far past, and only counts.
+        let held: usize = docs.shards.iter().map(|s| s.len()).sum();
+        let mut best = TopBuffer::new(if ranks.start < held { ranks.end.min(held) } else { 0 });
         let mut visit = |id, doc: &Value| {
             if residual.iter().all(|f| f.matches(doc)) {
                 matched += 1;
@@ -714,6 +725,12 @@ impl Collection {
         }
     }
 
+    /// Every document id, in [`Collection::scan_all`]'s order: shard by
+    /// shard, ascending within each. Clones no document.
+    pub fn ids(&self) -> Vec<String> {
+        self.scan_shards(|id, _| Some(id.to_string()))
+    }
+
     /// Every document (cloned). Prefer [`Collection::aggregate`] for
     /// anything selective.
     pub fn scan_all(&self) -> Vec<Value> {
@@ -724,14 +741,15 @@ impl Collection {
         all
     }
 
-    /// Write a snapshot and truncate the WAL. No-op for in-memory
-    /// collections.
+    /// Write a snapshot and truncate the WAL, returning the documents
+    /// written. No-op for in-memory collections.
     ///
     /// The WAL lock is held across capture, write and reset: writers
     /// log under that lock before touching shards, so the snapshot and
     /// the truncated (sequence-preserving) log agree on exactly which
     /// records the snapshot absorbed — the invariant replication's
-    /// checkpoint bootstrap depends on.
+    /// checkpoint bootstrap depends on. While a session's hold names a
+    /// logged record, the log is synced and kept instead (0 written).
     pub fn snapshot(&self) -> Result<usize, StoreError> {
         let (Some(path), Some(wal)) = (&self.snapshot_path, &self.wal) else {
             return Ok(0);
@@ -739,12 +757,29 @@ impl Collection {
         let policy = self.retry_policy();
         let plan = self.fault_plan();
         let mut w = lock(wal);
+        let logged = w.base_seq() + 1..=w.watermark();
+        let unshipped = |h: Arc<AtomicU64>| logged.contains(&h.load(Ordering::Acquire));
+        let mut holds = lock(&self.wal_holds);
+        holds.retain(|h| h.strong_count() > 0);
+        if w.len_bytes() < WAL_HOLD_CAP && holds.iter().filter_map(Weak::upgrade).any(unshipped) {
+            return with_backoff(&policy, |e| self.count_retry(e), || w.sync()).map(|()| 0);
+        }
+        drop(holds);
         let docs = self.scan_all();
         let n = with_backoff(&policy, |e| self.count_retry(e), || {
             wal::write_snapshot_with(path, docs.iter(), plan.as_deref())
         })?;
         with_backoff(&policy, |e| self.count_retry(e), || w.reset())?;
         Ok(n)
+    }
+
+    /// Hold the WAL records from `next_seq` on for a replication session
+    /// (it stores each next sequence it has yet to ship): a snapshot
+    /// keeps the log while a live hold names a logged record.
+    pub fn hold_wal(&self, next_seq: u64) -> Arc<AtomicU64> {
+        let hold = Arc::new(AtomicU64::new(next_seq));
+        lock(&self.wal_holds).push(Arc::downgrade(&hold));
+        hold
     }
 
     /// The durable replication watermark: the global sequence of the
@@ -1199,6 +1234,11 @@ mod tests {
         let index = c.text_index().map(TextIndex::read);
         let (_, past) = c.scored_top_k(&filter, 60..70, index.as_ref(), score);
         assert!(past.is_empty(), "ranks past the matches are empty");
+        // Rank ranges that saturate: all of it, or only its far end.
+        let (total, all) = c.scored_top_k(&filter, 0..usize::MAX, index.as_ref(), score);
+        assert_eq!((total, all), naive_top_k(&c, &filter, usize::MAX, score));
+        let far = usize::MAX - 9..usize::MAX;
+        assert_eq!(c.scored_top_k(&filter, far, index.as_ref(), score), (50, vec![]));
     }
 
     #[test]
@@ -1418,6 +1458,66 @@ mod tests {
         let replica = Collection::open(cfg, &dir.join("r")).unwrap();
         assert_eq!(replica.repl_watermark(), 5);
         assert_eq!(replica.content_checksum(), primary.content_checksum());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_held_log_is_kept_until_its_session_fetches_it() {
+        let dir = std::env::temp_dir().join(format!("covidkg-hold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = CollectionConfig::new("pubs");
+        let c = Collection::open(cfg.clone(), &dir).unwrap();
+        c.insert(obj! { "_id" => "a" }).unwrap();
+        c.snapshot().unwrap();
+        // A session that has fetched everything holds nothing back.
+        let hold = c.hold_wal(2);
+        c.insert(obj! { "_id" => "b" }).unwrap();
+        c.insert(obj! { "_id" => "c" }).unwrap();
+        assert_eq!(c.snapshot().unwrap(), 0, "records 2..=3 are unfetched");
+        let WalTail::Records(tail) = c.tail_from(2).unwrap() else {
+            panic!("the held records were compacted away");
+        };
+        assert_eq!(tail.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [2, 3]);
+        // The kept log recovers the same documents.
+        let reopened = Collection::open(cfg.clone(), &dir).unwrap();
+        assert_eq!(reopened.content_checksum(), c.content_checksum());
+        assert_eq!(reopened.repl_watermark(), 3);
+        drop(reopened);
+        // Fetched, the same snapshot compacts.
+        hold.store(4, Ordering::Release);
+        assert_eq!(c.snapshot().unwrap(), 3);
+        assert!(matches!(c.tail_from(2).unwrap(), WalTail::SnapshotNeeded { base_seq: 3 }));
+        drop(hold);
+        // A hold on a compacted record, or a dropped one, defers nothing.
+        let stale = c.hold_wal(1);
+        c.insert(obj! { "_id" => "d" }).unwrap();
+        assert_eq!(c.snapshot().unwrap(), 4);
+        let behind = c.hold_wal(5);
+        c.insert(obj! { "_id" => "e" }).unwrap();
+        drop((stale, behind));
+        assert_eq!(c.snapshot().unwrap(), 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_hold_defers_compaction_only_below_the_cap() {
+        let dir = std::env::temp_dir().join(format!("covidkg-hold-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = Collection::open(CollectionConfig::new("pubs").with_shards(1), &dir).unwrap();
+        let _hold = c.hold_wal(1);
+        let pad = "x".repeat(64 << 10);
+        let logged = || lock(c.wal.as_ref().unwrap()).len_bytes();
+        let mut n = 0;
+        while logged() + (2 * pad.len() as u64) < WAL_HOLD_CAP {
+            c.insert(obj! { "_id" => format!("p{n}"), "pad" => pad.as_str() }).unwrap();
+            n += 1;
+        }
+        assert_eq!(c.snapshot().unwrap(), 0, "{n} records are under the cap");
+        c.insert(obj! { "_id" => "one", "pad" => pad.as_str() }).unwrap();
+        c.insert(obj! { "_id" => "two", "pad" => pad.as_str() }).unwrap();
+        assert!(logged() >= WAL_HOLD_CAP);
+        assert_eq!(c.snapshot().unwrap(), n + 2);
+        assert!(matches!(c.tail_from(1).unwrap(), WalTail::SnapshotNeeded { .. }));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -43,7 +43,6 @@ pub mod gauntlet;
 pub mod index;
 pub mod pipeline;
 pub mod shard;
-pub mod update;
 pub mod stats;
 pub mod wal;
 
@@ -57,5 +56,4 @@ pub use gauntlet::{run_gauntlet, GauntletConfig, GauntletReport};
 pub use index::{DocPostings, HashIndex, IndexReader, Posting, TextIndex};
 pub use pipeline::{Accumulator, Pipeline, Stage};
 pub use stats::{CollectionStats, DbStats, ShardStats};
-pub use update::UpdateSpec;
 pub use wal::{WalReader, WalRecord, WalTail};

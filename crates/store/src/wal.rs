@@ -250,6 +250,11 @@ impl WalWriter {
         self.base_seq
     }
 
+    /// Bytes of committed frames in the current file.
+    pub fn len_bytes(&self) -> u64 {
+        self.committed
+    }
+
     /// The committed records currently in the file, paired with their
     /// global sequence numbers, from `from_seq` onward. Returns
     /// [`WalTail::SnapshotNeeded`] when `from_seq` predates the file

@@ -2,12 +2,12 @@
 //! what a write changed must hold exactly the indexes of one built fresh
 //! from its current documents.
 //!
-//! Random `insert` / `update_spec` / `replace` / `update` sequences run
-//! against a collection with two text fields (one nested) and two hash
-//! indexes (a scalar and an array field). After every write, each stem's
-//! postings and each hash lookup are compared with a fresh collection's.
-//! The generators lean on the writes that skip re-indexing — a `$set` of
-//! a text field to the string it already holds, a `$set` of a field no
+//! Random `insert` / `replace` / `update` sequences run against a
+//! collection with two text fields (one nested) and two hash indexes (a
+//! scalar and an array field). After every write, each stem's postings
+//! and each hash lookup are compared with a fresh collection's. The
+//! generators lean on the writes that skip re-indexing — an edit setting
+//! a text field to the string it already holds, an edit of a field no
 //! index reads — and on hash keys `Value` equality cannot tell apart:
 //! `2020` vs `2020.0` and `0.0` vs `-0.0`.
 
@@ -51,7 +51,6 @@ fn title(words: &[usize]) -> Value {
 enum Op {
     Insert(usize, Value),
     Replace(usize, Value),
-    UpdateSpec(usize, Value),
     /// `update` with an in-place edit of the stored document.
     Update(usize, Edit),
 }
@@ -66,6 +65,15 @@ enum Edit {
     RewriteTitle,
     /// A field no index reads.
     Annotate,
+    /// `title` removed.
+    UnsetTitle,
+    /// `year` set to the `years()` value at this index.
+    SetYear(usize),
+    /// The `years()` value at this index appended to `tags` (created when
+    /// missing).
+    PushTag(usize),
+    /// The nested text field and its non-indexed sibling set together.
+    SetMeta,
 }
 
 fn gen_doc(rng: &mut SmallRng) -> Value {
@@ -96,28 +104,12 @@ fn gen_doc(rng: &mut SmallRng) -> Value {
     Value::Object(members)
 }
 
-fn gen_spec(rng: &mut SmallRng) -> Value {
-    let year = prop::pick(rng, &years()).clone();
-    match rng.gen_range(0..8) {
-        0 => obj! { "$set" => obj! { "title" => "mask vaccine" } },
-        1 => {
-            obj! { "$set" => obj! { "enrichment" => obj! { "classified" => 2, "label" => "mask" } } }
-        }
-        2 => obj! { "$set" => obj! { "year" => year } },
-        3 => obj! { "$inc" => obj! { "year" => 0 } },
-        4 => obj! { "$unset" => obj! { "title" => 1 } },
-        5 => obj! { "$push" => obj! { "tags" => year } },
-        6 => obj! { "$set" => obj! { "meta.abstract" => "icu dose", "meta.pages" => 4 } },
-        _ => obj! { "$set" => obj! { "year" => -0.0, "note" => "zero" } },
-    }
-}
-
 fn gen_op(rng: &mut SmallRng) -> Op {
     let id = rng.gen_range(0..IDS.len());
+    let value = rng.gen_range(0..years().len());
     match rng.gen_range(0..6) {
         0 | 1 => Op::Insert(id, gen_doc(rng)),
         2 => Op::Replace(id, gen_doc(rng)),
-        3 | 4 => Op::UpdateSpec(id, gen_spec(rng)),
         _ => Op::Update(
             id,
             *prop::pick(
@@ -127,6 +119,10 @@ fn gen_op(rng: &mut SmallRng) -> Op {
                     Edit::FlipZeroSign,
                     Edit::RewriteTitle,
                     Edit::Annotate,
+                    Edit::UnsetTitle,
+                    Edit::SetYear(value),
+                    Edit::PushTag(value),
+                    Edit::SetMeta,
                 ],
             ),
         ),
@@ -158,6 +154,22 @@ fn edit(e: Edit, doc: &mut Value) {
             }
         }
         Edit::Annotate => doc.insert("seen", Value::Bool(true)),
+        Edit::UnsetTitle => {
+            doc.remove("title");
+        }
+        Edit::SetYear(i) => doc.insert("year", years().swap_remove(i)),
+        Edit::PushTag(i) => {
+            let tag = years().swap_remove(i);
+            match doc.get_mut("tags") {
+                Some(Value::Array(tags)) => tags.push(tag),
+                Some(_) => {}
+                None => doc.insert("tags", arr![tag]),
+            }
+        }
+        Edit::SetMeta => {
+            doc.set_path("meta.abstract", Value::str("icu dose"));
+            doc.set_path("meta.pages", Value::int(4));
+        }
     }
 }
 
@@ -239,9 +251,8 @@ fn difference(live: &Indexed, fresh: &Indexed) -> Option<String> {
 }
 
 fn apply(c: &Collection, op: &Op) {
-    // Writes that fail (a duplicate insert, a missing id, `$inc` of a
-    // string) must leave the indexes as they were: the check after each
-    // write covers them too.
+    // Writes that fail (a duplicate insert, a missing id) must leave the
+    // indexes as they were: the check after each write covers them too.
     let _ = match op {
         Op::Insert(id, doc) => {
             let mut doc = doc.clone();
@@ -249,7 +260,6 @@ fn apply(c: &Collection, op: &Op) {
             c.insert(doc).map(|_| ())
         }
         Op::Replace(id, doc) => c.replace(IDS[*id], doc.clone()),
-        Op::UpdateSpec(id, spec) => c.update_spec(IDS[*id], spec),
         Op::Update(id, e) => c.update(IDS[*id], |doc| edit(*e, doc)),
     };
 }

@@ -49,11 +49,6 @@ impl VocabularyBuilder {
         self.docs
     }
 
-    /// Number of distinct terms seen so far.
-    pub fn distinct_terms(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Finalize into a [`Vocabulary`] of at most `max_terms` dimensions.
     ///
     /// Selection per §3.2: drop stopwords ("noise words") and spam-like

@@ -16,9 +16,9 @@ cargo test --offline -q
 echo "==> cargo test --workspace --offline -q"
 cargo test --workspace --offline -q
 
-echo "==> one request path: every op row meets its class breaker, every op row routes to a replica"
+echo "==> one request path: every op row meets its class breaker, every op row routes to a replica, a page past the end is empty"
 cargo test -p covidkg-serve --test op_policies --offline -q
-cargo test -p covidkg-net --test routed_wire --offline -q
+cargo test -p covidkg-net --test routed_wire --test page_bounds --offline -q
 
 echo "==> search equivalence property tests (postings-driven pages vs the tokenizing oracles; merged index candidates vs a full scan; the render cache under concurrent writes; a search's allocations pinned)"
 cargo test -p covidkg-search --test equivalence --test postings_oracle --offline -q
@@ -38,7 +38,7 @@ echo "==> KG query body parity and allocation count (both /kg/query writers vs t
 cargo test -p covidkg-kg --test body_parity --offline -q
 cargo test -p covidkg-core --test kg_body_allocs --offline -q
 
-echo "==> set-up oracles (SMO and word2vec bytes vs their full-scan references, indexes after every write vs a fresh build)"
+echo "==> set-up oracles (SMO and word2vec bytes vs their full-scan references, indexes after every insert, replace and in-place edit vs a fresh build)"
 cargo test -p covidkg-ml --lib --offline -q -- \
     svm::tests::smo_matches_the_full_scan_reference_bit_for_bit \
     word2vec::tests::training_passes_match_the_reference_byte_for_byte
@@ -129,8 +129,12 @@ cargo test -p covidkg-core --test views_prop --offline -q
 echo "==> benchmark set-up floor (the benchmark's corpus has every KG and trust node its warm-up requests)"
 cargo test -p covidkg-net --test bench_floor --offline -q
 
-echo "==> ingest oracle (after every one-publication ingest, update or delete: served trust, profile, bias and trusted-query bodies vs a twin rebuilt from scratch)"
+echo "==> ingest oracle (after every one-publication ingest, update or delete: served trust, profile, bias and trusted-query bodies vs a twin rebuilt from scratch; one write per publication; the build's graph vs fusing in the store's scan order)"
 cargo test -p covidkg-core --test ingest_oracle --offline -q -- ingest_views_equal_a_rebuilt_twin_after_every_step --exact
+cargo test -p covidkg-core --lib --offline -q -- --exact \
+    system::tests::each_publication_is_written_once \
+    system::tests::a_durable_ingest_logs_one_enriched_insert_per_publication \
+    system::tests::the_build_fuses_in_the_store_scan_order
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets --offline"
